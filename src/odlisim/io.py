@@ -116,6 +116,11 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
             except ValueError as exc:
                 raise ParseError(f"bad value in column {c!r}: {parts[i]!r}",
                                  row=r + 3) from exc
+    for c in idx:
+        bad = np.flatnonzero(~np.isfinite(data[c]))
+        if len(bad):
+            raise ParseError(f"non-finite value in column {c!r}: {float(data[c][bad[0]])}",
+                             row=int(bad[0]) + 3)
 
     t = data["t"]
     steps = np.diff(t)

@@ -9,7 +9,16 @@ advances by velocity-range dilation intersected with the rasterized new
 hull; carrying the hull continuously keeps rasterization rounding from
 compounding across steps.  Because every computation starts from a point
 state and all clamps are global, one hull per axis describes every cell
-of a layer; per-cell views are synthesized on demand.
+of a layer.
+
+Mask kernels cost what the occupied cells cost, not the window: a
+dilation (velocity range in ``propagate_step``, vehicle footprint in
+``pov_occupancy``) reads only the occupied bounding box of its source.  A
+completely filled box (every unpruned layer, so every POV layer) dilates to
+a filled rectangle written with one slice assignment; carved boxes are
+dilated by shifted ORs on the cropped arrays.  ``propagate_step`` writes
+the result only inside the raster box of the new hull, and
+``pov_occupancy`` returns the cropped occupancy with its world origin.
 
 Pruning follows the expansion order: at each step the POV layer expands
 first, the SV layer expands from its previous pruned layer, and SV cells
@@ -17,7 +26,9 @@ inside the POV's footprint-dilated occupancy (or outside the road
 corridor, when enabled) are removed.  The survivors form the drivable
 area; an empty final layer means no trajectory is guaranteed
 collision-free under the kinematic assumptions, not that collision is
-certain.
+certain.  Since an empty layer stays empty, an area computed with
+``exists_only`` (as every timeline anchor is) stops at its first empty SV
+layer and carries fewer layers; its ``exists`` is unchanged.
 """
 
 from __future__ import annotations
@@ -76,14 +87,6 @@ class AxisInterval:
 
 
 @dataclass(frozen=True)
-class ReachCell:
-    ix: int
-    iy: int
-    x: AxisInterval
-    y: AxisInterval
-
-
-@dataclass(frozen=True)
 class GridWindow:
     """World-aligned index window: cell (ix, iy) spans [ix*dx, (ix+1)*dx) etc."""
 
@@ -127,28 +130,6 @@ class Layer:
         return ((float((ii.min() + w.ox) * w.dx), float((ii.max() + w.ox + 1) * w.dx)),
                 (float((jj.min() + w.oy) * w.dy), float((jj.max() + w.oy + 1) * w.dy)))
 
-    def cells(self):
-        if self.empty:
-            return
-        xh, yh = self.x_hull, self.y_hull
-        w = self.window
-        ii, jj = np.nonzero(self.mask)
-        for i, j in zip(ii, jj):
-            ix, iy = int(i) + w.ox, int(j) + w.oy
-            yield ReachCell(
-                ix, iy,
-                AxisInterval(max(ix * w.dx, xh.p_lo), min((ix + 1) * w.dx, xh.p_hi),
-                             xh.v_lo, xh.v_hi, xh.a_lo, xh.a_hi),
-                AxisInterval(max(iy * w.dy, yh.p_lo), min((iy + 1) * w.dy, yh.p_hi),
-                             yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi))
-
-    def contains(self, ix: int, iy: int) -> bool:
-        w = self.window
-        i, j = ix - w.ox, iy - w.oy
-        if 0 <= i < w.nx and 0 <= j < w.ny:
-            return bool(self.mask[i, j])
-        return False
-
 
 @dataclass
 class ReachableSet:
@@ -156,12 +137,6 @@ class ReachableSet:
     tau_step: float
     horizon: float
     layers: list[Layer]
-
-    def layer_at(self, tau: float) -> Layer:
-        k = int(round(tau / self.tau_step))
-        if not 0 <= k < len(self.layers):
-            raise IndexError(f"tau={tau} outside horizon {self.horizon}")
-        return self.layers[k]
 
 
 @dataclass
@@ -222,35 +197,42 @@ def _empty_like(layer: Layer, tau: float) -> Layer:
                  heading_sign=layer.heading_sign)
 
 
-def _shift_or(mask: np.ndarray, s_lo: int, s_hi: int, axis: int) -> np.ndarray:
-    """Union of the mask shifted by every offset in [s_lo, s_hi] along axis."""
-    out = np.zeros_like(mask)
-    n = mask.shape[axis]
-    for s in range(s_lo, s_hi + 1):
-        if s >= 0:
-            src = slice(0, n - s) if s else slice(None)
-            dst = slice(s, n) if s else slice(None)
-        else:
-            src = slice(-s, n)
-            dst = slice(0, n + s)
-        if axis == 0:
-            out[dst, :] |= mask[src, :]
-        else:
-            out[:, dst] |= mask[:, src]
-    return out
+def _dilate(mask: np.ndarray, sx_lo: int, sx_hi: int,
+            sy_lo: int, sy_hi: int) -> tuple[np.ndarray, int, int]:
+    """Union of a non-empty mask shifted by every offset (sx, sy) in the given ranges.
+
+    Only the occupied bounding box is dilated, so the cost follows the
+    occupied cells, not the window; a completely filled box dilates to a
+    filled rectangle, built directly.  Returns the dilated box and the index
+    of its first cell in the mask's frame (it may reach past the mask).
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    i0, j0 = int(rows[0]), int(cols[0])
+    src = mask[i0:rows[-1] + 1, j0:cols[-1] + 1]
+    h, w = src.shape
+    shape = (h + sx_hi - sx_lo, w + sy_hi - sy_lo)
+    if src.all():
+        return np.ones(shape, dtype=bool), i0 + sx_lo, j0 + sy_lo
+    tmp = np.zeros((shape[0], w), dtype=bool)
+    for s in range(sx_hi - sx_lo + 1):
+        tmp[s:s + h] |= src
+    out = np.zeros(shape, dtype=bool)
+    for s in range(sy_hi - sy_lo + 1):
+        out[:, s:s + w] |= tmp
+    return out, i0 + sx_lo, j0 + sy_lo
 
 
 def _clip_mask_to_box(mask: np.ndarray, window: GridWindow,
                       ix_lo: int, ix_hi: int, iy_lo: int, iy_hi: int) -> None:
     """Clear cells outside the world-index box (in place, bounds inclusive)."""
-    i0 = max(0, ix_lo - window.ox)
-    i1 = min(window.nx - 1, ix_hi - window.ox)
-    j0 = max(0, iy_lo - window.oy)
-    j1 = min(window.ny - 1, iy_hi - window.oy)
-    mask[:max(i0, 0), :] = False
-    mask[i1 + 1:, :] = False
-    mask[:, :max(j0, 0)] = False
-    mask[:, j1 + 1:] = False
+    # clamped at 0: a negative slice bound would count from the far edge
+    i0, i1 = max(0, ix_lo - window.ox), max(0, ix_hi + 1 - window.ox)
+    j0, j1 = max(0, iy_lo - window.oy), max(0, iy_hi + 1 - window.oy)
+    mask[:i0, :] = False
+    mask[i1:, :] = False
+    mask[:, :j0] = False
+    mask[:, j1:] = False
 
 
 def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> Layer:
@@ -274,13 +256,18 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
     py_hi, vy_hi, ay_hi = axis_step(yh.p_hi, yh.v_hi, yh.a_hi, lim_y.j_hi, lim_y, tau_step)
 
     w = layer.window
-    mask = _shift_or(layer.mask, math.floor(tau_step * xh.v_lo / w.dx),
-                     math.ceil(tau_step * xh.v_hi / w.dx), axis=0)
-    mask = _shift_or(mask, math.floor(tau_step * yh.v_lo / w.dy),
-                     math.ceil(tau_step * yh.v_hi / w.dy), axis=1)
+    dil, di, dj = _dilate(layer.mask, math.floor(tau_step * xh.v_lo / w.dx),
+                          math.ceil(tau_step * xh.v_hi / w.dx),
+                          math.floor(tau_step * yh.v_lo / w.dy),
+                          math.ceil(tau_step * yh.v_hi / w.dy))
     ix_lo, ix_hi = _raster_closed(px_lo, px_hi, w.dx)
     iy_lo, iy_hi = _raster_closed(py_lo, py_hi, w.dy)
-    _clip_mask_to_box(mask, w, ix_lo, ix_hi, iy_lo, iy_hi)
+    # the dilation survives only inside the window and the new hull's raster box
+    i0, i1 = max(0, ix_lo - w.ox, di), min(w.nx, ix_hi + 1 - w.ox, di + dil.shape[0])
+    j0, j1 = max(0, iy_lo - w.oy, dj), min(w.ny, iy_hi + 1 - w.oy, dj + dil.shape[1])
+    mask = np.zeros_like(layer.mask)
+    if i0 < i1 and j0 < j1:
+        mask[i0:i1, j0:j1] = dil[i0 - di:i1 - di, j0 - dj:j1 - dj]
 
     return Layer(tau=layer.tau + tau_step, window=w, mask=mask,
                  x_hull=AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
@@ -337,15 +324,8 @@ def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
     sy_lo = math.floor(-half_wid / w.dy)
     sy_hi = math.ceil(half_wid / w.dy)
 
-    nx2 = w.nx + (sx_hi - sx_lo)
-    ny2 = w.ny + (sy_hi - sy_lo)
-    tmp = np.zeros((nx2, w.ny), dtype=bool)
-    for s in range(sx_hi - sx_lo + 1):
-        tmp[s:s + w.nx] |= layer.mask
-    occ = np.zeros((nx2, ny2), dtype=bool)
-    for s in range(sy_hi - sy_lo + 1):
-        occ[:, s:s + w.ny] |= tmp
-    return occ, w.ox + sx_lo, w.oy + sy_lo
+    occ, i0, j0 = _dilate(layer.mask, sx_lo, sx_hi, sy_lo, sy_hi)
+    return occ, w.ox + i0, w.oy + j0
 
 
 def _prune_mask(mask: np.ndarray, ox: int, oy: int,
@@ -408,13 +388,17 @@ def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
                           config: PredictionConfig, road: RoadSpec,
                           sv_spec: VehicleSpec, pov_spec: VehicleSpec,
-                          mode: str | None = None) -> DrivableArea:
+                          mode: str | None = None, *,
+                          exists_only: bool = False) -> DrivableArea:
     """SV reachable set pruned against POV reachability, layer by layer.
 
     Expansion order per step: POV first, then the SV from its previous
     pruned layer, then removal of SV cells inside the POV occupancy and,
     with corridor pruning, of cells not fully on the road (plus shoulder
     margin).  ``exists`` reports whether the final layer is non-empty.
+    With ``exists_only`` the area stops at the first empty SV layer (an
+    empty layer stays empty), so ``layers`` and ``pov_layers`` may be
+    shorter than the horizon; ``exists`` is the same either way.
     """
     if mode is None:
         mode = pov_prediction_mode(np.array([pov_state.y]), road.lane_width,
@@ -449,6 +433,8 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
     pov_layers = [pov_layer]
     sv_layers = [sv_layer]
     for _ in range(config.n_steps):
+        if exists_only and sv_layer.empty:
+            break
         pov_layer = propagate_step(pov_layer, config.pov_limits, config.tau_step)
         if band is not None:
             pov_layer = _clip_y(pov_layer, *band, inside=False)
@@ -501,7 +487,8 @@ def drivable_timeline(log: TrajectoryLog, config: PredictionConfig,
                                    config.incursion_detect_threshold)
         area = compute_drivable_area(log.sv_state(i), log.pov_state(i), config,
                                      road, log.scenario.sv_spec,
-                                     log.scenario.pov_spec, mode=mode)
+                                     log.scenario.pov_spec, mode=mode,
+                                     exists_only=True)
         exists[k] = area.exists
         modes.append(mode)
     t_arr = np.asarray(anchors)

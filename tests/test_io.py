@@ -60,6 +60,22 @@ def test_log_optional_accel_columns(tmp_path):
     assert np.allclose(ax[20:-20], -4.0, rtol=0.02)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_log_nonfinite_sample_error(tmp_path, value):
+    log = make_log(duration=0.5)
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(log, path)
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("sv_x")
+    parts = lines[6].split(",")
+    parts[col] = value
+    lines[6] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(io.ParseError, match="row 7: non-finite value in column 'sv_x'") as err:
+        io.load_trajectory_log(path)
+    assert err.value.row == 7
+
+
 def test_log_nonmonotone_time_error(tmp_path):
     log = make_log(duration=0.5)
     path = tmp_path / "run.csv"

@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_log
+from odlisim import reach
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
-                          VehicleSpec, VehicleState)
+                          VehicleSpec, VehicleState, axis_limits, axis_step)
 from odlisim.engine import rollout
 from odlisim.policies import PolicySpec
-from odlisim.reach import (GridWindow, Layer, PredictionConfig, aggregate_prevalence,
-                           compute_drivable_area, compute_reachable_set,
-                           drivable_timeline, make_initial_layer, pov_occupancy,
-                           pov_prediction_mode, propagate_step)
+from odlisim.reach import (AxisInterval, GridWindow, Layer, PredictionConfig,
+                           aggregate_prevalence, compute_drivable_area,
+                           compute_reachable_set, drivable_timeline,
+                           make_initial_layer, pov_occupancy, pov_prediction_mode,
+                           propagate_step)
+from odlisim.responses import window_for
 from odlisim.scenario import make_scenario
 
 CFG = PredictionConfig()
@@ -31,8 +36,6 @@ def pov_state(**kw):
 
 def single_cell_layer(ix=0, iy=0, dx=0.5, dy=0.25, nx=41, ny=41, heading=1,
                       hull_v=(0.0, 0.0), hull_a=(0.0, 0.0)):
-    from odlisim.reach import AxisInterval
-
     window = GridWindow(dx, dy, ix - nx // 2, iy - ny // 2, nx, ny)
     mask = np.zeros((nx, ny), dtype=bool)
     mask[nx // 2, ny // 2] = True
@@ -298,3 +301,199 @@ def test_prevalence_deterministic_under_seed():
     a = aggregate_prevalence(cohort, n_boot=300, seed=7)
     b = aggregate_prevalence(cohort, n_boot=300, seed=7)
     assert np.array_equal(a.ci_lo, b.ci_lo) and np.array_equal(a.ci_hi, b.ci_hi)
+
+
+# -- reference kernels: the window-wide shift loops the cropped kernels replace --
+
+def ref_shift_or(mask, s_lo, s_hi, axis):
+    out = np.zeros_like(mask)
+    n = mask.shape[axis]
+    for s in range(s_lo, s_hi + 1):
+        if s >= 0:
+            src = slice(0, n - s) if s else slice(None)
+            dst = slice(s, n) if s else slice(None)
+        else:
+            src = slice(-s, n)
+            dst = slice(0, n + s)
+        if axis == 0:
+            out[dst, :] |= mask[src, :]
+        else:
+            out[:, dst] |= mask[:, src]
+    return out
+
+
+def ref_propagate_step(layer, limits, tau_step):
+    if layer.empty:
+        return reach._empty_like(layer, layer.tau + tau_step)
+    lim_x = axis_limits(limits, layer.heading_sign, "x")
+    lim_y = axis_limits(limits, layer.heading_sign, "y")
+    xh, yh = layer.x_hull, layer.y_hull
+    px_lo, vx_lo, ax_lo = axis_step(xh.p_lo, xh.v_lo, xh.a_lo, lim_x.j_lo, lim_x, tau_step)
+    px_hi, vx_hi, ax_hi = axis_step(xh.p_hi, xh.v_hi, xh.a_hi, lim_x.j_hi, lim_x, tau_step)
+    py_lo, vy_lo, ay_lo = axis_step(yh.p_lo, yh.v_lo, yh.a_lo, lim_y.j_lo, lim_y, tau_step)
+    py_hi, vy_hi, ay_hi = axis_step(yh.p_hi, yh.v_hi, yh.a_hi, lim_y.j_hi, lim_y, tau_step)
+    w = layer.window
+    mask = ref_shift_or(layer.mask, math.floor(tau_step * xh.v_lo / w.dx),
+                        math.ceil(tau_step * xh.v_hi / w.dx), axis=0)
+    mask = ref_shift_or(mask, math.floor(tau_step * yh.v_lo / w.dy),
+                        math.ceil(tau_step * yh.v_hi / w.dy), axis=1)
+    ix_lo, ix_hi = math.floor(px_lo / w.dx), math.floor(px_hi / w.dx)
+    iy_lo, iy_hi = math.floor(py_lo / w.dy), math.floor(py_hi / w.dy)
+    reach._clip_mask_to_box(mask, w, ix_lo, ix_hi, iy_lo, iy_hi)
+    return Layer(tau=layer.tau + tau_step, window=w, mask=mask,
+                 x_hull=AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
+                                     float(vx_hi), float(ax_lo), float(ax_hi)),
+                 y_hull=AxisInterval(float(py_lo), float(py_hi), float(vy_lo),
+                                     float(vy_hi), float(ay_lo), float(ay_hi)),
+                 heading_sign=layer.heading_sign)
+
+
+def ref_pov_occupancy(layer, pov_spec, sv_spec):
+    w = layer.window
+    if layer.empty:
+        return np.zeros_like(layer.mask), w.ox, w.oy
+    shift = sv_spec.ref_offset + pov_spec.ref_offset
+    half_len = (sv_spec.length + pov_spec.length) / 2
+    half_wid = (sv_spec.width + pov_spec.width) / 2
+    sx_lo = math.floor((shift - half_len) / w.dx)
+    sx_hi = math.ceil((shift + half_len) / w.dx)
+    sy_lo = math.floor(-half_wid / w.dy)
+    sy_hi = math.ceil(half_wid / w.dy)
+    nx2 = w.nx + (sx_hi - sx_lo)
+    ny2 = w.ny + (sy_hi - sy_lo)
+    tmp = np.zeros((nx2, w.ny), dtype=bool)
+    for s in range(sx_hi - sx_lo + 1):
+        tmp[s:s + w.nx] |= layer.mask
+    occ = np.zeros((nx2, ny2), dtype=bool)
+    for s in range(sy_hi - sy_lo + 1):
+        occ[:, s:s + w.ny] |= tmp
+    return occ, w.ox + sx_lo, w.oy + sy_lo
+
+
+def assert_layers_equal(got, want):
+    assert got.tau == want.tau
+    assert got.window == want.window
+    assert got.heading_sign == want.heading_sign
+    assert got.x_hull == want.x_hull and got.y_hull == want.y_hull
+    assert got.mask.shape == want.mask.shape
+    assert np.array_equal(got.mask, want.mask)
+
+
+KINDS = ("carved", "full", "edge")
+
+
+def random_layer(rng, kind):
+    """Layer with a random window, a mask of the given kind and a random hull.
+
+    kind: "carved" (random cells inside a random box, never all of it),
+    "full" (a filled rectangle) or "edge" (a filled or carved box touching
+    the window edge).  Velocity ranges straddle zero, so shifts run in both
+    directions, and the hull may reach past the window.  As with the
+    program's windows, one step shifts the mask by less than the window
+    size (the reference loop needs that).
+    """
+    dx, dy = (0.5, 0.25) if rng.random() < 0.5 else (0.25, 0.125)
+    nx, ny = int(rng.integers(30, 90)), int(rng.integers(8, 60))
+    window = GridWindow(dx, dy, int(rng.integers(-50, 50)), int(rng.integers(-30, 30)),
+                        nx, ny)
+    i0, i1 = sorted(int(v) for v in rng.integers(0, nx, size=2))
+    j0, j1 = sorted(int(v) for v in rng.integers(0, ny, size=2))
+    i1, j1 = i1 + 1, j1 + 1
+    if kind == "edge":
+        if rng.random() < 0.5:
+            i0, i1 = (0, i1) if rng.random() < 0.5 else (i0, nx)
+        else:
+            j0, j1 = (0, j1) if rng.random() < 0.5 else (j0, ny)
+    mask = np.zeros((nx, ny), dtype=bool)
+    if kind == "full" or (kind == "edge" and rng.random() < 0.5):
+        mask[i0:i1, j0:j1] = True
+    else:
+        mask[i0:i1, j0:j1] = rng.random((i1 - i0, j1 - j0)) < 0.4
+        mask[i0, j0] = True
+        if (i1 - i0) * (j1 - j0) > 1:
+            mask[i1 - 1, j1 - 1] = False
+
+    def hull(o, n, d, v_scale):
+        lo = (o + rng.uniform(-5, n + 5)) * d
+        v_lo, v_hi = sorted(rng.uniform(-v_scale, v_scale, size=2))
+        a_lo, a_hi = sorted(rng.uniform(-3.0, 3.0, size=2))
+        return AxisInterval(lo, lo + rng.uniform(0, n * d), v_lo, v_hi, a_lo, a_hi)
+
+    return Layer(tau=0.1 * int(rng.integers(0, 40)), window=window, mask=mask,
+                 x_hull=hull(window.ox, nx, dx, 30.0),
+                 y_hull=hull(window.oy, ny, dy, 3.0),
+                 heading_sign=int(rng.choice([-1, 1])))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_propagate_matches_reference_on_random_masks(kind):
+    rng = np.random.default_rng(KINDS.index(kind))
+    for _ in range(300):
+        layer = random_layer(rng, kind)
+        limits = SV_LIMITS if rng.random() < 0.5 else POV_LIMITS
+        tau_step = float(rng.choice([0.05, 0.1, 0.2]))
+        assert_layers_equal(propagate_step(layer, limits, tau_step),
+                            ref_propagate_step(layer, limits, tau_step))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pov_occupancy_matches_reference_on_random_masks(kind):
+    rng = np.random.default_rng(10 + KINDS.index(kind))
+    for _ in range(300):
+        layer = random_layer(rng, kind)
+        pov_spec = VehicleSpec(length=rng.uniform(3.0, 6.0), width=rng.uniform(1.5, 2.2),
+                               ref_offset=rng.uniform(-1.0, 1.0))
+        sv_spec = VehicleSpec(ref_offset=rng.uniform(-1.0, 1.0))
+        occ, ox, oy = pov_occupancy(layer, pov_spec, sv_spec)
+        ref, rox, roy = ref_pov_occupancy(layer, pov_spec, sv_spec)
+        # cropped to the occupied cells, and equal to the reference in world cells
+        ii, jj = np.nonzero(occ)
+        assert (ii.min(), ii.max(), jj.min(), jj.max()) == (0, occ.shape[0] - 1,
+                                                            0, occ.shape[1] - 1)
+        assert rox <= ox and ox + occ.shape[0] <= rox + ref.shape[0]
+        assert roy <= oy and oy + occ.shape[1] <= roy + ref.shape[1]
+        placed = np.zeros_like(ref)
+        placed[ox - rox:ox - rox + occ.shape[0], oy - roy:oy - roy + occ.shape[1]] = occ
+        assert np.array_equal(placed, ref)
+
+
+@pytest.fixture(scope="module")
+def no_response_anchors():
+    """(log, sample index) at four anchors of each no-response run, IL -0.8/0/+0.9."""
+    out = []
+    for il in (-0.8, 0.0, 0.9):
+        log = rollout(make_scenario(il), PolicySpec(kind="no-response"))
+        aw = window_for(log)
+        out += [(log, log.index_at(float(t))) for t in np.linspace(aw.t_begin, aw.t_end, 4)]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["normative", "kinematic-envelope"])
+def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_anchors,
+                                                         monkeypatch):
+    areas = []
+    for log, i in no_response_anchors:
+        args = (log.sv_state(i), log.pov_state(i), CFG, log.scenario.road,
+                log.scenario.sv_spec, log.scenario.pov_spec)
+        areas.append((args, compute_drivable_area(*args, mode=mode),
+                      compute_drivable_area(*args, mode=mode, exists_only=True)))
+    monkeypatch.setattr(reach, "propagate_step", ref_propagate_step)
+    monkeypatch.setattr(reach, "pov_occupancy", ref_pov_occupancy)
+    n_lost = 0
+    for args, full, short in areas:
+        ref = compute_drivable_area(*args, mode=mode)
+        assert full.exists == ref.exists == short.exists
+        assert len(full.layers) == len(full.pov_layers) == CFG.n_steps + 1
+        for got, want in zip(full.layers + full.pov_layers,
+                             ref.layers + ref.pov_layers, strict=True):
+            assert_layers_equal(got, want)
+        # exists_only: the same layers, cut right after the first empty SV layer
+        empties = [layer.empty for layer in ref.layers]
+        n = empties.index(True) + 1 if True in empties else CFG.n_steps + 1
+        assert len(short.layers) == len(short.pov_layers) == n
+        for got, want in zip(short.layers + short.pov_layers,
+                             ref.layers[:n] + ref.pov_layers[:n], strict=True):
+            assert_layers_equal(got, want)
+        n_lost += not ref.exists
+    if mode == "kinematic-envelope":
+        assert n_lost > 0  # some anchors lose escape, so the early exit runs
