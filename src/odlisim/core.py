@@ -27,12 +27,13 @@ class RoadSpec:
     shoulder_margin: float = 0.5  # m, allowed excursion beyond the road edge
 
     def __post_init__(self):
-        if self.lane_width <= 0:
-            raise ValueError(f"lane_width must be positive, got {self.lane_width}")
+        if not (math.isfinite(self.lane_width) and self.lane_width > 0):
+            raise ValueError(f"lane_width must be positive and finite, got {self.lane_width}")
         if self.num_lanes != 2:
             raise ValueError("only two-lane roads are supported")
-        if self.shoulder_margin < 0:
-            raise ValueError(f"shoulder_margin must be >= 0, got {self.shoulder_margin}")
+        if not (math.isfinite(self.shoulder_margin) and self.shoulder_margin >= 0):
+            raise ValueError(f"shoulder_margin must be finite and >= 0, "
+                             f"got {self.shoulder_margin}")
 
     @property
     def width(self) -> float:
@@ -47,9 +48,9 @@ class VehicleSpec:
     ref_offset: float = 0.0  # m, positioning reference point forward of geometric center
 
     def __post_init__(self):
-        if self.length <= 0 or self.width <= 0:
-            raise ValueError("vehicle length and width must be positive")
-        if abs(self.ref_offset) >= self.length / 2:
+        if not all(math.isfinite(v) and v > 0 for v in (self.length, self.width)):
+            raise ValueError("vehicle length and width must be positive and finite")
+        if not abs(self.ref_offset) < self.length / 2:
             raise ValueError("ref_offset must lie within the vehicle body")
 
 
@@ -77,8 +78,6 @@ class ControlInput:
     accel_pct: float = 0.0   # accelerator pedal, 0..100 %
     brake_pct: float = 0.0   # brake pedal, 0..100 %
     steer_deg: float = 0.0   # steering angle, positive = toward road center for the SV
-    jx: float = 0.0          # commanded longitudinal jerk, m/s^3
-    jy: float = 0.0          # commanded lateral jerk, m/s^3
 
     def __post_init__(self):
         if not 0.0 <= self.accel_pct <= 100.0:
@@ -112,8 +111,9 @@ class KinematicLimits:
         for name in ("v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max",
                      "a_lat_right_max", "j_fwd_max", "j_bwd_max", "j_lat_max",
                      "v_lat_max"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 SV_LIMITS = KinematicLimits()
@@ -189,7 +189,7 @@ def step_vehicle(state: VehicleState, jerk: tuple[float, float],
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle, closed bounds."""
+    """Axis-aligned rectangle, closed bounds; the bounds may be arrays."""
 
     x_lo: float
     x_hi: float
@@ -197,7 +197,7 @@ class Rect:
     y_hi: float
 
     def __post_init__(self):
-        if self.x_lo > self.x_hi or self.y_lo > self.y_hi:
+        if np.any(self.x_lo > self.x_hi) or np.any(self.y_lo > self.y_hi):
             raise ValueError(f"degenerate rectangle: {self}")
 
     @property
@@ -206,23 +206,30 @@ class Rect:
 
 
 def footprint(state: VehicleState, spec: VehicleSpec) -> Rect:
-    """Road-aligned body rectangle of a vehicle.
+    """Road-aligned body rectangle of a vehicle (see `footprint_at`)."""
+    return footprint_at(state.x, state.y, state.heading_sign, spec)
+
+
+def footprint_at(x, y, heading_sign: int, spec: VehicleSpec) -> Rect:
+    """Body rectangle at reference point (x, y), elementwise on arrays.
 
     The reference point sits ref_offset forward of the geometric center, so
     the center is ref_offset behind it along the travel direction.  Heading
     is approximated as road-aligned; lateral motion is treated as pure
     translation.
     """
-    cx = state.x - state.heading_sign * spec.ref_offset
-    cy = state.y
+    cx = x - heading_sign * spec.ref_offset
     return Rect(cx - spec.length / 2, cx + spec.length / 2,
-                cy - spec.width / 2, cy + spec.width / 2)
+                y - spec.width / 2, y + spec.width / 2)
 
 
-def rectangles_overlap(a: Rect, b: Rect) -> bool:
-    """True iff the open interiors intersect; edge contact does not count."""
-    return (a.x_lo < b.x_hi and b.x_lo < a.x_hi and
-            a.y_lo < b.y_hi and b.y_lo < a.y_hi)
+def rectangles_overlap(a: Rect, b: Rect):
+    """True iff the open interiors intersect; edge contact does not count.
+
+    Elementwise when the bounds are arrays.
+    """
+    return ((a.x_lo < b.x_hi) & (b.x_lo < a.x_hi) &
+            (a.y_lo < b.y_hi) & (b.y_lo < a.y_hi))
 
 
 def longitudinal_gap(sv: VehicleState, pov: VehicleState,

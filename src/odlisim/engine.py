@@ -1,23 +1,24 @@
-"""Closed-loop rollout of one scenario with one SV policy.
+"""Open-loop rollout of one scenario for a cohort of scripted SV policies.
 
-The engine alternates policy evaluation and the jerk-limited stepper for
-the SV while the POV follows its scripted path, halts at the first
-footprint overlap or at the horizon, and classifies the outcome at the
-time of closest longitudinal proximity t_p.
+The scripted policies and the POV path depend on time alone, so the
+engine evaluates them as arrays over one time grid and steps every cohort
+member's jerk-limited SV integrator together.  Each log ends at the
+member's first footprint overlap or at the horizon, and the outcome is
+classified at the time of closest longitudinal proximity t_p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import policies
-from .core import (KinematicLimits, SV_LIMITS, VehicleState, axis_limits, axis_step,
-                   footprint, rectangles_overlap)
+from .core import (POV_SIGN, SV_LIMITS, SV_SIGN, KinematicLimits, VehicleState,
+                   axis_limits, axis_step, footprint_at, rectangles_overlap)
 from .scenario import (ScenarioSpec, ScenarioTiming, build_incursion_path,
-                       default_timing, pov_state_at, pov_x_at_trigger,
-                       sv_initial_state)
+                       default_timing, pov_x_at_trigger, sv_initial_state)
 
 OUTCOMES = ("collision", "pass-via-center", "pass-via-shoulder")
 
@@ -93,72 +94,85 @@ def rollout(scenario: ScenarioSpec, policy: policies.PolicySpec,
             sv_limits: KinematicLimits = SV_LIMITS) -> TrajectoryLog:
     """Simulate one conflict and return the trajectory log.
 
-    Stops at the first footprint overlap (collision) or at the horizon,
-    which defaults to 3 s past the critical point so the pass-by and the
-    post-proximity tail are always covered.
+    The log ends at the first footprint overlap (collision) or at the
+    horizon, which defaults to 3 s past the critical point so the pass-by
+    and the post-proximity tail are always covered.  This is the
+    one-member case of `run_cohort`.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    return _simulate(scenario, [policy], dt, horizon, timing, sv_limits)[0]
+
+
+def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
+              dt: float, horizon: float | None, timing: ScenarioTiming | None,
+              sv_limits: KinematicLimits) -> list[TrajectoryLog]:
+    """Open-loop rollout of every cohort member on one shared time grid.
+
+    The POV path and each member's pedal/steer schedule are functions of t
+    alone, so they are computed as arrays up front; only the clamped SV
+    integrator steps, once per sample for all members together.  The SV
+    path never depends on a collision, so each member's log is cut at its
+    first footprint overlap afterwards.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if timing is None:
         timing = default_timing(scenario)
     if horizon is None:
         horizon = timing.t_critical + 3.0
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon} spans no step of {dt}")
+    t = np.arange(n_steps + 1) * dt
 
     path = build_incursion_path(scenario, timing)
-    x_pov_trig = pov_x_at_trigger(scenario, timing)
-    sv = sv_initial_state(scenario)
-    lim_x = axis_limits(sv_limits, sv.heading_sign, "x")
-    lim_y = axis_limits(sv_limits, sv.heading_sign, "y")
+    pov_y, pov_vy, pov_ay = np.array([path.state(tk) for tk in t.tolist()]).T
+    pov = {"x": pov_x_at_trigger(scenario, timing) - scenario.v_pov * (t - timing.t_trigger),
+           "y": pov_y, "vx": np.full_like(t, -scenario.v_pov), "vy": pov_vy,
+           "ax": np.zeros_like(t), "ay": pov_ay}
 
-    n_steps = int(round(horizon / dt))
-    rows_t, rows_sv, rows_pov, rows_ctl = [], [], [], []
-    collided = False
-    t_collision = None
+    # Per-member schedules, shape (members, 3, samples); the acceleration
+    # targets are laid out (samples, members) for the step loop.
+    ctl = np.array([policies.policy_schedule(t, timing, p, sv_limits.a_brk_max)
+                    for p in members])
+    ax_t, ay_t = (np.ascontiguousarray(a.T) for a in policies.target_accels(
+        ctl[:, 0], ctl[:, 1], ctl[:, 2], sv_limits.a_fwd_max, sv_limits.a_brk_max))
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        pov = pov_state_at(t, scenario, timing, x_pov_trig, path)
-        ctl = policies.policy_control(t, sv, pov, timing, policy,
-                                      a_brk_max=sv_limits.a_brk_max)
-        rows_t.append(t)
-        rows_sv.append((sv.x, sv.y, sv.vx, sv.vy, sv.ax, sv.ay))
-        rows_pov.append((pov.x, pov.y, pov.vx, pov.vy, pov.ax, pov.ay))
-        rows_ctl.append((ctl.accel_pct, ctl.brake_pct, ctl.steer_deg))
-
-        if rectangles_overlap(footprint(sv, scenario.sv_spec),
-                              footprint(pov, scenario.pov_spec)):
-            collided = True
-            t_collision = t
-            break
-        if k == n_steps:
-            break
-
+    sv0 = sv_initial_state(scenario)
+    lim_x = axis_limits(sv_limits, SV_SIGN, "x")
+    lim_y = axis_limits(sv_limits, SV_SIGN, "y")
+    # State channels (x, y, vx, vy, ax, ay), shape (samples, 6, members); each
+    # member's log channels are views into it.
+    sv = np.empty((len(t), 6, len(members)))
+    sv[0] = np.array([sv0.x, sv0.y, sv0.vx, sv0.vy, sv0.ax, sv0.ay])[:, None]
+    for k in range(n_steps):
+        x, y, vx, vy, ax, ay = sv[k]
+        nxt = sv[k + 1]
         # Jerk command tracks the pedal/steer acceleration targets; the
         # stepper clamps it into the admissible box.
-        ax_t, ay_t = policies.target_accels(ctl, sv_limits.a_fwd_max,
-                                            sv_limits.a_brk_max)
-        x, vx, ax = axis_step(sv.x, sv.vx, sv.ax, (ax_t - sv.ax) / dt, lim_x, dt)
-        y, vy, ay = axis_step(sv.y, sv.vy, sv.ay, (ay_t - sv.ay) / dt, lim_y, dt)
-        sv = VehicleState(t=t + dt, x=float(x), y=float(y), vx=float(vx),
-                          vy=float(vy), ax=float(ax), ay=float(ay),
-                          heading_sign=1)
+        nxt[0], nxt[2], nxt[4] = axis_step(x, vx, ax, (ax_t[k] - ax) / dt, lim_x, dt)
+        nxt[1], nxt[3], nxt[5] = axis_step(y, vy, ay, (ay_t[k] - ay) / dt, lim_y, dt)
+    if not (np.isfinite(sv).all() and all(np.isfinite(v).all() for v in pov.values())):
+        raise ValueError("non-finite vehicle state")
 
-    t_arr = np.asarray(rows_t)
-    sv_arr = np.asarray(rows_sv)
-    pov_arr = np.asarray(rows_pov)
-    ctl_arr = np.asarray(rows_ctl)
-    log = TrajectoryLog(
-        dt=dt, t=t_arr,
-        sv={k: sv_arr[:, i] for i, k in enumerate(_STATE_KEYS)},
-        pov={k: pov_arr[:, i] for i, k in enumerate(_STATE_KEYS)},
-        controls={k: ctl_arr[:, i] for i, k in enumerate(_CONTROL_KEYS)},
-        scenario=scenario, timing=timing, policy=policy,
-        collided=collided, t_collision=t_collision)
-    try:
-        time_of_closest_proximity(log)
-    except IncompleteLogError:
-        log.complete = False
-    return log
+    pov_box = footprint_at(pov["x"], pov["y"], POV_SIGN, scenario.pov_spec)
+    logs = []
+    for i, policy in enumerate(members):
+        hits = np.flatnonzero(rectangles_overlap(
+            footprint_at(sv[:, 0, i], sv[:, 1, i], SV_SIGN, scenario.sv_spec), pov_box))
+        n = hits[0] + 1 if len(hits) else len(t)
+        log = TrajectoryLog(
+            dt=dt, t=t[:n],
+            sv={k: sv[:n, j, i] for j, k in enumerate(_STATE_KEYS)},
+            pov={k: v[:n] for k, v in pov.items()},
+            controls={k: ctl[i, j, :n] for j, k in enumerate(_CONTROL_KEYS)},
+            scenario=scenario, timing=timing, policy=policy,
+            collided=bool(len(hits)), t_collision=float(t[hits[0]]) if len(hits) else None)
+        try:
+            time_of_closest_proximity(log)
+        except IncompleteLogError:
+            log.complete = False
+        logs.append(log)
+    return logs
 
 
 def _gap_series(log: TrajectoryLog) -> np.ndarray:
@@ -229,25 +243,20 @@ def run_cohort(scenario: ScenarioSpec, cohort: list[tuple[policies.PolicySpec, i
     """Independent rollouts for (policy, count) groups.
 
     Replicates within a group get deterministic, seed-derived jitter on the
-    reaction delay so synthetic cohorts are not degenerate.  Rollouts are
-    pure and order-independent; this runner just executes them in sequence.
+    reaction delay so synthetic cohorts are not degenerate.  Every member
+    is stepped together on one time grid; each log equals the `rollout` of
+    its policy alone.
     """
-    logs = []
+    members = []
     streams = np.random.SeedSequence(seed).spawn(sum(c for _, c in cohort))
-    i = 0
     for policy, count in cohort:
         for _ in range(count):
             p = policy
             if delay_jitter > 0:
-                rng = np.random.default_rng(streams[i])
+                rng = np.random.default_rng(streams[len(members)])
                 offset = float(rng.uniform(-delay_jitter, delay_jitter))
-                p = policies.PolicySpec(
-                    kind=policy.kind,
-                    reaction_delay=max(0.0, policy.reaction_delay + offset),
-                    brake_level=policy.brake_level, steer_rate=policy.steer_rate,
-                    steer_target=policy.steer_target,
-                    reversal_delay=policy.reversal_delay,
-                    reversal_target=policy.reversal_target)
-            logs.append(rollout(scenario, p, dt=dt, timing=timing))
-            i += 1
-    return logs
+                p = replace(policy, reaction_delay=max(0.0, policy.reaction_delay + offset))
+            members.append(p)
+    if not members:
+        return []
+    return _simulate(scenario, members, dt, None, timing, SV_LIMITS)

@@ -41,6 +41,7 @@ _ALL_COLS = ("t", "sv_x", "sv_y", "sv_vx", "sv_vy", "sv_ax", "sv_ay",
 _UNITS = {"t": "s", "x": "m", "y": "m", "vx": "m/s", "vy": "m/s",
           "ax": "m/s2", "ay": "m/s2", "accel_pct": "%", "brake_pct": "%",
           "steer_deg": "deg"}
+_SAVE_BLOCK_ROWS = 256
 
 
 def _fmt(v: float) -> str:
@@ -65,8 +66,11 @@ def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:
             cols.append(log.pov[c[4:]])
         else:
             cols.append(log.controls[c])
-    for i in range(len(log)):
-        lines.append(",".join(_fmt(col[i]) for col in cols))
+    # _fmt applied column-wise (repr of Python floats), in blocks of rows so
+    # only one block's float objects are alive at a time.
+    for a in range(0, len(log), _SAVE_BLOCK_ROWS):
+        block = (np.asarray(col[a:a + _SAVE_BLOCK_ROWS], dtype=float).tolist() for col in cols)
+        lines.extend(map(",".join, zip(*(map(repr, b) for b in block))))
     path.write_text("\n".join(lines) + "\n")
 
     meta = {

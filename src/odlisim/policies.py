@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ControlInput, VehicleState
 from .scenario import ScenarioTiming
 
@@ -57,25 +59,22 @@ class PolicySpec:
             raise ValueError("steer_rate must be positive")
 
 
-def accel_pct_to_ax(pct: float, a_fwd_max: float) -> float:
+def accel_pct_to_ax(pct, a_fwd_max: float):
     """Accelerator map: dead zone up to the cruise level, then linear to the cap.
 
     At and below 3 % the pedal commands ~0 m/s^2; releasing the pedal means
-    coasting with no engine braking.
+    coasting with no engine braking.  Elementwise on scalars or arrays.
     """
-    if pct <= CRUISE_ACCEL_PCT:
-        return 0.0
-    return a_fwd_max * (pct - CRUISE_ACCEL_PCT) / (100.0 - CRUISE_ACCEL_PCT)
+    return np.where(pct <= CRUISE_ACCEL_PCT, 0.0,
+                    a_fwd_max * (pct - CRUISE_ACCEL_PCT) / (100.0 - CRUISE_ACCEL_PCT))
 
 
-def brake_pct_to_decel(pct: float, a_brk_max: float) -> float:
+def brake_pct_to_decel(pct, a_brk_max: float):
     """Brake map: piecewise linear through (0, 0), (15 %, 1 m/s^2), (100 %, cap)."""
-    if pct <= 0:
-        return 0.0
-    if pct <= BRAKE_ONSET_PCT:
-        return BRAKE_ANCHOR_DECEL * pct / BRAKE_ONSET_PCT
-    return BRAKE_ANCHOR_DECEL + (a_brk_max - BRAKE_ANCHOR_DECEL) * (
-        pct - BRAKE_ONSET_PCT) / (100.0 - BRAKE_ONSET_PCT)
+    return np.where(pct <= 0, 0.0, np.where(
+        pct <= BRAKE_ONSET_PCT, BRAKE_ANCHOR_DECEL * pct / BRAKE_ONSET_PCT,
+        BRAKE_ANCHOR_DECEL + (a_brk_max - BRAKE_ANCHOR_DECEL) * (
+            pct - BRAKE_ONSET_PCT) / (100.0 - BRAKE_ONSET_PCT)))
 
 
 def decel_to_brake_pct(decel: float, a_brk_max: float) -> float:
@@ -88,7 +87,7 @@ def decel_to_brake_pct(decel: float, a_brk_max: float) -> float:
         decel - BRAKE_ANCHOR_DECEL) / (a_brk_max - BRAKE_ANCHOR_DECEL)
 
 
-def steer_to_ay(steer_deg: float) -> float:
+def steer_to_ay(steer_deg):
     """Fixed-gain steering map; positive steer accelerates toward +y (road center)."""
     return STEER_GAIN * steer_deg
 
@@ -98,16 +97,14 @@ def _brake_pct(policy: PolicySpec, a_brk_max: float) -> float:
     return decel_to_brake_pct(decel, a_brk_max)
 
 
-def _engage(t: float, onset: float, target: float, rate: float) -> float:
+def _engage(t, onset: float, target: float, rate: float):
     """Steering engagement: jump to the onset threshold, ramp to the target."""
-    if t < onset:
-        return 0.0
     sign = math.copysign(1.0, target)
-    mag = min(abs(target), STEER_ONSET_DEG + rate * (t - onset))
-    return sign * mag
+    return np.where(t < onset, 0.0,
+                    sign * np.minimum(abs(target), STEER_ONSET_DEG + rate * (t - onset)))
 
 
-def _steer_angle(t: float, policy: PolicySpec, timing: ScenarioTiming) -> float:
+def _steer_angle(t: np.ndarray, policy: PolicySpec, timing: ScenarioTiming) -> np.ndarray:
     t_first = timing.t_trigger + policy.reaction_delay
     kind = policy.kind
     if kind == "steer-center-only":
@@ -119,12 +116,34 @@ def _steer_angle(t: float, policy: PolicySpec, timing: ScenarioTiming) -> float:
                        policy.steer_rate)
     if kind == "shoulder-then-reversal":
         t_rev = t_first + policy.reversal_delay
-        if t < t_rev:
-            return _engage(t, t_first, -abs(policy.steer_target), policy.steer_rate)
-        start = _engage(t_rev, t_first, -abs(policy.steer_target), policy.steer_rate)
-        return min(abs(policy.reversal_target),
-                   start + policy.steer_rate * (t - t_rev))
-    return 0.0
+        start = float(_engage(t_rev, t_first, -abs(policy.steer_target), policy.steer_rate))
+        return np.where(t < t_rev,
+                        _engage(t, t_first, -abs(policy.steer_target), policy.steer_rate),
+                        np.minimum(abs(policy.reversal_target),
+                                   start + policy.steer_rate * (t - t_rev)))
+    return np.zeros_like(t)
+
+
+def policy_schedule(t: np.ndarray, timing: ScenarioTiming, policy: PolicySpec,
+                    a_brk_max: float = 8.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(accel_pct, brake_pct, steer_deg) arrays over the time grid t.
+
+    The scripted policies are open-loop: the schedule depends on t alone,
+    never on the vehicle states.
+    """
+    t_first = timing.t_trigger + policy.reaction_delay
+    kind = policy.kind
+    if kind == "no-response":
+        return np.full_like(t, CRUISE_ACCEL_PCT), np.zeros_like(t), np.zeros_like(t)
+
+    acting = t >= t_first
+    brake = 0.0
+    if kind in ("brake-only", "brake-then-steer-center"):
+        brake = _brake_pct(policy, a_brk_max)
+        if not 0.0 <= brake <= 100.0:
+            raise ValueError(f"brake_pct outside [0, 100]: {brake}")
+    return (np.where(acting, 0.0, CRUISE_ACCEL_PCT), np.where(acting, brake, 0.0),
+            np.where(acting, _steer_angle(t, policy, timing), 0.0))
 
 
 def policy_control(t: float, sv: VehicleState, pov: VehicleState,
@@ -132,29 +151,18 @@ def policy_control(t: float, sv: VehicleState, pov: VehicleState,
                    a_brk_max: float = 8.0) -> ControlInput:
     """Control inputs for the SV at time t under a scripted policy.
 
-    The returned jerk commands are indicative only; the simulation engine
-    recomputes tracking jerk from the pedal/steer maps each step.
+    One sample of `policy_schedule`; `sv` and `pov` are not read.
     """
-    t_first = timing.t_trigger + policy.reaction_delay
-    kind = policy.kind
-
-    if kind == "no-response" or t < t_first:
-        return ControlInput(accel_pct=CRUISE_ACCEL_PCT)
-
-    accel = 0.0
-    brake = 0.0
-    if kind in ("brake-only", "brake-then-steer-center"):
-        brake = _brake_pct(policy, a_brk_max)
-    steer = _steer_angle(t, policy, timing)
-    return ControlInput(accel_pct=accel, brake_pct=brake, steer_deg=steer)
+    accel, brake, steer = policy_schedule(np.array([t]), timing, policy, a_brk_max)
+    return ControlInput(accel_pct=float(accel[0]), brake_pct=float(brake[0]),
+                        steer_deg=float(steer[0]))
 
 
-def target_accels(controls: ControlInput, a_fwd_max: float,
-                  a_brk_max: float) -> tuple[float, float]:
+def target_accels(accel_pct, brake_pct, steer_deg, a_fwd_max: float,
+                  a_brk_max: float):
     """(ax, ay) targets implied by pedal percentages and steering angle."""
-    ax = accel_pct_to_ax(controls.accel_pct, a_fwd_max) - brake_pct_to_decel(
-        controls.brake_pct, a_brk_max)
-    return ax, steer_to_ay(controls.steer_deg)
+    ax = accel_pct_to_ax(accel_pct, a_fwd_max) - brake_pct_to_decel(brake_pct, a_brk_max)
+    return ax, steer_to_ay(steer_deg)
 
 
 def intended_crossings(policy: PolicySpec, timing: ScenarioTiming) -> dict[str, list[float]]:
@@ -181,7 +189,8 @@ def intended_crossings(policy: PolicySpec, timing: ScenarioTiming) -> dict[str, 
     elif kind == "shoulder-then-reversal":
         out["steer-shoulder"].append(t_first)
         t_rev = t_first + policy.reversal_delay
-        start = _engage(t_rev, t_first, -abs(policy.steer_target), policy.steer_rate)
+        start = float(_engage(t_rev, t_first, -abs(policy.steer_target),
+                              policy.steer_rate))
         if abs(policy.reversal_target) >= STEER_ONSET_DEG:
             out["steer-center"].append(t_rev + (STEER_ONSET_DEG - start) / policy.steer_rate)
     return out

@@ -11,7 +11,8 @@ t_C = t_T + time_gap_trigger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .core import POV_SIGN, SV_SIGN, KinematicLimits, RoadSpec, VehicleSpec, VehicleState
 
@@ -38,10 +39,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if not -1.0 <= self.incursion_level <= 1.0:
             raise ValueError(f"incursion_level outside [-1, 1]: {self.incursion_level}")
-        if self.v_sv_nominal <= 0 or self.v_pov <= 0:
-            raise ValueError("vehicle speeds must be positive")
-        if self.time_gap_trigger <= 0:
-            raise ValueError("time_gap_trigger must be positive")
+        for name in ("v_sv_nominal", "v_pov", "time_gap_trigger", "edge_reach_after"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.end_heading_mode not in END_HEADING_MODES:
             raise ValueError(f"unknown end_heading_mode {self.end_heading_mode!r}")
         if self.post_tc_behavior not in POST_TC_BEHAVIORS:

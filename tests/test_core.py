@@ -111,6 +111,25 @@ def test_vehicle_spec_validation():
         VehicleSpec(ref_offset=3.0)
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_specs_reject_non_finite(value):
+    for field in ("length", "width", "ref_offset"):
+        with pytest.raises(ValueError):
+            VehicleSpec(**{field: value})
+    for field in ("lane_width", "shoulder_margin"):
+        with pytest.raises(ValueError):
+            RoadSpec(**{field: value})
+    for field in ("v_max", "a_brk_max", "a_lat_right_max", "j_lat_max", "v_lat_max"):
+        with pytest.raises(ValueError, match=field):
+            KinematicLimits(**{field: value})
+
+
+def test_overlap_elementwise_on_arrays():
+    x = np.array([0.0, 4.0, 3.0])
+    got = rectangles_overlap(Rect(0, 4, 0, 2), Rect(x, x + 4, np.zeros(3), np.full(3, 2.0)))
+    assert got.tolist() == [True, False, True]
+
+
 def test_overlap_identical_and_edge():
     a = Rect(0, 4, 0, 2)
     assert rectangles_overlap(a, a)

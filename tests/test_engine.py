@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_log
-from odlisim.core import SV_LIMITS, axis_limits
-from odlisim.engine import (IncompleteLogError, classify_outcome, rollout,
-                            run_cohort, time_of_closest_proximity)
-from odlisim.policies import PolicySpec
+from odlisim import io, policies
+from odlisim.core import (SV_LIMITS, KinematicLimits, VehicleState, axis_limits,
+                          axis_step, footprint)
+from odlisim.engine import (IncompleteLogError, TrajectoryLog, classify_outcome,
+                            rollout, run_cohort, time_of_closest_proximity)
+from odlisim.policies import POLICY_KINDS, PolicySpec
 from odlisim.responses import window_for
-from odlisim.scenario import default_timing, make_scenario
+from odlisim.scenario import (build_incursion_path, default_timing, make_scenario,
+                              pov_state_at, pov_x_at_trigger, sv_initial_state)
 
 ILS = (-0.8, 0.0, 0.9)
 
@@ -166,3 +171,173 @@ def test_window_for_analysis_bounds():
     w = window_for(log)
     assert w.t_begin == pytest.approx(timing.t_trigger + 0.4)
     assert w.t_end == pytest.approx(time_of_closest_proximity(log))
+
+
+# -- reference: the per-step closed-loop rollout the batched kernel replaced --
+
+def _ref_controls(t, timing, policy, a_brk_max):
+    """Scalar pedal/steer schedule: (accel_pct, brake_pct, steer_deg) at t."""
+    def engage(t, onset, target, rate):
+        if t < onset:
+            return 0.0
+        return math.copysign(1.0, target) * min(
+            abs(target), policies.STEER_ONSET_DEG + rate * (t - onset))
+
+    t_first = timing.t_trigger + policy.reaction_delay
+    kind = policy.kind
+    if kind == "no-response" or t < t_first:
+        return policies.CRUISE_ACCEL_PCT, 0.0, 0.0
+    brake = 0.0
+    if kind in ("brake-only", "brake-then-steer-center"):
+        brake = policies._brake_pct(policy, a_brk_max)
+        if not 0.0 <= brake <= 100.0:
+            raise ValueError(f"brake_pct outside [0, 100]: {brake}")
+    rate, target = policy.steer_rate, abs(policy.steer_target)
+    steer = 0.0
+    if kind == "steer-center-only":
+        steer = engage(t, t_first, target, rate)
+    elif kind == "steer-shoulder-only":
+        steer = engage(t, t_first, -target, rate)
+    elif kind == "brake-then-steer-center":
+        steer = engage(t, t_first + policy.reversal_delay, target, rate)
+    elif kind == "shoulder-then-reversal":
+        t_rev = t_first + policy.reversal_delay
+        if t < t_rev:
+            steer = engage(t, t_first, -target, rate)
+        else:
+            start = engage(t_rev, t_first, -target, rate)
+            steer = min(abs(policy.reversal_target), start + rate * (t - t_rev))
+    return 0.0, brake, steer
+
+
+def _ref_target_accels(accel, brake, steer, a_fwd_max, a_brk_max):
+    c = policies.CRUISE_ACCEL_PCT
+    ax = 0.0 if accel <= c else a_fwd_max * (accel - c) / (100.0 - c)
+    if brake <= 0:
+        dec = 0.0
+    elif brake <= policies.BRAKE_ONSET_PCT:
+        dec = policies.BRAKE_ANCHOR_DECEL * brake / policies.BRAKE_ONSET_PCT
+    else:
+        dec = policies.BRAKE_ANCHOR_DECEL + (a_brk_max - policies.BRAKE_ANCHOR_DECEL) * (
+            brake - policies.BRAKE_ONSET_PCT) / (100.0 - policies.BRAKE_ONSET_PCT)
+    return ax - dec, policies.STEER_GAIN * steer
+
+
+def _ref_overlap(a, b):
+    return (a.x_lo < b.x_hi and b.x_lo < a.x_hi and
+            a.y_lo < b.y_hi and b.y_lo < a.y_hi)
+
+
+def _ref_rollout(scenario, policy, dt=0.01, horizon=None, timing=None,
+                 sv_limits=SV_LIMITS):
+    if timing is None:
+        timing = default_timing(scenario)
+    if horizon is None:
+        horizon = timing.t_critical + 3.0
+    path = build_incursion_path(scenario, timing)
+    x_pov_trig = pov_x_at_trigger(scenario, timing)
+    sv = sv_initial_state(scenario)
+    lim_x = axis_limits(sv_limits, sv.heading_sign, "x")
+    lim_y = axis_limits(sv_limits, sv.heading_sign, "y")
+    n_steps = int(round(horizon / dt))
+    rows_t, rows_sv, rows_pov, rows_ctl = [], [], [], []
+    collided, t_collision = False, None
+    for k in range(n_steps + 1):
+        t = k * dt
+        pov = pov_state_at(t, scenario, timing, x_pov_trig, path)
+        ctl = _ref_controls(t, timing, policy, sv_limits.a_brk_max)
+        rows_t.append(t)
+        rows_sv.append((sv.x, sv.y, sv.vx, sv.vy, sv.ax, sv.ay))
+        rows_pov.append((pov.x, pov.y, pov.vx, pov.vy, pov.ax, pov.ay))
+        rows_ctl.append(ctl)
+        if _ref_overlap(footprint(sv, scenario.sv_spec), footprint(pov, scenario.pov_spec)):
+            collided, t_collision = True, t
+            break
+        if k == n_steps:
+            break
+        ax_t, ay_t = _ref_target_accels(*ctl, sv_limits.a_fwd_max, sv_limits.a_brk_max)
+        x, vx, ax = axis_step(sv.x, sv.vx, sv.ax, (ax_t - sv.ax) / dt, lim_x, dt)
+        y, vy, ay = axis_step(sv.y, sv.vy, sv.ay, (ay_t - sv.ay) / dt, lim_y, dt)
+        sv = VehicleState(t=t + dt, x=float(x), y=float(y), vx=float(vx),
+                          vy=float(vy), ax=float(ax), ay=float(ay), heading_sign=1)
+    sv_arr, pov_arr, ctl_arr = (np.asarray(r) for r in (rows_sv, rows_pov, rows_ctl))
+    keys = ("x", "y", "vx", "vy", "ax", "ay")
+    log = TrajectoryLog(
+        dt=dt, t=np.asarray(rows_t),
+        sv={k: sv_arr[:, i] for i, k in enumerate(keys)},
+        pov={k: pov_arr[:, i] for i, k in enumerate(keys)},
+        controls={k: ctl_arr[:, i] for i, k in
+                  enumerate(("accel_pct", "brake_pct", "steer_deg"))},
+        scenario=scenario, timing=timing, policy=policy,
+        collided=collided, t_collision=t_collision)
+    try:
+        time_of_closest_proximity(log)
+    except IncompleteLogError:
+        log.complete = False
+    return log
+
+
+def _assert_same_log(got, ref):
+    assert np.array_equal(got.t, ref.t)
+    for chans in ("sv", "pov", "controls"):
+        a, b = getattr(got, chans), getattr(ref, chans)
+        assert a.keys() == b.keys()
+        for k in a:
+            assert np.array_equal(a[k], b[k]), (chans, k)
+    assert (got.collided, got.t_collision, got.complete) == (
+        ref.collided, ref.t_collision, ref.complete)
+
+
+# The default cohort's policy parameters: one spec per kind.
+COHORT = io.config_policies(io.default_run_config(0.0))
+KIND_SPECS = [p for p, _ in COHORT]
+ODD_LIMITS = KinematicLimits(v_max=18.5, a_fwd_max=3.0, a_brk_max=7.0,
+                             a_lat_left_max=4.0, a_lat_right_max=5.0, j_fwd_max=8.0,
+                             j_bwd_max=20.0, j_lat_max=15.0, v_lat_max=3.0)
+
+
+def test_kind_specs_cover_every_policy_kind():
+    assert sorted(p.kind for p in KIND_SPECS) == sorted(POLICY_KINDS)
+
+
+@pytest.mark.parametrize("dt", (0.01, 0.005))
+@pytest.mark.parametrize("il", (-1.0, -0.8, 0.0, 0.9, 1.0))
+def test_rollout_equals_per_step_reference(il, dt):
+    scenario = make_scenario(il)
+    for policy in KIND_SPECS:
+        _assert_same_log(rollout(scenario, policy, dt=dt),
+                         _ref_rollout(scenario, policy, dt=dt))
+
+
+@pytest.mark.parametrize("il,seed", ((-0.8, 3), (0.9, 7)))
+def test_jittered_cohort_equals_per_member_reference(il, seed):
+    scenario = make_scenario(il)
+    logs = run_cohort(scenario, COHORT, seed=seed, delay_jitter=0.3)
+    assert len(logs) == sum(c for _, c in COHORT)
+    for log in logs:
+        _assert_same_log(log, _ref_rollout(scenario, log.policy))
+
+
+def test_short_horizon_and_other_limits_equal_reference():
+    scenario = make_scenario(0.0)
+    for policy in KIND_SPECS:
+        _assert_same_log(rollout(scenario, policy, horizon=2.0),
+                         _ref_rollout(scenario, policy, horizon=2.0))
+        _assert_same_log(rollout(scenario, policy, sv_limits=ODD_LIMITS),
+                         _ref_rollout(scenario, policy, sv_limits=ODD_LIMITS))
+
+
+def test_brake_beyond_vehicle_cap_rejected():
+    weak = KinematicLimits(a_brk_max=5.0)  # hard braking asks for 6 m/s^2
+    with pytest.raises(ValueError, match="brake_pct"):
+        rollout(make_scenario(0.0), PolicySpec(kind="brake-only"), sv_limits=weak)
+
+
+@pytest.mark.parametrize("dt", (math.nan, math.inf, -0.01))
+def test_rollout_rejects_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="dt"):
+        rollout(make_scenario(0.0), PolicySpec(kind="no-response"), dt=dt)
+
+
+def test_empty_cohort_has_no_logs():
+    assert run_cohort(make_scenario(0.0), []) == []

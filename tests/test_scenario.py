@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,15 @@ def test_scenario_spec_validation():
         ScenarioSpec(v_pov=0.0)
     with pytest.raises(ValueError):
         ScenarioSpec(end_heading_mode="sideways")
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf, 0.0))
+@pytest.mark.parametrize("field", ("v_sv_nominal", "v_pov", "time_gap_trigger",
+                                   "edge_reach_after"))
+def test_scenario_spec_rejects_non_finite(field, value):
+    # NaN and inf used to pass the `<= 0` checks and fail deep in a rollout.
+    with pytest.raises(ValueError, match=field):
+        ScenarioSpec(**{field: value})
 
 
 def test_make_scenario_steepness_defaults():
