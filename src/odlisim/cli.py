@@ -24,7 +24,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="odlisim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
+    def command(group, name, summary, config_required=True):
+        p = group.add_parser(name, help=summary)
         p.add_argument("--config", required=config_required, help="run config JSON")
         p.add_argument("--il", type=float, default=None, help="incursion level override")
         p.add_argument("--seed", type=int, default=None)
@@ -33,41 +34,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=float, default=None)
         p.add_argument("--road-pruning", choices=["corridor", "off"], default=None)
         p.add_argument("--out", default=None, help="output file or directory")
+        return p
 
     scenario = sub.add_parser("scenario").add_subparsers(dest="subcommand", required=True)
-    gen = scenario.add_parser("gen", help="write a reference config with named defaults")
-    add_common(gen, config_required=False)
+    command(scenario, "gen", "write a reference config with named defaults",
+            config_required=False)
 
-    sim = sub.add_parser("simulate", help="roll out the configured policy cohort")
-    add_common(sim)
+    sim = command(sub, "simulate", "roll out the configured policy cohort")
     sim.add_argument("--policy", choices=POLICY_KINDS, default=None,
                      help="replace the cohort with a single run of this policy")
 
     analyze = sub.add_parser("analyze").add_subparsers(dest="subcommand", required=True)
-    resp = analyze.add_parser("responses", help="per-run response metrics table")
-    add_common(resp)
+    resp = command(analyze, "responses", "per-run response metrics table")
     resp.add_argument("--logs", required=True, help="directory of trajectory logs")
-    seq = analyze.add_parser("sequence", help="cohort control-state sequence graph")
-    add_common(seq)
+    seq = command(analyze, "sequence", "cohort control-state sequence graph")
     seq.add_argument("--logs", required=True)
 
     reach_p = sub.add_parser("reach").add_subparsers(dest="subcommand", required=True)
-    comp = reach_p.add_parser("compute", help="drivable-area snapshot at one time")
-    add_common(comp)
+    comp = command(reach_p, "compute", "drivable-area snapshot at one time")
     comp.add_argument("--log", required=True)
     comp.add_argument("--t", type=float, required=True, help="anchor time, s")
-    timeline = reach_p.add_parser("timeline", help="drivable-area existence series")
-    add_common(timeline)
+    timeline = command(reach_p, "timeline", "drivable-area existence series")
     timeline.add_argument("--log", required=True)
     timeline.add_argument("--eval-step", type=float, default=None)
-    agg = reach_p.add_parser("aggregate", help="cohort drivable-area prevalence")
-    add_common(agg)
+    agg = command(reach_p, "aggregate", "cohort drivable-area prevalence")
     agg.add_argument("--logs", required=True)
     agg.add_argument("--eval-step", type=float, default=None)
 
     orc = sub.add_parser("oracle").add_subparsers(dest="subcommand", required=True)
-    verify = orc.add_parser("verify", help="sampling-based soundness certificate")
-    add_common(verify)
+    verify = command(orc, "verify", "sampling-based soundness certificate")
     verify.add_argument("--n", type=int, default=2000, help="random trajectories per check")
     verify.add_argument("--anchors", type=int, default=5, help="anchor times per run")
 
@@ -98,21 +93,26 @@ def _apply_overrides(config: dict, args) -> dict:
     return dict(config, prediction=pred)
 
 
-def _load(args) -> dict:
-    return _apply_overrides(io.load_run_config(args.config), args)
-
-
-def _out_dir(config: dict, args) -> Path:
-    out = Path(args.out) if args.out else Path(config.get("output_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_logs(directory: str) -> list:
     paths = sorted(Path(directory).glob("run_*.csv"))
     if not paths:
         raise io.ParseError(f"no run_*.csv logs under {directory}")
     return [io.load_trajectory_log(p) for p in paths]
+
+
+def _window(log, config: dict) -> responses.AnalysisWindow:
+    """Analysis window of a log under the configured reaction floor."""
+    return responses.window_for(
+        log, float(config["analysis"].get("window_reaction_floor", 0.4)))
+
+
+def _timeline(log, config: dict, args) -> reach.Timeline:
+    """Drivable-area timeline over the analysis window at the requested step."""
+    pred = io.config_prediction(config)
+    step = args.eval_step or float(config["analysis"].get("eval_step", 0.1))
+    window = _window(log, config)
+    return reach.drivable_timeline(log, pred, eval_step=step,
+                                   window=(window.t_begin, window.t_end))
 
 
 def _cmd_scenario_gen(args) -> int:
@@ -124,11 +124,9 @@ def _cmd_scenario_gen(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _load(args)
+def _cmd_simulate(args, config: dict, out: Path) -> int:
     scenario, timing = io.config_scenario(config)
     dt = float(config["analysis"]["dt"])
-    out = _out_dir(config, args)
     if args.policy:
         cohort = [(PolicySpec(kind=args.policy), 1)]
     else:
@@ -149,9 +147,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_analyze_responses(args) -> int:
-    config = _load(args)
-    out = _out_dir(config, args)
+def _cmd_analyze_responses(args, config: dict, out: Path) -> int:
     an = config["analysis"]
     rows = []
     for i, log in enumerate(_load_logs(args.logs)):
@@ -180,14 +176,10 @@ def _cmd_analyze_responses(args) -> int:
     return 0
 
 
-def _cmd_analyze_sequence(args) -> int:
-    config = _load(args)
-    out = _out_dir(config, args)
-    runs = []
-    for log in _load_logs(args.logs):
-        window = responses.window_for(log)
-        runs.append((log, window, classify_outcome(log).kind))
-    graph = responses.build_sequence_graph(runs)
+def _cmd_analyze_sequence(args, config: dict, out: Path) -> int:
+    graph = responses.build_sequence_graph(
+        [(log, _window(log, config), classify_outcome(log).kind)
+         for log in _load_logs(args.logs)])
     imbalance = graph.flow_imbalance()
     if imbalance:
         raise RuntimeError(f"sequence graph flow imbalance: {imbalance}")
@@ -197,18 +189,11 @@ def _cmd_analyze_sequence(args) -> int:
     return 0
 
 
-def _cmd_reach_compute(args) -> int:
-    config = _load(args)
-    out = _out_dir(config, args)
+def _cmd_reach_compute(args, config: dict, out: Path) -> int:
     log = io.load_trajectory_log(args.log)
     pred = io.config_prediction(config)
     i = log.index_at(args.t)
-    road = log.scenario.road
-    mode = reach.pov_prediction_mode(log.pov["y"][:i + 1], road.lane_width,
-                                     pred.incursion_detect_threshold)
-    area = reach.compute_drivable_area(log.sv_state(i), log.pov_state(i), pred,
-                                       road, log.scenario.sv_spec,
-                                       log.scenario.pov_spec, mode=mode)
+    area, mode = reach.drivable_area_at(log, i, pred)
     sv_rect = footprint(log.sv_state(i), log.scenario.sv_spec)
     pov_rect = footprint(log.pov_state(i), log.scenario.pov_spec)
     path = out / f"reach_t{args.t:.2f}.csv"
@@ -218,26 +203,16 @@ def _cmd_reach_compute(args) -> int:
     return 0
 
 
-def _cmd_reach_timeline(args) -> int:
-    config = _load(args)
-    out = _out_dir(config, args)
-    log = io.load_trajectory_log(args.log)
-    pred = io.config_prediction(config)
-    step = args.eval_step or float(config["analysis"].get("eval_step", 0.1))
-    timeline = reach.drivable_timeline(log, pred, eval_step=step)
+def _cmd_reach_timeline(args, config: dict, out: Path) -> int:
+    timeline = _timeline(io.load_trajectory_log(args.log), config, args)
     path = out / "timeline.csv"
     io.emit_timeline(timeline, path)
     print(f"wrote {path} ({int(timeline.exists.sum())}/{len(timeline.exists)} steps drivable)")
     return 0
 
 
-def _cmd_reach_aggregate(args) -> int:
-    config = _load(args)
-    out = _out_dir(config, args)
-    pred = io.config_prediction(config)
-    step = args.eval_step or float(config["analysis"].get("eval_step", 0.1))
-    timelines = [reach.drivable_timeline(log, pred, eval_step=step)
-                 for log in _load_logs(args.logs)]
+def _cmd_reach_aggregate(args, config: dict, out: Path) -> int:
+    timelines = [_timeline(log, config, args) for log in _load_logs(args.logs)]
     prev = reach.aggregate_prevalence(
         timelines, n_boot=int(config["analysis"].get("bootstrap_samples", 1000)),
         seed=int(config.get("seed", 0)))
@@ -247,14 +222,12 @@ def _cmd_reach_aggregate(args) -> int:
     return 0
 
 
-def _cmd_oracle_verify(args) -> int:
-    config = _load(args)
-    out = _out_dir(config, args)
+def _cmd_oracle_verify(args, config: dict, out: Path) -> int:
     scenario, timing = io.config_scenario(config)
     pred = io.config_prediction(config)
     log = rollout(scenario, PolicySpec(kind="no-response"),
                   dt=float(config["analysis"]["dt"]), timing=timing)
-    window = responses.window_for(log)
+    window = _window(log, config)
     anchors = np.linspace(window.t_begin, window.t_end, args.anchors)
     seed = int(config.get("seed", 0))
 
@@ -279,8 +252,8 @@ def _cmd_oracle_verify(args) -> int:
     return 0 if worst == 1.0 else 1
 
 
+# Every command but ``scenario gen``, which reads no config and writes one file.
 _HANDLERS = {
-    ("scenario", "gen"): _cmd_scenario_gen,
     ("simulate", None): _cmd_simulate,
     ("analyze", "responses"): _cmd_analyze_responses,
     ("analyze", "sequence"): _cmd_analyze_sequence,
@@ -293,9 +266,14 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
     try:
-        return handler(args)
+        if args.command == "scenario":
+            return _cmd_scenario_gen(args)
+        config = _apply_overrides(io.load_run_config(args.config), args)
+        out = Path(args.out) if args.out else Path(config.get("output_dir", "out"))
+        out.mkdir(parents=True, exist_ok=True)
+        handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
+        return handler(args, config, out)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -239,6 +239,4 @@ def longitudinal_gap(sv: VehicleState, pov: VehicleState,
     The SV front faces +x, the POV front faces -x.  Negative once the
     bodies longitudinally overlap or have passed each other.
     """
-    sv_front = (sv.x - sv.heading_sign * sv_spec.ref_offset) + sv_spec.length / 2
-    pov_front = (pov.x - pov.heading_sign * pov_spec.ref_offset) - pov_spec.length / 2
-    return pov_front - sv_front
+    return footprint(pov, pov_spec).x_lo - footprint(sv, sv_spec).x_hi

@@ -175,20 +175,15 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
     return logs
 
 
-def _gap_series(log: TrajectoryLog) -> np.ndarray:
-    sc = log.scenario
-    sv_front = (log.sv["x"] - sc.sv_spec.ref_offset) + sc.sv_spec.length / 2
-    pov_front = (log.pov["x"] + sc.pov_spec.ref_offset) - sc.pov_spec.length / 2
-    return pov_front - sv_front
-
-
 def time_of_closest_proximity(log: TrajectoryLog) -> float:
     """First sample time with longitudinal gap <= 0 (t_p).
 
     A collision always ends the log at longitudinal contact, so the
     collision time is t_p whenever it comes first.
     """
-    gap = _gap_series(log)
+    sc = log.scenario
+    gap = (footprint_at(log.pov["x"], log.pov["y"], POV_SIGN, sc.pov_spec).x_lo
+           - footprint_at(log.sv["x"], log.sv["y"], SV_SIGN, sc.sv_spec).x_hi)
     hits = np.nonzero(gap <= 0.0)[0]
     t_gap = float(log.t[hits[0]]) if len(hits) else None
     if log.collided and log.t_collision is not None:

@@ -33,10 +33,6 @@ class SampleCloud:
     heading_sign: int
 
     @property
-    def n_traj(self) -> int:
-        return self.states.shape[0]
-
-    @property
     def n_steps(self) -> int:
         return self.states.shape[1] - 1
 
@@ -206,10 +202,6 @@ class ContainmentReport:
     n_checked: int
     n_violations: int
     first_violation: dict | None  # step/trajectory/reason of the first miss
-
-    @property
-    def sound(self) -> bool:
-        return self.n_violations == 0
 
 
 def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentReport:

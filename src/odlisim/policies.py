@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlInput, VehicleState
+from .core import ControlInput
 from .scenario import ScenarioTiming
 
 POLICY_KINDS = (
@@ -81,6 +81,9 @@ def decel_to_brake_pct(decel: float, a_brk_max: float) -> float:
     """Inverse of brake_pct_to_decel, used to pick schedule pedal positions."""
     if decel <= 0:
         return 0.0
+    if decel > a_brk_max:
+        raise ValueError(f"a_brk_max {a_brk_max} m/s^2 cannot reach the requested "
+                         f"{decel} m/s^2 deceleration (brake_pct above 100)")
     if decel <= BRAKE_ANCHOR_DECEL:
         return BRAKE_ONSET_PCT * decel / BRAKE_ANCHOR_DECEL
     return BRAKE_ONSET_PCT + (100.0 - BRAKE_ONSET_PCT) * (
@@ -140,18 +143,15 @@ def policy_schedule(t: np.ndarray, timing: ScenarioTiming, policy: PolicySpec,
     brake = 0.0
     if kind in ("brake-only", "brake-then-steer-center"):
         brake = _brake_pct(policy, a_brk_max)
-        if not 0.0 <= brake <= 100.0:
-            raise ValueError(f"brake_pct outside [0, 100]: {brake}")
     return (np.where(acting, 0.0, CRUISE_ACCEL_PCT), np.where(acting, brake, 0.0),
             np.where(acting, _steer_angle(t, policy, timing), 0.0))
 
 
-def policy_control(t: float, sv: VehicleState, pov: VehicleState,
-                   timing: ScenarioTiming, policy: PolicySpec,
+def policy_control(t: float, timing: ScenarioTiming, policy: PolicySpec,
                    a_brk_max: float = 8.0) -> ControlInput:
     """Control inputs for the SV at time t under a scripted policy.
 
-    One sample of `policy_schedule`; `sv` and `pov` are not read.
+    One sample of `policy_schedule`.
     """
     accel, brake, steer = policy_schedule(np.array([t]), timing, policy, a_brk_max)
     return ControlInput(accel_pct=float(accel[0]), brake_pct=float(brake[0]),

@@ -113,9 +113,6 @@ class Layer:
     def empty(self) -> bool:
         return self.x_hull is None or not self.mask.any()
 
-    def count(self) -> int:
-        return int(self.mask.sum())
-
     def world_cells(self) -> set[tuple[int, int]]:
         ii, jj = np.nonzero(self.mask)
         w = self.window
@@ -364,22 +361,12 @@ def normative_band(road: RoadSpec, pov_spec: VehicleSpec) -> tuple[float, float]
 
 
 def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
-                          config: PredictionConfig,
-                          lane_band: tuple[float, float] | None = None) -> ReachableSet:
-    """Unpruned reachable set of one vehicle from its current state.
-
-    When lane_band is given (normative POV prediction), every layer is
-    clipped to reference positions intersecting that band.
-    """
-    window = _window_for(state, limits, config)
-    layer = make_initial_layer(state, window)
-    if lane_band is not None:
-        layer = _clip_y(layer, *lane_band, inside=False)
+                          config: PredictionConfig) -> ReachableSet:
+    """Unpruned reachable set of one vehicle from its current state."""
+    layer = make_initial_layer(state, _window_for(state, limits, config))
     layers = [layer]
     for _ in range(config.n_steps):
         layer = propagate_step(layer, limits, config.tau_step)
-        if lane_band is not None:
-            layer = _clip_y(layer, *lane_band, inside=False)
         layers.append(layer)
     return ReachableSet(t=state.t, tau_step=config.tau_step,
                         horizon=config.horizon, layers=layers)
@@ -447,6 +434,18 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
                         pov_layers=pov_layers)
 
 
+def drivable_area_at(log: TrajectoryLog, i: int, config: PredictionConfig, *,
+                     exists_only: bool = False) -> tuple[DrivableArea, str]:
+    """Drivable area at log sample i, with the POV mode latched over samples 0..i."""
+    road = log.scenario.road
+    mode = pov_prediction_mode(log.pov["y"][:i + 1], road.lane_width,
+                               config.incursion_detect_threshold)
+    area = compute_drivable_area(log.sv_state(i), log.pov_state(i), config, road,
+                                 log.scenario.sv_spec, log.scenario.pov_spec,
+                                 mode=mode, exists_only=exists_only)
+    return area, mode
+
+
 @dataclass
 class Timeline:
     """Drivable-area existence along one run's analysis window."""
@@ -471,24 +470,17 @@ def drivable_timeline(log: TrajectoryLog, config: PredictionConfig,
     if t_begin < log.t[0] or t_end > log.t[-1] + log.dt / 2:
         raise ValueError("analysis window not covered by the log")
 
-    road = log.scenario.road
     anchors = []
     t = t_begin
     while t <= t_end + 1e-9:
         anchors.append(min(t, float(log.t[-1])))
         t += eval_step
 
-    y_pov = log.pov["y"]
     exists = np.zeros(len(anchors), dtype=bool)
     modes = []
     for k, t_anchor in enumerate(anchors):
-        i = log.index_at(t_anchor)
-        mode = pov_prediction_mode(y_pov[:i + 1], road.lane_width,
-                                   config.incursion_detect_threshold)
-        area = compute_drivable_area(log.sv_state(i), log.pov_state(i), config,
-                                     road, log.scenario.sv_spec,
-                                     log.scenario.pov_spec, mode=mode,
-                                     exists_only=True)
+        area, mode = drivable_area_at(log, log.index_at(t_anchor), config,
+                                      exists_only=True)
         exists[k] = area.exists
         modes.append(mode)
     t_arr = np.asarray(anchors)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import TrajectoryLog, classify_outcome, time_of_closest_proximity
+from .engine import OUTCOMES, TrajectoryLog, classify_outcome, time_of_closest_proximity
 from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG
 
 RESPONSE_KINDS = ("accel-release", "brake-onset", "steer-shoulder", "steer-center")
@@ -176,13 +176,6 @@ class SequenceGraph:
     n_runs: int = 0
     skipped: int = 0
 
-    def nodes(self) -> set:
-        out = set(self.initial)
-        for a, b in self.edges:
-            out.add(a)
-            out.add(b)
-        return out
-
     def flow_imbalance(self) -> dict:
         """inflow + initial - outflow per non-terminal node (0 when conserved)."""
         balance: Counter = Counter()
@@ -192,10 +185,7 @@ class SequenceGraph:
             balance[a] -= c
             balance[b] += c
         return {s: v for s, v in balance.items()
-                if s not in _OUTCOME_STATES and v != 0}
-
-
-_OUTCOME_STATES = ("collision", "pass-via-center", "pass-via-shoulder")
+                if s not in OUTCOMES and v != 0}
 
 
 def run_states(log: TrajectoryLog, window: AnalysisWindow) -> list[tuple[str, str]]:
@@ -216,7 +206,7 @@ def build_sequence_graph(runs: list[tuple[TrajectoryLog, AnalysisWindow, str]]) 
     """
     graph = SequenceGraph()
     for log, window, outcome in runs:
-        if outcome not in _OUTCOME_STATES:
+        if outcome not in OUTCOMES:
             graph.skipped += 1
             continue
         states = run_states(log, window)

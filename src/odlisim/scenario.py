@@ -154,7 +154,6 @@ class IncursionPath:
         self.y_start = y_start
         self.y_end = y_end
         self.vy_end = vy_end
-        self.post_tc = spec.post_tc_behavior
 
     def _u_of_t(self, t: float) -> float:
         """Invert the monotone time curve by Newton with bisection fallback."""

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
 from odlisim import io
 from odlisim.cli import main
+from odlisim.engine import classify_outcome
+from odlisim.responses import build_sequence_graph, window_for
 
 
 def run_cli(*argv):
@@ -104,3 +108,40 @@ def test_cli_determinism_smoke(tmp_path):
         outs.append(out)
     for fname in ("run_000.csv", "run_001.csv", "outcomes.csv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_window_reaction_floor_governs_every_window(tmp_path):
+    cfg_path = small_config(tmp_path)
+    config = io.load_run_config(cfg_path)
+    config["analysis"]["window_reaction_floor"] = 0.8
+    # braking that starts inside [0.4, 0.8) s after the trigger moves the
+    # state at t_B, so the two floors give different sequence graphs
+    config["policies"] = [{"kind": "no-response", "count": 1},
+                          {"kind": "brake-only", "count": 1, "reaction_delay": 0.5}]
+    io.save_run_config(config, cfg_path)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+    log_paths = sorted(out.glob("run_*.csv"))
+
+    assert run_cli("reach", "timeline", "--config", str(cfg_path), "--log",
+                   str(log_paths[0]), "--out", str(out)) == 0
+    _, _, rows = io.load_table(out / "timeline.csv")
+    assert float(rows[0][1]) == pytest.approx(0.8)
+    assert run_cli("reach", "aggregate", "--config", str(cfg_path),
+                   "--logs", str(out), "--out", str(out)) == 0
+    _, _, rows = io.load_table(out / "prevalence.csv")
+    assert float(rows[0][0]) == pytest.approx(0.8)
+    assert run_cli("oracle", "verify", "--config", str(cfg_path), "--out", str(out),
+                   "--n", "50", "--anchors", "2") == 0
+    t_trigger = io.load_trajectory_log(log_paths[0]).timing.t_trigger
+    report = json.loads((out / "oracle_report.json").read_text())
+    assert report[0]["t"] == pytest.approx(t_trigger + 0.8)
+
+    assert run_cli("analyze", "sequence", "--config", str(cfg_path),
+                   "--logs", str(out), "--out", str(out)) == 0
+    logs = [io.load_trajectory_log(p) for p in log_paths]
+    io.emit_sequence_graph(build_sequence_graph(
+        [(log, window_for(log, 0.8), classify_outcome(log).kind) for log in logs]),
+        tmp_path / "expected.csv")
+    assert ((out / "sequence_graph.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())

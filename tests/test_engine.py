@@ -333,6 +333,15 @@ def test_brake_beyond_vehicle_cap_rejected():
         rollout(make_scenario(0.0), PolicySpec(kind="brake-only"), sv_limits=weak)
 
 
+@pytest.mark.parametrize("a_brk_max", (1.0, 0.5))
+def test_brake_cap_at_or_below_anchor_names_a_brk_max(a_brk_max):
+    # at and below the 1 m/s^2 of the 15 % brake anchor, so no pedal
+    # position reaches the 6 m/s^2 of hard braking
+    with pytest.raises(ValueError, match="a_brk_max"):
+        rollout(make_scenario(0.0), PolicySpec(kind="brake-only"),
+                sv_limits=KinematicLimits(a_brk_max=a_brk_max))
+
+
 @pytest.mark.parametrize("dt", (math.nan, math.inf, -0.01))
 def test_rollout_rejects_non_finite_dt(dt):
     with pytest.raises(ValueError, match="dt"):

@@ -1,8 +1,15 @@
-"""Golden outputs: sha256 of every file `simulate` writes for the default cohort.
+"""Golden outputs: sha256 of every file the CLI pipeline writes.
 
-The default 20-run config (seed 0) is simulated at IL -0.8, 0 and +0.9 and
-each written file is hashed against `golden_simulate.json`.  A change that
-is meant to alter the outputs regenerates the fixture with
+The default 20-run config (seed 0) is simulated once per IL (-0.8, 0 and
++0.9) and the logs are shared by every test at that IL:
+
+- `simulate` outputs are pinned in `golden_simulate.json`;
+- `analyze responses`, `analyze sequence`, `reach aggregate --eval-step 1.0`
+  and `oracle verify --n 200 --anchors 2` at every IL, plus
+  `reach timeline --eval-step 0.5` and `reach compute --t 3.0` on
+  `run_000` at IL 0, are pinned in `golden_pipeline.json`.
+
+A change that is meant to alter the outputs regenerates both fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -20,28 +27,84 @@ import pytest
 from odlisim.cli import main
 
 FIXTURE = Path(__file__).with_name("golden_simulate.json")
+PIPELINE_FIXTURE = Path(__file__).with_name("golden_pipeline.json")
 ILS = ("-0.8", "0.0", "0.9")
+RUN_IL = "0.0"  # IL of the single-run reach outputs
+RUN_KEY = f"run_000 at IL {RUN_IL}"
 
 
-def simulate_digests(il: str, work: Path) -> dict[str, str]:
-    cfg = work / "config.json"
-    out = work / "out"
-    assert main(["scenario", "gen", "--il", il, "--seed", "0", "--out", str(cfg)]) == 0
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+def digests(directory: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())}
+            for p in sorted(directory.iterdir())}
+
+
+def simulate(il: str, work: Path) -> tuple[str, str]:
+    """Config path and log directory of the default cohort at one IL."""
+    cfg = work / "config.json"
+    logs = work / "logs"
+    assert main(["scenario", "gen", "--il", il, "--seed", "0", "--out", str(cfg)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(logs)]) == 0
+    return str(cfg), str(logs)
+
+
+def cohort_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
+    """Analysis, prevalence and oracle outputs over one simulated cohort."""
+    for argv in (["analyze", "responses", "--logs", logs],
+                 ["analyze", "sequence", "--logs", logs],
+                 ["reach", "aggregate", "--logs", logs, "--eval-step", "1.0"],
+                 ["oracle", "verify", "--n", "200", "--anchors", "2"]):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    return digests(out)
+
+
+def run_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
+    """Timeline and one drivable-area snapshot (CSV + SVG) of run_000."""
+    log = str(Path(logs) / "run_000.csv")
+    for argv in (["reach", "timeline", "--log", log, "--eval-step", "0.5"],
+                 ["reach", "compute", "--log", log, "--t", "3.0"]):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    return digests(out)
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """IL -> (config, log directory), simulated once per IL for the module."""
+    cache = {}
+
+    def get(il):
+        if il not in cache:
+            cache[il] = simulate(il, tmp_path_factory.mktemp(f"il{il}"))
+        return cache[il]
+    return get
 
 
 @pytest.mark.parametrize("il", ILS)
-def test_simulate_outputs_match_golden(il, tmp_path):
+def test_simulate_outputs_match_golden(il, simulated):
     expected = json.loads(FIXTURE.read_text())[il]
-    assert simulate_digests(il, tmp_path) == expected
+    assert digests(Path(simulated(il)[1])) == expected
+
+
+@pytest.mark.parametrize("il", ILS)
+def test_cohort_outputs_match_golden(il, simulated, tmp_path):
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[il]
+    assert cohort_digests(*simulated(il), tmp_path) == expected
+
+
+def test_run_reach_outputs_match_golden(simulated, tmp_path):
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[RUN_KEY]
+    assert run_digests(*simulated(RUN_IL), tmp_path) == expected
 
 
 if __name__ == "__main__":
-    golden = {}
+    golden, pipeline = {}, {}
     for il in ILS:
         with tempfile.TemporaryDirectory() as d:
-            golden[il] = simulate_digests(il, Path(d))
-    FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}", file=sys.stderr)
+            work = Path(d)
+            cfg, logs = simulate(il, work)
+            golden[il] = digests(Path(logs))
+            pipeline[il] = cohort_digests(cfg, logs, work / "cohort")
+            if il == RUN_IL:
+                pipeline[RUN_KEY] = run_digests(cfg, logs, work / "run")
+    for path, data in ((FIXTURE, golden), (PIPELINE_FIXTURE, pipeline)):
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}", file=sys.stderr)

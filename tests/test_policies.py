@@ -14,7 +14,7 @@ TIMING = ScenarioTiming(1.0, 6.15)
 
 
 def controls_trace(policy, t_grid):
-    return [policy_control(t, None, None, TIMING, policy) for t in t_grid]
+    return [policy_control(t, TIMING, policy) for t in t_grid]
 
 
 def test_pedal_map_anchor_points():
@@ -45,11 +45,11 @@ def test_brake_then_steer_schedule_crossings():
     t_brake = TIMING.t_trigger + 1.5
     t_steer = TIMING.t_trigger + 2.8
     dt = 0.01
-    before_b = policy_control(t_brake - dt, None, None, TIMING, pol)
-    at_b = policy_control(t_brake, None, None, TIMING, pol)
+    before_b = policy_control(t_brake - dt, TIMING, pol)
+    at_b = policy_control(t_brake, TIMING, pol)
     assert before_b.brake_pct <= 15.0 < at_b.brake_pct
-    before_s = policy_control(t_steer - dt, None, None, TIMING, pol)
-    at_s = policy_control(t_steer, None, None, TIMING, pol)
+    before_s = policy_control(t_steer - dt, TIMING, pol)
+    at_s = policy_control(t_steer, TIMING, pol)
     assert before_s.steer_deg < 5.0 <= at_s.steer_deg
 
 

@@ -11,7 +11,7 @@ from odlisim.engine import rollout
 from odlisim.policies import PolicySpec
 from odlisim.reach import (AxisInterval, GridWindow, Layer, PredictionConfig,
                            aggregate_prevalence, compute_drivable_area,
-                           compute_reachable_set, drivable_timeline,
+                           compute_reachable_set, drivable_area_at, drivable_timeline,
                            make_initial_layer, pov_occupancy, pov_prediction_mode,
                            propagate_step)
 from odlisim.responses import window_for
@@ -251,6 +251,21 @@ def test_timeline_no_incursion_all_true():
     tl = drivable_timeline(log, CFG, eval_step=0.5, window=(1.4, 5.0))
     assert tl.exists.all()
     assert all(m == "normative" for m in tl.mode)
+
+
+def test_drivable_area_at_latches_mode_over_past_samples():
+    w = RoadSpec().lane_width
+    # one POV excursion at t = 1 s, then back at its lane center
+    log = make_log(pov={"y": lambda t: np.where(abs(t - 1.0) < 0.05, w / 2 - 1.0, w / 2)})
+    assert drivable_area_at(log, log.index_at(0.5), CFG)[1] == "normative"
+    i = log.index_at(3.0)
+    area, mode = drivable_area_at(log, i, CFG)
+    assert mode == "kinematic-envelope"
+    ref = compute_drivable_area(log.sv_state(i), log.pov_state(i), CFG, log.scenario.road,
+                                log.scenario.sv_spec, log.scenario.pov_spec,
+                                mode="kinematic-envelope")
+    assert [layer.world_cells() for layer in area.layers] == [
+        layer.world_cells() for layer in ref.layers]
 
 
 def test_timeline_medium_no_response():
