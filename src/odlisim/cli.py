@@ -109,7 +109,8 @@ def _window(log, config: dict) -> responses.AnalysisWindow:
 def _timeline(log, config: dict, args) -> reach.Timeline:
     """Drivable-area timeline over the analysis window at the requested step."""
     pred = io.config_prediction(config)
-    step = args.eval_step or float(config["analysis"].get("eval_step", 0.1))
+    step = (args.eval_step if args.eval_step is not None
+            else float(config["analysis"].get("eval_step", 0.1)))
     window = _window(log, config)
     return reach.drivable_timeline(log, pred, eval_step=step,
                                    window=(window.t_begin, window.t_end))
@@ -223,6 +224,8 @@ def _cmd_reach_aggregate(args, config: dict, out: Path) -> int:
 
 
 def _cmd_oracle_verify(args, config: dict, out: Path) -> int:
+    if args.anchors < 1:
+        raise ValueError(f"anchors must be at least 1: {args.anchors}")
     scenario, timing = io.config_scenario(config)
     pred = io.config_prediction(config)
     log = rollout(scenario, PolicySpec(kind="no-response"),

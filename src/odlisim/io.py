@@ -289,13 +289,12 @@ def emit_reach_snapshot(area: DrivableArea, path: str | Path,
     rows = []
     for name, layers in (("sv", area.layers), ("pov", area.pov_layers)):
         for layer in layers:
-            w = layer.window
+            dx, dy = layer.dx, layer.dy
             ii, jj = np.nonzero(layer.mask)
             for i, j in zip(ii, jj):
-                ix, iy = int(i) + w.ox, int(j) + w.oy
+                ix, iy = int(i) + layer.ox, int(j) + layer.oy
                 rows.append([name, float(layer.tau), ix, iy,
-                             ix * w.dx, (ix + 1) * w.dx,
-                             iy * w.dy, (iy + 1) * w.dy])
+                             ix * dx, (ix + 1) * dx, iy * dy, (iy + 1) * dy])
     write_table(path, ["vehicle", "tau", "ix", "iy", "x_lo", "x_hi", "y_lo", "y_hi"],
                  ["-", "s", "-", "-", "m", "m", "m", "m"], rows)
     if svg_path is not None:
@@ -343,12 +342,12 @@ def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None,
             if layer.empty:
                 continue
             opacity = 0.15 + 0.5 * (1.0 - k / max(n - 1, 1))
-            w = layer.window
+            dx, dy = layer.dx, layer.dy
             ii, jj = np.nonzero(layer.mask)
             for i, j in zip(ii, jj):
-                ix, iy = int(i) + w.ox, int(j) + w.oy
-                parts.append(rect_svg(ix * w.dx, (ix + 1) * w.dx,
-                                      iy * w.dy, (iy + 1) * w.dy, color, opacity))
+                ix, iy = int(i) + layer.ox, int(j) + layer.oy
+                parts.append(rect_svg(ix * dx, (ix + 1) * dx, iy * dy, (iy + 1) * dy,
+                                      color, opacity))
     for rect, color in ((sv_rect, "#111133"), (pov_rect, "#331111")):
         if rect is not None:
             parts.append(rect_svg(rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi, color, 1.0))

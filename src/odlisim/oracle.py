@@ -229,12 +229,12 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
             if first is None:
                 first = {"step": k, "trajectory": 0, "reason": "empty layer"}
             continue
-        w = layer.window
-        ii = np.floor(s[:, 0] / w.dx).astype(int) - w.ox
-        jj = np.floor(s[:, 1] / w.dy).astype(int) - w.oy
-        in_win = (ii >= 0) & (ii < w.nx) & (jj >= 0) & (jj < w.ny)
+        ii = np.floor(s[:, 0] / layer.dx).astype(int) - layer.ox
+        jj = np.floor(s[:, 1] / layer.dy).astype(int) - layer.oy
+        nx, ny = layer.mask.shape
+        in_box = (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
         occupied = np.zeros(len(s), dtype=bool)
-        occupied[in_win] = layer.mask[ii[in_win], jj[in_win]]
+        occupied[in_box] = layer.mask[ii[in_box], jj[in_box]]
 
         xh, yh = layer.x_hull, layer.y_hull
         ok = (occupied

@@ -11,14 +11,16 @@ compounding across steps.  Because every computation starts from a point
 state and all clamps are global, one hull per axis describes every cell
 of a layer.
 
-Mask kernels cost what the occupied cells cost, not the window: a
-dilation (velocity range in ``propagate_step``, vehicle footprint in
-``pov_occupancy``) reads only the occupied bounding box of its source.  A
-completely filled box (every unpruned layer, so every POV layer) dilates to
-a filled rectangle written with one slice assignment; carved boxes are
-dilated by shifted ORs on the cropped arrays.  ``propagate_step`` writes
-the result only inside the raster box of the new hull, and
-``pov_occupancy`` returns the cropped occupancy with its world origin.
+A layer stores only its occupied cells: its mask is cropped to their
+bounding box and carries the world index of its first cell, and an empty
+layer has a 0x0 mask and no hulls.  One cropping constructor builds every
+layer, so mask kernels cost what the occupied cells cost, not a raster of
+everything reachable over the horizon.  A dilation (velocity range in
+``propagate_step``, vehicle footprint in ``pov_occupancy``) of a completely
+filled mask (every unpruned layer, so every POV layer) is a filled
+rectangle built directly; carved masks are dilated by shifted ORs.
+``propagate_step``, the corridor clip and the POV pruning slice their
+results out of the dilation or the previous mask.
 
 Pruning follows the expansion order: at each step the POV layer expands
 first, the SV layer expands from its previous pruned layer, and SV cells
@@ -86,46 +88,42 @@ class AxisInterval:
             raise ValueError(f"interval bounds out of order: {self}")
 
 
-@dataclass(frozen=True)
-class GridWindow:
-    """World-aligned index window: cell (ix, iy) spans [ix*dx, (ix+1)*dx) etc."""
-
-    dx: float
-    dy: float
-    ox: int  # world x-index of local row 0
-    oy: int  # world y-index of local column 0
-    nx: int
-    ny: int
-
-
 @dataclass
 class Layer:
-    """One future-time slice of a reachable set."""
+    """One future-time slice of a reachable set.
+
+    ``mask[i, j]`` is world cell ``(ox + i, oy + j)``, which spans
+    ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  The mask is cropped to the
+    occupied cells, so its first and last rows and columns are occupied; an
+    empty layer has a 0x0 mask and no hulls.  Build layers with
+    ``_cropped_layer``.
+    """
 
     tau: float
-    window: GridWindow
-    mask: np.ndarray = field(repr=False)  # bool [nx, ny], True = occupied
+    dx: float
+    dy: float
+    ox: int
+    oy: int
+    mask: np.ndarray = field(repr=False)  # bool, True = occupied
     x_hull: AxisInterval | None  # None iff empty
     y_hull: AxisInterval | None
     heading_sign: int
 
     @property
     def empty(self) -> bool:
-        return self.x_hull is None or not self.mask.any()
+        return self.x_hull is None
 
     def world_cells(self) -> set[tuple[int, int]]:
         ii, jj = np.nonzero(self.mask)
-        w = self.window
-        return {(int(i) + w.ox, int(j) + w.oy) for i, j in zip(ii, jj)}
+        return {(int(i) + self.ox, int(j) + self.oy) for i, j in zip(ii, jj)}
 
     def position_hull(self) -> tuple[tuple[float, float], tuple[float, float]] | None:
         """((x_lo, x_hi), (y_lo, y_hi)) spanned by occupied cells, None if empty."""
         if self.empty:
             return None
-        ii, jj = np.nonzero(self.mask)
-        w = self.window
-        return ((float((ii.min() + w.ox) * w.dx), float((ii.max() + w.ox + 1) * w.dx)),
-                (float((jj.min() + w.oy) * w.dy), float((jj.max() + w.oy + 1) * w.dy)))
+        nx, ny = self.mask.shape
+        return ((float(self.ox * self.dx), float((self.ox + nx) * self.dx)),
+                (float(self.oy * self.dy), float((self.oy + ny) * self.dy)))
 
 
 @dataclass
@@ -145,91 +143,63 @@ class DrivableArea:
     pov_layers: list[Layer] = field(default_factory=list)
 
 
-def _window_for(state: VehicleState, limits: KinematicLimits,
-                config: PredictionConfig, pad_cells: int = 3) -> GridWindow:
-    """Window guaranteed to contain every reachable position over the horizon."""
-    h = config.horizon
-    lim_x = axis_limits(limits, state.heading_sign, "x")
-    lim_y = axis_limits(limits, state.heading_sign, "y")
-    x_lo = state.x + min(lim_x.v_lo, 0.0) * h
-    x_hi = state.x + max(lim_x.v_hi, 0.0) * h
-    y_lo = state.y + min(lim_y.v_lo, 0.0) * h
-    y_hi = state.y + max(lim_y.v_hi, 0.0) * h
-    ox = math.floor(x_lo / config.grid_dx) - pad_cells
-    oy = math.floor(y_lo / config.grid_dy) - pad_cells
-    nx = math.floor(x_hi / config.grid_dx) + pad_cells + 1 - ox
-    ny = math.floor(y_hi / config.grid_dy) + pad_cells + 1 - oy
-    return GridWindow(config.grid_dx, config.grid_dy, ox, oy, nx, ny)
-
-
 def _raster_closed(lo: float, hi: float, d: float) -> tuple[int, int]:
     """Cells touched by the closed interval [lo, hi] under floor indexing."""
     return math.floor(lo / d), math.floor(hi / d)
 
 
-def make_initial_layer(state: VehicleState, window: GridWindow) -> Layer:
+def _cropped_layer(tau: float, dx: float, dy: float, mask: np.ndarray,
+                   ox: int, oy: int, x_hull: AxisInterval | None,
+                   y_hull: AxisInterval | None, heading_sign: int) -> Layer:
+    """The layer of the occupied cells of ``mask``, whose cell [0, 0] is world cell (ox, oy).
+
+    The mask is cropped to its occupied cells (a view, not a copy).  With no
+    occupied cell, or no lateral hull, the layer is empty.
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0 or y_hull is None:
+        return Layer(tau, dx, dy, 0, 0, np.zeros((0, 0), dtype=bool), None, None,
+                     heading_sign)
+    cols = np.flatnonzero(mask.any(axis=0))
+    i0, j0 = int(rows[0]), int(cols[0])
+    return Layer(tau, dx, dy, ox + i0, oy + j0, mask[i0:rows[-1] + 1, j0:cols[-1] + 1],
+                 x_hull, y_hull, heading_sign)
+
+
+def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
     """tau = 0 layer: exactly the cell covering the current position.
 
     Hulls start at the raw point state; clamping into the admissible box
     happens on the first propagation step, mirroring the stepper.
     """
-    ix = math.floor(state.x / window.dx)
-    iy = math.floor(state.y / window.dy)
-    mask = np.zeros((window.nx, window.ny), dtype=bool)
-    i, j = ix - window.ox, iy - window.oy
-    if not (0 <= i < window.nx and 0 <= j < window.ny):
-        raise ValueError("initial state outside the grid window")
-    mask[i, j] = True
-    return Layer(tau=0.0, window=window, mask=mask,
-                 x_hull=AxisInterval(state.x, state.x, state.vx, state.vx,
-                                     state.ax, state.ax),
-                 y_hull=AxisInterval(state.y, state.y, state.vy, state.vy,
-                                     state.ay, state.ay),
-                 heading_sign=state.heading_sign)
-
-
-def _empty_like(layer: Layer, tau: float) -> Layer:
-    return Layer(tau=tau, window=layer.window,
-                 mask=np.zeros_like(layer.mask), x_hull=None, y_hull=None,
-                 heading_sign=layer.heading_sign)
+    return _cropped_layer(0.0, dx, dy, np.ones((1, 1), dtype=bool),
+                          math.floor(state.x / dx), math.floor(state.y / dy),
+                          AxisInterval(state.x, state.x, state.vx, state.vx,
+                                       state.ax, state.ax),
+                          AxisInterval(state.y, state.y, state.vy, state.vy,
+                                       state.ay, state.ay),
+                          state.heading_sign)
 
 
 def _dilate(mask: np.ndarray, sx_lo: int, sx_hi: int,
-            sy_lo: int, sy_hi: int) -> tuple[np.ndarray, int, int]:
-    """Union of a non-empty mask shifted by every offset (sx, sy) in the given ranges.
+            sy_lo: int, sy_hi: int) -> np.ndarray:
+    """Union of a cropped, non-empty mask shifted by every offset (sx, sy) in the ranges.
 
-    Only the occupied bounding box is dilated, so the cost follows the
-    occupied cells, not the window; a completely filled box dilates to a
-    filled rectangle, built directly.  Returns the dilated box and the index
-    of its first cell in the mask's frame (it may reach past the mask).
+    Cell [0, 0] of the result is cell [sx_lo, sy_lo] of the mask's frame, and
+    the result is cropped as well.  A completely filled mask dilates to a
+    filled rectangle, built directly.
     """
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    i0, j0 = int(rows[0]), int(cols[0])
-    src = mask[i0:rows[-1] + 1, j0:cols[-1] + 1]
-    h, w = src.shape
+    h, w = mask.shape
     shape = (h + sx_hi - sx_lo, w + sy_hi - sy_lo)
-    if src.all():
-        return np.ones(shape, dtype=bool), i0 + sx_lo, j0 + sy_lo
+    if mask.all():
+        return np.ones(shape, dtype=bool)
     tmp = np.zeros((shape[0], w), dtype=bool)
     for s in range(sx_hi - sx_lo + 1):
-        tmp[s:s + h] |= src
+        tmp[s:s + h] |= mask
     out = np.zeros(shape, dtype=bool)
     for s in range(sy_hi - sy_lo + 1):
         out[:, s:s + w] |= tmp
-    return out, i0 + sx_lo, j0 + sy_lo
-
-
-def _clip_mask_to_box(mask: np.ndarray, window: GridWindow,
-                      ix_lo: int, ix_hi: int, iy_lo: int, iy_hi: int) -> None:
-    """Clear cells outside the world-index box (in place, bounds inclusive)."""
-    # clamped at 0: a negative slice bound would count from the far edge
-    i0, i1 = max(0, ix_lo - window.ox), max(0, ix_hi + 1 - window.ox)
-    j0, j1 = max(0, iy_lo - window.oy), max(0, iy_hi + 1 - window.oy)
-    mask[:i0, :] = False
-    mask[i1:, :] = False
-    mask[:, :j0] = False
-    mask[:, j1:] = False
+    return out
 
 
 def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> Layer:
@@ -242,7 +212,7 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
     exact for box-shaped layers.
     """
     if layer.empty:
-        return _empty_like(layer, layer.tau + tau_step)
+        return replace(layer, tau=layer.tau + tau_step)
     lim_x = axis_limits(limits, layer.heading_sign, "x")
     lim_y = axis_limits(limits, layer.heading_sign, "y")
     xh, yh = layer.x_hull, layer.y_hull
@@ -252,26 +222,23 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
     py_lo, vy_lo, ay_lo = axis_step(yh.p_lo, yh.v_lo, yh.a_lo, lim_y.j_lo, lim_y, tau_step)
     py_hi, vy_hi, ay_hi = axis_step(yh.p_hi, yh.v_hi, yh.a_hi, lim_y.j_hi, lim_y, tau_step)
 
-    w = layer.window
-    dil, di, dj = _dilate(layer.mask, math.floor(tau_step * xh.v_lo / w.dx),
-                          math.ceil(tau_step * xh.v_hi / w.dx),
-                          math.floor(tau_step * yh.v_lo / w.dy),
-                          math.ceil(tau_step * yh.v_hi / w.dy))
-    ix_lo, ix_hi = _raster_closed(px_lo, px_hi, w.dx)
-    iy_lo, iy_hi = _raster_closed(py_lo, py_hi, w.dy)
-    # the dilation survives only inside the window and the new hull's raster box
-    i0, i1 = max(0, ix_lo - w.ox, di), min(w.nx, ix_hi + 1 - w.ox, di + dil.shape[0])
-    j0, j1 = max(0, iy_lo - w.oy, dj), min(w.ny, iy_hi + 1 - w.oy, dj + dil.shape[1])
-    mask = np.zeros_like(layer.mask)
-    if i0 < i1 and j0 < j1:
-        mask[i0:i1, j0:j1] = dil[i0 - di:i1 - di, j0 - dj:j1 - dj]
-
-    return Layer(tau=layer.tau + tau_step, window=w, mask=mask,
-                 x_hull=AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
-                                     float(vx_hi), float(ax_lo), float(ax_hi)),
-                 y_hull=AxisInterval(float(py_lo), float(py_hi), float(vy_lo),
-                                     float(vy_hi), float(ay_lo), float(ay_hi)),
-                 heading_sign=layer.heading_sign)
+    dx, dy = layer.dx, layer.dy
+    sx_lo, sy_lo = math.floor(tau_step * xh.v_lo / dx), math.floor(tau_step * yh.v_lo / dy)
+    dil = _dilate(layer.mask, sx_lo, math.ceil(tau_step * xh.v_hi / dx),
+                  sy_lo, math.ceil(tau_step * yh.v_hi / dy))
+    ox, oy = layer.ox + sx_lo, layer.oy + sy_lo
+    ix_lo, ix_hi = _raster_closed(px_lo, px_hi, dx)
+    iy_lo, iy_hi = _raster_closed(py_lo, py_hi, dy)
+    # the dilation survives only inside the new hull's raster box; bounds are
+    # clamped at 0 because a negative slice bound counts from the far edge
+    i0, j0 = max(0, ix_lo - ox), max(0, iy_lo - oy)
+    mask = dil[i0:max(0, ix_hi + 1 - ox), j0:max(0, iy_hi + 1 - oy)]
+    return _cropped_layer(layer.tau + tau_step, dx, dy, mask, ox + i0, oy + j0,
+                          AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
+                                       float(vx_hi), float(ax_lo), float(ax_hi)),
+                          AxisInterval(float(py_lo), float(py_hi), float(vy_lo),
+                                       float(vy_hi), float(ay_lo), float(ay_hi)),
+                          layer.heading_sign)
 
 
 def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
@@ -282,23 +249,21 @@ def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
     """
     if layer.empty:
         return layer
-    w = layer.window
+    dy = layer.dy
     if inside:
-        iy_min = math.ceil(y_lo / w.dy - 1e-9)
-        iy_max = math.floor(y_hi / w.dy + 1e-9) - 1
+        iy_min = math.ceil(y_lo / dy - 1e-9)
+        iy_max = math.floor(y_hi / dy + 1e-9) - 1
     else:
-        iy_min = math.floor(y_lo / w.dy)
-        iy_max = math.ceil(y_hi / w.dy) - 1
-    mask = layer.mask.copy()
-    _clip_mask_to_box(mask, w, w.ox, w.ox + w.nx - 1, iy_min, iy_max)
-    if not mask.any():
-        return _empty_like(layer, layer.tau)
+        iy_min = math.floor(y_lo / dy)
+        iy_max = math.ceil(y_hi / dy) - 1
     yh = layer.y_hull
     new_lo, new_hi = max(yh.p_lo, y_lo), min(yh.p_hi, y_hi)
-    if new_lo > new_hi:
-        return _empty_like(layer, layer.tau)
-    return replace(layer, mask=mask,
-                   y_hull=replace(yh, p_lo=new_lo, p_hi=new_hi))
+    j0 = max(0, iy_min - layer.oy)
+    return _cropped_layer(layer.tau, layer.dx, dy,
+                          layer.mask[:, j0:max(0, iy_max + 1 - layer.oy)],
+                          layer.ox, layer.oy + j0, layer.x_hull,
+                          replace(yh, p_lo=new_lo, p_hi=new_hi) if new_lo <= new_hi else None,
+                          layer.heading_sign)
 
 
 def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
@@ -308,21 +273,20 @@ def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
     Minkowski dilation in reference-point coordinates: the SV reference
     collides when it lies within the summed half-extents of a POV cell,
     shifted longitudinally by both reference offsets, so the SV is treated
-    as a point against this mask.  Returns (mask, ox, oy) in world indices.
+    as a point against this mask.  Returns (mask, ox, oy): the mask is
+    cropped to its occupied cells and its cell [0, 0] is world cell (ox, oy).
     """
-    w = layer.window
     if layer.empty:
-        return np.zeros_like(layer.mask), w.ox, w.oy
+        return layer.mask, layer.ox, layer.oy
     shift = sv_spec.ref_offset + pov_spec.ref_offset
     half_len = (sv_spec.length + pov_spec.length) / 2
     half_wid = (sv_spec.width + pov_spec.width) / 2
-    sx_lo = math.floor((shift - half_len) / w.dx)
-    sx_hi = math.ceil((shift + half_len) / w.dx)
-    sy_lo = math.floor(-half_wid / w.dy)
-    sy_hi = math.ceil(half_wid / w.dy)
-
-    occ, i0, j0 = _dilate(layer.mask, sx_lo, sx_hi, sy_lo, sy_hi)
-    return occ, w.ox + i0, w.oy + j0
+    sx_lo = math.floor((shift - half_len) / layer.dx)
+    sx_hi = math.ceil((shift + half_len) / layer.dx)
+    sy_lo = math.floor(-half_wid / layer.dy)
+    sy_hi = math.ceil(half_wid / layer.dy)
+    return (_dilate(layer.mask, sx_lo, sx_hi, sy_lo, sy_hi),
+            layer.ox + sx_lo, layer.oy + sy_lo)
 
 
 def _prune_mask(mask: np.ndarray, ox: int, oy: int,
@@ -363,7 +327,7 @@ def normative_band(road: RoadSpec, pov_spec: VehicleSpec) -> tuple[float, float]
 def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
                           config: PredictionConfig) -> ReachableSet:
     """Unpruned reachable set of one vehicle from its current state."""
-    layer = make_initial_layer(state, _window_for(state, limits, config))
+    layer = make_initial_layer(state, config.grid_dx, config.grid_dy)
     layers = [layer]
     for _ in range(config.n_steps):
         layer = propagate_step(layer, limits, config.tau_step)
@@ -375,8 +339,7 @@ def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
                           config: PredictionConfig, road: RoadSpec,
                           sv_spec: VehicleSpec, pov_spec: VehicleSpec,
-                          mode: str | None = None, *,
-                          exists_only: bool = False) -> DrivableArea:
+                          mode: str, *, exists_only: bool = False) -> DrivableArea:
     """SV reachable set pruned against POV reachability, layer by layer.
 
     Expansion order per step: POV first, then the SV from its previous
@@ -387,22 +350,17 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
     empty layer stays empty), so ``layers`` and ``pov_layers`` may be
     shorter than the horizon; ``exists`` is the same either way.
     """
-    if mode is None:
-        mode = pov_prediction_mode(np.array([pov_state.y]), road.lane_width,
-                                   config.incursion_detect_threshold)
     if mode not in ("normative", "kinematic-envelope"):
         raise ValueError(f"unknown prediction mode {mode!r}")
     band = normative_band(road, pov_spec) if mode == "normative" else None
 
-    pov_window = _window_for(pov_state, config.pov_limits, config)
-    sv_window = _window_for(sv_state, config.sv_limits, config)
     corridor = (-road.width / 2.0 - road.shoulder_margin,
                 road.width / 2.0 + road.shoulder_margin)
 
-    pov_layer = make_initial_layer(pov_state, pov_window)
+    pov_layer = make_initial_layer(pov_state, config.grid_dx, config.grid_dy)
     if band is not None:
         pov_layer = _clip_y(pov_layer, *band, inside=False)
-    sv_layer = make_initial_layer(sv_state, sv_window)
+    sv_layer = make_initial_layer(sv_state, config.grid_dx, config.grid_dy)
 
     def prune(sv_l: Layer, pov_l: Layer) -> Layer:
         if config.road_pruning == "corridor":
@@ -411,10 +369,9 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
             return sv_l
         occ, occ_ox, occ_oy = pov_occupancy(pov_l, pov_spec, sv_spec)
         mask = sv_l.mask.copy()
-        _prune_mask(mask, sv_l.window.ox, sv_l.window.oy, occ, occ_ox, occ_oy)
-        if not mask.any():
-            return _empty_like(sv_l, sv_l.tau)
-        return replace(sv_l, mask=mask)
+        _prune_mask(mask, sv_l.ox, sv_l.oy, occ, occ_ox, occ_oy)
+        return _cropped_layer(sv_l.tau, sv_l.dx, sv_l.dy, mask, sv_l.ox, sv_l.oy,
+                              sv_l.x_hull, sv_l.y_hull, sv_l.heading_sign)
 
     sv_layer = prune(sv_layer, pov_layer)
     pov_layers = [pov_layer]

@@ -15,7 +15,7 @@ from odlisim.core import SV_LIMITS, axis_limits
 from odlisim.engine import classify_outcome, rollout, run_cohort
 from odlisim.oracle import analytic_1d_bounds, containment_check, sample_trajectories
 from odlisim.policies import PolicySpec
-from odlisim.reach import (GridWindow, PredictionConfig, aggregate_prevalence,
+from odlisim.reach import (PredictionConfig, aggregate_prevalence,
                            compute_drivable_area, compute_reachable_set,
                            drivable_timeline, make_initial_layer,
                            pov_prediction_mode, propagate_step)
@@ -108,8 +108,7 @@ def test_criterion_4_1d_oracle_agreement():
 
     from odlisim.core import VehicleState
     state = VehicleState(t=0, x=0.0, y=0.0, vx=20.0, vy=0.0, ax=0.0, ay=0.0)
-    window = GridWindow(cfg.grid_dx, cfg.grid_dy, -4, -40, 60, 80)
-    layer = make_initial_layer(state, window)
+    layer = make_initial_layer(state, cfg.grid_dx, cfg.grid_dy)
     for _ in range(5):
         layer = propagate_step(layer, SV_LIMITS, cfg.tau_step)
     hull = layer.position_hull()[0]
@@ -163,7 +162,7 @@ def test_criterion_5_qualitative_reachability():
                                      cfg.incursion_detect_threshold))
         y_pov = float(log.pov["y"][i])
         final = area.layers[-1]
-        centers = [(iy + 0.5) * final.window.dy for _, iy in final.world_cells()]
+        centers = [(iy + 0.5) * final.dy for _, iy in final.world_cells()]
         ok_b = area.exists and any(c > y_pov for c in centers)
         detail = (f"regained at rel {tl.rel_t[k]:.2f}s, "
                   f"max cell y {max(centers):.2f} vs y_pov {y_pov:.2f}")

@@ -91,6 +91,34 @@ def test_oracle_verify_small(tmp_path):
     assert all(entry["fraction"] == 1.0 for entry in report)
 
 
+def json_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_oracle_verify_rejects_no_anchors(tmp_path, capsys):
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("oracle", "verify", "--config", str(cfg_path),
+                   "--out", str(out), "--n", "50", "--anchors", "0") == 1
+    payload = json_error(capsys)
+    assert payload["error"] == "ValueError" and "anchors" in payload["message"]
+    assert not (out / "oracle_report.json").exists()
+
+
+def test_reach_rejects_zero_eval_step(tmp_path, capsys):
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+    capsys.readouterr()
+    log = str(sorted(out.glob("run_*.csv"))[0])
+    for source in (("timeline", "--log", log), ("aggregate", "--logs", str(out))):
+        assert run_cli("reach", *source, "--config", str(cfg_path),
+                       "--out", str(out), "--eval-step", "0") == 1
+        assert json_error(capsys) == {"error": "ValueError",
+                                      "message": "eval_step must be positive"}
+    assert not (out / "timeline.csv").exists() and not (out / "prevalence.csv").exists()
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     code = run_cli("simulate", "--config", str(tmp_path / "missing.json"))
     assert code == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step)
 from odlisim.engine import rollout
 from odlisim.policies import PolicySpec
-from odlisim.reach import (AxisInterval, GridWindow, Layer, PredictionConfig,
+from odlisim.reach import (AxisInterval, Layer, PredictionConfig,
                            aggregate_prevalence, compute_drivable_area,
                            compute_reachable_set, drivable_area_at, drivable_timeline,
                            make_initial_layer, pov_occupancy, pov_prediction_mode,
@@ -34,21 +35,24 @@ def pov_state(**kw):
     return VehicleState(**base)
 
 
-def single_cell_layer(ix=0, iy=0, dx=0.5, dy=0.25, nx=41, ny=41, heading=1,
+def single_cell_layer(ix=0, iy=0, dx=0.5, dy=0.25, heading=1,
                       hull_v=(0.0, 0.0), hull_a=(0.0, 0.0)):
-    window = GridWindow(dx, dy, ix - nx // 2, iy - ny // 2, nx, ny)
-    mask = np.zeros((nx, ny), dtype=bool)
-    mask[nx // 2, ny // 2] = True
-    return Layer(tau=0.0, window=window, mask=mask,
+    return Layer(tau=0.0, dx=dx, dy=dy, ox=ix, oy=iy, mask=np.ones((1, 1), dtype=bool),
                  x_hull=AxisInterval(ix * dx, (ix + 1) * dx, *hull_v, *hull_a),
                  y_hull=AxisInterval(iy * dy, (iy + 1) * dy, 0.0, 0.0, 0.0, 0.0),
                  heading_sign=heading)
 
 
+def emptied(layer):
+    """The layer built from a mask with no occupied cell."""
+    return reach._cropped_layer(layer.tau, layer.dx, layer.dy, np.zeros((3, 4), dtype=bool),
+                                layer.ox, layer.oy, layer.x_hull, layer.y_hull,
+                                layer.heading_sign)
+
+
 def test_propagate_singleton_advance():
     state = VehicleState(t=0, x=0.2, y=0.1, vx=20.0, vy=0.0, ax=0.0, ay=0.0)
-    window = GridWindow(0.5, 0.25, -10, -10, 80, 40)
-    layer = make_initial_layer(state, window)
+    layer = make_initial_layer(state, 0.5, 0.25)
     nxt = propagate_step(layer, SV_LIMITS, 0.1)
     assert nxt.x_hull.p_lo == pytest.approx(0.2 + 2.0)
     assert nxt.x_hull.p_hi == pytest.approx(0.2 + 2.0)
@@ -61,8 +65,7 @@ def test_propagate_zero_limits_fixed_point():
                            a_lat_right_max=0, j_fwd_max=0, j_bwd_max=0,
                            j_lat_max=0, v_lat_max=0)
     state = VehicleState(t=0, x=1.3, y=0.4, vx=0.0, vy=0.0, ax=0.0, ay=0.0)
-    window = GridWindow(0.5, 0.25, -10, -10, 40, 40)
-    layer = make_initial_layer(state, window)
+    layer = make_initial_layer(state, 0.5, 0.25)
     nxt = propagate_step(layer, zero, 0.1)
     assert nxt.world_cells() == layer.world_cells()
     assert nxt.x_hull.p_lo == layer.x_hull.p_lo
@@ -70,18 +73,17 @@ def test_propagate_zero_limits_fixed_point():
 
 def test_propagate_pov_lateral_floor():
     state = pov_state()
-    window = GridWindow(0.5, 0.25, 150, -20, 100, 100)
-    layer = make_initial_layer(state, window)
+    layer = make_initial_layer(state, 0.5, 0.25)
     nxt = propagate_step(layer, POV_LIMITS, 0.1)
     assert nxt.y_hull.a_lo == 0.0  # cannot accelerate further toward the shoulder
     assert nxt.y_hull.a_hi == pytest.approx(3.0)  # 0 + 0.1 * 30 toward its left
 
 
 def test_propagate_empty_absorbs():
-    layer = single_cell_layer()
-    layer.mask[:] = False
+    layer = emptied(single_cell_layer())
+    assert layer.empty and layer.mask.shape == (0, 0) and layer.y_hull is None
     layer = propagate_step(layer, SV_LIMITS, 0.1)
-    assert layer.empty
+    assert layer.empty and layer.tau == 0.1
     assert propagate_step(layer, SV_LIMITS, 0.1).empty
 
 
@@ -104,18 +106,17 @@ def test_occupancy_ref_offset_shift():
 
 
 def test_occupancy_empty_layer():
-    layer = single_cell_layer()
-    layer.mask[:] = False
+    layer = emptied(single_cell_layer())
     occ, _, _ = pov_occupancy(layer, VehicleSpec(), VehicleSpec())
     assert not occ.any()
 
 
 def test_occupancy_commutes_with_union():
-    a = single_cell_layer(ix=0, iy=0, nx=101, ny=101)
-    b = single_cell_layer(ix=30, iy=12, nx=101, ny=101)
-    union = single_cell_layer(ix=0, iy=0, nx=101, ny=101)
-    w = union.window
-    union.mask[30 - w.ox, 12 - w.oy] = True  # add the second world cell
+    a = single_cell_layer(ix=0, iy=0)
+    b = single_cell_layer(ix=30, iy=12)
+    union = single_cell_layer(ix=0, iy=0)
+    union.mask = np.zeros((31, 13), dtype=bool)
+    union.mask[0, 0] = union.mask[30, 12] = True  # world cells (0, 0) and (30, 12)
     spec = VehicleSpec(ref_offset=0.0)
 
     def cells(occ, ox, oy):
@@ -157,9 +158,11 @@ def test_nested_horizons():
     cfg4 = PredictionConfig(horizon=4.0)
     cfg2 = PredictionConfig(horizon=2.0)
     area4 = compute_drivable_area(sv_state(), pov_state(), cfg4, RoadSpec(),
-                                  VehicleSpec(), VehicleSpec(ref_offset=0.2))
+                                  VehicleSpec(), VehicleSpec(ref_offset=0.2),
+                                  mode="normative")
     area2 = compute_drivable_area(sv_state(), pov_state(), cfg2, RoadSpec(),
-                                  VehicleSpec(), VehicleSpec(ref_offset=0.2))
+                                  VehicleSpec(), VehicleSpec(ref_offset=0.2),
+                                  mode="normative")
     for k, layer2 in enumerate(area2.layers):
         assert layer2.world_cells() == area4.layers[k].world_cells()
 
@@ -318,7 +321,73 @@ def test_prevalence_deterministic_under_seed():
     assert np.array_equal(a.ci_lo, b.ci_lo) and np.array_equal(a.ci_hi, b.ci_hi)
 
 
-# -- reference kernels: the window-wide shift loops the cropped kernels replace --
+# -- reference: the seed's window-wide kernels, run on windows padded so that
+# they never clip; the cropped layers must hold the same world cells --
+
+@dataclass(frozen=True)
+class GridWindow:
+    """World-aligned index window: local cell (i, j) is world cell (ox + i, oy + j)."""
+
+    dx: float
+    dy: float
+    ox: int
+    oy: int
+    nx: int
+    ny: int
+
+
+@dataclass
+class WindowLayer:
+    """A layer stored the seed's way: a mask over a whole window."""
+
+    tau: float
+    window: GridWindow
+    mask: np.ndarray
+    x_hull: AxisInterval | None
+    y_hull: AxisInterval | None
+    heading_sign: int
+
+    @property
+    def empty(self):
+        return self.x_hull is None or not self.mask.any()
+
+
+def empty_like(layer, tau):
+    return WindowLayer(tau, layer.window, np.zeros_like(layer.mask), None, None,
+                       layer.heading_sign)
+
+
+def clip_mask_to_box(mask, window, ix_lo, ix_hi, iy_lo, iy_hi):
+    """Clear cells outside the world-index box (in place, bounds inclusive)."""
+    i0, i1 = max(0, ix_lo - window.ox), max(0, ix_hi + 1 - window.ox)
+    j0, j1 = max(0, iy_lo - window.oy), max(0, iy_hi + 1 - window.oy)
+    mask[:i0, :] = False
+    mask[i1:, :] = False
+    mask[:, :j0] = False
+    mask[:, j1:] = False
+
+
+def ref_window_for(state, limits, config, pad_cells=80):
+    """Window containing every reachable position over the horizon, with a margin."""
+    h = config.horizon
+    lim_x = axis_limits(limits, state.heading_sign, "x")
+    lim_y = axis_limits(limits, state.heading_sign, "y")
+    ox = math.floor((state.x + min(lim_x.v_lo, 0.0) * h) / config.grid_dx) - pad_cells
+    oy = math.floor((state.y + min(lim_y.v_lo, 0.0) * h) / config.grid_dy) - pad_cells
+    nx = math.floor((state.x + max(lim_x.v_hi, 0.0) * h) / config.grid_dx) + pad_cells + 1 - ox
+    ny = math.floor((state.y + max(lim_y.v_hi, 0.0) * h) / config.grid_dy) + pad_cells + 1 - oy
+    return GridWindow(config.grid_dx, config.grid_dy, ox, oy, nx, ny)
+
+
+def ref_initial_layer(state, window):
+    mask = np.zeros((window.nx, window.ny), dtype=bool)
+    mask[math.floor(state.x / window.dx) - window.ox,
+         math.floor(state.y / window.dy) - window.oy] = True
+    return WindowLayer(0.0, window, mask,
+                       AxisInterval(state.x, state.x, state.vx, state.vx, state.ax, state.ax),
+                       AxisInterval(state.y, state.y, state.vy, state.vy, state.ay, state.ay),
+                       state.heading_sign)
+
 
 def ref_shift_or(mask, s_lo, s_hi, axis):
     out = np.zeros_like(mask)
@@ -339,7 +408,7 @@ def ref_shift_or(mask, s_lo, s_hi, axis):
 
 def ref_propagate_step(layer, limits, tau_step):
     if layer.empty:
-        return reach._empty_like(layer, layer.tau + tau_step)
+        return empty_like(layer, layer.tau + tau_step)
     lim_x = axis_limits(limits, layer.heading_sign, "x")
     lim_y = axis_limits(limits, layer.heading_sign, "y")
     xh, yh = layer.x_hull, layer.y_hull
@@ -354,13 +423,13 @@ def ref_propagate_step(layer, limits, tau_step):
                         math.ceil(tau_step * yh.v_hi / w.dy), axis=1)
     ix_lo, ix_hi = math.floor(px_lo / w.dx), math.floor(px_hi / w.dx)
     iy_lo, iy_hi = math.floor(py_lo / w.dy), math.floor(py_hi / w.dy)
-    reach._clip_mask_to_box(mask, w, ix_lo, ix_hi, iy_lo, iy_hi)
-    return Layer(tau=layer.tau + tau_step, window=w, mask=mask,
-                 x_hull=AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
-                                     float(vx_hi), float(ax_lo), float(ax_hi)),
-                 y_hull=AxisInterval(float(py_lo), float(py_hi), float(vy_lo),
-                                     float(vy_hi), float(ay_lo), float(ay_hi)),
-                 heading_sign=layer.heading_sign)
+    clip_mask_to_box(mask, w, ix_lo, ix_hi, iy_lo, iy_hi)
+    return WindowLayer(layer.tau + tau_step, w, mask,
+                       AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
+                                    float(vx_hi), float(ax_lo), float(ax_hi)),
+                       AxisInterval(float(py_lo), float(py_hi), float(vy_lo),
+                                    float(vy_hi), float(ay_lo), float(ay_hi)),
+                       layer.heading_sign)
 
 
 def ref_pov_occupancy(layer, pov_spec, sv_spec):
@@ -385,32 +454,111 @@ def ref_pov_occupancy(layer, pov_spec, sv_spec):
     return occ, w.ox + sx_lo, w.oy + sy_lo
 
 
-def assert_layers_equal(got, want):
-    assert got.tau == want.tau
-    assert got.window == want.window
-    assert got.heading_sign == want.heading_sign
+def ref_clip_y(layer, y_lo, y_hi, inside):
+    if layer.empty:
+        return layer
+    w = layer.window
+    if inside:
+        iy_min = math.ceil(y_lo / w.dy - 1e-9)
+        iy_max = math.floor(y_hi / w.dy + 1e-9) - 1
+    else:
+        iy_min = math.floor(y_lo / w.dy)
+        iy_max = math.ceil(y_hi / w.dy) - 1
+    mask = layer.mask.copy()
+    clip_mask_to_box(mask, w, w.ox, w.ox + w.nx - 1, iy_min, iy_max)
+    yh = layer.y_hull
+    new_lo, new_hi = max(yh.p_lo, y_lo), min(yh.p_hi, y_hi)
+    if not mask.any() or new_lo > new_hi:
+        return empty_like(layer, layer.tau)
+    return WindowLayer(layer.tau, w, mask, layer.x_hull,
+                       AxisInterval(new_lo, new_hi, yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi),
+                       layer.heading_sign)
+
+
+def ref_drivable_area(sv, pov, config, road, sv_spec, pov_spec, mode):
+    """The seed's ``compute_drivable_area`` on padded windows: (SV layers, POV layers)."""
+    band = reach.normative_band(road, pov_spec) if mode == "normative" else None
+    corridor = (-road.width / 2.0 - road.shoulder_margin,
+                road.width / 2.0 + road.shoulder_margin)
+
+    def prune(sv_l, pov_l):
+        if config.road_pruning == "corridor":
+            sv_l = ref_clip_y(sv_l, *corridor, inside=True)
+        if sv_l.empty or pov_l.empty:
+            return sv_l
+        mask = sv_l.mask.copy()
+        reach._prune_mask(mask, sv_l.window.ox, sv_l.window.oy,
+                          *ref_pov_occupancy(pov_l, pov_spec, sv_spec))
+        if not mask.any():
+            return empty_like(sv_l, sv_l.tau)
+        return WindowLayer(sv_l.tau, sv_l.window, mask, sv_l.x_hull, sv_l.y_hull,
+                           sv_l.heading_sign)
+
+    pov_l = ref_initial_layer(pov, ref_window_for(pov, config.pov_limits, config))
+    if band is not None:
+        pov_l = ref_clip_y(pov_l, *band, inside=False)
+    sv_l = prune(ref_initial_layer(sv, ref_window_for(sv, config.sv_limits, config)), pov_l)
+    sv_layers, pov_layers = [sv_l], [pov_l]
+    for _ in range(config.n_steps):
+        pov_l = ref_propagate_step(pov_l, config.pov_limits, config.tau_step)
+        if band is not None:
+            pov_l = ref_clip_y(pov_l, *band, inside=False)
+        sv_l = prune(ref_propagate_step(sv_l, config.sv_limits, config.tau_step), pov_l)
+        sv_layers.append(sv_l)
+        pov_layers.append(pov_l)
+    return sv_layers, pov_layers
+
+
+def assert_cropped(layer):
+    """Empty iff a 0x0 mask and no hulls; otherwise every border row and column occupied."""
+    m = layer.mask
+    if layer.empty:
+        assert m.shape == (0, 0) and layer.x_hull is None and layer.y_hull is None
+    else:
+        assert m.size and layer.y_hull is not None
+        assert m[0].any() and m[-1].any() and m[:, 0].any() and m[:, -1].any()
+
+
+def assert_matches_reference(got, want):
+    """Same tau, heading, resolution, emptiness, hulls and world cells."""
+    assert_cropped(got)
+    w = want.window
+    assert (got.tau, got.heading_sign, got.dx, got.dy) == (want.tau, want.heading_sign,
+                                                           w.dx, w.dy)
+    assert got.empty == want.empty
+    if got.empty:
+        return
     assert got.x_hull == want.x_hull and got.y_hull == want.y_hull
-    assert got.mask.shape == want.mask.shape
-    assert np.array_equal(got.mask, want.mask)
+    # the reference never clips: its occupied cells stay off the window border
+    assert not (want.mask[[0, -1]].any() or want.mask[:, [0, -1]].any())
+    i0, j0 = got.ox - w.ox, got.oy - w.oy
+    nx, ny = got.mask.shape
+    assert 0 <= i0 and i0 + nx <= w.nx and 0 <= j0 and j0 + ny <= w.ny
+    placed = np.zeros_like(want.mask)
+    placed[i0:i0 + nx, j0:j0 + ny] = got.mask
+    assert np.array_equal(placed, want.mask)
+    ii, jj = np.nonzero(want.mask)
+    assert got.position_hull() == (((ii.min() + w.ox) * w.dx, (ii.max() + w.ox + 1) * w.dx),
+                                   ((jj.min() + w.oy) * w.dy, (jj.max() + w.oy + 1) * w.dy))
 
 
 KINDS = ("carved", "full", "edge")
+PAD = 40  # cells; one step of a random layer shifts its mask by at most 25
 
 
 def random_layer(rng, kind):
-    """Layer with a random window, a mask of the given kind and a random hull.
+    """(cropped layer, the same layer on a window padded by PAD cells).
 
-    kind: "carved" (random cells inside a random box, never all of it),
-    "full" (a filled rectangle) or "edge" (a filled or carved box touching
-    the window edge).  Velocity ranges straddle zero, so shifts run in both
-    directions, and the hull may reach past the window.  As with the
-    program's windows, one step shifts the mask by less than the window
-    size (the reference loop needs that).
+    A random window holds a mask of the given kind and a random hull:
+    "carved" (random cells inside a random box, never all of it), "full" (a
+    filled rectangle) or "edge" (a filled or carved box touching the window
+    edge, where the seed's window clipped the dilation).  Velocity ranges
+    straddle zero, so shifts run in both directions, and the hull may reach
+    past the window.
     """
     dx, dy = (0.5, 0.25) if rng.random() < 0.5 else (0.25, 0.125)
     nx, ny = int(rng.integers(30, 90)), int(rng.integers(8, 60))
-    window = GridWindow(dx, dy, int(rng.integers(-50, 50)), int(rng.integers(-30, 30)),
-                        nx, ny)
+    ox, oy = int(rng.integers(-50, 50)), int(rng.integers(-30, 30))
     i0, i1 = sorted(int(v) for v in rng.integers(0, nx, size=2))
     j0, j1 = sorted(int(v) for v in rng.integers(0, ny, size=2))
     i1, j1 = i1 + 1, j1 + 1
@@ -419,14 +567,15 @@ def random_layer(rng, kind):
             i0, i1 = (0, i1) if rng.random() < 0.5 else (i0, nx)
         else:
             j0, j1 = (0, j1) if rng.random() < 0.5 else (j0, ny)
-    mask = np.zeros((nx, ny), dtype=bool)
+    mask = np.zeros((nx + 2 * PAD, ny + 2 * PAD), dtype=bool)
+    box = mask[PAD + i0:PAD + i1, PAD + j0:PAD + j1]
     if kind == "full" or (kind == "edge" and rng.random() < 0.5):
-        mask[i0:i1, j0:j1] = True
+        box[:] = True
     else:
-        mask[i0:i1, j0:j1] = rng.random((i1 - i0, j1 - j0)) < 0.4
-        mask[i0, j0] = True
-        if (i1 - i0) * (j1 - j0) > 1:
-            mask[i1 - 1, j1 - 1] = False
+        box[:] = rng.random(box.shape) < 0.4
+        box[0, 0] = True
+        if box.size > 1:
+            box[-1, -1] = False
 
     def hull(o, n, d, v_scale):
         lo = (o + rng.uniform(-5, n + 5)) * d
@@ -434,33 +583,37 @@ def random_layer(rng, kind):
         a_lo, a_hi = sorted(rng.uniform(-3.0, 3.0, size=2))
         return AxisInterval(lo, lo + rng.uniform(0, n * d), v_lo, v_hi, a_lo, a_hi)
 
-    return Layer(tau=0.1 * int(rng.integers(0, 40)), window=window, mask=mask,
-                 x_hull=hull(window.ox, nx, dx, 30.0),
-                 y_hull=hull(window.oy, ny, dy, 3.0),
-                 heading_sign=int(rng.choice([-1, 1])))
+    tau = 0.1 * int(rng.integers(0, 40))
+    x_hull, y_hull = hull(ox, nx, dx, 30.0), hull(oy, ny, dy, 3.0)
+    heading = int(rng.choice([-1, 1]))
+    window = GridWindow(dx, dy, ox - PAD, oy - PAD, nx + 2 * PAD, ny + 2 * PAD)
+    layer = reach._cropped_layer(tau, dx, dy, mask, window.ox, window.oy,
+                                 x_hull, y_hull, heading)
+    return layer, WindowLayer(tau, window, mask, x_hull, y_hull, heading)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_propagate_matches_reference_on_random_masks(kind):
     rng = np.random.default_rng(KINDS.index(kind))
     for _ in range(300):
-        layer = random_layer(rng, kind)
+        layer, ref = random_layer(rng, kind)
+        assert_matches_reference(layer, ref)
         limits = SV_LIMITS if rng.random() < 0.5 else POV_LIMITS
         tau_step = float(rng.choice([0.05, 0.1, 0.2]))
-        assert_layers_equal(propagate_step(layer, limits, tau_step),
-                            ref_propagate_step(layer, limits, tau_step))
+        assert_matches_reference(propagate_step(layer, limits, tau_step),
+                                 ref_propagate_step(ref, limits, tau_step))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_pov_occupancy_matches_reference_on_random_masks(kind):
     rng = np.random.default_rng(10 + KINDS.index(kind))
     for _ in range(300):
-        layer = random_layer(rng, kind)
+        layer, ref_layer = random_layer(rng, kind)
         pov_spec = VehicleSpec(length=rng.uniform(3.0, 6.0), width=rng.uniform(1.5, 2.2),
                                ref_offset=rng.uniform(-1.0, 1.0))
         sv_spec = VehicleSpec(ref_offset=rng.uniform(-1.0, 1.0))
         occ, ox, oy = pov_occupancy(layer, pov_spec, sv_spec)
-        ref, rox, roy = ref_pov_occupancy(layer, pov_spec, sv_spec)
+        ref, rox, roy = ref_pov_occupancy(ref_layer, pov_spec, sv_spec)
         # cropped to the occupied cells, and equal to the reference in world cells
         ii, jj = np.nonzero(occ)
         assert (ii.min(), ii.max(), jj.min(), jj.max()) == (0, occ.shape[0] - 1,
@@ -484,31 +637,25 @@ def no_response_anchors():
 
 
 @pytest.mark.parametrize("mode", ["normative", "kinematic-envelope"])
-def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_anchors,
-                                                         monkeypatch):
-    areas = []
+def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_anchors):
+    n_lost = 0
     for log, i in no_response_anchors:
         args = (log.sv_state(i), log.pov_state(i), CFG, log.scenario.road,
                 log.scenario.sv_spec, log.scenario.pov_spec)
-        areas.append((args, compute_drivable_area(*args, mode=mode),
-                      compute_drivable_area(*args, mode=mode, exists_only=True)))
-    monkeypatch.setattr(reach, "propagate_step", ref_propagate_step)
-    monkeypatch.setattr(reach, "pov_occupancy", ref_pov_occupancy)
-    n_lost = 0
-    for args, full, short in areas:
-        ref = compute_drivable_area(*args, mode=mode)
-        assert full.exists == ref.exists == short.exists
+        full = compute_drivable_area(*args, mode=mode)
+        short = compute_drivable_area(*args, mode=mode, exists_only=True)
+        ref_sv, ref_pov = ref_drivable_area(*args, mode=mode)
+        assert full.exists == (not ref_sv[-1].empty) == short.exists
         assert len(full.layers) == len(full.pov_layers) == CFG.n_steps + 1
-        for got, want in zip(full.layers + full.pov_layers,
-                             ref.layers + ref.pov_layers, strict=True):
-            assert_layers_equal(got, want)
+        for got, want in zip(full.layers + full.pov_layers, ref_sv + ref_pov, strict=True):
+            assert_matches_reference(got, want)
         # exists_only: the same layers, cut right after the first empty SV layer
-        empties = [layer.empty for layer in ref.layers]
+        empties = [layer.empty for layer in ref_sv]
         n = empties.index(True) + 1 if True in empties else CFG.n_steps + 1
         assert len(short.layers) == len(short.pov_layers) == n
         for got, want in zip(short.layers + short.pov_layers,
-                             ref.layers[:n] + ref.pov_layers[:n], strict=True):
-            assert_layers_equal(got, want)
-        n_lost += not ref.exists
+                             ref_sv[:n] + ref_pov[:n], strict=True):
+            assert_matches_reference(got, want)
+        n_lost += not full.exists
     if mode == "kinematic-envelope":
         assert n_lost > 0  # some anchors lose escape, so the early exit runs
