@@ -7,7 +7,7 @@ soundness oracle.
 
 from .core import (AxisLimits, ControlInput, KinematicLimits, POV_LIMITS, Rect,
                    RoadSpec, SV_LIMITS, VehicleSpec, VehicleState, axis_limits,
-                   footprint, longitudinal_gap, rectangles_overlap, step_vehicle)
+                   axis_step, footprint, rectangles_overlap)
 from .engine import (IncompleteLogError, Outcome, TrajectoryLog, classify_outcome,
                      rollout, run_cohort, time_of_closest_proximity)
 from .oracle import (ContainmentReport, SampleCloud, analytic_1d_bounds,
@@ -21,8 +21,8 @@ from .responses import (AnalysisWindow, ResponseEvent, SequenceGraph,
                         build_sequence_graph, detect_responses, lateral_state,
                         longitudinal_state, response_times, sv_longitudinal_accel,
                         window_for)
-from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming,
-                       build_incursion_path, default_timing, make_scenario,
-                       pov_state_at, reference_lateral_at_tc, trigger_distance)
+from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming, default_timing,
+                       make_scenario, pov_state_at, reference_lateral_at_tc,
+                       trigger_distance)
 
 __version__ = "0.1.0"

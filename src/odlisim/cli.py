@@ -149,14 +149,10 @@ def _cmd_simulate(args, config: dict, out: Path) -> int:
 
 
 def _cmd_analyze_responses(args, config: dict, out: Path) -> int:
-    an = config["analysis"]
+    floor = float(config["analysis"].get("window_reaction_floor", 0.4))
     rows = []
     for i, log in enumerate(_load_logs(args.logs)):
-        summary = responses.analyze_run(
-            log, reaction_floor=float(an.get("window_reaction_floor", 0.4)),
-            accel_release_pct=float(an.get("accel_release_pct", 3.0)),
-            brake_onset_pct=float(an.get("brake_onset_pct", 15.0)),
-            steer_onset_deg=float(an.get("steer_onset_deg", 5.0)))
+        summary = responses.analyze_run(log, reaction_floor=floor)
         times = summary["times"]
         rows.append({
             "run": i,

@@ -170,23 +170,6 @@ def axis_step(p, v, a, j, lim: AxisLimits, dt: float):
     return p_new, v_new, a_new
 
 
-def step_vehicle(state: VehicleState, jerk: tuple[float, float],
-                 limits: KinematicLimits, dt: float) -> VehicleState:
-    """Advance one vehicle state by dt under commanded per-axis jerk."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    jx, jy = jerk
-    if not (math.isfinite(jx) and math.isfinite(jy)):
-        raise ValueError(f"non-finite jerk command: {jerk}")
-    lim_x = axis_limits(limits, state.heading_sign, "x")
-    lim_y = axis_limits(limits, state.heading_sign, "y")
-    x, vx, ax = axis_step(state.x, state.vx, state.ax, jx, lim_x, dt)
-    y, vy, ay = axis_step(state.y, state.vy, state.ay, jy, lim_y, dt)
-    return VehicleState(t=state.t + dt, x=float(x), y=float(y),
-                        vx=float(vx), vy=float(vy), ax=float(ax), ay=float(ay),
-                        heading_sign=state.heading_sign)
-
-
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle, closed bounds; the bounds may be arrays."""
@@ -199,10 +182,6 @@ class Rect:
     def __post_init__(self):
         if np.any(self.x_lo > self.x_hi) or np.any(self.y_lo > self.y_hi):
             raise ValueError(f"degenerate rectangle: {self}")
-
-    @property
-    def area(self) -> float:
-        return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
 
 
 def footprint(state: VehicleState, spec: VehicleSpec) -> Rect:
@@ -231,12 +210,3 @@ def rectangles_overlap(a: Rect, b: Rect):
     return ((a.x_lo < b.x_hi) & (b.x_lo < a.x_hi) &
             (a.y_lo < b.y_hi) & (b.y_lo < a.y_hi))
 
-
-def longitudinal_gap(sv: VehicleState, pov: VehicleState,
-                     sv_spec: VehicleSpec, pov_spec: VehicleSpec) -> float:
-    """Front-bumper-to-front-bumper distance along x.
-
-    The SV front faces +x, the POV front faces -x.  Negative once the
-    bodies longitudinally overlap or have passed each other.
-    """
-    return footprint(pov, pov_spec).x_lo - footprint(sv, sv_spec).x_hi

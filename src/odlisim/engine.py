@@ -17,8 +17,8 @@ import numpy as np
 from . import policies
 from .core import (POV_SIGN, SV_LIMITS, SV_SIGN, KinematicLimits, VehicleState,
                    axis_limits, axis_step, footprint_at, rectangles_overlap)
-from .scenario import (ScenarioSpec, ScenarioTiming, build_incursion_path,
-                       default_timing, pov_x_at_trigger, sv_initial_state)
+from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming, default_timing,
+                       pov_x_at_trigger, sv_initial_state)
 
 OUTCOMES = ("collision", "pass-via-center", "pass-via-shoulder")
 
@@ -124,7 +124,7 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
         raise ValueError(f"horizon {horizon} spans no step of {dt}")
     t = np.arange(n_steps + 1) * dt
 
-    path = build_incursion_path(scenario, timing)
+    path = IncursionPath(scenario, timing)
     pov_y, pov_vy, pov_ay = np.array([path.state(tk) for tk in t.tolist()]).T
     pov = {"x": pov_x_at_trigger(scenario, timing) - scenario.v_pov * (t - timing.t_trigger),
            "y": pov_y, "vx": np.full_like(t, -scenario.v_pov), "vy": pov_vy,

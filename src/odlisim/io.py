@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import KinematicLimits, RoadSpec, VehicleSpec
 from .engine import TrajectoryLog
-from .policies import PolicySpec
+from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG, PolicySpec
 from .reach import DrivableArea, Prevalence, PredictionConfig, Timeline
 from .responses import SequenceGraph
 from .scenario import ScenarioSpec, ScenarioTiming
@@ -93,11 +93,15 @@ def sidecar_path(path: str | Path) -> Path:
 def load_trajectory_log(path: str | Path) -> TrajectoryLog:
     path = Path(path)
     meta_path = sidecar_path(path)
-    if not meta_path.exists():
-        raise ParseError(f"missing metadata sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    scenario = scenario_from_dict(meta["scenario"])
-    timing = ScenarioTiming(meta["t_trigger"], meta["t_critical"])
+    try:
+        meta = json.loads(meta_path.read_text())
+        scenario = scenario_from_dict(meta["scenario"])
+        timing = ScenarioTiming(meta["t_trigger"], meta["t_critical"])
+        dt = float(meta["dt"])
+        policy = PolicySpec(**meta["policy"]) if meta.get("policy") else None
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"metadata sidecar {meta_path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
     lines = path.read_text().splitlines()
     if len(lines) < 3:
@@ -125,13 +129,17 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
         if len(bad):
             raise ParseError(f"non-finite value in column {c!r}: {float(data[c][bad[0]])}",
                              row=int(bad[0]) + 3)
+    for c in ("accel_pct", "brake_pct"):  # the pedal range ControlInput enforces
+        bad = np.flatnonzero((data[c] < 0.0) | (data[c] > 100.0))
+        if len(bad):
+            raise ParseError(f"value in column {c!r} outside [0, 100]: "
+                             f"{float(data[c][bad[0]])}", row=int(bad[0]) + 3)
 
     t = data["t"]
     steps = np.diff(t)
     bad = np.nonzero(steps <= 0)[0]
     if len(bad):
         raise ParseError("non-monotone timestamps", row=int(bad[0]) + 3)
-    dt = float(meta["dt"])
     off = np.nonzero(~np.isclose(steps, dt, rtol=0, atol=1e-9))[0]
     if len(off):
         raise ParseError(f"sample spacing differs from dt={dt}", row=int(off[0]) + 3)
@@ -142,7 +150,7 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
         pov={k: data[f"pov_{k}"] for k in ("x", "y", "vx", "vy", "ax", "ay")},
         controls={k: data[k] for k in ("accel_pct", "brake_pct", "steer_deg")},
         scenario=scenario, timing=timing,
-        policy=PolicySpec(**meta["policy"]) if meta.get("policy") else None,
+        policy=policy,
         collided=bool(meta.get("collided", False)),
         t_collision=meta.get("t_collision"),
         complete=bool(meta.get("complete", True)))
@@ -203,9 +211,6 @@ def default_run_config(incursion_level: float = 0.0) -> dict:
             "bootstrap_samples": 1000,
             "delay_jitter": 0.2,
             "window_reaction_floor": 0.4,
-            "accel_release_pct": 3.0,
-            "brake_onset_pct": 15.0,
-            "steer_onset_deg": 5.0,
         },
     }
 
@@ -214,11 +219,24 @@ def save_run_config(config: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
 
+# The response thresholds are fixed constants, not config keys.  Older
+# configs may still carry them, but only at these values.
+_FIXED_ANALYSIS = {"accel_release_pct": ACCEL_RELEASE_PCT,
+                   "brake_onset_pct": BRAKE_ONSET_PCT,
+                   "steer_onset_deg": STEER_ONSET_DEG}
+
+
 def load_run_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"config file not found: {path}")
-    return json.loads(path.read_text())
+    config = json.loads(path.read_text())
+    for key, fixed in _FIXED_ANALYSIS.items():
+        value = config.get("analysis", {}).get(key, fixed)
+        if value != fixed:
+            raise ParseError(f"analysis.{key} = {value!r} is not configurable: "
+                             f"the response threshold is fixed at {fixed}")
+    return config
 
 
 def config_scenario(config: dict) -> tuple[ScenarioSpec, ScenarioTiming]:

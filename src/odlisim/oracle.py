@@ -37,24 +37,6 @@ class SampleCloud:
         return self.states.shape[1] - 1
 
 
-def constant_jerk_trajectory(initial: VehicleState, jerk: tuple[float, float],
-                             limits: KinematicLimits, horizon: float,
-                             dt: float) -> np.ndarray:
-    """States [n_steps + 1, 6] under a constant jerk command."""
-    n_steps = int(round(horizon / dt))
-    lim_x = axis_limits(limits, initial.heading_sign, "x")
-    lim_y = axis_limits(limits, initial.heading_sign, "y")
-    out = np.empty((n_steps + 1, 6))
-    x, y, vx, vy, ax, ay = (initial.x, initial.y, initial.vx, initial.vy,
-                            initial.ax, initial.ay)
-    out[0] = (x, y, vx, vy, ax, ay)
-    for k in range(1, n_steps + 1):
-        x, vx, ax = axis_step(x, vx, ax, jerk[0], lim_x, dt)
-        y, vy, ay = axis_step(y, vy, ay, jerk[1], lim_y, dt)
-        out[k] = (x, y, vx, vy, ax, ay)
-    return out
-
-
 def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
                         horizon: float = 4.0, dt: float = 0.1,
                         n: int = 1000, seed: int = 0) -> SampleCloud:

@@ -130,7 +130,6 @@ class Layer:
 class ReachableSet:
     t: float           # s, analysis anchor time
     tau_step: float
-    horizon: float
     layers: list[Layer]
 
 
@@ -332,8 +331,7 @@ def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
     for _ in range(config.n_steps):
         layer = propagate_step(layer, limits, config.tau_step)
         layers.append(layer)
-    return ReachableSet(t=state.t, tau_step=config.tau_step,
-                        horizon=config.horizon, layers=layers)
+    return ReachableSet(t=state.t, tau_step=config.tau_step, layers=layers)
 
 
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
@@ -454,9 +452,8 @@ class Prevalence:
     n_extrapolated: np.ndarray  # runs carrying their terminal value at each step
 
 
-def aggregate_prevalence(timelines: list[Timeline | np.ndarray],
-                         n_boot: int = 1000, seed: int = 0,
-                         rel_t: np.ndarray | None = None) -> Prevalence:
+def aggregate_prevalence(timelines: list[Timeline], n_boot: int = 1000,
+                         seed: int = 0) -> Prevalence:
     """Per-step cohort fraction with a bootstrapped 95 % CI.
 
     Timelines are aligned on their shared clock relative to the trigger
@@ -466,18 +463,9 @@ def aggregate_prevalence(timelines: list[Timeline | np.ndarray],
     """
     if not timelines:
         raise ValueError("empty cohort")
-    series = []
-    rel = rel_t
-    for tl in timelines:
-        if isinstance(tl, Timeline):
-            series.append(np.asarray(tl.exists, dtype=bool))
-            if rel is None or len(tl.rel_t) > len(rel):
-                rel = tl.rel_t
-        else:
-            series.append(np.asarray(tl, dtype=bool))
-    n_steps = max(len(s) for s in series)
-    if rel is None:
-        rel = np.arange(n_steps, dtype=float)
+    series = [np.asarray(tl.exists, dtype=bool) for tl in timelines]
+    rel = max((tl.rel_t for tl in timelines), key=len)
+    n_steps = len(rel)
     data = np.zeros((len(series), n_steps), dtype=bool)
     padded = np.zeros((len(series), n_steps), dtype=bool)
     for r, s in enumerate(series):
@@ -493,6 +481,6 @@ def aggregate_prevalence(timelines: list[Timeline | np.ndarray],
     boot = data[idx].mean(axis=1)  # [n_boot, n_steps]
     ci_lo = np.percentile(boot, 2.5, axis=0)
     ci_hi = np.percentile(boot, 97.5, axis=0)
-    return Prevalence(rel_t=np.asarray(rel[:n_steps], dtype=float),
+    return Prevalence(rel_t=np.asarray(rel, dtype=float),
                       fraction=fraction, ci_lo=ci_lo, ci_hi=ci_hi,
                       n_extrapolated=padded.sum(axis=0))

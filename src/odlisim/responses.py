@@ -59,11 +59,8 @@ def _crossings(t: np.ndarray, on_response_side: np.ndarray,
     return [float(v) for v in times if t_begin <= v <= t_end]
 
 
-def detect_responses(log: TrajectoryLog, window: AnalysisWindow,
-                     accel_release_pct: float = ACCEL_RELEASE_PCT,
-                     brake_onset_pct: float = BRAKE_ONSET_PCT,
-                     steer_onset_deg: float = STEER_ONSET_DEG) -> list[ResponseEvent]:
-    """Every upward threshold crossing of the four control signals.
+def detect_responses(log: TrajectoryLog, window: AnalysisWindow) -> list[ResponseEvent]:
+    """Every upward crossing of the four control signals' fixed thresholds.
 
     A crossing needs the previous sample on the non-response side and the
     current one on the response side, with the current sample inside the
@@ -76,10 +73,10 @@ def detect_responses(log: TrajectoryLog, window: AnalysisWindow,
     brake = log.controls["brake_pct"]
     steer = log.controls["steer_deg"]
     sides = {
-        "accel-release": accel < accel_release_pct,
-        "brake-onset": brake > brake_onset_pct,
-        "steer-shoulder": steer <= -steer_onset_deg,
-        "steer-center": steer >= steer_onset_deg,
+        "accel-release": accel < ACCEL_RELEASE_PCT,
+        "brake-onset": brake > BRAKE_ONSET_PCT,
+        "steer-shoulder": steer <= -STEER_ONSET_DEG,
+        "steer-center": steer >= STEER_ONSET_DEG,
     }
     events = []
     for kind, mask in sides.items():
@@ -110,18 +107,6 @@ def response_times(events: list[ResponseEvent], t_trigger: float) -> ResponseTim
     return ResponseTimes(per_kind=per_kind,
                          initial_reaction=min(present) if present else None,
                          evasive_response=min(evasive) if evasive else None)
-
-
-def response_prevalence(event_lists: list[list[ResponseEvent]]) -> dict[str, float]:
-    """Fraction of runs showing each response kind at least once."""
-    n = len(event_lists)
-    if n == 0:
-        raise ValueError("empty cohort")
-    counts = Counter()
-    for events in event_lists:
-        for kind in {e.kind for e in events}:
-            counts[kind] += 1
-    return {k: counts[k] / n for k in RESPONSE_KINDS}
 
 
 def lateral_state(steer_deg: float) -> str:
@@ -221,11 +206,10 @@ def build_sequence_graph(runs: list[tuple[TrajectoryLog, AnalysisWindow, str]]) 
     return graph
 
 
-def analyze_run(log: TrajectoryLog, reaction_floor: float = 0.4,
-                **thresholds) -> dict:
+def analyze_run(log: TrajectoryLog, reaction_floor: float = 0.4) -> dict:
     """Convenience bundle: window, events, response times, and outcome."""
     window = window_for(log, reaction_floor)
-    events = detect_responses(log, window, **thresholds)
+    events = detect_responses(log, window)
     times = response_times(events, log.timing.t_trigger)
     outcome = classify_outcome(log)
     return {"window": window, "events": events, "times": times, "outcome": outcome}

@@ -197,10 +197,6 @@ class IncursionPath:
         return y, vy, ay
 
 
-def build_incursion_path(spec: ScenarioSpec, timing: ScenarioTiming) -> IncursionPath:
-    return IncursionPath(spec, timing)
-
-
 def pov_x_at_trigger(spec: ScenarioSpec, timing: ScenarioTiming,
                      sv_x0: float = 0.0) -> float:
     """POV reference x at t_T that realizes the trigger bumper gap.
@@ -221,7 +217,7 @@ def pov_state_at(t: float, spec: ScenarioSpec, timing: ScenarioTiming,
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if path is None:
-        path = build_incursion_path(spec, timing)
+        path = IncursionPath(spec, timing)
     x = x_pov_at_trigger - spec.v_pov * (t - timing.t_trigger)
     y, vy, ay = path.state(t)
     return VehicleState(t=t, x=x, y=y, vx=-spec.v_pov, vy=vy, ax=0.0, ay=ay,
@@ -244,7 +240,7 @@ def check_path_lateral_accel(spec: ScenarioSpec, timing: ScenarioTiming,
     reports whether the incursion would be admissible under the envelope
     assumptions used for reachability.
     """
-    path = build_incursion_path(spec, timing)
+    path = IncursionPath(spec, timing)
     cap = max(limits.a_lat_left_max, limits.a_lat_right_max)
     peak = 0.0
     for i in range(n_samples + 1):

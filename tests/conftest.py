@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from odlisim.engine import TrajectoryLog
+from odlisim.reach import Timeline
 from odlisim.scenario import ScenarioTiming, make_scenario
 
 
@@ -42,6 +43,14 @@ def make_log(dt=0.01, duration=8.0, t_trigger=1.0, incursion_level=0.0,
                          controls=channels(ctl_defaults, controls),
                          scenario=scenario, timing=timing,
                          collided=collided, t_collision=t_collision)
+
+
+def make_timeline(exists, eval_step=0.1, t_begin=1.4, t_trigger=1.0):
+    """Existence timeline over anchors eval_step apart from t_begin."""
+    exists = np.asarray(exists, dtype=bool)
+    t = t_begin + eval_step * np.arange(len(exists))
+    return Timeline(t=t, rel_t=t - t_trigger, exists=exists,
+                    mode=["kinematic-envelope"] * len(exists))
 
 
 @pytest.fixture

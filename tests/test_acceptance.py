@@ -21,10 +21,10 @@ from odlisim.reach import (PredictionConfig, aggregate_prevalence,
                            pov_prediction_mode, propagate_step)
 from odlisim.responses import (AnalysisWindow, build_sequence_graph,
                                detect_responses, response_times, window_for)
-from odlisim.scenario import (default_timing, make_scenario, build_incursion_path,
+from odlisim.scenario import (IncursionPath, default_timing, make_scenario,
                               reference_lateral_at_tc)
 
-from conftest import make_log
+from conftest import make_log, make_timeline
 
 ILS = {"steep": -0.8, "medium": 0.0, "shallow": 0.9}
 DT = 0.01
@@ -63,7 +63,7 @@ def test_criterion_2_incursion_level_geometry():
             scenario = type(scenario)(**{**scenario.__dict__,
                                          "road": type(scenario.road)(lane_width=lane_width)})
             timing = default_timing(scenario)
-            path = build_incursion_path(scenario, timing)
+            path = IncursionPath(scenario, timing)
             y_tc = path.state(timing.t_critical)[0]
             want = reference_lateral_at_tc(il, lane_width)
             err = abs(y_tc - want)
@@ -275,7 +275,7 @@ def test_criterion_9_bootstrap_coverage():
     n_rep = 200
     for rep in range(n_rep):
         rng = np.random.default_rng(1000 + rep)
-        cohort = [np.full(3, rng.random() < p_true, dtype=bool) for _ in range(20)]
+        cohort = [make_timeline(np.full(3, rng.random() < p_true)) for _ in range(20)]
         prev = aggregate_prevalence(cohort, n_boot=400, seed=rep)
         if prev.ci_lo[0] <= p_true <= prev.ci_hi[0]:
             covered += 1

@@ -105,6 +105,23 @@ def test_oracle_verify_rejects_no_anchors(tmp_path, capsys):
     assert not (out / "oracle_report.json").exists()
 
 
+def test_analyze_rejects_changed_threshold_key(tmp_path, capsys):
+    # The response thresholds are fixed; a changed value must not be dropped.
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+    config = io.load_run_config(cfg_path)
+    config["analysis"]["steer_onset_deg"] = 7
+    io.save_run_config(config, cfg_path)
+    capsys.readouterr()
+    assert run_cli("analyze", "responses", "--config", str(cfg_path),
+                   "--logs", str(out), "--out", str(out)) == 1
+    payload = json_error(capsys)
+    assert payload["error"] == "ParseError"
+    assert "analysis.steer_onset_deg" in payload["message"]
+    assert not (out / "response_metrics.csv").exists()
+
+
 def test_reach_rejects_zero_eval_step(tmp_path, capsys):
     cfg_path = small_config(tmp_path)
     out = tmp_path / "out"

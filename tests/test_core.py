@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
-                          VehicleSpec, VehicleState, axis_limits, footprint,
-                          longitudinal_gap, rectangles_overlap, step_vehicle)
+                          VehicleSpec, VehicleState, axis_limits, axis_step, footprint,
+                          rectangles_overlap)
 
 
 def state(**kw):
@@ -14,74 +14,67 @@ def state(**kw):
     return VehicleState(**base)
 
 
+SV_X = axis_limits(SV_LIMITS, 1, "x")
+SV_Y = axis_limits(SV_LIMITS, 1, "y")
+
+
 def test_step_forward_euler_example():
-    s = step_vehicle(state(vx=20.0), (10.0, 0.0), SV_LIMITS, 0.1)
-    assert s.x == pytest.approx(2.0)
-    assert s.vx == pytest.approx(20.0)
-    assert s.ax == pytest.approx(1.0)
+    x, vx, ax = axis_step(0.0, 20.0, 0.0, 10.0, SV_X, 0.1)
+    assert x == pytest.approx(2.0)
+    assert vx == pytest.approx(20.0)
+    assert ax == pytest.approx(1.0)
 
 
 def test_step_zero_input_coasting():
-    s0 = state(x=3.0, y=-1.0, vx=12.0, vy=0.5)
-    s1 = step_vehicle(s0, (0.0, 0.0), SV_LIMITS, 0.1)
-    assert s1.x == pytest.approx(3.0 + 0.1 * 12.0)
-    assert s1.y == pytest.approx(-1.0 + 0.1 * 0.5)
-    assert (s1.vx, s1.vy, s1.ax, s1.ay) == (12.0, 0.5, 0.0, 0.0)
+    x, vx, ax = axis_step(3.0, 12.0, 0.0, 0.0, SV_X, 0.1)
+    y, vy, ay = axis_step(-1.0, 0.5, 0.0, 0.0, SV_Y, 0.1)
+    assert x == pytest.approx(3.0 + 0.1 * 12.0)
+    assert y == pytest.approx(-1.0 + 0.1 * 0.5)
+    assert (vx, vy, ax, ay) == (12.0, 0.5, 0.0, 0.0)
 
 
 def test_step_speed_cap():
-    s = step_vehicle(state(vx=20.0, ax=1.0), (0.0, 0.0), SV_LIMITS, 0.1)
-    assert s.vx == 20.0
+    _, vx, _ = axis_step(0.0, 20.0, 1.0, 0.0, SV_X, 0.1)
+    assert vx == 20.0
 
 
 def test_step_velocity_floor_during_braking():
-    s = state(vx=0.3, ax=-8.0)
+    x, vx, ax = 0.0, 0.3, -8.0
     for _ in range(10):
-        s = step_vehicle(s, (-30.0, 0.0), SV_LIMITS, 0.1)
-    assert s.vx == 0.0
-
-
-def test_step_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        step_vehicle(state(), (0.0, 0.0), SV_LIMITS, 0.0)
-    with pytest.raises(ValueError):
-        step_vehicle(state(), (math.nan, 0.0), SV_LIMITS, 0.1)
-    with pytest.raises(ValueError):
-        state(x=math.inf)
+        x, vx, ax = axis_step(x, vx, ax, -30.0, SV_X, 0.1)
+    assert vx == 0.0
 
 
 def test_step_respects_limits_randomized():
     rng = np.random.default_rng(42)
     for heading, limits in ((1, SV_LIMITS), (-1, POV_LIMITS)):
-        lim_x = axis_limits(limits, heading, "x")
-        lim_y = axis_limits(limits, heading, "y")
-        s = state(vx=heading * 15.0, heading_sign=heading)
-        for _ in range(300):
-            jerk = (rng.uniform(-60, 60), rng.uniform(-60, 60))
-            s = step_vehicle(s, jerk, limits, 0.05)
-            assert lim_x.v_lo <= s.vx <= lim_x.v_hi
-            assert lim_x.a_lo <= s.ax <= lim_x.a_hi
-            assert lim_y.v_lo <= s.vy <= lim_y.v_hi
-            assert lim_y.a_lo <= s.ay <= lim_y.a_hi
+        for axis, v0 in (("x", heading * 15.0), ("y", 0.0)):
+            lim = axis_limits(limits, heading, axis)
+            p, v, a = 0.0, v0, 0.0
+            for _ in range(300):
+                p, v, a = axis_step(p, v, a, rng.uniform(-60, 60), lim, 0.05)
+                assert lim.v_lo <= v <= lim.v_hi
+                assert lim.a_lo <= a <= lim.a_hi
 
 
 def test_step_exact_linear_coasting():
-    s = state(x=1.0, vx=17.88)
+    x, vx, ax = 1.0, 17.88, 0.0
     x_ref = 1.0
     for k in range(1, 501):
-        s = step_vehicle(s, (0.0, 0.0), SV_LIMITS, 0.01)
+        x, vx, ax = axis_step(x, vx, ax, 0.0, SV_X, 0.01)
         x_ref = x_ref + 0.01 * 17.88
-        assert s.x == x_ref  # identical accumulation, bit for bit
-        assert abs(s.x - (1.0 + k * 0.01 * 17.88)) < 1e-9
-    assert s.vx == 17.88 and s.ax == 0.0
+        assert x == x_ref  # identical accumulation, bit for bit
+        assert abs(x - (1.0 + k * 0.01 * 17.88)) < 1e-9
+    assert vx == 17.88 and ax == 0.0
 
 
 def test_pov_lateral_clamp_asymmetry():
     rng = np.random.default_rng(7)
-    s = state(heading_sign=-1, vx=-17.88)
+    lim = axis_limits(POV_LIMITS, -1, "y")
+    y, vy, ay = 0.0, 0.0, 0.0
     for _ in range(200):
-        s = step_vehicle(s, (0.0, rng.uniform(-60, 60)), POV_LIMITS, 0.05)
-        assert s.ay >= 0.0  # no acceleration toward the POV's right
+        y, vy, ay = axis_step(y, vy, ay, rng.uniform(-60, 60), lim, 0.05)
+        assert ay >= 0.0  # no acceleration toward the POV's right
 
 
 def test_footprint_default_dims():
@@ -101,7 +94,8 @@ def test_footprint_area_randomized():
     for _ in range(50):
         spec = VehicleSpec(length=rng.uniform(2, 6), width=rng.uniform(1, 2.5))
         r = footprint(state(x=rng.uniform(-50, 50), y=rng.uniform(-5, 5)), spec)
-        assert r.area == pytest.approx(spec.length * spec.width)
+        assert r.x_hi - r.x_lo == pytest.approx(spec.length)
+        assert r.y_hi - r.y_lo == pytest.approx(spec.width)
 
 
 def test_vehicle_spec_validation():
@@ -122,6 +116,9 @@ def test_specs_reject_non_finite(value):
     for field in ("v_max", "a_brk_max", "a_lat_right_max", "j_lat_max", "v_lat_max"):
         with pytest.raises(ValueError, match=field):
             KinematicLimits(**{field: value})
+    for field in ("t", "x", "vy", "ay"):
+        with pytest.raises(ValueError, match="non-finite"):
+            state(**{field: value})
 
 
 def test_overlap_elementwise_on_arrays():
@@ -143,24 +140,8 @@ def test_overlap_symmetric_reflexive_randomized():
         a = Rect(*np.sort(rng.uniform(-5, 5, 2)), *np.sort(rng.uniform(-5, 5, 2)))
         b = Rect(*np.sort(rng.uniform(-5, 5, 2)), *np.sort(rng.uniform(-5, 5, 2)))
         assert rectangles_overlap(a, b) == rectangles_overlap(b, a)
-        if a.area > 0:
+        if a.x_lo < a.x_hi and a.y_lo < a.y_hi:
             assert rectangles_overlap(a, a)
-
-
-def test_longitudinal_gap_example():
-    sv = state(x=0.0)
-    pov = state(x=100.0, heading_sign=-1)
-    gap = longitudinal_gap(sv, pov, VehicleSpec(), VehicleSpec(ref_offset=0.2))
-    assert gap == pytest.approx(95.8)
-
-
-def test_longitudinal_gap_touch_and_past():
-    spec = VehicleSpec()
-    sv = state(x=0.0)
-    pov_touch = state(x=4.4, heading_sign=-1)
-    assert longitudinal_gap(sv, pov_touch, spec, spec) == pytest.approx(0.0)
-    pov_passed = state(x=-10.0, heading_sign=-1)
-    assert longitudinal_gap(sv, pov_passed, spec, spec) < 0
 
 
 def test_road_spec_validation():

@@ -1,17 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_log
 from odlisim import io, policies
-from odlisim.core import (SV_LIMITS, KinematicLimits, VehicleState, axis_limits,
-                          axis_step, footprint)
+from odlisim.core import (SV_LIMITS, KinematicLimits, VehicleSpec, VehicleState,
+                          axis_limits, axis_step, footprint)
 from odlisim.engine import (IncompleteLogError, TrajectoryLog, classify_outcome,
                             rollout, run_cohort, time_of_closest_proximity)
 from odlisim.policies import POLICY_KINDS, PolicySpec
 from odlisim.responses import window_for
-from odlisim.scenario import (build_incursion_path, default_timing, make_scenario,
+from odlisim.scenario import (IncursionPath, default_timing, make_scenario,
                               pov_state_at, pov_x_at_trigger, sv_initial_state)
 
 ILS = (-0.8, 0.0, 0.9)
@@ -74,6 +75,18 @@ def test_tp_incomplete_log_raises():
     log = make_log(duration=1.0)  # vehicles never meet within one second
     with pytest.raises(IncompleteLogError):
         time_of_closest_proximity(log)
+
+
+def test_tp_touch_and_passed():
+    # Bumpers exactly touching (zero gap) is closest proximity; a pair that
+    # has already passed is at proximity from its first sample.
+    pov_x = np.full(801, 100.0)
+    pov_x[300:] = 4.4  # bodies 4.4 m long, reference points centred
+    touch = make_log(sv={"x": 0.0, "vx": 0.0}, pov={"x": pov_x})
+    touch.scenario = replace(touch.scenario, pov_spec=VehicleSpec())
+    assert time_of_closest_proximity(touch) == touch.t[300]
+    passed = make_log(sv={"x": 0.0, "vx": 0.0}, pov={"x": -10.0})
+    assert time_of_closest_proximity(passed) == 0.0
 
 
 @pytest.mark.parametrize("dy,expected_kind", [
@@ -234,7 +247,7 @@ def _ref_rollout(scenario, policy, dt=0.01, horizon=None, timing=None,
         timing = default_timing(scenario)
     if horizon is None:
         horizon = timing.t_critical + 3.0
-    path = build_incursion_path(scenario, timing)
+    path = IncursionPath(scenario, timing)
     x_pov_trig = pov_x_at_trigger(scenario, timing)
     sv = sv_initial_state(scenario)
     lim_x = axis_limits(sv_limits, sv.heading_sign, "x")

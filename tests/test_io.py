@@ -1,10 +1,16 @@
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_log
 from odlisim import io
 from odlisim.engine import rollout
-from odlisim.policies import PolicySpec
+from odlisim.policies import POLICY_KINDS, PolicySpec
 from odlisim.reach import PredictionConfig, Prevalence, compute_drivable_area
 from odlisim.responses import AnalysisWindow, build_sequence_graph, sv_longitudinal_accel
 from odlisim.scenario import make_scenario
@@ -28,6 +34,32 @@ def test_log_roundtrip_lossless(tmp_path):
     assert loaded.timing == log.timing
     assert loaded.policy == log.policy
     assert loaded.collided == log.collided
+
+
+policies = st.builds(
+    PolicySpec, kind=st.sampled_from(POLICY_KINDS),
+    reaction_delay=st.floats(0.0, 3.0), brake_level=st.sampled_from(["soft", "hard"]),
+    steer_rate=st.floats(1.0, 500.0), steer_target=st.floats(0.0, 30.0),
+    reversal_delay=st.floats(0.0, 2.0), reversal_target=st.floats(0.0, 30.0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(il=st.floats(-1.0, 1.0), policy=policies)
+def test_log_roundtrip_property(il, policy):
+    log = rollout(make_scenario(il), policy, dt=0.01)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        io.save_trajectory_log(log, path)
+        loaded = io.load_trajectory_log(path)
+    assert loaded.t.tobytes() == log.t.tobytes()
+    for a, b in ((loaded.sv, log.sv), (loaded.pov, log.pov),
+                 (loaded.controls, log.controls)):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), key
+    for field in ("dt", "scenario", "timing", "policy", "collided", "t_collision",
+                  "complete"):
+        assert getattr(loaded, field) == getattr(log, field), field
 
 
 def test_log_missing_column_error(tmp_path):
@@ -60,31 +92,38 @@ def test_log_optional_accel_columns(tmp_path):
     assert np.allclose(ax[20:-20], -4.0, rtol=0.02)
 
 
+def saved_log_with_cell(tmp_path, column, value, line=6):
+    """Path of a saved synthetic log whose ``column`` on ``line`` reads ``value``."""
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(make_log(duration=0.5), path)
+    lines = path.read_text().splitlines()
+    parts = lines[line].split(",")
+    parts[lines[0].split(",").index(column)] = value
+    lines[line] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_log_nonfinite_sample_error(tmp_path, value):
-    log = make_log(duration=0.5)
-    path = tmp_path / "run.csv"
-    io.save_trajectory_log(log, path)
-    lines = path.read_text().splitlines()
-    col = lines[0].split(",").index("sv_x")
-    parts = lines[6].split(",")
-    parts[col] = value
-    lines[6] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
+    path = saved_log_with_cell(tmp_path, "sv_x", value)
     with pytest.raises(io.ParseError, match="row 7: non-finite value in column 'sv_x'") as err:
         io.load_trajectory_log(path)
     assert err.value.row == 7
 
 
+@pytest.mark.parametrize("column,value", [("brake_pct", "250.0"), ("accel_pct", "-0.5"),
+                                          ("brake_pct", "100.000001")])
+def test_log_pedal_out_of_range_error(tmp_path, column, value):
+    path = saved_log_with_cell(tmp_path, column, value)
+    with pytest.raises(io.ParseError,
+                       match=rf"row 7: value in column '{column}' outside \[0, 100\]") as err:
+        io.load_trajectory_log(path)
+    assert err.value.row == 7
+
+
 def test_log_nonmonotone_time_error(tmp_path):
-    log = make_log(duration=0.5)
-    path = tmp_path / "run.csv"
-    io.save_trajectory_log(log, path)
-    lines = path.read_text().splitlines()
-    parts = lines[5].split(",")
-    parts[0] = "0.001"
-    lines[5] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
+    path = saved_log_with_cell(tmp_path, "t", "0.001", line=5)
     with pytest.raises(io.ParseError, match="row"):
         io.load_trajectory_log(path)
 
@@ -93,6 +132,21 @@ def test_log_missing_sidecar_error(tmp_path):
     path = tmp_path / "orphan.csv"
     path.write_text("t\ns\n0.0\n")
     with pytest.raises(io.ParseError, match="sidecar"):
+        io.load_trajectory_log(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda meta: json.dumps({k: v for k, v in meta.items() if k != "t_trigger"}),
+    lambda meta: json.dumps(meta)[:-2],
+    lambda meta: json.dumps(dict(meta, scenario=dict(meta["scenario"], lanes=3))),
+    lambda meta: json.dumps(dict(meta, policy={"kind": "no-response", "gain": 2.0})),
+], ids=["missing-key", "malformed-json", "unknown-scenario-key", "unknown-policy-key"])
+def test_log_bad_sidecar_error(tmp_path, corrupt):
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(make_log(duration=0.5), path)
+    sidecar = io.sidecar_path(path)
+    sidecar.write_text(corrupt(json.loads(sidecar.read_text())))
+    with pytest.raises(io.ParseError, match=re.escape(str(sidecar))):
         io.load_trajectory_log(path)
 
 
@@ -116,11 +170,27 @@ def test_config_carries_named_constants():
     config = io.default_run_config()
     assert config["scenario"]["time_gap_trigger"] == 5.15
     assert config["analysis"]["window_reaction_floor"] == 0.4
-    assert config["analysis"]["accel_release_pct"] == 3.0
-    assert config["analysis"]["brake_onset_pct"] == 15.0
-    assert config["analysis"]["steer_onset_deg"] == 5.0
+    # the response thresholds are fixed constants, not config keys
+    assert not {"accel_release_pct", "brake_onset_pct",
+                "steer_onset_deg"} & set(config["analysis"])
     sv = config["prediction"]["sv_limits"]
     assert (sv["v_max"], sv["a_fwd_max"], sv["a_brk_max"]) == (20.0, 5.0, 8.0)
+
+
+@pytest.mark.parametrize("key,fixed", [("accel_release_pct", 3.0),
+                                       ("brake_onset_pct", 15.0),
+                                       ("steer_onset_deg", 5.0)])
+def test_config_threshold_keys_fixed(tmp_path, key, fixed):
+    # Older configs may carry a threshold key, but only at its fixed value.
+    config = io.default_run_config()
+    path = tmp_path / "config.json"
+    config["analysis"][key] = fixed
+    io.save_run_config(config, path)
+    assert io.load_run_config(path)["analysis"][key] == fixed
+    config["analysis"][key] = fixed + 1.0
+    io.save_run_config(config, path)
+    with pytest.raises(io.ParseError, match=f"analysis.{key}"):
+        io.load_run_config(path)
 
 
 def test_sequence_graph_emission_sums(tmp_path):

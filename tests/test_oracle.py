@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, VehicleState,
-                          axis_limits, step_vehicle)
-from odlisim.oracle import (analytic_1d_bounds, constant_jerk_trajectory,
-                            containment_check, sample_trajectories)
+                          axis_limits, axis_step)
+from odlisim.oracle import analytic_1d_bounds, containment_check, sample_trajectories
 from odlisim.reach import PredictionConfig, compute_reachable_set
 
 
@@ -16,12 +15,19 @@ def state(**kw):
 
 
 def test_constant_jerk_matches_stepper():
+    # Rows 0-3 are the constant corner-jerk rollouts, in the order
+    # (x lo, y lo), (x lo, y hi), (x hi, y lo), (x hi, y hi).
     s0 = state(vx=15.0, ax=-2.0, vy=1.0)
-    traj = constant_jerk_trajectory(s0, (10.0, 0.0), SV_LIMITS, 1.0, 0.1)
-    s = s0
-    for k in range(1, 11):
-        s = step_vehicle(s, (10.0, 0.0), SV_LIMITS, 0.1)
-        assert traj[k, 0] == s.x and traj[k, 2] == s.vx and traj[k, 4] == s.ax
+    cloud = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=5, seed=0)
+    lim_x, lim_y = axis_limits(SV_LIMITS, 1, "x"), axis_limits(SV_LIMITS, 1, "y")
+    corners = [(jx, jy) for jx in (lim_x.j_lo, lim_x.j_hi)
+               for jy in (lim_y.j_lo, lim_y.j_hi)]
+    for row, (jx, jy) in enumerate(corners):
+        x, y, vx, vy, ax, ay = s0.x, s0.y, s0.vx, s0.vy, s0.ax, s0.ay
+        for k in range(1, 11):
+            x, vx, ax = axis_step(x, vx, ax, jx, lim_x, 0.1)
+            y, vy, ay = axis_step(y, vy, ay, jy, lim_y, 0.1)
+            assert cloud.states[row, k].tolist() == [x, y, vx, vy, ax, ay]
 
 
 def test_sampling_deterministic_under_seed():

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import make_log
+from conftest import make_log, make_timeline
 from odlisim import reach
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step)
@@ -281,31 +281,31 @@ def test_timeline_medium_no_response():
 
 
 def test_prevalence_degenerate_cases():
-    all_true = [np.ones(10, dtype=bool) for _ in range(6)]
+    all_true = [make_timeline(np.ones(10)) for _ in range(6)]
     prev = aggregate_prevalence(all_true, n_boot=200, seed=1)
     assert np.allclose(prev.fraction, 1.0)
     assert np.allclose(prev.ci_lo, 1.0) and np.allclose(prev.ci_hi, 1.0)
 
-    single = aggregate_prevalence([np.zeros(5, dtype=bool)], n_boot=100, seed=2)
+    single = aggregate_prevalence([make_timeline(np.zeros(5))], n_boot=100, seed=2)
     assert np.allclose(single.fraction, 0.0)
     assert np.allclose(single.ci_lo, single.ci_hi)
 
 
 def test_prevalence_half_split():
-    cohort = [np.ones(4, dtype=bool), np.ones(4, dtype=bool),
-              np.zeros(4, dtype=bool), np.zeros(4, dtype=bool)]
+    cohort = [make_timeline(np.full(4, i < 2)) for i in range(4)]
     prev = aggregate_prevalence(cohort, n_boot=500, seed=3)
     assert np.allclose(prev.fraction, 0.5)
     assert (prev.ci_lo <= 0.5).all() and (prev.ci_hi >= 0.5).all()
 
 
 def test_prevalence_terminal_padding():
-    short = np.array([True, True], dtype=bool)
-    long = np.zeros(5, dtype=bool)
+    short = make_timeline([True, True])
+    long = make_timeline(np.zeros(5))
     prev = aggregate_prevalence([short, long], n_boot=100, seed=4)
     assert prev.fraction[3] == 0.5  # short run carries terminal True
     assert prev.n_extrapolated[3] == 1
     assert prev.n_extrapolated[0] == 0
+    assert np.array_equal(prev.rel_t, long.rel_t)  # the longest window's clock
 
 
 def test_prevalence_empty_cohort_rejected():
@@ -315,7 +315,7 @@ def test_prevalence_empty_cohort_rejected():
 
 def test_prevalence_deterministic_under_seed():
     rng = np.random.default_rng(9)
-    cohort = [rng.random(8) > 0.4 for _ in range(12)]
+    cohort = [make_timeline(rng.random(8) > 0.4) for _ in range(12)]
     a = aggregate_prevalence(cohort, n_boot=300, seed=7)
     b = aggregate_prevalence(cohort, n_boot=300, seed=7)
     assert np.array_equal(a.ci_lo, b.ci_lo) and np.array_equal(a.ci_hi, b.ci_hi)

@@ -4,8 +4,7 @@ import pytest
 from conftest import make_log
 from odlisim.responses import (AnalysisWindow, ResponseEvent, build_sequence_graph,
                                detect_responses, lateral_state, longitudinal_state,
-                               response_prevalence, response_times, run_states,
-                               sv_longitudinal_accel)
+                               response_times, run_states, sv_longitudinal_accel)
 
 
 def step_signal(t, t_on, before, after):
@@ -100,15 +99,6 @@ def test_response_times_order_invariant():
 def test_response_times_empty():
     rt = response_times([], 0.0)
     assert rt.initial_reaction is None and rt.evasive_response is None
-
-
-def test_prevalence_counts_once_per_run():
-    run_a = [ResponseEvent("brake-onset", 2.0), ResponseEvent("brake-onset", 3.0)]
-    run_b = [ResponseEvent("steer-center", 2.5)]
-    prev = response_prevalence([run_a, run_b])
-    assert prev["brake-onset"] == 0.5
-    assert prev["steer-center"] == 0.5
-    assert prev["accel-release"] == 0.0
 
 
 def test_lateral_state_thresholds():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from odlisim.core import POV_LIMITS
-from odlisim.scenario import (ScenarioSpec, build_incursion_path,
+from odlisim.scenario import (IncursionPath, ScenarioSpec,
                               check_path_lateral_accel, default_timing,
                               make_scenario, pov_state_at, pov_x_at_trigger,
                               reference_lateral_at_tc, trigger_distance)
@@ -32,7 +32,7 @@ def test_path_boundary_conditions_all_ils():
     for il in ILS.values():
         spec = make_scenario(il)
         timing = default_timing(spec)
-        path = build_incursion_path(spec, timing)
+        path = IncursionPath(spec, timing)
         y0, vy0, _ = path.state(timing.t_trigger)
         assert y0 == pytest.approx(spec.road.lane_width / 2)
         assert vy0 == pytest.approx(0.0, abs=1e-9)
@@ -44,7 +44,7 @@ def test_path_boundary_conditions_all_ils():
 def test_steep_terminal_heading_continues_left():
     spec = make_scenario(-0.8)
     timing = default_timing(spec)
-    path = build_incursion_path(spec, timing)
+    path = IncursionPath(spec, timing)
     _, vy_tc, _ = path.state(timing.t_critical)
     assert vy_tc < 0
     y_late, _, _ = path.state(timing.t_critical + 1.0)
@@ -56,7 +56,7 @@ def test_steep_terminal_heading_continues_left():
 def test_shallow_terminal_heading_straight():
     spec = make_scenario(0.9)
     timing = default_timing(spec)
-    path = build_incursion_path(spec, timing)
+    path = IncursionPath(spec, timing)
     _, vy_tc, _ = path.state(timing.t_critical)
     assert vy_tc == pytest.approx(0.0, abs=1e-9)
     y_late, vy_late, _ = path.state(timing.t_critical + 2.0)
@@ -68,7 +68,7 @@ def test_path_c1_continuity():
     for il in ILS.values():
         spec = make_scenario(il)
         timing = default_timing(spec)
-        path = build_incursion_path(spec, timing)
+        path = IncursionPath(spec, timing)
         eps = 1e-6
         for t_knot in (timing.t_trigger, timing.t_critical):
             y_m, vy_m, _ = path.state(t_knot - eps)
@@ -80,7 +80,7 @@ def test_path_c1_continuity():
 def test_path_derivatives_match_finite_differences():
     spec = make_scenario(-0.8)
     timing = default_timing(spec)
-    path = build_incursion_path(spec, timing)
+    path = IncursionPath(spec, timing)
     eps = 1e-5
     for t in np.linspace(timing.t_trigger + 0.1, timing.t_critical - 0.1, 17):
         y_m = path.state(t - eps)[0]
@@ -96,7 +96,7 @@ def test_monotone_incursion():
     for il in ILS.values():
         spec = make_scenario(il)
         timing = default_timing(spec)
-        path = build_incursion_path(spec, timing)
+        path = IncursionPath(spec, timing)
         ts = np.linspace(timing.t_trigger, timing.t_critical, 400)
         ys = [path.state(t)[0] for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(ys, ys[1:]))
