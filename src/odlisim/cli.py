@@ -106,14 +106,13 @@ def _window(log, config: dict) -> responses.AnalysisWindow:
         log, float(config["analysis"].get("window_reaction_floor", 0.4)))
 
 
-def _timeline(log, config: dict, args) -> reach.Timeline:
-    """Drivable-area timeline over the analysis window at the requested step."""
-    pred = io.config_prediction(config)
+def _timelines(logs: list, config: dict, args) -> list[reach.Timeline]:
+    """Drivable-area timelines over the analysis windows at the requested step."""
     step = (args.eval_step if args.eval_step is not None
             else float(config["analysis"].get("eval_step", 0.1)))
-    window = _window(log, config)
-    return reach.drivable_timeline(log, pred, eval_step=step,
-                                   window=(window.t_begin, window.t_end))
+    windows = [_window(log, config) for log in logs]
+    runs = [(log, (w.t_begin, w.t_end)) for log, w in zip(logs, windows)]
+    return reach.drivable_timelines(runs, io.config_prediction(config), eval_step=step)
 
 
 def _cmd_scenario_gen(args) -> int:
@@ -201,7 +200,7 @@ def _cmd_reach_compute(args, config: dict, out: Path) -> int:
 
 
 def _cmd_reach_timeline(args, config: dict, out: Path) -> int:
-    timeline = _timeline(io.load_trajectory_log(args.log), config, args)
+    timeline, = _timelines([io.load_trajectory_log(args.log)], config, args)
     path = out / "timeline.csv"
     io.emit_timeline(timeline, path)
     print(f"wrote {path} ({int(timeline.exists.sum())}/{len(timeline.exists)} steps drivable)")
@@ -209,7 +208,7 @@ def _cmd_reach_timeline(args, config: dict, out: Path) -> int:
 
 
 def _cmd_reach_aggregate(args, config: dict, out: Path) -> int:
-    timelines = [_timeline(log, config, args) for log in _load_logs(args.logs)]
+    timelines = _timelines(_load_logs(args.logs), config, args)
     prev = reach.aggregate_prevalence(
         timelines, n_boot=int(config["analysis"].get("bootstrap_samples", 1000)),
         seed=int(config.get("seed", 0)))

@@ -226,16 +226,29 @@ _FIXED_ANALYSIS = {"accel_release_pct": ACCEL_RELEASE_PCT,
                    "steer_onset_deg": STEER_ONSET_DEG}
 
 
+_CONFIG_SECTIONS = ("scenario", "analysis", "prediction")
+
+
 def load_run_config(path: str | Path) -> dict:
+    """The run config at ``path``; every format error is a ParseError naming the file."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"config file not found: {path}")
-    config = json.loads(path.read_text())
+    try:
+        config = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ParseError(f"run config {path}: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ParseError(f"run config {path}: top level must be a JSON object")
+    for section in _CONFIG_SECTIONS:
+        if not isinstance(config.get(section), dict):
+            raise ParseError(f"run config {path}: section {section!r} "
+                             f"is missing or not an object")
     for key, fixed in _FIXED_ANALYSIS.items():
-        value = config.get("analysis", {}).get(key, fixed)
+        value = config["analysis"].get(key, fixed)
         if value != fixed:
-            raise ParseError(f"analysis.{key} = {value!r} is not configurable: "
-                             f"the response threshold is fixed at {fixed}")
+            raise ParseError(f"run config {path}: analysis.{key} = {value!r} is not "
+                             f"configurable: the response threshold is fixed at {fixed}")
     return config
 
 

@@ -31,17 +31,30 @@ collision-free under the kinematic assumptions, not that collision is
 certain.  Since an empty layer stays empty, an area computed with
 ``exists_only`` (as every timeline anchor is) stops at its first empty SV
 layer and carries fewer layers; its ``exists`` is unchanged.
+
+The POV side of an area depends only on the POV state, the prediction
+mode, the road and the two vehicle specs, so it lives in a POV track that
+SV passes share: it grows its layers and their occupancies only as deep
+as some pass asks.  ``drivable_timelines`` evaluates a cohort this way.
+Its runs share one POV incursion, and every SV state is the same until
+the response starts, so it groups the anchors by POV key and runs one SV
+pass per distinct SV state in each group.  The keys are the frozen
+``VehicleState``s and specs themselves, compared as floats, so equal keys
+are equal inputs up to the sign of a zero.  A timeline keeps only
+``exists``, which a signed zero cannot change: state values feed sums,
+products, clamps, comparisons and floors, never a sign test or a divisor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .core import (KinematicLimits, POV_LIMITS, SV_LIMITS, RoadSpec, VehicleSpec,
-                   VehicleState, axis_limits, axis_step)
+from .core import (AxisLimits, KinematicLimits, POV_LIMITS, SV_LIMITS, RoadSpec,
+                   VehicleSpec, VehicleState, axis_limits, axis_step)
 from .engine import TrajectoryLog
 from .responses import window_for
 
@@ -149,20 +162,29 @@ def _raster_closed(lo: float, hi: float, d: float) -> tuple[int, int]:
 
 def _cropped_layer(tau: float, dx: float, dy: float, mask: np.ndarray,
                    ox: int, oy: int, x_hull: AxisInterval | None,
-                   y_hull: AxisInterval | None, heading_sign: int) -> Layer:
+                   y_hull: AxisInterval | None, heading_sign: int,
+                   cropped: bool = False) -> Layer:
     """The layer of the occupied cells of ``mask``, whose cell [0, 0] is world cell (ox, oy).
 
     The mask is cropped to its occupied cells (a view, not a copy).  With no
-    occupied cell, or no lateral hull, the layer is empty.
+    occupied cell, or no lateral hull, the layer is empty.  A caller that
+    knows ``mask`` is already cropped (a slice of a filled mask, or a
+    cropped mask with all its columns) passes ``cropped``, and the mask is
+    not scanned.
     """
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0 or y_hull is None:
+    if not cropped:
+        rows = np.flatnonzero(mask.any(axis=1))
+        if rows.size == 0:
+            mask = mask[:0, :0]
+        else:
+            cols = np.flatnonzero(mask.any(axis=0))
+            i0, j0 = int(rows[0]), int(cols[0])
+            mask = mask[i0:rows[-1] + 1, j0:cols[-1] + 1]
+            ox, oy = ox + i0, oy + j0
+    if mask.size == 0 or y_hull is None:
         return Layer(tau, dx, dy, 0, 0, np.zeros((0, 0), dtype=bool), None, None,
                      heading_sign)
-    cols = np.flatnonzero(mask.any(axis=0))
-    i0, j0 = int(rows[0]), int(cols[0])
-    return Layer(tau, dx, dy, ox + i0, oy + j0, mask[i0:rows[-1] + 1, j0:cols[-1] + 1],
-                 x_hull, y_hull, heading_sign)
+    return Layer(tau, dx, dy, ox, oy, mask, x_hull, y_hull, heading_sign)
 
 
 def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
@@ -181,16 +203,16 @@ def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
 
 
 def _dilate(mask: np.ndarray, sx_lo: int, sx_hi: int,
-            sy_lo: int, sy_hi: int) -> np.ndarray:
+            sy_lo: int, sy_hi: int, *, filled: bool) -> np.ndarray:
     """Union of a cropped, non-empty mask shifted by every offset (sx, sy) in the ranges.
 
     Cell [0, 0] of the result is cell [sx_lo, sy_lo] of the mask's frame, and
-    the result is cropped as well.  A completely filled mask dilates to a
-    filled rectangle, built directly.
+    the result is cropped as well.  A ``filled`` mask (every cell occupied)
+    dilates to a filled rectangle, built directly.
     """
     h, w = mask.shape
     shape = (h + sx_hi - sx_lo, w + sy_hi - sy_lo)
-    if mask.all():
+    if filled:
         return np.ones(shape, dtype=bool)
     tmp = np.zeros((shape[0], w), dtype=bool)
     for s in range(sx_hi - sx_lo + 1):
@@ -199,6 +221,28 @@ def _dilate(mask: np.ndarray, sx_lo: int, sx_hi: int,
     for s in range(sy_hi - sy_lo + 1):
         out[:, s:s + w] |= tmp
     return out
+
+
+def _lanes(values: list[float]) -> np.ndarray:
+    out = np.array(values)
+    out.flags.writeable = False  # cached and shared by every caller
+    return out
+
+
+@lru_cache(maxsize=16)
+def _corner_limits(limits: KinematicLimits,
+                   heading_sign: int) -> tuple[np.ndarray, AxisLimits]:
+    """Jerks and limits of the four hull corners as lanes (x lo, x hi, y lo, y hi).
+
+    A low corner takes its axis's lowest jerk and a high corner its highest;
+    every lane carries its axis's limits, so one ``axis_step`` call on
+    4-element arrays steps all four corners.
+    """
+    lx = axis_limits(limits, heading_sign, "x")
+    ly = axis_limits(limits, heading_sign, "y")
+    lanes = AxisLimits(**{f.name: _lanes([getattr(lx, f.name)] * 2 + [getattr(ly, f.name)] * 2)
+                          for f in fields(AxisLimits)})
+    return _lanes([lx.j_lo, lx.j_hi, ly.j_lo, ly.j_hi]), lanes
 
 
 def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> Layer:
@@ -212,19 +256,21 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
     """
     if layer.empty:
         return replace(layer, tau=layer.tau + tau_step)
-    lim_x = axis_limits(limits, layer.heading_sign, "x")
-    lim_y = axis_limits(limits, layer.heading_sign, "y")
     xh, yh = layer.x_hull, layer.y_hull
-
-    px_lo, vx_lo, ax_lo = axis_step(xh.p_lo, xh.v_lo, xh.a_lo, lim_x.j_lo, lim_x, tau_step)
-    px_hi, vx_hi, ax_hi = axis_step(xh.p_hi, xh.v_hi, xh.a_hi, lim_x.j_hi, lim_x, tau_step)
-    py_lo, vy_lo, ay_lo = axis_step(yh.p_lo, yh.v_lo, yh.a_lo, lim_y.j_lo, lim_y, tau_step)
-    py_hi, vy_hi, ay_hi = axis_step(yh.p_hi, yh.v_hi, yh.a_hi, lim_y.j_hi, lim_y, tau_step)
+    jerk, lanes = _corner_limits(limits, layer.heading_sign)
+    p, v, a = axis_step(*np.array([[xh.p_lo, xh.p_hi, yh.p_lo, yh.p_hi],
+                                   [xh.v_lo, xh.v_hi, yh.v_lo, yh.v_hi],
+                                   [xh.a_lo, xh.a_hi, yh.a_lo, yh.a_hi]]),
+                        jerk, lanes, tau_step)
+    px_lo, px_hi, py_lo, py_hi = p.tolist()
+    vx_lo, vx_hi, vy_lo, vy_hi = v.tolist()
+    ax_lo, ax_hi, ay_lo, ay_hi = a.tolist()
 
     dx, dy = layer.dx, layer.dy
     sx_lo, sy_lo = math.floor(tau_step * xh.v_lo / dx), math.floor(tau_step * yh.v_lo / dy)
+    filled = bool(layer.mask.all())
     dil = _dilate(layer.mask, sx_lo, math.ceil(tau_step * xh.v_hi / dx),
-                  sy_lo, math.ceil(tau_step * yh.v_hi / dy))
+                  sy_lo, math.ceil(tau_step * yh.v_hi / dy), filled=filled)
     ox, oy = layer.ox + sx_lo, layer.oy + sy_lo
     ix_lo, ix_hi = _raster_closed(px_lo, px_hi, dx)
     iy_lo, iy_hi = _raster_closed(py_lo, py_hi, dy)
@@ -233,11 +279,9 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
     i0, j0 = max(0, ix_lo - ox), max(0, iy_lo - oy)
     mask = dil[i0:max(0, ix_hi + 1 - ox), j0:max(0, iy_hi + 1 - oy)]
     return _cropped_layer(layer.tau + tau_step, dx, dy, mask, ox + i0, oy + j0,
-                          AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
-                                       float(vx_hi), float(ax_lo), float(ax_hi)),
-                          AxisInterval(float(py_lo), float(py_hi), float(vy_lo),
-                                       float(vy_hi), float(ay_lo), float(ay_hi)),
-                          layer.heading_sign)
+                          AxisInterval(px_lo, px_hi, vx_lo, vx_hi, ax_lo, ax_hi),
+                          AxisInterval(py_lo, py_hi, vy_lo, vy_hi, ay_lo, ay_hi),
+                          layer.heading_sign, cropped=filled)
 
 
 def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
@@ -257,12 +301,13 @@ def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
         iy_max = math.ceil(y_hi / dy) - 1
     yh = layer.y_hull
     new_lo, new_hi = max(yh.p_lo, y_lo), min(yh.p_hi, y_hi)
-    j0 = max(0, iy_min - layer.oy)
-    return _cropped_layer(layer.tau, layer.dx, dy,
-                          layer.mask[:, j0:max(0, iy_max + 1 - layer.oy)],
-                          layer.ox, layer.oy + j0, layer.x_hull,
-                          replace(yh, p_lo=new_lo, p_hi=new_hi) if new_lo <= new_hi else None,
-                          layer.heading_sign)
+    y_hull = (AxisInterval(new_lo, new_hi, yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi)
+              if new_lo <= new_hi else None)
+    j0, j1 = max(0, iy_min - layer.oy), max(0, iy_max + 1 - layer.oy)
+    # keeping every column of a cropped mask leaves it cropped
+    return _cropped_layer(layer.tau, layer.dx, dy, layer.mask[:, j0:j1],
+                          layer.ox, layer.oy + j0, layer.x_hull, y_hull, layer.heading_sign,
+                          cropped=j0 == 0 and j1 >= layer.mask.shape[1])
 
 
 def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
@@ -284,23 +329,28 @@ def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
     sx_hi = math.ceil((shift + half_len) / layer.dx)
     sy_lo = math.floor(-half_wid / layer.dy)
     sy_hi = math.ceil(half_wid / layer.dy)
-    return (_dilate(layer.mask, sx_lo, sx_hi, sy_lo, sy_hi),
+    return (_dilate(layer.mask, sx_lo, sx_hi, sy_lo, sy_hi, filled=bool(layer.mask.all())),
             layer.ox + sx_lo, layer.oy + sy_lo)
 
 
-def _prune_mask(mask: np.ndarray, ox: int, oy: int,
-                occ: np.ndarray, occ_ox: int, occ_oy: int) -> None:
-    """Clear mask cells covered by the occupancy mask (in place, world aligned)."""
-    nx, ny = mask.shape
+def _pruned(layer: Layer, occ: np.ndarray, occ_ox: int, occ_oy: int) -> Layer:
+    """The non-empty layer without the cells the occupancy mask covers (world aligned).
+
+    A layer whose box the occupancy misses is returned as it is.
+    """
+    nx, ny = layer.mask.shape
     onx, ony = occ.shape
-    i0 = max(ox, occ_ox)
-    j0 = max(oy, occ_oy)
-    i1 = min(ox + nx, occ_ox + onx)
-    j1 = min(oy + ny, occ_oy + ony)
+    i0 = max(layer.ox, occ_ox)
+    j0 = max(layer.oy, occ_oy)
+    i1 = min(layer.ox + nx, occ_ox + onx)
+    j1 = min(layer.oy + ny, occ_oy + ony)
     if i0 >= i1 or j0 >= j1:
-        return
-    sub = occ[i0 - occ_ox:i1 - occ_ox, j0 - occ_oy:j1 - occ_oy]
-    mask[i0 - ox:i1 - ox, j0 - oy:j1 - oy] &= ~sub
+        return layer
+    mask = layer.mask.copy()
+    mask[i0 - layer.ox:i1 - layer.ox, j0 - layer.oy:j1 - layer.oy] &= \
+        ~occ[i0 - occ_ox:i1 - occ_ox, j0 - occ_oy:j1 - occ_oy]
+    return _cropped_layer(layer.tau, layer.dx, layer.dy, mask, layer.ox, layer.oy,
+                          layer.x_hull, layer.y_hull, layer.heading_sign)
 
 
 def pov_prediction_mode(pov_y_history: np.ndarray, lane_width: float,
@@ -334,10 +384,48 @@ def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
     return ReachableSet(t=state.t, tau_step=config.tau_step, layers=layers)
 
 
+class _PovTrack:
+    """The POV side of every drivable area with one POV state, mode and pair of specs.
+
+    Layer k is the POV's layer at tau = k * tau_step, band-clipped in
+    normative mode.  Layers and their footprint-dilated occupancies are
+    computed on first use and kept, so every SV pass pruned against the
+    track shares them, and the track is only as deep as its deepest pass.
+    """
+
+    def __init__(self, pov_state: VehicleState, mode: str, road: RoadSpec,
+                 sv_spec: VehicleSpec, pov_spec: VehicleSpec, config: PredictionConfig):
+        if mode not in ("normative", "kinematic-envelope"):
+            raise ValueError(f"unknown prediction mode {mode!r}")
+        self.key = (pov_state, mode, road, sv_spec, pov_spec, config)
+        self._config, self._sv_spec, self._pov_spec = config, sv_spec, pov_spec
+        self._band = normative_band(road, pov_spec) if mode == "normative" else None
+        self.layers = [self._clip(make_initial_layer(pov_state, config.grid_dx,
+                                                     config.grid_dy))]
+        self._occupancy: dict[int, tuple[np.ndarray, int, int]] = {}
+
+    def _clip(self, layer: Layer) -> Layer:
+        return layer if self._band is None else _clip_y(layer, *self._band, inside=False)
+
+    def layer(self, k: int) -> Layer:
+        while len(self.layers) <= k:
+            self.layers.append(self._clip(propagate_step(
+                self.layers[-1], self._config.pov_limits, self._config.tau_step)))
+        return self.layers[k]
+
+    def occupancy(self, k: int) -> tuple[np.ndarray, int, int]:
+        occ = self._occupancy.get(k)
+        if occ is None:
+            occ = self._occupancy[k] = pov_occupancy(self.layer(k), self._pov_spec,
+                                                     self._sv_spec)
+        return occ
+
+
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
                           config: PredictionConfig, road: RoadSpec,
                           sv_spec: VehicleSpec, pov_spec: VehicleSpec,
-                          mode: str, *, exists_only: bool = False) -> DrivableArea:
+                          mode: str, *, exists_only: bool = False,
+                          track: _PovTrack | None = None) -> DrivableArea:
     """SV reachable set pruned against POV reachability, layer by layer.
 
     Expansion order per step: POV first, then the SV from its previous
@@ -346,58 +434,52 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
     margin).  ``exists`` reports whether the final layer is non-empty.
     With ``exists_only`` the area stops at the first empty SV layer (an
     empty layer stays empty), so ``layers`` and ``pov_layers`` may be
-    shorter than the horizon; ``exists`` is the same either way.
+    shorter than the horizon; ``exists`` is the same either way.  The POV
+    layers come from ``track``, built for the same POV state, mode, specs
+    and config, or from a new one.
     """
-    if mode not in ("normative", "kinematic-envelope"):
-        raise ValueError(f"unknown prediction mode {mode!r}")
-    band = normative_band(road, pov_spec) if mode == "normative" else None
-
+    key = (pov_state, mode, road, sv_spec, pov_spec, config)
+    if track is None:
+        track = _PovTrack(*key)
+    elif track.key != key:
+        raise ValueError("POV track built for another POV state, mode, specs or config")
     corridor = (-road.width / 2.0 - road.shoulder_margin,
                 road.width / 2.0 + road.shoulder_margin)
 
-    pov_layer = make_initial_layer(pov_state, config.grid_dx, config.grid_dy)
-    if band is not None:
-        pov_layer = _clip_y(pov_layer, *band, inside=False)
-    sv_layer = make_initial_layer(sv_state, config.grid_dx, config.grid_dy)
-
-    def prune(sv_l: Layer, pov_l: Layer) -> Layer:
+    def prune(sv_l: Layer, k: int) -> Layer:
+        pov_l = track.layer(k)
         if config.road_pruning == "corridor":
             sv_l = _clip_y(sv_l, *corridor, inside=True)
         if sv_l.empty or pov_l.empty:
             return sv_l
-        occ, occ_ox, occ_oy = pov_occupancy(pov_l, pov_spec, sv_spec)
-        mask = sv_l.mask.copy()
-        _prune_mask(mask, sv_l.ox, sv_l.oy, occ, occ_ox, occ_oy)
-        return _cropped_layer(sv_l.tau, sv_l.dx, sv_l.dy, mask, sv_l.ox, sv_l.oy,
-                              sv_l.x_hull, sv_l.y_hull, sv_l.heading_sign)
+        return _pruned(sv_l, *track.occupancy(k))
 
-    sv_layer = prune(sv_layer, pov_layer)
-    pov_layers = [pov_layer]
+    sv_layer = prune(make_initial_layer(sv_state, config.grid_dx, config.grid_dy), 0)
     sv_layers = [sv_layer]
-    for _ in range(config.n_steps):
+    for k in range(1, config.n_steps + 1):
         if exists_only and sv_layer.empty:
             break
-        pov_layer = propagate_step(pov_layer, config.pov_limits, config.tau_step)
-        if band is not None:
-            pov_layer = _clip_y(pov_layer, *band, inside=False)
-        sv_layer = propagate_step(sv_layer, config.sv_limits, config.tau_step)
-        sv_layer = prune(sv_layer, pov_layer)
-        pov_layers.append(pov_layer)
+        sv_layer = prune(propagate_step(sv_layer, config.sv_limits, config.tau_step), k)
         sv_layers.append(sv_layer)
 
     return DrivableArea(layers=sv_layers, exists=not sv_layers[-1].empty,
-                        pov_layers=pov_layers)
+                        pov_layers=track.layers[:len(sv_layers)])
+
+
+def _latched_mode(log: TrajectoryLog, i: int, config: PredictionConfig) -> str:
+    """POV prediction mode at log sample i, latched over samples 0..i."""
+    return pov_prediction_mode(log.pov["y"][:i + 1], log.scenario.road.lane_width,
+                               config.incursion_detect_threshold)
 
 
 def drivable_area_at(log: TrajectoryLog, i: int, config: PredictionConfig, *,
                      exists_only: bool = False) -> tuple[DrivableArea, str]:
     """Drivable area at log sample i, with the POV mode latched over samples 0..i."""
-    road = log.scenario.road
-    mode = pov_prediction_mode(log.pov["y"][:i + 1], road.lane_width,
-                               config.incursion_detect_threshold)
-    area = compute_drivable_area(log.sv_state(i), log.pov_state(i), config, road,
-                                 log.scenario.sv_spec, log.scenario.pov_spec,
-                                 mode=mode, exists_only=exists_only)
+    mode = _latched_mode(log, i, config)
+    sc = log.scenario
+    area = compute_drivable_area(log.sv_state(i), log.pov_state(i), config, sc.road,
+                                 sc.sv_spec, sc.pov_spec, mode=mode,
+                                 exists_only=exists_only)
     return area, mode
 
 
@@ -411,12 +493,9 @@ class Timeline:
     mode: list[str]
 
 
-def drivable_timeline(log: TrajectoryLog, config: PredictionConfig,
-                      eval_step: float = 0.1,
-                      window: tuple[float, float] | None = None) -> Timeline:
-    """Evaluate drivable-area existence at each step of the analysis window."""
-    if eval_step <= 0:
-        raise ValueError("eval_step must be positive")
+def _anchor_times(log: TrajectoryLog, eval_step: float,
+                  window: tuple[float, float] | None) -> list[float]:
+    """Anchors eval_step apart over the window (the log's analysis window if None)."""
     if window is None:
         aw = window_for(log)
         t_begin, t_end = aw.t_begin, aw.t_end
@@ -424,23 +503,57 @@ def drivable_timeline(log: TrajectoryLog, config: PredictionConfig,
         t_begin, t_end = window
     if t_begin < log.t[0] or t_end > log.t[-1] + log.dt / 2:
         raise ValueError("analysis window not covered by the log")
-
     anchors = []
     t = t_begin
     while t <= t_end + 1e-9:
         anchors.append(min(t, float(log.t[-1])))
         t += eval_step
+    return anchors
 
-    exists = np.zeros(len(anchors), dtype=bool)
-    modes = []
-    for k, t_anchor in enumerate(anchors):
-        area, mode = drivable_area_at(log, log.index_at(t_anchor), config,
-                                      exists_only=True)
-        exists[k] = area.exists
-        modes.append(mode)
-    t_arr = np.asarray(anchors)
-    return Timeline(t=t_arr, rel_t=t_arr - log.timing.t_trigger,
-                    exists=exists, mode=modes)
+
+def drivable_timeline(log: TrajectoryLog, config: PredictionConfig,
+                      eval_step: float = 0.1,
+                      window: tuple[float, float] | None = None) -> Timeline:
+    """Evaluate drivable-area existence at each step of the analysis window."""
+    return drivable_timelines([(log, window)], config, eval_step)[0]
+
+
+def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | None]],
+                       config: PredictionConfig, eval_step: float = 0.1) -> list[Timeline]:
+    """Timelines of a cohort's (log, window) runs, each distinct anchor evaluated once.
+
+    Every anchor's area is computed with ``exists_only``, as
+    ``drivable_area_at`` computes it.  Anchors are grouped by POV state,
+    latched mode, road and specs; each group prunes against one POV track,
+    with one SV pass per distinct SV state.  Only one track is alive at a
+    time, and only the booleans are kept.
+    """
+    if eval_step <= 0:
+        raise ValueError("eval_step must be positive")
+    timelines = []
+    # (pov_state, mode, road, sv_spec, pov_spec) -> sv_state -> [(run, anchor)]
+    groups: dict[tuple, dict[VehicleState, list[tuple[int, int]]]] = {}
+    for r, (log, window) in enumerate(runs):
+        anchors = _anchor_times(log, eval_step, window)
+        sc = log.scenario
+        modes = []
+        for k, t_anchor in enumerate(anchors):
+            i = log.index_at(t_anchor)
+            modes.append(_latched_mode(log, i, config))
+            key = (log.pov_state(i), modes[-1], sc.road, sc.sv_spec, sc.pov_spec)
+            groups.setdefault(key, {}).setdefault(log.sv_state(i), []).append((r, k))
+        t_arr = np.asarray(anchors)
+        timelines.append(Timeline(t=t_arr, rel_t=t_arr - log.timing.t_trigger,
+                                  exists=np.zeros(len(anchors), dtype=bool), mode=modes))
+    for (pov_state, mode, road, sv_spec, pov_spec), by_sv in groups.items():
+        track = _PovTrack(pov_state, mode, road, sv_spec, pov_spec, config)
+        for sv_state, slots in by_sv.items():
+            exists = compute_drivable_area(sv_state, pov_state, config, road, sv_spec,
+                                           pov_spec, mode=mode, exists_only=True,
+                                           track=track).exists
+            for r, k in slots:
+                timelines[r].exists[k] = exists
+    return timelines
 
 
 @dataclass

@@ -122,6 +122,20 @@ def test_analyze_rejects_changed_threshold_key(tmp_path, capsys):
     assert not (out / "response_metrics.csv").exists()
 
 
+def test_simulate_names_config_missing_section(tmp_path, capsys):
+    cfg_path = small_config(tmp_path)
+    config = io.load_run_config(cfg_path)
+    del config["analysis"]
+    io.save_run_config(config, cfg_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
+    payload = json_error(capsys)
+    assert payload["error"] == "ParseError"
+    assert str(cfg_path) in payload["message"] and "'analysis'" in payload["message"]
+    assert not out.exists()
+
+
 def test_reach_rejects_zero_eval_step(tmp_path, capsys):
     cfg_path = small_config(tmp_path)
     out = tmp_path / "out"

@@ -6,6 +6,8 @@ The default 20-run config (seed 0) is simulated once per IL (-0.8, 0 and
 - `simulate` outputs are pinned in `golden_simulate.json`;
 - `analyze responses`, `analyze sequence`, `reach aggregate --eval-step 1.0`
   and `oracle verify --n 200 --anchors 2` at every IL, plus
+  `reach aggregate --eval-step 0.1` at every IL (where most anchors share
+  their SV and POV states with an anchor of another run), plus
   `reach timeline --eval-step 0.5` and `reach compute --t 3.0` on
   `run_000` at IL 0, are pinned in `golden_pipeline.json`.
 
@@ -31,6 +33,11 @@ PIPELINE_FIXTURE = Path(__file__).with_name("golden_pipeline.json")
 ILS = ("-0.8", "0.0", "0.9")
 RUN_IL = "0.0"  # IL of the single-run reach outputs
 RUN_KEY = f"run_000 at IL {RUN_IL}"
+DENSE_STEP = "0.1"
+
+
+def dense_key(il: str) -> str:
+    return f"reach aggregate --eval-step {DENSE_STEP} at IL {il}"
 
 
 def digests(directory: Path) -> dict[str, str]:
@@ -54,6 +61,13 @@ def cohort_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
                  ["reach", "aggregate", "--logs", logs, "--eval-step", "1.0"],
                  ["oracle", "verify", "--n", "200", "--anchors", "2"]):
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    return digests(out)
+
+
+def dense_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
+    """Prevalence over one simulated cohort at the dense evaluation step."""
+    assert main(["reach", "aggregate", "--logs", logs, "--eval-step", DENSE_STEP,
+                 "--config", cfg, "--out", str(out)]) == 0
     return digests(out)
 
 
@@ -90,6 +104,12 @@ def test_cohort_outputs_match_golden(il, simulated, tmp_path):
     assert cohort_digests(*simulated(il), tmp_path) == expected
 
 
+@pytest.mark.parametrize("il", ILS)
+def test_dense_prevalence_matches_golden(il, simulated, tmp_path):
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[dense_key(il)]
+    assert dense_digests(*simulated(il), tmp_path) == expected
+
+
 def test_run_reach_outputs_match_golden(simulated, tmp_path):
     expected = json.loads(PIPELINE_FIXTURE.read_text())[RUN_KEY]
     assert run_digests(*simulated(RUN_IL), tmp_path) == expected
@@ -103,6 +123,7 @@ if __name__ == "__main__":
             cfg, logs = simulate(il, work)
             golden[il] = digests(Path(logs))
             pipeline[il] = cohort_digests(cfg, logs, work / "cohort")
+            pipeline[dense_key(il)] = dense_digests(cfg, logs, work / "dense")
             if il == RUN_IL:
                 pipeline[RUN_KEY] = run_digests(cfg, logs, work / "run")
     for path, data in ((FIXTURE, golden), (PIPELINE_FIXTURE, pipeline)):

@@ -193,6 +193,29 @@ def test_config_threshold_keys_fixed(tmp_path, key, fixed):
         io.load_run_config(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"scenario": {}, ',
+    '[1, 2]',
+    json.dumps({"scenario": {}, "analysis": 3, "prediction": {}}),
+], ids=["malformed-json", "not-an-object", "section-not-an-object"])
+def test_config_format_error_names_file(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(io.ParseError, match=re.escape(f"run config {path}: ")):
+        io.load_run_config(path)
+
+
+@pytest.mark.parametrize("section", ["scenario", "analysis", "prediction"])
+def test_config_missing_section_error(tmp_path, section):
+    config = io.default_run_config()
+    del config[section]
+    path = tmp_path / "config.json"
+    io.save_run_config(config, path)
+    message = f"run config {path}: section '{section}' is missing"
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_run_config(path)
+
+
 def test_sequence_graph_emission_sums(tmp_path):
     runs = [(make_log(), AnalysisWindow(1.4, 6.0), "collision") for _ in range(4)]
     runs.append((make_log(sv={"ax": lambda t: -6.0 * (t > 3.0)}),

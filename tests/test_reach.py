@@ -3,16 +3,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_log, make_timeline
-from odlisim import reach
+from odlisim import io, reach
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step)
-from odlisim.engine import rollout
+from odlisim.engine import rollout, run_cohort
 from odlisim.policies import PolicySpec
 from odlisim.reach import (AxisInterval, Layer, PredictionConfig,
                            aggregate_prevalence, compute_drivable_area,
                            compute_reachable_set, drivable_area_at, drivable_timeline,
+                           drivable_timelines,
                            make_initial_layer, pov_occupancy, pov_prediction_mode,
                            propagate_step)
 from odlisim.responses import window_for
@@ -85,6 +87,24 @@ def test_propagate_empty_absorbs():
     layer = propagate_step(layer, SV_LIMITS, 0.1)
     assert layer.empty and layer.tau == 0.1
     assert propagate_step(layer, SV_LIMITS, 0.1).empty
+
+
+def test_clip_y_recrops_what_it_cuts():
+    """A lateral clip of a carved mask crops the columns it keeps, and empties the
+    layer when they hold no cell; keeping every column keeps the mask."""
+    def carved(rows):
+        return Layer(0.0, 0.5, 0.25, 4, 0, np.array(rows, dtype=bool),
+                     AxisInterval(2.0, 3.0, 0.0, 0.0, 0.0, 0.0),
+                     AxisInterval(0.0, 0.75, 0.0, 0.0, 0.0, 0.0), 1)
+
+    layer = carved([[1, 0, 0], [0, 1, 1]])
+    cut = reach._clip_y(layer, 0.25, 0.5, inside=False)  # column 1 only
+    assert (cut.ox, cut.oy, cut.mask.tolist()) == (5, 1, [[True]])
+    assert (cut.y_hull.p_lo, cut.y_hull.p_hi) == (0.25, 0.5)
+    assert reach._clip_y(carved([[1, 0, 1], [1, 0, 1]]), 0.25, 0.5, inside=False).empty
+    kept = reach._clip_y(layer, -1.0, 0.6, inside=False)  # every column
+    assert (kept.ox, kept.oy) == (4, 0) and kept.mask.tolist() == layer.mask.tolist()
+    assert (kept.y_hull.p_lo, kept.y_hull.p_hi) == (0.0, 0.6)
 
 
 def test_occupancy_dilation_defaults():
@@ -475,6 +495,17 @@ def ref_clip_y(layer, y_lo, y_hi, inside):
                        layer.heading_sign)
 
 
+def ref_prune_mask(mask, ox, oy, occ, occ_ox, occ_oy):
+    """Clear mask cells covered by the occupancy mask (in place, world aligned)."""
+    nx, ny = mask.shape
+    onx, ony = occ.shape
+    i0, j0 = max(ox, occ_ox), max(oy, occ_oy)
+    i1, j1 = min(ox + nx, occ_ox + onx), min(oy + ny, occ_oy + ony)
+    if i0 < i1 and j0 < j1:
+        mask[i0 - ox:i1 - ox, j0 - oy:j1 - oy] &= ~occ[i0 - occ_ox:i1 - occ_ox,
+                                                       j0 - occ_oy:j1 - occ_oy]
+
+
 def ref_drivable_area(sv, pov, config, road, sv_spec, pov_spec, mode):
     """The seed's ``compute_drivable_area`` on padded windows: (SV layers, POV layers)."""
     band = reach.normative_band(road, pov_spec) if mode == "normative" else None
@@ -487,8 +518,8 @@ def ref_drivable_area(sv, pov, config, road, sv_spec, pov_spec, mode):
         if sv_l.empty or pov_l.empty:
             return sv_l
         mask = sv_l.mask.copy()
-        reach._prune_mask(mask, sv_l.window.ox, sv_l.window.oy,
-                          *ref_pov_occupancy(pov_l, pov_spec, sv_spec))
+        ref_prune_mask(mask, sv_l.window.ox, sv_l.window.oy,
+                       *ref_pov_occupancy(pov_l, pov_spec, sv_spec))
         if not mask.any():
             return empty_like(sv_l, sv_l.tau)
         return WindowLayer(sv_l.tau, sv_l.window, mask, sv_l.x_hull, sv_l.y_hull,
@@ -659,3 +690,130 @@ def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_ancho
         n_lost += not full.exists
     if mode == "kinematic-envelope":
         assert n_lost > 0  # some anchors lose escape, so the early exit runs
+
+
+# -- cohort reuse: shared POV tracks, one SV pass per distinct anchor --
+
+@pytest.fixture(scope="module")
+def default_cohorts():
+    """IL -> the default 20-run cohort (seed 0), as `simulate` rolls it out."""
+    out = {}
+    for il in (-0.8, 0.0, 0.9):
+        config = io.default_run_config(il)
+        scenario, timing = io.config_scenario(config)
+        out[il] = run_cohort(scenario, io.config_policies(config),
+                             dt=config["analysis"]["dt"], seed=0,
+                             delay_jitter=config["analysis"]["delay_jitter"], timing=timing)
+    return out
+
+
+@pytest.mark.parametrize("il", [-0.8, 0.0, 0.9])
+def test_drivable_timelines_match_per_anchor_areas(il, default_cohorts):
+    logs = default_cohorts[il]
+    timelines = drivable_timelines([(log, None) for log in logs], CFG, eval_step=0.1)
+    assert len(timelines) == len(logs)
+    n_anchors = 0
+    for log, tl in zip(logs, timelines):
+        for k, t_anchor in enumerate(tl.t):
+            area, mode = drivable_area_at(log, log.index_at(t_anchor), CFG, exists_only=True)
+            assert (tl.exists[k], tl.mode[k]) == (area.exists, mode)
+        n_anchors += len(tl.t)
+    assert n_anchors > 1000  # every anchor of the cohort at the default step
+
+
+def assert_same_area(got, want):
+    """Same existence, and per SV and POV layer the same fields, hulls and world cells."""
+    assert got.exists == want.exists
+    assert len(got.layers) == len(got.pov_layers) == len(want.layers) == len(want.pov_layers)
+    for a, b in zip(got.layers + got.pov_layers, want.layers + want.pov_layers, strict=True):
+        assert (a.tau, a.dx, a.dy, a.heading_sign, a.x_hull, a.y_hull) == (
+            b.tau, b.dx, b.dy, b.heading_sign, b.x_hull, b.y_hull)
+        # both masks are cropped, so equal origins and masks mean equal world cells
+        assert (a.ox, a.oy) == (b.ox, b.oy) and np.array_equal(a.mask, b.mask)
+
+
+@pytest.mark.parametrize("mode", ["normative", "kinematic-envelope"])
+def test_shared_track_areas_match_fresh_areas(mode, default_cohorts):
+    """SV passes against one POV track, shortest first, equal fresh areas layer by layer."""
+    logs = default_cohorts[0.0]
+    sc = logs[0].scenario
+    args = (CFG, sc.road, sc.sv_spec, sc.pov_spec)
+    depths = []
+    for t_anchor in (3.5, 4.5, 5.5):
+        # every run shares the POV state at one time; the SV states differ by policy
+        idx = [log.index_at(t_anchor) for log in logs]
+        pov = logs[0].pov_state(idx[0])
+        assert all(log.pov_state(i) == pov for log, i in zip(logs, idx))
+        svs = list(dict.fromkeys(log.sv_state(i) for log, i in zip(logs, idx)))
+        fresh = {sv: compute_drivable_area(sv, pov, *args, mode=mode, exists_only=True)
+                 for sv in svs}
+        track = reach._PovTrack(pov, mode, *args[1:], CFG)
+        for sv in sorted(svs, key=lambda s: len(fresh[s].layers)):
+            got = compute_drivable_area(sv, pov, *args, mode=mode, exists_only=True,
+                                        track=track)
+            assert_same_area(got, fresh[sv])
+            # the track is as deep as its deepest pass so far
+            assert len(track.layers) == len(got.layers)
+        depths.append(sorted({len(area.layers) for area in fresh.values()}))
+        # a full-horizon pass extends the same track to the horizon
+        full = compute_drivable_area(svs[0], pov, *args, mode=mode, track=track)
+        assert_same_area(full, compute_drivable_area(svs[0], pov, *args, mode=mode))
+        assert len(track.layers) == CFG.n_steps + 1
+    if mode == "kinematic-envelope":
+        # short-lived passes came first and longer ones extended the track
+        assert all(len(d) > 2 for d in depths)
+
+
+def test_track_rejects_another_pov_state():
+    road, spec = RoadSpec(), VehicleSpec()
+    track = reach._PovTrack(pov_state(), "normative", road, spec, spec, CFG)
+    with pytest.raises(ValueError, match="POV track"):
+        compute_drivable_area(sv_state(), pov_state(x=99.0), CFG, road, spec, spec,
+                              mode="normative", track=track)
+    with pytest.raises(ValueError, match="POV track"):
+        compute_drivable_area(sv_state(), pov_state(), CFG, road, spec, spec,
+                              mode="kinematic-envelope", track=track)
+
+
+def same_float(x, y):
+    """Bit-equal for finite floats: equal values and equal signs, so 0.0 != -0.0."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@st.composite
+def corner_cases(draw):
+    """(limits, heading, dt, p, v, a): four hull-corner lanes on and beyond every clamp."""
+    limits = draw(st.sampled_from([SV_LIMITS, POV_LIMITS, KinematicLimits(
+        **{name: draw(st.sampled_from([0.0, 1.5, 6.0, 30.0]))
+           for name in ("v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max",
+                        "a_lat_right_max", "j_fwd_max", "j_bwd_max", "j_lat_max",
+                        "v_lat_max")})]))
+    heading = draw(st.sampled_from([1, -1]))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1, 0.2]) | st.floats(1e-3, 1.0))
+    lims = [axis_limits(limits, heading, axis) for axis in ("x", "x", "y", "y")]
+
+    def value(edges):
+        beyond = [np.nextafter(e, s * np.inf) for e in edges for s in (-1, 1)]
+        return draw(st.sampled_from([0.0, -0.0] + edges + beyond)
+                    | st.floats(-60.0, 60.0, allow_nan=False))
+
+    p = [value([0.0]) for _ in lims]
+    v = [value([lim.v_lo, lim.v_hi]) for lim in lims]
+    a = [value([lim.a_lo, lim.a_hi, -lim.a_lo, -lim.a_hi]) for lim in lims]
+    return limits, heading, dt, p, v, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(corner_cases())
+def test_corner_step_bit_identical_to_scalar_steps(case):
+    """The four-lane step of ``propagate_step`` equals four scalar ``axis_step`` calls."""
+    limits, heading, dt, p, v, a = case
+    jerk, lanes = reach._corner_limits(limits, heading)
+    batched = [out.tolist() for out in axis_step(np.array(p), np.array(v), np.array(a),
+                                                 jerk, lanes, dt)]
+    for lane, (axis, side) in enumerate([("x", "lo"), ("x", "hi"), ("y", "lo"), ("y", "hi")]):
+        lim = axis_limits(limits, heading, axis)
+        j = lim.j_lo if side == "lo" else lim.j_hi
+        scalar = axis_step(p[lane], v[lane], a[lane], j, lim, dt)
+        for got, want in zip((out[lane] for out in batched), scalar, strict=True):
+            assert same_float(got, float(want)), (lane, got, want)
