@@ -24,7 +24,8 @@ class SampleCloud:
 
     states[i, k] holds (x, y, vx, vy, ax, ay) of trajectory i after k steps;
     the first four trajectories are the constant corner-jerk (bang-bang)
-    ones, the rest draw per-step jerks uniformly from the admissible box.
+    ones, the rest draw per-step jerks uniformly from the admissible box,
+    all from one random stream (see `sample_trajectories`).
     """
 
     t0: float
@@ -42,41 +43,37 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
                         n: int = 1000, seed: int = 0) -> SampleCloud:
     """n random jerk-sequence rollouts plus the four constant corner ones.
 
-    Each random trajectory draws its jerks from a seed-derived substream,
-    so results are reproducible for a given (seed, n) regardless of
-    evaluation order.
+    The random jerks come from one ``default_rng(seed)`` stream, drawn as a
+    single [n, n_steps, 2] uniform block over the per-axis jerk box, so
+    trajectory 4 + i takes the i-th contiguous block of the stream.  The
+    cloud is reproducible for a given (seed, n) and prefix-stable in n: the
+    rows for n = 100 equal the first rows for n = 1000.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     n_steps = int(round(horizon / dt))
     lim_x = axis_limits(limits, initial.heading_sign, "x")
     lim_y = axis_limits(limits, initial.heading_sign, "y")
+    j_lo = np.array([lim_x.j_lo, lim_y.j_lo])
+    j_hi = np.array([lim_x.j_hi, lim_y.j_hi])
 
-    corners = [(lim_x.j_lo, lim_y.j_lo), (lim_x.j_lo, lim_y.j_hi),
-               (lim_x.j_hi, lim_y.j_lo), (lim_x.j_hi, lim_y.j_hi)]
-    n_total = n + len(corners)
-    jerks = np.empty((n_total, n_steps, 2))
-    for i, (jx, jy) in enumerate(corners):
-        jerks[i, :, 0] = jx
-        jerks[i, :, 1] = jy
-    streams = np.random.SeedSequence(seed).spawn(n)
-    for i, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        jerks[len(corners) + i, :, 0] = rng.uniform(lim_x.j_lo, lim_x.j_hi, n_steps)
-        jerks[len(corners) + i, :, 1] = rng.uniform(lim_y.j_lo, lim_y.j_hi, n_steps)
+    jerks = np.empty((n + 4, n_steps, 2))
+    jerks[:4] = np.array([(lim_x.j_lo, lim_y.j_lo), (lim_x.j_lo, lim_y.j_hi),
+                          (lim_x.j_hi, lim_y.j_lo), (lim_x.j_hi, lim_y.j_hi)])[:, None]
+    # lo + (hi - lo) * u in place: the same numbers as rng.uniform(lo, hi).
+    rand = jerks[4:]
+    np.random.default_rng(seed).random(out=rand)
+    rand *= j_hi - j_lo
+    rand += j_lo
 
-    states = np.empty((n_total, n_steps + 1, 6))
-    x = np.full(n_total, initial.x)
-    y = np.full(n_total, initial.y)
-    vx = np.full(n_total, initial.vx)
-    vy = np.full(n_total, initial.vy)
-    ax = np.full(n_total, initial.ax)
-    ay = np.full(n_total, initial.ay)
-    states[:, 0] = np.stack([x, y, vx, vy, ax, ay], axis=1)
+    states = np.empty((n + 4, n_steps + 1, 6))
+    states[:, 0] = (initial.x, initial.y, initial.vx, initial.vy, initial.ax, initial.ay)
+    x, y, vx, vy, ax, ay = states[:, 0].T
     for k in range(n_steps):
         x, vx, ax = axis_step(x, vx, ax, jerks[:, k, 0], lim_x, dt)
         y, vy, ay = axis_step(y, vy, ay, jerks[:, k, 1], lim_y, dt)
-        states[:, k + 1] = np.stack([x, y, vx, vy, ax, ay], axis=1)
+        for c, col in enumerate((x, y, vx, vy, ax, ay)):
+            states[:, k + 1, c] = col
     return SampleCloud(t0=initial.t, dt=dt, states=states,
                        heading_sign=initial.heading_sign)
 
@@ -197,13 +194,14 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
         raise ValueError(f"clock mismatch: cloud dt {cloud.dt} vs tau_step {rset.tau_step}")
     if abs(cloud.t0 - rset.t) > 1e-9:
         raise ValueError(f"anchor mismatch: cloud t0 {cloud.t0} vs set t {rset.t}")
-    n_layers = min(cloud.n_steps + 1, len(rset.layers))
+    if cloud.n_steps + 1 != len(rset.layers):
+        raise ValueError(f"step mismatch: cloud has {cloud.n_steps} steps "
+                         f"vs {len(rset.layers) - 1} in the set")
 
     n_checked = 0
     n_bad = 0
     first: dict | None = None
-    for k in range(n_layers):
-        layer = rset.layers[k]
+    for k, layer in enumerate(rset.layers):
         s = cloud.states[:, k]
         n_checked += len(s)
         if layer.empty:

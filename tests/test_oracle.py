@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, VehicleState,
                           axis_limits, axis_step)
@@ -37,6 +40,47 @@ def test_sampling_deterministic_under_seed():
     assert np.array_equal(a.states, b.states)
     c = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=50, seed=4)
     assert not np.array_equal(a.states, c.states)
+
+
+def test_sampling_pinned_digest():
+    """A change to the random draw changes these bytes; ``oracle_report.json``
+    cannot show it while containment stays 1.0."""
+    s0 = state(vx=17.88, y=-1.825)
+    cloud = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=50, seed=3)
+    assert (hashlib.sha256(cloud.states.tobytes()).hexdigest()
+            == "269db39cd118b3397c86c7893d258f6f9be79c5759c603618834f31451867949")
+
+
+def test_sampling_prefix_stable_in_n():
+    s0 = state(vx=12.0, vy=0.5)
+    small = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=100, seed=9)
+    large = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=1000, seed=9)
+    assert np.array_equal(small.states, large.states[:104])
+
+
+def test_sampling_jerks_stay_in_own_axis_box():
+    """Implied per-step jerks lie inside, and span, each axis's own jerk box.
+
+    The x box [-1, 20] and the y box [-5, 5] do not contain each other, and
+    the acceleration caps never bind within 1 s, so jerks drawn from the
+    other axis's box would fall short of one end of each box.
+    """
+    limits = KinematicLimits(a_fwd_max=100.0, a_brk_max=100.0, a_lat_left_max=100.0,
+                             a_lat_right_max=100.0, j_fwd_max=20.0, j_bwd_max=1.0,
+                             j_lat_max=5.0)
+    for heading in (1, -1):
+        s0 = state(vx=10.0 * heading, heading_sign=heading)
+        dt = 0.1
+        cloud = sample_trajectories(s0, limits, horizon=1.0, dt=dt, n=200, seed=1)
+        acc = cloud.states[4:, :, 4:6]
+        jerk = (acc[:, 1:] - acc[:, :-1]) / dt
+        for axis, col in (("x", 0), ("y", 1)):
+            lim = axis_limits(limits, heading, axis)
+            j = jerk[:, :, col]
+            assert j.min() >= lim.j_lo - 1e-9 and j.max() <= lim.j_hi + 1e-9
+            span = lim.j_hi - lim.j_lo
+            assert j.min() <= lim.j_lo + 0.01 * span
+            assert j.max() >= lim.j_hi - 0.01 * span
 
 
 def test_sampling_zero_limits_coast():
@@ -165,6 +209,55 @@ def test_containment_rejects_misaligned_clock():
                                 n=10, seed=0)
     with pytest.raises(ValueError):
         containment_check(cloud, rset)
+
+
+def test_containment_rejects_step_count_mismatch():
+    """A cloud and a set of different horizons are an error, not a partial check."""
+    cfg = PredictionConfig(horizon=2.0)
+    s0 = state(vx=10.0)
+    rset = compute_reachable_set(s0, SV_LIMITS, cfg)
+    for horizon in (4.0, 1.0):
+        cloud = sample_trajectories(s0, SV_LIMITS, horizon=horizon,
+                                    dt=cfg.tau_step, n=10, seed=0)
+        with pytest.raises(ValueError, match="step mismatch"):
+            containment_check(cloud, rset)
+
+
+_CAP = st.just(0.0) | st.floats(0.0, 30.0)
+
+
+@st.composite
+def containment_cases(draw):
+    """(initial state, limits, config): random caps, heading and admissible start."""
+    limits = KinematicLimits(**{name: draw(_CAP) for name in (
+        "v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max", "a_lat_right_max",
+        "j_fwd_max", "j_bwd_max", "j_lat_max", "v_lat_max")})
+    heading = draw(st.sampled_from([1, -1]))
+    lim_x, lim_y = axis_limits(limits, heading, "x"), axis_limits(limits, heading, "y")
+
+    def inside(lo, hi):
+        return min(max(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), lo), hi)
+
+    s0 = state(x=draw(st.floats(-50.0, 50.0)), y=draw(st.floats(-5.0, 5.0)),
+               vx=inside(lim_x.v_lo, lim_x.v_hi), vy=inside(lim_y.v_lo, lim_y.v_hi),
+               ax=inside(lim_x.a_lo, lim_x.a_hi), ay=inside(lim_y.a_lo, lim_y.a_hi),
+               heading_sign=heading)
+    cfg = PredictionConfig(tau_step=draw(st.sampled_from([0.05, 0.1])),
+                           grid_dx=draw(st.sampled_from([0.25, 0.5])),
+                           grid_dy=draw(st.sampled_from([0.25, 0.5])),
+                           horizon=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
+    return s0, limits, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(containment_cases(), st.integers(0, 2**32 - 1))
+def test_containment_exact_under_random_limits(case, seed):
+    s0, limits, cfg = case
+    rset = compute_reachable_set(s0, limits, cfg)
+    cloud = sample_trajectories(s0, limits, horizon=cfg.horizon, dt=cfg.tau_step,
+                                n=200, seed=seed)
+    report = containment_check(cloud, rset)
+    assert report.fraction == 1.0, report.first_violation
 
 
 def test_analytic_corners_near_layer_hull():
