@@ -134,9 +134,9 @@ def _cmd_simulate(args, config: dict, out: Path) -> int:
     logs = run_cohort(scenario, cohort, dt=dt, seed=int(config.get("seed", 0)),
                       delay_jitter=float(config["analysis"].get("delay_jitter", 0.0)),
                       timing=timing)
+    io.save_trajectory_logs(logs, [out / f"run_{i:03d}.csv" for i in range(len(logs))])
     rows = []
     for i, log in enumerate(logs):
-        io.save_trajectory_log(log, out / f"run_{i:03d}.csv")
         outcome = classify_outcome(log)
         rows.append([i, log.policy.kind, outcome.kind, int(outcome.sideswipe),
                      outcome.t_p, outcome.lateral_clearance])

@@ -5,12 +5,26 @@ and one row per sample; a JSON sidecar (<path>.meta.json) carries the
 scenario, the trigger time, and rollout flags.  Floats are written with
 shortest round-trip formatting, so save/load is lossless and byte-stable
 for identical inputs.
+
+A log body is parsed by one bulk ``np.loadtxt`` call, which converts each
+cell exactly as ``float()`` does.  Only when that call fails, or its shape
+shows a blank or missing row, does the row-by-row loop run: it names the
+bad row, or loads what ``float()`` accepts and ``loadtxt`` does not (such
+as ``1_0``).  A header that names a column twice is rejected.
+
+A cohort is written by one writer, ``save_trajectory_logs``.  Its members
+share one time grid and one POV track, so the ``t`` and ``pov_*`` columns
+are formatted once, from the longest member, and a member reuses that text
+only where its own columns are bit-identical prefixes of it (``-0.0``
+stays apart from ``0.0``).  Every file is byte-identical to a write of its
+log alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +45,12 @@ class ParseError(ValueError):
         super().__init__(message if row is None else f"row {row}: {message}")
 
 
-_REQUIRED_COLS = ("t", "sv_x", "sv_y", "sv_vx", "sv_vy",
-                  "pov_x", "pov_y", "pov_vx", "pov_vy",
-                  "accel_pct", "brake_pct", "steer_deg")
+_STATE_KEYS = ("x", "y", "vx", "vy", "ax", "ay")
+_CONTROL_COLS = ("accel_pct", "brake_pct", "steer_deg")
+_ALL_COLS = ("t", *(f"sv_{k}" for k in _STATE_KEYS), *(f"pov_{k}" for k in _STATE_KEYS),
+             *_CONTROL_COLS)
 _OPTIONAL_COLS = ("sv_ax", "sv_ay", "pov_ax", "pov_ay")
-_ALL_COLS = ("t", "sv_x", "sv_y", "sv_vx", "sv_vy", "sv_ax", "sv_ay",
-             "pov_x", "pov_y", "pov_vx", "pov_vy", "pov_ax", "pov_ay",
-             "accel_pct", "brake_pct", "steer_deg")
+_REQUIRED_COLS = tuple(c for c in _ALL_COLS if c not in _OPTIONAL_COLS)
 _UNITS = {"t": "s", "x": "m", "y": "m", "vx": "m/s", "vy": "m/s",
           "ax": "m/s2", "ay": "m/s2", "accel_pct": "%", "brake_pct": "%",
           "steer_deg": "deg"}
@@ -53,26 +66,76 @@ def _unit_of(col: str) -> str:
     return _UNITS.get(key, _UNITS.get(col, "-"))
 
 
-def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:
-    path = Path(path)
-    lines = [",".join(_ALL_COLS), ",".join(_unit_of(c) for c in _ALL_COLS)]
-    cols = []
-    for c in _ALL_COLS:
-        if c == "t":
-            cols.append(log.t)
-        elif c.startswith("sv_"):
-            cols.append(log.sv[c[3:]])
-        elif c.startswith("pov_"):
-            cols.append(log.pov[c[4:]])
-        else:
-            cols.append(log.controls[c])
-    # _fmt applied column-wise (repr of Python floats), in blocks of rows so
-    # only one block's float objects are alive at a time.
-    for a in range(0, len(log), _SAVE_BLOCK_ROWS):
-        block = (np.asarray(col[a:a + _SAVE_BLOCK_ROWS], dtype=float).tolist() for col in cols)
-        lines.extend(map(",".join, zip(*(map(repr, b) for b in block))))
-    path.write_text("\n".join(lines) + "\n")
+_LOG_HEAD = [",".join(_ALL_COLS), ",".join(_unit_of(c) for c in _ALL_COLS)]
 
+
+def _texts(col, a: int, b: int):
+    """Shortest round-trip text of rows a:b of one column (repr of Python floats)."""
+    return map(repr, np.asarray(col[a:b], dtype=float).tolist())
+
+
+def _row_texts(cols: list, n: int) -> list[str]:
+    """The first n rows of ``cols``, each row's values comma-joined.
+
+    Formatted in blocks of rows, so only one block's float objects are
+    alive at a time.
+    """
+    rows = []
+    for a in range(0, n, _SAVE_BLOCK_ROWS):
+        b = min(a + _SAVE_BLOCK_ROWS, n)
+        rows.extend(map(",".join, zip(*(_texts(c, a, b) for c in cols))))
+    return rows
+
+
+def _is_bit_prefix(col, ref) -> bool:
+    """Whether ``col`` equals the start of the longer ``ref`` bit for bit."""
+    col = np.asarray(col, dtype=float)
+    ref = np.asarray(ref, dtype=float)[:len(col)]
+    return bool((col.view(np.int64) == ref.view(np.int64)).all())
+
+
+def _shared_groups(log: TrajectoryLog) -> tuple[list, list]:
+    """The column groups a cohort shares: the time grid and the POV track."""
+    return [log.t], [log.pov[k] for k in _STATE_KEYS]
+
+
+def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> None:
+    """Write each log to its path, formatting the shared columns once.
+
+    The ``t`` and ``pov_*`` text comes from the longest log; a log whose
+    group of columns is not a bit-identical prefix of it formats that
+    group itself.
+    """
+    if len(logs) != len(paths):
+        raise ValueError(f"{len(logs)} logs for {len(paths)} paths")
+    if not logs:
+        return
+    longest = max(logs, key=len)
+    shared = [(cols, _row_texts(cols, len(longest))) for cols in _shared_groups(longest)]
+    for log, path in zip(logs, paths):
+        n = len(log)
+        t_rows, pov_rows = (
+            rows if all(map(_is_bit_prefix, cols, ref)) else _row_texts(cols, n)
+            for (ref, rows), cols in zip(shared, _shared_groups(log)))
+        sv = [log.sv[k] for k in _STATE_KEYS]
+        controls = [log.controls[k] for k in _CONTROL_COLS]
+        lines = list(_LOG_HEAD)
+        for a in range(0, n, _SAVE_BLOCK_ROWS):
+            b = min(a + _SAVE_BLOCK_ROWS, n)
+            lines.extend(map(",".join, zip(t_rows[a:b], *(_texts(c, a, b) for c in sv),
+                                           pov_rows[a:b],
+                                           *(_texts(c, a, b) for c in controls))))
+        path = Path(path)
+        path.write_text("\n".join(lines) + "\n")
+        _save_sidecar(log, path)
+
+
+def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:
+    """Write one log; the one-log case of `save_trajectory_logs`."""
+    save_trajectory_logs([log], [path])
+
+
+def _save_sidecar(log: TrajectoryLog, path: Path) -> None:
     meta = {
         "dt": log.dt,
         "t_trigger": log.timing.t_trigger,
@@ -88,6 +151,36 @@ def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:
 
 def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
+
+
+def _parse_body(rows: list[str], header: list[str]) -> np.ndarray:
+    """The samples of a log body, shape (len(rows), len(header)).
+
+    ``loadtxt`` skips blank lines, so its result counts only when the shape
+    is right.  Otherwise, or when it fails, the row loop raises the error
+    of the first bad row or converts what only ``float()`` accepts.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An all-blank body is the row loop's error, not a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            body = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if body.shape == (len(rows), len(header)):
+            return body
+    body = np.empty((len(rows), len(header)))
+    for r, line in enumerate(rows):
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(parts)}", row=r + 3)
+        for i, (c, v) in enumerate(zip(header, parts)):
+            try:
+                body[r, i] = float(v)
+            except ValueError as exc:
+                raise ParseError(f"bad value in column {c!r}: {v!r}", row=r + 3) from exc
+    return body
 
 
 def load_trajectory_log(path: str | Path) -> TrajectoryLog:
@@ -110,21 +203,16 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
     for col in _REQUIRED_COLS:
         if col not in header:
             raise ParseError(f"missing required column {col!r}")
-    idx = {c: header.index(c) for c in header}
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise ParseError(f"duplicate column {col!r}")
 
+    # Each column is a row of one transposed contiguous copy.
+    data = dict(zip(header, np.ascontiguousarray(_parse_body(lines[2:], header).T)))
     n = len(lines) - 2
-    data = {c: np.full(n, np.nan) for c in set(header) | set(_OPTIONAL_COLS)}
-    for r, line in enumerate(lines[2:]):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(parts)}", row=r + 3)
-        for c, i in idx.items():
-            try:
-                data[c][r] = float(parts[i])
-            except ValueError as exc:
-                raise ParseError(f"bad value in column {c!r}: {parts[i]!r}",
-                                 row=r + 3) from exc
-    for c in idx:
+    for c in _OPTIONAL_COLS:
+        data.setdefault(c, np.full(n, np.nan))
+    for c in header:
         bad = np.flatnonzero(~np.isfinite(data[c]))
         if len(bad):
             raise ParseError(f"non-finite value in column {c!r}: {float(data[c][bad[0]])}",
@@ -146,9 +234,9 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
 
     return TrajectoryLog(
         dt=dt, t=t,
-        sv={k: data[f"sv_{k}"] for k in ("x", "y", "vx", "vy", "ax", "ay")},
-        pov={k: data[f"pov_{k}"] for k in ("x", "y", "vx", "vy", "ax", "ay")},
-        controls={k: data[k] for k in ("accel_pct", "brake_pct", "steer_deg")},
+        sv={k: data[f"sv_{k}"] for k in _STATE_KEYS},
+        pov={k: data[f"pov_{k}"] for k in _STATE_KEYS},
+        controls={k: data[k] for k in _CONTROL_COLS},
         scenario=scenario, timing=timing,
         policy=policy,
         collided=bool(meta.get("collided", False)),

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import re
+import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_log
 from odlisim import io
-from odlisim.engine import rollout
+from odlisim.engine import rollout, run_cohort
 from odlisim.policies import POLICY_KINDS, PolicySpec
 from odlisim.reach import PredictionConfig, Prevalence, compute_drivable_area
 from odlisim.responses import AnalysisWindow, build_sequence_graph, sv_longitudinal_accel
@@ -148,6 +151,233 @@ def test_log_bad_sidecar_error(tmp_path, corrupt):
     sidecar.write_text(corrupt(json.loads(sidecar.read_text())))
     with pytest.raises(io.ParseError, match=re.escape(str(sidecar))):
         io.load_trajectory_log(path)
+
+
+KEYS = ("x", "y", "vx", "vy", "ax", "ay")
+CONTROLS = ("accel_pct", "brake_pct", "steer_deg")
+COLUMNS = ("t", *(f"sv_{k}" for k in KEYS), *(f"pov_{k}" for k in KEYS), *CONTROLS)
+REQUIRED = ("t", "sv_x", "sv_y", "sv_vx", "sv_vy", "pov_x", "pov_y", "pov_vx", "pov_vy",
+            "accel_pct", "brake_pct", "steer_deg")
+OPTIONAL = ("sv_ax", "sv_ay", "pov_ax", "pov_ay")
+UNITS_ROW = "s,m,m,m/s,m/s,m/s2,m/s2,m,m,m/s,m/s,m/s2,m/s2,%,%,deg"
+
+
+def log_columns(log):
+    return ([log.t] + [log.sv[k] for k in KEYS] + [log.pov[k] for k in KEYS]
+            + [log.controls[k] for k in CONTROLS])
+
+
+def ref_log_text(log):
+    """Text of one log in the per-log formatter the cohort writer must reproduce."""
+    cols = log_columns(log)
+    lines = [",".join(COLUMNS), UNITS_ROW]
+    for a in range(0, len(log), 256):
+        block = (np.asarray(col[a:a + 256], dtype=float).tolist() for col in cols)
+        lines.extend(map(",".join, zip(*(map(repr, b) for b in block))))
+    return "\n".join(lines) + "\n"
+
+
+def ref_load_columns(path, dt):
+    """Row-by-row parse and checks of a log body: the reference for the bulk parse."""
+    lines = Path(path).read_text().splitlines()
+    if len(lines) < 3:
+        raise io.ParseError("log file needs a header, a units row, and data")
+    header = lines[0].split(",")
+    for col in REQUIRED:
+        if col not in header:
+            raise io.ParseError(f"missing required column {col!r}")
+    idx = {c: header.index(c) for c in header}
+    n = len(lines) - 2
+    data = {c: np.full(n, np.nan) for c in set(header) | set(OPTIONAL)}
+    for r, line in enumerate(lines[2:]):
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise io.ParseError(f"expected {len(header)} fields, got {len(parts)}", row=r + 3)
+        for c, i in idx.items():
+            try:
+                data[c][r] = float(parts[i])
+            except ValueError as exc:
+                raise io.ParseError(f"bad value in column {c!r}: {parts[i]!r}",
+                                    row=r + 3) from exc
+    for c in idx:
+        bad = np.flatnonzero(~np.isfinite(data[c]))
+        if len(bad):
+            raise io.ParseError(f"non-finite value in column {c!r}: {float(data[c][bad[0]])}",
+                                row=int(bad[0]) + 3)
+    for c in ("accel_pct", "brake_pct"):
+        bad = np.flatnonzero((data[c] < 0.0) | (data[c] > 100.0))
+        if len(bad):
+            raise io.ParseError(f"value in column {c!r} outside [0, 100]: "
+                                f"{float(data[c][bad[0]])}", row=int(bad[0]) + 3)
+    steps = np.diff(data["t"])
+    bad = np.nonzero(steps <= 0)[0]
+    if len(bad):
+        raise io.ParseError("non-monotone timestamps", row=int(bad[0]) + 3)
+    off = np.nonzero(~np.isclose(steps, dt, rtol=0, atol=1e-9))[0]
+    if len(off):
+        raise io.ParseError(f"sample spacing differs from dt={dt}", row=int(off[0]) + 3)
+    return data
+
+
+def parse_result(load, path):
+    """Loaded columns as raw bytes, or the ParseError's message and row."""
+    try:
+        cols = load(path)
+    except io.ParseError as err:
+        return str(err), err.row
+    return {c: np.asarray(v, dtype=float).tobytes() for c, v in cols.items()}
+
+
+def with_cell(column, value, line=6):
+    def edit(lines):
+        parts = lines[line].split(",")
+        parts[COLUMNS.index(column)] = value
+        return "\n".join(lines[:line] + [",".join(parts)] + lines[line + 1:]) + "\n"
+    return edit
+
+
+PARITY_EDITS = {
+    "unchanged": lambda lines: "\n".join(lines) + "\n",
+    "blank-line-mid-body": lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n",
+    "whitespace-only-row": lambda lines: "\n".join(lines[:10] + ["  \t"] + lines[10:]) + "\n",
+    "trailing-empty-line": lambda lines: "\n".join(lines) + "\n\n",
+    "hash-in-cell": with_cell("sv_y", "-1.825#2"),
+    "short-row": lambda lines: "\n".join(
+        lines[:8] + [lines[8].rsplit(",", 1)[0]] + lines[9:]) + "\n",
+    "long-row": lambda lines: "\n".join(lines[:8] + [lines[8] + ",0.0"] + lines[9:]) + "\n",
+    "every-row-long": lambda lines: "\n".join(
+        lines[:2] + [line + ",0.0" for line in lines[2:]]) + "\n",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "underscore-digits": with_cell("steer_deg", "1_0"),
+    "full-width-digits": with_cell("steer_deg", "１２"),
+    "non-finite": with_cell("pov_vy", "-inf"),
+    "pedal-out-of-range": with_cell("brake_pct", "250.0"),
+}
+
+
+@pytest.mark.parametrize("edit", PARITY_EDITS.values(), ids=PARITY_EDITS.keys())
+def test_log_parse_matches_row_loop(tmp_path, edit):
+    log = make_log(duration=0.5)
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(log, path)
+    path.write_bytes(edit(path.read_text().splitlines()).encode())
+
+    def load(p):
+        loaded = io.load_trajectory_log(p)
+        return dict(zip(COLUMNS, log_columns(loaded)))
+
+    expected = parse_result(lambda p: ref_load_columns(p, log.dt), path)
+    if isinstance(expected, dict):
+        expected = {c: expected[c] for c in COLUMNS}
+    assert parse_result(load, path) == expected
+
+
+def test_log_duplicate_column_error(tmp_path):
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(make_log(duration=0.5), path)
+    lines = path.read_text().splitlines()
+    extra = ["sv_x", "m"] + ["999.0"] * (len(lines) - 2)
+    path.write_text("\n".join(f"{line},{v}" for line, v in zip(lines, extra)) + "\n")
+    with pytest.raises(io.ParseError, match=re.escape("duplicate column 'sv_x'")) as err:
+        io.load_trajectory_log(path)
+    assert err.value.row is None
+
+
+def float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+finite_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     sys.float_info.min, sys.float_info.max, -sys.float_info.max]),
+    st.integers(0, 2 ** 64 - 1).map(float_of_bits).filter(np.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(finite_floats, min_size=11 * 13, max_size=11 * 13))
+def test_log_parse_bit_identical_property(values):
+    # Every column but t and the pedals takes arbitrary finite values.
+    free = iter(np.array(values).reshape(13, 11))
+    log = make_log(duration=0.1, sv={k: next(free) for k in KEYS},
+                   pov={k: next(free) for k in KEYS}, controls={"steer_deg": next(free)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        io.save_trajectory_log(log, path)   # for the sidecar
+        path.write_text(ref_log_text(log))
+        loaded = io.load_trajectory_log(path)
+    for got, want in zip(log_columns(loaded), log_columns(log)):
+        assert got.tobytes() == want.tobytes()
+
+
+def cohort_logs():
+    """Default-scenario cohort whose members end at different samples."""
+    policies = [PolicySpec(kind="no-response"),
+                PolicySpec(kind="brake-only", reaction_delay=1.6, brake_level="hard"),
+                PolicySpec(kind="steer-shoulder-only", reaction_delay=1.2, steer_target=10.0)]
+    return run_cohort(make_scenario(0.0), [(p, 1) for p in policies])
+
+
+def with_pov(log, key, row, value):
+    pov = dict(log.pov)
+    pov[key] = log.pov[key].copy()
+    pov[key][row] = value
+    return dataclasses.replace(log, pov=pov)
+
+
+def one_ulp_up(log, row=40):
+    return with_pov(log, "y", row, np.nextafter(log.pov["y"][row], np.inf))
+
+
+def negative_zero(log, row=40):
+    assert log.pov["ax"][row] == 0.0
+    return with_pov(log, "ax", row, -0.0)
+
+
+def shifted_time(log, row=40):
+    t = log.t.copy()
+    t[row] = np.nextafter(t[row], -np.inf)
+    return dataclasses.replace(log, t=t)
+
+
+def edit_longest(edit):
+    def cohort(logs):
+        i = max(range(len(logs)), key=lambda k: len(logs[k]))
+        return logs[:i] + [edit(logs[i])] + logs[i + 1:]
+    return cohort
+
+
+COHORTS = {
+    "unequal-lengths": lambda logs: logs,
+    "one-member": lambda logs: logs[:1],
+    "pov-one-ulp-in-a-member": lambda logs: [logs[0], one_ulp_up(logs[1]), logs[2]],
+    "pov-one-ulp-in-the-longest": edit_longest(one_ulp_up),
+    "negative-zero-in-a-member": lambda logs: [logs[0], negative_zero(logs[1]), logs[2]],
+    "negative-zero-in-the-longest": edit_longest(negative_zero),
+    "time-one-ulp-in-a-member": lambda logs: [logs[0], shifted_time(logs[1]), logs[2]],
+}
+
+
+@pytest.mark.parametrize("make", COHORTS.values(), ids=COHORTS.keys())
+def test_cohort_writer_matches_per_log_text(tmp_path, make):
+    logs = make(cohort_logs())
+    if len(logs) > 1:
+        assert len({len(log) for log in logs}) > 1
+    paths = [tmp_path / f"run_{i:03d}.csv" for i in range(len(logs))]
+    io.save_trajectory_logs(logs, paths)
+    for log, path in zip(logs, paths):
+        assert path.read_text() == ref_log_text(log)
+        alone = tmp_path / "alone.csv"
+        io.save_trajectory_log(log, alone)
+        assert alone.read_bytes() == path.read_bytes()
+        assert io.sidecar_path(alone).read_bytes() == io.sidecar_path(path).read_bytes()
+
+
+def test_cohort_writer_needs_one_path_per_log(tmp_path):
+    with pytest.raises(ValueError, match="2 logs for 1 paths"):
+        io.save_trajectory_logs(cohort_logs()[:2], [tmp_path / "run.csv"])
+    io.save_trajectory_logs([], [])
+    assert not any(tmp_path.iterdir())
 
 
 def test_default_config_roundtrip(tmp_path):
