@@ -18,6 +18,11 @@ from .core import AxisLimits, KinematicLimits, VehicleState, axis_limits, axis_s
 from .reach import ReachableSet
 
 
+# Trajectories per chunk of the random draw: one chunk of a 40-step draw
+# is 160 KiB, and larger chunks run no faster.
+_DRAW_BLOCK = 256
+
+
 @dataclass
 class SampleCloud:
     """Per-step state clouds of jerk-sampled trajectories.
@@ -26,6 +31,12 @@ class SampleCloud:
     the first four trajectories are the constant corner-jerk (bang-bang)
     ones, the rest draw per-step jerks uniformly from the admissible box,
     all from one random stream (see `sample_trajectories`).
+
+    `sample_trajectories` stores the cloud step-major, as
+    ``steps[n_steps + 1, 6, n_traj]`` with one contiguous row per step and
+    channel, and ``states`` is its ``transpose(2, 0, 1)`` view: the same
+    shape, values and ``tobytes()`` as a trajectory-major array, while the
+    rollout and `containment_check` read and write contiguous rows.
     """
 
     t0: float
@@ -38,43 +49,67 @@ class SampleCloud:
         return self.states.shape[1] - 1
 
 
+def _draw_jerks(rng: np.random.Generator, j_lo: np.ndarray, j_hi: np.ndarray,
+                out: np.ndarray) -> None:
+    """Fill the step-major ``out[n_steps, 2, n]`` with uniform jerks from ``rng``.
+
+    Trajectory i takes the i-th contiguous ``[n_steps, 2]`` stretch of the
+    stream, as in one ``rng.random((n, n_steps, 2))`` block: the generator
+    hands out one double per number in order, so drawing that block in
+    chunks of `_DRAW_BLOCK` trajectories yields the same numbers.  Each
+    chunk is scaled as ``lo + (hi - lo) * u`` and transposed into ``out``,
+    so no second full-size copy of the jerks is ever held.
+    """
+    n_steps, _, n = out.shape
+    span = j_hi - j_lo
+    buf = np.empty((min(n, _DRAW_BLOCK), n_steps, 2))
+    for start in range(0, n, _DRAW_BLOCK):
+        chunk = buf[:min(_DRAW_BLOCK, n - start)]
+        rng.random(out=chunk)
+        chunk *= span
+        chunk += j_lo
+        out[:, :, start:start + len(chunk)] = chunk.transpose(1, 2, 0)
+
+
 def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
                         horizon: float = 4.0, dt: float = 0.1,
                         n: int = 1000, seed: int = 0) -> SampleCloud:
     """n random jerk-sequence rollouts plus the four constant corner ones.
 
-    The random jerks come from one ``default_rng(seed)`` stream, drawn as a
-    single [n, n_steps, 2] uniform block over the per-axis jerk box, so
-    trajectory 4 + i takes the i-th contiguous block of the stream.  The
-    cloud is reproducible for a given (seed, n) and prefix-stable in n: the
-    rows for n = 100 equal the first rows for n = 1000.
+    The random jerks come from one ``default_rng(seed)`` stream, with the
+    numbers of a single [n, n_steps, 2] uniform block over the per-axis
+    jerk box, so trajectory 4 + i takes the i-th contiguous stretch of the
+    stream.  The cloud is reproducible for a given (seed, n) and
+    prefix-stable in n: the rows for n = 100 equal the first rows for
+    n = 1000.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
     n_steps = int(round(horizon / dt))
     lim_x = axis_limits(limits, initial.heading_sign, "x")
     lim_y = axis_limits(limits, initial.heading_sign, "y")
-    j_lo = np.array([lim_x.j_lo, lim_y.j_lo])
-    j_hi = np.array([lim_x.j_hi, lim_y.j_hi])
 
-    jerks = np.empty((n + 4, n_steps, 2))
-    jerks[:4] = np.array([(lim_x.j_lo, lim_y.j_lo), (lim_x.j_lo, lim_y.j_hi),
-                          (lim_x.j_hi, lim_y.j_lo), (lim_x.j_hi, lim_y.j_hi)])[:, None]
-    # lo + (hi - lo) * u in place: the same numbers as rng.uniform(lo, hi).
-    rand = jerks[4:]
-    np.random.default_rng(seed).random(out=rand)
-    rand *= j_hi - j_lo
-    rand += j_lo
+    # States and jerks are step-major, (steps, channel, trajectory), so
+    # every per-step column is one contiguous row.
+    steps = np.empty((n_steps + 1, 6, n + 4))
+    jerks = np.empty((n_steps, 2, n + 4))
+    jerks[:, 0, :4] = (lim_x.j_lo, lim_x.j_lo, lim_x.j_hi, lim_x.j_hi)
+    jerks[:, 1, :4] = (lim_y.j_lo, lim_y.j_hi, lim_y.j_lo, lim_y.j_hi)
+    _draw_jerks(np.random.default_rng(seed), np.array([lim_x.j_lo, lim_y.j_lo]),
+                np.array([lim_x.j_hi, lim_y.j_hi]), jerks[:, :, 4:])
 
-    states = np.empty((n + 4, n_steps + 1, 6))
-    states[:, 0] = (initial.x, initial.y, initial.vx, initial.vy, initial.ax, initial.ay)
-    x, y, vx, vy, ax, ay = states[:, 0].T
+    steps[0] = np.array([initial.x, initial.y, initial.vx, initial.vy,
+                         initial.ax, initial.ay])[:, None]
     for k in range(n_steps):
-        x, vx, ax = axis_step(x, vx, ax, jerks[:, k, 0], lim_x, dt)
-        y, vy, ay = axis_step(y, vy, ay, jerks[:, k, 1], lim_y, dt)
-        for c, col in enumerate((x, y, vx, vy, ax, ay)):
-            states[:, k + 1, c] = col
-    return SampleCloud(t0=initial.t, dt=dt, states=states,
+        x, y, vx, vy, ax, ay = steps[k]
+        nxt = steps[k + 1]
+        nxt[0], nxt[2], nxt[4] = axis_step(x, vx, ax, jerks[k, 0], lim_x, dt)
+        nxt[1], nxt[3], nxt[5] = axis_step(y, vy, ay, jerks[k, 1], lim_y, dt)
+    return SampleCloud(t0=initial.t, dt=dt, states=steps.transpose(2, 0, 1),
                        heading_sign=initial.heading_sign)
 
 
@@ -198,37 +233,48 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
         raise ValueError(f"step mismatch: cloud has {cloud.n_steps} steps "
                          f"vs {len(rset.layers) - 1} in the set")
 
+    # Step-major (steps, channel, trajectory): contiguous rows for a cloud
+    # from `sample_trajectories`, a strided view of any other cloud.
+    steps = cloud.states.transpose(1, 2, 0)
+    n = steps.shape[2]
+    tmp = np.empty(n, dtype=bool)
     n_checked = 0
     n_bad = 0
     first: dict | None = None
     for k, layer in enumerate(rset.layers):
-        s = cloud.states[:, k]
-        n_checked += len(s)
+        s = steps[k]
+        n_checked += n
         if layer.empty:
-            n_bad += len(s)
+            n_bad += n
             if first is None:
                 first = {"step": k, "trajectory": 0, "reason": "empty layer"}
             continue
-        ii = np.floor(s[:, 0] / layer.dx).astype(int) - layer.ox
-        jj = np.floor(s[:, 1] / layer.dy).astype(int) - layer.oy
         nx, ny = layer.mask.shape
-        in_box = (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
-        occupied = np.zeros(len(s), dtype=bool)
-        occupied[in_box] = layer.mask[ii[in_box], jj[in_box]]
+        ii = np.floor(s[0] / layer.dx).astype(np.int64) - layer.ox
+        jj = np.floor(s[1] / layer.dy).astype(np.int64) - layer.oy
+        # A negative index reads as a huge unsigned one, so one compare per
+        # axis finds the box; indices outside it are masked, not wrapped.
+        in_box = ii.view(np.uint64) < nx
+        in_box &= jj.view(np.uint64) < ny
+        ii *= ny
+        ii += jj
+        ii *= in_box
+        occupied = layer.mask.ravel()[ii]
+        occupied &= in_box
 
         xh, yh = layer.x_hull, layer.y_hull
-        ok = (occupied
-              & (s[:, 2] >= xh.v_lo) & (s[:, 2] <= xh.v_hi)
-              & (s[:, 3] >= yh.v_lo) & (s[:, 3] <= yh.v_hi)
-              & (s[:, 4] >= xh.a_lo) & (s[:, 4] <= xh.a_hi)
-              & (s[:, 5] >= yh.a_lo) & (s[:, 5] <= yh.a_hi))
-        bad = np.nonzero(~ok)[0]
-        n_bad += len(bad)
-        if len(bad) and first is None:
-            i = int(bad[0])
+        ok = occupied.copy()
+        for c, lo, hi in ((2, xh.v_lo, xh.v_hi), (3, yh.v_lo, yh.v_hi),
+                          (4, xh.a_lo, xh.a_hi), (5, yh.a_lo, yh.a_hi)):
+            ok &= np.greater_equal(s[c], lo, out=tmp)
+            ok &= np.less_equal(s[c], hi, out=tmp)
+        n_bad_k = n - int(np.count_nonzero(ok))
+        n_bad += n_bad_k
+        if n_bad_k and first is None:
+            i = int(np.argmin(ok))  # the first False
             reason = "cell unoccupied" if not occupied[i] else "outside hull intervals"
             first = {"step": k, "trajectory": i, "reason": reason,
-                     "state": [float(v) for v in s[i]]}
+                     "state": [float(v) for v in s[:, i]]}
     return ContainmentReport(fraction=1.0 - n_bad / max(n_checked, 1),
                              n_checked=n_checked, n_violations=n_bad,
                              first_violation=first)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import odlisim
 from odlisim import io
 from odlisim.cli import main
 from odlisim.engine import classify_outcome
@@ -204,3 +209,17 @@ def test_window_reaction_floor_governs_every_window(tmp_path):
         tmp_path / "expected.csv")
     assert ((out / "sequence_graph.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
+
+
+def test_import_loads_no_test_or_scipy_modules():
+    """numpy is the only declared dependency; importing the package and its
+    CLI in a fresh interpreter must not load scipy or the test tooling."""
+    src = str(Path(odlisim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, odlisim, odlisim.cli; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'hypothesis', 'pytest'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

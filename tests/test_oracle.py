@@ -1,4 +1,7 @@
 import hashlib
+import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, VehicleState,
                           axis_limits, axis_step)
-from odlisim.oracle import analytic_1d_bounds, containment_check, sample_trajectories
+from odlisim.oracle import (_DRAW_BLOCK, SampleCloud, analytic_1d_bounds,
+                            containment_check, sample_trajectories)
 from odlisim.reach import PredictionConfig, compute_reachable_set
 
 
@@ -56,6 +60,76 @@ def test_sampling_prefix_stable_in_n():
     small = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=100, seed=9)
     large = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=1000, seed=9)
     assert np.array_equal(small.states, large.states[:104])
+
+
+def reference_states(s0, limits, horizon, dt, n, seed):
+    """Trajectory-major cloud from one ``[n, n_steps, 2]`` draw, row by row."""
+    n_steps = int(round(horizon / dt))
+    lim_x = axis_limits(limits, s0.heading_sign, "x")
+    lim_y = axis_limits(limits, s0.heading_sign, "y")
+    lo = np.array([lim_x.j_lo, lim_y.j_lo])
+    hi = np.array([lim_x.j_hi, lim_y.j_hi])
+    u = np.random.default_rng(seed).random((n, n_steps, 2))
+    corners = np.array([(lo[0], lo[1]), (lo[0], hi[1]), (hi[0], lo[1]), (hi[0], hi[1])])
+    jerks = np.concatenate([np.broadcast_to(corners[:, None], (4, n_steps, 2)),
+                            lo + (hi - lo) * u])
+    states = np.empty((n + 4, n_steps + 1, 6))
+    for i, row in enumerate(jerks):
+        x, y, vx, vy, ax, ay = s0.x, s0.y, s0.vx, s0.vy, s0.ax, s0.ay
+        states[i, 0] = (x, y, vx, vy, ax, ay)
+        for k in range(n_steps):
+            x, vx, ax = axis_step(x, vx, ax, row[k, 0], lim_x, dt)
+            y, vy, ay = axis_step(y, vy, ay, row[k, 1], lim_y, dt)
+            states[i, k + 1] = (x, y, vx, vy, ax, ay)
+    return states
+
+
+def test_sampling_chunked_draw_matches_one_block():
+    """Chunks of the draw end mid-cloud; the numbers are those of one block."""
+    s0 = state(vx=15.0, ax=-1.0, vy=0.3, ay=0.2)
+    n = 2 * _DRAW_BLOCK + 37
+    cloud = sample_trajectories(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=21)
+    ref = reference_states(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=21)
+    assert np.array_equal(cloud.states, ref)
+
+
+def test_sampling_prefix_stable_across_draw_block():
+    s0 = state(vx=12.0, vy=-0.5)
+    small = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1,
+                                n=_DRAW_BLOCK - 1, seed=5)
+    large = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1,
+                                n=_DRAW_BLOCK + 1, seed=5)
+    assert np.array_equal(small.states, large.states[:_DRAW_BLOCK + 3])
+
+
+def test_sampling_memory_bound():
+    """Peak memory is the cloud, one jerk buffer and less than 1 MiB more.
+
+    A second full-size copy of the jerks (6.4 MB here) would break it.
+    """
+    s0 = state(vx=17.88, y=-1.825)
+    n, horizon, dt = 10_000, 4.0, 0.1
+    n_steps = int(round(horizon / dt))
+    sample_trajectories(s0, SV_LIMITS, horizon=horizon, dt=dt, n=10, seed=0)
+    tracemalloc.start()
+    try:
+        cloud = sample_trajectories(s0, SV_LIMITS, horizon=horizon, dt=dt, n=n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    jerk_bytes = n_steps * 2 * (n + 4) * 8
+    assert peak <= cloud.states.nbytes + jerk_bytes + 2**20
+
+
+@pytest.mark.parametrize("kw, shown", [
+    (dict(dt=0.0), "0.0"), (dict(dt=-0.1), "-0.1"), (dict(dt=math.nan), "nan"),
+    (dict(dt=math.inf), "inf"), (dict(horizon=-1.0), "-1.0"),
+    (dict(horizon=math.nan), "nan"), (dict(horizon=math.inf), "inf")])
+def test_sampling_rejects_bad_clock(kw, shown):
+    args = dict(horizon=1.0, dt=0.1) | kw
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=f"{name} must be .*got {shown}$"):
+        sample_trajectories(state(), SV_LIMITS, n=5, seed=0, **args)
 
 
 def test_sampling_jerks_stay_in_own_axis_box():
@@ -199,6 +273,98 @@ def test_containment_negative_control():
     assert report.fraction < 1.0
     assert report.first_violation is not None
     assert report.first_violation["reason"] == "cell unoccupied"
+
+
+def cloud_at_cells(rset, di, dj, at_edge):
+    """One trajectory, at every step in the cell (di, dj) of that step's box.
+
+    ``at_edge`` picks the box's cell index along each axis (0 or -1); di and
+    dj then move the state off that cell.  Velocities and accelerations sit
+    at the hull midpoints, so only the cell decides containment.
+    """
+    states = np.empty((1, len(rset.layers), 6))
+    for k, layer in enumerate(rset.layers):
+        nx, ny = layer.mask.shape
+        i = at_edge[0] % nx + di
+        j = at_edge[1] % ny + dj
+        xh, yh = layer.x_hull, layer.y_hull
+        states[0, k] = ((layer.ox + i + 0.5) * layer.dx, (layer.oy + j + 0.5) * layer.dy,
+                        (xh.v_lo + xh.v_hi) / 2, (yh.v_lo + yh.v_hi) / 2,
+                        (xh.a_lo + xh.a_hi) / 2, (yh.a_lo + yh.a_hi) / 2)
+    return SampleCloud(t0=rset.t, dt=rset.tau_step, states=states, heading_sign=1)
+
+
+def test_containment_occupancy_box_edges():
+    """The box's first and last rows and columns are inside; one cell past
+    any side is unoccupied, with no wrap of a negative index.
+
+    The unpruned layers are filled boxes, so a wrapped or clipped index
+    would land on an occupied cell and pass.
+    """
+    cfg = PredictionConfig(horizon=1.0)
+    rset = compute_reachable_set(state(vx=17.88, y=-1.825), SV_LIMITS, cfg)
+    assert all(layer.mask.all() for layer in rset.layers)
+    assert max(layer.mask.shape[0] for layer in rset.layers) > 1
+    assert max(layer.mask.shape[1] for layer in rset.layers) > 1
+    for edge in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
+        report = containment_check(cloud_at_cells(rset, 0, 0, edge), rset)
+        assert report.fraction == 1.0, (edge, report.first_violation)
+    for di, dj, edge in ((-1, 0, (0, 0)), (1, 0, (-1, 0)),
+                         (0, -1, (0, 0)), (0, 1, (0, -1))):
+        report = containment_check(cloud_at_cells(rset, di, dj, edge), rset)
+        assert report.n_violations == len(rset.layers), (di, dj)
+        assert report.first_violation["step"] == 0
+        assert report.first_violation["reason"] == "cell unoccupied"
+
+
+def reference_containment(cloud, rset):
+    """State-by-state containment: (n_violations, first_violation)."""
+    n_bad, first = 0, None
+    for k, layer in enumerate(rset.layers):
+        cells = layer.world_cells()
+        for i, s in enumerate(cloud.states[:, k].tolist()):
+            if layer.empty:
+                reason = "empty layer"
+            elif (math.floor(s[0] / layer.dx), math.floor(s[1] / layer.dy)) not in cells:
+                reason = "cell unoccupied"
+            elif not (layer.x_hull.v_lo <= s[2] <= layer.x_hull.v_hi
+                      and layer.y_hull.v_lo <= s[3] <= layer.y_hull.v_hi
+                      and layer.x_hull.a_lo <= s[4] <= layer.x_hull.a_hi
+                      and layer.y_hull.a_lo <= s[5] <= layer.y_hull.a_hi):
+                reason = "outside hull intervals"
+            else:
+                continue
+            n_bad += 1
+            if first is None:
+                first = {"step": k, "trajectory": 0, "reason": reason}
+                if not layer.empty:
+                    first.update(trajectory=i, state=s)
+    return n_bad, first
+
+
+def test_containment_matches_state_by_state_reference():
+    """Perturbed clouds miss cells and hull intervals in a known mix."""
+    cfg = PredictionConfig(horizon=1.0)
+    s0 = state(vx=17.88, y=-1.825)
+    rset = compute_reachable_set(s0, SV_LIMITS, cfg)
+    rng = np.random.default_rng(7)
+    for col, scale in ((0, 1.0), (1, 0.5), (2, 0.3), (3, 0.3), (4, 2.0), (5, 1.0)):
+        cloud = sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
+                                    dt=cfg.tau_step, n=300, seed=col)
+        cloud.states[:, :, col] += scale * rng.standard_normal(cloud.states.shape[:2])
+        report = containment_check(cloud, rset)
+        n_bad, first = reference_containment(cloud, rset)
+        assert 0 < n_bad < cloud.states.shape[0] * len(rset.layers)
+        assert (report.n_violations, report.first_violation) == (n_bad, first)
+        assert report.n_checked == cloud.states.shape[0] * len(rset.layers)
+        assert report.fraction == 1.0 - n_bad / report.n_checked
+    empty = compute_reachable_set(s0, SV_LIMITS, cfg)
+    empty.layers[3] = replace(empty.layers[3], x_hull=None, y_hull=None,
+                              mask=np.zeros((0, 0), dtype=bool))
+    cloud = sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
+                                dt=cfg.tau_step, n=50, seed=0)
+    report = containment_check(cloud, empty)
+    assert (report.n_violations, report.first_violation) == reference_containment(cloud, empty)
 
 
 def test_containment_rejects_misaligned_clock():
