@@ -1,26 +1,26 @@
 """Reachable sets, drivable-area pruning, and cohort prevalence.
 
 Representation: each future-time layer carries a continuous per-axis hull
-(position, velocity, acceleration intervals) plus a positional occupancy
-mask on a world-aligned grid.  Longitudinal and lateral dynamics are
-decoupled triple integrators, so the hull advances exactly under the
-extremal jerks (corners suffice for this monotone system) while the mask
-advances by velocity-range dilation intersected with the rasterized new
-hull; carrying the hull continuously keeps rasterization rounding from
-compounding across steps.  Because every computation starts from a point
-state and all clamps are global, one hull per axis describes every cell
-of a layer.
+(position, velocity, acceleration intervals) plus its occupied cells on a
+world-aligned grid.  Longitudinal and lateral dynamics are decoupled
+triple integrators, so the hull advances exactly under the extremal jerks
+(corners suffice for this monotone system; each is one scalar step of the
+simulator's rule) while the cells advance by velocity-range dilation
+intersected with the rasterized new hull; carrying the hull continuously
+keeps rasterization rounding from compounding across steps.  Because
+every computation starts from a point state and all clamps are global,
+one hull per axis describes every cell of a layer.
 
-A layer stores only its occupied cells: its mask is cropped to their
-bounding box and carries the world index of its first cell, and an empty
-layer has a 0x0 mask and no hulls.  One cropping constructor builds every
-layer, so mask kernels cost what the occupied cells cost, not a raster of
-everything reachable over the horizon.  A dilation (velocity range in
-``propagate_step``, vehicle footprint in ``pov_occupancy``) of a completely
-filled mask (every unpruned layer, so every POV layer) is a filled
-rectangle built directly; carved masks are dilated by shifted ORs.
-``propagate_step``, the corridor clip and the POV pruning slice their
-results out of the dilation or the previous mask.
+A layer stores only its occupied cells, in their bounding box, indexed
+from the world cell of its first corner; an empty layer has a 0x0 box.
+A completely occupied box (every unpruned layer, so every POV layer) is a
+box layer and holds no array: propagating it, clipping it to the corridor
+or band, and pruning it against an occupancy that misses it are integer
+arithmetic, its footprint dilation is a filled rectangle allocated at its
+size, and its ``mask`` is built only when a reader (snapshot, oracle,
+tests) asks.  Pruning that hits it carves it into a cropped mask, which
+the same kernels dilate by shifted ORs and cut by slices; a carved
+result that comes out full, such as a box cut at one end, is a box again.
 
 Pruning follows the expansion order: at each step the POV layer expands
 first, the SV layer expands from its previous pruned layer, and SV cells
@@ -48,13 +48,13 @@ products, clamps, comparisons and floors, never a sign test or a divisor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .core import (AxisLimits, KinematicLimits, POV_LIMITS, SV_LIMITS, RoadSpec,
-                   VehicleSpec, VehicleState, axis_limits, axis_step)
+                   VehicleSpec, VehicleState, axis_limits, scalar_axis_step)
 from .engine import TrajectoryLog
 from .responses import window_for
 
@@ -71,10 +71,10 @@ class PredictionConfig:
     horizon: float = 4.0    # s
 
     def __post_init__(self):
-        if self.grid_dx <= 0 or self.grid_dy <= 0 or self.tau_step <= 0:
-            raise ValueError("grid resolutions and tau_step must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        for name in ("grid_dx", "grid_dy", "tau_step", "horizon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.incursion_detect_threshold < 0:
             raise ValueError("incursion_detect_threshold must be >= 0")
         if self.road_pruning not in ("corridor", "off"):
@@ -108,8 +108,10 @@ class Layer:
     ``mask[i, j]`` is world cell ``(ox + i, oy + j)``, which spans
     ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  The mask is cropped to the
     occupied cells, so its first and last rows and columns are occupied; an
-    empty layer has a 0x0 mask and no hulls.  Build layers with
-    ``_cropped_layer``.
+    empty layer has a 0x0 mask and no hulls.  A box layer (every cell
+    occupied) keeps only its ``shape`` and builds ``mask`` when it is read;
+    any other layer keeps its mask as ``carved`` (None for a box).  Build
+    layers with ``_cropped_layer``, or give ``mask`` a box's ``(nx, ny)``.
     """
 
     tau: float
@@ -134,9 +136,23 @@ class Layer:
         """((x_lo, x_hi), (y_lo, y_hi)) spanned by occupied cells, None if empty."""
         if self.empty:
             return None
-        nx, ny = self.mask.shape
+        nx, ny = self.shape
         return ((float(self.ox * self.dx), float((self.ox + nx) * self.dx)),
                 (float(self.oy * self.dy), float((self.oy + ny) * self.dy)))
+
+
+def _read_mask(layer: Layer) -> np.ndarray:
+    return np.ones(layer.shape, dtype=bool) if layer.carved is None else layer.carved
+
+
+def _write_mask(layer: Layer, mask: np.ndarray | tuple[int, int]) -> None:
+    box = type(mask) is tuple
+    layer.shape = mask if box else mask.shape
+    layer.carved = None if box or mask.all() else mask
+
+
+# The field ``mask`` is stored as ``shape`` and ``carved``; a filled mask turns into a box.
+Layer.mask = property(_read_mask, _write_mask)
 
 
 @dataclass
@@ -155,35 +171,28 @@ class DrivableArea:
     pov_layers: list[Layer] = field(default_factory=list)
 
 
-def _raster_closed(lo: float, hi: float, d: float) -> tuple[int, int]:
-    """Cells touched by the closed interval [lo, hi] under floor indexing."""
-    return math.floor(lo / d), math.floor(hi / d)
-
-
-def _cropped_layer(tau: float, dx: float, dy: float, mask: np.ndarray,
+def _cropped_layer(tau: float, dx: float, dy: float, mask: np.ndarray | tuple[int, int],
                    ox: int, oy: int, x_hull: AxisInterval | None,
-                   y_hull: AxisInterval | None, heading_sign: int,
-                   cropped: bool = False) -> Layer:
+                   y_hull: AxisInterval | None, heading_sign: int) -> Layer:
     """The layer of the occupied cells of ``mask``, whose cell [0, 0] is world cell (ox, oy).
 
-    The mask is cropped to its occupied cells (a view, not a copy).  With no
-    occupied cell, or no lateral hull, the layer is empty.  A caller that
-    knows ``mask`` is already cropped (a slice of a filled mask, or a
-    cropped mask with all its columns) passes ``cropped``, and the mask is
-    not scanned.
+    A bool ``mask`` is cropped to its occupied cells (a view, not a copy);
+    an ``(nx, ny)`` shape is a filled box and needs no scan, and a side <= 0
+    leaves it with no cell.  With no occupied cell, or no lateral hull, the
+    layer is empty.
     """
-    if not cropped:
+    if type(mask) is tuple:
+        occupied = mask[0] > 0 and mask[1] > 0
+    else:
         rows = np.flatnonzero(mask.any(axis=1))
-        if rows.size == 0:
-            mask = mask[:0, :0]
-        else:
+        occupied = rows.size > 0
+        if occupied:
             cols = np.flatnonzero(mask.any(axis=0))
             i0, j0 = int(rows[0]), int(cols[0])
             mask = mask[i0:rows[-1] + 1, j0:cols[-1] + 1]
             ox, oy = ox + i0, oy + j0
-    if mask.size == 0 or y_hull is None:
-        return Layer(tau, dx, dy, 0, 0, np.zeros((0, 0), dtype=bool), None, None,
-                     heading_sign)
+    if not occupied or y_hull is None:
+        return Layer(tau, dx, dy, 0, 0, (0, 0), None, None, heading_sign)
     return Layer(tau, dx, dy, ox, oy, mask, x_hull, y_hull, heading_sign)
 
 
@@ -193,95 +202,72 @@ def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
     Hulls start at the raw point state; clamping into the admissible box
     happens on the first propagation step, mirroring the stepper.
     """
-    return _cropped_layer(0.0, dx, dy, np.ones((1, 1), dtype=bool),
-                          math.floor(state.x / dx), math.floor(state.y / dy),
-                          AxisInterval(state.x, state.x, state.vx, state.vx,
-                                       state.ax, state.ax),
-                          AxisInterval(state.y, state.y, state.vy, state.vy,
-                                       state.ay, state.ay),
-                          state.heading_sign)
+    return Layer(0.0, dx, dy, math.floor(state.x / dx), math.floor(state.y / dy), (1, 1),
+                 AxisInterval(state.x, state.x, state.vx, state.vx, state.ax, state.ax),
+                 AxisInterval(state.y, state.y, state.vy, state.vy, state.ay, state.ay),
+                 state.heading_sign)
 
 
-def _dilate(mask: np.ndarray, sx_lo: int, sx_hi: int,
-            sy_lo: int, sy_hi: int, *, filled: bool) -> np.ndarray:
-    """Union of a cropped, non-empty mask shifted by every offset (sx, sy) in the ranges.
+def _dilate(mask: np.ndarray, sx_lo: int, sx_hi: int, sy_lo: int, sy_hi: int) -> np.ndarray:
+    """Union of a cropped, carved mask shifted by every offset (sx, sy) in the ranges.
 
     Cell [0, 0] of the result is cell [sx_lo, sy_lo] of the mask's frame, and
-    the result is cropped as well.  A ``filled`` mask (every cell occupied)
-    dilates to a filled rectangle, built directly.
+    the result is cropped as well.
     """
     h, w = mask.shape
-    shape = (h + sx_hi - sx_lo, w + sy_hi - sy_lo)
-    if filled:
-        return np.ones(shape, dtype=bool)
-    tmp = np.zeros((shape[0], w), dtype=bool)
+    tmp = np.zeros((h + sx_hi - sx_lo, w), dtype=bool)
     for s in range(sx_hi - sx_lo + 1):
         tmp[s:s + h] |= mask
-    out = np.zeros(shape, dtype=bool)
+    out = np.zeros((tmp.shape[0], w + sy_hi - sy_lo), dtype=bool)
     for s in range(sy_hi - sy_lo + 1):
         out[:, s:s + w] |= tmp
     return out
 
 
-def _lanes(values: list[float]) -> np.ndarray:
-    out = np.array(values)
-    out.flags.writeable = False  # cached and shared by every caller
-    return out
-
-
 @lru_cache(maxsize=16)
-def _corner_limits(limits: KinematicLimits,
-                   heading_sign: int) -> tuple[np.ndarray, AxisLimits]:
-    """Jerks and limits of the four hull corners as lanes (x lo, x hi, y lo, y hi).
-
-    A low corner takes its axis's lowest jerk and a high corner its highest;
-    every lane carries its axis's limits, so one ``axis_step`` call on
-    4-element arrays steps all four corners.
-    """
-    lx = axis_limits(limits, heading_sign, "x")
-    ly = axis_limits(limits, heading_sign, "y")
-    lanes = AxisLimits(**{f.name: _lanes([getattr(lx, f.name)] * 2 + [getattr(ly, f.name)] * 2)
-                          for f in fields(AxisLimits)})
-    return _lanes([lx.j_lo, lx.j_hi, ly.j_lo, ly.j_hi]), lanes
+def _axis_limits(limits: KinematicLimits, heading_sign: int) -> tuple[AxisLimits, AxisLimits]:
+    return axis_limits(limits, heading_sign, "x"), axis_limits(limits, heading_sign, "y")
 
 
 def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> Layer:
     """One interval-arithmetic Euler step of a layer.
 
     Hull corners advance through the same clamped step rule as the
-    simulator, so sampled trajectories ride the hull edges exactly.  The
-    mask is the velocity-range dilation of the previous mask intersected
-    with the rasterized new position hull: sound for any carved shape and
-    exact for box-shaped layers.
+    simulator (a low corner under its axis's lowest jerk, a high corner
+    under its highest), so sampled trajectories ride the hull edges
+    exactly.  The mask is the velocity-range dilation of the previous mask
+    intersected with the rasterized new position hull: sound for any carved
+    shape and exact for box-shaped layers, whose step is integer arithmetic.
     """
     if layer.empty:
         return replace(layer, tau=layer.tau + tau_step)
     xh, yh = layer.x_hull, layer.y_hull
-    jerk, lanes = _corner_limits(limits, layer.heading_sign)
-    p, v, a = axis_step(*np.array([[xh.p_lo, xh.p_hi, yh.p_lo, yh.p_hi],
-                                   [xh.v_lo, xh.v_hi, yh.v_lo, yh.v_hi],
-                                   [xh.a_lo, xh.a_hi, yh.a_lo, yh.a_hi]]),
-                        jerk, lanes, tau_step)
-    px_lo, px_hi, py_lo, py_hi = p.tolist()
-    vx_lo, vx_hi, vy_lo, vy_hi = v.tolist()
-    ax_lo, ax_hi, ay_lo, ay_hi = a.tolist()
+    lx, ly = _axis_limits(limits, layer.heading_sign)
+    px_lo, vx_lo, ax_lo = scalar_axis_step(xh.p_lo, xh.v_lo, xh.a_lo, lx.j_lo, lx, tau_step)
+    px_hi, vx_hi, ax_hi = scalar_axis_step(xh.p_hi, xh.v_hi, xh.a_hi, lx.j_hi, lx, tau_step)
+    py_lo, vy_lo, ay_lo = scalar_axis_step(yh.p_lo, yh.v_lo, yh.a_lo, ly.j_lo, ly, tau_step)
+    py_hi, vy_hi, ay_hi = scalar_axis_step(yh.p_hi, yh.v_hi, yh.a_hi, ly.j_hi, ly, tau_step)
 
     dx, dy = layer.dx, layer.dy
-    sx_lo, sy_lo = math.floor(tau_step * xh.v_lo / dx), math.floor(tau_step * yh.v_lo / dy)
-    filled = bool(layer.mask.all())
-    dil = _dilate(layer.mask, sx_lo, math.ceil(tau_step * xh.v_hi / dx),
-                  sy_lo, math.ceil(tau_step * yh.v_hi / dy), filled=filled)
+    sx_lo, sx_hi = math.floor(tau_step * xh.v_lo / dx), math.ceil(tau_step * xh.v_hi / dx)
+    sy_lo, sy_hi = math.floor(tau_step * yh.v_lo / dy), math.ceil(tau_step * yh.v_hi / dy)
     ox, oy = layer.ox + sx_lo, layer.oy + sy_lo
-    ix_lo, ix_hi = _raster_closed(px_lo, px_hi, dx)
-    iy_lo, iy_hi = _raster_closed(py_lo, py_hi, dy)
-    # the dilation survives only inside the new hull's raster box; bounds are
-    # clamped at 0 because a negative slice bound counts from the far edge
-    i0, j0 = max(0, ix_lo - ox), max(0, iy_lo - oy)
-    mask = dil[i0:max(0, ix_hi + 1 - ox), j0:max(0, iy_hi + 1 - oy)]
-    return _cropped_layer(layer.tau + tau_step, dx, dy, mask, ox + i0, oy + j0,
+    nx, ny = layer.shape
+    # the dilation, nx + sx_hi - sx_lo by ny + sy_hi - sy_lo cells from (ox, oy), survives
+    # only in the cells the closed new position hull touches under floor indexing
+    i0 = max(ox, math.floor(px_lo / dx))
+    i1 = min(ox + nx + sx_hi - sx_lo, math.floor(px_hi / dx) + 1)
+    j0 = max(oy, math.floor(py_lo / dy))
+    j1 = min(oy + ny + sy_hi - sy_lo, math.floor(py_hi / dy) + 1)
+    cells = (i1 - i0, j1 - j0)
+    if layer.carved is not None:
+        # upper bounds are clamped at 0: a negative one counts from the far edge
+        cells = _dilate(layer.carved, sx_lo, sx_hi, sy_lo, sy_hi)[
+            i0 - ox:max(0, i1 - ox), j0 - oy:max(0, j1 - oy)]
+    return _cropped_layer(layer.tau + tau_step, dx, dy, cells, i0, j0,
                           AxisInterval(px_lo, px_hi, vx_lo, vx_hi, ax_lo, ax_hi),
                           AxisInterval(py_lo, py_hi, vy_lo, vy_hi, ay_lo, ay_hi),
-                          layer.heading_sign, cropped=filled)
+                          layer.heading_sign)
 
 
 def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
@@ -303,11 +289,13 @@ def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
     new_lo, new_hi = max(yh.p_lo, y_lo), min(yh.p_hi, y_hi)
     y_hull = (AxisInterval(new_lo, new_hi, yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi)
               if new_lo <= new_hi else None)
-    j0, j1 = max(0, iy_min - layer.oy), max(0, iy_max + 1 - layer.oy)
-    # keeping every column of a cropped mask leaves it cropped
-    return _cropped_layer(layer.tau, layer.dx, dy, layer.mask[:, j0:j1],
-                          layer.ox, layer.oy + j0, layer.x_hull, y_hull, layer.heading_sign,
-                          cropped=j0 == 0 and j1 >= layer.mask.shape[1])
+    nx, ny = layer.shape
+    j0, j1 = max(layer.oy, iy_min), min(layer.oy + ny, iy_max + 1)
+    cells = (nx, j1 - j0)
+    if layer.carved is not None:
+        cells = layer.carved[:, j0 - layer.oy:max(0, j1 - layer.oy)]
+    return _cropped_layer(layer.tau, layer.dx, dy, cells, layer.ox, j0, layer.x_hull,
+                          y_hull, layer.heading_sign)
 
 
 def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
@@ -329,8 +317,10 @@ def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
     sx_hi = math.ceil((shift + half_len) / layer.dx)
     sy_lo = math.floor(-half_wid / layer.dy)
     sy_hi = math.ceil(half_wid / layer.dy)
-    return (_dilate(layer.mask, sx_lo, sx_hi, sy_lo, sy_hi, filled=bool(layer.mask.all())),
-            layer.ox + sx_lo, layer.oy + sy_lo)
+    nx, ny = layer.shape
+    occ = (np.ones((nx + sx_hi - sx_lo, ny + sy_hi - sy_lo), dtype=bool)
+           if layer.carved is None else _dilate(layer.carved, sx_lo, sx_hi, sy_lo, sy_hi))
+    return occ, layer.ox + sx_lo, layer.oy + sy_lo
 
 
 def _pruned(layer: Layer, occ: np.ndarray, occ_ox: int, occ_oy: int) -> Layer:
@@ -338,7 +328,7 @@ def _pruned(layer: Layer, occ: np.ndarray, occ_ox: int, occ_oy: int) -> Layer:
 
     A layer whose box the occupancy misses is returned as it is.
     """
-    nx, ny = layer.mask.shape
+    nx, ny = layer.shape
     onx, ony = occ.shape
     i0 = max(layer.ox, occ_ox)
     j0 = max(layer.oy, occ_oy)
@@ -376,11 +366,9 @@ def normative_band(road: RoadSpec, pov_spec: VehicleSpec) -> tuple[float, float]
 def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
                           config: PredictionConfig) -> ReachableSet:
     """Unpruned reachable set of one vehicle from its current state."""
-    layer = make_initial_layer(state, config.grid_dx, config.grid_dy)
-    layers = [layer]
+    layers = [make_initial_layer(state, config.grid_dx, config.grid_dy)]
     for _ in range(config.n_steps):
-        layer = propagate_step(layer, limits, config.tau_step)
-        layers.append(layer)
+        layers.append(propagate_step(layers[-1], limits, config.tau_step))
     return ReachableSet(t=state.t, tau_step=config.tau_step, layers=layers)
 
 
@@ -528,8 +516,8 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
     with one SV pass per distinct SV state.  Only one track is alive at a
     time, and only the booleans are kept.
     """
-    if eval_step <= 0:
-        raise ValueError("eval_step must be positive")
+    if not (math.isfinite(eval_step) and eval_step > 0):
+        raise ValueError(f"eval_step must be positive and finite, got {eval_step}")
     timelines = []
     # (pov_state, mode, road, sv_spec, pov_spec) -> sv_state -> [(run, anchor)]
     groups: dict[tuple, dict[VehicleState, list[tuple[int, int]]]] = {}

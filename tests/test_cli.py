@@ -151,8 +151,43 @@ def test_reach_rejects_zero_eval_step(tmp_path, capsys):
         assert run_cli("reach", *source, "--config", str(cfg_path),
                        "--out", str(out), "--eval-step", "0") == 1
         assert json_error(capsys) == {"error": "ValueError",
-                                      "message": "eval_step must be positive"}
+                                      "message": "eval_step must be positive and finite, "
+                                                 "got 0.0"}
     assert not (out / "timeline.csv").exists() and not (out / "prevalence.csv").exists()
+
+
+def test_reach_rejects_non_finite_eval_step(tmp_path, capsys):
+    """A NaN or infinite step is an error, not one anchor per run."""
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+    capsys.readouterr()
+    log = str(sorted(out.glob("run_*.csv"))[0])
+    for step in ("nan", "inf", "-inf"):
+        for source in (("timeline", "--log", log), ("aggregate", "--logs", str(out))):
+            assert run_cli("reach", *source, "--config", str(cfg_path),
+                           "--out", str(out), f"--eval-step={step}") == 1
+            assert json_error(capsys) == {
+                "error": "ValueError",
+                "message": f"eval_step must be positive and finite, got {float(step)}"}
+    assert not (out / "timeline.csv").exists() and not (out / "prevalence.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--grid-dx", "inf"), ("--grid-dx", "nan"),
+                                         ("--horizon", "inf"), ("--horizon", "nan")])
+def test_reach_rejects_non_finite_prediction_config(tmp_path, capsys, flag, value):
+    """A non-finite grid or horizon override fails naming the field, before any output."""
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("reach", "aggregate", "--config", str(cfg_path), "--logs", str(out),
+                   "--out", str(out), flag, value) == 1
+    field = flag[2:].replace("-", "_")
+    assert json_error(capsys) == {"error": "ValueError",
+                                  "message": f"{field} must be positive and finite, "
+                                             f"got {float(value)}"}
+    assert not (out / "prevalence.csv").exists()
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):

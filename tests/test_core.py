@@ -5,7 +5,7 @@ import pytest
 
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step, footprint,
-                          rectangles_overlap)
+                          rectangles_overlap, scalar_axis_step)
 
 
 def state(**kw):
@@ -66,6 +66,36 @@ def test_step_exact_linear_coasting():
         assert x == x_ref  # identical accumulation, bit for bit
         assert abs(x - (1.0 + k * 0.01 * 17.88)) < 1e-9
     assert vx == 17.88 and ax == 0.0
+
+
+def test_scalar_step_bit_identical_to_axis_step():
+    """Every clamp of the pure-Python step, on values at, beyond and signed-zero
+    equal to each bound, matches numpy's ``axis_step`` bit for bit."""
+    caps = ("v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max", "a_lat_right_max",
+            "j_fwd_max", "j_bwd_max", "j_lat_max", "v_lat_max")
+    zero = KinematicLimits(**{name: 0.0 for name in caps})
+    # a zero jerk bound whose sign reaches a = -0.0 through the unclamped acceleration
+    one_sided = [KinematicLimits(j_bwd_max=0.0), KinematicLimits(j_fwd_max=0.0)]
+    rng = np.random.default_rng(3)
+    n = 0
+    for limits in [SV_LIMITS, POV_LIMITS, zero] + one_sided:
+        for heading in (1, -1):
+            for axis in ("x", "y"):
+                lim = axis_limits(limits, heading, axis)
+                edges = [0.0, -0.0, lim.v_lo, lim.v_hi, lim.a_lo, lim.a_hi, lim.j_lo, lim.j_hi]
+                values = edges + [float(np.nextafter(e, s * np.inf)) for e in edges
+                                  for s in (-1, 1)] + list(rng.uniform(-40.0, 40.0, 2))
+                for a in values:
+                    for j in values:
+                        p, v = (float(rng.choice(values)) for _ in range(2))
+                        dt = float(rng.choice([0.0, 0.01, 0.1, 1.0], p=[0.1, 0.3, 0.3, 0.3]))
+                        got = scalar_axis_step(p, v, a, j, lim, dt)
+                        want = axis_step(p, v, a, j, lim, dt)
+                        for g, w in zip(got, want, strict=True):
+                            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (
+                                p, v, a, j, lim, dt, got, want)
+                        n += 1
+    assert n == 20 * 26 * 26
 
 
 def test_pov_lateral_clamp_asymmetry():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_log, make_timeline
 from odlisim import io, reach
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
-                          VehicleSpec, VehicleState, axis_limits, axis_step)
+                          VehicleSpec, VehicleState, axis_limits, axis_step,
+                          scalar_axis_step)
 from odlisim.engine import rollout, run_cohort
 from odlisim.policies import PolicySpec
 from odlisim.reach import (AxisInterval, Layer, PredictionConfig,
@@ -806,14 +807,115 @@ def corner_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(corner_cases())
 def test_corner_step_bit_identical_to_scalar_steps(case):
-    """The four-lane step of ``propagate_step`` equals four scalar ``axis_step`` calls."""
+    """The pure-Python corner step of ``propagate_step`` equals numpy ``axis_step``,
+    called on scalars and on the two lanes of an axis."""
     limits, heading, dt, p, v, a = case
-    jerk, lanes = reach._corner_limits(limits, heading)
-    batched = [out.tolist() for out in axis_step(np.array(p), np.array(v), np.array(a),
-                                                 jerk, lanes, dt)]
     for lane, (axis, side) in enumerate([("x", "lo"), ("x", "hi"), ("y", "lo"), ("y", "hi")]):
         lim = axis_limits(limits, heading, axis)
         j = lim.j_lo if side == "lo" else lim.j_hi
+        stepped = scalar_axis_step(p[lane], v[lane], a[lane], j, lim, dt)
         scalar = axis_step(p[lane], v[lane], a[lane], j, lim, dt)
-        for got, want in zip((out[lane] for out in batched), scalar, strict=True):
+        pair = slice(lane - lane % 2, lane - lane % 2 + 2)
+        lanes = axis_step(np.array(p[pair]), np.array(v[pair]), np.array(a[pair]),
+                          np.array([lim.j_lo, lim.j_hi]), lim, dt)
+        for got, want, batched in zip(stepped, scalar, lanes, strict=True):
             assert same_float(got, float(want)), (lane, got, want)
+            assert same_float(got, float(batched[lane % 2])), (lane, got, batched)
+
+
+# -- box layers: a completely occupied layer holds no array --
+
+@pytest.mark.parametrize("name", ["grid_dx", "grid_dy", "tau_step", "horizon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_prediction_config_rejects_bad_resolution(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+        PredictionConfig(**{name: value})
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_timelines_reject_bad_eval_step(step):
+    log = make_log()
+    with pytest.raises(ValueError, match=f"^eval_step must be positive and finite, got {step}$"):
+        drivable_timelines([(log, None)], CFG, eval_step=step)
+
+
+def box_layer(ox, oy, nx, ny):
+    return Layer(0.3, 0.5, 0.25, ox, oy, (nx, ny),
+                 AxisInterval(ox * 0.5, (ox + nx) * 0.5, 0.0, 0.0, 0.0, 0.0),
+                 AxisInterval(oy * 0.25, (oy + ny) * 0.25, 0.0, 0.0, 0.0, 0.0), 1)
+
+
+def holds_no_array(layer):
+    return layer.carved is None and not any(isinstance(v, np.ndarray)
+                                            for v in vars(layer).values())
+
+
+# (occupancy box (ox, oy, nx, ny), result is a box) against the layer box (10, 20, 6, 5)
+PRUNE_ARRANGEMENTS = {
+    "miss": ((0, 0, 4, 4), True),
+    "miss-touching": ((16, 20, 3, 5), True),
+    "covers": ((8, 18, 10, 9), True),
+    "cut-low-x": ((7, 19, 5, 8), True),
+    "cut-high-x": ((14, 18, 9, 7), True),
+    "cut-low-y": ((9, 15, 8, 7), True),
+    "cut-high-y": ((10, 24, 6, 1), True),
+    "split-x": ((12, 17, 2, 10), False),
+    "split-y": ((5, 22, 20, 1), False),
+    "hole": ((12, 21, 2, 2), False),
+    "corner": ((14, 23, 5, 5), False),
+}
+
+
+@pytest.mark.parametrize("arrangement", list(PRUNE_ARRANGEMENTS))
+def test_pruned_box_against_box_matches_reference(arrangement):
+    (qx, qy, qnx, qny), stays_box = PRUNE_ARRANGEMENTS[arrangement]
+    layer = box_layer(10, 20, 6, 5)
+    occ = np.ones((qnx, qny), dtype=bool)
+    want = layer.mask.copy()
+    ref_prune_mask(want, layer.ox, layer.oy, occ, qx, qy)
+    got = reach._pruned(layer, occ, qx, qy)
+    assert_cropped(got)
+    assert holds_no_array(got) == stays_box
+    assert got.empty == (not want.any())
+    assert got.world_cells() == {(int(i) + layer.ox, int(j) + layer.oy)
+                                 for i, j in zip(*np.nonzero(want))}
+    if not got.empty:
+        assert (got.tau, got.x_hull, got.y_hull) == (layer.tau, layer.x_hull, layer.y_hull)
+    if arrangement.startswith("miss"):
+        assert got is layer
+
+
+def test_reachable_set_from_a_point_holds_only_boxes():
+    rset = compute_reachable_set(sv_state(), SV_LIMITS, CFG)
+    assert len(rset.layers) == CFG.n_steps + 1
+    assert all(holds_no_array(layer) for layer in rset.layers)
+    last = rset.layers[-1]
+    assert min(last.shape) > 1
+    mask = last.mask
+    assert mask.dtype == bool and mask.shape == last.shape and mask.all()
+    assert holds_no_array(last)  # reading builds an array, the layer keeps none
+    moved = replace(last, tau=9.0)
+    assert holds_no_array(moved) and (moved.shape, moved.tau) == (last.shape, 9.0)
+
+
+def test_filled_mask_becomes_a_box():
+    layer = single_cell_layer()
+    assert holds_no_array(layer) and layer.shape == (1, 1)
+    layer.mask = np.array([[1, 0], [1, 1]], dtype=bool)
+    assert layer.carved is not None and layer.shape == (2, 2)
+    layer.mask = np.ones((3, 2), dtype=bool)
+    assert holds_no_array(layer) and layer.shape == (3, 2)
+
+
+def test_carved_layer_whose_dilation_fills_its_box_is_a_box():
+    carved = Layer(0.0, 0.5, 0.25, 4, 0, np.array([[1, 0, 1]], dtype=bool),
+                   AxisInterval(2.0, 2.4, 0.0, 0.0, 0.0, 0.0),
+                   AxisInterval(0.0, 0.75, 0.0, 2.0, 0.0, 0.0), 1)
+    assert carved.carved is not None
+    nxt = propagate_step(carved, SV_LIMITS, 0.1)  # lateral shifts 0 and 1 fill the gap
+    assert holds_no_array(nxt)
+    assert (nxt.ox, nxt.oy, nxt.shape) == (4, 0, (1, 4))
+    want = propagate_step(replace(carved, mask=np.array([[1, 1, 1]], dtype=bool)),
+                          SV_LIMITS, 0.1)
+    assert (want.ox, want.oy, want.shape, want.x_hull, want.y_hull) == (
+        nxt.ox, nxt.oy, nxt.shape, nxt.x_hull, nxt.y_hull)
