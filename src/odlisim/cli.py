@@ -1,8 +1,8 @@
 """Command-line surface tying the pipeline together.
 
-Every command takes a run-config path plus overrides, is deterministic
-given config + seed, and exits 0 on success or 1 with a machine-readable
-JSON error on stderr.
+Every command but ``scenario gen`` reads a run config, takes only the
+override flags it reads, is deterministic given config + seed, and exits 0
+on success or 1 with a machine-readable JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -20,49 +20,67 @@ from .engine import classify_outcome, rollout, run_cohort
 from .policies import POLICY_KINDS, PolicySpec
 
 
+# Override flags: config section (None for the top level) and argparse
+# keywords.  A command declares the flags it reads; ``--seed`` is on every one.
+_OVERRIDES = {
+    "seed": (None, {"type": int}),
+    "il": ("scenario", {"type": float, "help": "incursion level override"}),
+    "dt": ("analysis", {"type": float, "help": "simulation step override"}),
+    "grid-dx": ("prediction", {"type": float}),
+    "horizon": ("prediction", {"type": float}),
+    "road-pruning": ("prediction", {"choices": ["corridor", "off"]}),
+}
+_REACH = ("grid-dx", "horizon", "road-pruning")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="odlisim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(group, name, summary, config_required=True):
+    def command(group, name, summary, handler, overrides=(), config=True):
         p = group.add_parser(name, help=summary)
-        p.add_argument("--config", required=config_required, help="run config JSON")
-        p.add_argument("--il", type=float, default=None, help="incursion level override")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None, help="simulation step override")
-        p.add_argument("--grid-dx", type=float, default=None)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--road-pruning", choices=["corridor", "off"], default=None)
-        p.add_argument("--out", default=None, help="output file or directory")
+        if config:
+            p.add_argument("--config", required=True, help="run config JSON")
+        overrides = ("seed", *overrides)
+        for flag in overrides:
+            p.add_argument(f"--{flag}", **_OVERRIDES[flag][1])
+        p.add_argument("--out", help="output file or directory")
+        p.set_defaults(handler=handler, overrides=overrides)
         return p
 
     scenario = sub.add_parser("scenario").add_subparsers(dest="subcommand", required=True)
     command(scenario, "gen", "write a reference config with named defaults",
-            config_required=False)
+            _cmd_scenario_gen, ("il", "dt", *_REACH), config=False)
 
-    sim = command(sub, "simulate", "roll out the configured policy cohort")
-    sim.add_argument("--policy", choices=POLICY_KINDS, default=None,
+    sim = command(sub, "simulate", "roll out the configured policy cohort",
+                  _cmd_simulate, ("il", "dt"))
+    sim.add_argument("--policy", choices=POLICY_KINDS,
                      help="replace the cohort with a single run of this policy")
 
     analyze = sub.add_parser("analyze").add_subparsers(dest="subcommand", required=True)
-    resp = command(analyze, "responses", "per-run response metrics table")
-    resp.add_argument("--logs", required=True, help="directory of trajectory logs")
-    seq = command(analyze, "sequence", "cohort control-state sequence graph")
-    seq.add_argument("--logs", required=True)
+    command(analyze, "responses", "per-run response metrics table",
+            _cmd_analyze_responses).add_argument(
+                "--logs", required=True, help="directory of trajectory logs")
+    command(analyze, "sequence", "cohort control-state sequence graph",
+            _cmd_analyze_sequence).add_argument("--logs", required=True)
 
     reach_p = sub.add_parser("reach").add_subparsers(dest="subcommand", required=True)
-    comp = command(reach_p, "compute", "drivable-area snapshot at one time")
+    comp = command(reach_p, "compute", "drivable-area snapshot at one time",
+                   _cmd_reach_compute, _REACH)
     comp.add_argument("--log", required=True)
     comp.add_argument("--t", type=float, required=True, help="anchor time, s")
-    timeline = command(reach_p, "timeline", "drivable-area existence series")
+    timeline = command(reach_p, "timeline", "drivable-area existence series",
+                       _cmd_reach_timeline, _REACH)
     timeline.add_argument("--log", required=True)
-    timeline.add_argument("--eval-step", type=float, default=None)
-    agg = command(reach_p, "aggregate", "cohort drivable-area prevalence")
+    timeline.add_argument("--eval-step", type=float)
+    agg = command(reach_p, "aggregate", "cohort drivable-area prevalence",
+                  _cmd_reach_aggregate, _REACH)
     agg.add_argument("--logs", required=True)
-    agg.add_argument("--eval-step", type=float, default=None)
+    agg.add_argument("--eval-step", type=float)
 
     orc = sub.add_parser("oracle").add_subparsers(dest="subcommand", required=True)
-    verify = command(orc, "verify", "sampling-based soundness certificate")
+    verify = command(orc, "verify", "sampling-based soundness certificate",
+                     _cmd_oracle_verify, ("il", "dt", "grid-dx", "horizon"))
     verify.add_argument("--n", type=int, default=2000, help="random trajectories per check")
     verify.add_argument("--anchors", type=int, default=5, help="anchor times per run")
 
@@ -70,27 +88,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: dict, args) -> dict:
-    if args.il is not None:
-        from .scenario import make_scenario
+    config = dict(config)
+    for flag in args.overrides:
+        key = flag.replace("-", "_")
+        value = getattr(args, key)
+        if value is None:
+            continue
+        section = _OVERRIDES[flag][0]
+        if section is None:
+            config[key] = value
+        elif key == "il":  # the steepness defaults follow the incursion level
+            from .scenario import make_scenario
 
-        base = io.scenario_to_dict(make_scenario(args.il))
-        sc = dict(config["scenario"])
-        sc.update(incursion_level=args.il,
-                  end_heading_mode=base["end_heading_mode"],
-                  post_tc_behavior=base["post_tc_behavior"])
-        config = dict(config, scenario=sc)
-    if args.seed is not None:
-        config = dict(config, seed=args.seed)
-    if args.dt is not None:
-        config = dict(config, analysis=dict(config["analysis"], dt=args.dt))
-    pred = dict(config["prediction"])
-    if args.grid_dx is not None:
-        pred["grid_dx"] = args.grid_dx
-    if args.horizon is not None:
-        pred["horizon"] = args.horizon
-    if args.road_pruning is not None:
-        pred["road_pruning"] = args.road_pruning
-    return dict(config, prediction=pred)
+            spec = make_scenario(value)
+            config[section] = dict(config[section], incursion_level=value,
+                                   end_heading_mode=spec.end_heading_mode,
+                                   post_tc_behavior=spec.post_tc_behavior)
+        else:
+            config[section] = dict(config[section], **{key: value})
+    return config
 
 
 def _load_logs(directory: str) -> list:
@@ -102,23 +118,19 @@ def _load_logs(directory: str) -> list:
 
 def _window(log, config: dict) -> responses.AnalysisWindow:
     """Analysis window of a log under the configured reaction floor."""
-    return responses.window_for(
-        log, float(config["analysis"].get("window_reaction_floor", 0.4)))
+    return responses.window_for(log, config["analysis"]["window_reaction_floor"])
 
 
 def _timelines(logs: list, config: dict, args) -> list[reach.Timeline]:
     """Drivable-area timelines over the analysis windows at the requested step."""
-    step = (args.eval_step if args.eval_step is not None
-            else float(config["analysis"].get("eval_step", 0.1)))
+    step = args.eval_step if args.eval_step is not None else config["analysis"]["eval_step"]
     windows = [_window(log, config) for log in logs]
     runs = [(log, (w.t_begin, w.t_end)) for log, w in zip(logs, windows)]
     return reach.drivable_timelines(runs, io.config_prediction(config), eval_step=step)
 
 
-def _cmd_scenario_gen(args) -> int:
-    config = io.default_run_config(args.il if args.il is not None else 0.0)
-    config = _apply_overrides(config, args)
-    out = Path(args.out) if args.out else Path("run_config.json")
+def _cmd_scenario_gen(args, config: dict) -> int:
+    out = Path(args.out or "run_config.json")
     io.save_run_config(config, out)
     print(f"wrote {out}")
     return 0
@@ -126,14 +138,12 @@ def _cmd_scenario_gen(args) -> int:
 
 def _cmd_simulate(args, config: dict, out: Path) -> int:
     scenario, timing = io.config_scenario(config)
-    dt = float(config["analysis"]["dt"])
     if args.policy:
         cohort = [(PolicySpec(kind=args.policy), 1)]
     else:
         cohort = io.config_policies(config)
-    logs = run_cohort(scenario, cohort, dt=dt, seed=int(config.get("seed", 0)),
-                      delay_jitter=float(config["analysis"].get("delay_jitter", 0.0)),
-                      timing=timing)
+    logs = run_cohort(scenario, cohort, dt=config["analysis"]["dt"], seed=config["seed"],
+                      delay_jitter=config["analysis"]["delay_jitter"], timing=timing)
     io.save_trajectory_logs(logs, [out / f"run_{i:03d}.csv" for i in range(len(logs))])
     rows = []
     for i, log in enumerate(logs):
@@ -148,26 +158,21 @@ def _cmd_simulate(args, config: dict, out: Path) -> int:
 
 
 def _cmd_analyze_responses(args, config: dict, out: Path) -> int:
-    floor = float(config["analysis"].get("window_reaction_floor", 0.4))
     rows = []
     for i, log in enumerate(_load_logs(args.logs)):
-        summary = responses.analyze_run(log, reaction_floor=floor)
-        times = summary["times"]
-        rows.append({
-            "run": i,
-            "policy": log.policy.kind if log.policy else "-",
-            "outcome": summary["outcome"].kind,
-            "sideswipe": int(summary["outcome"].sideswipe),
-            "t_p": summary["outcome"].t_p,
-            "rt_accel_release": times.per_kind["accel-release"],
-            "rt_brake_onset": times.per_kind["brake-onset"],
-            "rt_steer_shoulder": times.per_kind["steer-shoulder"],
-            "rt_steer_center": times.per_kind["steer-center"],
-            "initial_reaction": times.initial_reaction,
-            "evasive_response": times.evasive_response,
-        })
+        summary = responses.analyze_run(
+            log, reaction_floor=config["analysis"]["window_reaction_floor"])
+        outcome, times = summary["outcome"], summary["times"]
+        rows.append([i, log.policy.kind if log.policy else "-", outcome.kind,
+                     int(outcome.sideswipe), outcome.t_p,
+                     *(times.per_kind[k] for k in responses.RESPONSE_KINDS),
+                     times.initial_reaction, times.evasive_response])
     path = out / "response_metrics.csv"
-    io.emit_run_metrics(rows, path)
+    io.write_table(path, ["run", "policy", "outcome", "sideswipe", "t_p",
+                          *(f"rt_{k.replace('-', '_')}" for k in responses.RESPONSE_KINDS),
+                          "initial_reaction", "evasive_response"],
+                   ["-", "-", "-", "0/1", *["s"] * 7],
+                   [["nan" if v is None else v for v in row] for row in rows])
     print(f"wrote {path}")
     return 0
 
@@ -210,8 +215,7 @@ def _cmd_reach_timeline(args, config: dict, out: Path) -> int:
 def _cmd_reach_aggregate(args, config: dict, out: Path) -> int:
     timelines = _timelines(_load_logs(args.logs), config, args)
     prev = reach.aggregate_prevalence(
-        timelines, n_boot=int(config["analysis"].get("bootstrap_samples", 1000)),
-        seed=int(config.get("seed", 0)))
+        timelines, n_boot=config["analysis"]["bootstrap_samples"], seed=config["seed"])
     path = out / "prevalence.csv"
     io.emit_prevalence(prev, path)
     print(f"wrote {path}")
@@ -223,11 +227,10 @@ def _cmd_oracle_verify(args, config: dict, out: Path) -> int:
         raise ValueError(f"anchors must be at least 1: {args.anchors}")
     scenario, timing = io.config_scenario(config)
     pred = io.config_prediction(config)
-    log = rollout(scenario, PolicySpec(kind="no-response"),
-                  dt=float(config["analysis"]["dt"]), timing=timing)
+    log = rollout(scenario, PolicySpec(kind="no-response"), dt=config["analysis"]["dt"],
+                  timing=timing)
     window = _window(log, config)
     anchors = np.linspace(window.t_begin, window.t_end, args.anchors)
-    seed = int(config.get("seed", 0))
 
     worst = 1.0
     report = []
@@ -237,7 +240,8 @@ def _cmd_oracle_verify(args, config: dict, out: Path) -> int:
                                     ("pov", log.pov_state(i), pred.pov_limits)):
             rset = reach.compute_reachable_set(state, limits, pred)
             cloud = oracle.sample_trajectories(state, limits, horizon=pred.horizon,
-                                               dt=pred.tau_step, n=args.n, seed=seed)
+                                               dt=pred.tau_step, n=args.n,
+                                               seed=config["seed"])
             check = oracle.containment_check(cloud, rset)
             worst = min(worst, check.fraction)
             report.append({"t": float(t_anchor), "vehicle": name,
@@ -250,28 +254,15 @@ def _cmd_oracle_verify(args, config: dict, out: Path) -> int:
     return 0 if worst == 1.0 else 1
 
 
-# Every command but ``scenario gen``, which reads no config and writes one file.
-_HANDLERS = {
-    ("simulate", None): _cmd_simulate,
-    ("analyze", "responses"): _cmd_analyze_responses,
-    ("analyze", "sequence"): _cmd_analyze_sequence,
-    ("reach", "compute"): _cmd_reach_compute,
-    ("reach", "timeline"): _cmd_reach_timeline,
-    ("reach", "aggregate"): _cmd_reach_aggregate,
-    ("oracle", "verify"): _cmd_oracle_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "scenario":
-            return _cmd_scenario_gen(args)
+        if "config" not in args:  # scenario gen writes a config and reads none
+            return args.handler(args, _apply_overrides(io.default_run_config(), args))
         config = _apply_overrides(io.load_run_config(args.config), args)
-        out = Path(args.out) if args.out else Path(config.get("output_dir", "out"))
+        out = Path(args.out or config.get("output_dir", "out"))
         out.mkdir(parents=True, exist_ok=True)
-        handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
-        return handler(args, config, out)
+        return args.handler(args, config, out)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

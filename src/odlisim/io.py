@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -316,6 +317,31 @@ _FIXED_ANALYSIS = {"accel_release_pct": ACCEL_RELEASE_PCT,
 
 _CONFIG_SECTIONS = ("scenario", "analysis", "prediction")
 
+# Values of keys a config may omit.  They are not the reference values
+# ``default_run_config`` writes (its delay_jitter is 0.2): a config that
+# lacks a key runs as it always has.
+_SEED_FALLBACK = 0
+_ANALYSIS_FALLBACKS = {"eval_step": 0.1, "bootstrap_samples": 1000,
+                       "delay_jitter": 0.0, "window_reaction_floor": 0.4}
+
+# What a value must be: (description, type it is stored as, range test).
+_SEED_RULE = ("an integer >= 0", int, lambda v: v >= 0 and v == int(v))
+_POSITIVE = ("a finite number > 0", float, lambda v: v > 0)
+_NON_NEGATIVE = ("a finite number >= 0", float, lambda v: v >= 0)
+_ANALYSIS_RULES = {"dt": _POSITIVE, "eval_step": _POSITIVE,
+                   "bootstrap_samples": ("an integer >= 1", int,
+                                         lambda v: v >= 1 and v == int(v)),
+                   "delay_jitter": _NON_NEGATIVE, "window_reaction_floor": _NON_NEGATIVE}
+
+
+def _checked(path: Path, name: str, value, rule):
+    """``value`` stored as the rule's type; a ParseError naming the key if it breaks the rule."""
+    what, kind, in_range = rule
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and in_range(value))):
+        raise ParseError(f"run config {path}: {name} = {value!r} must be {what}")
+    return kind(value)
+
 
 def load_run_config(path: str | Path) -> dict:
     """The run config at ``path``; every format error is a ParseError naming the file."""
@@ -337,6 +363,11 @@ def load_run_config(path: str | Path) -> dict:
         if value != fixed:
             raise ParseError(f"run config {path}: analysis.{key} = {value!r} is not "
                              f"configurable: the response threshold is fixed at {fixed}")
+    config["seed"] = _checked(path, "seed", config.get("seed", _SEED_FALLBACK), _SEED_RULE)
+    analysis = config["analysis"] = {**_ANALYSIS_FALLBACKS, **config["analysis"]}
+    for key, rule in _ANALYSIS_RULES.items():
+        if key in analysis:  # dt has no fallback: only the commands that step read it
+            analysis[key] = _checked(path, f"analysis.{key}", analysis[key], rule)
     return config
 
 
@@ -472,18 +503,6 @@ def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None,
             parts.append(rect_svg(rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi, color, 1.0))
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def emit_run_metrics(rows: list[dict], path: str | Path) -> None:
-    """Per-run response metrics table for a simulated cohort."""
-    header = ["run", "policy", "outcome", "sideswipe", "t_p",
-              "rt_accel_release", "rt_brake_onset", "rt_steer_shoulder",
-              "rt_steer_center", "initial_reaction", "evasive_response"]
-    units = ["-", "-", "-", "0/1", "s", "s", "s", "s", "s", "s", "s"]
-    table = []
-    for row in rows:
-        table.append([row[h] if row[h] is not None else "nan" for h in header])
-    write_table(path, header, units, table)
 
 
 def load_table(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:

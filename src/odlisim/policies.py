@@ -51,6 +51,10 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        for name in ("reaction_delay", "steer_rate", "steer_target", "reversal_delay",
+                     "reversal_target"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.reaction_delay < 0 or self.reversal_delay < 0:
             raise ValueError("policy delays must be >= 0")
         if self.brake_level not in ("soft", "hard"):

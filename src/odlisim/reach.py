@@ -75,8 +75,10 @@ class PredictionConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.incursion_detect_threshold < 0:
-            raise ValueError("incursion_detect_threshold must be >= 0")
+        if not (math.isfinite(self.incursion_detect_threshold)
+                and self.incursion_detect_threshold >= 0):
+            raise ValueError(f"incursion_detect_threshold must be finite and >= 0, "
+                             f"got {self.incursion_detect_threshold}")
         if self.road_pruning not in ("corridor", "off"):
             raise ValueError(f"road_pruning must be corridor or off: {self.road_pruning!r}")
 

@@ -58,6 +58,8 @@ class ScenarioTiming:
     t_critical: float  # s, projected collision time absent any SV response
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_trigger) and math.isfinite(self.t_critical)):
+            raise ValueError(f"timing must be finite: {self}")
         if self.t_critical <= self.t_trigger:
             raise ValueError("t_critical must follow t_trigger")
 

@@ -190,6 +190,54 @@ def test_reach_rejects_non_finite_prediction_config(tmp_path, capsys, flag, valu
     assert not (out / "prevalence.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["reach", "aggregate", "--logs", "{out}", "--il", "0.9"],
+    ["analyze", "responses", "--logs", "{out}", "--grid-dx", "1.0"],
+    ["oracle", "verify", "--road-pruning", "off"],
+    ["simulate", "--horizon", "3.0"],
+    ["scenario", "gen", "--config", "{cfg}"],
+], ids=["reach aggregate --il", "analyze responses --grid-dx", "oracle verify --road-pruning",
+        "simulate --horizon", "scenario gen --config"])
+def test_command_rejects_flag_it_does_not_read(tmp_path, capsys, argv):
+    """An override a command would ignore is a usage error, not a silent no-op."""
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "out"
+    argv = [a.format(out=out, cfg=cfg_path) for a in argv]
+    if argv[0] != "scenario":
+        argv += ["--config", str(cfg_path)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def pipeline_outputs(cfg_path, out) -> dict[str, bytes]:
+    """Every file the pipeline writes over one config, by name."""
+    for argv in (["simulate"],
+                 ["analyze", "responses", "--logs", str(out)],
+                 ["analyze", "sequence", "--logs", str(out)],
+                 ["reach", "aggregate", "--logs", str(out)],
+                 ["oracle", "verify", "--n", "50", "--anchors", "2"]):
+        assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("key, fallback", [
+    ("seed", 0), ("eval_step", 0.1), ("bootstrap_samples", 1000),
+    ("delay_jitter", 0.0), ("window_reaction_floor", 0.4)])
+def test_omitted_config_key_means_its_fallback(tmp_path, key, fallback):
+    cfg_path = small_config(tmp_path)
+    config = io.load_run_config(cfg_path)
+    section = config if key == "seed" else config["analysis"]
+    section[key] = fallback
+    io.save_run_config(config, cfg_path)
+    held = pipeline_outputs(cfg_path, tmp_path / "held")
+    del section[key]
+    io.save_run_config(config, cfg_path)
+    assert pipeline_outputs(cfg_path, tmp_path / "omitted") == held
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     code = run_cli("simulate", "--config", str(tmp_path / "missing.json"))
     assert code == 1

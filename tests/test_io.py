@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import struct
 import sys
@@ -143,7 +144,9 @@ def test_log_missing_sidecar_error(tmp_path):
     lambda meta: json.dumps(meta)[:-2],
     lambda meta: json.dumps(dict(meta, scenario=dict(meta["scenario"], lanes=3))),
     lambda meta: json.dumps(dict(meta, policy={"kind": "no-response", "gain": 2.0})),
-], ids=["missing-key", "malformed-json", "unknown-scenario-key", "unknown-policy-key"])
+    lambda meta: json.dumps(dict(meta, t_trigger=math.nan)),
+], ids=["missing-key", "malformed-json", "unknown-scenario-key", "unknown-policy-key",
+        "nan-trigger-time"])
 def test_log_bad_sidecar_error(tmp_path, corrupt):
     path = tmp_path / "run.csv"
     io.save_trajectory_log(make_log(duration=0.5), path)
@@ -444,6 +447,45 @@ def test_config_missing_section_error(tmp_path, section):
     message = f"run config {path}: section '{section}' is missing"
     with pytest.raises(io.ParseError, match=re.escape(message)):
         io.load_run_config(path)
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("dt", 0.0), ("dt", math.nan),
+    ("eval_step", -0.1), ("eval_step", math.inf),
+    ("bootstrap_samples", 0), ("bootstrap_samples", 2.5), ("bootstrap_samples", "1000"),
+    ("delay_jitter", -0.2), ("delay_jitter", math.nan),
+    ("window_reaction_floor", math.nan), ("window_reaction_floor", -0.4),
+])
+def test_config_analysis_value_checked(tmp_path, key, bad):
+    config = io.default_run_config()
+    config["analysis"][key] = bad
+    path = tmp_path / "config.json"
+    io.save_run_config(config, path)
+    with pytest.raises(io.ParseError, match=re.escape(f"run config {path}: analysis.{key} = ")):
+        io.load_run_config(path)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "7", None])
+def test_config_seed_checked(tmp_path, bad):
+    config = dict(io.default_run_config(), seed=bad)
+    path = tmp_path / "config.json"
+    io.save_run_config(config, path)
+    with pytest.raises(io.ParseError, match=re.escape(f"run config {path}: seed = ")):
+        io.load_run_config(path)
+
+
+def test_config_fills_omitted_keys(tmp_path):
+    """A config lacking seed or an analysis key loads with the value it always meant."""
+    config = io.default_run_config()
+    del config["seed"]
+    for key in ("eval_step", "bootstrap_samples", "delay_jitter", "window_reaction_floor"):
+        del config["analysis"][key]
+    path = tmp_path / "config.json"
+    io.save_run_config(config, path)
+    loaded = io.load_run_config(path)
+    assert loaded["seed"] == 0
+    assert loaded["analysis"] == {"dt": 0.01, "eval_step": 0.1, "bootstrap_samples": 1000,
+                                  "delay_jitter": 0.0, "window_reaction_floor": 0.4}
 
 
 def test_sequence_graph_emission_sums(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,15 @@ def test_determinism_bit_identical():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         PolicySpec(kind="teleport")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["reaction_delay", "steer_rate", "steer_target",
+                                   "reversal_delay", "reversal_target"])
+def test_policy_rejects_non_finite(field, value):
+    # A NaN reaction delay never came due: a brake-only run acted like no-response.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        PolicySpec(kind="brake-only", **{field: value})
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)

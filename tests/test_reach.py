@@ -832,6 +832,13 @@ def test_prediction_config_rejects_bad_resolution(name, value):
         PredictionConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+def test_prediction_config_rejects_bad_incursion_threshold(value):
+    # A NaN threshold compared false forever, so envelope mode never latched.
+    with pytest.raises(ValueError, match="^incursion_detect_threshold must be finite"):
+        PredictionConfig(incursion_detect_threshold=value)
+
+
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -0.1])
 def test_timelines_reject_bad_eval_step(step):
     log = make_log()

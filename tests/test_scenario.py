@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from odlisim.core import POV_LIMITS
-from odlisim.scenario import (IncursionPath, ScenarioSpec,
+from odlisim.scenario import (IncursionPath, ScenarioSpec, ScenarioTiming,
                               check_path_lateral_accel, default_timing,
                               make_scenario, pov_state_at, pov_x_at_trigger,
                               reference_lateral_at_tc, trigger_distance)
@@ -132,6 +132,13 @@ def test_scenario_spec_rejects_non_finite(field, value):
     # NaN and inf used to pass the `<= 0` checks and fail deep in a rollout.
     with pytest.raises(ValueError, match=field):
         ScenarioSpec(**{field: value})
+
+
+@pytest.mark.parametrize("times", [(math.nan, math.nan), (1.0, math.nan), (math.nan, 6.15),
+                                   (1.0, math.inf), (-math.inf, 6.15)])
+def test_timing_rejects_non_finite(times):
+    with pytest.raises(ValueError, match="timing must be finite"):
+        ScenarioTiming(*times)
 
 
 def test_make_scenario_steepness_defaults():
