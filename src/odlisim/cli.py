@@ -109,11 +109,17 @@ def _apply_overrides(config: dict, args) -> dict:
     return config
 
 
-def _load_logs(directory: str) -> list:
+def _load_logs(directory: str, load) -> list:
+    """Every run_*.csv log under ``directory``, each read by ``load``."""
     paths = sorted(Path(directory).glob("run_*.csv"))
     if not paths:
         raise io.ParseError(f"no run_*.csv logs under {directory}")
-    return [io.load_trajectory_log(p) for p in paths]
+    return [load(p) for p in paths]
+
+
+def _load_reach_log(path):
+    """A log with every acceleration column: each reachable set starts from them."""
+    return io.require_accelerations(io.load_trajectory_log(path), path)
 
 
 def _window(log, config: dict) -> responses.AnalysisWindow:
@@ -131,6 +137,8 @@ def _timelines(logs: list, config: dict, args) -> list[reach.Timeline]:
 
 def _cmd_scenario_gen(args, config: dict) -> int:
     out = Path(args.out or "run_config.json")
+    # the checks the reading commands run, so no written config fails there
+    io.config_prediction(io.checked_run_config(config, out))
     io.save_run_config(config, out)
     print(f"wrote {out}")
     return 0
@@ -138,10 +146,10 @@ def _cmd_scenario_gen(args, config: dict) -> int:
 
 def _cmd_simulate(args, config: dict, out: Path) -> int:
     scenario, timing = io.config_scenario(config)
-    if args.policy:
-        cohort = [(PolicySpec(kind=args.policy), 1)]
-    else:
-        cohort = io.config_policies(config)
+    cohort = [(PolicySpec(kind=args.policy), 1)] if args.policy else io.config_policies(config)
+    if not cohort:
+        raise io.ParseError(f"run config {args.config}: policies lists no policy to "
+                            f"simulate; add one or pass --policy")
     logs = run_cohort(scenario, cohort, dt=config["analysis"]["dt"], seed=config["seed"],
                       delay_jitter=config["analysis"]["delay_jitter"], timing=timing)
     io.save_trajectory_logs(logs, [out / f"run_{i:03d}.csv" for i in range(len(logs))])
@@ -159,7 +167,7 @@ def _cmd_simulate(args, config: dict, out: Path) -> int:
 
 def _cmd_analyze_responses(args, config: dict, out: Path) -> int:
     rows = []
-    for i, log in enumerate(_load_logs(args.logs)):
+    for i, log in enumerate(_load_logs(args.logs, io.load_trajectory_log)):
         summary = responses.analyze_run(
             log, reaction_floor=config["analysis"]["window_reaction_floor"])
         outcome, times = summary["outcome"], summary["times"]
@@ -180,7 +188,7 @@ def _cmd_analyze_responses(args, config: dict, out: Path) -> int:
 def _cmd_analyze_sequence(args, config: dict, out: Path) -> int:
     graph = responses.build_sequence_graph(
         [(log, _window(log, config), classify_outcome(log).kind)
-         for log in _load_logs(args.logs)])
+         for log in _load_logs(args.logs, io.load_trajectory_log)])
     imbalance = graph.flow_imbalance()
     if imbalance:
         raise RuntimeError(f"sequence graph flow imbalance: {imbalance}")
@@ -191,7 +199,7 @@ def _cmd_analyze_sequence(args, config: dict, out: Path) -> int:
 
 
 def _cmd_reach_compute(args, config: dict, out: Path) -> int:
-    log = io.load_trajectory_log(args.log)
+    log = _load_reach_log(args.log)
     pred = io.config_prediction(config)
     i = log.index_at(args.t)
     area, mode = reach.drivable_area_at(log, i, pred)
@@ -205,7 +213,7 @@ def _cmd_reach_compute(args, config: dict, out: Path) -> int:
 
 
 def _cmd_reach_timeline(args, config: dict, out: Path) -> int:
-    timeline, = _timelines([io.load_trajectory_log(args.log)], config, args)
+    timeline, = _timelines([_load_reach_log(args.log)], config, args)
     path = out / "timeline.csv"
     io.emit_timeline(timeline, path)
     print(f"wrote {path} ({int(timeline.exists.sum())}/{len(timeline.exists)} steps drivable)")
@@ -213,7 +221,7 @@ def _cmd_reach_timeline(args, config: dict, out: Path) -> int:
 
 
 def _cmd_reach_aggregate(args, config: dict, out: Path) -> int:
-    timelines = _timelines(_load_logs(args.logs), config, args)
+    timelines = _timelines(_load_logs(args.logs, _load_reach_log), config, args)
     prev = reach.aggregate_prevalence(
         timelines, n_boot=config["analysis"]["bootstrap_samples"], seed=config["seed"])
     path = out / "prevalence.csv"
@@ -260,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         if "config" not in args:  # scenario gen writes a config and reads none
             return args.handler(args, _apply_overrides(io.default_run_config(), args))
         config = _apply_overrides(io.load_run_config(args.config), args)
-        out = Path(args.out or config.get("output_dir", "out"))
+        out = Path(args.out or config["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
         return args.handler(args, config, out)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI

@@ -245,6 +245,19 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
         complete=bool(meta.get("complete", True)))
 
 
+def require_accelerations(log: TrajectoryLog, path: str | Path) -> TrajectoryLog:
+    """``log`` if its file has every acceleration column, else a ParseError naming them.
+
+    A loaded column is finite, so a NaN marks a column the file lacks.
+    """
+    missing = [f"{side}_{key}" for side, states in (("sv", log.sv), ("pov", log.pov))
+               for key in ("ax", "ay") if math.isnan(states[key][0])]
+    if missing:
+        raise ParseError(f"log {path} lacks the acceleration columns {', '.join(missing)} "
+                         f"that reachability starts from")
+    return log
+
+
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     d = dataclasses.asdict(spec)
     d["ctrl_fracs"] = list(spec.ctrl_fracs)
@@ -317,20 +330,22 @@ _FIXED_ANALYSIS = {"accel_release_pct": ACCEL_RELEASE_PCT,
 
 _CONFIG_SECTIONS = ("scenario", "analysis", "prediction")
 
-# Values of keys a config may omit.  They are not the reference values
+# Values of keys a config may omit, by section (None is the top level, and
+# "policies" each entry of that list).  They are not the reference values
 # ``default_run_config`` writes (its delay_jitter is 0.2): a config that
 # lacks a key runs as it always has.
-_SEED_FALLBACK = 0
-_ANALYSIS_FALLBACKS = {"eval_step": 0.1, "bootstrap_samples": 1000,
-                       "delay_jitter": 0.0, "window_reaction_floor": 0.4}
+_FALLBACKS = {None: {"seed": 0, "output_dir": "out"},
+              "scenario": {"t_trigger": 1.0},
+              "policies": {"count": 1},
+              "analysis": {"eval_step": 0.1, "bootstrap_samples": 1000,
+                           "delay_jitter": 0.0, "window_reaction_floor": 0.4}}
 
 # What a value must be: (description, type it is stored as, range test).
 _SEED_RULE = ("an integer >= 0", int, lambda v: v >= 0 and v == int(v))
+_COUNT_RULE = ("an integer >= 1", int, lambda v: v >= 1 and v == int(v))
 _POSITIVE = ("a finite number > 0", float, lambda v: v > 0)
 _NON_NEGATIVE = ("a finite number >= 0", float, lambda v: v >= 0)
-_ANALYSIS_RULES = {"dt": _POSITIVE, "eval_step": _POSITIVE,
-                   "bootstrap_samples": ("an integer >= 1", int,
-                                         lambda v: v >= 1 and v == int(v)),
+_ANALYSIS_RULES = {"dt": _POSITIVE, "eval_step": _POSITIVE, "bootstrap_samples": _COUNT_RULE,
                    "delay_jitter": _NON_NEGATIVE, "window_reaction_floor": _NON_NEGATIVE}
 
 
@@ -352,6 +367,16 @@ def load_run_config(path: str | Path) -> dict:
         config = json.loads(path.read_text())
     except ValueError as exc:
         raise ParseError(f"run config {path}: {type(exc).__name__}: {exc}") from exc
+    return checked_run_config(config, path)
+
+
+def checked_run_config(config, path: str | Path) -> dict:
+    """A copy of ``config`` with omitted keys filled from their fallbacks.
+
+    Every format error is a ParseError naming ``path`` and, for a bad
+    value, its key.  ``load_run_config`` checks what it reads this way, and
+    ``scenario gen`` what it writes.
+    """
     if not isinstance(config, dict):
         raise ParseError(f"run config {path}: top level must be a JSON object")
     for section in _CONFIG_SECTIONS:
@@ -363,8 +388,16 @@ def load_run_config(path: str | Path) -> dict:
         if value != fixed:
             raise ParseError(f"run config {path}: analysis.{key} = {value!r} is not "
                              f"configurable: the response threshold is fixed at {fixed}")
-    config["seed"] = _checked(path, "seed", config.get("seed", _SEED_FALLBACK), _SEED_RULE)
-    analysis = config["analysis"] = {**_ANALYSIS_FALLBACKS, **config["analysis"]}
+    config = {**_FALLBACKS[None], **config}
+    config["seed"] = _checked(path, "seed", config["seed"], _SEED_RULE)
+    config["scenario"] = {**_FALLBACKS["scenario"], **config["scenario"]}
+    policies = config.get("policies", [])
+    if not (isinstance(policies, list) and all(isinstance(p, dict) for p in policies)):
+        raise ParseError(f"run config {path}: policies must be a list of objects")
+    config["policies"] = [{**_FALLBACKS["policies"], **p} for p in policies]
+    for i, policy in enumerate(config["policies"]):
+        policy["count"] = _checked(path, f"policies[{i}].count", policy["count"], _COUNT_RULE)
+    analysis = config["analysis"] = {**_FALLBACKS["analysis"], **config["analysis"]}
     for key, rule in _ANALYSIS_RULES.items():
         if key in analysis:  # dt has no fallback: only the commands that step read it
             analysis[key] = _checked(path, f"analysis.{key}", analysis[key], rule)
@@ -373,18 +406,15 @@ def load_run_config(path: str | Path) -> dict:
 
 def config_scenario(config: dict) -> tuple[ScenarioSpec, ScenarioTiming]:
     d = dict(config["scenario"])
-    t_trigger = d.pop("t_trigger", 1.0)
+    t_trigger = d.pop("t_trigger")
     spec = scenario_from_dict(d)
     return spec, ScenarioTiming(t_trigger, t_trigger + spec.time_gap_trigger)
 
 
 def config_policies(config: dict) -> list[tuple[PolicySpec, int]]:
-    out = []
-    for entry in config.get("policies", []):
-        d = dict(entry)
-        count = int(d.pop("count", 1))
-        out.append((PolicySpec(**d), count))
-    return out
+    """(policy, count) per entry of a config whose keys are filled, as loaded."""
+    return [(PolicySpec(**{k: v for k, v in entry.items() if k != "count"}), entry["count"])
+            for entry in config["policies"]]
 
 
 def config_prediction(config: dict) -> PredictionConfig:

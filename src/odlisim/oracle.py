@@ -249,7 +249,7 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
             if first is None:
                 first = {"step": k, "trajectory": 0, "reason": "empty layer"}
             continue
-        nx, ny = layer.mask.shape
+        nx, ny = layer.shape
         ii = np.floor(s[0] / layer.dx).astype(np.int64) - layer.ox
         jj = np.floor(s[1] / layer.dy).astype(np.int64) - layer.oy
         # A negative index reads as a huge unsigned one, so one compare per

@@ -14,13 +14,12 @@ one hull per axis describes every cell of a layer.
 A layer stores only its occupied cells, in their bounding box, indexed
 from the world cell of its first corner; an empty layer has a 0x0 box.
 A completely occupied box (every unpruned layer, so every POV layer) is a
-box layer and holds no array: propagating it, clipping it to the corridor
-or band, and pruning it against an occupancy that misses it are integer
-arithmetic, its footprint dilation is a filled rectangle allocated at its
-size, and its ``mask`` is built only when a reader (snapshot, oracle,
-tests) asks.  Pruning that hits it carves it into a cropped mask, which
-the same kernels dilate by shifted ORs and cut by slices; a carved
-result that comes out full, such as a box cut at one end, is a box again.
+box layer and holds no array: propagating and clipping it are integer
+arithmetic, and its read-only ``mask`` is built only when read.  The POV
+occupancy is an index rectangle, the box dilated by the footprint, and
+pruning clears its overlap with the SV layer.  A cut that leaves a hole or
+a split carves the layer into a cropped mask, dilated by shifted ORs and
+clipped by slices; a carved result that comes out full is a box again.
 
 Pruning follows the expansion order: at each step the POV layer expands
 first, the SV layer expands from its previous pruned layer, and SV cells
@@ -107,13 +106,13 @@ class AxisInterval:
 class Layer:
     """One future-time slice of a reachable set.
 
-    ``mask[i, j]`` is world cell ``(ox + i, oy + j)``, which spans
-    ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  The mask is cropped to the
-    occupied cells, so its first and last rows and columns are occupied; an
-    empty layer has a 0x0 mask and no hulls.  A box layer (every cell
-    occupied) keeps only its ``shape`` and builds ``mask`` when it is read;
-    any other layer keeps its mask as ``carved`` (None for a box).  Build
-    layers with ``_cropped_layer``, or give ``mask`` a box's ``(nx, ny)``.
+    The layer's cells lie in the index box of ``shape`` cells from world
+    cell ``(ox, oy)``; box cell ``[i, j]`` is world cell ``(ox + i, oy + j)``,
+    which spans ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  The box is
+    cropped to the occupied cells, so its first and last rows and columns are
+    occupied; an empty layer has a 0x0 box and no hulls.  A box layer (every
+    cell occupied) has ``carved`` None; any other layer keeps its cells as
+    the bool array ``carved``.  Build layers with ``_cropped_layer``.
     """
 
     tau: float
@@ -121,14 +120,20 @@ class Layer:
     dy: float
     ox: int
     oy: int
-    mask: np.ndarray = field(repr=False)  # bool, True = occupied
+    shape: tuple[int, int]
     x_hull: AxisInterval | None  # None iff empty
     y_hull: AxisInterval | None
     heading_sign: int
+    carved: np.ndarray | None = field(default=None, repr=False)  # bool, True = occupied
 
     @property
     def empty(self) -> bool:
         return self.x_hull is None
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The occupied cells of the box, read-only: a new filled array for a box layer."""
+        return np.ones(self.shape, dtype=bool) if self.carved is None else self.carved
 
     def world_cells(self) -> set[tuple[int, int]]:
         ii, jj = np.nonzero(self.mask)
@@ -141,20 +146,6 @@ class Layer:
         nx, ny = self.shape
         return ((float(self.ox * self.dx), float((self.ox + nx) * self.dx)),
                 (float(self.oy * self.dy), float((self.oy + ny) * self.dy)))
-
-
-def _read_mask(layer: Layer) -> np.ndarray:
-    return np.ones(layer.shape, dtype=bool) if layer.carved is None else layer.carved
-
-
-def _write_mask(layer: Layer, mask: np.ndarray | tuple[int, int]) -> None:
-    box = type(mask) is tuple
-    layer.shape = mask if box else mask.shape
-    layer.carved = None if box or mask.all() else mask
-
-
-# The field ``mask`` is stored as ``shape`` and ``carved``; a filled mask turns into a box.
-Layer.mask = property(_read_mask, _write_mask)
 
 
 @dataclass
@@ -178,24 +169,25 @@ def _cropped_layer(tau: float, dx: float, dy: float, mask: np.ndarray | tuple[in
                    y_hull: AxisInterval | None, heading_sign: int) -> Layer:
     """The layer of the occupied cells of ``mask``, whose cell [0, 0] is world cell (ox, oy).
 
-    A bool ``mask`` is cropped to its occupied cells (a view, not a copy);
-    an ``(nx, ny)`` shape is a filled box and needs no scan, and a side <= 0
-    leaves it with no cell.  With no occupied cell, or no lateral hull, the
-    layer is empty.
+    A bool ``mask`` is cropped to its occupied cells (a view, not a copy),
+    and a filled crop is a box layer; an ``(nx, ny)`` shape is a filled box
+    and needs no scan, and a side <= 0 leaves it with no cell.  With no
+    occupied cell, or no lateral hull, the layer is empty.
     """
     if type(mask) is tuple:
-        occupied = mask[0] > 0 and mask[1] > 0
+        shape, carved = mask, None
     else:
+        shape, carved = (0, 0), None
         rows = np.flatnonzero(mask.any(axis=1))
-        occupied = rows.size > 0
-        if occupied:
+        if rows.size:
             cols = np.flatnonzero(mask.any(axis=0))
             i0, j0 = int(rows[0]), int(cols[0])
             mask = mask[i0:rows[-1] + 1, j0:cols[-1] + 1]
-            ox, oy = ox + i0, oy + j0
-    if not occupied or y_hull is None:
+            ox, oy, shape = ox + i0, oy + j0, mask.shape
+            carved = None if mask.all() else mask
+    if min(shape) <= 0 or y_hull is None:
         return Layer(tau, dx, dy, 0, 0, (0, 0), None, None, heading_sign)
-    return Layer(tau, dx, dy, ox, oy, mask, x_hull, y_hull, heading_sign)
+    return Layer(tau, dx, dy, ox, oy, shape, x_hull, y_hull, heading_sign, carved)
 
 
 def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
@@ -301,46 +293,43 @@ def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
 
 
 def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
-                  sv_spec: VehicleSpec) -> tuple[np.ndarray, int, int]:
+                  sv_spec: VehicleSpec) -> tuple[int, int, int, int]:
     """POV positional cells inflated by the half-sum footprint.
 
     Minkowski dilation in reference-point coordinates: the SV reference
     collides when it lies within the summed half-extents of a POV cell,
     shifted longitudinally by both reference offsets, so the SV is treated
-    as a point against this mask.  Returns (mask, ox, oy): the mask is
-    cropped to its occupied cells and its cell [0, 0] is world cell (ox, oy).
+    as a point against this set.  The layer is a box, so its dilation is the
+    half-open world-cell rectangle ``(i0, i1, j0, j1)``: cells
+    ``i0 <= ix < i1``, ``j0 <= iy < j1``, and no cell for an empty layer.
+    Nothing prunes a POV layer; a carved one is a ValueError.
     """
     if layer.empty:
-        return layer.mask, layer.ox, layer.oy
+        return 0, 0, 0, 0
+    if layer.carved is not None:
+        raise ValueError("POV occupancy of a carved layer: POV layers are boxes")
     shift = sv_spec.ref_offset + pov_spec.ref_offset
     half_len = (sv_spec.length + pov_spec.length) / 2
     half_wid = (sv_spec.width + pov_spec.width) / 2
-    sx_lo = math.floor((shift - half_len) / layer.dx)
-    sx_hi = math.ceil((shift + half_len) / layer.dx)
-    sy_lo = math.floor(-half_wid / layer.dy)
-    sy_hi = math.ceil(half_wid / layer.dy)
     nx, ny = layer.shape
-    occ = (np.ones((nx + sx_hi - sx_lo, ny + sy_hi - sy_lo), dtype=bool)
-           if layer.carved is None else _dilate(layer.carved, sx_lo, sx_hi, sy_lo, sy_hi))
-    return occ, layer.ox + sx_lo, layer.oy + sy_lo
+    return (layer.ox + math.floor((shift - half_len) / layer.dx),
+            layer.ox + nx + math.ceil((shift + half_len) / layer.dx),
+            layer.oy + math.floor(-half_wid / layer.dy),
+            layer.oy + ny + math.ceil(half_wid / layer.dy))
 
 
-def _pruned(layer: Layer, occ: np.ndarray, occ_ox: int, occ_oy: int) -> Layer:
-    """The non-empty layer without the cells the occupancy mask covers (world aligned).
+def _pruned(layer: Layer, rect: tuple[int, int, int, int]) -> Layer:
+    """The non-empty layer without the cells of the world-cell rectangle ``rect``.
 
-    A layer whose box the occupancy misses is returned as it is.
+    A layer whose box the rectangle misses is returned as it is.
     """
     nx, ny = layer.shape
-    onx, ony = occ.shape
-    i0 = max(layer.ox, occ_ox)
-    j0 = max(layer.oy, occ_oy)
-    i1 = min(layer.ox + nx, occ_ox + onx)
-    j1 = min(layer.oy + ny, occ_oy + ony)
+    i0, i1 = max(rect[0] - layer.ox, 0), min(rect[1] - layer.ox, nx)
+    j0, j1 = max(rect[2] - layer.oy, 0), min(rect[3] - layer.oy, ny)
     if i0 >= i1 or j0 >= j1:
         return layer
-    mask = layer.mask.copy()
-    mask[i0 - layer.ox:i1 - layer.ox, j0 - layer.oy:j1 - layer.oy] &= \
-        ~occ[i0 - occ_ox:i1 - occ_ox, j0 - occ_oy:j1 - occ_oy]
+    mask = np.ones(layer.shape, dtype=bool) if layer.carved is None else layer.carved.copy()
+    mask[i0:i1, j0:j1] = False
     return _cropped_layer(layer.tau, layer.dx, layer.dy, mask, layer.ox, layer.oy,
                           layer.x_hull, layer.y_hull, layer.heading_sign)
 
@@ -392,7 +381,7 @@ class _PovTrack:
         self._band = normative_band(road, pov_spec) if mode == "normative" else None
         self.layers = [self._clip(make_initial_layer(pov_state, config.grid_dx,
                                                      config.grid_dy))]
-        self._occupancy: dict[int, tuple[np.ndarray, int, int]] = {}
+        self._occupancy: dict[int, tuple[int, int, int, int]] = {}
 
     def _clip(self, layer: Layer) -> Layer:
         return layer if self._band is None else _clip_y(layer, *self._band, inside=False)
@@ -403,12 +392,10 @@ class _PovTrack:
                 self.layers[-1], self._config.pov_limits, self._config.tau_step)))
         return self.layers[k]
 
-    def occupancy(self, k: int) -> tuple[np.ndarray, int, int]:
-        occ = self._occupancy.get(k)
-        if occ is None:
-            occ = self._occupancy[k] = pov_occupancy(self.layer(k), self._pov_spec,
-                                                     self._sv_spec)
-        return occ
+    def occupancy(self, k: int) -> tuple[int, int, int, int]:
+        if k not in self._occupancy:
+            self._occupancy[k] = pov_occupancy(self.layer(k), self._pov_spec, self._sv_spec)
+        return self._occupancy[k]
 
 
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
@@ -442,7 +429,7 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
             sv_l = _clip_y(sv_l, *corridor, inside=True)
         if sv_l.empty or pov_l.empty:
             return sv_l
-        return _pruned(sv_l, *track.occupancy(k))
+        return _pruned(sv_l, track.occupancy(k))
 
     sv_layer = prune(make_initial_layer(sv_state, config.grid_dx, config.grid_dy), 0)
     sv_layers = [sv_layer]

@@ -141,6 +141,96 @@ def test_simulate_names_config_missing_section(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policies", [None, []], ids=["missing", "empty"])
+def test_simulate_rejects_empty_cohort(tmp_path, capsys, policies):
+    """A config with no policy fails at simulate, not one command later with no logs."""
+    cfg_path = small_config(tmp_path)
+    config = io.load_run_config(cfg_path)
+    if policies is None:
+        del config["policies"]
+    else:
+        config["policies"] = policies
+    io.save_run_config(config, cfg_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
+    payload = json_error(capsys)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith(f"run config {cfg_path}: policies lists no policy")
+    assert not any(out.iterdir())
+    # --policy replaces the cohort, so it runs without one
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out),
+                   "--policy", "no-response") == 0
+    assert sorted(p.name for p in out.glob("run_*.csv")) == ["run_000.csv"]
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.7])
+def test_simulate_rejects_bad_policy_count(tmp_path, capsys, count):
+    """A count below 1 or with a fraction is a load error naming the key: before,
+    0 ran no member, -3 raised IndexError and 2.7 ran 2."""
+    cfg_path = small_config(tmp_path)
+    config = io.load_run_config(cfg_path)
+    config["policies"][1]["count"] = count
+    io.save_run_config(config, cfg_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert json_error(capsys) == {
+        "error": "ParseError",
+        "message": f"run config {cfg_path}: policies[1].count = {count!r} "
+                   f"must be an integer >= 1"}
+    assert not out.exists()  # a load error comes before any output
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "-1"), ("--grid-dx", "0"),
+                                         ("--horizon", "nan")])
+def test_scenario_gen_writes_no_invalid_config(tmp_path, capsys, flag, value):
+    """scenario gen runs the checks of the commands that read its config, and
+    writes nothing when one fails."""
+    cfg_path = tmp_path / "config.json"
+    assert run_cli("scenario", "gen", "--out", str(cfg_path), flag, value) == 1
+    payload = json_error(capsys)
+    key = flag[2:].replace("-", "_")
+    if key == "dt":
+        assert payload == {"error": "ParseError",
+                           "message": f"run config {cfg_path}: analysis.dt = -1.0 "
+                                      f"must be a finite number > 0"}
+    else:
+        assert payload == {"error": "ValueError",
+                           "message": f"{key} must be positive and finite, got {float(value)}"}
+    assert not cfg_path.exists()
+
+
+def drop_columns(path, names):
+    """Rewrite a log without the named columns."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in names]
+    path.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
+
+
+def test_reach_names_log_without_accelerations(tmp_path, capsys):
+    """Acceleration columns are optional for analyze, but every reach command
+    starts from them, so it fails naming the log and the columns it lacks."""
+    cfg_path = small_config(tmp_path)
+    logs, out = tmp_path / "logs", tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(logs)) == 0
+    log = logs / "run_001.csv"
+    drop_columns(log, ("sv_ay", "pov_ax"))
+    capsys.readouterr()
+    for argv in (("compute", "--log", str(log), "--t", "3.0"),
+                 ("timeline", "--log", str(log)), ("aggregate", "--logs", str(logs))):
+        assert run_cli("reach", *argv, "--config", str(cfg_path), "--out", str(out)) == 1
+        assert json_error(capsys) == {
+            "error": "ParseError",
+            "message": f"log {log} lacks the acceleration columns sv_ay, pov_ax "
+                       f"that reachability starts from"}
+    assert not any(out.iterdir())
+    assert run_cli("analyze", "responses", "--config", str(cfg_path), "--logs", str(logs),
+                   "--out", str(out)) == 0
+    _, _, rows = io.load_table(out / "response_metrics.csv")
+    assert len(rows) == 2
+
+
 def test_reach_rejects_zero_eval_step(tmp_path, capsys):
     cfg_path = small_config(tmp_path)
     out = tmp_path / "out"
@@ -224,18 +314,30 @@ def pipeline_outputs(cfg_path, out) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("key, fallback", [
-    ("seed", 0), ("eval_step", 0.1), ("bootstrap_samples", 1000),
-    ("delay_jitter", 0.0), ("window_reaction_floor", 0.4)])
+    ("seed", 0), ("t_trigger", 1.0), ("count", 1), ("eval_step", 0.1),
+    ("bootstrap_samples", 1000), ("delay_jitter", 0.0), ("window_reaction_floor", 0.4)])
 def test_omitted_config_key_means_its_fallback(tmp_path, key, fallback):
     cfg_path = small_config(tmp_path)
     config = io.load_run_config(cfg_path)
-    section = config if key == "seed" else config["analysis"]
+    section = {"seed": config, "t_trigger": config["scenario"],
+               "count": config["policies"][1]}.get(key, config["analysis"])
     section[key] = fallback
     io.save_run_config(config, cfg_path)
     held = pipeline_outputs(cfg_path, tmp_path / "held")
     del section[key]
     io.save_run_config(config, cfg_path)
     assert pipeline_outputs(cfg_path, tmp_path / "omitted") == held
+
+
+def test_omitted_output_dir_means_out(tmp_path, monkeypatch):
+    cfg_path = small_config(tmp_path)
+    config = io.load_run_config(cfg_path)
+    del config["output_dir"]
+    io.save_run_config(config, cfg_path)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--config", str(cfg_path)) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("run_*.csv")) == [
+        "run_000.csv", "run_001.csv"]
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):

@@ -474,16 +474,40 @@ def test_config_seed_checked(tmp_path, bad):
         io.load_run_config(path)
 
 
-def test_config_fills_omitted_keys(tmp_path):
-    """A config lacking seed or an analysis key loads with the value it always meant."""
+@pytest.mark.parametrize("bad", [0, -3, 2.7, "2", True, None])
+def test_config_policy_count_checked(tmp_path, bad):
     config = io.default_run_config()
-    del config["seed"]
+    config["policies"][1]["count"] = bad
+    path = tmp_path / "config.json"
+    io.save_run_config(config, path)
+    message = f"run config {path}: policies[1].count = {bad!r} must be an integer >= 1"
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_run_config(path)
+
+
+@pytest.mark.parametrize("bad", [{"kind": "no-response"}, ["no-response"], "no-response"])
+def test_config_policies_must_be_objects(tmp_path, bad):
+    path = tmp_path / "config.json"
+    io.save_run_config(dict(io.default_run_config(), policies=bad), path)
+    message = f"run config {path}: policies must be a list of objects"
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_run_config(path)
+
+
+def test_config_fills_omitted_keys(tmp_path):
+    """A config lacking a key with a fallback loads with the value it always meant."""
+    config = io.default_run_config()
+    del config["seed"], config["output_dir"], config["policies"], config["scenario"]["t_trigger"]
     for key in ("eval_step", "bootstrap_samples", "delay_jitter", "window_reaction_floor"):
         del config["analysis"][key]
     path = tmp_path / "config.json"
     io.save_run_config(config, path)
     loaded = io.load_run_config(path)
-    assert loaded["seed"] == 0
+    assert (loaded["seed"], loaded["output_dir"], loaded["policies"]) == (0, "out", [])
+    assert loaded["scenario"]["t_trigger"] == 1.0
+    config["policies"] = [{"kind": "no-response"}]
+    io.save_run_config(config, path)
+    assert io.load_run_config(path)["policies"] == [{"kind": "no-response", "count": 1}]
     assert loaded["analysis"] == {"dt": 0.01, "eval_step": 0.1, "bootstrap_samples": 1000,
                                   "delay_jitter": 0.0, "window_reaction_floor": 0.4}
 

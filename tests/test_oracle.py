@@ -359,8 +359,7 @@ def test_containment_matches_state_by_state_reference():
         assert report.n_checked == cloud.states.shape[0] * len(rset.layers)
         assert report.fraction == 1.0 - n_bad / report.n_checked
     empty = compute_reachable_set(s0, SV_LIMITS, cfg)
-    empty.layers[3] = replace(empty.layers[3], x_hull=None, y_hull=None,
-                              mask=np.zeros((0, 0), dtype=bool))
+    empty.layers[3] = replace(empty.layers[3], x_hull=None, y_hull=None, shape=(0, 0))
     cloud = sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
                                 dt=cfg.tau_step, n=50, seed=0)
     report = containment_check(cloud, empty)

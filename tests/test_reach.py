@@ -40,10 +40,16 @@ def pov_state(**kw):
 
 def single_cell_layer(ix=0, iy=0, dx=0.5, dy=0.25, heading=1,
                       hull_v=(0.0, 0.0), hull_a=(0.0, 0.0)):
-    return Layer(tau=0.0, dx=dx, dy=dy, ox=ix, oy=iy, mask=np.ones((1, 1), dtype=bool),
+    return Layer(tau=0.0, dx=dx, dy=dy, ox=ix, oy=iy, shape=(1, 1),
                  x_hull=AxisInterval(ix * dx, (ix + 1) * dx, *hull_v, *hull_a),
                  y_hull=AxisInterval(iy * dy, (iy + 1) * dy, 0.0, 0.0, 0.0, 0.0),
                  heading_sign=heading)
+
+
+def carved_layer(ox, oy, rows, x_hull, y_hull):
+    """The layer of the occupied cells of ``rows``, whose cell [0, 0] is world cell (ox, oy)."""
+    return reach._cropped_layer(0.0, 0.5, 0.25, np.array(rows, dtype=bool), ox, oy,
+                                x_hull, y_hull, 1)
 
 
 def emptied(layer):
@@ -94,11 +100,11 @@ def test_clip_y_recrops_what_it_cuts():
     """A lateral clip of a carved mask crops the columns it keeps, and empties the
     layer when they hold no cell; keeping every column keeps the mask."""
     def carved(rows):
-        return Layer(0.0, 0.5, 0.25, 4, 0, np.array(rows, dtype=bool),
-                     AxisInterval(2.0, 3.0, 0.0, 0.0, 0.0, 0.0),
-                     AxisInterval(0.0, 0.75, 0.0, 0.0, 0.0, 0.0), 1)
+        return carved_layer(4, 0, rows, AxisInterval(2.0, 3.0, 0.0, 0.0, 0.0, 0.0),
+                            AxisInterval(0.0, 0.75, 0.0, 0.0, 0.0, 0.0))
 
     layer = carved([[1, 0, 0], [0, 1, 1]])
+    assert layer.carved is not None and (layer.ox, layer.oy, layer.shape) == (4, 0, (2, 3))
     cut = reach._clip_y(layer, 0.25, 0.5, inside=False)  # column 1 only
     assert (cut.ox, cut.oy, cut.mask.tolist()) == (5, 1, [[True]])
     assert (cut.y_hull.p_lo, cut.y_hull.p_hi) == (0.25, 0.5)
@@ -111,42 +117,42 @@ def test_clip_y_recrops_what_it_cuts():
 def test_occupancy_dilation_defaults():
     layer = single_cell_layer(ix=10, iy=4)
     spec = VehicleSpec(ref_offset=0.0)
-    occ, ox, oy = pov_occupancy(layer, spec, spec)
-    ii, jj = np.nonzero(occ)
-    ix = ii + ox
-    iy = jj + oy
-    assert ix.min() == 10 - 9 and ix.max() == 10 + 9  # ceil(4.4 / 0.5) = 9
-    assert iy.min() == 4 - 8 and iy.max() == 4 + 8    # ceil(1.8 / 0.25) = 8
+    i0, i1, j0, j1 = pov_occupancy(layer, spec, spec)
+    assert i0 == 10 - 9 and i1 - 1 == 10 + 9  # ceil(4.4 / 0.5) = 9
+    assert j0 == 4 - 8 and j1 - 1 == 4 + 8    # ceil(1.8 / 0.25) = 8
+    assert all(type(v) is int for v in (i0, i1, j0, j1))
 
 
 def test_occupancy_ref_offset_shift():
     layer = single_cell_layer(ix=0, iy=0)
-    occ, ox, oy = pov_occupancy(layer, VehicleSpec(ref_offset=0.2), VehicleSpec())
-    ii = np.nonzero(occ)[0] + ox
-    assert ii.min() == -9 and ii.max() == 10  # band shifted +0.2 m
+    i0, i1, _, _ = pov_occupancy(layer, VehicleSpec(ref_offset=0.2), VehicleSpec())
+    assert i0 == -9 and i1 - 1 == 10  # band shifted +0.2 m
 
 
 def test_occupancy_empty_layer():
     layer = emptied(single_cell_layer())
-    occ, _, _ = pov_occupancy(layer, VehicleSpec(), VehicleSpec())
-    assert not occ.any()
+    i0, i1, j0, j1 = pov_occupancy(layer, VehicleSpec(), VehicleSpec())
+    assert i0 >= i1 and j0 >= j1  # no cell
 
 
 def test_occupancy_commutes_with_union():
-    a = single_cell_layer(ix=0, iy=0)
-    b = single_cell_layer(ix=30, iy=12)
-    union = single_cell_layer(ix=0, iy=0)
-    union.mask = np.zeros((31, 13), dtype=bool)
-    union.mask[0, 0] = union.mask[30, 12] = True  # world cells (0, 0) and (30, 12)
+    """Two boxes that tile a box dilate to rectangles tiling the box's rectangle; a
+    union that is not a box is carved, and its occupancy is a ValueError."""
+    a, b, union = box_layer(0, 0, 3, 4), box_layer(3, 0, 5, 4), box_layer(0, 0, 8, 4)
     spec = VehicleSpec(ref_offset=0.0)
 
-    def cells(occ, ox, oy):
-        ii, jj = np.nonzero(occ)
-        return {(int(i) + ox, int(j) + oy) for i, j in zip(ii, jj)}
+    def cells(i0, i1, j0, j1):
+        return {(i, j) for i in range(i0, i1) for j in range(j0, j1)}
 
     got = cells(*pov_occupancy(union, spec, spec))
-    want = cells(*pov_occupancy(a, spec, spec)) | cells(*pov_occupancy(b, spec, spec))
-    assert got == want
+    assert got == cells(*pov_occupancy(a, spec, spec)) | cells(*pov_occupancy(b, spec, spec))
+    # world cells (0, 0) and (30, 12) only
+    rows = np.zeros((31, 13), dtype=bool)
+    rows[0, 0] = rows[30, 12] = True
+    apart = carved_layer(0, 0, rows, a.x_hull, a.y_hull)
+    assert apart.carved is not None
+    with pytest.raises(ValueError, match="carved"):
+        pov_occupancy(apart, spec, spec)
 
 
 def test_prediction_mode_examples():
@@ -639,22 +645,27 @@ def test_propagate_matches_reference_on_random_masks(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_pov_occupancy_matches_reference_on_random_masks(kind):
     rng = np.random.default_rng(10 + KINDS.index(kind))
+    n_carved = 0
     for _ in range(300):
         layer, ref_layer = random_layer(rng, kind)
         pov_spec = VehicleSpec(length=rng.uniform(3.0, 6.0), width=rng.uniform(1.5, 2.2),
                                ref_offset=rng.uniform(-1.0, 1.0))
         sv_spec = VehicleSpec(ref_offset=rng.uniform(-1.0, 1.0))
-        occ, ox, oy = pov_occupancy(layer, pov_spec, sv_spec)
+        if layer.carved is not None:
+            # only a box's occupancy is a rectangle; nothing prunes a POV layer
+            with pytest.raises(ValueError, match="carved"):
+                pov_occupancy(layer, pov_spec, sv_spec)
+            n_carved += 1
+            continue
+        i0, i1, j0, j1 = pov_occupancy(layer, pov_spec, sv_spec)
         ref, rox, roy = ref_pov_occupancy(ref_layer, pov_spec, sv_spec)
-        # cropped to the occupied cells, and equal to the reference in world cells
-        ii, jj = np.nonzero(occ)
-        assert (ii.min(), ii.max(), jj.min(), jj.max()) == (0, occ.shape[0] - 1,
-                                                            0, occ.shape[1] - 1)
-        assert rox <= ox and ox + occ.shape[0] <= rox + ref.shape[0]
-        assert roy <= oy and oy + occ.shape[1] <= roy + ref.shape[1]
+        # the rectangle holds exactly the reference's cells, in world cells
+        assert rox <= i0 < i1 <= rox + ref.shape[0]
+        assert roy <= j0 < j1 <= roy + ref.shape[1]
         placed = np.zeros_like(ref)
-        placed[ox - rox:ox - rox + occ.shape[0], oy - roy:oy - roy + occ.shape[1]] = occ
+        placed[i0 - rox:i1 - rox, j0 - roy:j1 - roy] = True
         assert np.array_equal(placed, ref)
+    assert (n_carved == 0) == (kind == "full")
 
 
 @pytest.fixture(scope="module")
@@ -877,10 +888,9 @@ PRUNE_ARRANGEMENTS = {
 def test_pruned_box_against_box_matches_reference(arrangement):
     (qx, qy, qnx, qny), stays_box = PRUNE_ARRANGEMENTS[arrangement]
     layer = box_layer(10, 20, 6, 5)
-    occ = np.ones((qnx, qny), dtype=bool)
     want = layer.mask.copy()
-    ref_prune_mask(want, layer.ox, layer.oy, occ, qx, qy)
-    got = reach._pruned(layer, occ, qx, qy)
+    ref_prune_mask(want, layer.ox, layer.oy, np.ones((qnx, qny), dtype=bool), qx, qy)
+    got = reach._pruned(layer, (qx, qx + qnx, qy, qy + qny))
     assert_cropped(got)
     assert holds_no_array(got) == stays_box
     assert got.empty == (not want.any())
@@ -890,6 +900,23 @@ def test_pruned_box_against_box_matches_reference(arrangement):
         assert (got.tau, got.x_hull, got.y_hull) == (layer.tau, layer.x_hull, layer.y_hull)
     if arrangement.startswith("miss"):
         assert got is layer
+
+
+@pytest.mark.parametrize("il", [-1.0, -0.8, 0.0, 0.9, 1.0])
+@pytest.mark.parametrize("mode", ["normative", "kinematic-envelope"])
+def test_pov_track_holds_only_boxes(il, mode):
+    """Nothing prunes the POV, so every layer of a POV track out to the horizon is a
+    box and its occupancy a rectangle: the invariant ``pov_occupancy`` rests on."""
+    log = rollout(make_scenario(il), PolicySpec(kind="no-response"))
+    sc = log.scenario
+    for i in range(0, len(log.t), 10):  # every 0.1 s of the log
+        track = reach._PovTrack(log.pov_state(i), mode, sc.road, sc.sv_spec, sc.pov_spec, CFG)
+        track.layer(CFG.n_steps)
+        assert len(track.layers) == CFG.n_steps + 1
+        for k, layer in enumerate(track.layers):
+            assert layer.carved is None, (i, k)
+            i0, i1, j0, j1 = track.occupancy(k)
+            assert layer.empty or (i0 < i1 and j0 < j1)
 
 
 def test_reachable_set_from_a_point_holds_only_boxes():
@@ -908,21 +935,23 @@ def test_reachable_set_from_a_point_holds_only_boxes():
 def test_filled_mask_becomes_a_box():
     layer = single_cell_layer()
     assert holds_no_array(layer) and layer.shape == (1, 1)
-    layer.mask = np.array([[1, 0], [1, 1]], dtype=bool)
-    assert layer.carved is not None and layer.shape == (2, 2)
-    layer.mask = np.ones((3, 2), dtype=bool)
-    assert holds_no_array(layer) and layer.shape == (3, 2)
+    with pytest.raises(AttributeError):
+        layer.mask = np.ones((1, 1), dtype=bool)  # read-only: a layer is built, not edited
+    hulls = (layer.x_hull, layer.y_hull)
+    carved = carved_layer(0, 0, [[1, 0], [1, 1]], *hulls)
+    assert carved.carved is not None and carved.shape == (2, 2)
+    assert carved.mask is carved.carved
+    filled = carved_layer(0, 0, np.ones((3, 2)), *hulls)
+    assert holds_no_array(filled) and filled.shape == (3, 2)
 
 
 def test_carved_layer_whose_dilation_fills_its_box_is_a_box():
-    carved = Layer(0.0, 0.5, 0.25, 4, 0, np.array([[1, 0, 1]], dtype=bool),
-                   AxisInterval(2.0, 2.4, 0.0, 0.0, 0.0, 0.0),
-                   AxisInterval(0.0, 0.75, 0.0, 2.0, 0.0, 0.0), 1)
+    carved = carved_layer(4, 0, [[1, 0, 1]], AxisInterval(2.0, 2.4, 0.0, 0.0, 0.0, 0.0),
+                          AxisInterval(0.0, 0.75, 0.0, 2.0, 0.0, 0.0))
     assert carved.carved is not None
     nxt = propagate_step(carved, SV_LIMITS, 0.1)  # lateral shifts 0 and 1 fill the gap
     assert holds_no_array(nxt)
     assert (nxt.ox, nxt.oy, nxt.shape) == (4, 0, (1, 4))
-    want = propagate_step(replace(carved, mask=np.array([[1, 1, 1]], dtype=bool)),
-                          SV_LIMITS, 0.1)
+    want = propagate_step(replace(carved, carved=None), SV_LIMITS, 0.1)
     assert (want.ox, want.oy, want.shape, want.x_hull, want.y_hull) == (
         nxt.ox, nxt.oy, nxt.shape, nxt.x_hull, nxt.y_hull)
