@@ -267,7 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "config" not in args:  # scenario gen writes a config and reads none
             return args.handler(args, _apply_overrides(io.default_run_config(), args))
-        config = _apply_overrides(io.load_run_config(args.config), args)
+        # the file's rules hold for its override flags too, before anything is written
+        config = io.checked_run_config(_apply_overrides(io.load_run_config(args.config), args),
+                                       f"{args.config} with its override flags")
         out = Path(args.out or config["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
         return args.handler(args, config, out)

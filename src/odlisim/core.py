@@ -122,7 +122,10 @@ POV_LIMITS = KinematicLimits(a_lat_left_max=4.0, a_lat_right_max=0.0)
 
 @dataclass(frozen=True)
 class AxisLimits:
-    """Admissible road-frame box for one axis: velocity, acceleration, jerk."""
+    """Admissible road-frame box for one axis: velocity, acceleration, jerk.
+
+    Array fields that broadcast against the states step several axes in one call.
+    """
 
     v_lo: float
     v_hi: float

@@ -10,12 +10,12 @@ classified at the time of closest longitudinal proximity t_p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from . import policies
-from .core import (POV_SIGN, SV_LIMITS, SV_SIGN, KinematicLimits, VehicleState,
+from .core import (POV_SIGN, SV_LIMITS, SV_SIGN, AxisLimits, KinematicLimits, VehicleState,
                    axis_limits, axis_step, footprint_at, rectangles_overlap)
 from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming, default_timing,
                        pov_x_at_trigger, sv_initial_state)
@@ -109,7 +109,7 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
 
     The POV path and each member's pedal/steer schedule are functions of t
     alone, so they are computed as arrays up front; only the clamped SV
-    integrator steps, once per sample for all members together.  The SV
+    integrator steps, once per sample for both axes of every member.  The SV
     path never depends on a collision, so each member's log is cut at its
     first footprint overlap afterwards.
     """
@@ -131,26 +131,29 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
            "ax": np.zeros_like(t), "ay": pov_ay}
 
     # Per-member schedules, shape (members, 3, samples); the acceleration
-    # targets are laid out (samples, members) for the step loop.
+    # targets are laid out (samples, axis, members) for the step loop.
     ctl = np.array([policies.policy_schedule(t, timing, p, sv_limits.a_brk_max)
                     for p in members])
-    ax_t, ay_t = (np.ascontiguousarray(a.T) for a in policies.target_accels(
-        ctl[:, 0], ctl[:, 1], ctl[:, 2], sv_limits.a_fwd_max, sv_limits.a_brk_max))
+    a_t = np.ascontiguousarray(np.transpose(policies.target_accels(
+        ctl[:, 0], ctl[:, 1], ctl[:, 2], sv_limits.a_fwd_max, sv_limits.a_brk_max), (2, 0, 1)))
 
     sv0 = sv_initial_state(scenario)
-    lim_x = axis_limits(sv_limits, SV_SIGN, "x")
-    lim_y = axis_limits(sv_limits, SV_SIGN, "y")
-    # State channels (x, y, vx, vy, ax, ay), shape (samples, 6, members); each
-    # member's log channels are views into it.
-    sv = np.empty((len(t), 6, len(members)))
-    sv[0] = np.array([sv0.x, sv0.y, sv0.vx, sv0.vy, sv0.ax, sv0.ay])[:, None]
+    # Both axes step in one call: each limit is a (2, 1) column, x over y,
+    # that broadcasts against the (2, members) axis rows.
+    lim = AxisLimits(*np.array([astuple(axis_limits(sv_limits, SV_SIGN, axis))
+                                for axis in "xy"]).T[..., None])
+    # State (samples, 3, 2, members): position, velocity, acceleration by
+    # axis, so sv.reshape(samples, 6, members) is the channel order
+    # (x, y, vx, vy, ax, ay); each member's log channels are views into it.
+    sv = np.empty((len(t), 3, 2, len(members)))
+    sv[0] = np.array([[sv0.x, sv0.y], [sv0.vx, sv0.vy], [sv0.ax, sv0.ay]])[..., None]
     for k in range(n_steps):
-        x, y, vx, vy, ax, ay = sv[k]
+        p, v, a = sv[k]
         nxt = sv[k + 1]
         # Jerk command tracks the pedal/steer acceleration targets; the
         # stepper clamps it into the admissible box.
-        nxt[0], nxt[2], nxt[4] = axis_step(x, vx, ax, (ax_t[k] - ax) / dt, lim_x, dt)
-        nxt[1], nxt[3], nxt[5] = axis_step(y, vy, ay, (ay_t[k] - ay) / dt, lim_y, dt)
+        nxt[0], nxt[1], nxt[2] = axis_step(p, v, a, (a_t[k] - a) / dt, lim, dt)
+    sv = sv.reshape(len(t), 6, len(members))
     if not (np.isfinite(sv).all() and all(np.isfinite(v).all() for v in pov.values())):
         raise ValueError("non-finite vehicle state")
 

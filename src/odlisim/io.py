@@ -12,12 +12,12 @@ shows a blank or missing row, does the row-by-row loop run: it names the
 bad row, or loads what ``float()`` accepts and ``loadtxt`` does not (such
 as ``1_0``).  A header that names a column twice is rejected.
 
-A cohort is written by one writer, ``save_trajectory_logs``.  Its members
-share one time grid and one POV track, so the ``t`` and ``pov_*`` columns
-are formatted once, from the longest member, and a member reuses that text
-only where its own columns are bit-identical prefixes of it (``-0.0``
-stays apart from ``0.0``).  Every file is byte-identical to a write of its
-log alone.
+A cohort is written by one writer, ``save_trajectory_logs``, which formats
+each distinct float once per cohort, from one table keyed by the value's
+int64 bits (so ``-0.0`` stays apart from ``0.0``); about one cell in twenty
+is distinct.  The ``t`` and ``pov_*`` rows are joined once, from the longest
+member, and a member reuses them where its columns are bit-identical
+prefixes of them.  Every file is byte-identical to a write of its log alone.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import struct
 import warnings
 from pathlib import Path
 
@@ -70,21 +71,32 @@ def _unit_of(col: str) -> str:
 _LOG_HEAD = [",".join(_ALL_COLS), ",".join(_unit_of(c) for c in _ALL_COLS)]
 
 
-def _texts(col, a: int, b: int):
-    """Shortest round-trip text of rows a:b of one column (repr of Python floats)."""
-    return map(repr, np.asarray(col[a:b], dtype=float).tolist())
+class _FloatTexts(dict):
+    """Shortest round-trip text (``repr``) of floats, keyed by int64 bit pattern.
+
+    A value is formatted the first time its bits are looked up.  Keying on
+    bits keeps ``-0.0`` apart from ``0.0``, which compare equal.
+    """
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = repr(struct.unpack("<d", struct.pack("<q", bits))[0])
+        return text
+
+    def column(self, col, a: int, b: int):
+        """The text of rows a:b of one column."""
+        return map(self.__getitem__,
+                   np.asarray(col[a:b], dtype=float).view(np.int64).tolist())
 
 
-def _row_texts(cols: list, n: int) -> list[str]:
+def _row_texts(texts: _FloatTexts, cols: list, n: int) -> list[str]:
     """The first n rows of ``cols``, each row's values comma-joined.
 
-    Formatted in blocks of rows, so only one block's float objects are
-    alive at a time.
+    Looked up in blocks of rows, so only one block's keys are alive at a time.
     """
     rows = []
     for a in range(0, n, _SAVE_BLOCK_ROWS):
         b = min(a + _SAVE_BLOCK_ROWS, n)
-        rows.extend(map(",".join, zip(*(_texts(c, a, b) for c in cols))))
+        rows.extend(map(",".join, zip(*(texts.column(c, a, b) for c in cols))))
     return rows
 
 
@@ -101,31 +113,34 @@ def _shared_groups(log: TrajectoryLog) -> tuple[list, list]:
 
 
 def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> None:
-    """Write each log to its path, formatting the shared columns once.
+    """Write each log to its path, formatting each distinct float once.
 
-    The ``t`` and ``pov_*`` text comes from the longest log; a log whose
-    group of columns is not a bit-identical prefix of it formats that
-    group itself.
+    Every cell's text comes from one table per call, keyed by its bits.
+    The ``t`` and ``pov_*`` rows come from the longest log; a log whose
+    group of columns is not a bit-identical prefix of it looks that group
+    up itself.
     """
     if len(logs) != len(paths):
         raise ValueError(f"{len(logs)} logs for {len(paths)} paths")
     if not logs:
         return
+    texts = _FloatTexts()
     longest = max(logs, key=len)
-    shared = [(cols, _row_texts(cols, len(longest))) for cols in _shared_groups(longest)]
+    shared = [(cols, _row_texts(texts, cols, len(longest)))
+              for cols in _shared_groups(longest)]
     for log, path in zip(logs, paths):
         n = len(log)
         t_rows, pov_rows = (
-            rows if all(map(_is_bit_prefix, cols, ref)) else _row_texts(cols, n)
+            rows if all(map(_is_bit_prefix, cols, ref)) else _row_texts(texts, cols, n)
             for (ref, rows), cols in zip(shared, _shared_groups(log)))
         sv = [log.sv[k] for k in _STATE_KEYS]
         controls = [log.controls[k] for k in _CONTROL_COLS]
         lines = list(_LOG_HEAD)
         for a in range(0, n, _SAVE_BLOCK_ROWS):
             b = min(a + _SAVE_BLOCK_ROWS, n)
-            lines.extend(map(",".join, zip(t_rows[a:b], *(_texts(c, a, b) for c in sv),
+            lines.extend(map(",".join, zip(t_rows[a:b], *(texts.column(c, a, b) for c in sv),
                                            pov_rows[a:b],
-                                           *(_texts(c, a, b) for c in controls))))
+                                           *(texts.column(c, a, b) for c in controls))))
         path = Path(path)
         path.write_text("\n".join(lines) + "\n")
         _save_sidecar(log, path)
@@ -197,7 +212,25 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
         raise ParseError(f"metadata sidecar {meta_path}: "
                          f"{type(exc).__name__}: {exc}") from exc
 
-    lines = path.read_text().splitlines()
+    try:
+        data = _log_columns(path.read_text().splitlines(), dt)
+    except ParseError as exc:  # the one place that names the file; .row is kept
+        exc.args = (f"log {path}: {exc}",)
+        raise
+    return TrajectoryLog(
+        dt=dt, t=data["t"],
+        sv={k: data[f"sv_{k}"] for k in _STATE_KEYS},
+        pov={k: data[f"pov_{k}"] for k in _STATE_KEYS},
+        controls={k: data[k] for k in _CONTROL_COLS},
+        scenario=scenario, timing=timing,
+        policy=policy,
+        collided=bool(meta.get("collided", False)),
+        t_collision=meta.get("t_collision"),
+        complete=bool(meta.get("complete", True)))
+
+
+def _log_columns(lines: list[str], dt: float) -> dict:
+    """Every column of a log file's lines by name, checked; absent optional ones are NaN."""
     if len(lines) < 3:
         raise ParseError("log file needs a header, a units row, and data")
     header = lines[0].split(",")
@@ -224,25 +257,14 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
             raise ParseError(f"value in column {c!r} outside [0, 100]: "
                              f"{float(data[c][bad[0]])}", row=int(bad[0]) + 3)
 
-    t = data["t"]
-    steps = np.diff(t)
+    steps = np.diff(data["t"])
     bad = np.nonzero(steps <= 0)[0]
     if len(bad):
         raise ParseError("non-monotone timestamps", row=int(bad[0]) + 3)
     off = np.nonzero(~np.isclose(steps, dt, rtol=0, atol=1e-9))[0]
     if len(off):
         raise ParseError(f"sample spacing differs from dt={dt}", row=int(off[0]) + 3)
-
-    return TrajectoryLog(
-        dt=dt, t=t,
-        sv={k: data[f"sv_{k}"] for k in _STATE_KEYS},
-        pov={k: data[f"pov_{k}"] for k in _STATE_KEYS},
-        controls={k: data[k] for k in _CONTROL_COLS},
-        scenario=scenario, timing=timing,
-        policy=policy,
-        collided=bool(meta.get("collided", False)),
-        t_collision=meta.get("t_collision"),
-        complete=bool(meta.get("complete", True)))
+    return data
 
 
 def require_accelerations(log: TrajectoryLog, path: str | Path) -> TrajectoryLog:

@@ -203,7 +203,7 @@ def test_scenario_gen_writes_no_invalid_config(tmp_path, capsys, flag, value):
 
 def drop_columns(path, names):
     """Rewrite a log without the named columns."""
-    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows = [text.split(",") for text in path.read_text().splitlines()]
     keep = [i for i, name in enumerate(rows[0]) if name not in names]
     path.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
 
@@ -229,6 +229,54 @@ def test_reach_names_log_without_accelerations(tmp_path, capsys):
                    "--out", str(out)) == 0
     _, _, rows = io.load_table(out / "response_metrics.csv")
     assert len(rows) == 2
+
+
+def replace_cell(path, line, column, value):
+    """Rewrite one cell of a log; line 0 is the header."""
+    rows = [text.split(",") for text in path.read_text().splitlines()]
+    rows[line][rows[0].index(column)] = value
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("line, value, message", [
+    (11, "nan", "row 12: non-finite value in column 'sv_x': nan"),
+    (0, "sv_xx", "missing required column 'sv_x'"),
+], ids=["nan-cell", "renamed-column"])
+def test_log_errors_name_the_file(tmp_path, capsys, line, value, message):
+    """A format error in one log of a directory names that log."""
+    cfg_path = small_config(tmp_path)
+    logs, out = tmp_path / "logs", tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(logs)) == 0
+    log = logs / "run_001.csv"
+    replace_cell(log, line, "sv_x", value)
+    capsys.readouterr()
+    for command in (("analyze", "responses"), ("reach", "aggregate")):
+        assert run_cli(*command, "--config", str(cfg_path), "--logs", str(logs),
+                       "--out", str(out)) == 1
+        assert json_error(capsys) == {"error": "ParseError",
+                                      "message": f"log {log}: {message}"}
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--seed", "-1"], "seed = -1 must be an integer >= 0"),
+    (["simulate", "--dt", "nan"], "analysis.dt = nan must be a finite number > 0"),
+    (["oracle", "verify", "--dt", "0"], "analysis.dt = 0.0 must be a finite number > 0"),
+    (["reach", "aggregate", "--logs", "{out}", "--seed", "-1"],
+     "seed = -1 must be an integer >= 0"),
+], ids=["simulate --seed", "simulate --dt", "oracle verify --dt", "reach aggregate --seed"])
+def test_override_flags_checked_before_any_output(tmp_path, capsys, argv, message):
+    """An override flag is held to the rules of the key it sets before anything is
+    written: before, simulate --seed -1 failed in numpy naming no flag and left an
+    empty output directory."""
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "out"
+    argv = [a.format(out=out) for a in argv]
+    assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 1
+    assert json_error(capsys) == {
+        "error": "ParseError",
+        "message": f"run config {cfg_path} with its override flags: {message}"}
+    assert not out.exists()
 
 
 def test_reach_rejects_zero_eval_step(tmp_path, capsys):

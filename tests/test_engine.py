@@ -291,12 +291,13 @@ def _ref_rollout(scenario, policy, dt=0.01, horizon=None, timing=None,
 
 
 def _assert_same_log(got, ref):
-    assert np.array_equal(got.t, ref.t)
+    """Bit for bit: -0.0 and 0.0 are told apart, unlike with ``np.array_equal``."""
+    assert got.t.tobytes() == ref.t.tobytes()
     for chans in ("sv", "pov", "controls"):
         a, b = getattr(got, chans), getattr(ref, chans)
         assert a.keys() == b.keys()
         for k in a:
-            assert np.array_equal(a[k], b[k]), (chans, k)
+            assert a[k].tobytes() == b[k].tobytes(), (chans, k)
     assert (got.collided, got.t_collision, got.complete) == (
         ref.collided, ref.t_collision, ref.complete)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -272,6 +273,8 @@ def test_log_parse_matches_row_loop(tmp_path, edit):
     expected = parse_result(lambda p: ref_load_columns(p, log.dt), path)
     if isinstance(expected, dict):
         expected = {c: expected[c] for c in COLUMNS}
+    else:  # the loader names the file before the message and keeps the row
+        expected = (f"log {path}: {expected[0]}", expected[1])
     assert parse_result(load, path) == expected
 
 
@@ -321,26 +324,31 @@ def cohort_logs():
     return run_cohort(make_scenario(0.0), [(p, 1) for p in policies])
 
 
-def with_pov(log, key, row, value):
-    pov = dict(log.pov)
-    pov[key] = log.pov[key].copy()
-    pov[key][row] = value
-    return dataclasses.replace(log, pov=pov)
+def with_value(log, group, key, row, value):
+    """``log`` with one cell of a channel group (sv, pov or controls) replaced."""
+    chans = dict(getattr(log, group))
+    chans[key] = chans[key].copy()
+    chans[key][row] = value
+    return dataclasses.replace(log, **{group: chans})
 
 
-def one_ulp_up(log, row=40):
-    return with_pov(log, "y", row, np.nextafter(log.pov["y"][row], np.inf))
+def one_ulp_up(log, group="pov", key="y", row=40):
+    return with_value(log, group, key, row, np.nextafter(getattr(log, group)[key][row], np.inf))
 
 
-def negative_zero(log, row=40):
-    assert log.pov["ax"][row] == 0.0
-    return with_pov(log, "ax", row, -0.0)
+def negative_zero(log, group="pov", key="ax", row=40):
+    assert getattr(log, group)[key][row] == 0.0
+    return with_value(log, group, key, row, -0.0)
 
 
 def shifted_time(log, row=40):
     t = log.t.copy()
     t[row] = np.nextafter(t[row], -np.inf)
     return dataclasses.replace(log, t=t)
+
+
+def in_a_member(edit):
+    return lambda logs: [logs[0], edit(logs[1]), logs[2]]
 
 
 def edit_longest(edit):
@@ -353,11 +361,29 @@ def edit_longest(edit):
 COHORTS = {
     "unequal-lengths": lambda logs: logs,
     "one-member": lambda logs: logs[:1],
-    "pov-one-ulp-in-a-member": lambda logs: [logs[0], one_ulp_up(logs[1]), logs[2]],
+    "pov-one-ulp-in-a-member": in_a_member(one_ulp_up),
     "pov-one-ulp-in-the-longest": edit_longest(one_ulp_up),
-    "negative-zero-in-a-member": lambda logs: [logs[0], negative_zero(logs[1]), logs[2]],
+    "negative-zero-in-a-member": in_a_member(negative_zero),
     "negative-zero-in-the-longest": edit_longest(negative_zero),
-    "time-one-ulp-in-a-member": lambda logs: [logs[0], shifted_time(logs[1]), logs[2]],
+    "time-one-ulp-in-a-member": in_a_member(shifted_time),
+    # Member columns are looked up cell by cell in a table keyed on bits: a
+    # value every member repeats, one ulp off, and -0.0 where the cohort
+    # writes 0.0 must each keep their own text.
+    "sv-one-ulp-in-a-member": in_a_member(functools.partial(one_ulp_up, group="sv", key="x")),
+    "sv-one-ulp-in-the-longest": edit_longest(
+        functools.partial(one_ulp_up, group="sv", key="x")),
+    "sv-negative-zero-in-a-member": in_a_member(
+        functools.partial(negative_zero, group="sv", key="vy")),
+    "sv-negative-zero-in-the-longest": edit_longest(
+        functools.partial(negative_zero, group="sv", key="vy")),
+    "control-one-ulp-in-a-member": in_a_member(
+        functools.partial(one_ulp_up, group="controls", key="accel_pct")),
+    "control-one-ulp-in-the-longest": edit_longest(
+        functools.partial(one_ulp_up, group="controls", key="accel_pct")),
+    "control-negative-zero-in-a-member": in_a_member(
+        functools.partial(negative_zero, group="controls", key="steer_deg")),
+    "control-negative-zero-in-the-longest": edit_longest(
+        functools.partial(negative_zero, group="controls", key="steer_deg")),
 }
 
 
