@@ -138,7 +138,7 @@ def _timelines(logs: list, config: dict, args) -> list[reach.Timeline]:
 def _cmd_scenario_gen(args, config: dict) -> int:
     out = Path(args.out or "run_config.json")
     # the checks the reading commands run, so no written config fails there
-    io.config_prediction(io.checked_run_config(config, out))
+    io.checked_run_config(config, out)
     io.save_run_config(config, out)
     print(f"wrote {out}")
     return 0

@@ -396,8 +396,9 @@ def checked_run_config(config, path: str | Path) -> dict:
     """A copy of ``config`` with omitted keys filled from their fallbacks.
 
     Every format error is a ParseError naming ``path`` and, for a bad
-    value, its key.  ``load_run_config`` checks what it reads this way, and
-    ``scenario gen`` what it writes.
+    value, its key; a bad ``prediction`` section fails as
+    ``prediction_from_dict`` does.  ``load_run_config`` checks what it reads
+    this way, and ``scenario gen`` what it writes.
     """
     if not isinstance(config, dict):
         raise ParseError(f"run config {path}: top level must be a JSON object")
@@ -423,6 +424,7 @@ def checked_run_config(config, path: str | Path) -> dict:
     for key, rule in _ANALYSIS_RULES.items():
         if key in analysis:  # dt has no fallback: only the commands that step read it
             analysis[key] = _checked(path, f"analysis.{key}", analysis[key], rule)
+    prediction_from_dict(config["prediction"])
     return config
 
 

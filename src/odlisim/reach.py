@@ -11,15 +11,18 @@ keeps rasterization rounding from compounding across steps.  Because
 every computation starts from a point state and all clamps are global,
 one hull per axis describes every cell of a layer.
 
-A layer stores only its occupied cells, in their bounding box, indexed
-from the world cell of its first corner; an empty layer has a 0x0 box.
-A completely occupied box (every unpruned layer, so every POV layer) is a
-box layer and holds no array: propagating and clipping it are integer
-arithmetic, and its read-only ``mask`` is built only when read.  The POV
-occupancy is an index rectangle, the box dilated by the footprint, and
-pruning clears its overlap with the SV layer.  A cut that leaves a hole or
-a split carves the layer into a cropped mask, dilated by shifted ORs and
-clipped by slices; a carved result that comes out full is a box again.
+A layer stores its occupied cells as a short tuple of half-open
+world-cell rectangles, none empty and none inside another: a box is one
+rectangle, and an empty layer has none.  Every kernel step maps
+rectangles to rectangles exactly, in integer arithmetic.  Dilation
+distributes over a union, so propagation widens each rectangle by the
+velocity range's cell shifts and clamps it to the rasterized new hull;
+the corridor and band clips clamp each rectangle's lateral range; pruning
+subtracts the POV occupancy rectangle, which leaves at most four pieces
+of each rectangle it hits.  Nothing prunes a POV layer, so it stays one
+rectangle and its occupancy, the rectangle dilated by the footprint, is
+one rectangle too.  The read-only ``mask`` of a layer's bounding box is
+built only when read.
 
 Pruning follows the expansion order: at each step the POV layer expands
 first, the SV layer expands from its previous pruned layer, and SV cells
@@ -106,46 +109,64 @@ class AxisInterval:
 class Layer:
     """One future-time slice of a reachable set.
 
-    The layer's cells lie in the index box of ``shape`` cells from world
-    cell ``(ox, oy)``; box cell ``[i, j]`` is world cell ``(ox + i, oy + j)``,
-    which spans ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  The box is
-    cropped to the occupied cells, so its first and last rows and columns are
-    occupied; an empty layer has a 0x0 box and no hulls.  A box layer (every
-    cell occupied) has ``carved`` None; any other layer keeps its cells as
-    the bool array ``carved``.  Build layers with ``_cropped_layer``.
+    The layer's cells are the union of ``rects``, half-open world-cell
+    rectangles ``(i0, i1, j0, j1)`` of the cells ``i0 <= ix < i1``,
+    ``j0 <= iy < j1``; world cell ``(ix, iy)`` spans
+    ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  No rectangle is empty or
+    inside another; a box is one rectangle, and an empty layer has none
+    and no hulls.  ``ox``, ``oy`` and ``shape`` are the bounding box of the
+    rectangles, whose box cell ``[i, j]`` is world cell ``(ox + i, oy + j)``;
+    an empty layer has a 0x0 box.  Build layers with ``_layer``.
     """
 
     tau: float
     dx: float
     dy: float
-    ox: int
-    oy: int
-    shape: tuple[int, int]
+    rects: tuple[tuple[int, int, int, int], ...]
     x_hull: AxisInterval | None  # None iff empty
     y_hull: AxisInterval | None
     heading_sign: int
-    carved: np.ndarray | None = field(default=None, repr=False)  # bool, True = occupied
 
     @property
     def empty(self) -> bool:
         return self.x_hull is None
 
     @property
-    def mask(self) -> np.ndarray:
-        """The occupied cells of the box, read-only: a new filled array for a box layer."""
-        return np.ones(self.shape, dtype=bool) if self.carved is None else self.carved
+    def _bounds(self) -> tuple[int, int, int, int]:
+        if not self.rects:
+            return 0, 0, 0, 0
+        i0, i1, j0, j1 = zip(*self.rects)
+        return min(i0), max(i1), min(j0), max(j1)
 
-    def world_cells(self) -> set[tuple[int, int]]:
-        ii, jj = np.nonzero(self.mask)
-        return {(int(i) + self.ox, int(j) + self.oy) for i, j in zip(ii, jj)}
+    @property
+    def ox(self) -> int:
+        return self._bounds[0]
+
+    @property
+    def oy(self) -> int:
+        return self._bounds[2]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        i0, i1, j0, j1 = self._bounds
+        return i1 - i0, j1 - j0
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The occupied cells of the bounding box, read-only: a new bool array."""
+        i0, i1, j0, j1 = self._bounds
+        mask = np.zeros((i1 - i0, j1 - j0), dtype=bool)
+        for a0, a1, b0, b1 in self.rects:
+            mask[a0 - i0:a1 - i0, b0 - j0:b1 - j0] = True
+        return mask
 
     def position_hull(self) -> tuple[tuple[float, float], tuple[float, float]] | None:
         """((x_lo, x_hi), (y_lo, y_hi)) spanned by occupied cells, None if empty."""
         if self.empty:
             return None
-        nx, ny = self.shape
-        return ((float(self.ox * self.dx), float((self.ox + nx) * self.dx)),
-                (float(self.oy * self.dy), float((self.oy + ny) * self.dy)))
+        i0, i1, j0, j1 = self._bounds
+        return ((float(i0 * self.dx), float(i1 * self.dx)),
+                (float(j0 * self.dy), float(j1 * self.dy)))
 
 
 @dataclass
@@ -164,30 +185,25 @@ class DrivableArea:
     pov_layers: list[Layer] = field(default_factory=list)
 
 
-def _cropped_layer(tau: float, dx: float, dy: float, mask: np.ndarray | tuple[int, int],
-                   ox: int, oy: int, x_hull: AxisInterval | None,
-                   y_hull: AxisInterval | None, heading_sign: int) -> Layer:
-    """The layer of the occupied cells of ``mask``, whose cell [0, 0] is world cell (ox, oy).
+def _layer(tau: float, dx: float, dy: float, rects: list[tuple[int, int, int, int]],
+           x_hull: AxisInterval | None, y_hull: AxisInterval | None,
+           heading_sign: int) -> Layer:
+    """The layer of the cells of the world-cell rectangles ``rects``.
 
-    A bool ``mask`` is cropped to its occupied cells (a view, not a copy),
-    and a filled crop is a box layer; an ``(nx, ny)`` shape is a filled box
-    and needs no scan, and a side <= 0 leaves it with no cell.  With no
-    occupied cell, or no lateral hull, the layer is empty.
+    Empty rectangles and rectangles inside another are dropped, which leaves
+    the cells as they are.  With no rectangle left, or no lateral hull, the
+    layer is empty.
     """
-    if type(mask) is tuple:
-        shape, carved = mask, None
-    else:
-        shape, carved = (0, 0), None
-        rows = np.flatnonzero(mask.any(axis=1))
-        if rows.size:
-            cols = np.flatnonzero(mask.any(axis=0))
-            i0, j0 = int(rows[0]), int(cols[0])
-            mask = mask[i0:rows[-1] + 1, j0:cols[-1] + 1]
-            ox, oy, shape = ox + i0, oy + j0, mask.shape
-            carved = None if mask.all() else mask
-    if min(shape) <= 0 or y_hull is None:
-        return Layer(tau, dx, dy, 0, 0, (0, 0), None, None, heading_sign)
-    return Layer(tau, dx, dy, ox, oy, shape, x_hull, y_hull, heading_sign, carved)
+    kept: list[tuple[int, int, int, int]] = []
+    # largest first, so a rectangle comes after every rectangle that holds it
+    for r in sorted((r for r in rects if r[0] < r[1] and r[2] < r[3]),
+                    key=lambda r: (r[1] - r[0]) * (r[3] - r[2]), reverse=True):
+        if not any(k[0] <= r[0] and r[1] <= k[1] and k[2] <= r[2] and r[3] <= k[3]
+                   for k in kept):
+            kept.append(r)
+    if not kept or y_hull is None:
+        return Layer(tau, dx, dy, (), None, None, heading_sign)
+    return Layer(tau, dx, dy, tuple(kept), x_hull, y_hull, heading_sign)
 
 
 def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
@@ -196,26 +212,11 @@ def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
     Hulls start at the raw point state; clamping into the admissible box
     happens on the first propagation step, mirroring the stepper.
     """
-    return Layer(0.0, dx, dy, math.floor(state.x / dx), math.floor(state.y / dy), (1, 1),
+    ix, iy = math.floor(state.x / dx), math.floor(state.y / dy)
+    return Layer(0.0, dx, dy, ((ix, ix + 1, iy, iy + 1),),
                  AxisInterval(state.x, state.x, state.vx, state.vx, state.ax, state.ax),
                  AxisInterval(state.y, state.y, state.vy, state.vy, state.ay, state.ay),
                  state.heading_sign)
-
-
-def _dilate(mask: np.ndarray, sx_lo: int, sx_hi: int, sy_lo: int, sy_hi: int) -> np.ndarray:
-    """Union of a cropped, carved mask shifted by every offset (sx, sy) in the ranges.
-
-    Cell [0, 0] of the result is cell [sx_lo, sy_lo] of the mask's frame, and
-    the result is cropped as well.
-    """
-    h, w = mask.shape
-    tmp = np.zeros((h + sx_hi - sx_lo, w), dtype=bool)
-    for s in range(sx_hi - sx_lo + 1):
-        tmp[s:s + h] |= mask
-    out = np.zeros((tmp.shape[0], w + sy_hi - sy_lo), dtype=bool)
-    for s in range(sy_hi - sy_lo + 1):
-        out[:, s:s + w] |= tmp
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -229,9 +230,9 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
     Hull corners advance through the same clamped step rule as the
     simulator (a low corner under its axis's lowest jerk, a high corner
     under its highest), so sampled trajectories ride the hull edges
-    exactly.  The mask is the velocity-range dilation of the previous mask
-    intersected with the rasterized new position hull: sound for any carved
-    shape and exact for box-shaped layers, whose step is integer arithmetic.
+    exactly.  The cells are the velocity-range dilation of the previous
+    cells intersected with the rasterized new position hull: each rectangle
+    widens by the range of cell shifts and is clamped to the hull's cells.
     """
     if layer.empty:
         return replace(layer, tau=layer.tau + tau_step)
@@ -243,25 +244,22 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
     py_hi, vy_hi, ay_hi = scalar_axis_step(yh.p_hi, yh.v_hi, yh.a_hi, ly.j_hi, ly, tau_step)
 
     dx, dy = layer.dx, layer.dy
-    sx_lo, sx_hi = math.floor(tau_step * xh.v_lo / dx), math.ceil(tau_step * xh.v_hi / dx)
-    sy_lo, sy_hi = math.floor(tau_step * yh.v_lo / dy), math.ceil(tau_step * yh.v_hi / dy)
-    ox, oy = layer.ox + sx_lo, layer.oy + sy_lo
-    nx, ny = layer.shape
-    # the dilation, nx + sx_hi - sx_lo by ny + sy_hi - sy_lo cells from (ox, oy), survives
-    # only in the cells the closed new position hull touches under floor indexing
-    i0 = max(ox, math.floor(px_lo / dx))
-    i1 = min(ox + nx + sx_hi - sx_lo, math.floor(px_hi / dx) + 1)
-    j0 = max(oy, math.floor(py_lo / dy))
-    j1 = min(oy + ny + sy_hi - sy_lo, math.floor(py_hi / dy) + 1)
-    cells = (i1 - i0, j1 - j0)
-    if layer.carved is not None:
-        # upper bounds are clamped at 0: a negative one counts from the far edge
-        cells = _dilate(layer.carved, sx_lo, sx_hi, sy_lo, sy_hi)[
-            i0 - ox:max(0, i1 - ox), j0 - oy:max(0, j1 - oy)]
-    return _cropped_layer(layer.tau + tau_step, dx, dy, cells, i0, j0,
-                          AxisInterval(px_lo, px_hi, vx_lo, vx_hi, ax_lo, ax_hi),
-                          AxisInterval(py_lo, py_hi, vy_lo, vy_hi, ay_lo, ay_hi),
-                          layer.heading_sign)
+    # the cells the closed new position hull touches under floor indexing
+    hx0, hx1 = math.floor(px_lo / dx), math.floor(px_hi / dx) + 1
+    hy0, hy1 = math.floor(py_lo / dy), math.floor(py_hi / dy) + 1
+    # Rounding can carry fl(p + tau * v) a cell past the exact-arithmetic
+    # shift range (fl(-1e-300 + 0.25) = 0.25 leaves cell -1 for cell 1, not 0),
+    # so each range widens to reach the new hull's edge cells from the old's.
+    sx_lo = min(math.floor(tau_step * xh.v_lo / dx), hx0 - math.floor(xh.p_lo / dx))
+    sx_hi = max(math.ceil(tau_step * xh.v_hi / dx), hx1 - math.floor(xh.p_hi / dx) - 1)
+    sy_lo = min(math.floor(tau_step * yh.v_lo / dy), hy0 - math.floor(yh.p_lo / dy))
+    sy_hi = max(math.ceil(tau_step * yh.v_hi / dy), hy1 - math.floor(yh.p_hi / dy) - 1)
+    rects = [(max(i0 + sx_lo, hx0), min(i1 + sx_hi, hx1),
+              max(j0 + sy_lo, hy0), min(j1 + sy_hi, hy1)) for i0, i1, j0, j1 in layer.rects]
+    return _layer(layer.tau + tau_step, dx, dy, rects,
+                  AxisInterval(px_lo, px_hi, vx_lo, vx_hi, ax_lo, ax_hi),
+                  AxisInterval(py_lo, py_hi, vy_lo, vy_hi, ay_lo, ay_hi),
+                  layer.heading_sign)
 
 
 def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
@@ -283,13 +281,8 @@ def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
     new_lo, new_hi = max(yh.p_lo, y_lo), min(yh.p_hi, y_hi)
     y_hull = (AxisInterval(new_lo, new_hi, yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi)
               if new_lo <= new_hi else None)
-    nx, ny = layer.shape
-    j0, j1 = max(layer.oy, iy_min), min(layer.oy + ny, iy_max + 1)
-    cells = (nx, j1 - j0)
-    if layer.carved is not None:
-        cells = layer.carved[:, j0 - layer.oy:max(0, j1 - layer.oy)]
-    return _cropped_layer(layer.tau, layer.dx, dy, cells, layer.ox, j0, layer.x_hull,
-                          y_hull, layer.heading_sign)
+    rects = [(i0, i1, max(j0, iy_min), min(j1, iy_max + 1)) for i0, i1, j0, j1 in layer.rects]
+    return _layer(layer.tau, layer.dx, dy, rects, layer.x_hull, y_hull, layer.heading_sign)
 
 
 def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
@@ -299,39 +292,47 @@ def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
     Minkowski dilation in reference-point coordinates: the SV reference
     collides when it lies within the summed half-extents of a POV cell,
     shifted longitudinally by both reference offsets, so the SV is treated
-    as a point against this set.  The layer is a box, so its dilation is the
-    half-open world-cell rectangle ``(i0, i1, j0, j1)``: cells
-    ``i0 <= ix < i1``, ``j0 <= iy < j1``, and no cell for an empty layer.
-    Nothing prunes a POV layer; a carved one is a ValueError.
+    as a point against this set.  The layer is one rectangle, so its
+    dilation is the half-open world-cell rectangle ``(i0, i1, j0, j1)``:
+    cells ``i0 <= ix < i1``, ``j0 <= iy < j1``, and no cell for an empty
+    layer.  Nothing prunes a POV layer; a layer of more rectangles is a
+    ValueError.
     """
     if layer.empty:
         return 0, 0, 0, 0
-    if layer.carved is not None:
-        raise ValueError("POV occupancy of a carved layer: POV layers are boxes")
+    if len(layer.rects) != 1:
+        raise ValueError(f"POV occupancy of a layer of {len(layer.rects)} rectangles: "
+                         f"POV layers are boxes")
+    (i0, i1, j0, j1), = layer.rects
     shift = sv_spec.ref_offset + pov_spec.ref_offset
     half_len = (sv_spec.length + pov_spec.length) / 2
     half_wid = (sv_spec.width + pov_spec.width) / 2
-    nx, ny = layer.shape
-    return (layer.ox + math.floor((shift - half_len) / layer.dx),
-            layer.ox + nx + math.ceil((shift + half_len) / layer.dx),
-            layer.oy + math.floor(-half_wid / layer.dy),
-            layer.oy + ny + math.ceil(half_wid / layer.dy))
+    return (i0 + math.floor((shift - half_len) / layer.dx),
+            i1 + math.ceil((shift + half_len) / layer.dx),
+            j0 + math.floor(-half_wid / layer.dy),
+            j1 + math.ceil(half_wid / layer.dy))
 
 
 def _pruned(layer: Layer, rect: tuple[int, int, int, int]) -> Layer:
     """The non-empty layer without the cells of the world-cell rectangle ``rect``.
 
-    A layer whose box the rectangle misses is returned as it is.
+    A rectangle the cut hits leaves its parts before and after the cut's x
+    range, and beside the cut its parts below and above the cut's y range.
+    A layer whose rectangles the cut all miss is returned as it is.
     """
-    nx, ny = layer.shape
-    i0, i1 = max(rect[0] - layer.ox, 0), min(rect[1] - layer.ox, nx)
-    j0, j1 = max(rect[2] - layer.oy, 0), min(rect[3] - layer.oy, ny)
-    if i0 >= i1 or j0 >= j1:
+    q0, q1, q2, q3 = rect
+    pieces = []
+    for r in layer.rects:
+        i0, i1, j0, j1 = r
+        m0, m1 = max(i0, q0), min(i1, q1)
+        if m0 < m1 and max(j0, q2) < min(j1, q3):
+            pieces += (i0, m0, j0, j1), (m1, i1, j0, j1), (m0, m1, j0, q2), (m0, m1, q3, j1)
+        else:
+            pieces.append(r)
+    if len(pieces) == len(layer.rects):  # a hit leaves four pieces, so nothing was hit
         return layer
-    mask = np.ones(layer.shape, dtype=bool) if layer.carved is None else layer.carved.copy()
-    mask[i0:i1, j0:j1] = False
-    return _cropped_layer(layer.tau, layer.dx, layer.dy, mask, layer.ox, layer.oy,
-                          layer.x_hull, layer.y_hull, layer.heading_sign)
+    return _layer(layer.tau, layer.dx, layer.dy, pieces, layer.x_hull, layer.y_hull,
+                  layer.heading_sign)
 
 
 def pov_prediction_mode(pov_y_history: np.ndarray, lane_width: float,

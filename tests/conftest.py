@@ -53,6 +53,16 @@ def make_timeline(exists, eval_step=0.1, t_begin=1.4, t_trigger=1.0):
                     mode=["kinematic-envelope"] * len(exists))
 
 
+def rect_cells(rects):
+    """The world cells (ix, iy) of half-open world-cell rectangles (i0, i1, j0, j1)."""
+    return {(i, j) for i0, i1, j0, j1 in rects for i in range(i0, i1) for j in range(j0, j1)}
+
+
+def world_cells(layer):
+    """The world cells (ix, iy) of a reach layer."""
+    return rect_cells(layer.rects)
+
+
 @pytest.fixture
 def synthetic_log():
     return make_log()

@@ -24,7 +24,7 @@ from odlisim.responses import (AnalysisWindow, build_sequence_graph,
 from odlisim.scenario import (IncursionPath, default_timing, make_scenario,
                               reference_lateral_at_tc)
 
-from conftest import make_log, make_timeline
+from conftest import make_log, make_timeline, world_cells
 
 ILS = {"steep": -0.8, "medium": 0.0, "shallow": 0.9}
 DT = 0.01
@@ -162,7 +162,7 @@ def test_criterion_5_qualitative_reachability():
                                      cfg.incursion_detect_threshold))
         y_pov = float(log.pov["y"][i])
         final = area.layers[-1]
-        centers = [(iy + 0.5) * final.dy for _, iy in final.world_cells()]
+        centers = [(iy + 0.5) * final.dy for _, iy in world_cells(final)]
         ok_b = area.exists and any(c > y_pov for c in centers)
         detail = (f"regained at rel {tl.rel_t[k]:.2f}s, "
                   f"max cell y {max(centers):.2f} vs y_pov {y_pov:.2f}")

@@ -328,6 +328,27 @@ def test_reach_rejects_non_finite_prediction_config(tmp_path, capsys, flag, valu
     assert not (out / "prevalence.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--grid-dx", "inf"), ("--horizon", "0")])
+def test_prediction_overrides_checked_before_any_output(tmp_path, capsys, flag, value):
+    """A bad prediction override fails at config load, so no command that reads it
+    makes its output directory: before, each one left a new, empty directory."""
+    cfg_path = small_config(tmp_path)
+    logs = tmp_path / "logs"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(logs)) == 0
+    capsys.readouterr()
+    log = str(logs / "run_000.csv")
+    for argv in (("reach", "aggregate", "--logs", str(logs)),
+                 ("reach", "compute", "--log", log, "--t", "3.0"),
+                 ("reach", "timeline", "--log", log), ("oracle", "verify")):
+        out = tmp_path / "fresh"
+        assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out), flag, value) == 1
+        field = flag[2:].replace("-", "_")
+        assert json_error(capsys) == {"error": "ValueError",
+                                      "message": f"{field} must be positive and finite, "
+                                                 f"got {float(value)}"}
+        assert not out.exists(), argv
+
+
 @pytest.mark.parametrize("argv", [
     ["reach", "aggregate", "--logs", "{out}", "--il", "0.9"],
     ["analyze", "responses", "--logs", "{out}", "--grid-dx", "1.0"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import world_cells
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, VehicleState,
                           axis_limits, axis_step)
 from odlisim.oracle import (_DRAW_BLOCK, SampleCloud, analytic_1d_bounds,
@@ -321,7 +322,7 @@ def reference_containment(cloud, rset):
     """State-by-state containment: (n_violations, first_violation)."""
     n_bad, first = 0, None
     for k, layer in enumerate(rset.layers):
-        cells = layer.world_cells()
+        cells = world_cells(layer)
         for i, s in enumerate(cloud.states[:, k].tolist()):
             if layer.empty:
                 reason = "empty layer"
@@ -359,7 +360,7 @@ def test_containment_matches_state_by_state_reference():
         assert report.n_checked == cloud.states.shape[0] * len(rset.layers)
         assert report.fraction == 1.0 - n_bad / report.n_checked
     empty = compute_reachable_set(s0, SV_LIMITS, cfg)
-    empty.layers[3] = replace(empty.layers[3], x_hull=None, y_hull=None, shape=(0, 0))
+    empty.layers[3] = replace(empty.layers[3], x_hull=None, y_hull=None, rects=())
     cloud = sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
                                 dt=cfg.tau_step, n=50, seed=0)
     report = containment_check(cloud, empty)
@@ -421,6 +422,34 @@ def test_containment_exact_under_random_limits(case, seed):
     rset = compute_reachable_set(s0, limits, cfg)
     cloud = sample_trajectories(s0, limits, horizon=cfg.horizon, dt=cfg.tau_step,
                                 n=200, seed=seed)
+    report = containment_check(cloud, rset)
+    assert report.fraction == 1.0, report.first_violation
+
+
+_ZERO_CAPS = dict.fromkeys(("v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max",
+                            "a_lat_right_max", "j_fwd_max", "j_bwd_max", "j_lat_max",
+                            "v_lat_max"), 0.0)
+
+
+@pytest.mark.parametrize("s0, caps, cfg", [
+    # fl(-1.4e-306 + 0.25) = 0.25: cell -1 moves to cell 1, not to cell 0
+    (state(x=-1.422054314149637e-306, vx=5.0), dict(v_max=5.0),
+     dict(grid_dx=0.25, tau_step=0.05, horizon=0.5)),
+    # fl(-5.41e-107 - 0.75) = -0.75: cell -1 moves to cell -3, not to cell -4
+    (state(vx=0.0, y=-5.41e-107, vy=-15.0), dict(v_lat_max=15.0),
+     dict(grid_dy=0.25, tau_step=0.05, horizon=0.1)),
+    # a cell edge and its shifted edge straddle 64: fl(nextafter(64, -inf) + 2) = 66
+    (state(x=math.nextafter(64.0, -math.inf), vx=20.0), dict(v_max=20.0),
+     dict(grid_dx=0.25, tau_step=0.1, horizon=0.5)),
+], ids=["tiny-x", "tiny-y", "straddle-64"])
+def test_containment_exact_under_rounding(s0, caps, cfg):
+    """A cell shift that rounding carries past the exact shift range keeps the state."""
+    limits = KinematicLimits(**{**_ZERO_CAPS, **caps})
+    cfg = PredictionConfig(**cfg)
+    rset = compute_reachable_set(s0, limits, cfg)
+    assert not any(layer.empty for layer in rset.layers)
+    cloud = sample_trajectories(s0, limits, horizon=cfg.horizon, dt=cfg.tau_step,
+                                n=5, seed=0)
     report = containment_check(cloud, rset)
     assert report.fraction == 1.0, report.first_violation
 

@@ -3,9 +3,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_log, make_timeline
+from conftest import make_log, make_timeline, rect_cells, world_cells
 from odlisim import io, reach
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step,
@@ -40,23 +40,35 @@ def pov_state(**kw):
 
 def single_cell_layer(ix=0, iy=0, dx=0.5, dy=0.25, heading=1,
                       hull_v=(0.0, 0.0), hull_a=(0.0, 0.0)):
-    return Layer(tau=0.0, dx=dx, dy=dy, ox=ix, oy=iy, shape=(1, 1),
+    return Layer(tau=0.0, dx=dx, dy=dy, rects=((ix, ix + 1, iy, iy + 1),),
                  x_hull=AxisInterval(ix * dx, (ix + 1) * dx, *hull_v, *hull_a),
                  y_hull=AxisInterval(iy * dy, (iy + 1) * dy, 0.0, 0.0, 0.0, 0.0),
                  heading_sign=heading)
 
 
+def mask_rects(mask, ox, oy):
+    """Rectangles covering the occupied cells of ``mask``, whose cell [0, 0] is world
+    cell (ox, oy): each row's runs, a run extended over the next rows that repeat it."""
+    rects, open_runs = [], {}  # (j0, j1) -> first row
+    for i, row in enumerate([*np.asarray(mask, dtype=bool), ()]):
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], np.asarray(row, dtype=int), [0]])))
+        runs = set(zip(edges[::2].tolist(), edges[1::2].tolist()))
+        for j0, j1 in [run for run in open_runs if run not in runs]:
+            rects.append((ox + open_runs.pop((j0, j1)), ox + i, oy + j0, oy + j1))
+        for run in runs:
+            open_runs.setdefault(run, i)
+    return rects
+
+
 def carved_layer(ox, oy, rows, x_hull, y_hull):
     """The layer of the occupied cells of ``rows``, whose cell [0, 0] is world cell (ox, oy)."""
-    return reach._cropped_layer(0.0, 0.5, 0.25, np.array(rows, dtype=bool), ox, oy,
-                                x_hull, y_hull, 1)
+    return reach._layer(0.0, 0.5, 0.25, mask_rects(rows, ox, oy), x_hull, y_hull, 1)
 
 
 def emptied(layer):
-    """The layer built from a mask with no occupied cell."""
-    return reach._cropped_layer(layer.tau, layer.dx, layer.dy, np.zeros((3, 4), dtype=bool),
-                                layer.ox, layer.oy, layer.x_hull, layer.y_hull,
-                                layer.heading_sign)
+    """The layer built from no rectangle."""
+    return reach._layer(layer.tau, layer.dx, layer.dy, [], layer.x_hull, layer.y_hull,
+                        layer.heading_sign)
 
 
 def test_propagate_singleton_advance():
@@ -76,7 +88,7 @@ def test_propagate_zero_limits_fixed_point():
     state = VehicleState(t=0, x=1.3, y=0.4, vx=0.0, vy=0.0, ax=0.0, ay=0.0)
     layer = make_initial_layer(state, 0.5, 0.25)
     nxt = propagate_step(layer, zero, 0.1)
-    assert nxt.world_cells() == layer.world_cells()
+    assert world_cells(nxt) == world_cells(layer)
     assert nxt.x_hull.p_lo == layer.x_hull.p_lo
 
 
@@ -104,7 +116,7 @@ def test_clip_y_recrops_what_it_cuts():
                             AxisInterval(0.0, 0.75, 0.0, 0.0, 0.0, 0.0))
 
     layer = carved([[1, 0, 0], [0, 1, 1]])
-    assert layer.carved is not None and (layer.ox, layer.oy, layer.shape) == (4, 0, (2, 3))
+    assert len(layer.rects) == 2 and (layer.ox, layer.oy, layer.shape) == (4, 0, (2, 3))
     cut = reach._clip_y(layer, 0.25, 0.5, inside=False)  # column 1 only
     assert (cut.ox, cut.oy, cut.mask.tolist()) == (5, 1, [[True]])
     assert (cut.y_hull.p_lo, cut.y_hull.p_hi) == (0.25, 0.5)
@@ -137,7 +149,7 @@ def test_occupancy_empty_layer():
 
 def test_occupancy_commutes_with_union():
     """Two boxes that tile a box dilate to rectangles tiling the box's rectangle; a
-    union that is not a box is carved, and its occupancy is a ValueError."""
+    union that is not a box is two rectangles, and its occupancy is a ValueError."""
     a, b, union = box_layer(0, 0, 3, 4), box_layer(3, 0, 5, 4), box_layer(0, 0, 8, 4)
     spec = VehicleSpec(ref_offset=0.0)
 
@@ -150,8 +162,8 @@ def test_occupancy_commutes_with_union():
     rows = np.zeros((31, 13), dtype=bool)
     rows[0, 0] = rows[30, 12] = True
     apart = carved_layer(0, 0, rows, a.x_hull, a.y_hull)
-    assert apart.carved is not None
-    with pytest.raises(ValueError, match="carved"):
+    assert len(apart.rects) == 2
+    with pytest.raises(ValueError, match="layer of 2 rectangles"):
         pov_occupancy(apart, spec, spec)
 
 
@@ -178,7 +190,7 @@ def test_drivable_area_pov_far_away():
                                      mode="kinematic-envelope")
     unpruned = compute_reachable_set(sv_state(), SV_LIMITS, cfg_off)
     for pruned, raw in zip(area_off.layers, unpruned.layers):
-        assert pruned.world_cells() == raw.world_cells()
+        assert world_cells(pruned) == world_cells(raw)
 
 
 def test_nested_horizons():
@@ -191,7 +203,7 @@ def test_nested_horizons():
                                   VehicleSpec(), VehicleSpec(ref_offset=0.2),
                                   mode="normative")
     for k, layer2 in enumerate(area2.layers):
-        assert layer2.world_cells() == area4.layers[k].world_cells()
+        assert world_cells(layer2) == world_cells(area4.layers[k])
 
 
 def test_empty_layer_absorption_in_drivable_area():
@@ -218,7 +230,7 @@ def test_monotone_pov_limits_shrink_drivable_area():
                                  VehicleSpec(), VehicleSpec(ref_offset=0.2),
                                  mode="kinematic-envelope")
     for lw, lb in zip(wide.layers, base.layers):
-        assert lw.world_cells() <= lb.world_cells()
+        assert world_cells(lw) <= world_cells(lb)
 
 
 def test_grid_refinement_shrinks_overapproximation():
@@ -261,7 +273,7 @@ def test_drivable_layers_subset_of_reachable():
                                  mode="kinematic-envelope")
     raw = compute_reachable_set(sv_state(), SV_LIMITS, CFG)
     for pruned, full in zip(area.layers, raw.layers):
-        assert pruned.world_cells() <= full.world_cells()
+        assert world_cells(pruned) <= world_cells(full)
 
 
 def test_pov_layers_bounded_by_current_drift():
@@ -294,8 +306,8 @@ def test_drivable_area_at_latches_mode_over_past_samples():
     ref = compute_drivable_area(log.sv_state(i), log.pov_state(i), CFG, log.scenario.road,
                                 log.scenario.sv_spec, log.scenario.pov_spec,
                                 mode="kinematic-envelope")
-    assert [layer.world_cells() for layer in area.layers] == [
-        layer.world_cells() for layer in ref.layers]
+    assert [world_cells(layer) for layer in area.layers] == [
+        world_cells(layer) for layer in ref.layers]
 
 
 def test_timeline_medium_no_response():
@@ -444,12 +456,20 @@ def ref_propagate_step(layer, limits, tau_step):
     py_lo, vy_lo, ay_lo = axis_step(yh.p_lo, yh.v_lo, yh.a_lo, lim_y.j_lo, lim_y, tau_step)
     py_hi, vy_hi, ay_hi = axis_step(yh.p_hi, yh.v_hi, yh.a_hi, lim_y.j_hi, lim_y, tau_step)
     w = layer.window
-    mask = ref_shift_or(layer.mask, math.floor(tau_step * xh.v_lo / w.dx),
-                        math.ceil(tau_step * xh.v_hi / w.dx), axis=0)
-    mask = ref_shift_or(mask, math.floor(tau_step * yh.v_lo / w.dy),
-                        math.ceil(tau_step * yh.v_hi / w.dy), axis=1)
     ix_lo, ix_hi = math.floor(px_lo / w.dx), math.floor(px_hi / w.dx)
     iy_lo, iy_hi = math.floor(py_lo / w.dy), math.floor(py_hi / w.dy)
+    # each shift range also reaches the new hull's edge cells from the old
+    # hull's, which rounding of p + tau * v can put past the exact range
+    mask = ref_shift_or(layer.mask,
+                        min(math.floor(tau_step * xh.v_lo / w.dx),
+                            ix_lo - math.floor(xh.p_lo / w.dx)),
+                        max(math.ceil(tau_step * xh.v_hi / w.dx),
+                            ix_hi - math.floor(xh.p_hi / w.dx)), axis=0)
+    mask = ref_shift_or(mask,
+                        min(math.floor(tau_step * yh.v_lo / w.dy),
+                            iy_lo - math.floor(yh.p_lo / w.dy)),
+                        max(math.ceil(tau_step * yh.v_hi / w.dy),
+                            iy_hi - math.floor(yh.p_hi / w.dy)), axis=1)
     clip_mask_to_box(mask, w, ix_lo, ix_hi, iy_lo, iy_hi)
     return WindowLayer(layer.tau + tau_step, w, mask,
                        AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
@@ -625,8 +645,8 @@ def random_layer(rng, kind):
     x_hull, y_hull = hull(ox, nx, dx, 30.0), hull(oy, ny, dy, 3.0)
     heading = int(rng.choice([-1, 1]))
     window = GridWindow(dx, dy, ox - PAD, oy - PAD, nx + 2 * PAD, ny + 2 * PAD)
-    layer = reach._cropped_layer(tau, dx, dy, mask, window.ox, window.oy,
-                                 x_hull, y_hull, heading)
+    layer = reach._layer(tau, dx, dy, mask_rects(mask, window.ox, window.oy),
+                         x_hull, y_hull, heading)
     return layer, WindowLayer(tau, window, mask, x_hull, y_hull, heading)
 
 
@@ -651,9 +671,9 @@ def test_pov_occupancy_matches_reference_on_random_masks(kind):
         pov_spec = VehicleSpec(length=rng.uniform(3.0, 6.0), width=rng.uniform(1.5, 2.2),
                                ref_offset=rng.uniform(-1.0, 1.0))
         sv_spec = VehicleSpec(ref_offset=rng.uniform(-1.0, 1.0))
-        if layer.carved is not None:
+        if len(layer.rects) > 1:
             # only a box's occupancy is a rectangle; nothing prunes a POV layer
-            with pytest.raises(ValueError, match="carved"):
+            with pytest.raises(ValueError, match="rectangles: POV layers are boxes"):
                 pov_occupancy(layer, pov_spec, sv_spec)
             n_carved += 1
             continue
@@ -666,6 +686,87 @@ def test_pov_occupancy_matches_reference_on_random_masks(kind):
         placed[i0 - rox:i1 - rox, j0 - roy:j1 - roy] = True
         assert np.array_equal(placed, ref)
     assert (n_carved == 0) == (kind == "full")
+
+
+@st.composite
+def rect_lists(draw):
+    """Overlapping, nested, duplicate, disjoint and empty world-cell rectangles."""
+    def rect():
+        i0, j0 = draw(st.integers(-20, 20)), draw(st.integers(-10, 10))
+        return i0, i0 + draw(st.integers(0, 12)), j0, j0 + draw(st.integers(0, 8))
+
+    rects = draw(st.lists(st.builds(rect), min_size=1, max_size=6))
+    for i0, i1, j0, j1 in draw(st.lists(st.sampled_from(rects), max_size=3)):
+        # a duplicate, or a rectangle inside one already drawn
+        a, b = sorted(draw(st.integers(i0, i1)) for _ in range(2))
+        c, d = sorted(draw(st.integers(j0, j1)) for _ in range(2))
+        rects.append(draw(st.sampled_from([(i0, i1, j0, j1), (a, b, c, d)])))
+    return draw(st.permutations(rects))
+
+
+@st.composite
+def rect_layers(draw):
+    """(layer, the same layer on a window padded by PAD cells, its rectangles as drawn)."""
+    rects = draw(rect_lists())
+    assume(rect_cells(rects))
+    dx, dy = draw(st.sampled_from([(0.5, 0.25), (0.25, 0.125)]))
+
+    def hull(lo, hi, d, v_scale):
+        p_lo = draw(st.floats(lo - 5, hi + 5)) * d
+        v_lo, v_hi = sorted(draw(st.floats(-v_scale, v_scale)) for _ in range(2))
+        a_lo, a_hi = sorted(draw(st.floats(-3.0, 3.0)) for _ in range(2))
+        return AxisInterval(p_lo, p_hi=p_lo + draw(st.floats(0.0, (hi - lo) * d)),
+                            v_lo=v_lo, v_hi=v_hi, a_lo=a_lo, a_hi=a_hi)
+
+    cells = rect_cells(rects)
+    ii, jj = [i for i, _ in cells], [j for _, j in cells]
+    x_hull, y_hull = hull(min(ii), max(ii) + 1, dx, 30.0), hull(min(jj), max(jj) + 1, dy, 3.0)
+    tau, heading = 0.1 * draw(st.integers(0, 40)), draw(st.sampled_from([-1, 1]))
+    layer = reach._layer(tau, dx, dy, rects, x_hull, y_hull, heading)
+    window = GridWindow(dx, dy, min(ii) - PAD, min(jj) - PAD,
+                        max(ii) - min(ii) + 1 + 2 * PAD, max(jj) - min(jj) + 1 + 2 * PAD)
+    mask = np.zeros((window.nx, window.ny), dtype=bool)
+    for i, j in cells:
+        mask[i - window.ox, j - window.oy] = True
+    return layer, WindowLayer(tau, window, mask, x_hull, y_hull, heading), rects
+
+
+def assert_minimal(layer):
+    """No rectangle of the layer is empty or inside another."""
+    for n, (i0, i1, j0, j1) in enumerate(layer.rects):
+        assert i0 < i1 and j0 < j1
+        for m, (a0, a1, b0, b1) in enumerate(layer.rects):
+            assert m == n or not (a0 <= i0 and i1 <= a1 and b0 <= j0 and j1 <= b1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rect_layers(), st.sampled_from([SV_LIMITS, POV_LIMITS]),
+       st.sampled_from([0.05, 0.1, 0.2]), st.floats(-3.0, 5.0), st.floats(0.0, 3.0),
+       rect_lists())
+def test_multi_rectangle_layers_match_reference(case, limits, tau_step, y_lo, y_width, cuts):
+    """Propagation, both lateral clips and pruning of a layer of many rectangles hold
+    the reference's cells, and building a layer keeps the cells of its rectangles."""
+    layer, ref, rects = case
+    assert world_cells(layer) == rect_cells(rects)
+    assert_minimal(layer)
+    assert_matches_reference(layer, ref)
+    for got, want in [(propagate_step(layer, limits, tau_step),
+                       ref_propagate_step(ref, limits, tau_step)),
+                      *((reach._clip_y(layer, y_lo, y_lo + y_width, inside),
+                         ref_clip_y(ref, y_lo, y_lo + y_width, inside))
+                        for inside in (True, False))]:
+        assert_minimal(got)
+        assert_matches_reference(got, want)
+    cut = cuts[0]
+    got = reach._pruned(layer, cut)
+    assert_minimal(got)
+    want = ref.mask.copy()
+    ref_prune_mask(want, ref.window.ox, ref.window.oy,
+                   np.ones((cut[1] - cut[0], cut[3] - cut[2]), dtype=bool), cut[0], cut[2])
+    assert_matches_reference(got, replace(ref, mask=want) if want.any()
+                             else empty_like(ref, ref.tau))
+    if not rect_cells([cut]) & world_cells(layer):
+        assert got is layer
 
 
 @pytest.fixture(scope="module")
@@ -681,7 +782,7 @@ def no_response_anchors():
 
 @pytest.mark.parametrize("mode", ["normative", "kinematic-envelope"])
 def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_anchors):
-    n_lost = 0
+    n_lost, most_rects = 0, 0
     for log, i in no_response_anchors:
         args = (log.sv_state(i), log.pov_state(i), CFG, log.scenario.road,
                 log.scenario.sv_spec, log.scenario.pov_spec)
@@ -692,6 +793,8 @@ def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_ancho
         assert len(full.layers) == len(full.pov_layers) == CFG.n_steps + 1
         for got, want in zip(full.layers + full.pov_layers, ref_sv + ref_pov, strict=True):
             assert_matches_reference(got, want)
+            assert holds_no_array(got)
+        most_rects = max(most_rects, *(len(layer.rects) for layer in full.layers))
         # exists_only: the same layers, cut right after the first empty SV layer
         empties = [layer.empty for layer in ref_sv]
         n = empties.index(True) + 1 if True in empties else CFG.n_steps + 1
@@ -700,6 +803,7 @@ def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_ancho
                              ref_sv[:n] + ref_pov[:n], strict=True):
             assert_matches_reference(got, want)
         n_lost += not full.exists
+    assert most_rects >= 3  # the IL +0.9 anchors cut SV layers into many rectangles
     if mode == "kinematic-envelope":
         assert n_lost > 0  # some anchors lose escape, so the early exit runs
 
@@ -858,14 +962,13 @@ def test_timelines_reject_bad_eval_step(step):
 
 
 def box_layer(ox, oy, nx, ny):
-    return Layer(0.3, 0.5, 0.25, ox, oy, (nx, ny),
+    return Layer(0.3, 0.5, 0.25, ((ox, ox + nx, oy, oy + ny),),
                  AxisInterval(ox * 0.5, (ox + nx) * 0.5, 0.0, 0.0, 0.0, 0.0),
                  AxisInterval(oy * 0.25, (oy + ny) * 0.25, 0.0, 0.0, 0.0, 0.0), 1)
 
 
 def holds_no_array(layer):
-    return layer.carved is None and not any(isinstance(v, np.ndarray)
-                                            for v in vars(layer).values())
+    return not any(isinstance(v, np.ndarray) for v in vars(layer).values())
 
 
 # (occupancy box (ox, oy, nx, ny), result is a box) against the layer box (10, 20, 6, 5)
@@ -892,9 +995,9 @@ def test_pruned_box_against_box_matches_reference(arrangement):
     ref_prune_mask(want, layer.ox, layer.oy, np.ones((qnx, qny), dtype=bool), qx, qy)
     got = reach._pruned(layer, (qx, qx + qnx, qy, qy + qny))
     assert_cropped(got)
-    assert holds_no_array(got) == stays_box
+    assert holds_no_array(got) and (len(got.rects) <= 1) == stays_box
     assert got.empty == (not want.any())
-    assert got.world_cells() == {(int(i) + layer.ox, int(j) + layer.oy)
+    assert world_cells(got) == {(int(i) + layer.ox, int(j) + layer.oy)
                                  for i, j in zip(*np.nonzero(want))}
     if not got.empty:
         assert (got.tau, got.x_hull, got.y_hull) == (layer.tau, layer.x_hull, layer.y_hull)
@@ -914,7 +1017,7 @@ def test_pov_track_holds_only_boxes(il, mode):
         track.layer(CFG.n_steps)
         assert len(track.layers) == CFG.n_steps + 1
         for k, layer in enumerate(track.layers):
-            assert layer.carved is None, (i, k)
+            assert len(layer.rects) == 1 or layer.empty, (i, k)
             i0, i1, j0, j1 = track.occupancy(k)
             assert layer.empty or (i0 < i1 and j0 < j1)
 
@@ -922,7 +1025,7 @@ def test_pov_track_holds_only_boxes(il, mode):
 def test_reachable_set_from_a_point_holds_only_boxes():
     rset = compute_reachable_set(sv_state(), SV_LIMITS, CFG)
     assert len(rset.layers) == CFG.n_steps + 1
-    assert all(holds_no_array(layer) for layer in rset.layers)
+    assert all(holds_no_array(layer) and len(layer.rects) == 1 for layer in rset.layers)
     last = rset.layers[-1]
     assert min(last.shape) > 1
     mask = last.mask
@@ -939,19 +1042,22 @@ def test_filled_mask_becomes_a_box():
         layer.mask = np.ones((1, 1), dtype=bool)  # read-only: a layer is built, not edited
     hulls = (layer.x_hull, layer.y_hull)
     carved = carved_layer(0, 0, [[1, 0], [1, 1]], *hulls)
-    assert carved.carved is not None and carved.shape == (2, 2)
-    assert carved.mask is carved.carved
-    filled = carved_layer(0, 0, np.ones((3, 2)), *hulls)
-    assert holds_no_array(filled) and filled.shape == (3, 2)
+    assert len(carved.rects) == 2 and carved.shape == (2, 2)
+    assert carved.mask.tolist() == [[True, False], [True, True]]
+    # a box given with a piece inside it, a duplicate and an empty rectangle
+    filled = reach._layer(0.0, 0.5, 0.25, [(1, 2, 0, 1), (0, 3, 0, 2), (0, 3, 0, 2),
+                                           (5, 5, 0, 9)], *hulls, 1)
+    assert filled.rects == ((0, 3, 0, 2),) and filled.shape == (3, 2)
 
 
 def test_carved_layer_whose_dilation_fills_its_box_is_a_box():
+    """The dilation fills the box in cells, as two rectangles: the kernel does not merge."""
     carved = carved_layer(4, 0, [[1, 0, 1]], AxisInterval(2.0, 2.4, 0.0, 0.0, 0.0, 0.0),
                           AxisInterval(0.0, 0.75, 0.0, 2.0, 0.0, 0.0))
-    assert carved.carved is not None
+    assert len(carved.rects) == 2
     nxt = propagate_step(carved, SV_LIMITS, 0.1)  # lateral shifts 0 and 1 fill the gap
-    assert holds_no_array(nxt)
+    assert holds_no_array(nxt) and nxt.mask.all()
     assert (nxt.ox, nxt.oy, nxt.shape) == (4, 0, (1, 4))
-    want = propagate_step(replace(carved, carved=None), SV_LIMITS, 0.1)
-    assert (want.ox, want.oy, want.shape, want.x_hull, want.y_hull) == (
-        nxt.ox, nxt.oy, nxt.shape, nxt.x_hull, nxt.y_hull)
+    want = propagate_step(replace(carved, rects=((4, 5, 0, 3),)), SV_LIMITS, 0.1)
+    assert want.rects == ((4, 5, 0, 4),) and world_cells(want) == world_cells(nxt)
+    assert (want.x_hull, want.y_hull) == (nxt.x_hull, nxt.y_hull)
