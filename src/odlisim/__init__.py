@@ -5,9 +5,9 @@ and collision-pruned reachable sets (drivable areas) with a Monte Carlo
 soundness oracle.
 """
 
-from .core import (AxisLimits, ControlInput, KinematicLimits, POV_LIMITS, Rect,
-                   RoadSpec, SV_LIMITS, VehicleSpec, VehicleState, axis_limits,
-                   axis_step, footprint, rectangles_overlap)
+from .core import (AxisLimits, KinematicLimits, POV_LIMITS, Rect, RoadSpec, SV_LIMITS,
+                   VehicleSpec, VehicleState, axis_limits, axis_step, footprint,
+                   rectangles_overlap)
 from .engine import (IncompleteLogError, Outcome, TrajectoryLog, classify_outcome,
                      rollout, run_cohort, time_of_closest_proximity)
 from .oracle import (ContainmentReport, SampleCloud, analytic_1d_bounds,

@@ -74,19 +74,6 @@ class VehicleState:
 
 
 @dataclass(frozen=True)
-class ControlInput:
-    accel_pct: float = 0.0   # accelerator pedal, 0..100 %
-    brake_pct: float = 0.0   # brake pedal, 0..100 %
-    steer_deg: float = 0.0   # steering angle, positive = toward road center for the SV
-
-    def __post_init__(self):
-        if not 0.0 <= self.accel_pct <= 100.0:
-            raise ValueError(f"accel_pct outside [0, 100]: {self.accel_pct}")
-        if not 0.0 <= self.brake_pct <= 100.0:
-            raise ValueError(f"brake_pct outside [0, 100]: {self.brake_pct}")
-
-
-@dataclass(frozen=True)
 class KinematicLimits:
     """Per-vehicle kinematic caps in the vehicle's own frame.
 

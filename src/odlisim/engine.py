@@ -65,9 +65,18 @@ class TrajectoryLog:
     def __len__(self) -> int:
         return len(self.t)
 
+    def covers(self, t_begin: float, t_end: float) -> bool:
+        """Whether every time in [t_begin, t_end] lies within dt/2 of a sample."""
+        return self.t[0] - self.dt / 2 <= t_begin and t_end <= self.t[-1] + self.dt / 2
+
+    def check_window(self, t_begin: float, t_end: float) -> None:
+        """Raise ValueError unless the log covers the analysis window."""
+        if not self.covers(t_begin, t_end):
+            raise ValueError("analysis window not covered by the log")
+
     def index_at(self, t: float) -> int:
-        """Index of the sample nearest to t (t must be within the log)."""
-        if t < self.t[0] - self.dt / 2 or t > self.t[-1] + self.dt / 2:
+        """Index of the sample nearest to t (t must be within dt/2 of a sample)."""
+        if not self.covers(t, t):
             raise IncompleteLogError(f"t={t} outside log [{self.t[0]}, {self.t[-1]}]")
         return int(round((t - self.t[0]) / self.dt))
 

@@ -34,7 +34,7 @@ import numpy as np
 from .core import KinematicLimits, RoadSpec, VehicleSpec
 from .engine import TrajectoryLog
 from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG, PolicySpec
-from .reach import DrivableArea, Prevalence, PredictionConfig, Timeline
+from .reach import DrivableArea, Layer, Prevalence, PredictionConfig, Timeline
 from .responses import SequenceGraph
 from .scenario import ScenarioSpec, ScenarioTiming
 
@@ -251,7 +251,7 @@ def _log_columns(lines: list[str], dt: float) -> dict:
         if len(bad):
             raise ParseError(f"non-finite value in column {c!r}: {float(data[c][bad[0]])}",
                              row=int(bad[0]) + 3)
-    for c in ("accel_pct", "brake_pct"):  # the pedal range ControlInput enforces
+    for c in ("accel_pct", "brake_pct"):  # pedal positions are 0..100 %
         bad = np.flatnonzero((data[c] < 0.0) | (data[c] > 100.0))
         if len(bad):
             raise ParseError(f"value in column {c!r} outside [0, 100]: "
@@ -486,6 +486,12 @@ def emit_sequence_graph(graph: SequenceGraph, path: str | Path) -> None:
     write_table(path, ["kind", "from", "to", "count"], ["-", "-", "-", "count"], rows)
 
 
+def _cells(layer: Layer) -> list[tuple[int, int]]:
+    """The world cells (ix, iy) of a layer's rectangles, each once, in (ix, iy) order."""
+    return sorted({(ix, iy) for i0, i1, j0, j1 in layer.rects
+                   for ix in range(i0, i1) for iy in range(j0, j1)})
+
+
 def emit_reach_snapshot(area: DrivableArea, path: str | Path,
                         svg_path: str | Path | None = None,
                         sv_rect=None, pov_rect=None) -> None:
@@ -494,9 +500,7 @@ def emit_reach_snapshot(area: DrivableArea, path: str | Path,
     for name, layers in (("sv", area.layers), ("pov", area.pov_layers)):
         for layer in layers:
             dx, dy = layer.dx, layer.dy
-            ii, jj = np.nonzero(layer.mask)
-            for i, j in zip(ii, jj):
-                ix, iy = int(i) + layer.ox, int(j) + layer.oy
+            for ix, iy in _cells(layer):
                 rows.append([name, float(layer.tau), ix, iy,
                              ix * dx, (ix + 1) * dx, iy * dy, (iy + 1) * dy])
     write_table(path, ["vehicle", "tau", "ix", "iy", "x_lo", "x_hi", "y_lo", "y_hi"],
@@ -505,9 +509,9 @@ def emit_reach_snapshot(area: DrivableArea, path: str | Path,
         Path(svg_path).write_text(render_snapshot_svg(area, sv_rect, pov_rect))
 
 
-def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None,
-                        layer_stride: int = 5, scale: float = 4.0) -> str:
-    """Compact SVG: layers colored by future time, vehicles as dark boxes."""
+def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None) -> str:
+    """Compact SVG: every fifth layer colored by future time, vehicles as dark boxes."""
+    layer_stride, scale = 5, 4.0  # layers per drawn layer; px per m
     xs, ys = [], []
     for layers in (area.layers, area.pov_layers):
         for layer in layers:
@@ -538,18 +542,13 @@ def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None,
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
              f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
              '<rect width="100%" height="100%" fill="white"/>']
-    for name, layers, color in (("pov", area.pov_layers, "#cc2222"),
-                                ("sv", area.layers, "#2244cc")):
+    for layers, color in ((area.pov_layers, "#cc2222"), (area.layers, "#2244cc")):
         n = len(layers)
         for k in range(0, n, layer_stride):
             layer = layers[k]
-            if layer.empty:
-                continue
             opacity = 0.15 + 0.5 * (1.0 - k / max(n - 1, 1))
             dx, dy = layer.dx, layer.dy
-            ii, jj = np.nonzero(layer.mask)
-            for i, j in zip(ii, jj):
-                ix, iy = int(i) + layer.ox, int(j) + layer.oy
+            for ix, iy in _cells(layer):
                 parts.append(rect_svg(ix * dx, (ix + 1) * dx, iy * dy, (iy + 1) * dy,
                                       color, opacity))
     for rect, color in ((sv_rect, "#111133"), (pov_rect, "#331111")):
@@ -557,11 +556,3 @@ def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None,
             parts.append(rect_svg(rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi, color, 1.0))
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def load_table(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:
-    """Read back a header + units + rows table emitted by this module."""
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 2:
-        raise ParseError("table needs a header and a units row")
-    return lines[0].split(","), lines[1].split(","), [l.split(",") for l in lines[2:]]

@@ -222,8 +222,10 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
     """Fraction of sampled states inside the occupied cells and their hulls.
 
     Position must land in an occupied cell and velocity/acceleration inside
-    that cell's intervals (closed bounds, no tolerance).  1.0 certifies
-    soundness of the propagation for these samples.
+    the layer's intervals (closed bounds, no tolerance).  Each position is
+    floored to its cell indices once per layer, and the cell is occupied
+    when the indices fall inside any of the layer's half-open rectangles.
+    1.0 certifies soundness of the propagation for these samples.
     """
     if abs(cloud.dt - rset.tau_step) > 1e-12:
         raise ValueError(f"clock mismatch: cloud dt {cloud.dt} vs tau_step {rset.tau_step}")
@@ -238,29 +240,21 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
     steps = cloud.states.transpose(1, 2, 0)
     n = steps.shape[2]
     tmp = np.empty(n, dtype=bool)
-    n_checked = 0
+    n_checked = n * len(rset.layers)
     n_bad = 0
     first: dict | None = None
     for k, layer in enumerate(rset.layers):
         s = steps[k]
-        n_checked += n
         if layer.empty:
             n_bad += n
             if first is None:
                 first = {"step": k, "trajectory": 0, "reason": "empty layer"}
             continue
-        nx, ny = layer.shape
-        ii = np.floor(s[0] / layer.dx).astype(np.int64) - layer.ox
-        jj = np.floor(s[1] / layer.dy).astype(np.int64) - layer.oy
-        # A negative index reads as a huge unsigned one, so one compare per
-        # axis finds the box; indices outside it are masked, not wrapped.
-        in_box = ii.view(np.uint64) < nx
-        in_box &= jj.view(np.uint64) < ny
-        ii *= ny
-        ii += jj
-        ii *= in_box
-        occupied = layer.mask.ravel()[ii]
-        occupied &= in_box
+        ix = np.floor(s[0] / layer.dx)
+        iy = np.floor(s[1] / layer.dy)
+        occupied = np.zeros(n, dtype=bool)
+        for i0, i1, j0, j1 in layer.rects:
+            occupied |= (i0 <= ix) & (ix < i1) & (j0 <= iy) & (iy < j1)
 
         xh, yh = layer.x_hull, layer.y_hull
         ok = occupied.copy()

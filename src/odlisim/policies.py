@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlInput
 from .scenario import ScenarioTiming
 
 POLICY_KINDS = (
@@ -152,14 +151,13 @@ def policy_schedule(t: np.ndarray, timing: ScenarioTiming, policy: PolicySpec,
 
 
 def policy_control(t: float, timing: ScenarioTiming, policy: PolicySpec,
-                   a_brk_max: float = 8.0) -> ControlInput:
-    """Control inputs for the SV at time t under a scripted policy.
+                   a_brk_max: float = 8.0) -> tuple[float, float, float]:
+    """(accel_pct, brake_pct, steer_deg) of the SV at time t under a scripted policy.
 
     One sample of `policy_schedule`.
     """
     accel, brake, steer = policy_schedule(np.array([t]), timing, policy, a_brk_max)
-    return ControlInput(accel_pct=float(accel[0]), brake_pct=float(brake[0]),
-                        steer_deg=float(steer[0]))
+    return float(accel[0]), float(brake[0]), float(steer[0])
 
 
 def target_accels(accel_pct, brake_pct, steer_deg, a_fwd_max: float,
@@ -167,34 +165,3 @@ def target_accels(accel_pct, brake_pct, steer_deg, a_fwd_max: float,
     """(ax, ay) targets implied by pedal percentages and steering angle."""
     ax = accel_pct_to_ax(accel_pct, a_fwd_max) - brake_pct_to_decel(brake_pct, a_brk_max)
     return ax, steer_to_ay(steer_deg)
-
-
-def intended_crossings(policy: PolicySpec, timing: ScenarioTiming) -> dict[str, list[float]]:
-    """Threshold-crossing times the schedule intends, by response kind.
-
-    Used by round-trip tests: detection on a rollout of this policy must
-    find exactly these crossings (to one sample step).
-    """
-    t_first = timing.t_trigger + policy.reaction_delay
-    kind = policy.kind
-    out: dict[str, list[float]] = {
-        "accel-release": [], "brake-onset": [], "steer-shoulder": [], "steer-center": []}
-    if kind == "no-response":
-        return out
-    out["accel-release"].append(t_first)
-    if kind in ("brake-only", "brake-then-steer-center"):
-        out["brake-onset"].append(t_first)
-    if kind == "steer-center-only":
-        out["steer-center"].append(t_first)
-    elif kind == "steer-shoulder-only":
-        out["steer-shoulder"].append(t_first)
-    elif kind == "brake-then-steer-center":
-        out["steer-center"].append(t_first + policy.reversal_delay)
-    elif kind == "shoulder-then-reversal":
-        out["steer-shoulder"].append(t_first)
-        t_rev = t_first + policy.reversal_delay
-        start = float(_engage(t_rev, t_first, -abs(policy.steer_target),
-                              policy.steer_rate))
-        if abs(policy.reversal_target) >= STEER_ONSET_DEG:
-            out["steer-center"].append(t_rev + (STEER_ONSET_DEG - start) / policy.steer_rate)
-    return out

@@ -21,8 +21,9 @@ the corridor and band clips clamp each rectangle's lateral range; pruning
 subtracts the POV occupancy rectangle, which leaves at most four pieces
 of each rectangle it hits.  Nothing prunes a POV layer, so it stays one
 rectangle and its occupancy, the rectangle dilated by the footprint, is
-one rectangle too.  The read-only ``mask`` of a layer's bounding box is
-built only when read.
+one rectangle too.  Readers outside the kernel read ``rects`` as well:
+the oracle tests each sample's cell against every rectangle, and the
+snapshot writers list each rectangle's cells.
 
 Pruning follows the expansion order: at each step the POV layer expands
 first, the SV layer expands from its previous pruned layer, and SV cells
@@ -114,9 +115,7 @@ class Layer:
     ``j0 <= iy < j1``; world cell ``(ix, iy)`` spans
     ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  No rectangle is empty or
     inside another; a box is one rectangle, and an empty layer has none
-    and no hulls.  ``ox``, ``oy`` and ``shape`` are the bounding box of the
-    rectangles, whose box cell ``[i, j]`` is world cell ``(ox + i, oy + j)``;
-    an empty layer has a 0x0 box.  Build layers with ``_layer``.
+    and no hulls.  Build layers with ``_layer``.
     """
 
     tau: float
@@ -139,21 +138,12 @@ class Layer:
         return min(i0), max(i1), min(j0), max(j1)
 
     @property
-    def ox(self) -> int:
-        return self._bounds[0]
-
-    @property
-    def oy(self) -> int:
-        return self._bounds[2]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        i0, i1, j0, j1 = self._bounds
-        return i1 - i0, j1 - j0
-
-    @property
     def mask(self) -> np.ndarray:
-        """The occupied cells of the bounding box, read-only: a new bool array."""
+        """A new bool array of the occupied cells of the rectangles' bounding box.
+
+        Box cell ``[i, j]`` is world cell ``(min i0 + i, min j0 + j)``; 0x0 when
+        empty.  Outside the tests, only the benchmark tracer reads it, to count cells.
+        """
         i0, i1, j0, j1 = self._bounds
         mask = np.zeros((i1 - i0, j1 - j0), dtype=bool)
         for a0, a1, b0, b1 in self.rects:
@@ -479,8 +469,7 @@ def _anchor_times(log: TrajectoryLog, eval_step: float,
         t_begin, t_end = aw.t_begin, aw.t_end
     else:
         t_begin, t_end = window
-    if t_begin < log.t[0] or t_end > log.t[-1] + log.dt / 2:
-        raise ValueError("analysis window not covered by the log")
+    log.check_window(t_begin, t_end)
     anchors = []
     t = t_begin
     while t <= t_end + 1e-9:

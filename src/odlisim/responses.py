@@ -66,9 +66,7 @@ def detect_responses(log: TrajectoryLog, window: AnalysisWindow) -> list[Respons
     current one on the response side, with the current sample inside the
     window; repeated crossings of one kind all appear.
     """
-    eps = log.dt / 2
-    if window.t_begin < log.t[0] - eps or window.t_end > log.t[-1] + eps:
-        raise ValueError("analysis window not covered by the log")
+    log.check_window(window.t_begin, window.t_end)
     accel = log.controls["accel_pct"]
     brake = log.controls["brake_pct"]
     steer = log.controls["steer_deg"]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,24 @@ def rect_cells(rects):
 def world_cells(layer):
     """The world cells (ix, iy) of a reach layer."""
     return rect_cells(layer.rects)
+
+
+def bounding_box(layer):
+    """``(ox, oy, (nx, ny))``: the bounding box of a reach layer's cells, 0x0 when empty.
+
+    Box cell ``[i, j]`` is world cell ``(ox + i, oy + j)``, as in ``layer.mask``.
+    """
+    if not layer.rects:
+        return 0, 0, (0, 0)
+    i0, i1, j0, j1 = zip(*layer.rects)
+    return min(i0), min(j0), (max(i1) - min(i0), max(j1) - min(j0))
+
+
+def load_table(path):
+    """(header, units, rows) of a table written by ``io.write_table``."""
+    lines = Path(path).read_text().splitlines()
+    assert len(lines) >= 2, "table needs a header and a units row"
+    return lines[0].split(","), lines[1].split(","), [l.split(",") for l in lines[2:]]
 
 
 @pytest.fixture

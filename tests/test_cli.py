@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import odlisim
+from conftest import load_table
 from odlisim import io
 from odlisim.cli import main
 from odlisim.engine import classify_outcome
@@ -55,7 +56,7 @@ def test_simulate_and_analyze(tmp_path):
 
     assert run_cli("analyze", "responses", "--config", str(cfg_path),
                    "--logs", str(out), "--out", str(out)) == 0
-    header, _, rows = io.load_table(out / "response_metrics.csv")
+    header, _, rows = load_table(out / "response_metrics.csv")
     assert len(rows) == 2
     assert "outcome" in header
 
@@ -77,13 +78,13 @@ def test_reach_commands(tmp_path):
 
     assert run_cli("reach", "timeline", "--config", str(cfg_path), "--log", log,
                    "--out", str(out), "--eval-step", "1.0") == 0
-    header, _, rows = io.load_table(out / "timeline.csv")
+    header, _, rows = load_table(out / "timeline.csv")
     assert header == ["t", "rel_t", "exists", "mode"]
     assert len(rows) >= 5
 
     assert run_cli("reach", "aggregate", "--config", str(cfg_path),
                    "--logs", str(out), "--out", str(out), "--eval-step", "1.0") == 0
-    _, _, prows = io.load_table(out / "prevalence.csv")
+    _, _, prows = load_table(out / "prevalence.csv")
     assert len(prows) >= 5
 
 
@@ -227,7 +228,7 @@ def test_reach_names_log_without_accelerations(tmp_path, capsys):
     assert not any(out.iterdir())
     assert run_cli("analyze", "responses", "--config", str(cfg_path), "--logs", str(logs),
                    "--out", str(out)) == 0
-    _, _, rows = io.load_table(out / "response_metrics.csv")
+    _, _, rows = load_table(out / "response_metrics.csv")
     assert len(rows) == 2
 
 
@@ -443,11 +444,11 @@ def test_window_reaction_floor_governs_every_window(tmp_path):
 
     assert run_cli("reach", "timeline", "--config", str(cfg_path), "--log",
                    str(log_paths[0]), "--out", str(out)) == 0
-    _, _, rows = io.load_table(out / "timeline.csv")
+    _, _, rows = load_table(out / "timeline.csv")
     assert float(rows[0][1]) == pytest.approx(0.8)
     assert run_cli("reach", "aggregate", "--config", str(cfg_path),
                    "--logs", str(out), "--out", str(out)) == 0
-    _, _, rows = io.load_table(out / "prevalence.csv")
+    _, _, rows = load_table(out / "prevalence.csv")
     assert float(rows[0][0]) == pytest.approx(0.8)
     assert run_cli("oracle", "verify", "--config", str(cfg_path), "--out", str(out),
                    "--n", "50", "--anchors", "2") == 0

@@ -9,7 +9,10 @@ The default 20-run config (seed 0) is simulated once per IL (-0.8, 0 and
   `reach aggregate --eval-step 0.1` at every IL (where most anchors share
   their SV and POV states with an anchor of another run), plus
   `reach timeline --eval-step 0.5` and `reach compute --t 3.0` on
-  `run_000` at IL 0, are pinned in `golden_pipeline.json`.
+  `run_000` at IL 0, plus `reach compute --t 3.0` on `run_000` at IL +0.9
+  (whose SV layers hold up to 13 overlapping rectangles, so a snapshot
+  writer that lists a cell twice shows), are pinned in
+  `golden_pipeline.json`.
 
 A change that is meant to alter the outputs regenerates both fixtures with
 
@@ -33,6 +36,8 @@ PIPELINE_FIXTURE = Path(__file__).with_name("golden_pipeline.json")
 ILS = ("-0.8", "0.0", "0.9")
 RUN_IL = "0.0"  # IL of the single-run reach outputs
 RUN_KEY = f"run_000 at IL {RUN_IL}"
+SNAPSHOT_IL = "0.9"  # IL of the multi-rectangle snapshot
+SNAPSHOT_KEY = f"reach compute --t 3.0 on run_000 at IL {SNAPSHOT_IL}"
 DENSE_STEP = "0.1"
 
 
@@ -80,6 +85,13 @@ def run_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
     return digests(out)
 
 
+def snapshot_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
+    """One drivable-area snapshot (CSV + SVG) of run_000."""
+    assert main(["reach", "compute", "--log", str(Path(logs) / "run_000.csv"),
+                 "--t", "3.0", "--config", cfg, "--out", str(out)]) == 0
+    return digests(out)
+
+
 @pytest.fixture(scope="module")
 def simulated(tmp_path_factory):
     """IL -> (config, log directory), simulated once per IL for the module."""
@@ -115,6 +127,11 @@ def test_run_reach_outputs_match_golden(simulated, tmp_path):
     assert run_digests(*simulated(RUN_IL), tmp_path) == expected
 
 
+def test_multi_rectangle_snapshot_matches_golden(simulated, tmp_path):
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[SNAPSHOT_KEY]
+    assert snapshot_digests(*simulated(SNAPSHOT_IL), tmp_path) == expected
+
+
 if __name__ == "__main__":
     golden, pipeline = {}, {}
     for il in ILS:
@@ -126,6 +143,8 @@ if __name__ == "__main__":
             pipeline[dense_key(il)] = dense_digests(cfg, logs, work / "dense")
             if il == RUN_IL:
                 pipeline[RUN_KEY] = run_digests(cfg, logs, work / "run")
+            if il == SNAPSHOT_IL:
+                pipeline[SNAPSHOT_KEY] = snapshot_digests(cfg, logs, work / "snapshot")
     for path, data in ((FIXTURE, golden), (PIPELINE_FIXTURE, pipeline)):
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}", file=sys.stderr)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_log
+from conftest import load_table, make_log
 from odlisim import io
 from odlisim.engine import rollout, run_cohort
 from odlisim.policies import POLICY_KINDS, PolicySpec
@@ -545,7 +545,7 @@ def test_sequence_graph_emission_sums(tmp_path):
     graph = build_sequence_graph(runs)
     path = tmp_path / "graph.csv"
     io.emit_sequence_graph(graph, path)
-    header, units, rows = io.load_table(path)
+    header, units, rows = load_table(path)
     assert header == ["kind", "from", "to", "count"]
 
     inflow, outflow, initial = {}, {}, {}
@@ -571,7 +571,7 @@ def test_prevalence_table_rows(tmp_path):
                       n_extrapolated=np.array([0, 0, 2]))
     path = tmp_path / "prev.csv"
     io.emit_prevalence(prev, path)
-    header, units, rows = io.load_table(path)
+    header, units, rows = load_table(path)
     assert len(rows) == 3
     assert header[0] == "rel_t" and units[0] == "s"
     assert float(rows[1][1]) == 0.5
@@ -587,7 +587,7 @@ def test_snapshot_empty_drivable_layers(tmp_path):
                                  mode="kinematic-envelope")
     path = tmp_path / "snap.csv"
     io.emit_reach_snapshot(area, path, svg_path=tmp_path / "snap.svg")
-    header, _, rows = io.load_table(path)
+    header, _, rows = load_table(path)
     vehicles = {row[0] for row in rows}
     assert "pov" in vehicles
     if not area.exists and all(l.empty for l in area.layers):

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import world_cells
+from conftest import bounding_box, world_cells
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, VehicleState,
                           axis_limits, axis_step)
 from odlisim.oracle import (_DRAW_BLOCK, SampleCloud, analytic_1d_bounds,
                             containment_check, sample_trajectories)
-from odlisim.reach import PredictionConfig, compute_reachable_set
+from odlisim.engine import rollout
+from odlisim.policies import PolicySpec
+from odlisim.reach import (PredictionConfig, ReachableSet, compute_reachable_set,
+                           drivable_area_at)
+from odlisim.scenario import make_scenario
 
 
 def state(**kw):
@@ -285,11 +289,11 @@ def cloud_at_cells(rset, di, dj, at_edge):
     """
     states = np.empty((1, len(rset.layers), 6))
     for k, layer in enumerate(rset.layers):
-        nx, ny = layer.mask.shape
+        ox, oy, (nx, ny) = bounding_box(layer)
         i = at_edge[0] % nx + di
         j = at_edge[1] % ny + dj
         xh, yh = layer.x_hull, layer.y_hull
-        states[0, k] = ((layer.ox + i + 0.5) * layer.dx, (layer.oy + j + 0.5) * layer.dy,
+        states[0, k] = ((ox + i + 0.5) * layer.dx, (oy + j + 0.5) * layer.dy,
                         (xh.v_lo + xh.v_hi) / 2, (yh.v_lo + yh.v_hi) / 2,
                         (xh.a_lo + xh.a_hi) / 2, (yh.a_lo + yh.a_hi) / 2)
     return SampleCloud(t0=rset.t, dt=rset.tau_step, states=states, heading_sign=1)
@@ -365,6 +369,38 @@ def test_containment_matches_state_by_state_reference():
                                 dt=cfg.tau_step, n=50, seed=0)
     report = containment_check(cloud, empty)
     assert (report.n_violations, report.first_violation) == reference_containment(cloud, empty)
+
+
+def test_containment_on_multi_rectangle_layers():
+    """Layers of many rectangles: the pruned SV layers of an IL +0.9 drivable area,
+    which overlap, and hand-made nested, duplicate and disjoint rectangles."""
+    cfg = PredictionConfig()
+    log = rollout(make_scenario(0.9), PolicySpec(kind="no-response"))
+    i = log.index_at(3.0)
+    area, _ = drivable_area_at(log, i, cfg)
+    s0 = log.sv_state(i)
+    pruned = ReachableSet(t=s0.t, tau_step=cfg.tau_step, layers=area.layers)
+    assert max(len(layer.rects) for layer in pruned.layers) > 10
+    assert any(max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(a[3], b[3])
+               for layer in pruned.layers for a in layer.rects for b in layer.rects
+               if a != b)
+
+    hand_made = compute_reachable_set(s0, SV_LIMITS, cfg)
+    for k, layer in enumerate(hand_made.layers):
+        (i0, i1, j0, j1), = layer.rects
+        mid = i0 + max((i1 - i0) // 2, 1)  # column mid is in no rectangle
+        rects = [(i0, mid, j0, j1), (i0, mid, j0, j1), (i0, i0 + 1, j0, j0 + 1),
+                 (mid + 1, i1, j0, j1)]
+        hand_made.layers[k] = replace(layer, rects=tuple(r for r in rects if r[0] < r[1]))
+    assert max(len(layer.rects) for layer in hand_made.layers) == 4
+
+    cloud = sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon, dt=cfg.tau_step,
+                                n=300, seed=3)
+    for rset in (pruned, hand_made):
+        report = containment_check(cloud, rset)
+        assert (report.n_violations, report.first_violation) == reference_containment(cloud,
+                                                                                      rset)
+        assert 0.0 < report.fraction < 1.0
 
 
 def test_containment_rejects_misaligned_clock():

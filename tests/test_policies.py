@@ -5,9 +5,8 @@ import pytest
 
 from odlisim.engine import rollout
 from odlisim.policies import (CRUISE_ACCEL_PCT, PolicySpec, POLICY_KINDS,
-                              accel_pct_to_ax, brake_pct_to_decel,
-                              decel_to_brake_pct, intended_crossings,
-                              policy_control)
+                              STEER_ONSET_DEG, _engage, accel_pct_to_ax,
+                              brake_pct_to_decel, decel_to_brake_pct, policy_control)
 from odlisim.responses import detect_responses, window_for
 from odlisim.scenario import ScenarioTiming, make_scenario, default_timing
 
@@ -16,7 +15,39 @@ TIMING = ScenarioTiming(1.0, 6.15)
 
 
 def controls_trace(policy, t_grid):
+    """(accel_pct, brake_pct, steer_deg) per time of the grid."""
     return [policy_control(t, TIMING, policy) for t in t_grid]
+
+
+def intended_crossings(policy: PolicySpec, timing: ScenarioTiming) -> dict[str, list[float]]:
+    """Threshold-crossing times the schedule intends, by response kind.
+
+    Detection on a rollout of the policy must find exactly these crossings
+    (to one sample step).
+    """
+    t_first = timing.t_trigger + policy.reaction_delay
+    kind = policy.kind
+    out: dict[str, list[float]] = {
+        "accel-release": [], "brake-onset": [], "steer-shoulder": [], "steer-center": []}
+    if kind == "no-response":
+        return out
+    out["accel-release"].append(t_first)
+    if kind in ("brake-only", "brake-then-steer-center"):
+        out["brake-onset"].append(t_first)
+    if kind == "steer-center-only":
+        out["steer-center"].append(t_first)
+    elif kind == "steer-shoulder-only":
+        out["steer-shoulder"].append(t_first)
+    elif kind == "brake-then-steer-center":
+        out["steer-center"].append(t_first + policy.reversal_delay)
+    elif kind == "shoulder-then-reversal":
+        out["steer-shoulder"].append(t_first)
+        t_rev = t_first + policy.reversal_delay
+        start = float(_engage(t_rev, t_first, -abs(policy.steer_target),
+                              policy.steer_rate))
+        if abs(policy.reversal_target) >= STEER_ONSET_DEG:
+            out["steer-center"].append(t_rev + (STEER_ONSET_DEG - start) / policy.steer_rate)
+    return out
 
 
 def test_pedal_map_anchor_points():
@@ -37,8 +68,7 @@ def test_brake_map_roundtrip():
 def test_no_response_constant():
     pol = PolicySpec(kind="no-response")
     trace = controls_trace(pol, np.arange(0, 8, 0.01))
-    assert all(c.accel_pct == CRUISE_ACCEL_PCT and c.brake_pct == 0.0
-               and c.steer_deg == 0.0 for c in trace)
+    assert all(c == (CRUISE_ACCEL_PCT, 0.0, 0.0) for c in trace)
 
 
 def test_brake_then_steer_schedule_crossings():
@@ -47,19 +77,19 @@ def test_brake_then_steer_schedule_crossings():
     t_brake = TIMING.t_trigger + 1.5
     t_steer = TIMING.t_trigger + 2.8
     dt = 0.01
-    before_b = policy_control(t_brake - dt, TIMING, pol)
-    at_b = policy_control(t_brake, TIMING, pol)
-    assert before_b.brake_pct <= 15.0 < at_b.brake_pct
-    before_s = policy_control(t_steer - dt, TIMING, pol)
-    at_s = policy_control(t_steer, TIMING, pol)
-    assert before_s.steer_deg < 5.0 <= at_s.steer_deg
+    _, before_b, _ = policy_control(t_brake - dt, TIMING, pol)
+    _, at_b, _ = policy_control(t_brake, TIMING, pol)
+    assert before_b <= 15.0 < at_b
+    *_, before_s = policy_control(t_steer - dt, TIMING, pol)
+    *_, at_s = policy_control(t_steer, TIMING, pol)
+    assert before_s < 5.0 <= at_s
 
 
 def test_shoulder_then_reversal_crossing_order():
     pol = PolicySpec(kind="shoulder-then-reversal", reaction_delay=1.2,
                      reversal_delay=1.3, steer_target=10.0, reversal_target=15.0)
     t_grid = np.arange(0, 6.0, 0.01)
-    steer = np.array([c.steer_deg for c in controls_trace(pol, t_grid)])
+    steer = np.array([steer_deg for *_, steer_deg in controls_trace(pol, t_grid)])
     first_shoulder = t_grid[np.nonzero(steer <= -5.0)[0][0]]
     first_center = t_grid[np.nonzero(steer >= 5.0)[0][0]]
     assert first_shoulder == pytest.approx(TIMING.t_trigger + 1.2, abs=0.011)
@@ -71,9 +101,7 @@ def test_shoulder_then_reversal_crossing_order():
 def test_determinism_bit_identical():
     pol = PolicySpec(kind="brake-then-steer-center")
     t_grid = np.arange(0, 8, 0.01)
-    a = [(c.accel_pct, c.brake_pct, c.steer_deg) for c in controls_trace(pol, t_grid)]
-    b = [(c.accel_pct, c.brake_pct, c.steer_deg) for c in controls_trace(pol, t_grid)]
-    assert a == b
+    assert controls_trace(pol, t_grid) == controls_trace(pol, t_grid)
 
 
 def test_unknown_kind_rejected():

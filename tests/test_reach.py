@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_log, make_timeline, rect_cells, world_cells
+from conftest import bounding_box, make_log, make_timeline, rect_cells, world_cells
 from odlisim import io, reach
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step,
@@ -18,7 +18,7 @@ from odlisim.reach import (AxisInterval, Layer, PredictionConfig,
                            drivable_timelines,
                            make_initial_layer, pov_occupancy, pov_prediction_mode,
                            propagate_step)
-from odlisim.responses import window_for
+from odlisim.responses import AnalysisWindow, detect_responses, window_for
 from odlisim.scenario import make_scenario
 
 CFG = PredictionConfig()
@@ -116,13 +116,13 @@ def test_clip_y_recrops_what_it_cuts():
                             AxisInterval(0.0, 0.75, 0.0, 0.0, 0.0, 0.0))
 
     layer = carved([[1, 0, 0], [0, 1, 1]])
-    assert len(layer.rects) == 2 and (layer.ox, layer.oy, layer.shape) == (4, 0, (2, 3))
+    assert len(layer.rects) == 2 and bounding_box(layer) == (4, 0, (2, 3))
     cut = reach._clip_y(layer, 0.25, 0.5, inside=False)  # column 1 only
-    assert (cut.ox, cut.oy, cut.mask.tolist()) == (5, 1, [[True]])
+    assert bounding_box(cut) == (5, 1, (1, 1)) and cut.mask.tolist() == [[True]]
     assert (cut.y_hull.p_lo, cut.y_hull.p_hi) == (0.25, 0.5)
     assert reach._clip_y(carved([[1, 0, 1], [1, 0, 1]]), 0.25, 0.5, inside=False).empty
     kept = reach._clip_y(layer, -1.0, 0.6, inside=False)  # every column
-    assert (kept.ox, kept.oy) == (4, 0) and kept.mask.tolist() == layer.mask.tolist()
+    assert bounding_box(kept) == (4, 0, (2, 3)) and kept.mask.tolist() == layer.mask.tolist()
     assert (kept.y_hull.p_lo, kept.y_hull.p_hi) == (0.0, 0.6)
 
 
@@ -589,8 +589,8 @@ def assert_matches_reference(got, want):
     assert got.x_hull == want.x_hull and got.y_hull == want.y_hull
     # the reference never clips: its occupied cells stay off the window border
     assert not (want.mask[[0, -1]].any() or want.mask[:, [0, -1]].any())
-    i0, j0 = got.ox - w.ox, got.oy - w.oy
-    nx, ny = got.mask.shape
+    gx, gy, (nx, ny) = bounding_box(got)
+    i0, j0 = gx - w.ox, gy - w.oy
     assert 0 <= i0 and i0 + nx <= w.nx and 0 <= j0 and j0 + ny <= w.ny
     placed = np.zeros_like(want.mask)
     placed[i0:i0 + nx, j0:j0 + ny] = got.mask
@@ -844,8 +844,8 @@ def assert_same_area(got, want):
     for a, b in zip(got.layers + got.pov_layers, want.layers + want.pov_layers, strict=True):
         assert (a.tau, a.dx, a.dy, a.heading_sign, a.x_hull, a.y_hull) == (
             b.tau, b.dx, b.dy, b.heading_sign, b.x_hull, b.y_hull)
-        # both masks are cropped, so equal origins and masks mean equal world cells
-        assert (a.ox, a.oy) == (b.ox, b.oy) and np.array_equal(a.mask, b.mask)
+        # equal bounding boxes and masks mean equal world cells
+        assert bounding_box(a) == bounding_box(b) and np.array_equal(a.mask, b.mask)
 
 
 @pytest.mark.parametrize("mode", ["normative", "kinematic-envelope"])
@@ -961,6 +961,26 @@ def test_timelines_reject_bad_eval_step(step):
         drivable_timelines([(log, None)], CFG, eval_step=step)
 
 
+def test_window_within_half_a_sample_is_covered():
+    """Response detection and timelines both accept a window that starts dt/4
+    before the log's first sample, as index_at's nearest-sample rule does."""
+    log = make_log()
+    t_begin = float(log.t[0]) - log.dt / 4
+    detect_responses(log, AnalysisWindow(t_begin, t_begin + 0.2))
+    timeline = drivable_timeline(log, CFG, eval_step=0.1, window=(t_begin, t_begin + 0.2))
+    assert timeline.t.tolist() == [t_begin, t_begin + 0.1, t_begin + 0.2]
+
+
+def test_window_a_sample_early_is_rejected_alike():
+    log = make_log()
+    t_begin = float(log.t[0]) - log.dt
+    message = "^analysis window not covered by the log$"
+    with pytest.raises(ValueError, match=message):
+        detect_responses(log, AnalysisWindow(t_begin, t_begin + 0.2))
+    with pytest.raises(ValueError, match=message):
+        drivable_timeline(log, CFG, eval_step=0.1, window=(t_begin, t_begin + 0.2))
+
+
 def box_layer(ox, oy, nx, ny):
     return Layer(0.3, 0.5, 0.25, ((ox, ox + nx, oy, oy + ny),),
                  AxisInterval(ox * 0.5, (ox + nx) * 0.5, 0.0, 0.0, 0.0, 0.0),
@@ -992,12 +1012,13 @@ def test_pruned_box_against_box_matches_reference(arrangement):
     (qx, qy, qnx, qny), stays_box = PRUNE_ARRANGEMENTS[arrangement]
     layer = box_layer(10, 20, 6, 5)
     want = layer.mask.copy()
-    ref_prune_mask(want, layer.ox, layer.oy, np.ones((qnx, qny), dtype=bool), qx, qy)
+    ox, oy, _ = bounding_box(layer)
+    ref_prune_mask(want, ox, oy, np.ones((qnx, qny), dtype=bool), qx, qy)
     got = reach._pruned(layer, (qx, qx + qnx, qy, qy + qny))
     assert_cropped(got)
     assert holds_no_array(got) and (len(got.rects) <= 1) == stays_box
     assert got.empty == (not want.any())
-    assert world_cells(got) == {(int(i) + layer.ox, int(j) + layer.oy)
+    assert world_cells(got) == {(int(i) + ox, int(j) + oy)
                                  for i, j in zip(*np.nonzero(want))}
     if not got.empty:
         assert (got.tau, got.x_hull, got.y_hull) == (layer.tau, layer.x_hull, layer.y_hull)
@@ -1027,27 +1048,28 @@ def test_reachable_set_from_a_point_holds_only_boxes():
     assert len(rset.layers) == CFG.n_steps + 1
     assert all(holds_no_array(layer) and len(layer.rects) == 1 for layer in rset.layers)
     last = rset.layers[-1]
-    assert min(last.shape) > 1
+    _, _, shape = bounding_box(last)
+    assert min(shape) > 1
     mask = last.mask
-    assert mask.dtype == bool and mask.shape == last.shape and mask.all()
+    assert mask.dtype == bool and mask.shape == shape and mask.all()
     assert holds_no_array(last)  # reading builds an array, the layer keeps none
     moved = replace(last, tau=9.0)
-    assert holds_no_array(moved) and (moved.shape, moved.tau) == (last.shape, 9.0)
+    assert holds_no_array(moved) and (moved.rects, moved.tau) == (last.rects, 9.0)
 
 
 def test_filled_mask_becomes_a_box():
     layer = single_cell_layer()
-    assert holds_no_array(layer) and layer.shape == (1, 1)
+    assert holds_no_array(layer) and bounding_box(layer)[2] == (1, 1)
     with pytest.raises(AttributeError):
         layer.mask = np.ones((1, 1), dtype=bool)  # read-only: a layer is built, not edited
     hulls = (layer.x_hull, layer.y_hull)
     carved = carved_layer(0, 0, [[1, 0], [1, 1]], *hulls)
-    assert len(carved.rects) == 2 and carved.shape == (2, 2)
+    assert len(carved.rects) == 2 and bounding_box(carved)[2] == (2, 2)
     assert carved.mask.tolist() == [[True, False], [True, True]]
     # a box given with a piece inside it, a duplicate and an empty rectangle
     filled = reach._layer(0.0, 0.5, 0.25, [(1, 2, 0, 1), (0, 3, 0, 2), (0, 3, 0, 2),
                                            (5, 5, 0, 9)], *hulls, 1)
-    assert filled.rects == ((0, 3, 0, 2),) and filled.shape == (3, 2)
+    assert filled.rects == ((0, 3, 0, 2),)
 
 
 def test_carved_layer_whose_dilation_fills_its_box_is_a_box():
@@ -1057,7 +1079,7 @@ def test_carved_layer_whose_dilation_fills_its_box_is_a_box():
     assert len(carved.rects) == 2
     nxt = propagate_step(carved, SV_LIMITS, 0.1)  # lateral shifts 0 and 1 fill the gap
     assert holds_no_array(nxt) and nxt.mask.all()
-    assert (nxt.ox, nxt.oy, nxt.shape) == (4, 0, (1, 4))
+    assert bounding_box(nxt) == (4, 0, (1, 4))
     want = propagate_step(replace(carved, rects=((4, 5, 0, 3),)), SV_LIMITS, 0.1)
     assert want.rects == ((4, 5, 0, 4),) and world_cells(want) == world_cells(nxt)
     assert (want.x_hull, want.y_hull) == (nxt.x_hull, nxt.y_hull)
