@@ -247,10 +247,12 @@ def _cmd_oracle_verify(args, config: dict, out: Path) -> int:
         for name, state, limits in (("sv", log.sv_state(i), pred.sv_limits),
                                     ("pov", log.pov_state(i), pred.pov_limits)):
             rset = reach.compute_reachable_set(state, limits, pred)
-            cloud = oracle.sample_trajectories(state, limits, horizon=pred.horizon,
-                                               dt=pred.tau_step, n=args.n,
-                                               seed=config["seed"])
-            check = oracle.containment_check(cloud, rset)
+            # The cloud is stepped as it is checked, and no name keeps it
+            # alive while the next check draws its own.
+            check = oracle.containment_check(
+                oracle.sample_trajectories(state, limits, horizon=pred.horizon,
+                                           dt=pred.tau_step, n=args.n, seed=config["seed"]),
+                rset)
             worst = min(worst, check.fraction)
             report.append({"t": float(t_anchor), "vehicle": name,
                            "fraction": check.fraction,

@@ -492,19 +492,32 @@ def _cells(layer: Layer) -> list[tuple[int, int]]:
                    for ix in range(i0, i1) for iy in range(j0, j1)})
 
 
+def _edge_texts(texts: _FloatTexts, idx: set[int], d: float) -> dict[int, tuple[str, str]]:
+    """Cell index i -> the text of i and of its edges ``i * d,(i + 1) * d``."""
+    i = np.array(sorted(idx), dtype=np.int64)
+    return {k: (str(k), f"{lo},{hi}") for k, lo, hi in
+            zip(i.tolist(), texts.column(i * d, 0, len(i)), texts.column((i + 1) * d, 0, len(i)))}
+
+
 def emit_reach_snapshot(area: DrivableArea, path: str | Path,
                         svg_path: str | Path | None = None,
                         sv_rect=None, pov_rect=None) -> None:
-    """Grid snapshot of SV (pruned) and POV layers, one row per occupied cell."""
-    rows = []
+    """Grid snapshot of SV (pruned) and POV layers, one row per occupied cell.
+
+    The `write_table` format, with each distinct float formatted once
+    through one `_FloatTexts` table and each cell index once per layer.
+    """
+    texts = _FloatTexts()
+    lines = ["vehicle,tau,ix,iy,x_lo,x_hi,y_lo,y_hi", "-,s,-,-,m,m,m,m"]
     for name, layers in (("sv", area.layers), ("pov", area.pov_layers)):
         for layer in layers:
-            dx, dy = layer.dx, layer.dy
-            for ix, iy in _cells(layer):
-                rows.append([name, float(layer.tau), ix, iy,
-                             ix * dx, (ix + 1) * dx, iy * dy, (iy + 1) * dy])
-    write_table(path, ["vehicle", "tau", "ix", "iy", "x_lo", "x_hi", "y_lo", "y_hi"],
-                 ["-", "s", "-", "-", "m", "m", "m", "m"], rows)
+            cells = _cells(layer)
+            xt = _edge_texts(texts, {ix for ix, _ in cells}, layer.dx)
+            yt = _edge_texts(texts, {iy for _, iy in cells}, layer.dy)
+            tau, = texts.column([layer.tau], 0, 1)
+            lines.extend(f"{name},{tau},{xt[ix][0]},{yt[iy][0]},{xt[ix][1]},{yt[iy][1]}"
+                         for ix, iy in cells)
+    Path(path).write_text("\n".join(lines) + "\n")
     if svg_path is not None:
         Path(svg_path).write_text(render_snapshot_svg(area, sv_rect, pov_rect))
 

@@ -10,12 +10,14 @@ the true 1D reachable interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import AxisLimits, KinematicLimits, VehicleState, axis_limits, axis_step
-from .reach import ReachableSet
+from .core import (SV_SIGN, AxisLimits, KinematicLimits, VehicleState, axis_limits,
+                   axis_step)
+from .reach import Layer, ReachableSet
 
 
 # Trajectories per chunk of the random draw: one chunk of a 40-step draw
@@ -23,52 +25,98 @@ from .reach import ReachableSet
 _DRAW_BLOCK = 256
 
 
-@dataclass
 class SampleCloud:
-    """Per-step state clouds of jerk-sampled trajectories.
+    """Jerk-sampled trajectories, stepped one step at a time.
 
-    states[i, k] holds (x, y, vx, vy, ax, ay) of trajectory i after k steps;
-    the first four trajectories are the constant corner-jerk (bang-bang)
-    ones, the rest draw per-step jerks uniformly from the admissible box,
-    all from one random stream (see `sample_trajectories`).
+    ``states[i, k]`` holds (x, y, vx, vy, ax, ay) of trajectory i after k
+    steps; the first four trajectories are the constant corner-jerk
+    (bang-bang) ones, the rest draw per-step jerks uniformly from the
+    admissible box, all from one random stream (see `sample_trajectories`).
 
-    `sample_trajectories` stores the cloud step-major, as
-    ``steps[n_steps + 1, 6, n_traj]`` with one contiguous row per step and
-    channel, and ``states`` is its ``transpose(2, 0, 1)`` view: the same
-    shape, values and ``tobytes()`` as a trajectory-major array, while the
-    rollout and `containment_check` read and write contiguous rows.
+    A cloud from `sample_trajectories` holds only the start state, the
+    step-major jerks ``[n_steps, 2, n_traj]`` and the axis limits.  `steps`
+    steps it as it is read, so no ``[n_steps + 1, 6, n_traj]`` array exists
+    while `containment_check` walks it.  ``states`` is built on first read,
+    into one step-major array whose ``transpose(2, 0, 1)`` view it is (the
+    ``tobytes()`` of a trajectory-major array), and is kept: `steps` then
+    yields its rows, so an edit to ``states`` is what gets checked.  A
+    cloud made from explicit ``states`` yields those rows.
     """
 
-    t0: float
-    dt: float
-    states: np.ndarray  # float [n_traj, n_steps + 1, 6]
-    heading_sign: int
+    def __init__(self, t0: float, dt: float, states: np.ndarray | None = None,
+                 heading_sign: int = SV_SIGN, *, start: np.ndarray | None = None,
+                 jerks: np.ndarray | None = None, lim: AxisLimits | None = None):
+        if (states is None) == (jerks is None):
+            raise ValueError("a cloud takes either its states or its start state and jerks")
+        self.t0, self.dt, self.heading_sign = t0, dt, heading_sign
+        self._states = states  # float [n_traj, n_steps + 1, 6]
+        self._start, self._jerks, self._lim = start, jerks, lim
+        if states is None:
+            self.n_steps, _, self.n_traj = jerks.shape
+        else:
+            self.n_traj, self.n_steps = states.shape[0], states.shape[1] - 1
 
     @property
-    def n_steps(self) -> int:
-        return self.states.shape[1] - 1
+    def states(self) -> np.ndarray:
+        """float [n_traj, n_steps + 1, 6], built from `steps` on first read."""
+        if self._states is None:
+            steps = np.empty((self.n_steps + 1, 6, self.n_traj))
+            for row, s in zip(steps, self._stepped()):
+                row[...] = s
+            self._states = steps.transpose(2, 0, 1)
+        return self._states
+
+    def steps(self) -> Iterator[np.ndarray]:
+        """Each step's ``(6, n_traj)`` rows, in step order.
+
+        A row array may be overwritten once the next step is drawn.
+        """
+        if self._states is None:
+            return self._stepped()
+        return iter(self._states.transpose(1, 2, 0))
+
+    def _stepped(self) -> Iterator[np.ndarray]:
+        """The rollout: two buffers in turn, both axes in one `axis_step` call.
+
+        The limits are ``(2, 1)`` columns, x over y, that broadcast against
+        the ``(2, n_traj)`` axis rows, as in the simulator's rollout.
+        """
+        cur, nxt = np.empty((2, 6, self.n_traj))
+        cur[...] = self._start[:, None]
+        yield cur
+        for jerk in self._jerks:
+            p, v, a = cur.reshape(3, 2, -1)
+            out = nxt.reshape(3, 2, -1)
+            out[0], out[1], out[2] = axis_step(p, v, a, jerk, self._lim, self.dt)
+            yield nxt
+            cur, nxt = nxt, cur
 
 
 def _draw_jerks(rng: np.random.Generator, j_lo: np.ndarray, j_hi: np.ndarray,
                 out: np.ndarray) -> None:
-    """Fill the step-major ``out[n_steps, 2, n]`` with uniform jerks from ``rng``.
+    """Fill ``out[2 * n_steps, n]`` with uniform jerks from ``rng``.
 
-    Trajectory i takes the i-th contiguous ``[n_steps, 2]`` stretch of the
-    stream, as in one ``rng.random((n, n_steps, 2))`` block: the generator
-    hands out one double per number in order, so drawing that block in
-    chunks of `_DRAW_BLOCK` trajectories yields the same numbers.  Each
-    chunk is scaled as ``lo + (hi - lo) * u`` and transposed into ``out``,
-    so no second full-size copy of the jerks is ever held.
+    ``out`` is the step-major jerks with step and axis merged: row 2k + c is
+    axis c at step k.  Trajectory i takes the i-th contiguous
+    ``[n_steps, 2]`` stretch of the stream, as in one
+    ``rng.random((n, n_steps, 2))`` block: the generator hands out one
+    double per number in order, so drawing that block in chunks of
+    `_DRAW_BLOCK` trajectories yields the same numbers.  Each
+    ``[chunk, 2 * n_steps]`` chunk is scaled as ``lo + (hi - lo) * u``, with
+    the per-axis bounds tiled over the steps, and written into ``out`` as
+    one 2-D transposed copy, so no second full-size copy of the jerks is
+    ever held.
     """
-    n_steps, _, n = out.shape
-    span = j_hi - j_lo
-    buf = np.empty((min(n, _DRAW_BLOCK), n_steps, 2))
+    n_rows, n = out.shape
+    span = np.tile(j_hi - j_lo, n_rows // 2)
+    lo = np.tile(j_lo, n_rows // 2)
+    buf = np.empty((min(n, _DRAW_BLOCK), n_rows))
     for start in range(0, n, _DRAW_BLOCK):
         chunk = buf[:min(_DRAW_BLOCK, n - start)]
         rng.random(out=chunk)
         chunk *= span
-        chunk += j_lo
-        out[:, :, start:start + len(chunk)] = chunk.transpose(1, 2, 0)
+        chunk += lo
+        out[:, start:start + len(chunk)] = chunk.T
 
 
 def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
@@ -81,7 +129,8 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
     jerk box, so trajectory 4 + i takes the i-th contiguous stretch of the
     stream.  The cloud is reproducible for a given (seed, n) and
     prefix-stable in n: the rows for n = 100 equal the first rows for
-    n = 1000.
+    n = 1000.  Only the jerks are drawn here; the cloud steps them as it
+    is read (see `SampleCloud`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -93,24 +142,19 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
     lim_x = axis_limits(limits, initial.heading_sign, "x")
     lim_y = axis_limits(limits, initial.heading_sign, "y")
 
-    # States and jerks are step-major, (steps, channel, trajectory), so
-    # every per-step column is one contiguous row.
-    steps = np.empty((n_steps + 1, 6, n + 4))
+    # Step-major (steps, axis, trajectory), so every per-step jerk is one
+    # contiguous row.
     jerks = np.empty((n_steps, 2, n + 4))
     jerks[:, 0, :4] = (lim_x.j_lo, lim_x.j_lo, lim_x.j_hi, lim_x.j_hi)
     jerks[:, 1, :4] = (lim_y.j_lo, lim_y.j_hi, lim_y.j_lo, lim_y.j_hi)
     _draw_jerks(np.random.default_rng(seed), np.array([lim_x.j_lo, lim_y.j_lo]),
-                np.array([lim_x.j_hi, lim_y.j_hi]), jerks[:, :, 4:])
-
-    steps[0] = np.array([initial.x, initial.y, initial.vx, initial.vy,
-                         initial.ax, initial.ay])[:, None]
-    for k in range(n_steps):
-        x, y, vx, vy, ax, ay = steps[k]
-        nxt = steps[k + 1]
-        nxt[0], nxt[2], nxt[4] = axis_step(x, vx, ax, jerks[k, 0], lim_x, dt)
-        nxt[1], nxt[3], nxt[5] = axis_step(y, vy, ay, jerks[k, 1], lim_y, dt)
-    return SampleCloud(t0=initial.t, dt=dt, states=steps.transpose(2, 0, 1),
-                       heading_sign=initial.heading_sign)
+                np.array([lim_x.j_hi, lim_y.j_hi]),
+                jerks.reshape(2 * n_steps, n + 4)[:, 4:])
+    start = np.array([initial.x, initial.y, initial.vx, initial.vy,
+                      initial.ax, initial.ay])
+    lim = AxisLimits(*np.array([astuple(lim_x), astuple(lim_y)]).T[..., None])
+    return SampleCloud(t0=initial.t, dt=dt, heading_sign=initial.heading_sign,
+                       start=start, jerks=jerks, lim=lim)
 
 
 def _smallest_positive_root(a2: float, a1: float, a0: float,
@@ -218,6 +262,25 @@ class ContainmentReport:
     first_violation: dict | None  # step/trajectory/reason of the first miss
 
 
+def _contained(s: np.ndarray, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
+    """(contained, cell occupied) per trajectory for one step's ``(6, n)`` rows."""
+    n = s.shape[1]
+    ix = np.floor(s[0] / layer.dx)
+    iy = np.floor(s[1] / layer.dy)
+    occupied = np.zeros(n, dtype=bool)
+    for i0, i1, j0, j1 in layer.rects:
+        occupied |= (i0 <= ix) & (ix < i1) & (j0 <= iy) & (iy < j1)
+
+    xh, yh = layer.x_hull, layer.y_hull
+    ok = occupied.copy()
+    tmp = np.empty(n, dtype=bool)
+    for c, lo, hi in ((2, xh.v_lo, xh.v_hi), (3, yh.v_lo, yh.v_hi),
+                      (4, xh.a_lo, xh.a_hi), (5, yh.a_lo, yh.a_hi)):
+        ok &= np.greater_equal(s[c], lo, out=tmp)
+        ok &= np.less_equal(s[c], hi, out=tmp)
+    return ok, occupied
+
+
 def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentReport:
     """Fraction of sampled states inside the occupied cells and their hulls.
 
@@ -225,7 +288,11 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
     the layer's intervals (closed bounds, no tolerance).  Each position is
     floored to its cell indices once per layer, and the cell is occupied
     when the indices fall inside any of the layer's half-open rectangles.
-    1.0 certifies soundness of the propagation for these samples.
+    The check walks `SampleCloud.steps` layer by layer, so a sampled cloud
+    is stepped as it is checked and only one step's rows are held; it
+    never reads ``cloud.states``.  The first violation is the first step
+    with a miss, then the first trajectory at that step.  1.0 certifies
+    soundness of the propagation for these samples.
     """
     if abs(cloud.dt - rset.tau_step) > 1e-12:
         raise ValueError(f"clock mismatch: cloud dt {cloud.dt} vs tau_step {rset.tau_step}")
@@ -235,33 +302,17 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
         raise ValueError(f"step mismatch: cloud has {cloud.n_steps} steps "
                          f"vs {len(rset.layers) - 1} in the set")
 
-    # Step-major (steps, channel, trajectory): contiguous rows for a cloud
-    # from `sample_trajectories`, a strided view of any other cloud.
-    steps = cloud.states.transpose(1, 2, 0)
-    n = steps.shape[2]
-    tmp = np.empty(n, dtype=bool)
+    n = cloud.n_traj
     n_checked = n * len(rset.layers)
     n_bad = 0
     first: dict | None = None
-    for k, layer in enumerate(rset.layers):
-        s = steps[k]
+    for k, (layer, s) in enumerate(zip(rset.layers, cloud.steps())):
         if layer.empty:
             n_bad += n
             if first is None:
                 first = {"step": k, "trajectory": 0, "reason": "empty layer"}
             continue
-        ix = np.floor(s[0] / layer.dx)
-        iy = np.floor(s[1] / layer.dy)
-        occupied = np.zeros(n, dtype=bool)
-        for i0, i1, j0, j1 in layer.rects:
-            occupied |= (i0 <= ix) & (ix < i1) & (j0 <= iy) & (iy < j1)
-
-        xh, yh = layer.x_hull, layer.y_hull
-        ok = occupied.copy()
-        for c, lo, hi in ((2, xh.v_lo, xh.v_hi), (3, yh.v_lo, yh.v_hi),
-                          (4, xh.a_lo, xh.a_hi), (5, yh.a_lo, yh.a_hi)):
-            ok &= np.greater_equal(s[c], lo, out=tmp)
-            ok &= np.less_equal(s[c], hi, out=tmp)
+        ok, occupied = _contained(s, layer)
         n_bad_k = n - int(np.count_nonzero(ok))
         n_bad += n_bad_k
         if n_bad_k and first is None:

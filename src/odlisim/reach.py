@@ -182,15 +182,18 @@ def _layer(tau: float, dx: float, dy: float, rects: list[tuple[int, int, int, in
 
     Empty rectangles and rectangles inside another are dropped, which leaves
     the cells as they are.  With no rectangle left, or no lateral hull, the
-    layer is empty.
+    layer is empty.  Most builds keep a single rectangle, which has no other
+    to sort against or to lie inside.
     """
-    kept: list[tuple[int, int, int, int]] = []
-    # largest first, so a rectangle comes after every rectangle that holds it
-    for r in sorted((r for r in rects if r[0] < r[1] and r[2] < r[3]),
-                    key=lambda r: (r[1] - r[0]) * (r[3] - r[2]), reverse=True):
-        if not any(k[0] <= r[0] and r[1] <= k[1] and k[2] <= r[2] and r[3] <= k[3]
-                   for k in kept):
-            kept.append(r)
+    kept = [r for r in rects if r[0] < r[1] and r[2] < r[3]]
+    if len(kept) > 1:
+        # largest first, so a rectangle comes after every rectangle that holds it
+        ordered = sorted(kept, key=lambda r: (r[1] - r[0]) * (r[3] - r[2]), reverse=True)
+        kept = []
+        for r in ordered:
+            if not any(k[0] <= r[0] and r[1] <= k[1] and k[2] <= r[2] and r[3] <= k[3]
+                       for k in kept):
+                kept.append(r)
     if not kept or y_hull is None:
         return Layer(tau, dx, dy, (), None, None, heading_sign)
     return Layer(tau, dx, dy, tuple(kept), x_hull, y_hull, heading_sign)

@@ -12,6 +12,7 @@ from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, VehicleState,
                           axis_limits, axis_step)
 from odlisim.oracle import (_DRAW_BLOCK, SampleCloud, analytic_1d_bounds,
                             containment_check, sample_trajectories)
+from odlisim.cli import main
 from odlisim.engine import rollout
 from odlisim.policies import PolicySpec
 from odlisim.reach import (PredictionConfig, ReachableSet, compute_reachable_set,
@@ -401,6 +402,94 @@ def test_containment_on_multi_rectangle_layers():
         assert (report.n_violations, report.first_violation) == reference_containment(cloud,
                                                                                       rset)
         assert 0.0 < report.fraction < 1.0
+
+
+def test_streamed_check_holds_one_step():
+    """Checking a sampled cloud holds its jerks and a few step rows, never its states.
+
+    The states of this cloud alone are 19.7 MB against 6.4 MB of jerks.
+    """
+    cfg = PredictionConfig()
+    s0 = state(vx=17.88, y=-1.825)
+    rset = compute_reachable_set(s0, SV_LIMITS, cfg)
+    n, n_steps = 10_000, cfg.n_steps
+    containment_check(sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
+                                          dt=cfg.tau_step, n=10, seed=0), rset)
+    tracemalloc.start()
+    try:
+        report = containment_check(sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
+                                                       dt=cfg.tau_step, n=n, seed=0), rset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.fraction == 1.0
+    jerk_bytes = n_steps * 2 * (n + 4) * 8
+    assert peak <= jerk_bytes + 2 * 2**20, (peak - jerk_bytes) / 2**20
+
+
+def test_streamed_check_matches_materialized_states():
+    """Misses at several steps, a rectangle removed and hulls shrunk, read the
+    same from the stepped cloud as from its states, first violation included."""
+    cfg = PredictionConfig(horizon=2.0)
+    s0 = state(vx=15.0, vy=0.4, ax=-1.0)
+    whole = compute_reachable_set(s0, SV_LIMITS, cfg)
+
+    def cut(k, layer):
+        if k == 6:  # the box split in four, one quarter removed
+            (i0, i1, j0, j1), = layer.rects
+            im, jm = (i0 + i1) // 2, (j0 + j1) // 2
+            return replace(layer, rects=((i0, im, j0, j1), (im, i1, j0, jm)))
+        if k == 11:  # a velocity interval shrunk
+            xh = layer.x_hull
+            return replace(layer, x_hull=replace(xh, v_hi=(xh.v_lo + xh.v_hi) / 2))
+        if k == 17:  # an acceleration interval shrunk
+            yh = layer.y_hull
+            return replace(layer, y_hull=replace(yh, a_lo=(yh.a_lo + yh.a_hi) / 2))
+        return layer
+
+    def cut_at(steps):
+        return replace(whole, layers=[cut(k, layer) if k in steps else layer
+                                      for k, layer in enumerate(whole.layers)])
+
+    def sampled():
+        return sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon, dt=cfg.tau_step,
+                                   n=400, seed=17)
+
+    rset = cut_at({6, 11, 17})
+    streamed = containment_check(sampled(), rset)
+    explicit = SampleCloud(t0=s0.t, dt=cfg.tau_step, states=sampled().states.copy(),
+                           heading_sign=1)
+    assert containment_check(explicit, rset) == streamed
+    read = sampled()
+    read.states  # built once and kept; the check then walks its rows
+    assert containment_check(read, rset) == streamed
+
+    assert (streamed.n_violations, streamed.first_violation) == reference_containment(
+        explicit, rset)
+    assert streamed.first_violation["step"] == 6
+    assert streamed.first_violation["reason"] == "cell unoccupied"
+    per_step = [containment_check(sampled(), cut_at({k})).n_violations for k in (6, 11, 17)]
+    assert all(per_step) and sum(per_step) == streamed.n_violations
+
+
+def test_oracle_verify_holds_less_than_one_cloud(tmp_path):
+    """The handler holds no cloud's states, and no check's samples while it
+    draws the next: its traced peak stays under one cloud's states."""
+    cfg_path = tmp_path / "config.json"
+    assert main(["scenario", "gen", "--out", str(cfg_path)]) == 0
+    argv = ["oracle", "verify", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--anchors", "1"]
+    assert main(argv + ["--n", "10"]) == 0
+    n = 10_000
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--n", str(n)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_steps = PredictionConfig().n_steps
+    states_bytes = (n + 4) * (n_steps + 1) * 6 * 8
+    assert peak < states_bytes, (peak / 2**20, states_bytes / 2**20)
 
 
 def test_containment_rejects_misaligned_clock():
