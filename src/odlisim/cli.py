@@ -8,6 +8,7 @@ on success or 1 with a machine-readable JSON error on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -266,6 +267,7 @@ def _cmd_oracle_verify(args, config: dict, out: Path) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    created: list[Path] = []
     try:
         if "config" not in args:  # scenario gen writes a config and reads none
             return args.handler(args, _apply_overrides(io.default_run_config(), args))
@@ -273,9 +275,13 @@ def main(argv: list[str] | None = None) -> int:
         config = io.checked_run_config(_apply_overrides(io.load_run_config(args.config), args),
                                        f"{args.config} with its override flags")
         out = Path(args.out or config["output_dir"])
+        created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
         return args.handler(args, config, out)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
+        for d in created:  # a failed command leaves no new empty directory
+            with contextlib.suppress(OSError):  # one that holds a file stays
+                d.rmdir()
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -7,17 +7,22 @@ y = -lane_width); the oncoming vehicle's (POV) lane occupies
 y in [0, +lane_width] and the POV travels in -x.  "Left/shoulder" for the
 SV means decreasing y; "right/center" means increasing y.  The POV's own
 left is +y (toward its original lane) and its right is -y.
+
+A rollout state of n vehicles is a ``(3, 2, n)`` array (p, v, a rows, x over
+y), whose ``(6, n)`` view has the channels `STATE_KEYS`; `step_state` is the
+one vectorized stepping loop, shared by the simulator and the sampling oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 SV_SIGN = 1
 POV_SIGN = -1
+STATE_KEYS = ("x", "y", "vx", "vy", "ax", "ay")
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,18 @@ def axis_step(p, v, a, j, lim: AxisLimits, dt: float):
     v_new = np.minimum(np.maximum(v + dt * a, lim.v_lo), lim.v_hi)
     a_new = np.minimum(np.maximum(a + dt * j_c, lim.a_lo), lim.a_hi)
     return p_new, v_new, a_new
+
+
+def stacked_axis_limits(limits: KinematicLimits, heading_sign: int) -> AxisLimits:
+    """The x and y boxes as ``(2, 1)`` columns, x over y, for a rollout state."""
+    return AxisLimits(*np.array([astuple(axis_limits(limits, heading_sign, axis))
+                                 for axis in "xy"]).T[..., None])
+
+
+def step_state(s: np.ndarray, j: np.ndarray, lim: AxisLimits, dt: float,
+               out: np.ndarray) -> None:
+    """One `axis_step` of both axes of a rollout state ``s`` by jerks ``j`` into ``out``."""
+    out[0], out[1], out[2] = axis_step(s[0], s[1], s[2], j, lim, dt)
 
 
 def scalar_axis_step(p: float, v: float, a: float, j: float, lim: AxisLimits,

@@ -10,13 +10,13 @@ classified at the time of closest longitudinal proximity t_p.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import policies
-from .core import (POV_SIGN, SV_LIMITS, SV_SIGN, AxisLimits, KinematicLimits, VehicleState,
-                   axis_limits, axis_step, footprint_at, rectangles_overlap)
+from .core import (POV_SIGN, STATE_KEYS, SV_LIMITS, SV_SIGN, KinematicLimits, VehicleState,
+                   footprint_at, rectangles_overlap, stacked_axis_limits, step_state)
 from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming, default_timing,
                        pov_x_at_trigger, sv_initial_state)
 
@@ -56,8 +56,8 @@ class TrajectoryLog:
             raise ValueError("timestamps must be strictly increasing")
         if not np.allclose(steps, self.dt, rtol=0, atol=1e-9):
             raise ValueError("timestamps must be uniformly spaced at dt")
-        for chans, keys in ((self.sv, _STATE_KEYS), (self.pov, _STATE_KEYS),
-                            (self.controls, _CONTROL_KEYS)):
+        for chans, keys in ((self.sv, STATE_KEYS), (self.pov, STATE_KEYS),
+                            (self.controls, CONTROL_KEYS)):
             for k in keys:
                 if k not in chans or len(chans[k]) != n:
                     raise ValueError(f"channel {k!r} missing or wrong length")
@@ -81,20 +81,17 @@ class TrajectoryLog:
         return int(round((t - self.t[0]) / self.dt))
 
     def sv_state(self, i: int) -> VehicleState:
-        s = self.sv
-        return VehicleState(t=float(self.t[i]), x=float(s["x"][i]), y=float(s["y"][i]),
-                            vx=float(s["vx"][i]), vy=float(s["vy"][i]),
-                            ax=float(s["ax"][i]), ay=float(s["ay"][i]), heading_sign=1)
+        return self._state(self.sv, i, SV_SIGN)
 
     def pov_state(self, i: int) -> VehicleState:
-        s = self.pov
-        return VehicleState(t=float(self.t[i]), x=float(s["x"][i]), y=float(s["y"][i]),
-                            vx=float(s["vx"][i]), vy=float(s["vy"][i]),
-                            ax=float(s["ax"][i]), ay=float(s["ay"][i]), heading_sign=-1)
+        return self._state(self.pov, i, POV_SIGN)
+
+    def _state(self, chans: dict, i: int, heading_sign: int) -> VehicleState:
+        return VehicleState(float(self.t[i]), *(float(chans[k][i]) for k in STATE_KEYS),
+                            heading_sign=heading_sign)
 
 
-_STATE_KEYS = ("x", "y", "vx", "vy", "ax", "ay")
-_CONTROL_KEYS = ("accel_pct", "brake_pct", "steer_deg")
+CONTROL_KEYS = ("accel_pct", "brake_pct", "steer_deg")
 
 
 def rollout(scenario: ScenarioSpec, policy: policies.PolicySpec,
@@ -118,9 +115,9 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
 
     The POV path and each member's pedal/steer schedule are functions of t
     alone, so they are computed as arrays up front; only the clamped SV
-    integrator steps, once per sample for both axes of every member.  The SV
-    path never depends on a collision, so each member's log is cut at its
-    first footprint overlap afterwards.
+    integrator steps, one `core.step_state` per sample for both axes of
+    every member.  The SV path never depends on a collision, so each
+    member's log is cut at its first footprint overlap afterwards.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -147,21 +144,16 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
         ctl[:, 0], ctl[:, 1], ctl[:, 2], sv_limits.a_fwd_max, sv_limits.a_brk_max), (2, 0, 1)))
 
     sv0 = sv_initial_state(scenario)
-    # Both axes step in one call: each limit is a (2, 1) column, x over y,
-    # that broadcasts against the (2, members) axis rows.
-    lim = AxisLimits(*np.array([astuple(axis_limits(sv_limits, SV_SIGN, axis))
-                                for axis in "xy"]).T[..., None])
-    # State (samples, 3, 2, members): position, velocity, acceleration by
-    # axis, so sv.reshape(samples, 6, members) is the channel order
-    # (x, y, vx, vy, ax, ay); each member's log channels are views into it.
+    lim = stacked_axis_limits(sv_limits, SV_SIGN)
+    # One (3, 2, members) rollout state per sample, so sv.reshape(samples, 6,
+    # members) is the channel order STATE_KEYS; each member's log channels
+    # are views into it.
     sv = np.empty((len(t), 3, 2, len(members)))
     sv[0] = np.array([[sv0.x, sv0.y], [sv0.vx, sv0.vy], [sv0.ax, sv0.ay]])[..., None]
     for k in range(n_steps):
-        p, v, a = sv[k]
-        nxt = sv[k + 1]
         # Jerk command tracks the pedal/steer acceleration targets; the
         # stepper clamps it into the admissible box.
-        nxt[0], nxt[1], nxt[2] = axis_step(p, v, a, (a_t[k] - a) / dt, lim, dt)
+        step_state(sv[k], (a_t[k] - sv[k, 2]) / dt, lim, dt, sv[k + 1])
     sv = sv.reshape(len(t), 6, len(members))
     if not (np.isfinite(sv).all() and all(np.isfinite(v).all() for v in pov.values())):
         raise ValueError("non-finite vehicle state")
@@ -174,9 +166,9 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
         n = hits[0] + 1 if len(hits) else len(t)
         log = TrajectoryLog(
             dt=dt, t=t[:n],
-            sv={k: sv[:n, j, i] for j, k in enumerate(_STATE_KEYS)},
+            sv={k: sv[:n, j, i] for j, k in enumerate(STATE_KEYS)},
             pov={k: v[:n] for k, v in pov.items()},
-            controls={k: ctl[i, j, :n] for j, k in enumerate(_CONTROL_KEYS)},
+            controls={k: ctl[i, j, :n] for j, k in enumerate(CONTROL_KEYS)},
             scenario=scenario, timing=timing, policy=policy,
             collided=bool(len(hits)), t_collision=float(t[hits[0]]) if len(hits) else None)
         try:

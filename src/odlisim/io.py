@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import KinematicLimits, RoadSpec, VehicleSpec
-from .engine import TrajectoryLog
+from .core import STATE_KEYS, KinematicLimits, RoadSpec, VehicleSpec
+from .engine import CONTROL_KEYS, TrajectoryLog
 from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG, PolicySpec
 from .reach import DrivableArea, Layer, Prevalence, PredictionConfig, Timeline
 from .responses import SequenceGraph
@@ -47,10 +47,8 @@ class ParseError(ValueError):
         super().__init__(message if row is None else f"row {row}: {message}")
 
 
-_STATE_KEYS = ("x", "y", "vx", "vy", "ax", "ay")
-_CONTROL_COLS = ("accel_pct", "brake_pct", "steer_deg")
-_ALL_COLS = ("t", *(f"sv_{k}" for k in _STATE_KEYS), *(f"pov_{k}" for k in _STATE_KEYS),
-             *_CONTROL_COLS)
+_ALL_COLS = ("t", *(f"sv_{k}" for k in STATE_KEYS), *(f"pov_{k}" for k in STATE_KEYS),
+             *CONTROL_KEYS)
 _OPTIONAL_COLS = ("sv_ax", "sv_ay", "pov_ax", "pov_ay")
 _REQUIRED_COLS = tuple(c for c in _ALL_COLS if c not in _OPTIONAL_COLS)
 _UNITS = {"t": "s", "x": "m", "y": "m", "vx": "m/s", "vy": "m/s",
@@ -109,7 +107,7 @@ def _is_bit_prefix(col, ref) -> bool:
 
 def _shared_groups(log: TrajectoryLog) -> tuple[list, list]:
     """The column groups a cohort shares: the time grid and the POV track."""
-    return [log.t], [log.pov[k] for k in _STATE_KEYS]
+    return [log.t], [log.pov[k] for k in STATE_KEYS]
 
 
 def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> None:
@@ -133,8 +131,8 @@ def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> 
         t_rows, pov_rows = (
             rows if all(map(_is_bit_prefix, cols, ref)) else _row_texts(texts, cols, n)
             for (ref, rows), cols in zip(shared, _shared_groups(log)))
-        sv = [log.sv[k] for k in _STATE_KEYS]
-        controls = [log.controls[k] for k in _CONTROL_COLS]
+        sv = [log.sv[k] for k in STATE_KEYS]
+        controls = [log.controls[k] for k in CONTROL_KEYS]
         lines = list(_LOG_HEAD)
         for a in range(0, n, _SAVE_BLOCK_ROWS):
             b = min(a + _SAVE_BLOCK_ROWS, n)
@@ -219,9 +217,9 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
         raise
     return TrajectoryLog(
         dt=dt, t=data["t"],
-        sv={k: data[f"sv_{k}"] for k in _STATE_KEYS},
-        pov={k: data[f"pov_{k}"] for k in _STATE_KEYS},
-        controls={k: data[k] for k in _CONTROL_COLS},
+        sv={k: data[f"sv_{k}"] for k in STATE_KEYS},
+        pov={k: data[f"pov_{k}"] for k in STATE_KEYS},
+        controls={k: data[k] for k in CONTROL_KEYS},
         scenario=scenario, timing=timing,
         policy=policy,
         collided=bool(meta.get("collided", False)),
@@ -486,15 +484,24 @@ def emit_sequence_graph(graph: SequenceGraph, path: str | Path) -> None:
     write_table(path, ["kind", "from", "to", "count"], ["-", "-", "-", "count"], rows)
 
 
-def _cells(layer: Layer) -> list[tuple[int, int]]:
-    """The world cells (ix, iy) of a layer's rectangles, each once, in (ix, iy) order."""
-    return sorted({(ix, iy) for i0, i1, j0, j1 in layer.rects
-                   for ix in range(i0, i1) for iy in range(j0, j1)})
+def _cells(layer: Layer) -> tuple[list[int], list[int]]:
+    """The ix and iy of a layer's world cells, each cell once, in (ix, iy) order.
+
+    The sorted unique keys ``ix * ny + (iy - j0)`` over the rows ``j0 <= iy < j0 + ny``.
+    """
+    if not layer.rects:
+        return [], []
+    j0 = min(r[2] for r in layer.rects)
+    ny = max(r[3] for r in layer.rects) - j0
+    keys = np.unique(np.concatenate([np.add.outer(np.arange(a, b) * ny, np.arange(c - j0, d - j0))
+                                     .ravel() for a, b, c, d in layer.rects]))
+    ix, iy = np.divmod(keys, ny)
+    return ix.tolist(), (iy + j0).tolist()
 
 
-def _edge_texts(texts: _FloatTexts, idx: set[int], d: float) -> dict[int, tuple[str, str]]:
+def _edge_texts(texts: _FloatTexts, idx: list[int], d: float) -> dict[int, tuple[str, str]]:
     """Cell index i -> the text of i and of its edges ``i * d,(i + 1) * d``."""
-    i = np.array(sorted(idx), dtype=np.int64)
+    i = np.unique(np.asarray(idx, dtype=np.int64))
     return {k: (str(k), f"{lo},{hi}") for k, lo, hi in
             zip(i.tolist(), texts.column(i * d, 0, len(i)), texts.column((i + 1) * d, 0, len(i)))}
 
@@ -511,12 +518,12 @@ def emit_reach_snapshot(area: DrivableArea, path: str | Path,
     lines = ["vehicle,tau,ix,iy,x_lo,x_hi,y_lo,y_hi", "-,s,-,-,m,m,m,m"]
     for name, layers in (("sv", area.layers), ("pov", area.pov_layers)):
         for layer in layers:
-            cells = _cells(layer)
-            xt = _edge_texts(texts, {ix for ix, _ in cells}, layer.dx)
-            yt = _edge_texts(texts, {iy for _, iy in cells}, layer.dy)
+            ixs, iys = _cells(layer)
+            xt = _edge_texts(texts, ixs, layer.dx)
+            yt = _edge_texts(texts, iys, layer.dy)
             tau, = texts.column([layer.tau], 0, 1)
             lines.extend(f"{name},{tau},{xt[ix][0]},{yt[iy][0]},{xt[ix][1]},{yt[iy][1]}"
-                         for ix, iy in cells)
+                         for ix, iy in zip(ixs, iys))
     Path(path).write_text("\n".join(lines) + "\n")
     if svg_path is not None:
         Path(svg_path).write_text(render_snapshot_svg(area, sv_rect, pov_rect))
@@ -561,7 +568,7 @@ def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None) -> str:
             layer = layers[k]
             opacity = 0.15 + 0.5 * (1.0 - k / max(n - 1, 1))
             dx, dy = layer.dx, layer.dy
-            for ix, iy in _cells(layer):
+            for ix, iy in zip(*_cells(layer)):
                 parts.append(rect_svg(ix * dx, (ix + 1) * dx, iy * dy, (iy + 1) * dy,
                                       color, opacity))
     for rect, color in ((sv_rect, "#111133"), (pov_rect, "#331111")):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SV_SIGN, AxisLimits, KinematicLimits, VehicleState, axis_limits,
-                   axis_step)
+from .core import (AxisLimits, KinematicLimits, VehicleState, stacked_axis_limits,
+                   step_state)
 from .reach import Layer, ReachableSet
 
 
@@ -25,70 +25,45 @@ from .reach import Layer, ReachableSet
 _DRAW_BLOCK = 256
 
 
+@dataclass(frozen=True)
 class SampleCloud:
-    """Jerk-sampled trajectories, stepped one step at a time.
+    """Jerk-sampled trajectories, stepped as they are read.
 
-    ``states[i, k]`` holds (x, y, vx, vy, ax, ay) of trajectory i after k
-    steps; the first four trajectories are the constant corner-jerk
-    (bang-bang) ones, the rest draw per-step jerks uniformly from the
-    admissible box, all from one random stream (see `sample_trajectories`).
-
-    A cloud from `sample_trajectories` holds only the start state, the
-    step-major jerks ``[n_steps, 2, n_traj]`` and the axis limits.  `steps`
-    steps it as it is read, so no ``[n_steps + 1, 6, n_traj]`` array exists
-    while `containment_check` walks it.  ``states`` is built on first read,
-    into one step-major array whose ``transpose(2, 0, 1)`` view it is (the
-    ``tobytes()`` of a trajectory-major array), and is kept: `steps` then
-    yields its rows, so an edit to ``states`` is what gets checked.  A
-    cloud made from explicit ``states`` yields those rows.
+    The cloud holds the start state (x, y, vx, vy, ax, ay), the step-major
+    jerks ``[n_steps, 2, n_traj]`` and the stacked axis limits (see
+    `core.stacked_axis_limits`).  The first four trajectories are the
+    constant corner-jerk (bang-bang) ones, the rest draw per-step jerks
+    uniformly from the admissible box, all from one random stream (see
+    `sample_trajectories`).  No ``[n_steps + 1, 6, n_traj]`` array of
+    states ever exists: `steps` steps two buffers through `core.step_state`.
     """
 
-    def __init__(self, t0: float, dt: float, states: np.ndarray | None = None,
-                 heading_sign: int = SV_SIGN, *, start: np.ndarray | None = None,
-                 jerks: np.ndarray | None = None, lim: AxisLimits | None = None):
-        if (states is None) == (jerks is None):
-            raise ValueError("a cloud takes either its states or its start state and jerks")
-        self.t0, self.dt, self.heading_sign = t0, dt, heading_sign
-        self._states = states  # float [n_traj, n_steps + 1, 6]
-        self._start, self._jerks, self._lim = start, jerks, lim
-        if states is None:
-            self.n_steps, _, self.n_traj = jerks.shape
-        else:
-            self.n_traj, self.n_steps = states.shape[0], states.shape[1] - 1
+    t0: float
+    dt: float
+    heading_sign: int
+    start: np.ndarray  # float [6]
+    jerks: np.ndarray  # float [n_steps, 2, n_traj]
+    lim: AxisLimits
 
     @property
-    def states(self) -> np.ndarray:
-        """float [n_traj, n_steps + 1, 6], built from `steps` on first read."""
-        if self._states is None:
-            steps = np.empty((self.n_steps + 1, 6, self.n_traj))
-            for row, s in zip(steps, self._stepped()):
-                row[...] = s
-            self._states = steps.transpose(2, 0, 1)
-        return self._states
+    def n_steps(self) -> int:
+        return self.jerks.shape[0]
+
+    @property
+    def n_traj(self) -> int:
+        return self.jerks.shape[2]
 
     def steps(self) -> Iterator[np.ndarray]:
         """Each step's ``(6, n_traj)`` rows, in step order.
 
         A row array may be overwritten once the next step is drawn.
         """
-        if self._states is None:
-            return self._stepped()
-        return iter(self._states.transpose(1, 2, 0))
-
-    def _stepped(self) -> Iterator[np.ndarray]:
-        """The rollout: two buffers in turn, both axes in one `axis_step` call.
-
-        The limits are ``(2, 1)`` columns, x over y, that broadcast against
-        the ``(2, n_traj)`` axis rows, as in the simulator's rollout.
-        """
-        cur, nxt = np.empty((2, 6, self.n_traj))
-        cur[...] = self._start[:, None]
-        yield cur
-        for jerk in self._jerks:
-            p, v, a = cur.reshape(3, 2, -1)
-            out = nxt.reshape(3, 2, -1)
-            out[0], out[1], out[2] = axis_step(p, v, a, jerk, self._lim, self.dt)
-            yield nxt
+        cur, nxt = np.empty((2, 3, 2, self.n_traj))
+        cur[...] = self.start.reshape(3, 2, 1)
+        yield cur.reshape(6, -1)
+        for jerk in self.jerks:
+            step_state(cur, jerk, self.lim, self.dt, nxt)
+            yield nxt.reshape(6, -1)
             cur, nxt = nxt, cur
 
 
@@ -129,8 +104,9 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
     jerk box, so trajectory 4 + i takes the i-th contiguous stretch of the
     stream.  The cloud is reproducible for a given (seed, n) and
     prefix-stable in n: the rows for n = 100 equal the first rows for
-    n = 1000.  Only the jerks are drawn here; the cloud steps them as it
-    is read (see `SampleCloud`).
+    n = 1000.  Only the jerks are drawn here, within the limits of
+    `core.stacked_axis_limits`; the cloud steps them as it is read (see
+    `SampleCloud`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -139,22 +115,19 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
     n_steps = int(round(horizon / dt))
-    lim_x = axis_limits(limits, initial.heading_sign, "x")
-    lim_y = axis_limits(limits, initial.heading_sign, "y")
+    lim = stacked_axis_limits(limits, initial.heading_sign)
+    j_lo, j_hi = lim.j_lo[:, 0], lim.j_hi[:, 0]
 
     # Step-major (steps, axis, trajectory), so every per-step jerk is one
     # contiguous row.
     jerks = np.empty((n_steps, 2, n + 4))
-    jerks[:, 0, :4] = (lim_x.j_lo, lim_x.j_lo, lim_x.j_hi, lim_x.j_hi)
-    jerks[:, 1, :4] = (lim_y.j_lo, lim_y.j_hi, lim_y.j_lo, lim_y.j_hi)
-    _draw_jerks(np.random.default_rng(seed), np.array([lim_x.j_lo, lim_y.j_lo]),
-                np.array([lim_x.j_hi, lim_y.j_hi]),
+    jerks[:, 0, :4] = (j_lo[0], j_lo[0], j_hi[0], j_hi[0])
+    jerks[:, 1, :4] = (j_lo[1], j_hi[1], j_lo[1], j_hi[1])
+    _draw_jerks(np.random.default_rng(seed), j_lo, j_hi,
                 jerks.reshape(2 * n_steps, n + 4)[:, 4:])
     start = np.array([initial.x, initial.y, initial.vx, initial.vy,
                       initial.ax, initial.ay])
-    lim = AxisLimits(*np.array([astuple(lim_x), astuple(lim_y)]).T[..., None])
-    return SampleCloud(t0=initial.t, dt=dt, heading_sign=initial.heading_sign,
-                       start=start, jerks=jerks, lim=lim)
+    return SampleCloud(initial.t, dt, initial.heading_sign, start, jerks, lim)
 
 
 def _smallest_positive_root(a2: float, a1: float, a0: float,
@@ -288,9 +261,9 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
     the layer's intervals (closed bounds, no tolerance).  Each position is
     floored to its cell indices once per layer, and the cell is occupied
     when the indices fall inside any of the layer's half-open rectangles.
-    The check walks `SampleCloud.steps` layer by layer, so a sampled cloud
-    is stepped as it is checked and only one step's rows are held; it
-    never reads ``cloud.states``.  The first violation is the first step
+    The check walks `SampleCloud.steps` layer by layer, so the cloud is
+    stepped as it is checked and only one step's rows are held.  The
+    first violation is the first step
     with a miss, then the first trajectory at that step.  1.0 certifies
     soundness of the propagation for these samples.
     """

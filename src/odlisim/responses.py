@@ -20,8 +20,6 @@ from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG
 RESPONSE_KINDS = ("accel-release", "brake-onset", "steer-shoulder", "steer-center")
 EVASIVE_KINDS = ("brake-onset", "steer-shoulder", "steer-center")
 
-LATERAL_STATES = ("steer-shoulder", "no-steering", "steer-center")
-LONGITUDINAL_STATES = ("cruising", "soft-braking", "hard-braking")
 SOFT_BRAKE_EDGE = -1.0  # m/s^2
 HARD_BRAKE_EDGE = -4.0  # m/s^2
 

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,32 @@ def bounding_box(layer):
         return 0, 0, (0, 0)
     i0, i1, j0, j1 = zip(*layer.rects)
     return min(i0), min(j0), (max(i1) - min(i0), max(j1) - min(j0))
+
+
+def cloud_states(cloud):
+    """float [n_traj, n_steps + 1, 6]: copies of a cloud's step rows, stacked."""
+    return np.stack([s.copy() for s in cloud.steps()]).transpose(2, 0, 1)
+
+
+@dataclass
+class RowsCloud:
+    """A cloud that yields given states ``[n_traj, n_steps + 1, 6]``, for hand-made
+    or perturbed samples; ``containment_check`` reads nothing else of a cloud."""
+
+    t0: float
+    dt: float
+    states: np.ndarray
+
+    @property
+    def n_traj(self):
+        return self.states.shape[0]
+
+    @property
+    def n_steps(self):
+        return self.states.shape[1] - 1
+
+    def steps(self):
+        return iter(self.states.transpose(1, 2, 0))
 
 
 def load_table(path):

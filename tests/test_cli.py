@@ -8,7 +8,7 @@ import pytest
 
 import odlisim
 from conftest import load_table
-from odlisim import io
+from odlisim import io, oracle
 from odlisim.cli import main
 from odlisim.engine import classify_outcome
 from odlisim.responses import build_sequence_graph, window_for
@@ -158,7 +158,7 @@ def test_simulate_rejects_empty_cohort(tmp_path, capsys, policies):
     payload = json_error(capsys)
     assert payload["error"] == "ParseError"
     assert payload["message"].startswith(f"run config {cfg_path}: policies lists no policy")
-    assert not any(out.iterdir())
+    assert not out.exists()  # no file, and no directory left behind
     # --policy replaces the cohort, so it runs without one
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out),
                    "--policy", "no-response") == 0
@@ -225,7 +225,7 @@ def test_reach_names_log_without_accelerations(tmp_path, capsys):
             "error": "ParseError",
             "message": f"log {log} lacks the acceleration columns sv_ay, pov_ax "
                        f"that reachability starts from"}
-    assert not any(out.iterdir())
+    assert not out.exists()  # no file, and no directory left behind
     assert run_cli("analyze", "responses", "--config", str(cfg_path), "--logs", str(logs),
                    "--out", str(out)) == 0
     _, _, rows = load_table(out / "response_metrics.csv")
@@ -256,7 +256,7 @@ def test_log_errors_name_the_file(tmp_path, capsys, line, value, message):
                        "--out", str(out)) == 1
         assert json_error(capsys) == {"error": "ParseError",
                                       "message": f"log {log}: {message}"}
-    assert not any(out.iterdir())
+    assert not out.exists()  # no file, and no directory left behind
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -348,6 +348,44 @@ def test_prediction_overrides_checked_before_any_output(tmp_path, capsys, flag, 
                                       "message": f"{field} must be positive and finite, "
                                                  f"got {float(value)}"}
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "verify", "--n", "0"],
+    ["oracle", "verify", "--anchors", "0"],
+    ["reach", "aggregate", "--logs", "{logs}", "--eval-step", "0"],
+    ["reach", "timeline", "--log", "{log}", "--eval-step", "nan"],
+    ["reach", "compute", "--log", "{log}", "--t", "99"],
+    ["analyze", "responses", "--logs", "{missing}"],
+], ids=["oracle verify --n 0", "oracle verify --anchors 0", "reach aggregate --eval-step 0",
+        "reach timeline --eval-step nan", "reach compute --t 99", "analyze responses missing"])
+def test_failed_command_leaves_no_new_directory(tmp_path, capsys, argv):
+    """A handler that fails removes the empty directories main made for its output,
+    and keeps one that existed before."""
+    cfg_path = small_config(tmp_path)
+    logs = tmp_path / "logs"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(logs)) == 0
+    argv = [a.format(logs=logs, log=logs / "run_000.csv", missing=tmp_path / "missing")
+            for a in argv]
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.mkdir()
+    for out in (fresh / "out", kept):
+        capsys.readouterr()
+        assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 1
+        assert "error" in json_error(capsys)
+    assert not fresh.exists()
+    assert kept.is_dir() and not any(kept.iterdir())
+
+
+def test_oracle_verify_below_one_keeps_its_report(tmp_path, monkeypatch):
+    """Containment below 1 exits 1 without raising, so its new directory and report stay."""
+    monkeypatch.setattr(oracle, "containment_check",
+                        lambda cloud, rset: oracle.ContainmentReport(0.5, 2, 1, None))
+    out = tmp_path / "fresh" / "out"
+    assert run_cli("oracle", "verify", "--config", str(small_config(tmp_path)),
+                   "--out", str(out), "--n", "10", "--anchors", "1") == 1
+    assert [e["fraction"] for e in json.loads((out / "oracle_report.json").read_text())] == [
+        0.5, 0.5]
 
 
 @pytest.mark.parametrize("argv", [

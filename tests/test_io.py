@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_table, make_log
-from odlisim import io
+from conftest import load_table, make_log, rect_cells
+from odlisim import io, reach
 from odlisim.engine import rollout, run_cohort
 from odlisim.policies import POLICY_KINDS, PolicySpec
-from odlisim.reach import PredictionConfig, Prevalence, compute_drivable_area
+from odlisim.reach import AxisInterval, PredictionConfig, Prevalence, compute_drivable_area
 from odlisim.responses import AnalysisWindow, build_sequence_graph, sv_longitudinal_accel
 from odlisim.scenario import make_scenario
 from odlisim.core import RoadSpec, VehicleSpec, VehicleState
@@ -594,6 +594,20 @@ def test_snapshot_empty_drivable_layers(tmp_path):
         assert "sv" not in vehicles
     svg = (tmp_path / "snap.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+_RECT = st.tuples(st.integers(-40, 40), st.integers(0, 6), st.integers(-20, 20),
+                  st.integers(0, 6)).map(lambda r: (r[0], r[0] + r[1], r[2], r[2] + r[3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RECT, max_size=6))
+def test_snapshot_cells_match_rectangle_sets(rects):
+    """Overlapping, nested and negative rectangles list each cell once, in (ix, iy)
+    order, as the set of every rectangle's cells sorted."""
+    hull = AxisInterval(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    layer = reach._layer(0.0, 0.5, 0.25, rects, hull, hull, 1)
+    assert list(zip(*io._cells(layer))) == sorted(rect_cells(layer.rects))
 
 
 def test_float_format_shortest_roundtrip(tmp_path):

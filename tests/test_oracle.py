@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bounding_box, world_cells
+from conftest import RowsCloud, bounding_box, cloud_states, world_cells
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, VehicleState,
                           axis_limits, axis_step)
-from odlisim.oracle import (_DRAW_BLOCK, SampleCloud, analytic_1d_bounds,
-                            containment_check, sample_trajectories)
+from odlisim.oracle import (_DRAW_BLOCK, analytic_1d_bounds, containment_check,
+                            sample_trajectories)
 from odlisim.cli import main
 from odlisim.engine import rollout
 from odlisim.policies import PolicySpec
@@ -35,21 +35,22 @@ def test_constant_jerk_matches_stepper():
     lim_x, lim_y = axis_limits(SV_LIMITS, 1, "x"), axis_limits(SV_LIMITS, 1, "y")
     corners = [(jx, jy) for jx in (lim_x.j_lo, lim_x.j_hi)
                for jy in (lim_y.j_lo, lim_y.j_hi)]
+    states = cloud_states(cloud)
     for row, (jx, jy) in enumerate(corners):
         x, y, vx, vy, ax, ay = s0.x, s0.y, s0.vx, s0.vy, s0.ax, s0.ay
         for k in range(1, 11):
             x, vx, ax = axis_step(x, vx, ax, jx, lim_x, 0.1)
             y, vy, ay = axis_step(y, vy, ay, jy, lim_y, 0.1)
-            assert cloud.states[row, k].tolist() == [x, y, vx, vy, ax, ay]
+            assert states[row, k].tolist() == [x, y, vx, vy, ax, ay]
 
 
 def test_sampling_deterministic_under_seed():
     s0 = state(vx=17.88)
     a = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=50, seed=3)
     b = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=50, seed=3)
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(cloud_states(a), cloud_states(b))
     c = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=50, seed=4)
-    assert not np.array_equal(a.states, c.states)
+    assert not np.array_equal(cloud_states(a), cloud_states(c))
 
 
 def test_sampling_pinned_digest():
@@ -57,7 +58,7 @@ def test_sampling_pinned_digest():
     cannot show it while containment stays 1.0."""
     s0 = state(vx=17.88, y=-1.825)
     cloud = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=50, seed=3)
-    assert (hashlib.sha256(cloud.states.tobytes()).hexdigest()
+    assert (hashlib.sha256(cloud_states(cloud).tobytes()).hexdigest()
             == "269db39cd118b3397c86c7893d258f6f9be79c5759c603618834f31451867949")
 
 
@@ -65,7 +66,7 @@ def test_sampling_prefix_stable_in_n():
     s0 = state(vx=12.0, vy=0.5)
     small = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=100, seed=9)
     large = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=1000, seed=9)
-    assert np.array_equal(small.states, large.states[:104])
+    assert np.array_equal(cloud_states(small), cloud_states(large)[:104])
 
 
 def reference_states(s0, limits, horizon, dt, n, seed):
@@ -96,7 +97,7 @@ def test_sampling_chunked_draw_matches_one_block():
     n = 2 * _DRAW_BLOCK + 37
     cloud = sample_trajectories(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=21)
     ref = reference_states(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=21)
-    assert np.array_equal(cloud.states, ref)
+    assert np.array_equal(cloud_states(cloud), ref)
 
 
 def test_sampling_prefix_stable_across_draw_block():
@@ -105,11 +106,11 @@ def test_sampling_prefix_stable_across_draw_block():
                                 n=_DRAW_BLOCK - 1, seed=5)
     large = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1,
                                 n=_DRAW_BLOCK + 1, seed=5)
-    assert np.array_equal(small.states, large.states[:_DRAW_BLOCK + 3])
+    assert np.array_equal(cloud_states(small), cloud_states(large)[:_DRAW_BLOCK + 3])
 
 
 def test_sampling_memory_bound():
-    """Peak memory is the cloud, one jerk buffer and less than 1 MiB more.
+    """Peak memory is at most the cloud's states, one jerk buffer and 1 MiB more.
 
     A second full-size copy of the jerks (6.4 MB here) would break it.
     """
@@ -123,8 +124,10 @@ def test_sampling_memory_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert cloud.jerks.shape == (n_steps, 2, n + 4)
     jerk_bytes = n_steps * 2 * (n + 4) * 8
-    assert peak <= cloud.states.nbytes + jerk_bytes + 2**20
+    states_bytes = (n + 4) * (n_steps + 1) * 6 * 8
+    assert peak <= states_bytes + jerk_bytes + 2**20
 
 
 @pytest.mark.parametrize("kw, shown", [
@@ -152,7 +155,7 @@ def test_sampling_jerks_stay_in_own_axis_box():
         s0 = state(vx=10.0 * heading, heading_sign=heading)
         dt = 0.1
         cloud = sample_trajectories(s0, limits, horizon=1.0, dt=dt, n=200, seed=1)
-        acc = cloud.states[4:, :, 4:6]
+        acc = cloud_states(cloud)[4:, :, 4:6]
         jerk = (acc[:, 1:] - acc[:, :-1]) / dt
         for axis, col in (("x", 0), ("y", 1)):
             lim = axis_limits(limits, heading, axis)
@@ -169,8 +172,9 @@ def test_sampling_zero_limits_coast():
                            j_lat_max=0, v_lat_max=0)
     cloud = sample_trajectories(state(vx=0.0), zero, horizon=1.0, dt=0.1,
                                 n=20, seed=0)
-    assert np.allclose(cloud.states, cloud.states[0:1])
-    assert np.allclose(cloud.states[:, :, 0], 0.0)
+    states = cloud_states(cloud)
+    assert np.allclose(states, states[0:1])
+    assert np.allclose(states[:, :, 0], 0.0)
 
 
 def test_analytic_bounds_tau_zero():
@@ -240,9 +244,10 @@ def test_analytic_bounds_bracket_samples():
                        heading_sign=heading)
             cloud = sample_trajectories(s0, limits, horizon=2.0, dt=dt,
                                         n=60, seed=trial)
+            states = cloud_states(cloud)
             for k in range(cloud.n_steps + 1):
                 tau = k * dt
-                s = cloud.states[:, k]
+                s = states[:, k]
                 for col_p, col_v, lim, p0, v0, a0 in (
                         (0, 2, lim_x, s0.x, s0.vx, s0.ax),
                         (1, 3, lim_y, s0.y, s0.vy, s0.ay)):
@@ -274,8 +279,9 @@ def test_containment_negative_control():
     rset = compute_reachable_set(st, SV_LIMITS, cfg)
     cloud = sample_trajectories(st, SV_LIMITS, horizon=cfg.horizon,
                                 dt=cfg.tau_step, n=100, seed=2)
-    cloud.states[:, :, 0] += 10.0  # shift all positions forward
-    report = containment_check(cloud, rset)
+    states = cloud_states(cloud)
+    states[:, :, 0] += 10.0  # shift all positions forward
+    report = containment_check(RowsCloud(cloud.t0, cloud.dt, states), rset)
     assert report.fraction < 1.0
     assert report.first_violation is not None
     assert report.first_violation["reason"] == "cell unoccupied"
@@ -297,7 +303,7 @@ def cloud_at_cells(rset, di, dj, at_edge):
         states[0, k] = ((ox + i + 0.5) * layer.dx, (oy + j + 0.5) * layer.dy,
                         (xh.v_lo + xh.v_hi) / 2, (yh.v_lo + yh.v_hi) / 2,
                         (xh.a_lo + xh.a_hi) / 2, (yh.a_lo + yh.a_hi) / 2)
-    return SampleCloud(t0=rset.t, dt=rset.tau_step, states=states, heading_sign=1)
+    return RowsCloud(t0=rset.t, dt=rset.tau_step, states=states)
 
 
 def test_containment_occupancy_box_edges():
@@ -325,10 +331,11 @@ def test_containment_occupancy_box_edges():
 
 def reference_containment(cloud, rset):
     """State-by-state containment: (n_violations, first_violation)."""
+    states = cloud_states(cloud)
     n_bad, first = 0, None
     for k, layer in enumerate(rset.layers):
         cells = world_cells(layer)
-        for i, s in enumerate(cloud.states[:, k].tolist()):
+        for i, s in enumerate(states[:, k].tolist()):
             if layer.empty:
                 reason = "empty layer"
             elif (math.floor(s[0] / layer.dx), math.floor(s[1] / layer.dy)) not in cells:
@@ -355,14 +362,15 @@ def test_containment_matches_state_by_state_reference():
     rset = compute_reachable_set(s0, SV_LIMITS, cfg)
     rng = np.random.default_rng(7)
     for col, scale in ((0, 1.0), (1, 0.5), (2, 0.3), (3, 0.3), (4, 2.0), (5, 1.0)):
-        cloud = sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
-                                    dt=cfg.tau_step, n=300, seed=col)
-        cloud.states[:, :, col] += scale * rng.standard_normal(cloud.states.shape[:2])
+        states = cloud_states(sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
+                                                  dt=cfg.tau_step, n=300, seed=col))
+        states[:, :, col] += scale * rng.standard_normal(states.shape[:2])
+        cloud = RowsCloud(s0.t, cfg.tau_step, states)
         report = containment_check(cloud, rset)
         n_bad, first = reference_containment(cloud, rset)
-        assert 0 < n_bad < cloud.states.shape[0] * len(rset.layers)
+        assert 0 < n_bad < states.shape[0] * len(rset.layers)
         assert (report.n_violations, report.first_violation) == (n_bad, first)
-        assert report.n_checked == cloud.states.shape[0] * len(rset.layers)
+        assert report.n_checked == states.shape[0] * len(rset.layers)
         assert report.fraction == 1.0 - n_bad / report.n_checked
     empty = compute_reachable_set(s0, SV_LIMITS, cfg)
     empty.layers[3] = replace(empty.layers[3], x_hull=None, y_hull=None, rects=())
@@ -457,12 +465,8 @@ def test_streamed_check_matches_materialized_states():
 
     rset = cut_at({6, 11, 17})
     streamed = containment_check(sampled(), rset)
-    explicit = SampleCloud(t0=s0.t, dt=cfg.tau_step, states=sampled().states.copy(),
-                           heading_sign=1)
+    explicit = RowsCloud(t0=s0.t, dt=cfg.tau_step, states=cloud_states(sampled()))
     assert containment_check(explicit, rset) == streamed
-    read = sampled()
-    read.states  # built once and kept; the check then walks its rows
-    assert containment_check(read, rset) == streamed
 
     assert (streamed.n_violations, streamed.first_violation) == reference_containment(
         explicit, rset)
@@ -615,7 +619,7 @@ def test_tightness_telemetry():
     cloud = sample_trajectories(st, SV_LIMITS, horizon=cfg.horizon,
                                 dt=cfg.tau_step, n=3000, seed=13)
     layer = rset.layers[-1]
-    s = cloud.states[:, -1]
+    s = cloud_states(cloud)[:, -1]
     hull_x = layer.position_hull()[0]
     hull_y = layer.position_hull()[1]
     ratio_x = (s[:, 0].max() - s[:, 0].min()) / (hull_x[1] - hull_x[0])

@@ -108,6 +108,25 @@ def test_propagate_empty_absorbs():
     assert propagate_step(layer, SV_LIMITS, 0.1).empty
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "propagate_step widens its shift ranges only at the hull's edge cells: a state "
+    "strictly inside the hull at the last float below a rectangle's edge can round "
+    "one cell past that rectangle's dilation"))
+def test_propagate_keeps_interior_rectangle_rounding():
+    """x = nextafter(64, -inf) lies in cell 255, the last of rectangle [250, 256), and
+    fl(x + 0.1 * 20) = 66.0 lands in cell 264, one past the shifted [258, 264)."""
+    x_hull = AxisInterval(62.5, 70.0, 20.0, 20.0, 0.0, 0.0)
+    y_hull = AxisInterval(0.0, 0.2, 0.0, 0.0, 0.0, 0.0)
+    layer = reach._layer(0.0, 0.25, 0.25, [(250, 256, 0, 1), (270, 280, 0, 1)],
+                         x_hull, y_hull, 1)
+    x = math.nextafter(64.0, -math.inf)
+    assert math.floor(x / layer.dx) == 255
+    x_new, _, _ = scalar_axis_step(x, 20.0, 0.0, 0.0, axis_limits(SV_LIMITS, 1, "x"), 0.1)
+    assert x_new == 66.0
+    nxt = propagate_step(layer, SV_LIMITS, 0.1)
+    assert (264, 0) in world_cells(nxt), nxt.rects
+
+
 def test_clip_y_recrops_what_it_cuts():
     """A lateral clip of a carved mask crops the columns it keeps, and empties the
     layer when they hold no cell; keeping every column keeps the mask."""
