@@ -19,6 +19,7 @@ from . import io, oracle, reach, responses
 from .core import footprint
 from .engine import classify_outcome, rollout, run_cohort
 from .policies import POLICY_KINDS, PolicySpec
+from .scenario import make_scenario
 
 
 # Override flags: config section (None for the top level) and argparse
@@ -99,8 +100,6 @@ def _apply_overrides(config: dict, args) -> dict:
         if section is None:
             config[key] = value
         elif key == "il":  # the steepness defaults follow the incursion level
-            from .scenario import make_scenario
-
             spec = make_scenario(value)
             config[section] = dict(config[section], incursion_level=value,
                                    end_heading_mode=spec.end_heading_mode,

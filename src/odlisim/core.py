@@ -24,6 +24,22 @@ SV_SIGN = 1
 POV_SIGN = -1
 STATE_KEYS = ("x", "y", "vx", "vy", "ax", "ay")
 
+# Bound -> (what a number must be, its range test), for `check_numbers`.
+_NUMBER_RULES = {"> 0": ("positive and finite", lambda v: v > 0),
+                 ">= 0": ("finite and >= 0", lambda v: v >= 0),
+                 None: ("finite", lambda v: True)}
+
+
+def check_numbers(bound: str | None, **values: float) -> None:
+    """Raise ValueError naming the first of ``values`` not finite and within ``bound``.
+
+    ``bound`` is ``"> 0"``, ``">= 0"``, or None for finite alone.
+    """
+    what, in_range = _NUMBER_RULES[bound]
+    for name, value in values.items():
+        if not (math.isfinite(value) and in_range(value)):
+            raise ValueError(f"{name} must be {what}, got {value}")
+
 
 @dataclass(frozen=True)
 class RoadSpec:
@@ -32,13 +48,10 @@ class RoadSpec:
     shoulder_margin: float = 0.5  # m, allowed excursion beyond the road edge
 
     def __post_init__(self):
-        if not (math.isfinite(self.lane_width) and self.lane_width > 0):
-            raise ValueError(f"lane_width must be positive and finite, got {self.lane_width}")
+        check_numbers("> 0", lane_width=self.lane_width)
         if self.num_lanes != 2:
             raise ValueError("only two-lane roads are supported")
-        if not (math.isfinite(self.shoulder_margin) and self.shoulder_margin >= 0):
-            raise ValueError(f"shoulder_margin must be finite and >= 0, "
-                             f"got {self.shoulder_margin}")
+        check_numbers(">= 0", shoulder_margin=self.shoulder_margin)
 
     @property
     def width(self) -> float:
@@ -53,8 +66,7 @@ class VehicleSpec:
     ref_offset: float = 0.0  # m, positioning reference point forward of geometric center
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.length, self.width)):
-            raise ValueError("vehicle length and width must be positive and finite")
+        check_numbers("> 0", length=self.length, width=self.width)
         if not abs(self.ref_offset) < self.length / 2:
             raise ValueError("ref_offset must lie within the vehicle body")
 
@@ -100,12 +112,7 @@ class KinematicLimits:
     v_lat_max: float = 6.0        # m/s, lateral speed cap, magnitude
 
     def __post_init__(self):
-        for name in ("v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max",
-                     "a_lat_right_max", "j_fwd_max", "j_bwd_max", "j_lat_max",
-                     "v_lat_max"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        check_numbers(">= 0", **vars(self))
 
 
 SV_LIMITS = KinematicLimits()

@@ -9,14 +9,14 @@ classified at the time of closest longitudinal proximity t_p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import policies
 from .core import (POV_SIGN, STATE_KEYS, SV_LIMITS, SV_SIGN, KinematicLimits, VehicleState,
-                   footprint_at, rectangles_overlap, stacked_axis_limits, step_state)
+                   check_numbers, footprint_at, rectangles_overlap, stacked_axis_limits,
+                   step_state)
 from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming, default_timing,
                        pov_x_at_trigger, sv_initial_state)
 
@@ -119,8 +119,7 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
     every member.  The SV path never depends on a collision, so each
     member's log is cut at its first footprint overlap afterwards.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    check_numbers("> 0", dt=dt)
     if timing is None:
         timing = default_timing(scenario)
     if horizon is None:

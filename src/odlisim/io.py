@@ -36,7 +36,7 @@ from .engine import CONTROL_KEYS, TrajectoryLog
 from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG, PolicySpec
 from .reach import DrivableArea, Layer, Prevalence, PredictionConfig, Timeline
 from .responses import SequenceGraph
-from .scenario import ScenarioSpec, ScenarioTiming
+from .scenario import ScenarioSpec, ScenarioTiming, default_timing, make_scenario
 
 
 class ParseError(ValueError):
@@ -229,8 +229,8 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
 
 def _log_columns(lines: list[str], dt: float) -> dict:
     """Every column of a log file's lines by name, checked; absent optional ones are NaN."""
-    if len(lines) < 3:
-        raise ParseError("log file needs a header, a units row, and data")
+    if len(lines) < 4:
+        raise ParseError("log file needs a header, a units row, and at least two data rows")
     header = lines[0].split(",")
     for col in _REQUIRED_COLS:
         if col not in header:
@@ -304,39 +304,6 @@ def prediction_from_dict(d: dict) -> PredictionConfig:
     return PredictionConfig(**d)
 
 
-def default_run_config(incursion_level: float = 0.0) -> dict:
-    """Reference config carrying every tunable constant as a named default."""
-    from .scenario import make_scenario
-
-    scenario = make_scenario(incursion_level)
-    policies = [
-        {"kind": "no-response", "count": 2},
-        {"kind": "brake-only", "count": 3, "reaction_delay": 1.6, "brake_level": "hard"},
-        {"kind": "brake-then-steer-center", "count": 5, "reaction_delay": 1.5,
-         "brake_level": "soft", "reversal_delay": 1.3, "steer_target": 15.0},
-        {"kind": "steer-center-only", "count": 4, "reaction_delay": 2.0,
-         "steer_target": 20.0},
-        {"kind": "steer-shoulder-only", "count": 4, "reaction_delay": 1.2,
-         "steer_target": 10.0},
-        {"kind": "shoulder-then-reversal", "count": 2, "reaction_delay": 1.2,
-         "reversal_delay": 1.3, "steer_target": 10.0, "reversal_target": 15.0},
-    ]
-    return {
-        "seed": 0,
-        "output_dir": "out",
-        "scenario": dict(scenario_to_dict(scenario), t_trigger=1.0),
-        "policies": policies,
-        "prediction": prediction_to_dict(PredictionConfig()),
-        "analysis": {
-            "dt": 0.01,
-            "eval_step": 0.1,
-            "bootstrap_samples": 1000,
-            "delay_jitter": 0.2,
-            "window_reaction_floor": 0.4,
-        },
-    }
-
-
 def save_run_config(config: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
@@ -351,14 +318,37 @@ _FIXED_ANALYSIS = {"accel_release_pct": ACCEL_RELEASE_PCT,
 _CONFIG_SECTIONS = ("scenario", "analysis", "prediction")
 
 # Values of keys a config may omit, by section (None is the top level, and
-# "policies" each entry of that list).  They are not the reference values
-# ``default_run_config`` writes (its delay_jitter is 0.2): a config that
-# lacks a key runs as it always has.
+# "policies" each entry of that list).  ``default_run_config`` writes them
+# too, but for delay_jitter (0.2 there): a config that lacks a key runs as
+# it always has.
 _FALLBACKS = {None: {"seed": 0, "output_dir": "out"},
               "scenario": {"t_trigger": 1.0},
               "policies": {"count": 1},
               "analysis": {"eval_step": 0.1, "bootstrap_samples": 1000,
                            "delay_jitter": 0.0, "window_reaction_floor": 0.4}}
+
+
+def default_run_config(incursion_level: float = 0.0) -> dict:
+    """Reference config carrying every tunable constant as a named default."""
+    policies = [
+        {"kind": "no-response", "count": 2},
+        {"kind": "brake-only", "count": 3, "reaction_delay": 1.6, "brake_level": "hard"},
+        {"kind": "brake-then-steer-center", "count": 5, "reaction_delay": 1.5,
+         "brake_level": "soft", "reversal_delay": 1.3, "steer_target": 15.0},
+        {"kind": "steer-center-only", "count": 4, "reaction_delay": 2.0,
+         "steer_target": 20.0},
+        {"kind": "steer-shoulder-only", "count": 4, "reaction_delay": 1.2,
+         "steer_target": 10.0},
+        {"kind": "shoulder-then-reversal", "count": 2, "reaction_delay": 1.2,
+         "reversal_delay": 1.3, "steer_target": 10.0, "reversal_target": 15.0},
+    ]
+    return {**_FALLBACKS[None],
+            "scenario": {**scenario_to_dict(make_scenario(incursion_level)),
+                         **_FALLBACKS["scenario"]},
+            "policies": policies,
+            "prediction": prediction_to_dict(PredictionConfig()),
+            "analysis": {**_FALLBACKS["analysis"], "dt": 0.01, "delay_jitter": 0.2}}
+
 
 # What a value must be: (description, type it is stored as, range test).
 _SEED_RULE = ("an integer >= 0", int, lambda v: v >= 0 and v == int(v))
@@ -430,7 +420,7 @@ def config_scenario(config: dict) -> tuple[ScenarioSpec, ScenarioTiming]:
     d = dict(config["scenario"])
     t_trigger = d.pop("t_trigger")
     spec = scenario_from_dict(d)
-    return spec, ScenarioTiming(t_trigger, t_trigger + spec.time_gap_trigger)
+    return spec, default_timing(spec, t_trigger)
 
 
 def config_policies(config: dict) -> list[tuple[PolicySpec, int]]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AxisLimits, KinematicLimits, VehicleState, stacked_axis_limits,
-                   step_state)
+from .core import (AxisLimits, KinematicLimits, VehicleState, check_numbers,
+                   stacked_axis_limits, step_state)
 from .reach import Layer, ReachableSet
 
 
@@ -40,7 +40,6 @@ class SampleCloud:
 
     t0: float
     dt: float
-    heading_sign: int
     start: np.ndarray  # float [6]
     jerks: np.ndarray  # float [n_steps, 2, n_traj]
     lim: AxisLimits
@@ -110,10 +109,8 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
+    check_numbers("> 0", dt=dt)
+    check_numbers(">= 0", horizon=horizon)
     n_steps = int(round(horizon / dt))
     lim = stacked_axis_limits(limits, initial.heading_sign)
     j_lo, j_hi = lim.j_lo[:, 0], lim.j_hi[:, 0]
@@ -127,24 +124,23 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
                 jerks.reshape(2 * n_steps, n + 4)[:, 4:])
     start = np.array([initial.x, initial.y, initial.vx, initial.vy,
                       initial.ax, initial.ay])
-    return SampleCloud(initial.t, dt, initial.heading_sign, start, jerks, lim)
+    return SampleCloud(initial.t, dt, start, jerks, lim)
 
 
-def _smallest_positive_root(a2: float, a1: float, a0: float,
-                            tol: float = 1e-12) -> float | None:
-    """Smallest root > tol of a2 s^2 + a1 s + a0 = 0."""
+def _smallest_positive_root(a2: float, a1: float, a0: float) -> float | None:
+    """Smallest root > 1e-12 of a2 s^2 + a1 s + a0 = 0."""
     if abs(a2) < 1e-15:
         if abs(a1) < 1e-15:
             return None
         r = -a0 / a1
-        return r if r > tol else None
+        return r if r > 1e-12 else None
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc < 0:
         return None
     sq = math.sqrt(disc)
     roots = sorted(((-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2)))
     for r in roots:
-        if r > tol:
+        if r > 1e-12:
             return r
     return None
 
@@ -218,8 +214,7 @@ def analytic_1d_bounds(p0: float, v0: float, a0: float, lim: AxisLimits,
     the lower bound is the mirror image.  For this monotone triple
     integrator these two trajectories bound every admissible one.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    check_numbers(">= 0", tau=tau)
     p_hi, v_hi = _push_extreme(p0, v0, a0, lim.j_hi, lim.a_lo, lim.a_hi,
                                lim.v_lo, lim.v_hi, tau)
     p_neg, v_neg = _push_extreme(-p0, -v0, -a0, -lim.j_lo, -lim.a_hi, -lim.a_lo,

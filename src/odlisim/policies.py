@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_numbers
 from .scenario import ScenarioTiming
 
 POLICY_KINDS = (
@@ -50,16 +51,14 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        for name in ("reaction_delay", "steer_rate", "steer_target", "reversal_delay",
-                     "reversal_target"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.reaction_delay < 0 or self.reversal_delay < 0:
-            raise ValueError("policy delays must be >= 0")
+        check_numbers(None, reaction_delay=self.reaction_delay, steer_rate=self.steer_rate,
+                      steer_target=self.steer_target, reversal_delay=self.reversal_delay,
+                      reversal_target=self.reversal_target)
+        check_numbers(">= 0", reaction_delay=self.reaction_delay,
+                      reversal_delay=self.reversal_delay)
         if self.brake_level not in ("soft", "hard"):
             raise ValueError(f"unknown brake_level {self.brake_level!r}")
-        if self.steer_rate <= 0:
-            raise ValueError("steer_rate must be positive")
+        check_numbers("> 0", steer_rate=self.steer_rate)
 
 
 def accel_pct_to_ax(pct, a_fwd_max: float):

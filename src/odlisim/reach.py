@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (AxisLimits, KinematicLimits, POV_LIMITS, SV_LIMITS, RoadSpec,
-                   VehicleSpec, VehicleState, axis_limits, scalar_axis_step)
+                   VehicleSpec, VehicleState, axis_limits, check_numbers, scalar_axis_step)
 from .engine import TrajectoryLog
 from .responses import window_for
 
@@ -74,14 +74,9 @@ class PredictionConfig:
     horizon: float = 4.0    # s
 
     def __post_init__(self):
-        for name in ("grid_dx", "grid_dy", "tau_step", "horizon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (math.isfinite(self.incursion_detect_threshold)
-                and self.incursion_detect_threshold >= 0):
-            raise ValueError(f"incursion_detect_threshold must be finite and >= 0, "
-                             f"got {self.incursion_detect_threshold}")
+        check_numbers("> 0", grid_dx=self.grid_dx, grid_dy=self.grid_dy,
+                      tau_step=self.tau_step, horizon=self.horizon)
+        check_numbers(">= 0", incursion_detect_threshold=self.incursion_detect_threshold)
         if self.road_pruning not in ("corridor", "off"):
             raise ValueError(f"road_pruning must be corridor or off: {self.road_pruning!r}")
 
@@ -498,8 +493,7 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
     with one SV pass per distinct SV state.  Only one track is alive at a
     time, and only the booleans are kept.
     """
-    if not (math.isfinite(eval_step) and eval_step > 0):
-        raise ValueError(f"eval_step must be positive and finite, got {eval_step}")
+    check_numbers("> 0", eval_step=eval_step)
     timelines = []
     # (pov_state, mode, road, sv_spec, pov_spec) -> sv_state -> [(run, anchor)]
     groups: dict[tuple, dict[VehicleState, list[tuple[int, int]]]] = {}

@@ -122,11 +122,13 @@ def longitudinal_state(ax: float) -> str:
     return "hard-braking"
 
 
-def sv_longitudinal_accel(log: TrajectoryLog, smooth_window: float = 0.1) -> np.ndarray:
+def sv_longitudinal_accel(log: TrajectoryLog) -> np.ndarray:
     """SV longitudinal acceleration series for state discretization.
 
-    Uses the logged ax channel when present; otherwise central-differences
-    vx and smooths with a moving average.
+    Uses the logged ax channel when present; an all-NaN channel is one the
+    log file lacks (the loader fills an absent optional column with NaN).
+    Otherwise central-differences vx and smooths it with a 0.1 s moving
+    average.
     """
     ax = log.sv.get("ax")
     if ax is not None and not np.all(np.isnan(ax)):
@@ -135,7 +137,7 @@ def sv_longitudinal_accel(log: TrajectoryLog, smooth_window: float = 0.1) -> np.
     if len(vx) < 3:
         raise ValueError("too few samples to differentiate vx")
     deriv = np.gradient(vx, log.dt)
-    n = max(1, int(round(smooth_window / log.dt)))
+    n = max(1, int(round(0.1 / log.dt)))
     if n > 1:
         kernel = np.ones(n) / n
         deriv = np.convolve(deriv, kernel, mode="same")

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import POV_SIGN, SV_SIGN, KinematicLimits, RoadSpec, VehicleSpec, VehicleState
+from .core import (POV_SIGN, SV_SIGN, KinematicLimits, RoadSpec, VehicleSpec, VehicleState,
+                   check_numbers)
 
 MPH_40 = 17.88  # m/s, posted-limit approach speed for both vehicles
 
@@ -39,10 +40,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if not -1.0 <= self.incursion_level <= 1.0:
             raise ValueError(f"incursion_level outside [-1, 1]: {self.incursion_level}")
-        for name in ("v_sv_nominal", "v_pov", "time_gap_trigger", "edge_reach_after"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_numbers("> 0", v_sv_nominal=self.v_sv_nominal, v_pov=self.v_pov,
+                      time_gap_trigger=self.time_gap_trigger,
+                      edge_reach_after=self.edge_reach_after)
         if self.end_heading_mode not in END_HEADING_MODES:
             raise ValueError(f"unknown end_heading_mode {self.end_heading_mode!r}")
         if self.post_tc_behavior not in POST_TC_BEHAVIORS:
@@ -64,18 +64,17 @@ class ScenarioTiming:
             raise ValueError("t_critical must follow t_trigger")
 
 
-def make_scenario(incursion_level: float, **overrides) -> ScenarioSpec:
+def make_scenario(incursion_level: float) -> ScenarioSpec:
     """Scenario with incursion-steepness defaults applied from the IL sign.
 
     Steep incursions (IL < -0.5) keep crossing the SV lane after t_C;
     medium and shallow ones settle onto a straight path.
     """
     if incursion_level < -0.5:
-        defaults = dict(end_heading_mode="continuing-left", post_tc_behavior="extend-path")
-    else:
-        defaults = dict(end_heading_mode="straight", post_tc_behavior="hold-heading")
-    defaults.update(overrides)
-    return ScenarioSpec(incursion_level=incursion_level, **defaults)
+        return ScenarioSpec(incursion_level, end_heading_mode="continuing-left",
+                            post_tc_behavior="extend-path")
+    return ScenarioSpec(incursion_level, end_heading_mode="straight",
+                        post_tc_behavior="hold-heading")
 
 
 def default_timing(spec: ScenarioSpec, t_trigger: float = 1.0) -> ScenarioTiming:
@@ -88,10 +87,8 @@ def trigger_distance(v_sv: float, v_pov: float, gap: float) -> float:
     The vehicles close head-on, so the distance consumed in ``gap`` seconds
     is gap * (v_sv + v_pov).
     """
-    if v_sv <= 0 or v_pov <= 0:
-        raise ValueError("speeds must be positive")
-    if gap < 0:
-        raise ValueError("time gap must be >= 0")
+    check_numbers("> 0", v_sv=v_sv, v_pov=v_pov)
+    check_numbers(">= 0", gap=gap)
     return gap * (v_sv + v_pov)
 
 
@@ -199,15 +196,14 @@ class IncursionPath:
         return y, vy, ay
 
 
-def pov_x_at_trigger(spec: ScenarioSpec, timing: ScenarioTiming,
-                     sv_x0: float = 0.0) -> float:
+def pov_x_at_trigger(spec: ScenarioSpec, timing: ScenarioTiming) -> float:
     """POV reference x at t_T that realizes the trigger bumper gap.
 
-    The SV is assumed to hold its nominal speed from (t=0, x=sv_x0) up to
-    the trigger point, which is how the conflict is staged.
+    The SV is assumed to hold its nominal speed from (t=0, x=0) up to the
+    trigger point, which is how the conflict is staged.
     """
     dist = trigger_distance(spec.v_sv_nominal, spec.v_pov, spec.time_gap_trigger)
-    sv_center = sv_x0 + spec.v_sv_nominal * timing.t_trigger - spec.sv_spec.ref_offset
+    sv_center = spec.v_sv_nominal * timing.t_trigger - spec.sv_spec.ref_offset
     pov_center = sv_center + spec.sv_spec.length / 2 + dist + spec.pov_spec.length / 2
     return pov_center - spec.pov_spec.ref_offset
 
@@ -216,8 +212,7 @@ def pov_state_at(t: float, spec: ScenarioSpec, timing: ScenarioTiming,
                  x_pov_at_trigger: float,
                  path: IncursionPath | None = None) -> VehicleState:
     """Scripted POV state: constant speed in -x, lateral motion from the path."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_numbers(">= 0", t=t)
     if path is None:
         path = IncursionPath(spec, timing)
     x = x_pov_at_trigger - spec.v_pov * (t - timing.t_trigger)
@@ -226,17 +221,16 @@ def pov_state_at(t: float, spec: ScenarioSpec, timing: ScenarioTiming,
                         heading_sign=POV_SIGN)
 
 
-def sv_initial_state(spec: ScenarioSpec, sv_x0: float = 0.0) -> VehicleState:
-    """SV at t = 0: lane center, nominal speed, no acceleration."""
-    return VehicleState(t=0.0, x=sv_x0, y=-spec.road.lane_width / 2.0,
+def sv_initial_state(spec: ScenarioSpec) -> VehicleState:
+    """SV at t = 0 and x = 0: lane center, nominal speed, no acceleration."""
+    return VehicleState(t=0.0, x=0.0, y=-spec.road.lane_width / 2.0,
                         vx=spec.v_sv_nominal, vy=0.0, ax=0.0, ay=0.0,
                         heading_sign=SV_SIGN)
 
 
 def check_path_lateral_accel(spec: ScenarioSpec, timing: ScenarioTiming,
-                             limits: KinematicLimits,
-                             n_samples: int = 500) -> tuple[float, bool]:
-    """Diagnostic: peak |ay| implied by the scripted path vs the POV limits.
+                             limits: KinematicLimits) -> tuple[float, bool]:
+    """Diagnostic: peak |ay| on 501 samples of the scripted path vs the POV limits.
 
     The scripted path is ground truth and is never clamped; this check only
     reports whether the incursion would be admissible under the envelope
@@ -245,7 +239,7 @@ def check_path_lateral_accel(spec: ScenarioSpec, timing: ScenarioTiming,
     path = IncursionPath(spec, timing)
     cap = max(limits.a_lat_left_max, limits.a_lat_right_max)
     peak = 0.0
-    for i in range(n_samples + 1):
-        t = timing.t_trigger + (timing.t_critical - timing.t_trigger) * i / n_samples
+    for i in range(501):
+        t = timing.t_trigger + (timing.t_critical - timing.t_trigger) * i / 500
         peak = max(peak, abs(path.state(t)[2]))
     return peak, peak <= cap

@@ -239,17 +239,25 @@ def replace_cell(path, line, column, value):
     path.write_text("".join(",".join(row) + "\n" for row in rows))
 
 
-@pytest.mark.parametrize("line, value, message", [
-    (11, "nan", "row 12: non-finite value in column 'sv_x': nan"),
-    (0, "sv_xx", "missing required column 'sv_x'"),
-], ids=["nan-cell", "renamed-column"])
-def test_log_errors_name_the_file(tmp_path, capsys, line, value, message):
+def keep_rows(path, n):
+    """Cut a log to its header, its units row and its first n samples."""
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:2 + n]))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda log: replace_cell(log, 11, "sv_x", "nan"),
+     "row 12: non-finite value in column 'sv_x': nan"),
+    (lambda log: replace_cell(log, 0, "sv_x", "sv_xx"), "missing required column 'sv_x'"),
+    (lambda log: keep_rows(log, 1),
+     "log file needs a header, a units row, and at least two data rows"),
+], ids=["nan-cell", "renamed-column", "one-sample"])
+def test_log_errors_name_the_file(tmp_path, capsys, edit, message):
     """A format error in one log of a directory names that log."""
     cfg_path = small_config(tmp_path)
     logs, out = tmp_path / "logs", tmp_path / "out"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(logs)) == 0
     log = logs / "run_001.csv"
-    replace_cell(log, line, "sv_x", value)
+    edit(log)
     capsys.readouterr()
     for command in (("analyze", "responses"), ("reach", "aggregate")):
         assert run_cli(*command, "--config", str(cfg_path), "--logs", str(logs),

@@ -1,11 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
-                          VehicleSpec, VehicleState, axis_limits, axis_step, footprint,
-                          rectangles_overlap, scalar_axis_step)
+                          VehicleSpec, VehicleState, axis_limits, axis_step, check_numbers,
+                          footprint, rectangles_overlap, scalar_axis_step)
+from odlisim.engine import rollout
+from odlisim.oracle import analytic_1d_bounds, sample_trajectories
+from odlisim.policies import PolicySpec
+from odlisim.reach import PredictionConfig, drivable_timelines
+from odlisim.scenario import (ScenarioSpec, default_timing, make_scenario, pov_state_at,
+                              trigger_distance)
 
 
 def state(**kw):
@@ -149,6 +156,79 @@ def test_specs_reject_non_finite(value):
     for field in ("t", "x", "vy", "ay"):
         with pytest.raises(ValueError, match="non-finite"):
             state(**{field: value})
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.0, math.inf, -math.inf, math.nan)
+_SCENARIO = make_scenario(0.0)
+_TIMING = default_timing(_SCENARIO)
+# (what is checked, its bound, a call that passes the value and valid other inputs)
+RANGE_CHECKED = [
+    ("RoadSpec.lane_width", "> 0", lambda v: RoadSpec(lane_width=v)),
+    ("RoadSpec.shoulder_margin", ">= 0", lambda v: RoadSpec(shoulder_margin=v)),
+    ("VehicleSpec.length", "> 0", lambda v: VehicleSpec(length=v)),
+    ("VehicleSpec.width", "> 0", lambda v: VehicleSpec(width=v)),
+    *((f"ScenarioSpec.{f}", "> 0", lambda v, f=f: ScenarioSpec(**{f: v}))
+      for f in ("v_sv_nominal", "v_pov", "time_gap_trigger", "edge_reach_after")),
+    *((f"PredictionConfig.{f}", "> 0", lambda v, f=f: PredictionConfig(**{f: v}))
+      for f in ("grid_dx", "grid_dy", "tau_step", "horizon")),
+    ("PredictionConfig.incursion_detect_threshold", ">= 0",
+     lambda v: PredictionConfig(incursion_detect_threshold=v)),
+    *((f"KinematicLimits.{f}", ">= 0", lambda v, f=f: KinematicLimits(**{f: v}))
+      for f in vars(KinematicLimits())),
+    *((f"PolicySpec.{f}", bound, lambda v, f=f: PolicySpec(**{f: v}))
+      for f, bound in (("reaction_delay", ">= 0"), ("reversal_delay", ">= 0"),
+                       ("steer_rate", "> 0"), ("steer_target", None),
+                       ("reversal_target", None))),
+    # horizon = dt keeps one step whatever dt is
+    ("rollout dt", "> 0", lambda v: rollout(_SCENARIO, PolicySpec(), dt=v, horizon=v)),
+    ("drivable_timelines eval_step", "> 0",
+     lambda v: drivable_timelines([], PredictionConfig(), eval_step=v)),
+    ("sample_trajectories dt", "> 0",
+     lambda v: sample_trajectories(state(), SV_LIMITS, horizon=0.0, dt=v, n=1)),
+    ("sample_trajectories horizon", ">= 0",
+     lambda v: sample_trajectories(state(), SV_LIMITS, horizon=v, dt=1.0, n=1)),
+    ("analytic_1d_bounds tau", ">= 0",
+     lambda v: analytic_1d_bounds(0.0, 0.0, 0.0, axis_limits(SV_LIMITS, 1, "x"), v)),
+    ("trigger_distance v_sv", "> 0", lambda v: trigger_distance(v, 17.0, 5.0)),
+    ("trigger_distance v_pov", "> 0", lambda v: trigger_distance(17.0, v, 5.0)),
+    ("trigger_distance gap", ">= 0", lambda v: trigger_distance(17.0, 17.0, v)),
+    ("pov_state_at t", ">= 0", lambda v: pov_state_at(v, _SCENARIO, _TIMING, 100.0)),
+]
+# Rejected by another check: half the smallest subnormal length rounds to 0,
+# so no ref_offset lies within the body.
+ALSO_REJECTED = {"VehicleSpec.length": {5e-324}}
+
+
+def in_bound(value, bound) -> bool:
+    return math.isfinite(value) and {"> 0": value > 0, ">= 0": value >= 0, None: True}[bound]
+
+
+@pytest.mark.parametrize("name, bound, call", RANGE_CHECKED, ids=[r[0] for r in RANGE_CHECKED])
+def test_range_checks_follow_their_bound(name, bound, call):
+    """Every checked field and argument accepts exactly the values its bound admits."""
+    got, want = [], []
+    for value in EDGE_VALUES:
+        try:
+            call(value)
+        except ValueError:
+            got.append((value, "rejected"))
+        else:
+            got.append((value, "accepted"))
+        ok = in_bound(value, bound) and value not in ALSO_REJECTED.get(name, ())
+        want.append((value, "accepted" if ok else "rejected"))
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("bound, message", [
+    ("> 0", "dt must be positive and finite, got 0.0"),
+    (">= 0", "dt must be finite and >= 0, got -5e-324"),
+    (None, "dt must be finite, got nan"),
+])
+def test_check_numbers_names_the_first_bad_value(bound, message):
+    check_numbers(bound, dt=1.0, horizon=2.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_numbers(bound, n=1, dt={"> 0": 0.0, ">= 0": -5e-324, None: math.nan}[bound],
+                      horizon=math.inf)
 
 
 def test_overlap_elementwise_on_arrays():

@@ -4,6 +4,7 @@ The default 20-run config (seed 0) is simulated once per IL (-0.8, 0 and
 +0.9) and the logs are shared by every test at that IL:
 
 - `simulate` outputs are pinned in `golden_simulate.json`;
+- the `scenario gen --il` config at every IL is pinned in `golden_pipeline.json`;
 - `analyze responses`, `analyze sequence`, `reach aggregate --eval-step 1.0`
   and `oracle verify --n 200 --anchors 2` at every IL, plus
   `reach aggregate --eval-step 0.1` at every IL (where most anchors share
@@ -45,9 +46,16 @@ def dense_key(il: str) -> str:
     return f"reach aggregate --eval-step {DENSE_STEP} at IL {il}"
 
 
+def gen_key(il: str) -> str:
+    return f"scenario gen --il {il}"
+
+
 def digests(directory: Path) -> dict[str, str]:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(directory.iterdir())}
+    return file_digests(sorted(directory.iterdir()))
+
+
+def file_digests(paths) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
 def simulate(il: str, work: Path) -> tuple[str, str]:
@@ -111,6 +119,12 @@ def test_simulate_outputs_match_golden(il, simulated):
 
 
 @pytest.mark.parametrize("il", ILS)
+def test_scenario_gen_matches_golden(il, simulated):
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[gen_key(il)]
+    assert file_digests([Path(simulated(il)[0])]) == expected
+
+
+@pytest.mark.parametrize("il", ILS)
 def test_cohort_outputs_match_golden(il, simulated, tmp_path):
     expected = json.loads(PIPELINE_FIXTURE.read_text())[il]
     assert cohort_digests(*simulated(il), tmp_path) == expected
@@ -139,6 +153,7 @@ if __name__ == "__main__":
             work = Path(d)
             cfg, logs = simulate(il, work)
             golden[il] = digests(Path(logs))
+            pipeline[gen_key(il)] = file_digests([Path(cfg)])
             pipeline[il] = cohort_digests(cfg, logs, work / "cohort")
             pipeline[dense_key(il)] = dense_digests(cfg, logs, work / "dense")
             if il == RUN_IL:

@@ -184,8 +184,8 @@ def ref_log_text(log):
 def ref_load_columns(path, dt):
     """Row-by-row parse and checks of a log body: the reference for the bulk parse."""
     lines = Path(path).read_text().splitlines()
-    if len(lines) < 3:
-        raise io.ParseError("log file needs a header, a units row, and data")
+    if len(lines) < 4:
+        raise io.ParseError("log file needs a header, a units row, and at least two data rows")
     header = lines[0].split(",")
     for col in REQUIRED:
         if col not in header:
@@ -256,6 +256,7 @@ PARITY_EDITS = {
     "full-width-digits": with_cell("steer_deg", "１２"),
     "non-finite": with_cell("pov_vy", "-inf"),
     "pedal-out-of-range": with_cell("brake_pct", "250.0"),
+    "one-data-row": lambda lines: "\n".join(lines[:3]) + "\n",
 }
 
 
