@@ -23,11 +23,20 @@ import numpy as np
 SV_SIGN = 1
 POV_SIGN = -1
 STATE_KEYS = ("x", "y", "vx", "vy", "ax", "ay")
+MAX_STEPS = 100_000  # per rollout, sample cloud or prediction; 20 members hold ~100 MB
 
 # Bound -> (what a number must be, its range test), for `check_numbers`.
 _NUMBER_RULES = {"> 0": ("positive and finite", lambda v: v > 0),
                  ">= 0": ("finite and >= 0", lambda v: v >= 0),
                  None: ("finite", lambda v: True)}
+
+
+def step_count(span: float, step: float, what: str) -> int:
+    """``round(span / step)``; ValueError naming ``what`` if not finite or past `MAX_STEPS`."""
+    count = span / step
+    if not (math.isfinite(count) and round(count) <= MAX_STEPS):
+        raise ValueError(f"{what} must be at most {MAX_STEPS} steps, got {count}")
+    return round(count)
 
 
 def check_numbers(bound: str | None, **values: float) -> None:
@@ -67,7 +76,7 @@ class VehicleSpec:
 
     def __post_init__(self):
         check_numbers("> 0", length=self.length, width=self.width)
-        if not abs(self.ref_offset) < self.length / 2:
+        if not 2 * abs(self.ref_offset) < self.length:
             raise ValueError("ref_offset must lie within the vehicle body")
 
 
@@ -134,26 +143,22 @@ class AxisLimits:
     j_hi: float
 
 
-def axis_limits(limits: KinematicLimits, heading_sign: int, axis: str) -> AxisLimits:
-    """Map vehicle-frame caps onto a road-frame interval box for one axis.
+def axis_limits(limits: KinematicLimits, heading_sign: int) -> tuple[AxisLimits, AxisLimits]:
+    """Map vehicle-frame caps onto the road-frame interval boxes of the x and y axes.
 
     For heading_sign = -1 (POV) the longitudinal direction flips and the
     left/right lateral caps swap sides: the POV's left is +y.
     """
-    if axis == "x":
-        if heading_sign == SV_SIGN:
-            return AxisLimits(0.0, limits.v_max, -limits.a_brk_max, limits.a_fwd_max,
-                              -limits.j_bwd_max, limits.j_fwd_max)
-        return AxisLimits(-limits.v_max, 0.0, -limits.a_fwd_max, limits.a_brk_max,
-                          -limits.j_fwd_max, limits.j_bwd_max)
-    if axis == "y":
-        if heading_sign == SV_SIGN:
-            a_lo, a_hi = -limits.a_lat_left_max, limits.a_lat_right_max
-        else:
-            a_lo, a_hi = -limits.a_lat_right_max, limits.a_lat_left_max
-        return AxisLimits(-limits.v_lat_max, limits.v_lat_max, a_lo, a_hi,
-                          -limits.j_lat_max, limits.j_lat_max)
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    if heading_sign == SV_SIGN:
+        x = AxisLimits(0.0, limits.v_max, -limits.a_brk_max, limits.a_fwd_max,
+                       -limits.j_bwd_max, limits.j_fwd_max)
+        a_lo, a_hi = -limits.a_lat_left_max, limits.a_lat_right_max
+    else:
+        x = AxisLimits(-limits.v_max, 0.0, -limits.a_fwd_max, limits.a_brk_max,
+                       -limits.j_fwd_max, limits.j_bwd_max)
+        a_lo, a_hi = -limits.a_lat_right_max, limits.a_lat_left_max
+    return x, AxisLimits(-limits.v_lat_max, limits.v_lat_max, a_lo, a_hi,
+                         -limits.j_lat_max, limits.j_lat_max)
 
 
 def axis_step(p, v, a, j, lim: AxisLimits, dt: float):
@@ -174,8 +179,8 @@ def axis_step(p, v, a, j, lim: AxisLimits, dt: float):
 
 def stacked_axis_limits(limits: KinematicLimits, heading_sign: int) -> AxisLimits:
     """The x and y boxes as ``(2, 1)`` columns, x over y, for a rollout state."""
-    return AxisLimits(*np.array([astuple(axis_limits(limits, heading_sign, axis))
-                                 for axis in "xy"]).T[..., None])
+    pair = axis_limits(limits, heading_sign)
+    return AxisLimits(*np.array([astuple(lim) for lim in pair]).T[..., None])
 
 
 def step_state(s: np.ndarray, j: np.ndarray, lim: AxisLimits, dt: float,

@@ -16,7 +16,7 @@ import numpy as np
 from . import policies
 from .core import (POV_SIGN, STATE_KEYS, SV_LIMITS, SV_SIGN, KinematicLimits, VehicleState,
                    check_numbers, footprint_at, rectangles_overlap, stacked_axis_limits,
-                   step_state)
+                   step_count, step_state)
 from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming, default_timing,
                        pov_x_at_trigger, sv_initial_state)
 
@@ -124,7 +124,7 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
         timing = default_timing(scenario)
     if horizon is None:
         horizon = timing.t_critical + 3.0
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt, "horizon / dt")
     if n_steps < 1:
         raise ValueError(f"horizon {horizon} spans no step of {dt}")
     t = np.arange(n_steps + 1) * dt

@@ -293,10 +293,6 @@ def scenario_from_dict(d: dict) -> ScenarioSpec:
     return ScenarioSpec(**d)
 
 
-def prediction_to_dict(config: PredictionConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def prediction_from_dict(d: dict) -> PredictionConfig:
     d = dict(d)
     d["sv_limits"] = KinematicLimits(**d["sv_limits"])
@@ -346,7 +342,7 @@ def default_run_config(incursion_level: float = 0.0) -> dict:
             "scenario": {**scenario_to_dict(make_scenario(incursion_level)),
                          **_FALLBACKS["scenario"]},
             "policies": policies,
-            "prediction": prediction_to_dict(PredictionConfig()),
+            "prediction": dataclasses.asdict(PredictionConfig()),
             "analysis": {**_FALLBACKS["analysis"], "dt": 0.01, "delay_jitter": 0.2}}
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AxisLimits, KinematicLimits, VehicleState, check_numbers,
-                   stacked_axis_limits, step_state)
+                   stacked_axis_limits, step_count, step_state)
 from .reach import Layer, ReachableSet
 
 
@@ -111,7 +111,7 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
         raise ValueError("n must be >= 1")
     check_numbers("> 0", dt=dt)
     check_numbers(">= 0", horizon=horizon)
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt, "horizon / dt")
     lim = stacked_axis_limits(limits, initial.heading_sign)
     j_lo, j_hi = lim.j_lo[:, 0], lim.j_hi[:, 0]
 

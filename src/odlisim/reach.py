@@ -35,10 +35,10 @@ certain.  Since an empty layer stays empty, an area computed with
 ``exists_only`` (as every timeline anchor is) stops at its first empty SV
 layer and carries fewer layers; its ``exists`` is unchanged.
 
-The POV side of an area depends only on the POV state, the prediction
-mode, the road and the two vehicle specs, so it lives in a POV track that
-SV passes share: it grows its layers and their occupancies only as deep
-as some pass asks.  ``drivable_timelines`` evaluates a cohort this way.
+The POV side of an area depends only on the POV state, its source (an
+axis-limit pair and a band or none, as a prediction mode names) and the
+vehicle specs, so it lives in a POV track that SV passes share, grown only
+as deep as some pass asks.  ``drivable_timelines`` evaluates a cohort this way.
 Its runs share one POV incursion, and every SV state is the same until
 the response starts, so it groups the anchors by POV key and runs one SV
 pass per distinct SV state in each group.  The keys are the frozen
@@ -52,12 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .core import (AxisLimits, KinematicLimits, POV_LIMITS, SV_LIMITS, RoadSpec,
-                   VehicleSpec, VehicleState, axis_limits, check_numbers, scalar_axis_step)
+                   VehicleSpec, VehicleState, axis_limits, check_numbers, scalar_axis_step,
+                   step_count)
 from .engine import TrajectoryLog
 from .responses import window_for
 
@@ -79,10 +79,11 @@ class PredictionConfig:
         check_numbers(">= 0", incursion_detect_threshold=self.incursion_detect_threshold)
         if self.road_pruning not in ("corridor", "off"):
             raise ValueError(f"road_pruning must be corridor or off: {self.road_pruning!r}")
+        step_count(self.horizon, self.tau_step, "horizon / tau_step")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.horizon / self.tau_step))
+        return step_count(self.horizon, self.tau_step, "horizon / tau_step")
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,6 @@ class Layer:
     rects: tuple[tuple[int, int, int, int], ...]
     x_hull: AxisInterval | None  # None iff empty
     y_hull: AxisInterval | None
-    heading_sign: int
 
     @property
     def empty(self) -> bool:
@@ -171,8 +171,7 @@ class DrivableArea:
 
 
 def _layer(tau: float, dx: float, dy: float, rects: list[tuple[int, int, int, int]],
-           x_hull: AxisInterval | None, y_hull: AxisInterval | None,
-           heading_sign: int) -> Layer:
+           x_hull: AxisInterval | None, y_hull: AxisInterval | None) -> Layer:
     """The layer of the cells of the world-cell rectangles ``rects``.
 
     Empty rectangles and rectangles inside another are dropped, which leaves
@@ -190,8 +189,8 @@ def _layer(tau: float, dx: float, dy: float, rects: list[tuple[int, int, int, in
                        for k in kept):
                 kept.append(r)
     if not kept or y_hull is None:
-        return Layer(tau, dx, dy, (), None, None, heading_sign)
-    return Layer(tau, dx, dy, tuple(kept), x_hull, y_hull, heading_sign)
+        return Layer(tau, dx, dy, (), None, None)
+    return Layer(tau, dx, dy, tuple(kept), x_hull, y_hull)
 
 
 def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
@@ -203,17 +202,11 @@ def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
     ix, iy = math.floor(state.x / dx), math.floor(state.y / dy)
     return Layer(0.0, dx, dy, ((ix, ix + 1, iy, iy + 1),),
                  AxisInterval(state.x, state.x, state.vx, state.vx, state.ax, state.ax),
-                 AxisInterval(state.y, state.y, state.vy, state.vy, state.ay, state.ay),
-                 state.heading_sign)
+                 AxisInterval(state.y, state.y, state.vy, state.vy, state.ay, state.ay))
 
 
-@lru_cache(maxsize=16)
-def _axis_limits(limits: KinematicLimits, heading_sign: int) -> tuple[AxisLimits, AxisLimits]:
-    return axis_limits(limits, heading_sign, "x"), axis_limits(limits, heading_sign, "y")
-
-
-def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> Layer:
-    """One interval-arithmetic Euler step of a layer.
+def propagate_step(layer: Layer, limits: tuple[AxisLimits, AxisLimits], tau_step: float) -> Layer:
+    """One interval-arithmetic Euler step of a layer under the x and y boxes ``limits``.
 
     Hull corners advance through the same clamped step rule as the
     simulator (a low corner under its axis's lowest jerk, a high corner
@@ -225,7 +218,7 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
     if layer.empty:
         return replace(layer, tau=layer.tau + tau_step)
     xh, yh = layer.x_hull, layer.y_hull
-    lx, ly = _axis_limits(limits, layer.heading_sign)
+    lx, ly = limits
     px_lo, vx_lo, ax_lo = scalar_axis_step(xh.p_lo, xh.v_lo, xh.a_lo, lx.j_lo, lx, tau_step)
     px_hi, vx_hi, ax_hi = scalar_axis_step(xh.p_hi, xh.v_hi, xh.a_hi, lx.j_hi, lx, tau_step)
     py_lo, vy_lo, ay_lo = scalar_axis_step(yh.p_lo, yh.v_lo, yh.a_lo, ly.j_lo, ly, tau_step)
@@ -246,8 +239,7 @@ def propagate_step(layer: Layer, limits: KinematicLimits, tau_step: float) -> La
               max(j0 + sy_lo, hy0), min(j1 + sy_hi, hy1)) for i0, i1, j0, j1 in layer.rects]
     return _layer(layer.tau + tau_step, dx, dy, rects,
                   AxisInterval(px_lo, px_hi, vx_lo, vx_hi, ax_lo, ax_hi),
-                  AxisInterval(py_lo, py_hi, vy_lo, vy_hi, ay_lo, ay_hi),
-                  layer.heading_sign)
+                  AxisInterval(py_lo, py_hi, vy_lo, vy_hi, ay_lo, ay_hi))
 
 
 def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
@@ -270,7 +262,7 @@ def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
     y_hull = (AxisInterval(new_lo, new_hi, yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi)
               if new_lo <= new_hi else None)
     rects = [(i0, i1, max(j0, iy_min), min(j1, iy_max + 1)) for i0, i1, j0, j1 in layer.rects]
-    return _layer(layer.tau, layer.dx, dy, rects, layer.x_hull, y_hull, layer.heading_sign)
+    return _layer(layer.tau, layer.dx, dy, rects, layer.x_hull, y_hull)
 
 
 def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
@@ -319,8 +311,7 @@ def _pruned(layer: Layer, rect: tuple[int, int, int, int]) -> Layer:
             pieces.append(r)
     if len(pieces) == len(layer.rects):  # a hit leaves four pieces, so nothing was hit
         return layer
-    return _layer(layer.tau, layer.dx, layer.dy, pieces, layer.x_hull, layer.y_hull,
-                  layer.heading_sign)
+    return _layer(layer.tau, layer.dx, layer.dy, pieces, layer.x_hull, layer.y_hull)
 
 
 def pov_prediction_mode(pov_y_history: np.ndarray, lane_width: float,
@@ -338,38 +329,42 @@ def pov_prediction_mode(pov_y_history: np.ndarray, lane_width: float,
     return "normative"
 
 
-def normative_band(road: RoadSpec, pov_spec: VehicleSpec) -> tuple[float, float]:
-    """Reference-point band of a lane-keeping POV: body stays inside its lane."""
-    return (pov_spec.width / 2.0, road.width / 2.0 - pov_spec.width / 2.0)
-
-
 def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
                           config: PredictionConfig) -> ReachableSet:
     """Unpruned reachable set of one vehicle from its current state."""
     layers = [make_initial_layer(state, config.grid_dx, config.grid_dy)]
+    pair = axis_limits(limits, state.heading_sign)
     for _ in range(config.n_steps):
-        layers.append(propagate_step(layers[-1], limits, config.tau_step))
+        layers.append(propagate_step(layers[-1], pair, config.tau_step))
     return ReachableSet(t=state.t, tau_step=config.tau_step, layers=layers)
 
 
-class _PovTrack:
-    """The POV side of every drivable area with one POV state, mode and pair of specs.
+def _pov_source(pov_state: VehicleState, mode: str, road: RoadSpec, pov_spec: VehicleSpec,
+                config: PredictionConfig) -> tuple[tuple[AxisLimits, AxisLimits], tuple | None]:
+    """The POV's x and y boxes and the band ``mode`` clips it to: in normative mode the
+    reference-point band that keeps a lane-keeping POV's body in its lane, else None."""
+    bands = {"normative": (pov_spec.width / 2.0, road.width / 2.0 - pov_spec.width / 2.0),
+             "kinematic-envelope": None}
+    if mode not in bands:
+        raise ValueError(f"unknown prediction mode {mode!r}")
+    return axis_limits(config.pov_limits, pov_state.heading_sign), bands[mode]
 
-    Layer k is the POV's layer at tau = k * tau_step, band-clipped in
-    normative mode.  Layers and their footprint-dilated occupancies are
-    computed on first use and kept, so every SV pass pruned against the
-    track shares them, and the track is only as deep as its deepest pass.
+
+class _PovTrack:
+    """The POV side of every drivable area with one POV state, source and pair of specs.
+
+    Layer k is the POV's layer at tau = k * tau_step under the boxes ``limits``,
+    clipped to ``band`` unless it is None.  Layers and their footprint-dilated
+    occupancies are computed on first use and kept, so every SV pass pruned against
+    the track shares them, and the track is only as deep as its deepest pass.
     """
 
-    def __init__(self, pov_state: VehicleState, mode: str, road: RoadSpec,
-                 sv_spec: VehicleSpec, pov_spec: VehicleSpec, config: PredictionConfig):
-        if mode not in ("normative", "kinematic-envelope"):
-            raise ValueError(f"unknown prediction mode {mode!r}")
-        self.key = (pov_state, mode, road, sv_spec, pov_spec, config)
-        self._config, self._sv_spec, self._pov_spec = config, sv_spec, pov_spec
-        self._band = normative_band(road, pov_spec) if mode == "normative" else None
-        self.layers = [self._clip(make_initial_layer(pov_state, config.grid_dx,
-                                                     config.grid_dy))]
+    def __init__(self, pov_state: VehicleState, limits: tuple[AxisLimits, AxisLimits],
+                 band: tuple[float, float] | None, sv_spec: VehicleSpec,
+                 pov_spec: VehicleSpec, config: PredictionConfig):
+        self.key = (pov_state, limits, band, sv_spec, pov_spec, config)
+        _, self._limits, self._band, self._sv_spec, self._pov_spec, self._config = self.key
+        self.layers = [self._clip(make_initial_layer(pov_state, config.grid_dx, config.grid_dy))]
         self._occupancy: dict[int, tuple[int, int, int, int]] = {}
 
     def _clip(self, layer: Layer) -> Layer:
@@ -378,7 +373,7 @@ class _PovTrack:
     def layer(self, k: int) -> Layer:
         while len(self.layers) <= k:
             self.layers.append(self._clip(propagate_step(
-                self.layers[-1], self._config.pov_limits, self._config.tau_step)))
+                self.layers[-1], self._limits, self._config.tau_step)))
         return self.layers[k]
 
     def occupancy(self, k: int) -> tuple[int, int, int, int]:
@@ -401,14 +396,15 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
     With ``exists_only`` the area stops at the first empty SV layer (an
     empty layer stays empty), so ``layers`` and ``pov_layers`` may be
     shorter than the horizon; ``exists`` is the same either way.  The POV
-    layers come from ``track``, built for the same POV state, mode, specs
-    and config, or from a new one.
+    layers come from ``track``, built for the same POV state, the source
+    ``mode`` names, specs and config, or from a new one.
     """
-    key = (pov_state, mode, road, sv_spec, pov_spec, config)
+    key = (pov_state, *_pov_source(pov_state, mode, road, pov_spec, config),
+           sv_spec, pov_spec, config)
     if track is None:
         track = _PovTrack(*key)
     elif track.key != key:
-        raise ValueError("POV track built for another POV state, mode, specs or config")
+        raise ValueError("POV track built for another POV state, source, specs or config")
     corridor = (-road.width / 2.0 - road.shoulder_margin,
                 road.width / 2.0 + road.shoulder_margin)
 
@@ -420,12 +416,13 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
             return sv_l
         return _pruned(sv_l, track.occupancy(k))
 
+    sv_limits = axis_limits(config.sv_limits, sv_state.heading_sign)
     sv_layer = prune(make_initial_layer(sv_state, config.grid_dx, config.grid_dy), 0)
     sv_layers = [sv_layer]
     for k in range(1, config.n_steps + 1):
         if exists_only and sv_layer.empty:
             break
-        sv_layer = prune(propagate_step(sv_layer, config.sv_limits, config.tau_step), k)
+        sv_layer = prune(propagate_step(sv_layer, sv_limits, config.tau_step), k)
         sv_layers.append(sv_layer)
 
     return DrivableArea(layers=sv_layers, exists=not sv_layers[-1].empty,
@@ -489,9 +486,9 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
 
     Every anchor's area is computed with ``exists_only``, as
     ``drivable_area_at`` computes it.  Anchors are grouped by POV state,
-    latched mode, road and specs; each group prunes against one POV track,
-    with one SV pass per distinct SV state.  Only one track is alive at a
-    time, and only the booleans are kept.
+    latched mode, road and specs; each group prunes against one POV track, of
+    the source its mode names, with one SV pass per distinct SV state.  Only
+    one track is alive at a time, and only the booleans are kept.
     """
     check_numbers("> 0", eval_step=eval_step)
     timelines = []
@@ -510,7 +507,8 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
         timelines.append(Timeline(t=t_arr, rel_t=t_arr - log.timing.t_trigger,
                                   exists=np.zeros(len(anchors), dtype=bool), mode=modes))
     for (pov_state, mode, road, sv_spec, pov_spec), by_sv in groups.items():
-        track = _PovTrack(pov_state, mode, road, sv_spec, pov_spec, config)
+        track = _PovTrack(pov_state, *_pov_source(pov_state, mode, road, pov_spec, config),
+                          sv_spec, pov_spec, config)
         for sv_state, slots in by_sv.items():
             exists = compute_drivable_area(sv_state, pov_state, config, road, sv_spec,
                                            pov_spec, mode=mode, exists_only=True,

@@ -99,7 +99,7 @@ def test_criterion_3_reachability_soundness():
 
 def test_criterion_4_1d_oracle_agreement():
     cfg = PredictionConfig()
-    lim_x = axis_limits(SV_LIMITS, 1, "x")
+    lim_x = axis_limits(SV_LIMITS, 1)[0]
     (p_lo, p_hi), _ = analytic_1d_bounds(0.0, 20.0, 0.0, lim_x, 0.5)
     # Re-derived: braking side 9.4385 m; accelerating side capped at v_max,
     # 10.0 m (the jerk-up trajectory cannot exceed the 20 m/s speed cap).
@@ -110,7 +110,7 @@ def test_criterion_4_1d_oracle_agreement():
     state = VehicleState(t=0, x=0.0, y=0.0, vx=20.0, vy=0.0, ax=0.0, ay=0.0)
     layer = make_initial_layer(state, cfg.grid_dx, cfg.grid_dy)
     for _ in range(5):
-        layer = propagate_step(layer, SV_LIMITS, cfg.tau_step)
+        layer = propagate_step(layer, axis_limits(SV_LIMITS, 1), cfg.tau_step)
     hull = layer.position_hull()[0]
     cell = cfg.grid_dx
     # Discrete forward-Euler hull covers the continuous interval to within

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
+from odlisim.core import (MAX_STEPS, POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step, check_numbers,
-                          footprint, rectangles_overlap, scalar_axis_step)
+                          footprint, rectangles_overlap, scalar_axis_step, step_count)
 from odlisim.engine import rollout
 from odlisim.oracle import analytic_1d_bounds, sample_trajectories
 from odlisim.policies import PolicySpec
@@ -21,8 +21,7 @@ def state(**kw):
     return VehicleState(**base)
 
 
-SV_X = axis_limits(SV_LIMITS, 1, "x")
-SV_Y = axis_limits(SV_LIMITS, 1, "y")
+SV_X, SV_Y = axis_limits(SV_LIMITS, 1)
 
 
 def test_step_forward_euler_example():
@@ -55,8 +54,7 @@ def test_step_velocity_floor_during_braking():
 def test_step_respects_limits_randomized():
     rng = np.random.default_rng(42)
     for heading, limits in ((1, SV_LIMITS), (-1, POV_LIMITS)):
-        for axis, v0 in (("x", heading * 15.0), ("y", 0.0)):
-            lim = axis_limits(limits, heading, axis)
+        for lim, v0 in zip(axis_limits(limits, heading), (heading * 15.0, 0.0)):
             p, v, a = 0.0, v0, 0.0
             for _ in range(300):
                 p, v, a = axis_step(p, v, a, rng.uniform(-60, 60), lim, 0.05)
@@ -87,8 +85,7 @@ def test_scalar_step_bit_identical_to_axis_step():
     n = 0
     for limits in [SV_LIMITS, POV_LIMITS, zero] + one_sided:
         for heading in (1, -1):
-            for axis in ("x", "y"):
-                lim = axis_limits(limits, heading, axis)
+            for lim in axis_limits(limits, heading):
                 edges = [0.0, -0.0, lim.v_lo, lim.v_hi, lim.a_lo, lim.a_hi, lim.j_lo, lim.j_hi]
                 values = edges + [float(np.nextafter(e, s * np.inf)) for e in edges
                                   for s in (-1, 1)] + list(rng.uniform(-40.0, 40.0, 2))
@@ -107,7 +104,7 @@ def test_scalar_step_bit_identical_to_axis_step():
 
 def test_pov_lateral_clamp_asymmetry():
     rng = np.random.default_rng(7)
-    lim = axis_limits(POV_LIMITS, -1, "y")
+    lim = axis_limits(POV_LIMITS, -1)[1]
     y, vy, ay = 0.0, 0.0, 0.0
     for _ in range(200):
         y, vy, ay = axis_step(y, vy, ay, rng.uniform(-60, 60), lim, 0.05)
@@ -188,15 +185,15 @@ RANGE_CHECKED = [
     ("sample_trajectories horizon", ">= 0",
      lambda v: sample_trajectories(state(), SV_LIMITS, horizon=v, dt=1.0, n=1)),
     ("analytic_1d_bounds tau", ">= 0",
-     lambda v: analytic_1d_bounds(0.0, 0.0, 0.0, axis_limits(SV_LIMITS, 1, "x"), v)),
+     lambda v: analytic_1d_bounds(0.0, 0.0, 0.0, axis_limits(SV_LIMITS, 1)[0], v)),
     ("trigger_distance v_sv", "> 0", lambda v: trigger_distance(v, 17.0, 5.0)),
     ("trigger_distance v_pov", "> 0", lambda v: trigger_distance(17.0, v, 5.0)),
     ("trigger_distance gap", ">= 0", lambda v: trigger_distance(17.0, 17.0, v)),
     ("pov_state_at t", ">= 0", lambda v: pov_state_at(v, _SCENARIO, _TIMING, 100.0)),
 ]
-# Rejected by another check: half the smallest subnormal length rounds to 0,
-# so no ref_offset lies within the body.
-ALSO_REJECTED = {"VehicleSpec.length": {5e-324}}
+# Rejected by another check: the default horizon over the smallest subnormal
+# step is past MAX_STEPS.
+ALSO_REJECTED = {"PredictionConfig.tau_step": {5e-324}}
 
 
 def in_bound(value, bound) -> bool:
@@ -217,6 +214,32 @@ def test_range_checks_follow_their_bound(name, bound, call):
         ok = in_bound(value, bound) and value not in ALSO_REJECTED.get(name, ())
         want.append((value, "accepted" if ok else "rejected"))
     assert repr(got) == repr(want)
+
+
+# (what the step count is of, a call that passes the step size, a one-second span and
+# valid other inputs)
+STEP_COUNTED = [
+    ("horizon / dt", lambda dt: rollout(_SCENARIO, PolicySpec(), dt=dt, horizon=1.0)),
+    ("horizon / dt", lambda dt: sample_trajectories(state(), SV_LIMITS, horizon=1.0, dt=dt, n=1)),
+    ("horizon / tau_step", lambda dt: PredictionConfig(horizon=1.0, tau_step=dt)),
+]
+
+
+@pytest.mark.parametrize("what, call", STEP_COUNTED,
+                         ids=["rollout", "sample_trajectories", "PredictionConfig"])
+@pytest.mark.parametrize("dt", [5e-324, 1.0 / (MAX_STEPS + 1)], ids=["subnormal", "past-cap"])
+def test_step_counts_past_the_cap_are_rejected(what, call, dt):
+    """A step count that is not finite or is past MAX_STEPS is a ValueError naming the
+    ratio, raised before anything is sized by it."""
+    count = 1.0 / dt
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be at most {MAX_STEPS} "
+                                         f"steps, got {re.escape(str(count))}$"):
+        call(dt)
+
+
+def test_step_count_at_the_cap_is_accepted():
+    assert PredictionConfig(horizon=1.0, tau_step=1.0 / MAX_STEPS).n_steps == MAX_STEPS
+    assert step_count(1.0, 1.0 / MAX_STEPS, "horizon / dt") == MAX_STEPS
 
 
 @pytest.mark.parametrize("bound, message", [

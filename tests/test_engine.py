@@ -151,8 +151,7 @@ def test_classification_invariant_to_resampling():
 
 
 def test_logged_sv_accels_within_limits():
-    lim_x = axis_limits(SV_LIMITS, 1, "x")
-    lim_y = axis_limits(SV_LIMITS, 1, "y")
+    lim_x, lim_y = axis_limits(SV_LIMITS, 1)
     log = rollout(make_scenario(0.0),
                   PolicySpec(kind="brake-then-steer-center", reaction_delay=1.0,
                              brake_level="hard", steer_target=20.0))
@@ -250,8 +249,7 @@ def _ref_rollout(scenario, policy, dt=0.01, horizon=None, timing=None,
     path = IncursionPath(scenario, timing)
     x_pov_trig = pov_x_at_trigger(scenario, timing)
     sv = sv_initial_state(scenario)
-    lim_x = axis_limits(sv_limits, sv.heading_sign, "x")
-    lim_y = axis_limits(sv_limits, sv.heading_sign, "y")
+    lim_x, lim_y = axis_limits(sv_limits, sv.heading_sign)
     n_steps = int(round(horizon / dt))
     rows_t, rows_sv, rows_pov, rows_ctl = [], [], [], []
     collided, t_collision = False, None

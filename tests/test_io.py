@@ -607,7 +607,7 @@ def test_snapshot_cells_match_rectangle_sets(rects):
     """Overlapping, nested and negative rectangles list each cell once, in (ix, iy)
     order, as the set of every rectangle's cells sorted."""
     hull = AxisInterval(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    layer = reach._layer(0.0, 0.5, 0.25, rects, hull, hull, 1)
+    layer = reach._layer(0.0, 0.5, 0.25, rects, hull, hull)
     assert list(zip(*io._cells(layer))) == sorted(rect_cells(layer.rects))
 
 

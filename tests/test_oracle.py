@@ -32,7 +32,7 @@ def test_constant_jerk_matches_stepper():
     # (x lo, y lo), (x lo, y hi), (x hi, y lo), (x hi, y hi).
     s0 = state(vx=15.0, ax=-2.0, vy=1.0)
     cloud = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=5, seed=0)
-    lim_x, lim_y = axis_limits(SV_LIMITS, 1, "x"), axis_limits(SV_LIMITS, 1, "y")
+    lim_x, lim_y = axis_limits(SV_LIMITS, 1)
     corners = [(jx, jy) for jx in (lim_x.j_lo, lim_x.j_hi)
                for jy in (lim_y.j_lo, lim_y.j_hi)]
     states = cloud_states(cloud)
@@ -72,8 +72,7 @@ def test_sampling_prefix_stable_in_n():
 def reference_states(s0, limits, horizon, dt, n, seed):
     """Trajectory-major cloud from one ``[n, n_steps, 2]`` draw, row by row."""
     n_steps = int(round(horizon / dt))
-    lim_x = axis_limits(limits, s0.heading_sign, "x")
-    lim_y = axis_limits(limits, s0.heading_sign, "y")
+    lim_x, lim_y = axis_limits(limits, s0.heading_sign)
     lo = np.array([lim_x.j_lo, lim_y.j_lo])
     hi = np.array([lim_x.j_hi, lim_y.j_hi])
     u = np.random.default_rng(seed).random((n, n_steps, 2))
@@ -157,8 +156,7 @@ def test_sampling_jerks_stay_in_own_axis_box():
         cloud = sample_trajectories(s0, limits, horizon=1.0, dt=dt, n=200, seed=1)
         acc = cloud_states(cloud)[4:, :, 4:6]
         jerk = (acc[:, 1:] - acc[:, :-1]) / dt
-        for axis, col in (("x", 0), ("y", 1)):
-            lim = axis_limits(limits, heading, axis)
+        for col, lim in enumerate(axis_limits(limits, heading)):
             j = jerk[:, :, col]
             assert j.min() >= lim.j_lo - 1e-9 and j.max() <= lim.j_hi + 1e-9
             span = lim.j_hi - lim.j_lo
@@ -178,14 +176,14 @@ def test_sampling_zero_limits_coast():
 
 
 def test_analytic_bounds_tau_zero():
-    lim = axis_limits(SV_LIMITS, 1, "x")
+    lim = axis_limits(SV_LIMITS, 1)[0]
     (p_lo, p_hi), (v_lo, v_hi) = analytic_1d_bounds(3.0, 12.0, -1.0, lim, 0.0)
     assert (p_lo, p_hi) == (3.0, 3.0)
     assert (v_lo, v_hi) == (12.0, 12.0)
 
 
 def test_analytic_bounds_speed_cap_binds():
-    lim = axis_limits(SV_LIMITS, 1, "x")
+    lim = axis_limits(SV_LIMITS, 1)[0]
     (_, p_hi), (_, v_hi) = analytic_1d_bounds(0.0, 20.0, 0.0, lim, 0.5)
     assert v_hi == 20.0
     assert p_hi == pytest.approx(10.0)
@@ -193,7 +191,7 @@ def test_analytic_bounds_speed_cap_binds():
 
 def test_analytic_bounds_braking_case():
     # jerk -30 saturates deceleration at -8 after 4/15 s, then constant.
-    lim = axis_limits(SV_LIMITS, 1, "x")
+    lim = axis_limits(SV_LIMITS, 1)[0]
     (p_lo, _), (v_lo, _) = analytic_1d_bounds(0.0, 20.0, 0.0, lim, 0.5)
     t_a = 8.0 / 30.0
     v_at_ta = 20.0 - 15.0 * t_a**2
@@ -208,7 +206,7 @@ def test_analytic_bounds_braking_case():
 def test_analytic_bounds_against_fine_integration():
     """Independent check: tiny-step integration of the extremal controls."""
     rng = np.random.default_rng(5)
-    lim = axis_limits(SV_LIMITS, 1, "x")
+    lim = axis_limits(SV_LIMITS, 1)[0]
     for _ in range(10):
         v0 = rng.uniform(0.0, 20.0)
         a0 = rng.uniform(-8.0, 5.0)
@@ -234,8 +232,7 @@ def test_analytic_bounds_bracket_samples():
     rng = np.random.default_rng(0)
     dt = 0.1
     for heading, limits in ((1, SV_LIMITS), (-1, POV_LIMITS)):
-        lim_x = axis_limits(limits, heading, "x")
-        lim_y = axis_limits(limits, heading, "y")
+        lim_x, lim_y = axis_limits(limits, heading)
         for trial in range(15):
             s0 = state(vx=rng.uniform(lim_x.v_lo, lim_x.v_hi),
                        ax=rng.uniform(lim_x.a_lo, lim_x.a_hi),
@@ -528,7 +525,7 @@ def containment_cases(draw):
         "v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max", "a_lat_right_max",
         "j_fwd_max", "j_bwd_max", "j_lat_max", "v_lat_max")})
     heading = draw(st.sampled_from([1, -1]))
-    lim_x, lim_y = axis_limits(limits, heading, "x"), axis_limits(limits, heading, "y")
+    lim_x, lim_y = axis_limits(limits, heading)
 
     def inside(lo, hi):
         return min(max(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), lo), hi)
@@ -594,7 +591,7 @@ def test_analytic_corners_near_layer_hull():
     cfg = PredictionConfig()
     st = state(vx=17.88, ax=0.0, y=-1.825)
     rset = compute_reachable_set(st, SV_LIMITS, cfg)
-    lim_x = axis_limits(SV_LIMITS, 1, "x")
+    lim_x = axis_limits(SV_LIMITS, 1)[0]
     a_max = max(abs(lim_x.a_lo), abs(lim_x.a_hi))
     a_span = lim_x.a_hi - lim_x.a_lo
     for k in (5, 20, 40):

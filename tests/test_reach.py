@@ -22,6 +22,7 @@ from odlisim.responses import AnalysisWindow, detect_responses, window_for
 from odlisim.scenario import make_scenario
 
 CFG = PredictionConfig()
+SV_PAIR, POV_PAIR = axis_limits(SV_LIMITS, 1), axis_limits(POV_LIMITS, -1)
 
 
 def sv_state(**kw):
@@ -38,12 +39,10 @@ def pov_state(**kw):
     return VehicleState(**base)
 
 
-def single_cell_layer(ix=0, iy=0, dx=0.5, dy=0.25, heading=1,
-                      hull_v=(0.0, 0.0), hull_a=(0.0, 0.0)):
+def single_cell_layer(ix=0, iy=0, dx=0.5, dy=0.25, hull_v=(0.0, 0.0), hull_a=(0.0, 0.0)):
     return Layer(tau=0.0, dx=dx, dy=dy, rects=((ix, ix + 1, iy, iy + 1),),
                  x_hull=AxisInterval(ix * dx, (ix + 1) * dx, *hull_v, *hull_a),
-                 y_hull=AxisInterval(iy * dy, (iy + 1) * dy, 0.0, 0.0, 0.0, 0.0),
-                 heading_sign=heading)
+                 y_hull=AxisInterval(iy * dy, (iy + 1) * dy, 0.0, 0.0, 0.0, 0.0))
 
 
 def mask_rects(mask, ox, oy):
@@ -62,19 +61,18 @@ def mask_rects(mask, ox, oy):
 
 def carved_layer(ox, oy, rows, x_hull, y_hull):
     """The layer of the occupied cells of ``rows``, whose cell [0, 0] is world cell (ox, oy)."""
-    return reach._layer(0.0, 0.5, 0.25, mask_rects(rows, ox, oy), x_hull, y_hull, 1)
+    return reach._layer(0.0, 0.5, 0.25, mask_rects(rows, ox, oy), x_hull, y_hull)
 
 
 def emptied(layer):
     """The layer built from no rectangle."""
-    return reach._layer(layer.tau, layer.dx, layer.dy, [], layer.x_hull, layer.y_hull,
-                        layer.heading_sign)
+    return reach._layer(layer.tau, layer.dx, layer.dy, [], layer.x_hull, layer.y_hull)
 
 
 def test_propagate_singleton_advance():
     state = VehicleState(t=0, x=0.2, y=0.1, vx=20.0, vy=0.0, ax=0.0, ay=0.0)
     layer = make_initial_layer(state, 0.5, 0.25)
-    nxt = propagate_step(layer, SV_LIMITS, 0.1)
+    nxt = propagate_step(layer, SV_PAIR, 0.1)
     assert nxt.x_hull.p_lo == pytest.approx(0.2 + 2.0)
     assert nxt.x_hull.p_hi == pytest.approx(0.2 + 2.0)
     assert (nxt.x_hull.a_lo, nxt.x_hull.a_hi) == (pytest.approx(-3.0), pytest.approx(1.0))
@@ -87,7 +85,7 @@ def test_propagate_zero_limits_fixed_point():
                            j_lat_max=0, v_lat_max=0)
     state = VehicleState(t=0, x=1.3, y=0.4, vx=0.0, vy=0.0, ax=0.0, ay=0.0)
     layer = make_initial_layer(state, 0.5, 0.25)
-    nxt = propagate_step(layer, zero, 0.1)
+    nxt = propagate_step(layer, axis_limits(zero, 1), 0.1)
     assert world_cells(nxt) == world_cells(layer)
     assert nxt.x_hull.p_lo == layer.x_hull.p_lo
 
@@ -95,7 +93,7 @@ def test_propagate_zero_limits_fixed_point():
 def test_propagate_pov_lateral_floor():
     state = pov_state()
     layer = make_initial_layer(state, 0.5, 0.25)
-    nxt = propagate_step(layer, POV_LIMITS, 0.1)
+    nxt = propagate_step(layer, POV_PAIR, 0.1)
     assert nxt.y_hull.a_lo == 0.0  # cannot accelerate further toward the shoulder
     assert nxt.y_hull.a_hi == pytest.approx(3.0)  # 0 + 0.1 * 30 toward its left
 
@@ -103,9 +101,9 @@ def test_propagate_pov_lateral_floor():
 def test_propagate_empty_absorbs():
     layer = emptied(single_cell_layer())
     assert layer.empty and layer.mask.shape == (0, 0) and layer.y_hull is None
-    layer = propagate_step(layer, SV_LIMITS, 0.1)
+    layer = propagate_step(layer, SV_PAIR, 0.1)
     assert layer.empty and layer.tau == 0.1
-    assert propagate_step(layer, SV_LIMITS, 0.1).empty
+    assert propagate_step(layer, SV_PAIR, 0.1).empty
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -118,12 +116,12 @@ def test_propagate_keeps_interior_rectangle_rounding():
     x_hull = AxisInterval(62.5, 70.0, 20.0, 20.0, 0.0, 0.0)
     y_hull = AxisInterval(0.0, 0.2, 0.0, 0.0, 0.0, 0.0)
     layer = reach._layer(0.0, 0.25, 0.25, [(250, 256, 0, 1), (270, 280, 0, 1)],
-                         x_hull, y_hull, 1)
+                         x_hull, y_hull)
     x = math.nextafter(64.0, -math.inf)
     assert math.floor(x / layer.dx) == 255
-    x_new, _, _ = scalar_axis_step(x, 20.0, 0.0, 0.0, axis_limits(SV_LIMITS, 1, "x"), 0.1)
+    x_new, _, _ = scalar_axis_step(x, 20.0, 0.0, 0.0, SV_PAIR[0], 0.1)
     assert x_new == 66.0
-    nxt = propagate_step(layer, SV_LIMITS, 0.1)
+    nxt = propagate_step(layer, SV_PAIR, 0.1)
     assert (264, 0) in world_cells(nxt), nxt.rects
 
 
@@ -403,7 +401,6 @@ class WindowLayer:
     mask: np.ndarray
     x_hull: AxisInterval | None
     y_hull: AxisInterval | None
-    heading_sign: int
 
     @property
     def empty(self):
@@ -411,8 +408,7 @@ class WindowLayer:
 
 
 def empty_like(layer, tau):
-    return WindowLayer(tau, layer.window, np.zeros_like(layer.mask), None, None,
-                       layer.heading_sign)
+    return WindowLayer(tau, layer.window, np.zeros_like(layer.mask), None, None)
 
 
 def clip_mask_to_box(mask, window, ix_lo, ix_hi, iy_lo, iy_hi):
@@ -428,8 +424,7 @@ def clip_mask_to_box(mask, window, ix_lo, ix_hi, iy_lo, iy_hi):
 def ref_window_for(state, limits, config, pad_cells=80):
     """Window containing every reachable position over the horizon, with a margin."""
     h = config.horizon
-    lim_x = axis_limits(limits, state.heading_sign, "x")
-    lim_y = axis_limits(limits, state.heading_sign, "y")
+    lim_x, lim_y = axis_limits(limits, state.heading_sign)
     ox = math.floor((state.x + min(lim_x.v_lo, 0.0) * h) / config.grid_dx) - pad_cells
     oy = math.floor((state.y + min(lim_y.v_lo, 0.0) * h) / config.grid_dy) - pad_cells
     nx = math.floor((state.x + max(lim_x.v_hi, 0.0) * h) / config.grid_dx) + pad_cells + 1 - ox
@@ -443,8 +438,7 @@ def ref_initial_layer(state, window):
          math.floor(state.y / window.dy) - window.oy] = True
     return WindowLayer(0.0, window, mask,
                        AxisInterval(state.x, state.x, state.vx, state.vx, state.ax, state.ax),
-                       AxisInterval(state.y, state.y, state.vy, state.vy, state.ay, state.ay),
-                       state.heading_sign)
+                       AxisInterval(state.y, state.y, state.vy, state.vy, state.ay, state.ay))
 
 
 def ref_shift_or(mask, s_lo, s_hi, axis):
@@ -467,8 +461,7 @@ def ref_shift_or(mask, s_lo, s_hi, axis):
 def ref_propagate_step(layer, limits, tau_step):
     if layer.empty:
         return empty_like(layer, layer.tau + tau_step)
-    lim_x = axis_limits(limits, layer.heading_sign, "x")
-    lim_y = axis_limits(limits, layer.heading_sign, "y")
+    lim_x, lim_y = limits
     xh, yh = layer.x_hull, layer.y_hull
     px_lo, vx_lo, ax_lo = axis_step(xh.p_lo, xh.v_lo, xh.a_lo, lim_x.j_lo, lim_x, tau_step)
     px_hi, vx_hi, ax_hi = axis_step(xh.p_hi, xh.v_hi, xh.a_hi, lim_x.j_hi, lim_x, tau_step)
@@ -494,8 +487,7 @@ def ref_propagate_step(layer, limits, tau_step):
                        AxisInterval(float(px_lo), float(px_hi), float(vx_lo),
                                     float(vx_hi), float(ax_lo), float(ax_hi)),
                        AxisInterval(float(py_lo), float(py_hi), float(vy_lo),
-                                    float(vy_hi), float(ay_lo), float(ay_hi)),
-                       layer.heading_sign)
+                                    float(vy_hi), float(ay_lo), float(ay_hi)))
 
 
 def ref_pov_occupancy(layer, pov_spec, sv_spec):
@@ -537,8 +529,7 @@ def ref_clip_y(layer, y_lo, y_hi, inside):
     if not mask.any() or new_lo > new_hi:
         return empty_like(layer, layer.tau)
     return WindowLayer(layer.tau, w, mask, layer.x_hull,
-                       AxisInterval(new_lo, new_hi, yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi),
-                       layer.heading_sign)
+                       AxisInterval(new_lo, new_hi, yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi))
 
 
 def ref_prune_mask(mask, ox, oy, occ, occ_ox, occ_oy):
@@ -554,7 +545,11 @@ def ref_prune_mask(mask, ox, oy, occ, occ_ox, occ_oy):
 
 def ref_drivable_area(sv, pov, config, road, sv_spec, pov_spec, mode):
     """The seed's ``compute_drivable_area`` on padded windows: (SV layers, POV layers)."""
-    band = reach.normative_band(road, pov_spec) if mode == "normative" else None
+    # a lane-keeping POV's reference point keeps its body inside its lane
+    band = ((pov_spec.width / 2.0, road.width / 2.0 - pov_spec.width / 2.0)
+            if mode == "normative" else None)
+    sv_limits = axis_limits(config.sv_limits, sv.heading_sign)
+    pov_limits = axis_limits(config.pov_limits, pov.heading_sign)
     corridor = (-road.width / 2.0 - road.shoulder_margin,
                 road.width / 2.0 + road.shoulder_margin)
 
@@ -568,8 +563,7 @@ def ref_drivable_area(sv, pov, config, road, sv_spec, pov_spec, mode):
                        *ref_pov_occupancy(pov_l, pov_spec, sv_spec))
         if not mask.any():
             return empty_like(sv_l, sv_l.tau)
-        return WindowLayer(sv_l.tau, sv_l.window, mask, sv_l.x_hull, sv_l.y_hull,
-                           sv_l.heading_sign)
+        return WindowLayer(sv_l.tau, sv_l.window, mask, sv_l.x_hull, sv_l.y_hull)
 
     pov_l = ref_initial_layer(pov, ref_window_for(pov, config.pov_limits, config))
     if band is not None:
@@ -577,10 +571,10 @@ def ref_drivable_area(sv, pov, config, road, sv_spec, pov_spec, mode):
     sv_l = prune(ref_initial_layer(sv, ref_window_for(sv, config.sv_limits, config)), pov_l)
     sv_layers, pov_layers = [sv_l], [pov_l]
     for _ in range(config.n_steps):
-        pov_l = ref_propagate_step(pov_l, config.pov_limits, config.tau_step)
+        pov_l = ref_propagate_step(pov_l, pov_limits, config.tau_step)
         if band is not None:
             pov_l = ref_clip_y(pov_l, *band, inside=False)
-        sv_l = prune(ref_propagate_step(sv_l, config.sv_limits, config.tau_step), pov_l)
+        sv_l = prune(ref_propagate_step(sv_l, sv_limits, config.tau_step), pov_l)
         sv_layers.append(sv_l)
         pov_layers.append(pov_l)
     return sv_layers, pov_layers
@@ -597,11 +591,10 @@ def assert_cropped(layer):
 
 
 def assert_matches_reference(got, want):
-    """Same tau, heading, resolution, emptiness, hulls and world cells."""
+    """Same tau, resolution, emptiness, hulls and world cells."""
     assert_cropped(got)
     w = want.window
-    assert (got.tau, got.heading_sign, got.dx, got.dy) == (want.tau, want.heading_sign,
-                                                           w.dx, w.dy)
+    assert (got.tau, got.dx, got.dy) == (want.tau, w.dx, w.dy)
     assert got.empty == want.empty
     if got.empty:
         return
@@ -624,7 +617,7 @@ PAD = 40  # cells; one step of a random layer shifts its mask by at most 25
 
 
 def random_layer(rng, kind):
-    """(cropped layer, the same layer on a window padded by PAD cells).
+    """(cropped layer, the same layer on a window padded by PAD cells, a random heading).
 
     A random window holds a mask of the given kind and a random hull:
     "carved" (random cells inside a random box, never all of it), "full" (a
@@ -664,18 +657,17 @@ def random_layer(rng, kind):
     x_hull, y_hull = hull(ox, nx, dx, 30.0), hull(oy, ny, dy, 3.0)
     heading = int(rng.choice([-1, 1]))
     window = GridWindow(dx, dy, ox - PAD, oy - PAD, nx + 2 * PAD, ny + 2 * PAD)
-    layer = reach._layer(tau, dx, dy, mask_rects(mask, window.ox, window.oy),
-                         x_hull, y_hull, heading)
-    return layer, WindowLayer(tau, window, mask, x_hull, y_hull, heading)
+    layer = reach._layer(tau, dx, dy, mask_rects(mask, window.ox, window.oy), x_hull, y_hull)
+    return layer, WindowLayer(tau, window, mask, x_hull, y_hull), heading
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_propagate_matches_reference_on_random_masks(kind):
     rng = np.random.default_rng(KINDS.index(kind))
     for _ in range(300):
-        layer, ref = random_layer(rng, kind)
+        layer, ref, heading = random_layer(rng, kind)
         assert_matches_reference(layer, ref)
-        limits = SV_LIMITS if rng.random() < 0.5 else POV_LIMITS
+        limits = axis_limits(SV_LIMITS if rng.random() < 0.5 else POV_LIMITS, heading)
         tau_step = float(rng.choice([0.05, 0.1, 0.2]))
         assert_matches_reference(propagate_step(layer, limits, tau_step),
                                  ref_propagate_step(ref, limits, tau_step))
@@ -686,7 +678,7 @@ def test_pov_occupancy_matches_reference_on_random_masks(kind):
     rng = np.random.default_rng(10 + KINDS.index(kind))
     n_carved = 0
     for _ in range(300):
-        layer, ref_layer = random_layer(rng, kind)
+        layer, ref_layer, _ = random_layer(rng, kind)
         pov_spec = VehicleSpec(length=rng.uniform(3.0, 6.0), width=rng.uniform(1.5, 2.2),
                                ref_offset=rng.uniform(-1.0, 1.0))
         sv_spec = VehicleSpec(ref_offset=rng.uniform(-1.0, 1.0))
@@ -740,14 +732,14 @@ def rect_layers(draw):
     cells = rect_cells(rects)
     ii, jj = [i for i, _ in cells], [j for _, j in cells]
     x_hull, y_hull = hull(min(ii), max(ii) + 1, dx, 30.0), hull(min(jj), max(jj) + 1, dy, 3.0)
-    tau, heading = 0.1 * draw(st.integers(0, 40)), draw(st.sampled_from([-1, 1]))
-    layer = reach._layer(tau, dx, dy, rects, x_hull, y_hull, heading)
+    tau = 0.1 * draw(st.integers(0, 40))
+    layer = reach._layer(tau, dx, dy, rects, x_hull, y_hull)
     window = GridWindow(dx, dy, min(ii) - PAD, min(jj) - PAD,
                         max(ii) - min(ii) + 1 + 2 * PAD, max(jj) - min(jj) + 1 + 2 * PAD)
     mask = np.zeros((window.nx, window.ny), dtype=bool)
     for i, j in cells:
         mask[i - window.ox, j - window.oy] = True
-    return layer, WindowLayer(tau, window, mask, x_hull, y_hull, heading), rects
+    return layer, WindowLayer(tau, window, mask, x_hull, y_hull), rects
 
 
 def assert_minimal(layer):
@@ -759,7 +751,8 @@ def assert_minimal(layer):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rect_layers(), st.sampled_from([SV_LIMITS, POV_LIMITS]),
+@given(rect_layers(), st.sampled_from([axis_limits(limits, heading) for heading in (1, -1)
+                                        for limits in (SV_LIMITS, POV_LIMITS)]),
        st.sampled_from([0.05, 0.1, 0.2]), st.floats(-3.0, 5.0), st.floats(0.0, 3.0),
        rect_lists())
 def test_multi_rectangle_layers_match_reference(case, limits, tau_step, y_lo, y_width, cuts):
@@ -829,6 +822,12 @@ def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_ancho
 
 # -- cohort reuse: shared POV tracks, one SV pass per distinct anchor --
 
+def mode_track(pov, mode, road, sv_spec, pov_spec):
+    """A new POV track of the source the prediction ``mode`` names."""
+    return reach._PovTrack(pov, *reach._pov_source(pov, mode, road, pov_spec, CFG),
+                           sv_spec, pov_spec, CFG)
+
+
 @pytest.fixture(scope="module")
 def default_cohorts():
     """IL -> the default 20-run cohort (seed 0), as `simulate` rolls it out."""
@@ -861,8 +860,7 @@ def assert_same_area(got, want):
     assert got.exists == want.exists
     assert len(got.layers) == len(got.pov_layers) == len(want.layers) == len(want.pov_layers)
     for a, b in zip(got.layers + got.pov_layers, want.layers + want.pov_layers, strict=True):
-        assert (a.tau, a.dx, a.dy, a.heading_sign, a.x_hull, a.y_hull) == (
-            b.tau, b.dx, b.dy, b.heading_sign, b.x_hull, b.y_hull)
+        assert (a.tau, a.dx, a.dy, a.x_hull, a.y_hull) == (b.tau, b.dx, b.dy, b.x_hull, b.y_hull)
         # equal bounding boxes and masks mean equal world cells
         assert bounding_box(a) == bounding_box(b) and np.array_equal(a.mask, b.mask)
 
@@ -882,7 +880,7 @@ def test_shared_track_areas_match_fresh_areas(mode, default_cohorts):
         svs = list(dict.fromkeys(log.sv_state(i) for log, i in zip(logs, idx)))
         fresh = {sv: compute_drivable_area(sv, pov, *args, mode=mode, exists_only=True)
                  for sv in svs}
-        track = reach._PovTrack(pov, mode, *args[1:], CFG)
+        track = mode_track(pov, mode, *args[1:])
         for sv in sorted(svs, key=lambda s: len(fresh[s].layers)):
             got = compute_drivable_area(sv, pov, *args, mode=mode, exists_only=True,
                                         track=track)
@@ -901,7 +899,7 @@ def test_shared_track_areas_match_fresh_areas(mode, default_cohorts):
 
 def test_track_rejects_another_pov_state():
     road, spec = RoadSpec(), VehicleSpec()
-    track = reach._PovTrack(pov_state(), "normative", road, spec, spec, CFG)
+    track = mode_track(pov_state(), "normative", road, spec, spec)
     with pytest.raises(ValueError, match="POV track"):
         compute_drivable_area(sv_state(), pov_state(x=99.0), CFG, road, spec, spec,
                               mode="normative", track=track)
@@ -925,7 +923,8 @@ def corner_cases(draw):
                         "v_lat_max")})]))
     heading = draw(st.sampled_from([1, -1]))
     dt = draw(st.sampled_from([0.01, 0.05, 0.1, 0.2]) | st.floats(1e-3, 1.0))
-    lims = [axis_limits(limits, heading, axis) for axis in ("x", "x", "y", "y")]
+    lim_x, lim_y = axis_limits(limits, heading)
+    lims = [lim_x, lim_x, lim_y, lim_y]
 
     def value(edges):
         beyond = [np.nextafter(e, s * np.inf) for e in edges for s in (-1, 1)]
@@ -944,8 +943,9 @@ def test_corner_step_bit_identical_to_scalar_steps(case):
     """The pure-Python corner step of ``propagate_step`` equals numpy ``axis_step``,
     called on scalars and on the two lanes of an axis."""
     limits, heading, dt, p, v, a = case
-    for lane, (axis, side) in enumerate([("x", "lo"), ("x", "hi"), ("y", "lo"), ("y", "hi")]):
-        lim = axis_limits(limits, heading, axis)
+    lim_x, lim_y = axis_limits(limits, heading)
+    for lane, (lim, side) in enumerate([(lim_x, "lo"), (lim_x, "hi"), (lim_y, "lo"),
+                                        (lim_y, "hi")]):
         j = lim.j_lo if side == "lo" else lim.j_hi
         stepped = scalar_axis_step(p[lane], v[lane], a[lane], j, lim, dt)
         scalar = axis_step(p[lane], v[lane], a[lane], j, lim, dt)
@@ -1003,7 +1003,7 @@ def test_window_a_sample_early_is_rejected_alike():
 def box_layer(ox, oy, nx, ny):
     return Layer(0.3, 0.5, 0.25, ((ox, ox + nx, oy, oy + ny),),
                  AxisInterval(ox * 0.5, (ox + nx) * 0.5, 0.0, 0.0, 0.0, 0.0),
-                 AxisInterval(oy * 0.25, (oy + ny) * 0.25, 0.0, 0.0, 0.0, 0.0), 1)
+                 AxisInterval(oy * 0.25, (oy + ny) * 0.25, 0.0, 0.0, 0.0, 0.0))
 
 
 def holds_no_array(layer):
@@ -1045,21 +1045,46 @@ def test_pruned_box_against_box_matches_reference(arrangement):
         assert got is layer
 
 
+def hull_inside(inner, outer):
+    """Each of the inner hull's position, velocity and acceleration ranges lies in the outer's."""
+    return all(getattr(outer, f + "_lo") <= getattr(inner, f + "_lo")
+               and getattr(inner, f + "_hi") <= getattr(outer, f + "_hi") for f in "pva")
+
+
 @pytest.mark.parametrize("il", [-1.0, -0.8, 0.0, 0.9, 1.0])
 @pytest.mark.parametrize("mode", ["normative", "kinematic-envelope"])
 def test_pov_track_holds_only_boxes(il, mode):
     """Nothing prunes the POV, so every layer of a POV track out to the horizon is a
-    box and its occupancy a rectangle: the invariant ``pov_occupancy`` rests on."""
+    box and its occupancy a rectangle: the invariant ``pov_occupancy`` rests on.
+
+    At IL -0.8, 0 and +0.9 this holds too for a source ``KinematicLimits`` cannot
+    state: the POV returning toward its own lane at 2-4 m/s^2, clipped to the mode's
+    band.  Its hulls lie inside those of the mode's own track at every k, as the
+    clamps are monotone: the raised floor lifts only low corners, since every high
+    corner starts at ay > 2 - tau_step * j_lat_max and then rises toward 4.
+    """
     log = rollout(make_scenario(il), PolicySpec(kind="no-response"))
     sc = log.scenario
     for i in range(0, len(log.t), 10):  # every 0.1 s of the log
-        track = reach._PovTrack(log.pov_state(i), mode, sc.road, sc.sv_spec, sc.pov_spec, CFG)
-        track.layer(CFG.n_steps)
-        assert len(track.layers) == CFG.n_steps + 1
-        for k, layer in enumerate(track.layers):
-            assert len(layer.rects) == 1 or layer.empty, (i, k)
-            i0, i1, j0, j1 = track.occupancy(k)
-            assert layer.empty or (i0 < i1 and j0 < j1)
+        pov = log.pov_state(i)
+        (lx, ly), band = reach._pov_source(pov, mode, sc.road, sc.pov_spec, CFG)
+        tracks = [reach._PovTrack(pov, (lx, ly), band, sc.sv_spec, sc.pov_spec, CFG)]
+        if il in (-0.8, 0.0, 0.9):
+            assert pov.ay + CFG.tau_step * ly.j_hi > 2.0
+            tracks.append(reach._PovTrack(pov, (lx, replace(ly, a_lo=2.0)), band,
+                                          sc.sv_spec, sc.pov_spec, CFG))
+        for track in tracks:
+            track.layer(CFG.n_steps)
+            assert len(track.layers) == CFG.n_steps + 1
+            for k, layer in enumerate(track.layers):
+                assert len(layer.rects) == 1 or layer.empty, (i, k)
+                i0, i1, j0, j1 = track.occupancy(k)
+                assert layer.empty or (i0 < i1 and j0 < j1)
+        if len(tracks) == 2:
+            for k, (mode_l, ret_l) in enumerate(zip(tracks[0].layers, tracks[1].layers)):
+                assert ret_l.empty or not mode_l.empty and (
+                    hull_inside(ret_l.x_hull, mode_l.x_hull)
+                    and hull_inside(ret_l.y_hull, mode_l.y_hull)), (i, k)
 
 
 def test_reachable_set_from_a_point_holds_only_boxes():
@@ -1087,7 +1112,7 @@ def test_filled_mask_becomes_a_box():
     assert carved.mask.tolist() == [[True, False], [True, True]]
     # a box given with a piece inside it, a duplicate and an empty rectangle
     filled = reach._layer(0.0, 0.5, 0.25, [(1, 2, 0, 1), (0, 3, 0, 2), (0, 3, 0, 2),
-                                           (5, 5, 0, 9)], *hulls, 1)
+                                           (5, 5, 0, 9)], *hulls)
     assert filled.rects == ((0, 3, 0, 2),)
 
 
@@ -1096,9 +1121,9 @@ def test_carved_layer_whose_dilation_fills_its_box_is_a_box():
     carved = carved_layer(4, 0, [[1, 0, 1]], AxisInterval(2.0, 2.4, 0.0, 0.0, 0.0, 0.0),
                           AxisInterval(0.0, 0.75, 0.0, 2.0, 0.0, 0.0))
     assert len(carved.rects) == 2
-    nxt = propagate_step(carved, SV_LIMITS, 0.1)  # lateral shifts 0 and 1 fill the gap
+    nxt = propagate_step(carved, SV_PAIR, 0.1)  # lateral shifts 0 and 1 fill the gap
     assert holds_no_array(nxt) and nxt.mask.all()
     assert bounding_box(nxt) == (4, 0, (1, 4))
-    want = propagate_step(replace(carved, rects=((4, 5, 0, 3),)), SV_LIMITS, 0.1)
+    want = propagate_step(replace(carved, rects=((4, 5, 0, 3),)), SV_PAIR, 0.1)
     assert want.rects == ((4, 5, 0, 4),) and world_cells(want) == world_cells(nxt)
     assert (want.x_hull, want.y_hull) == (nxt.x_hull, nxt.y_hull)
