@@ -189,25 +189,6 @@ def step_state(s: np.ndarray, j: np.ndarray, lim: AxisLimits, dt: float,
     out[0], out[1], out[2] = axis_step(s[0], s[1], s[2], j, lim, dt)
 
 
-def scalar_axis_step(p: float, v: float, a: float, j: float, lim: AxisLimits,
-                     dt: float) -> tuple[float, float, float]:
-    """``axis_step`` on finite Python floats, bit for bit, without numpy's per-call cost.
-
-    ``np.maximum`` and ``np.minimum`` return their second argument on ties,
-    so a value equal to its bound (0.0 against -0.0 included) is clamped to
-    the bound here too, and signed zeros come out as numpy's do.
-    """
-    j = j if j > lim.j_lo else lim.j_lo
-    j = j if j < lim.j_hi else lim.j_hi
-    v_new = v + dt * a
-    v_new = v_new if v_new > lim.v_lo else lim.v_lo
-    v_new = v_new if v_new < lim.v_hi else lim.v_hi
-    a_new = a + dt * j
-    a_new = a_new if a_new > lim.a_lo else lim.a_lo
-    a_new = a_new if a_new < lim.a_hi else lim.a_hi
-    return p + dt * v, v_new, a_new
-
-
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle, closed bounds; the bounds may be arrays."""

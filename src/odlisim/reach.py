@@ -4,8 +4,8 @@ Representation: each future-time layer carries a continuous per-axis hull
 (position, velocity, acceleration intervals) plus its occupied cells on a
 world-aligned grid.  Longitudinal and lateral dynamics are decoupled
 triple integrators, so the hull advances exactly under the extremal jerks
-(corners suffice for this monotone system; each is one scalar step of the
-simulator's rule) while the cells advance by velocity-range dilation
+(corners suffice for this monotone system; each is one ``axis_step`` of
+the simulator's rule) while the cells advance by velocity-range dilation
 intersected with the rasterized new hull; carrying the hull continuously
 keeps rasterization rounding from compounding across steps.  Because
 every computation starts from a point state and all clamps are global,
@@ -35,13 +35,20 @@ certain.  Since an empty layer stays empty, an area computed with
 ``exists_only`` (as every timeline anchor is) stops at its first empty SV
 layer and carries fewer layers; its ``exists`` is unchanged.
 
-The POV side of an area depends only on the POV state, its source (an
-axis-limit pair and a band or none, as a prediction mode names) and the
-vehicle specs, so it lives in a POV track that SV passes share, grown only
-as deep as some pass asks.  ``drivable_timelines`` evaluates a cohort this way.
-Its runs share one POV incursion, and every SV state is the same until
-the response starts, so it groups the anchors by POV key and runs one SV
-pass per distinct SV state in each group.  The keys are the frozen
+One kernel steps every layer.  `_Batch` holds the layers of several
+members as arrays: all hull corners step in one ``axis_step`` call, and
+the rectangles, one integer array tagged with each rectangle's member,
+step elementwise, so a layer costs a fixed number of array operations
+however many members it holds.  The POV side of an area depends only on
+the POV state, its source (an axis-limit pair and a band or none, as a
+prediction mode names) and the vehicle specs: a POV track.  A `_Sweep`
+steps tracks and the SV passes pruned against them in lockstep.
+``drivable_timelines`` evaluates a cohort in one sweep: its runs share one
+POV incursion, and every SV state is the same until the response starts,
+so it runs one track per distinct POV key and one pass per distinct SV
+state against it, and a pass leaves the sweep at its first empty layer.
+``compute_drivable_area``, ``compute_reachable_set`` and ``propagate_step``
+are the one-pass cases of the same kernel.  The keys are the frozen
 ``VehicleState``s and specs themselves, compared as floats, so equal keys
 are equal inputs up to the sign of a zero.  A timeline keeps only
 ``exists``, which a signed zero cannot change: state values feed sums,
@@ -56,10 +63,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (AxisLimits, KinematicLimits, POV_LIMITS, SV_LIMITS, RoadSpec,
-                   VehicleSpec, VehicleState, axis_limits, check_numbers, scalar_axis_step,
+                   VehicleSpec, VehicleState, axis_limits, axis_step, check_numbers,
                    step_count)
 from .engine import TrajectoryLog
 from .responses import window_for
+
+# Cell indices stay below this in magnitude, so that float cell bounds are exact
+# integers and no sum of two of them overflows int64.
+_CELL_LIMIT = 2.0 ** 53
+# A rectangle (i0, i1, j0, j1) times these is its signed form (see `_Batch`).
+_SIGNED = np.array([1, -1, 1, -1])
+# Over a hull's low and high corners: the sign of a signed edge, and the cell past
+# the high corner's that a half-open range ends at.
+_CORNER_SIGN = np.array([1.0, -1.0])[:, None]
+_CORNER_HIGH = np.array([0.0, 1.0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -170,99 +187,271 @@ class DrivableArea:
     pov_layers: list[Layer] = field(default_factory=list)
 
 
+def _areas(rects: np.ndarray) -> np.ndarray:
+    """The area in cells of each non-empty signed rectangle (both factors negated)."""
+    return (rects[:, 0] + rects[:, 1]) * (rects[:, 2] + rects[:, 3])
+
+
+def _tidied(rects: np.ndarray, owner: np.ndarray,
+            ties: tuple[np.ndarray, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's rectangles without the empty ones and those inside another.
+
+    ``rects`` is an ``(r, 4)`` int array of signed world-cell rectangles (see
+    `_Batch`) and ``owner`` the member of each, never decreasing.  A member left
+    with two or more rectangles has them largest first, equal areas by each of
+    ``ties`` in turn (earlier areas of each rectangle, larger first) and then in
+    their given order, and of equal rectangles the first stays.  Containment is
+    tested only between the rectangles of one member, each against those before it.
+    """
+    width, height = rects[:, 0] + rects[:, 1], rects[:, 2] + rects[:, 3]  # both negated
+    kept = (width < 0) & (height < 0)
+    if np.count_nonzero(kept) < len(kept):
+        rects, owner, width, height = rects[kept], owner[kept], width[kept], height[kept]
+        ties = tuple(t[kept] for t in ties)
+    shared = owner[1:] == owner[:-1]
+    if not np.count_nonzero(shared):  # no member holds two rectangles
+        return rects, owner
+    # stable, so equal keys keep their order and each member's run stays in place
+    rects = rects[np.lexsort([-t for t in reversed(ties)] + [-width * height, owner])]
+    first = np.searchsorted(owner, owner)  # each member's first rectangle
+    rank = np.arange(len(owner)) - first
+    # one (earlier, later) pair per two rectangles of a member
+    later = np.repeat(np.arange(len(owner)), rank)
+    earlier = np.arange(len(later)) + np.repeat(first - np.cumsum(rank) + rank, rank)
+    held = rects[earlier] <= rects[later]
+    held = held[:, 0] & held[:, 1] & held[:, 2] & held[:, 3]
+    if not np.count_nonzero(held):
+        return rects, owner
+    inside = np.zeros(len(owner), dtype=bool)
+    inside[later[held]] = True
+    return rects[~inside], owner[~inside]
+
+
 def _layer(tau: float, dx: float, dy: float, rects: list[tuple[int, int, int, int]],
            x_hull: AxisInterval | None, y_hull: AxisInterval | None) -> Layer:
     """The layer of the cells of the world-cell rectangles ``rects``.
 
     Empty rectangles and rectangles inside another are dropped, which leaves
     the cells as they are.  With no rectangle left, or no lateral hull, the
-    layer is empty.  Most builds keep a single rectangle, which has no other
-    to sort against or to lie inside.
+    layer is empty.
     """
-    kept = [r for r in rects if r[0] < r[1] and r[2] < r[3]]
-    if len(kept) > 1:
-        # largest first, so a rectangle comes after every rectangle that holds it
-        ordered = sorted(kept, key=lambda r: (r[1] - r[0]) * (r[3] - r[2]), reverse=True)
-        kept = []
-        for r in ordered:
-            if not any(k[0] <= r[0] and r[1] <= k[1] and k[2] <= r[2] and r[3] <= k[3]
-                       for k in kept):
-                kept.append(r)
-    if not kept or y_hull is None:
+    kept, _ = _tidied(np.array(rects, dtype=np.int64).reshape(-1, 4) * _SIGNED,
+                      np.zeros(len(rects), dtype=np.intp))
+    if not len(kept) or y_hull is None:
         return Layer(tau, dx, dy, (), None, None)
-    return Layer(tau, dx, dy, tuple(kept), x_hull, y_hull)
+    return Layer(tau, dx, dy, tuple(map(tuple, (kept * _SIGNED).tolist())), x_hull, y_hull)
+
+
+def _cells(positions: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """The floor cell index of each position, as a float array of exact integers."""
+    cells = np.floor(positions / cell)
+    if not np.abs(cells).max(initial=0.0) < _CELL_LIMIT:
+        raise ValueError(f"reach cells out of range: positions {positions.tolist()}, "
+                         f"cell sizes {cell.ravel().tolist()}")
+    return cells
+
+
+class _Batch:
+    """The non-empty layers of several members, stepped together as arrays.
+
+    ``hull[:, axis, corner, m]`` is member m's (p, v, a) at the low or high
+    corner of its x (axis 0) or y (axis 1) hull.  Its rectangles are the rows of
+    ``rects`` whose ``owner`` is m, in its layer's order; owners never decrease.
+    A rectangle ``(i0, i1, j0, j1)`` is held signed, as ``(i0, -i1, j0, -j1)``:
+    every column is then a lower bound, so a rectangle holds another iff it is
+    no larger in each column, and clamping an edge is a maximum.  A member that
+    owns no rectangle is empty, and its hull means nothing.  Each member's
+    rectangles are tidy (see `_tidied`) except while ``untidy``: a cut leaves its
+    pieces to the next step's tidy, which orders ties by their areas as cut, as
+    a tidy after the cut would have, and ``layer`` tidies a member it reads.
+    ``limits`` holds the members' x and y boxes as ``(2, 1, n)`` fields, None for
+    a batch that is never stepped.
+    """
+
+    def __init__(self, hull: np.ndarray, rects: np.ndarray, owner: np.ndarray, dx: float,
+                 dy: float, limits: list[tuple[AxisLimits, AxisLimits]] | None = None):
+        self.hull, self.rects, self.owner, self.dx, self.dy = hull, rects, owner, dx, dy
+        self.untidy = False
+        self.cell = np.array([dx, dy])[:, None, None]
+        if limits is not None:
+            # a frozen dataclass's vars hold its fields in order
+            boxes = np.array([[tuple(vars(lim).values()) for lim in pair] for pair in limits])
+            self.limits = AxisLimits(*boxes.transpose(2, 1, 0)[:, :, None, :])
+            self.jerk = np.concatenate([self.limits.j_lo, self.limits.j_hi], axis=1)
+
+    @classmethod
+    def of_layers(cls, layers: list[Layer],
+                  limits: list[tuple[AxisLimits, AxisLimits]] | None = None) -> _Batch:
+        """The batch of ``layers``, none of them empty."""
+        hulls = [(tuple(vars(layer.x_hull).values()), tuple(vars(layer.y_hull).values()))
+                 for layer in layers]
+        return cls(np.array(hulls).reshape(len(layers), 2, 3, 2).transpose(2, 1, 3, 0).copy(),
+                   np.array([r for layer in layers for r in layer.rects],
+                            dtype=np.int64).reshape(-1, 4) * _SIGNED,
+                   np.repeat(np.arange(len(layers)), [len(layer.rects) for layer in layers]),
+                   layers[0].dx, layers[0].dy, limits)
+
+    @classmethod
+    def of_states(cls, states: list[VehicleState],
+                  limits: list[tuple[AxisLimits, AxisLimits]] | None, dx: float,
+                  dy: float) -> _Batch:
+        """The tau = 0 layers of ``states``: each exactly the cell covering its
+        position, with hulls at the raw point state; clamping into the admissible
+        box happens on the first step, mirroring the stepper."""
+        point = np.array([(s.x, s.vx, s.ax, s.y, s.vy, s.ay) for s in states])
+        point = point.T.reshape(2, 3, len(states)).transpose(1, 0, 2)  # [p v a, axis, member]
+        cell = _cells(point[0], np.array([[dx], [dy]]))
+        rects = np.stack([cell[0], -1 - cell[0], cell[1], -1 - cell[1]],
+                         axis=1).astype(np.int64)  # signed
+        return cls(np.repeat(point[:, :, None], 2, axis=2), rects, np.arange(len(states)),
+                   dx, dy, limits)
+
+    def layer(self, m: int, tau: float) -> Layer:
+        """Member m's layer at ``tau``."""
+        lo, hi = np.searchsorted(self.owner, [m, m + 1])
+        if lo == hi:
+            return Layer(tau, self.dx, self.dy, (), None, None)
+        rects = self.rects[lo:hi]
+        if self.untidy:
+            rects, _ = _tidied(rects, self.owner[lo:hi])
+        x_hull, y_hull = (AxisInterval(*self.hull[:, axis, :, m].ravel().tolist())
+                          for axis in (0, 1))
+        return Layer(tau, self.dx, self.dy, tuple(map(tuple, (rects * _SIGNED).tolist())),
+                     x_hull, y_hull)
+
+    def step(self, tau_step: float, clip: list[np.ndarray] | None = None) -> None:
+        """One interval-arithmetic Euler step of every member under its boxes, then
+        the lateral clip ``clip`` of `clip_y` if given.
+
+        Hull corners advance through the same clamped step rule as the
+        simulator (a low corner under its axis's lowest jerk, a high corner
+        under its highest), so sampled trajectories ride the hull edges
+        exactly.  The cells are the velocity-range dilation of the previous
+        cells intersected with the rasterized new position hull: each rectangle
+        widens by its member's range of cell shifts and is clamped to the
+        cells of its member's new hull.  One tidy after the clip, with the
+        unclipped areas and then the areas of a pending cut's pieces as ties,
+        gives what a tidy after each of cut, propagation and clip gives: the
+        last two keep every containment, so a rectangle an earlier tidy would
+        drop is dropped anyway, and the stable order by the later areas, then
+        the earlier ones, is the order the later tidy gives the earlier one's.
+        """
+        # after a cut, the pieces' areas order ties last, as a tidy after the cut would
+        cut_areas = (_areas(self.rects),) if self.untidy else ()
+        p, v, a = self.hull
+        hull = np.array(axis_step(p, v, a, self.jerk, self.limits, tau_step))
+        if np.count_nonzero(hull[:, :, 0] > hull[:, :, 1]):
+            for m in range(hull.shape[-1]):  # AxisInterval raises, naming the hull
+                [AxisInterval(*hull[:, axis, :, m].ravel().tolist()) for axis in (0, 1)]
+        cells = _cells(hull[0], self.cell)  # [axis, corner, member]
+        # Rounding can carry fl(p + tau * v) a cell past the exact-arithmetic
+        # shift range (fl(-1e-300 + 0.25) = 0.25 leaves cell -1 for cell 1, not 0),
+        # so each range widens to reach the new hull's edge cells from the old's.
+        # Signed, a high corner's shift max(ceil(s), m) is min(floor(-s), -m).
+        shift = np.minimum(np.floor(tau_step * v / self.cell * _CORNER_SIGN),
+                           (cells - np.floor(p / self.cell)) * _CORNER_SIGN)
+        bound = cells * _CORNER_SIGN - _CORNER_HIGH  # the new hull's signed edge cells
+        # per rectangle, its member's signed shifts, then the signed new hull cells
+        edges = np.concatenate([shift, bound]).reshape(8, -1).T.astype(np.int64)[self.owner]
+        rects = np.maximum(self.rects + edges[:, :4], edges[:, 4:])
+        self.hull = hull
+        ties = cut_areas
+        if clip is not None:
+            ties = (_areas(rects), *cut_areas)
+            self._clip(rects, clip)
+        self.rects, self.owner = _tidied(rects, self.owner, ties)
+        self.untidy = False
+
+    def _clip(self, rects: np.ndarray, clip: list[np.ndarray]) -> None:
+        """`clip_y` of the hulls and, in place, of ``rects``, without tidying.  The
+        rectangles of a member whose hull leaves the band become empty, and its
+        hull stays as it was, so every hull stays in order."""
+        y_lo, y_hi, j_lo, j_hi = clip
+        p = self.hull[0, 1]  # [corner, member] lateral positions
+        # as Python's max(p, y_lo) and min(p, y_hi): on a tie the position stays
+        lo, hi = np.maximum(y_lo, p[0]), np.minimum(y_hi, p[1])
+        stays = lo <= hi
+        p[0], p[1] = np.where(stays, lo, p[0]), np.where(stays, hi, p[1])
+        rects[:, 2] = np.maximum(rects[:, 2], j_lo[self.owner])
+        rects[:, 3] = np.maximum(rects[:, 3], np.where(stays, -j_hi, -j_lo)[self.owner])
+
+    def clip_y(self, clip: list[np.ndarray]) -> None:
+        """Clip each member's lateral hull to ``[y_lo, y_hi]`` and its rectangles to
+        the cells ``j_lo <= iy < j_hi``, where ``clip`` holds the four per member
+        (see `_clip_bounds`).
+
+        The continuous hull is clipped as well, so later rasterizations cannot
+        resurrect removed positions; a member whose hull leaves the band is empty.
+        """
+        self._clip(self.rects, clip)
+        self.rects, self.owner = _tidied(self.rects, self.owner)
+        self.untidy = False
+
+    def cut(self, boxes: np.ndarray) -> None:
+        """Remove from each member the cells of its world-cell rectangle in ``boxes``,
+        ``(n, 4)``; the rectangle (0, 0, 0, 0) removes none.
+
+        A rectangle the cut hits leaves its parts before and after the cut's x
+        range, and beside the cut its parts below and above the cut's y range.
+        Members whose rectangles the cut all miss are left as they are.  The pieces
+        are not tidied: the batch is ``untidy`` until the next step or clip.
+        """
+        rects, box = self.rects, (boxes * _SIGNED)[self.owner]
+        part = np.maximum(rects, box)  # the part inside the cut, (m0, -m1, ...)
+        hit = (part[:, 0] + part[:, 1] < 0) & (part[:, 2] + part[:, 3] < 0)
+        if not np.count_nonzero(hit):
+            return
+        pieces = np.repeat(rects[:, None], 4, axis=1)  # [rectangle, piece, signed edge]
+        pieces[:, 0, 1] = np.where(hit, -part[:, 0], rects[:, 1])  # a missed one stays
+        pieces[:, 1, 0] = -part[:, 1]
+        pieces[:, 2:, :2] = part[:, None, :2]
+        pieces[:, 2, 3], pieces[:, 3, 2] = -box[:, 2], -box[:, 3]
+        taken = np.ones((len(hit), 4), dtype=bool)
+        taken[:, 1:] = hit[:, None]
+        pieces, owner = pieces[taken], np.repeat(self.owner, 1 + 3 * hit)
+        kept = (pieces[:, 0] + pieces[:, 1] < 0) & (pieces[:, 2] + pieces[:, 3] < 0)
+        self.rects, self.owner, self.untidy = pieces[kept], owner[kept], True
 
 
 def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
-    """tau = 0 layer: exactly the cell covering the current position.
-
-    Hulls start at the raw point state; clamping into the admissible box
-    happens on the first propagation step, mirroring the stepper.
-    """
-    ix, iy = math.floor(state.x / dx), math.floor(state.y / dy)
-    return Layer(0.0, dx, dy, ((ix, ix + 1, iy, iy + 1),),
-                 AxisInterval(state.x, state.x, state.vx, state.vx, state.ax, state.ax),
-                 AxisInterval(state.y, state.y, state.vy, state.vy, state.ay, state.ay))
+    """tau = 0 layer: exactly the cell covering the current position (see
+    `_Batch.of_states`)."""
+    return _Batch.of_states([state], None, dx, dy).layer(0, 0.0)
 
 
 def propagate_step(layer: Layer, limits: tuple[AxisLimits, AxisLimits], tau_step: float) -> Layer:
-    """One interval-arithmetic Euler step of a layer under the x and y boxes ``limits``.
-
-    Hull corners advance through the same clamped step rule as the
-    simulator (a low corner under its axis's lowest jerk, a high corner
-    under its highest), so sampled trajectories ride the hull edges
-    exactly.  The cells are the velocity-range dilation of the previous
-    cells intersected with the rasterized new position hull: each rectangle
-    widens by the range of cell shifts and is clamped to the hull's cells.
-    """
+    """One interval-arithmetic Euler step of a layer under the x and y boxes ``limits``:
+    `_Batch.step` of a batch of one."""
     if layer.empty:
         return replace(layer, tau=layer.tau + tau_step)
-    xh, yh = layer.x_hull, layer.y_hull
-    lx, ly = limits
-    px_lo, vx_lo, ax_lo = scalar_axis_step(xh.p_lo, xh.v_lo, xh.a_lo, lx.j_lo, lx, tau_step)
-    px_hi, vx_hi, ax_hi = scalar_axis_step(xh.p_hi, xh.v_hi, xh.a_hi, lx.j_hi, lx, tau_step)
-    py_lo, vy_lo, ay_lo = scalar_axis_step(yh.p_lo, yh.v_lo, yh.a_lo, ly.j_lo, ly, tau_step)
-    py_hi, vy_hi, ay_hi = scalar_axis_step(yh.p_hi, yh.v_hi, yh.a_hi, ly.j_hi, ly, tau_step)
-
-    dx, dy = layer.dx, layer.dy
-    # the cells the closed new position hull touches under floor indexing
-    hx0, hx1 = math.floor(px_lo / dx), math.floor(px_hi / dx) + 1
-    hy0, hy1 = math.floor(py_lo / dy), math.floor(py_hi / dy) + 1
-    # Rounding can carry fl(p + tau * v) a cell past the exact-arithmetic
-    # shift range (fl(-1e-300 + 0.25) = 0.25 leaves cell -1 for cell 1, not 0),
-    # so each range widens to reach the new hull's edge cells from the old's.
-    sx_lo = min(math.floor(tau_step * xh.v_lo / dx), hx0 - math.floor(xh.p_lo / dx))
-    sx_hi = max(math.ceil(tau_step * xh.v_hi / dx), hx1 - math.floor(xh.p_hi / dx) - 1)
-    sy_lo = min(math.floor(tau_step * yh.v_lo / dy), hy0 - math.floor(yh.p_lo / dy))
-    sy_hi = max(math.ceil(tau_step * yh.v_hi / dy), hy1 - math.floor(yh.p_hi / dy) - 1)
-    rects = [(max(i0 + sx_lo, hx0), min(i1 + sx_hi, hx1),
-              max(j0 + sy_lo, hy0), min(j1 + sy_hi, hy1)) for i0, i1, j0, j1 in layer.rects]
-    return _layer(layer.tau + tau_step, dx, dy, rects,
-                  AxisInterval(px_lo, px_hi, vx_lo, vx_hi, ax_lo, ax_hi),
-                  AxisInterval(py_lo, py_hi, vy_lo, vy_hi, ay_lo, ay_hi))
+    batch = _Batch.of_layers([layer], [limits])
+    batch.step(tau_step)
+    return batch.layer(0, layer.tau + tau_step)
 
 
-def _clip_y(layer: Layer, y_lo: float, y_hi: float, inside: bool) -> Layer:
-    """Lateral clip: keep cells fully inside (corridor) or intersecting (band).
-
-    The continuous hull is clipped to the band as well so later
-    rasterizations cannot resurrect removed positions.
-    """
-    if layer.empty:
-        return layer
-    dy = layer.dy
+def _clip_bounds(y_lo: float, y_hi: float, dy: float,
+                 inside: bool) -> tuple[float, float, int, int]:
+    """``(y_lo, y_hi, j_lo, j_hi)`` of `_Batch.clip_y` for the band ``[y_lo, y_hi]``:
+    its cells ``j_lo <= iy < j_hi`` are those fully inside it (corridor) or
+    intersecting it (band)."""
     if inside:
-        iy_min = math.ceil(y_lo / dy - 1e-9)
-        iy_max = math.floor(y_hi / dy + 1e-9) - 1
-    else:
-        iy_min = math.floor(y_lo / dy)
-        iy_max = math.ceil(y_hi / dy) - 1
-    yh = layer.y_hull
-    new_lo, new_hi = max(yh.p_lo, y_lo), min(yh.p_hi, y_hi)
-    y_hull = (AxisInterval(new_lo, new_hi, yh.v_lo, yh.v_hi, yh.a_lo, yh.a_hi)
-              if new_lo <= new_hi else None)
-    rects = [(i0, i1, max(j0, iy_min), min(j1, iy_max + 1)) for i0, i1, j0, j1 in layer.rects]
-    return _layer(layer.tau, layer.dx, dy, rects, layer.x_hull, y_hull)
+        return y_lo, y_hi, math.ceil(y_lo / dy - 1e-9), math.floor(y_hi / dy + 1e-9)
+    return y_lo, y_hi, math.floor(y_lo / dy), math.ceil(y_hi / dy)
+
+
+# `_Batch.clip_y` bounds that keep every position and cell.
+_NO_CLIP = (-math.inf, math.inf, -2 ** 62, 2 ** 62)
+
+
+def _footprint_cells(pov_spec: VehicleSpec, sv_spec: VehicleSpec, dx: float,
+                     dy: float) -> tuple[int, int, int, int]:
+    """The cell offsets ``(di0, di1, dj0, dj1)`` that dilate a POV rectangle by the
+    half-sum footprint (see `pov_occupancy`)."""
+    shift = sv_spec.ref_offset + pov_spec.ref_offset
+    half_len = (sv_spec.length + pov_spec.length) / 2
+    half_wid = (sv_spec.width + pov_spec.width) / 2
+    return (math.floor((shift - half_len) / dx), math.ceil((shift + half_len) / dx),
+            math.floor(-half_wid / dy), math.ceil(half_wid / dy))
 
 
 def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
@@ -284,34 +473,8 @@ def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
         raise ValueError(f"POV occupancy of a layer of {len(layer.rects)} rectangles: "
                          f"POV layers are boxes")
     (i0, i1, j0, j1), = layer.rects
-    shift = sv_spec.ref_offset + pov_spec.ref_offset
-    half_len = (sv_spec.length + pov_spec.length) / 2
-    half_wid = (sv_spec.width + pov_spec.width) / 2
-    return (i0 + math.floor((shift - half_len) / layer.dx),
-            i1 + math.ceil((shift + half_len) / layer.dx),
-            j0 + math.floor(-half_wid / layer.dy),
-            j1 + math.ceil(half_wid / layer.dy))
-
-
-def _pruned(layer: Layer, rect: tuple[int, int, int, int]) -> Layer:
-    """The non-empty layer without the cells of the world-cell rectangle ``rect``.
-
-    A rectangle the cut hits leaves its parts before and after the cut's x
-    range, and beside the cut its parts below and above the cut's y range.
-    A layer whose rectangles the cut all miss is returned as it is.
-    """
-    q0, q1, q2, q3 = rect
-    pieces = []
-    for r in layer.rects:
-        i0, i1, j0, j1 = r
-        m0, m1 = max(i0, q0), min(i1, q1)
-        if m0 < m1 and max(j0, q2) < min(j1, q3):
-            pieces += (i0, m0, j0, j1), (m1, i1, j0, j1), (m0, m1, j0, q2), (m0, m1, q3, j1)
-        else:
-            pieces.append(r)
-    if len(pieces) == len(layer.rects):  # a hit leaves four pieces, so nothing was hit
-        return layer
-    return _layer(layer.tau, layer.dx, layer.dy, pieces, layer.x_hull, layer.y_hull)
+    di0, di1, dj0, dj1 = _footprint_cells(pov_spec, sv_spec, layer.dx, layer.dy)
+    return i0 + di0, i1 + di1, j0 + dj0, j1 + dj1
 
 
 def pov_prediction_mode(pov_y_history: np.ndarray, lane_width: float,
@@ -324,18 +487,27 @@ def pov_prediction_mode(pov_y_history: np.ndarray, lane_width: float,
     y = np.atleast_1d(np.asarray(pov_y_history, dtype=float))
     if y.size == 0:
         raise ValueError("need at least one POV sample")
-    if np.any(np.abs(y - lane_width / 2.0) > threshold):
-        return "kinematic-envelope"
-    return "normative"
+    return _MODES[_latch_sample(y, lane_width, threshold) < y.size]
+
+
+_MODES = ("normative", "kinematic-envelope")  # before the latch, from it on
+
+
+def _latch_sample(pov_y: np.ndarray, lane_width: float, threshold: float) -> int:
+    """The first sample more than ``threshold`` from + lane_width / 2, len(pov_y) if none."""
+    off = np.abs(pov_y - lane_width / 2.0) > threshold
+    return int(off.argmax()) if off.any() else len(pov_y)
 
 
 def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
                           config: PredictionConfig) -> ReachableSet:
     """Unpruned reachable set of one vehicle from its current state."""
-    layers = [make_initial_layer(state, config.grid_dx, config.grid_dy)]
-    pair = axis_limits(limits, state.heading_sign)
+    batch = _Batch.of_states([state], [axis_limits(limits, state.heading_sign)],
+                             config.grid_dx, config.grid_dy)
+    layers = [batch.layer(0, 0.0)]
     for _ in range(config.n_steps):
-        layers.append(propagate_step(layers[-1], pair, config.tau_step))
+        batch.step(config.tau_step)
+        layers.append(batch.layer(0, layers[-1].tau + config.tau_step))
     return ReachableSet(t=state.t, tau_step=config.tau_step, layers=layers)
 
 
@@ -354,32 +526,91 @@ class _PovTrack:
     """The POV side of every drivable area with one POV state, source and pair of specs.
 
     Layer k is the POV's layer at tau = k * tau_step under the boxes ``limits``,
-    clipped to ``band`` unless it is None.  Layers and their footprint-dilated
-    occupancies are computed on first use and kept, so every SV pass pruned against
-    the track shares them, and the track is only as deep as its deepest pass.
+    clipped to ``band`` unless it is None.  A `_Sweep` steps the track as one
+    member of its batch; ``layers`` holds the layers materialized so far, by
+    ``layer`` or by the drivable areas computed against the track.
     """
 
     def __init__(self, pov_state: VehicleState, limits: tuple[AxisLimits, AxisLimits],
                  band: tuple[float, float] | None, sv_spec: VehicleSpec,
                  pov_spec: VehicleSpec, config: PredictionConfig):
         self.key = (pov_state, limits, band, sv_spec, pov_spec, config)
-        _, self._limits, self._band, self._sv_spec, self._pov_spec, self._config = self.key
-        self.layers = [self._clip(make_initial_layer(pov_state, config.grid_dx, config.grid_dy))]
-        self._occupancy: dict[int, tuple[int, int, int, int]] = {}
-
-    def _clip(self, layer: Layer) -> Layer:
-        return layer if self._band is None else _clip_y(layer, *self._band, inside=False)
+        self.pov_state, self.limits, self.band, self.sv_spec, self.pov_spec, self.config = self.key
+        self.layers: list[Layer] = []
 
     def layer(self, k: int) -> Layer:
-        while len(self.layers) <= k:
-            self.layers.append(self._clip(propagate_step(
-                self.layers[-1], self._limits, self._config.tau_step)))
+        """Layer k, stepping a sweep of this track alone as far as it if not yet made."""
+        if len(self.layers) <= k:
+            sweep = _Sweep([], [self], self.config)
+            layers = [sweep.layer(0)]
+            while sweep.k < k:
+                sweep.advance()
+                layers.append(sweep.layer(0))
+            self.layers += layers[len(self.layers):]
         return self.layers[k]
 
-    def occupancy(self, k: int) -> tuple[int, int, int, int]:
-        if k not in self._occupancy:
-            self._occupancy[k] = pov_occupancy(self.layer(k), self._pov_spec, self._sv_spec)
-        return self._occupancy[k]
+
+class _Sweep:
+    """POV tracks and the SV passes pruned against them, stepped in lockstep.
+
+    A pass is ``(sv_state, track index, road)``.  Members ``0 .. T-1`` of the
+    batch are the tracks and the rest the passes.  Layer k of every member is
+    made at once: tracks and passes step, tracks clip to their bands and, with
+    corridor pruning, passes to their road's corridor; then each pass loses the
+    cells of its track's occupancy at k.  A pass is empty from its first empty
+    layer on and does no more rectangle work.
+    """
+
+    def __init__(self, passes: list[tuple[VehicleState, int, RoadSpec]],
+                 tracks: list[_PovTrack], config: PredictionConfig):
+        dx, dy = config.grid_dx, config.grid_dy
+        self.tau_step, self.k, self.tau = config.tau_step, 0, 0.0
+        self.n_tracks = len(tracks)
+        clips = [_NO_CLIP if t.band is None else _clip_bounds(*t.band, dy, inside=False)
+                 for t in tracks]
+        for _, _, road in passes:
+            margin = road.width / 2.0 + road.shoulder_margin
+            clips.append(_NO_CLIP if config.road_pruning == "off"
+                         else _clip_bounds(-margin, margin, dy, inside=True))
+        self.clip = [np.array(c) for c in zip(*clips)]
+        self.footprints = np.array([_footprint_cells(t.pov_spec, t.sv_spec, dx, dy)
+                                    for t in tracks], dtype=np.int64).reshape(-1, 4)
+        # the track whose occupancy each member loses; T, no occupancy, for tracks
+        self.track_of = np.array([self.n_tracks] * self.n_tracks + [t for _, t, _ in passes],
+                                 dtype=np.intp)
+        states = [t.pov_state for t in tracks] + [sv for sv, _, _ in passes]
+        self.batch = _Batch.of_states(states, [t.limits for t in tracks]
+                                      + [axis_limits(config.sv_limits, sv.heading_sign)
+                                         for sv, _, _ in passes], dx, dy)
+        self.batch.clip_y(self.clip)
+        self._cut()
+
+    def _cut(self) -> None:
+        batch = self.batch
+        # a track owns at most one rectangle, and tracks' rectangles come first
+        n = np.searchsorted(batch.owner, self.n_tracks)
+        tracks = batch.owner[:n]
+        boxes = np.zeros((self.n_tracks + 1, 4), dtype=np.int64)
+        boxes[tracks] = batch.rects[:n] * _SIGNED + self.footprints[tracks]
+        batch.cut(boxes[self.track_of])
+
+    def advance(self) -> None:
+        """Make the next layer of every member."""
+        self.batch.step(self.tau_step, self.clip)
+        self._cut()
+        self.k, self.tau = self.k + 1, self.tau + self.tau_step
+
+    def passes_left(self) -> bool:
+        owner = self.batch.owner
+        return len(owner) > 0 and owner[-1] >= self.n_tracks
+
+    def escapes(self) -> np.ndarray:
+        """Whether each pass's layer at k is non-empty."""
+        return np.bincount(self.batch.owner, minlength=len(self.track_of))[self.n_tracks:] > 0
+
+    def layer(self, m: int) -> Layer:
+        """Member m's layer at k."""
+        return self.batch.layer(m, self.tau)
 
 
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
@@ -396,8 +627,9 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
     With ``exists_only`` the area stops at the first empty SV layer (an
     empty layer stays empty), so ``layers`` and ``pov_layers`` may be
     shorter than the horizon; ``exists`` is the same either way.  The POV
-    layers come from ``track``, built for the same POV state, the source
-    ``mode`` names, specs and config, or from a new one.
+    layers are those of ``track``, built for the same POV state, the source
+    ``mode`` names, specs and config, or of a new one; the track keeps every
+    layer the area reached.
     """
     key = (pov_state, *_pov_source(pov_state, mode, road, pov_spec, config),
            sv_spec, pov_spec, config)
@@ -405,40 +637,29 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
         track = _PovTrack(*key)
     elif track.key != key:
         raise ValueError("POV track built for another POV state, source, specs or config")
-    corridor = (-road.width / 2.0 - road.shoulder_margin,
-                road.width / 2.0 + road.shoulder_margin)
-
-    def prune(sv_l: Layer, k: int) -> Layer:
-        pov_l = track.layer(k)
-        if config.road_pruning == "corridor":
-            sv_l = _clip_y(sv_l, *corridor, inside=True)
-        if sv_l.empty or pov_l.empty:
-            return sv_l
-        return _pruned(sv_l, track.occupancy(k))
-
-    sv_limits = axis_limits(config.sv_limits, sv_state.heading_sign)
-    sv_layer = prune(make_initial_layer(sv_state, config.grid_dx, config.grid_dy), 0)
-    sv_layers = [sv_layer]
-    for k in range(1, config.n_steps + 1):
-        if exists_only and sv_layer.empty:
-            break
-        sv_layer = prune(propagate_step(sv_layer, sv_limits, config.tau_step), k)
-        sv_layers.append(sv_layer)
-
+    sweep = _Sweep([(sv_state, 0, road)], [track], config)
+    sv_layers, pov_layers = [sweep.layer(1)], [sweep.layer(0)]
+    while sweep.k < config.n_steps and not (exists_only and sv_layers[-1].empty):
+        sweep.advance()
+        sv_layers.append(sweep.layer(1))
+        pov_layers.append(sweep.layer(0))
+    track.layers += pov_layers[len(track.layers):]
     return DrivableArea(layers=sv_layers, exists=not sv_layers[-1].empty,
                         pov_layers=track.layers[:len(sv_layers)])
 
 
-def _latched_mode(log: TrajectoryLog, i: int, config: PredictionConfig) -> str:
-    """POV prediction mode at log sample i, latched over samples 0..i."""
-    return pov_prediction_mode(log.pov["y"][:i + 1], log.scenario.road.lane_width,
-                               config.incursion_detect_threshold)
+def _latched_modes(log: TrajectoryLog, samples: list[int],
+                   config: PredictionConfig) -> list[str]:
+    """POV prediction mode at each log sample i of ``samples``, latched over samples 0..i."""
+    latch = _latch_sample(log.pov["y"], log.scenario.road.lane_width,
+                          config.incursion_detect_threshold)
+    return [_MODES[i >= latch] for i in samples]
 
 
 def drivable_area_at(log: TrajectoryLog, i: int, config: PredictionConfig, *,
                      exists_only: bool = False) -> tuple[DrivableArea, str]:
     """Drivable area at log sample i, with the POV mode latched over samples 0..i."""
-    mode = _latched_mode(log, i, config)
+    mode, = _latched_modes(log, [i], config)
     sc = log.scenario
     area = compute_drivable_area(log.sv_state(i), log.pov_state(i), config, sc.road,
                                  sc.sv_spec, sc.pov_spec, mode=mode,
@@ -484,38 +705,40 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
                        config: PredictionConfig, eval_step: float = 0.1) -> list[Timeline]:
     """Timelines of a cohort's (log, window) runs, each distinct anchor evaluated once.
 
-    Every anchor's area is computed with ``exists_only``, as
-    ``drivable_area_at`` computes it.  Anchors are grouped by POV state,
-    latched mode, road and specs; each group prunes against one POV track, of
-    the source its mode names, with one SV pass per distinct SV state.  Only
-    one track is alive at a time, and only the booleans are kept.
+    Every anchor's ``exists`` is that of ``drivable_area_at`` with
+    ``exists_only``.  Anchors are grouped by POV state, latched mode, road and
+    specs; each group is one POV track, of the source its mode names, with one
+    SV pass per distinct SV state.  One `_Sweep` steps every track and pass of
+    the cohort until no pass is left or the horizon is reached, and only the
+    booleans are kept.
     """
     check_numbers("> 0", eval_step=eval_step)
-    timelines = []
-    # (pov_state, mode, road, sv_spec, pov_spec) -> sv_state -> [(run, anchor)]
-    groups: dict[tuple, dict[VehicleState, list[tuple[int, int]]]] = {}
-    for r, (log, window) in enumerate(runs):
+    tracks: dict[tuple, int] = {}  # (pov_state, mode, road, sv_spec, pov_spec) -> track
+    passes: dict[tuple, int] = {}  # (track, sv_state) -> pass
+    anchored = []  # per run: anchor times, modes, the pass of each anchor
+    for log, window in runs:
         anchors = _anchor_times(log, eval_step, window)
+        samples = [log.index_at(t_anchor) for t_anchor in anchors]
+        modes = _latched_modes(log, samples, config)
         sc = log.scenario
-        modes = []
-        for k, t_anchor in enumerate(anchors):
-            i = log.index_at(t_anchor)
-            modes.append(_latched_mode(log, i, config))
-            key = (log.pov_state(i), modes[-1], sc.road, sc.sv_spec, sc.pov_spec)
-            groups.setdefault(key, {}).setdefault(log.sv_state(i), []).append((r, k))
-        t_arr = np.asarray(anchors)
-        timelines.append(Timeline(t=t_arr, rel_t=t_arr - log.timing.t_trigger,
-                                  exists=np.zeros(len(anchors), dtype=bool), mode=modes))
-    for (pov_state, mode, road, sv_spec, pov_spec), by_sv in groups.items():
-        track = _PovTrack(pov_state, *_pov_source(pov_state, mode, road, pov_spec, config),
-                          sv_spec, pov_spec, config)
-        for sv_state, slots in by_sv.items():
-            exists = compute_drivable_area(sv_state, pov_state, config, road, sv_spec,
-                                           pov_spec, mode=mode, exists_only=True,
-                                           track=track).exists
-            for r, k in slots:
-                timelines[r].exists[k] = exists
-    return timelines
+        slots = []
+        for i, mode in zip(samples, modes):
+            track = tracks.setdefault((log.pov_state(i), mode, sc.road, sc.sv_spec, sc.pov_spec),
+                                      len(tracks))
+            slots.append(passes.setdefault((track, log.sv_state(i)), len(passes)))
+        anchored.append((np.asarray(anchors), modes, np.asarray(slots, dtype=np.intp)))
+    exists = np.zeros(0, dtype=bool)
+    if passes:  # else every window was empty
+        keys = list(tracks)
+        sweep = _Sweep([(sv_state, track, keys[track][2]) for track, sv_state in passes],
+                       [_PovTrack(pov, *_pov_source(pov, mode, road, pov_spec, config),
+                                  sv_spec, pov_spec, config)
+                        for pov, mode, road, sv_spec, pov_spec in keys], config)
+        while sweep.k < config.n_steps and sweep.passes_left():
+            sweep.advance()
+        exists = sweep.escapes()
+    return [Timeline(t=t, rel_t=t - log.timing.t_trigger, exists=exists[slots], mode=modes)
+            for (log, _), (t, modes, slots) in zip(runs, anchored)]
 
 
 @dataclass

@@ -1,12 +1,13 @@
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from odlisim.core import (MAX_STEPS, POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
+from odlisim.core import (MAX_STEPS, AxisLimits, POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step, check_numbers,
-                          footprint, rectangles_overlap, scalar_axis_step, step_count)
+                          footprint, rectangles_overlap, step_count)
 from odlisim.engine import rollout
 from odlisim.oracle import analytic_1d_bounds, sample_trajectories
 from odlisim.policies import PolicySpec
@@ -74,8 +75,9 @@ def test_step_exact_linear_coasting():
 
 
 def test_scalar_step_bit_identical_to_axis_step():
-    """Every clamp of the pure-Python step, on values at, beyond and signed-zero
-    equal to each bound, matches numpy's ``axis_step`` bit for bit."""
+    """Every clamp of ``axis_step`` on floats, on values at, beyond and signed-zero
+    equal to each bound, matches ``axis_step`` on arrays whose limits are arrays too,
+    as the reach kernel steps the hull corners of a batch, bit for bit."""
     caps = ("v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max", "a_lat_right_max",
             "j_fwd_max", "j_bwd_max", "j_lat_max", "v_lat_max")
     zero = KinematicLimits(**{name: 0.0 for name in caps})
@@ -93,8 +95,10 @@ def test_scalar_step_bit_identical_to_axis_step():
                     for j in values:
                         p, v = (float(rng.choice(values)) for _ in range(2))
                         dt = float(rng.choice([0.0, 0.01, 0.1, 1.0], p=[0.1, 0.3, 0.3, 0.3]))
-                        got = scalar_axis_step(p, v, a, j, lim, dt)
-                        want = axis_step(p, v, a, j, lim, dt)
+                        got = axis_step(p, v, a, j, lim, dt)
+                        want = [w[0] for w in axis_step(
+                            *(np.array([x]) for x in (p, v, a, j)),
+                            AxisLimits(*(np.array([x]) for x in astuple(lim))), dt)]
                         for g, w in zip(got, want, strict=True):
                             assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (
                                 p, v, a, j, lim, dt, got, want)

@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import bounding_box, make_log, make_timeline, rect_cells, world_cells
 from odlisim import io, reach
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
-                          VehicleSpec, VehicleState, axis_limits, axis_step,
-                          scalar_axis_step)
+                          VehicleSpec, VehicleState, axis_limits, axis_step)
 from odlisim.engine import rollout, run_cohort
 from odlisim.policies import PolicySpec
 from odlisim.reach import (AxisInterval, Layer, PredictionConfig,
@@ -69,6 +68,23 @@ def emptied(layer):
     return reach._layer(layer.tau, layer.dx, layer.dy, [], layer.x_hull, layer.y_hull)
 
 
+def clip_y(layer, y_lo, y_hi, inside):
+    """The kernel's lateral clip of one layer to [y_lo, y_hi], keeping the cells fully
+    inside (corridor) or intersecting (band): a batch of one member."""
+    if layer.empty:
+        return layer
+    batch = reach._Batch.of_layers([layer])
+    batch.clip_y([np.array([b]) for b in reach._clip_bounds(y_lo, y_hi, layer.dy, inside)])
+    return batch.layer(0, layer.tau)
+
+
+def pruned(layer, rect):
+    """The kernel's cut of the world-cell rectangle ``rect`` from one non-empty layer."""
+    batch = reach._Batch.of_layers([layer])
+    batch.cut(np.array([rect]))
+    return batch.layer(0, layer.tau)
+
+
 def test_propagate_singleton_advance():
     state = VehicleState(t=0, x=0.2, y=0.1, vx=20.0, vy=0.0, ax=0.0, ay=0.0)
     layer = make_initial_layer(state, 0.5, 0.25)
@@ -119,7 +135,7 @@ def test_propagate_keeps_interior_rectangle_rounding():
                          x_hull, y_hull)
     x = math.nextafter(64.0, -math.inf)
     assert math.floor(x / layer.dx) == 255
-    x_new, _, _ = scalar_axis_step(x, 20.0, 0.0, 0.0, SV_PAIR[0], 0.1)
+    x_new, _, _ = axis_step(x, 20.0, 0.0, 0.0, SV_PAIR[0], 0.1)
     assert x_new == 66.0
     nxt = propagate_step(layer, SV_PAIR, 0.1)
     assert (264, 0) in world_cells(nxt), nxt.rects
@@ -134,11 +150,11 @@ def test_clip_y_recrops_what_it_cuts():
 
     layer = carved([[1, 0, 0], [0, 1, 1]])
     assert len(layer.rects) == 2 and bounding_box(layer) == (4, 0, (2, 3))
-    cut = reach._clip_y(layer, 0.25, 0.5, inside=False)  # column 1 only
+    cut = clip_y(layer, 0.25, 0.5, inside=False)  # column 1 only
     assert bounding_box(cut) == (5, 1, (1, 1)) and cut.mask.tolist() == [[True]]
     assert (cut.y_hull.p_lo, cut.y_hull.p_hi) == (0.25, 0.5)
-    assert reach._clip_y(carved([[1, 0, 1], [1, 0, 1]]), 0.25, 0.5, inside=False).empty
-    kept = reach._clip_y(layer, -1.0, 0.6, inside=False)  # every column
+    assert clip_y(carved([[1, 0, 1], [1, 0, 1]]), 0.25, 0.5, inside=False).empty
+    kept = clip_y(layer, -1.0, 0.6, inside=False)  # every column
     assert bounding_box(kept) == (4, 0, (2, 3)) and kept.mask.tolist() == layer.mask.tolist()
     assert (kept.y_hull.p_lo, kept.y_hull.p_hi) == (0.0, 0.6)
 
@@ -764,13 +780,13 @@ def test_multi_rectangle_layers_match_reference(case, limits, tau_step, y_lo, y_
     assert_matches_reference(layer, ref)
     for got, want in [(propagate_step(layer, limits, tau_step),
                        ref_propagate_step(ref, limits, tau_step)),
-                      *((reach._clip_y(layer, y_lo, y_lo + y_width, inside),
+                      *((clip_y(layer, y_lo, y_lo + y_width, inside),
                          ref_clip_y(ref, y_lo, y_lo + y_width, inside))
                         for inside in (True, False))]:
         assert_minimal(got)
         assert_matches_reference(got, want)
     cut = cuts[0]
-    got = reach._pruned(layer, cut)
+    got = pruned(layer, cut)
     assert_minimal(got)
     want = ref.mask.copy()
     ref_prune_mask(want, ref.window.ox, ref.window.oy,
@@ -778,7 +794,7 @@ def test_multi_rectangle_layers_match_reference(case, limits, tau_step, y_lo, y_
     assert_matches_reference(got, replace(ref, mask=want) if want.any()
                              else empty_like(ref, ref.tau))
     if not rect_cells([cut]) & world_cells(layer):
-        assert got is layer
+        assert got == layer
 
 
 @pytest.fixture(scope="module")
@@ -853,6 +869,111 @@ def test_drivable_timelines_match_per_anchor_areas(il, default_cohorts):
             assert (tl.exists[k], tl.mode[k]) == (area.exists, mode)
         n_anchors += len(tl.t)
     assert n_anchors > 1000  # every anchor of the cohort at the default step
+
+
+# Settings heavier than the defaults: twice the layers with no corridor, so SV layers
+# grow wide and the POV cuts them into up to 64 rectangles; a grid twice as fine;
+# twice the layers over the default horizon.
+HEAVY = {"horizon-8-no-corridor": PredictionConfig(horizon=8.0, road_pruning="off"),
+         "grid_dx-0.25": PredictionConfig(grid_dx=0.25),
+         "tau_step-0.05": PredictionConfig(tau_step=0.05)}
+
+
+@pytest.mark.parametrize("name", list(HEAVY))
+@pytest.mark.parametrize("il", [-0.8, 0.0, 0.9])
+def test_drivable_timelines_match_per_anchor_areas_under_heavy_settings(il, name,
+                                                                      default_cohorts):
+    """The one sweep of a cohort gives each anchor the ``exists`` of its own one-pass
+    area, at every fifth anchor of the default step; each distinct anchor's area is
+    computed once."""
+    cfg, logs = HEAVY[name], default_cohorts[il]
+    timelines = drivable_timelines([(log, None) for log in logs], cfg, eval_step=0.5)
+    single, n_anchors = {}, 0
+    for log, tl in zip(logs, timelines):
+        for k, t_anchor in enumerate(tl.t):
+            i = log.index_at(t_anchor)
+            key = (log.sv_state(i), log.pov_state(i), tl.mode[k])
+            if key not in single:
+                single[key] = drivable_area_at(log, i, cfg, exists_only=True)
+            area, mode = single[key]
+            assert (tl.exists[k], tl.mode[k]) == (area.exists, mode), (log.policy, t_anchor)
+        n_anchors += len(tl.t)
+    assert n_anchors > 200 and len(single) > 100
+    assert {area.exists for area, _ in single.values()} == {True, False}
+    most_rects = max(len(layer.rects) for area, _ in single.values() for layer in area.layers)
+    assert most_rects >= (30 if name.startswith("horizon") else 3)
+
+
+def mixed_batch():
+    """Seeded SV states against two POV states in both modes: the passes of one sweep,
+    each its own one-pass area to the horizon, and each pass's first empty layer."""
+    rng = np.random.default_rng(5)
+    road, spec = RoadSpec(), VehicleSpec()
+    povs = [pov_state(), pov_state(y=0.9, vx=-17.0, vy=-1.2, ay=-0.8)]
+    tracks = [mode_track(pov, mode, road, spec, spec)
+              for pov in povs for mode in ("normative", "kinematic-envelope")]
+    passes, areas = [], []
+    for n in range(64):
+        t = n % len(tracks)
+        pov = tracks[t].pov_state
+        sv = sv_state(x=float(pov.x - rng.uniform(2.0, 60.0)), y=float(rng.uniform(-3.5, 3.5)),
+                      vx=float(rng.uniform(5.0, 20.0)), vy=float(rng.uniform(-1.0, 1.0)),
+                      ax=float(rng.uniform(-2.0, 2.0)), ay=float(rng.uniform(-2.0, 2.0)))
+        passes.append((sv, t, road))
+        areas.append(compute_drivable_area(sv, pov, CFG, road, spec, spec,
+                                           mode=("normative", "kinematic-envelope")[t % 2]))
+    first_empty = [next((k for k, layer in enumerate(area.layers) if layer.empty), None)
+                   for area in areas]
+    return passes, tracks, areas, first_empty
+
+
+def test_one_sweep_of_mixed_passes_equals_one_pass_areas():
+    """One sweep holding normative and envelope tracks, and passes that empty at
+    different layers (at k = 0 and 1 too), makes at every layer the very layers
+    (rectangles in order, hulls, tau) of each pass's own one-pass area."""
+    passes, tracks, areas, first_empty = mixed_batch()
+    assert {0, 1} <= set(first_empty) and len(set(first_empty)) >= 8
+    assert None in first_empty  # and some passes keep an escape to the horizon
+    assert {first_empty[n] for n in range(1, 64, 2)} - {None}  # envelope passes empty
+    assert {first_empty[n] for n in range(0, 64, 2)} - {None}  # normative passes empty
+    sweep = reach._Sweep(passes, tracks, CFG)
+    for k in range(CFG.n_steps + 1):
+        if k:
+            sweep.advance()
+        for p, area in enumerate(areas):
+            assert sweep.layer(len(tracks) + p) == area.layers[k], (p, k)
+            assert sweep.layer(passes[p][1]) == area.pov_layers[k], (p, k)
+        alive = [e is None or e > k for e in first_empty]
+        assert sweep.escapes().tolist() == alive
+        assert sweep.passes_left() == any(alive)
+
+
+def test_one_sweep_stops_when_no_pass_is_left():
+    """Timelines stop stepping at the layer where the last pass empties."""
+    passes, tracks, _, first_empty = mixed_batch()
+    dying = [p for p, e in enumerate(first_empty) if e is not None]
+    sweep = reach._Sweep([passes[p] for p in dying], tracks, CFG)
+    while sweep.k < CFG.n_steps and sweep.passes_left():
+        sweep.advance()
+    assert sweep.k == max(first_empty[p] for p in dying) < CFG.n_steps
+    assert not sweep.escapes().any()
+
+
+@pytest.mark.parametrize("horizon, first_loss", [(3.0, 2.9), (4.0, 2.3), (6.0, 1.2), (8.0, 0.7)])
+def test_no_response_escape_loss_moves_with_the_horizon(horizon, first_loss):
+    """Finding 1 at IL 0: the first anchor with no escape of a no-response run, after
+    the trigger, as `reach timeline --eval-step 0.1 --horizon H` computes it.  A longer
+    horizon loses the escape earlier, so "until when" measures the horizon."""
+    config = io.default_run_config(0.0)
+    scenario, timing = io.config_scenario(config)
+    log = rollout(scenario, PolicySpec(kind="no-response"), dt=config["analysis"]["dt"],
+                  timing=timing)
+    window = window_for(log, config["analysis"]["window_reaction_floor"])
+    cfg = replace(io.config_prediction(config), horizon=horizon)
+    timeline, = drivable_timelines([(log, (window.t_begin, window.t_end))], cfg, eval_step=0.1)
+    lost = np.flatnonzero(~timeline.exists)
+    assert timeline.exists[0] and len(lost)
+    assert timeline.rel_t[lost[0]] == pytest.approx(first_loss, abs=1e-9)
 
 
 def assert_same_area(got, want):
@@ -940,14 +1061,18 @@ def corner_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(corner_cases())
 def test_corner_step_bit_identical_to_scalar_steps(case):
-    """The pure-Python corner step of ``propagate_step`` equals numpy ``axis_step``,
-    called on scalars and on the two lanes of an axis."""
+    """The kernel's corner step, all four hull corners of a batch member in one
+    ``axis_step`` call under its limits and jerks as arrays, equals ``axis_step``
+    called on each corner's floats and on the two lanes of an axis."""
     limits, heading, dt, p, v, a = case
     lim_x, lim_y = axis_limits(limits, heading)
+    batch = reach._Batch(np.array([p, v, a]).reshape(3, 2, 2, 1), np.zeros((0, 4), dtype=int),
+                         np.zeros(0, dtype=int), 0.5, 0.25, [(lim_x, lim_y)])
+    corners = axis_step(*batch.hull, batch.jerk, batch.limits, dt)  # as `_Batch.step`
     for lane, (lim, side) in enumerate([(lim_x, "lo"), (lim_x, "hi"), (lim_y, "lo"),
                                         (lim_y, "hi")]):
         j = lim.j_lo if side == "lo" else lim.j_hi
-        stepped = scalar_axis_step(p[lane], v[lane], a[lane], j, lim, dt)
+        stepped = [float(c[lane // 2, lane % 2, 0]) for c in corners]
         scalar = axis_step(p[lane], v[lane], a[lane], j, lim, dt)
         pair = slice(lane - lane % 2, lane - lane % 2 + 2)
         lanes = axis_step(np.array(p[pair]), np.array(v[pair]), np.array(a[pair]),
@@ -1033,7 +1158,7 @@ def test_pruned_box_against_box_matches_reference(arrangement):
     want = layer.mask.copy()
     ox, oy, _ = bounding_box(layer)
     ref_prune_mask(want, ox, oy, np.ones((qnx, qny), dtype=bool), qx, qy)
-    got = reach._pruned(layer, (qx, qx + qnx, qy, qy + qny))
+    got = pruned(layer, (qx, qx + qnx, qy, qy + qny))
     assert_cropped(got)
     assert holds_no_array(got) and (len(got.rects) <= 1) == stays_box
     assert got.empty == (not want.any())
@@ -1042,7 +1167,7 @@ def test_pruned_box_against_box_matches_reference(arrangement):
     if not got.empty:
         assert (got.tau, got.x_hull, got.y_hull) == (layer.tau, layer.x_hull, layer.y_hull)
     if arrangement.startswith("miss"):
-        assert got is layer
+        assert got == layer
 
 
 def hull_inside(inner, outer):
@@ -1078,7 +1203,7 @@ def test_pov_track_holds_only_boxes(il, mode):
             assert len(track.layers) == CFG.n_steps + 1
             for k, layer in enumerate(track.layers):
                 assert len(layer.rects) == 1 or layer.empty, (i, k)
-                i0, i1, j0, j1 = track.occupancy(k)
+                i0, i1, j0, j1 = pov_occupancy(layer, sc.pov_spec, sc.sv_spec)
                 assert layer.empty or (i0 < i1 and j0 < j1)
         if len(tracks) == 2:
             for k, (mode_l, ret_l) in enumerate(zip(tracks[0].layers, tracks[1].layers)):
