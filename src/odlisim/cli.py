@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,7 +36,9 @@ _OVERRIDES = {
 _REACH = ("grid-dx", "horizon", "road-pruning")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="odlisim")
     sub = parser.add_subparsers(dest="command", required=True)
 

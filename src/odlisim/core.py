@@ -9,8 +9,9 @@ SV means decreasing y; "right/center" means increasing y.  The POV's own
 left is +y (toward its original lane) and its right is -y.
 
 A rollout state of n vehicles is a ``(3, 2, n)`` array (p, v, a rows, x over
-y), whose ``(6, n)`` view has the channels `STATE_KEYS`; `step_state` is the
-one vectorized stepping loop, shared by the simulator and the sampling oracle.
+y), whose ``(6, n)`` view has the channels `STATE_KEYS`; `step_state` steps
+such a state in place through `axis_step`, the one stepping rule of the
+simulator, the sampling oracle and the reachable-set propagation.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def axis_limits(limits: KinematicLimits, heading_sign: int) -> tuple[AxisLimits,
                          -limits.j_lat_max, limits.j_lat_max)
 
 
-def axis_step(p, v, a, j, lim: AxisLimits, dt: float):
+def axis_step(p, v, a, j, lim: AxisLimits, dt: float, out=None):
     """One forward-Euler step of the triple integrator on one axis.
 
     Position advances with the pre-step velocity and velocity with the
@@ -169,11 +170,26 @@ def axis_step(p, v, a, j, lim: AxisLimits, dt: float):
     velocity.  Works elementwise on scalars or numpy arrays, and is the
     single stepping rule shared by the simulator, the sampling oracle, and
     the reachable-set propagation.
+
+    With ``out``, an array whose rows 0, 1, 2 take the new p, v and a, the
+    step writes in place with the same operations and returns those rows.
+    ``out`` must not share memory with ``p``, ``v``, ``a`` or ``j``: a row
+    written early would be read again as input, so an overlap raises
+    ValueError.
     """
-    j_c = np.minimum(np.maximum(j, lim.j_lo), lim.j_hi)
-    p_new = p + dt * v
-    v_new = np.minimum(np.maximum(v + dt * a, lim.v_lo), lim.v_hi)
-    a_new = np.minimum(np.maximum(a + dt * j_c, lim.a_lo), lim.a_hi)
+    if out is None:
+        op = ov = oa = None
+    else:
+        if any(np.may_share_memory(out, x) for x in (p, v, a, j)):
+            raise ValueError("axis_step out= overlaps its input state")
+        op, ov, oa = out[0], out[1], out[2]
+    # The acceleration row holds the clamped jerk before the new acceleration.
+    j_c = np.minimum(np.maximum(j, lim.j_lo, out=oa), lim.j_hi, out=oa)
+    p_new = np.add(p, np.multiply(dt, v, out=op), out=op)
+    v_new = np.minimum(np.maximum(np.add(v, np.multiply(dt, a, out=ov), out=ov),
+                                  lim.v_lo, out=ov), lim.v_hi, out=ov)
+    a_new = np.minimum(np.maximum(np.add(a, np.multiply(dt, j_c, out=oa), out=oa),
+                                  lim.a_lo, out=oa), lim.a_hi, out=oa)
     return p_new, v_new, a_new
 
 
@@ -185,8 +201,11 @@ def stacked_axis_limits(limits: KinematicLimits, heading_sign: int) -> AxisLimit
 
 def step_state(s: np.ndarray, j: np.ndarray, lim: AxisLimits, dt: float,
                out: np.ndarray) -> None:
-    """One `axis_step` of both axes of a rollout state ``s`` by jerks ``j`` into ``out``."""
-    out[0], out[1], out[2] = axis_step(s[0], s[1], s[2], j, lim, dt)
+    """One `axis_step` of both axes of a rollout state ``s`` by jerks ``j``, in place into ``out``.
+
+    ``out`` must not share memory with ``s`` or ``j`` (ValueError).
+    """
+    axis_step(s[0], s[1], s[2], j, lim, dt, out=out)
 
 
 @dataclass(frozen=True)

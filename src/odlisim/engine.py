@@ -2,9 +2,12 @@
 
 The scripted policies and the POV path depend on time alone, so the
 engine evaluates them as arrays over one time grid and steps every cohort
-member's jerk-limited SV integrator together.  Each log ends at the
-member's first footprint overlap or at the horizon, and the outcome is
-classified at the time of closest longitudinal proximity t_p.
+member's jerk-limited SV integrator together.  The integrator guesses
+whole windows of samples with running sums and certifies each with one
+`core.step_state` call, so every logged sample is the stepping rule
+applied to the one before.  Each log ends at the member's first footprint
+overlap or at the horizon, and the outcome is classified at the time of
+closest longitudinal proximity t_p.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import policies
-from .core import (POV_SIGN, STATE_KEYS, SV_LIMITS, SV_SIGN, KinematicLimits, VehicleState,
-                   check_numbers, footprint_at, rectangles_overlap, stacked_axis_limits,
-                   step_count, step_state)
+from .core import (POV_SIGN, STATE_KEYS, SV_LIMITS, SV_SIGN, AxisLimits, KinematicLimits,
+                   VehicleState, check_numbers, footprint_at, rectangles_overlap,
+                   stacked_axis_limits, step_count, step_state)
 from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming, default_timing,
                        pov_x_at_trigger, sv_initial_state)
 
@@ -115,9 +118,11 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
 
     The POV path and each member's pedal/steer schedule are functions of t
     alone, so they are computed as arrays up front; only the clamped SV
-    integrator steps, one `core.step_state` per sample for both axes of
-    every member.  The SV path never depends on a collision, so each
-    member's log is cut at its first footprint overlap afterwards.
+    integrator steps, both axes of every member together, by `_integrate`:
+    each sample equals one `core.step_state` of the sample before, though
+    most are guessed and certified a window at a time.  The SV path never
+    depends on a collision, so each member's log is cut at its first
+    footprint overlap afterwards.
     """
     check_numbers("> 0", dt=dt)
     if timing is None:
@@ -136,24 +141,21 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
            "ax": np.zeros_like(t), "ay": pov_ay}
 
     # Per-member schedules, shape (members, 3, samples); the acceleration
-    # targets are laid out (samples, axis, members) for the step loop.
+    # targets are laid out (axis, samples, members) like the rollout rows.
     ctl = np.array([policies.policy_schedule(t, timing, p, sv_limits.a_brk_max)
                     for p in members])
     a_t = np.ascontiguousarray(np.transpose(policies.target_accels(
-        ctl[:, 0], ctl[:, 1], ctl[:, 2], sv_limits.a_fwd_max, sv_limits.a_brk_max), (2, 0, 1)))
+        ctl[:, 0], ctl[:, 1], ctl[:, 2], sv_limits.a_fwd_max, sv_limits.a_brk_max), (0, 2, 1)))
 
     sv0 = sv_initial_state(scenario)
     lim = stacked_axis_limits(sv_limits, SV_SIGN)
-    # One (3, 2, members) rollout state per sample, so sv.reshape(samples, 6,
+    # p, v, a rows of (axis, sample, member), so sv.reshape(6, samples,
     # members) is the channel order STATE_KEYS; each member's log channels
     # are views into it.
-    sv = np.empty((len(t), 3, 2, len(members)))
-    sv[0] = np.array([[sv0.x, sv0.y], [sv0.vx, sv0.vy], [sv0.ax, sv0.ay]])[..., None]
-    for k in range(n_steps):
-        # Jerk command tracks the pedal/steer acceleration targets; the
-        # stepper clamps it into the admissible box.
-        step_state(sv[k], (a_t[k] - sv[k, 2]) / dt, lim, dt, sv[k + 1])
-    sv = sv.reshape(len(t), 6, len(members))
+    sv = np.empty((3, 2, len(t), len(members)))
+    sv[:, :, 0] = np.array([[sv0.x, sv0.y], [sv0.vx, sv0.vy], [sv0.ax, sv0.ay]])[..., None]
+    _integrate(sv, a_t, lim, dt)
+    sv = sv.reshape(6, len(t), len(members))
     if not (np.isfinite(sv).all() and all(np.isfinite(v).all() for v in pov.values())):
         raise ValueError("non-finite vehicle state")
 
@@ -161,11 +163,11 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
     logs = []
     for i, policy in enumerate(members):
         hits = np.flatnonzero(rectangles_overlap(
-            footprint_at(sv[:, 0, i], sv[:, 1, i], SV_SIGN, scenario.sv_spec), pov_box))
+            footprint_at(sv[0, :, i], sv[1, :, i], SV_SIGN, scenario.sv_spec), pov_box))
         n = hits[0] + 1 if len(hits) else len(t)
         log = TrajectoryLog(
             dt=dt, t=t[:n],
-            sv={k: sv[:n, j, i] for j, k in enumerate(STATE_KEYS)},
+            sv={k: sv[j, :n, i] for j, k in enumerate(STATE_KEYS)},
             pov={k: v[:n] for k, v in pov.items()},
             controls={k: ctl[i, j, :n] for j, k in enumerate(CONTROL_KEYS)},
             scenario=scenario, timing=timing, policy=policy,
@@ -176,6 +178,100 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
             log.complete = False
         logs.append(log)
     return logs
+
+
+# State values a window guesses: the first after a change, and at most, so
+# the window's arrays (256 KiB each at most) grow with neither the horizon
+# nor the cohort.
+_FIRST_VALUES = 1 << 11
+_MAX_VALUES = 1 << 15
+_FEW = 4         # a window that keeps fewer samples than this falls back...
+_PLAIN_MAX = 64  # ...to plain steps, up to this many before the next window
+
+
+def _integrate(sv: np.ndarray, a_t: np.ndarray, lim: AxisLimits, dt: float) -> None:
+    """Fill samples 1... of ``sv`` from sample 0, each one `core.step_state` of the one before.
+
+    ``sv`` holds p, v, a rows of ``(axis, sample, member)`` and ``a_t`` the
+    ``(axis, step, member)`` acceleration targets; the jerk command of step
+    k is ``(a_t[k] - a[k]) / dt``, which the stepper clamps into its box.
+    Windows of samples are guessed and certified whole (see `_window`).
+    A window doubles while its guesses hold, up to `_MAX_VALUES` state
+    values, and starts again at `_FIRST_VALUES` after a change.  A window
+    that keeps fewer than `_FEW` samples hands over to plain steps: one
+    after the first such window, then twice as many after each next one,
+    up to `_PLAIN_MAX`, until a window keeps `_FEW` again.
+    """
+    n_steps, m = sv.shape[2] - 1, sv.shape[3]
+    # Sample k of a row is the slice [k * m, (k + 1) * m) of its last axis.
+    sv, a_t = sv.reshape(3, 2, -1), a_t.reshape(2, -1)
+    first = max(1, _FIRST_VALUES // (6 * m))
+    w_max = max(1, min(n_steps, _MAX_VALUES // (6 * m)))
+    certified, jerk = np.empty(6 * w_max * m), np.empty(2 * w_max * m)
+    # Plain steps read a contiguous copy of the state (a strided view into sv
+    # costs about 40 % more per step) and copy each new state out.
+    j1, cur, nxt = jerk[:2 * m].reshape(2, m), np.empty((3, 2, m)), np.empty((3, 2, m))
+    k, w, plain, backoff = 0, first, 0, 1
+    while k < n_steps:
+        if plain:
+            np.true_divide(np.subtract(a_t[:, k * m:(k + 1) * m], cur[2], out=j1), dt, out=j1)
+            step_state(cur, j1, lim, dt, nxt)
+            sv[:, :, (k + 1) * m:(k + 2) * m] = nxt
+            cur, nxt = nxt, cur
+            k, plain = k + 1, plain - 1
+            continue
+        n = min(w, w_max, n_steps - k)
+        kept = _window(sv[:, :, k * m:(k + n + 1) * m], a_t[:, k * m:(k + n) * m], m, lim, dt,
+                       certified[:6 * n * m].reshape(3, 2, -1), jerk[:2 * n * m].reshape(2, -1))
+        k, w = k + kept, min(2 * w, w_max) if kept == n else first
+        if kept < _FEW:
+            plain, backoff = backoff, min(2 * backoff, _PLAIN_MAX)
+            cur[...] = sv[:, :, k * m:(k + 1) * m]
+        else:
+            backoff = 1
+
+
+def _window(s: np.ndarray, a_t: np.ndarray, m: int, lim: AxisLimits, dt: float,
+            certified: np.ndarray, jerk: np.ndarray) -> int:
+    """Guess and certify samples 1... of ``s`` from its sample 0; return how many are kept.
+
+    ``s`` holds p, v, a rows of ``(axis, sample * member)``, ``m`` members
+    to a sample.  The guess holds each member's clamped jerk command of
+    sample 0 and builds a, v and p as running sums with
+    ``np.add.accumulate``, which adds in order exactly as one step after
+    another does, clipping v and a to their boxes.  One `core.step_state`
+    of every guessed sample but the last then gives what each next sample
+    must be.  The guesses up to the first that differs from it in any bit
+    are kept, and that sample takes the certified value, so every kept
+    sample is the step of the one before, whatever the guess was.
+    """
+    n = s.shape[2] // m - 1
+    pos, vel, acc = s
+
+    def running_sum(row, lo=None, hi=None):
+        np.add.accumulate(row.reshape(2, n + 1, m), axis=1, out=row.reshape(2, n + 1, m))
+        if lo is not None:
+            np.minimum(np.maximum(row[:, m:], lo, out=row[:, m:]), hi, out=row[:, m:])
+
+    j0 = jerk[:, :m]
+    np.true_divide(np.subtract(a_t[:, :m], acc[:, :m], out=j0), dt, out=j0)
+    acc.reshape(2, n + 1, m)[:, 1:] = np.multiply(
+        dt, np.minimum(np.maximum(j0, lim.j_lo), lim.j_hi))[:, None]
+    running_sum(acc, lim.a_lo, lim.a_hi)
+    np.multiply(dt, acc[:, :-m], out=vel[:, m:])
+    running_sum(vel, lim.v_lo, lim.v_hi)
+    np.multiply(dt, vel[:, :-m], out=pos[:, m:])
+    running_sum(pos)
+
+    np.true_divide(np.subtract(a_t, acc[:, :-m], out=jerk), dt, out=jerk)
+    step_state(s[:, :, :-m], jerk, lim, dt, certified)
+    differs = (certified.view(np.int64) != s[:, :, m:].view(np.int64)).reshape(6, n, m)
+    differs = differs.any(axis=(0, 2))
+    bad = int(differs.argmax())
+    if not differs[bad]:
+        return n
+    s[:, :, (bad + 1) * m:(bad + 2) * m] = certified[:, :, bad * m:(bad + 1) * m]
+    return bad + 1
 
 
 def time_of_closest_proximity(log: TrajectoryLog) -> float:

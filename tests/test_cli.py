@@ -9,7 +9,7 @@ import pytest
 import odlisim
 from conftest import load_table
 from odlisim import io, oracle
-from odlisim.cli import main
+from odlisim.cli import _build_parser, main
 from odlisim.engine import classify_outcome
 from odlisim.responses import build_sequence_graph, window_for
 
@@ -512,15 +512,46 @@ def test_window_reaction_floor_governs_every_window(tmp_path):
             == (tmp_path / "expected.csv").read_bytes())
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(odlisim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_import_loads_no_test_or_scipy_modules():
     """numpy is the only declared dependency; importing the package and its
     CLI in a fresh interpreter must not load scipy or the test tooling."""
-    src = str(Path(odlisim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, odlisim, odlisim.cli; "
             "print(' '.join(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'hypothesis', 'pytest'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == []
+
+
+def test_parser_built_once_and_reused_without_carry_over(tmp_path, monkeypatch):
+    """In one process, each call sees only its own arguments and writes the
+    bytes a fresh process writes for the same command line."""
+    cfg_path = small_config(tmp_path)
+    calls = [["simulate", "--policy", "brake-only", "--out", "single"],
+             ["simulate", "--out", "cohort"],
+             ["reach", "aggregate", "--logs", "cohort", "--out", "cohort"]]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for root in (fresh, reused):
+        root.mkdir()
+    for argv in calls:
+        argv = [*argv, "--config", str(cfg_path)]
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from odlisim.cli import main; sys.exit(main(sys.argv[1:]))",
+                        *argv], cwd=fresh, env=fresh_env(), check=True, capture_output=True)
+    monkeypatch.chdir(reused)
+    for argv in calls:
+        assert run_cli(*argv, "--config", str(cfg_path)) == 0
+    assert _build_parser() is _build_parser()
+    written = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    assert [p.name for p in (reused / "single").glob("run_*.csv")] == ["run_000.csv"]
+    assert len(list((reused / "cohort").glob("run_*.csv"))) == 2
+    assert written == sorted(p.relative_to(reused) for p in reused.rglob("*") if p.is_file())
+    for rel in written:
+        assert (reused / rel).read_bytes() == (fresh / rel).read_bytes(), rel

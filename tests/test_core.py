@@ -7,7 +7,8 @@ import pytest
 
 from odlisim.core import (MAX_STEPS, AxisLimits, POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step, check_numbers,
-                          footprint, rectangles_overlap, step_count)
+                          footprint, rectangles_overlap, stacked_axis_limits, step_count,
+                          step_state)
 from odlisim.engine import rollout
 from odlisim.oracle import analytic_1d_bounds, sample_trajectories
 from odlisim.policies import PolicySpec
@@ -74,36 +75,91 @@ def test_step_exact_linear_coasting():
     assert vx == 17.88 and ax == 0.0
 
 
-def test_scalar_step_bit_identical_to_axis_step():
-    """Every clamp of ``axis_step`` on floats, on values at, beyond and signed-zero
-    equal to each bound, matches ``axis_step`` on arrays whose limits are arrays too,
-    as the reach kernel steps the hull corners of a batch, bit for bit."""
+def _edge_step_cases():
+    """(limits box, values, rng) covering every clamp of ``axis_step``: values at,
+    one ulp past and signed-zero equal to each bound, with zero and one-sided-zero
+    jerk caps."""
     caps = ("v_max", "a_fwd_max", "a_brk_max", "a_lat_left_max", "a_lat_right_max",
             "j_fwd_max", "j_bwd_max", "j_lat_max", "v_lat_max")
     zero = KinematicLimits(**{name: 0.0 for name in caps})
     # a zero jerk bound whose sign reaches a = -0.0 through the unclamped acceleration
     one_sided = [KinematicLimits(j_bwd_max=0.0), KinematicLimits(j_fwd_max=0.0)]
     rng = np.random.default_rng(3)
-    n = 0
     for limits in [SV_LIMITS, POV_LIMITS, zero] + one_sided:
         for heading in (1, -1):
             for lim in axis_limits(limits, heading):
                 edges = [0.0, -0.0, lim.v_lo, lim.v_hi, lim.a_lo, lim.a_hi, lim.j_lo, lim.j_hi]
                 values = edges + [float(np.nextafter(e, s * np.inf)) for e in edges
                                   for s in (-1, 1)] + list(rng.uniform(-40.0, 40.0, 2))
-                for a in values:
-                    for j in values:
-                        p, v = (float(rng.choice(values)) for _ in range(2))
-                        dt = float(rng.choice([0.0, 0.01, 0.1, 1.0], p=[0.1, 0.3, 0.3, 0.3]))
-                        got = axis_step(p, v, a, j, lim, dt)
-                        want = [w[0] for w in axis_step(
-                            *(np.array([x]) for x in (p, v, a, j)),
-                            AxisLimits(*(np.array([x]) for x in astuple(lim))), dt)]
-                        for g, w in zip(got, want, strict=True):
-                            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (
-                                p, v, a, j, lim, dt, got, want)
-                        n += 1
+                yield lim, values, rng
+
+
+def _same_bits(got, want):
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes()
+               for g, w in zip(got, want, strict=True))
+
+
+def test_scalar_step_bit_identical_to_axis_step():
+    """Every clamp of ``axis_step`` on floats, on values at, beyond and signed-zero
+    equal to each bound, matches ``axis_step`` on arrays whose limits are arrays too,
+    as the reach kernel steps the hull corners of a batch, bit for bit."""
+    n = 0
+    for lim, values, rng in _edge_step_cases():
+        for a in values:
+            for j in values:
+                p, v = (float(rng.choice(values)) for _ in range(2))
+                dt = float(rng.choice([0.0, 0.01, 0.1, 1.0], p=[0.1, 0.3, 0.3, 0.3]))
+                got = axis_step(p, v, a, j, lim, dt)
+                want = [w[0] for w in axis_step(
+                    *(np.array([x]) for x in (p, v, a, j)),
+                    AxisLimits(*(np.array([x]) for x in astuple(lim))), dt)]
+                for g, w in zip(got, want, strict=True):
+                    assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (
+                        p, v, a, j, lim, dt, got, want)
+                n += 1
     assert n == 20 * 26 * 26
+
+
+def test_step_in_place_bit_identical_to_returning_step():
+    """``axis_step(out=...)`` and `step_state` write, bit for bit, what the
+    returning ``axis_step`` returns, over every clamp's edge values."""
+    for lim, values, rng in _edge_step_cases():
+        a, j = (np.array(x) for x in zip(*[(a, j) for a in values for j in values]))
+        p, v = (rng.choice(values, len(a)) for _ in range(2))
+        for dt in (0.0, 0.01, 0.1, 1.0):
+            want = axis_step(p, v, a, j, lim, dt)
+            out = np.full((3, len(a)), np.nan)
+            assert _same_bits(axis_step(p, v, a, j, lim, dt, out=out), want)
+            assert _same_bits(out, want)
+            # x over y: the same box on both rows of a rollout state
+            stacked = AxisLimits(*(np.array([[x], [x]]) for x in astuple(lim)))
+            state, state_out = np.array([[p, p], [v, v], [a, a]]), np.full((3, 2, len(a)), np.nan)
+            step_state(state, np.array([j, j]), stacked, dt, state_out)
+            assert _same_bits(state_out[:, 0], want) and _same_bits(state_out[:, 1], want)
+
+
+def test_step_in_place_rejects_overlapping_out():
+    """An ``out`` that shares memory with the state or the jerks would read rows it
+    has already written, so it is rejected before anything is written."""
+    lim = stacked_axis_limits(SV_LIMITS, 1)
+    buf = np.arange(4 * 2 * 3.0).reshape(4, 2, 3)
+    jerk = np.ones((2, 3))
+    zeros = np.zeros((3, 2, 3))
+    for out, j in ((buf[:3], jerk),            # the state itself
+                   (buf[1:], jerk),            # shifted by one row
+                   (buf[2::-1], jerk),         # reversed rows
+                   (zeros, zeros[2])):         # jerks in the out
+        before = buf.copy()
+        with pytest.raises(ValueError, match="overlaps"):
+            step_state(buf[:3], j, lim, 0.1, out)
+        assert buf.tobytes() == before.tobytes()
+    out = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="overlaps"):  # p is the out's first row
+        axis_step(out[0], np.ones(3), np.ones(3), np.ones(3), axis_limits(SV_LIMITS, 1)[0],
+                  0.1, out=out)
+    # two halves of one buffer do not overlap
+    halves = np.zeros((2, 3, 2, 3))
+    step_state(halves[0], jerk, lim, 0.1, halves[1])
 
 
 def test_pov_lateral_clamp_asymmetry():

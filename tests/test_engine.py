@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_log
-from odlisim import io, policies
+from odlisim import core, engine, io, policies
 from odlisim.core import (SV_LIMITS, KinematicLimits, VehicleSpec, VehicleState,
                           axis_limits, axis_step, footprint)
 from odlisim.engine import (IncompleteLogError, TrajectoryLog, classify_outcome,
@@ -289,13 +291,13 @@ def _ref_rollout(scenario, policy, dt=0.01, horizon=None, timing=None,
 
 
 def _assert_same_log(got, ref):
-    """Bit for bit: -0.0 and 0.0 are told apart, unlike with ``np.array_equal``."""
-    assert got.t.tobytes() == ref.t.tobytes()
+    """Bit for bit, every channel as int64 views: -0.0 and 0.0 are told apart."""
+    assert np.array_equal(got.t.view(np.int64), ref.t.view(np.int64))
     for chans in ("sv", "pov", "controls"):
         a, b = getattr(got, chans), getattr(ref, chans)
         assert a.keys() == b.keys()
         for k in a:
-            assert a[k].tobytes() == b[k].tobytes(), (chans, k)
+            assert np.array_equal(a[k].view(np.int64), b[k].view(np.int64)), (chans, k)
     assert (got.collided, got.t_collision, got.complete) == (
         ref.collided, ref.t_collision, ref.complete)
 
@@ -362,3 +364,94 @@ def test_rollout_rejects_non_finite_dt(dt):
 
 def test_empty_cohort_has_no_logs():
     assert run_cohort(make_scenario(0.0), []) == []
+
+
+def ref_integrate(sv, a_t, lim, dt):
+    """The per-sample loop `engine._integrate` replaced: one returning `axis_step`
+    of both axes of every member per sample."""
+    for k in range(sv.shape[2] - 1):
+        s = sv[:, :, k]
+        sv[:, :, k + 1] = axis_step(s[0], s[1], s[2], (a_t[:, k] - s[2]) / dt, lim, dt)
+
+
+def _assert_matches_per_sample_loop(simulate):
+    """``simulate()``'s list of logs against the same with the per-sample reference loop."""
+    logs = simulate()
+    with mock.patch.object(engine, "_integrate", ref_integrate):
+        ref = simulate()
+    assert len(logs) == len(ref)
+    for got, want in zip(logs, ref):
+        _assert_same_log(got, want)
+
+
+def _steps_per_call(simulate, members: int) -> list[int]:
+    """Samples each `core.axis_step` call of ``simulate()`` steps."""
+    calls = []
+    real = core.axis_step
+
+    def record(p, v, a, j, lim, dt, out=None):
+        calls.append(np.shape(j)[-1] // members)
+        return real(p, v, a, j, lim, dt, out=out)
+
+    with mock.patch.object(core, "axis_step", record):
+        simulate()
+    return calls
+
+
+_delays = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+_policy_specs = st.builds(
+    PolicySpec, kind=st.sampled_from(POLICY_KINDS), reaction_delay=_delays,
+    brake_level=st.sampled_from(("soft", "hard")), steer_rate=st.floats(1.0, 500.0),
+    steer_target=st.floats(-30.0, 30.0), reversal_delay=_delays,
+    reversal_target=st.floats(-30.0, 30.0))
+_jerk_caps = st.floats(0.5, 60.0)
+# v_max down to 10 m/s, below the 17.88 m/s start, so the x-velocity clamp binds
+_limits = st.builds(KinematicLimits, v_max=st.floats(10.0, 30.0), j_fwd_max=_jerk_caps,
+                    j_bwd_max=_jerk_caps, j_lat_max=_jerk_caps,
+                    v_lat_max=st.floats(0.5, 6.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(members=st.lists(_policy_specs, min_size=1, max_size=60), limits=_limits,
+       dt=st.sampled_from((0.001, 0.01, 0.05)), il=st.sampled_from((-1.0, -0.8, 0.0, 0.9, 1.0)))
+def test_windowed_rollout_bit_identical_to_per_sample_loop(members, limits, dt, il):
+    """`rollout` and a cohort of any size step to the bits of the per-sample loop,
+    whatever the policies, delays, steering rates, jerk caps, speed cap and step."""
+    scenario = make_scenario(il)
+    _assert_matches_per_sample_loop(
+        lambda: [rollout(scenario, members[0], dt=dt, sv_limits=limits)])
+    if len(members) > 1:
+        _assert_matches_per_sample_loop(
+            lambda: engine._simulate(scenario, members, dt, None, None, limits))
+
+
+@settings(max_examples=10, deadline=None)
+@given(counts=st.lists(st.integers(0, 10), min_size=6, max_size=6).filter(any),
+       jitter=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1),
+       dt=st.sampled_from((0.001, 0.01, 0.05)), il=st.sampled_from((-0.8, 0.0, 0.9)))
+def test_jittered_run_cohort_bit_identical_to_per_sample_loop(counts, jitter, seed, dt, il):
+    """`run_cohort` over every policy kind, 1-60 jittered members."""
+    scenario = make_scenario(il)
+    cohort = [(p, c) for p, c in zip(KIND_SPECS, counts)]
+    _assert_matches_per_sample_loop(
+        lambda: run_cohort(scenario, cohort, dt=dt, seed=seed, delay_jitter=jitter))
+
+
+def test_one_member_takes_the_window_path():
+    """One member's rollout is a handful of windows, each many samples long."""
+    scenario = make_scenario(0.0)
+    policy = next(p for p in KIND_SPECS if p.kind == "shoulder-then-reversal")
+    run = lambda: [rollout(scenario, policy)]  # noqa: E731
+    calls = _steps_per_call(run, 1)
+    assert len(calls) <= 20 and max(calls) >= 100, calls
+    _assert_matches_per_sample_loop(run)
+
+
+def test_sixty_jittered_members_take_the_fallback_path():
+    """Sixty jittered members change every few samples: windows hand over to plain steps."""
+    scenario = make_scenario(0.0)
+    cohort = [(p, 10) for p in KIND_SPECS]
+    run = lambda: run_cohort(scenario, cohort, seed=1, delay_jitter=0.3)  # noqa: E731
+    calls = _steps_per_call(run, 60)
+    assert calls.count(1) >= 100 and sum(c > 1 for c in calls) >= 5, calls
+    _assert_matches_per_sample_loop(run)
