@@ -119,8 +119,8 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
     The POV path and each member's pedal/steer schedule are functions of t
     alone, so they are computed as arrays up front; only the clamped SV
     integrator steps, both axes of every member together, by `_integrate`:
-    each sample equals one `core.step_state` of the sample before, though
-    most are guessed and certified a window at a time.  The SV path never
+    each sample equals one `core.step_state` of the sample before, guessed
+    and certified a window at a time.  The SV path never
     depends on a collision, so each member's log is cut at its first
     footprint overlap afterwards.
     """
@@ -185,8 +185,6 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
 # nor the cohort.
 _FIRST_VALUES = 1 << 11
 _MAX_VALUES = 1 << 15
-_FEW = 4         # a window that keeps fewer samples than this falls back...
-_PLAIN_MAX = 64  # ...to plain steps, up to this many before the next window
 
 
 def _integrate(sv: np.ndarray, a_t: np.ndarray, lim: AxisLimits, dt: float) -> None:
@@ -197,10 +195,7 @@ def _integrate(sv: np.ndarray, a_t: np.ndarray, lim: AxisLimits, dt: float) -> N
     k is ``(a_t[k] - a[k]) / dt``, which the stepper clamps into its box.
     Windows of samples are guessed and certified whole (see `_window`).
     A window doubles while its guesses hold, up to `_MAX_VALUES` state
-    values, and starts again at `_FIRST_VALUES` after a change.  A window
-    that keeps fewer than `_FEW` samples hands over to plain steps: one
-    after the first such window, then twice as many after each next one,
-    up to `_PLAIN_MAX`, until a window keeps `_FEW` again.
+    values, and starts again at `_FIRST_VALUES` after a change.
     """
     n_steps, m = sv.shape[2] - 1, sv.shape[3]
     # Sample k of a row is the slice [k * m, (k + 1) * m) of its last axis.
@@ -208,27 +203,12 @@ def _integrate(sv: np.ndarray, a_t: np.ndarray, lim: AxisLimits, dt: float) -> N
     first = max(1, _FIRST_VALUES // (6 * m))
     w_max = max(1, min(n_steps, _MAX_VALUES // (6 * m)))
     certified, jerk = np.empty(6 * w_max * m), np.empty(2 * w_max * m)
-    # Plain steps read a contiguous copy of the state (a strided view into sv
-    # costs about 40 % more per step) and copy each new state out.
-    j1, cur, nxt = jerk[:2 * m].reshape(2, m), np.empty((3, 2, m)), np.empty((3, 2, m))
-    k, w, plain, backoff = 0, first, 0, 1
+    k, w = 0, first
     while k < n_steps:
-        if plain:
-            np.true_divide(np.subtract(a_t[:, k * m:(k + 1) * m], cur[2], out=j1), dt, out=j1)
-            step_state(cur, j1, lim, dt, nxt)
-            sv[:, :, (k + 1) * m:(k + 2) * m] = nxt
-            cur, nxt = nxt, cur
-            k, plain = k + 1, plain - 1
-            continue
         n = min(w, w_max, n_steps - k)
         kept = _window(sv[:, :, k * m:(k + n + 1) * m], a_t[:, k * m:(k + n) * m], m, lim, dt,
                        certified[:6 * n * m].reshape(3, 2, -1), jerk[:2 * n * m].reshape(2, -1))
         k, w = k + kept, min(2 * w, w_max) if kept == n else first
-        if kept < _FEW:
-            plain, backoff = backoff, min(2 * backoff, _PLAIN_MAX)
-            cur[...] = sv[:, :, k * m:(k + 1) * m]
-        else:
-            backoff = 1
 
 
 def _window(s: np.ndarray, a_t: np.ndarray, m: int, lim: AxisLimits, dt: float,

@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 import warnings
 from pathlib import Path
 
@@ -209,6 +210,16 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"metadata sidecar {meta_path}: "
                          f"{type(exc).__name__}: {exc}") from exc
+    flags = {}
+    for key, fallback, what, ok in (
+            ("collided", False, "true or false", lambda v: isinstance(v, bool)),
+            ("complete", True, "true or false", lambda v: isinstance(v, bool)),
+            ("t_collision", None, "null or a finite number", lambda v: v is None or (
+                type(v) in (int, float) and abs(v) <= sys.float_info.max))):
+        flags[key] = meta.get(key, fallback)
+        if not ok(flags[key]):
+            raise ParseError(f"metadata sidecar {meta_path}: {key} = {flags[key]!r} "
+                             f"must be {what}")
 
     try:
         data = _log_columns(path.read_text().splitlines(), dt)
@@ -220,11 +231,7 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
         sv={k: data[f"sv_{k}"] for k in STATE_KEYS},
         pov={k: data[f"pov_{k}"] for k in STATE_KEYS},
         controls={k: data[k] for k in CONTROL_KEYS},
-        scenario=scenario, timing=timing,
-        policy=policy,
-        collided=bool(meta.get("collided", False)),
-        t_collision=meta.get("t_collision"),
-        complete=bool(meta.get("complete", True)))
+        scenario=scenario, timing=timing, policy=policy, **flags)
 
 
 def _log_columns(lines: list[str], dt: float) -> dict:

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -522,32 +523,16 @@ def _pov_source(pov_state: VehicleState, mode: str, road: RoadSpec, pov_spec: Ve
     return axis_limits(config.pov_limits, pov_state.heading_sign), bands[mode]
 
 
-class _PovTrack:
-    """The POV side of every drivable area with one POV state, source and pair of specs.
+class _PovTrack(NamedTuple):
+    """The POV side of every drivable area with one POV state, source and pair of specs:
+    layer k is the POV's layer at tau = k * tau_step under the boxes ``limits``, clipped
+    to ``band`` unless it is None.  A `_Sweep` steps it as one member of its batch."""
 
-    Layer k is the POV's layer at tau = k * tau_step under the boxes ``limits``,
-    clipped to ``band`` unless it is None.  A `_Sweep` steps the track as one
-    member of its batch; ``layers`` holds the layers materialized so far, by
-    ``layer`` or by the drivable areas computed against the track.
-    """
-
-    def __init__(self, pov_state: VehicleState, limits: tuple[AxisLimits, AxisLimits],
-                 band: tuple[float, float] | None, sv_spec: VehicleSpec,
-                 pov_spec: VehicleSpec, config: PredictionConfig):
-        self.key = (pov_state, limits, band, sv_spec, pov_spec, config)
-        self.pov_state, self.limits, self.band, self.sv_spec, self.pov_spec, self.config = self.key
-        self.layers: list[Layer] = []
-
-    def layer(self, k: int) -> Layer:
-        """Layer k, stepping a sweep of this track alone as far as it if not yet made."""
-        if len(self.layers) <= k:
-            sweep = _Sweep([], [self], self.config)
-            layers = [sweep.layer(0)]
-            while sweep.k < k:
-                sweep.advance()
-                layers.append(sweep.layer(0))
-            self.layers += layers[len(self.layers):]
-        return self.layers[k]
+    pov_state: VehicleState
+    limits: tuple[AxisLimits, AxisLimits]
+    band: tuple[float, float] | None
+    sv_spec: VehicleSpec
+    pov_spec: VehicleSpec
 
 
 class _Sweep:
@@ -616,8 +601,7 @@ class _Sweep:
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
                           config: PredictionConfig, road: RoadSpec,
                           sv_spec: VehicleSpec, pov_spec: VehicleSpec,
-                          mode: str, *, exists_only: bool = False,
-                          track: _PovTrack | None = None) -> DrivableArea:
+                          mode: str, *, exists_only: bool = False) -> DrivableArea:
     """SV reachable set pruned against POV reachability, layer by layer.
 
     Expansion order per step: POV first, then the SV from its previous
@@ -627,25 +611,17 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
     With ``exists_only`` the area stops at the first empty SV layer (an
     empty layer stays empty), so ``layers`` and ``pov_layers`` may be
     shorter than the horizon; ``exists`` is the same either way.  The POV
-    layers are those of ``track``, built for the same POV state, the source
-    ``mode`` names, specs and config, or of a new one; the track keeps every
-    layer the area reached.
+    layers are those of the source ``mode`` names.
     """
-    key = (pov_state, *_pov_source(pov_state, mode, road, pov_spec, config),
-           sv_spec, pov_spec, config)
-    if track is None:
-        track = _PovTrack(*key)
-    elif track.key != key:
-        raise ValueError("POV track built for another POV state, source, specs or config")
+    track = _PovTrack(pov_state, *_pov_source(pov_state, mode, road, pov_spec, config),
+                      sv_spec, pov_spec)
     sweep = _Sweep([(sv_state, 0, road)], [track], config)
     sv_layers, pov_layers = [sweep.layer(1)], [sweep.layer(0)]
     while sweep.k < config.n_steps and not (exists_only and sv_layers[-1].empty):
         sweep.advance()
         sv_layers.append(sweep.layer(1))
         pov_layers.append(sweep.layer(0))
-    track.layers += pov_layers[len(track.layers):]
-    return DrivableArea(layers=sv_layers, exists=not sv_layers[-1].empty,
-                        pov_layers=track.layers[:len(sv_layers)])
+    return DrivableArea(layers=sv_layers, exists=not sv_layers[-1].empty, pov_layers=pov_layers)
 
 
 def _latched_modes(log: TrajectoryLog, samples: list[int],
@@ -714,7 +690,7 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
     """
     check_numbers("> 0", eval_step=eval_step)
     tracks: dict[tuple, int] = {}  # (pov_state, mode, road, sv_spec, pov_spec) -> track
-    passes: dict[tuple, int] = {}  # (track, sv_state) -> pass
+    passes: dict[tuple, int] = {}  # (sv_state, track, road), as `_Sweep` takes it -> pass
     anchored = []  # per run: anchor times, modes, the pass of each anchor
     for log, window in runs:
         anchors = _anchor_times(log, eval_step, window)
@@ -725,15 +701,14 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
         for i, mode in zip(samples, modes):
             track = tracks.setdefault((log.pov_state(i), mode, sc.road, sc.sv_spec, sc.pov_spec),
                                       len(tracks))
-            slots.append(passes.setdefault((track, log.sv_state(i)), len(passes)))
+            slots.append(passes.setdefault((log.sv_state(i), track, sc.road), len(passes)))
         anchored.append((np.asarray(anchors), modes, np.asarray(slots, dtype=np.intp)))
     exists = np.zeros(0, dtype=bool)
     if passes:  # else every window was empty
-        keys = list(tracks)
-        sweep = _Sweep([(sv_state, track, keys[track][2]) for track, sv_state in passes],
+        sweep = _Sweep(list(passes),
                        [_PovTrack(pov, *_pov_source(pov, mode, road, pov_spec, config),
-                                  sv_spec, pov_spec, config)
-                        for pov, mode, road, sv_spec, pov_spec in keys], config)
+                                  sv_spec, pov_spec)
+                        for pov, mode, road, sv_spec, pov_spec in tracks], config)
         while sweep.k < config.n_steps and sweep.passes_left():
             sweep.advance()
         exists = sweep.escapes()

@@ -447,11 +447,12 @@ def test_one_member_takes_the_window_path():
     _assert_matches_per_sample_loop(run)
 
 
-def test_sixty_jittered_members_take_the_fallback_path():
-    """Sixty jittered members change every few samples: windows hand over to plain steps."""
+def test_large_jittered_cohort_steps_in_capped_windows():
+    """198 jittered members change every few samples: every sample still comes from
+    a certified window, none longer than the cap allows, bit for bit the loop's."""
     scenario = make_scenario(0.0)
-    cohort = [(p, 10) for p in KIND_SPECS]
+    cohort = [(p, 33) for p in KIND_SPECS]
     run = lambda: run_cohort(scenario, cohort, seed=1, delay_jitter=0.3)  # noqa: E731
-    calls = _steps_per_call(run, 60)
-    assert calls.count(1) >= 100 and sum(c > 1 for c in calls) >= 5, calls
+    calls = _steps_per_call(run, 198)
+    assert max(calls) <= engine._MAX_VALUES // (6 * 198), calls
     _assert_matches_per_sample_loop(run)

@@ -157,6 +157,43 @@ def test_log_bad_sidecar_error(tmp_path, corrupt):
         io.load_trajectory_log(path)
 
 
+@pytest.mark.parametrize("key, text", [
+    ("collided", '"no"'), ("collided", "0"), ("collided", "null"),
+    ("complete", '"yes"'), ("complete", "1"),
+    ("t_collision", '"soon"'), ("t_collision", "1e400"), ("t_collision", "NaN"),
+    ("t_collision", "true"), ("t_collision", "[1.0]"),
+    pytest.param("t_collision", "-1" + "0" * 400, id="t_collision-huge-int"),
+])
+def test_log_sidecar_flags_checked(tmp_path, key, text):
+    """``collided`` and ``complete`` are JSON booleans and ``t_collision`` is null or a
+    finite number; anything else fails at load, naming the sidecar and the key."""
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(make_log(duration=0.5), path)
+    sidecar = io.sidecar_path(path)
+    meta = json.loads(sidecar.read_text())
+    meta[key] = "@"
+    sidecar.write_text(json.dumps(meta).replace('"@"', text))
+    with pytest.raises(io.ParseError, match=re.escape(str(sidecar)) + f".*{key}"):
+        io.load_trajectory_log(path)
+
+
+@pytest.mark.parametrize("flags", [
+    {},  # every flag absent
+    {"collided": True, "t_collision": 2},
+    {"complete": False, "t_collision": 0.25},
+])
+def test_log_sidecar_flags_load(tmp_path, flags):
+    """Valid flags load as written; an absent one means what it always did."""
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(make_log(duration=0.5), path)
+    sidecar = io.sidecar_path(path)
+    want = {"collided": False, "t_collision": None, "complete": True}
+    meta = {k: v for k, v in json.loads(sidecar.read_text()).items() if k not in want}
+    sidecar.write_text(json.dumps({**meta, **flags}))
+    log = io.load_trajectory_log(path)
+    assert {k: getattr(log, k) for k in want} == {**want, **flags}
+
+
 KEYS = ("x", "y", "vx", "vy", "ax", "ay")
 CONTROLS = ("accel_pct", "brake_pct", "steer_deg")
 COLUMNS = ("t", *(f"sv_{k}" for k in KEYS), *(f"pov_{k}" for k in KEYS), *CONTROLS)

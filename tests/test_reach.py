@@ -841,7 +841,7 @@ def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_ancho
 def mode_track(pov, mode, road, sv_spec, pov_spec):
     """A new POV track of the source the prediction ``mode`` names."""
     return reach._PovTrack(pov, *reach._pov_source(pov, mode, road, pov_spec, CFG),
-                           sv_spec, pov_spec, CFG)
+                           sv_spec, pov_spec)
 
 
 @pytest.fixture(scope="module")
@@ -974,59 +974,6 @@ def test_no_response_escape_loss_moves_with_the_horizon(horizon, first_loss):
     lost = np.flatnonzero(~timeline.exists)
     assert timeline.exists[0] and len(lost)
     assert timeline.rel_t[lost[0]] == pytest.approx(first_loss, abs=1e-9)
-
-
-def assert_same_area(got, want):
-    """Same existence, and per SV and POV layer the same fields, hulls and world cells."""
-    assert got.exists == want.exists
-    assert len(got.layers) == len(got.pov_layers) == len(want.layers) == len(want.pov_layers)
-    for a, b in zip(got.layers + got.pov_layers, want.layers + want.pov_layers, strict=True):
-        assert (a.tau, a.dx, a.dy, a.x_hull, a.y_hull) == (b.tau, b.dx, b.dy, b.x_hull, b.y_hull)
-        # equal bounding boxes and masks mean equal world cells
-        assert bounding_box(a) == bounding_box(b) and np.array_equal(a.mask, b.mask)
-
-
-@pytest.mark.parametrize("mode", ["normative", "kinematic-envelope"])
-def test_shared_track_areas_match_fresh_areas(mode, default_cohorts):
-    """SV passes against one POV track, shortest first, equal fresh areas layer by layer."""
-    logs = default_cohorts[0.0]
-    sc = logs[0].scenario
-    args = (CFG, sc.road, sc.sv_spec, sc.pov_spec)
-    depths = []
-    for t_anchor in (3.5, 4.5, 5.5):
-        # every run shares the POV state at one time; the SV states differ by policy
-        idx = [log.index_at(t_anchor) for log in logs]
-        pov = logs[0].pov_state(idx[0])
-        assert all(log.pov_state(i) == pov for log, i in zip(logs, idx))
-        svs = list(dict.fromkeys(log.sv_state(i) for log, i in zip(logs, idx)))
-        fresh = {sv: compute_drivable_area(sv, pov, *args, mode=mode, exists_only=True)
-                 for sv in svs}
-        track = mode_track(pov, mode, *args[1:])
-        for sv in sorted(svs, key=lambda s: len(fresh[s].layers)):
-            got = compute_drivable_area(sv, pov, *args, mode=mode, exists_only=True,
-                                        track=track)
-            assert_same_area(got, fresh[sv])
-            # the track is as deep as its deepest pass so far
-            assert len(track.layers) == len(got.layers)
-        depths.append(sorted({len(area.layers) for area in fresh.values()}))
-        # a full-horizon pass extends the same track to the horizon
-        full = compute_drivable_area(svs[0], pov, *args, mode=mode, track=track)
-        assert_same_area(full, compute_drivable_area(svs[0], pov, *args, mode=mode))
-        assert len(track.layers) == CFG.n_steps + 1
-    if mode == "kinematic-envelope":
-        # short-lived passes came first and longer ones extended the track
-        assert all(len(d) > 2 for d in depths)
-
-
-def test_track_rejects_another_pov_state():
-    road, spec = RoadSpec(), VehicleSpec()
-    track = mode_track(pov_state(), "normative", road, spec, spec)
-    with pytest.raises(ValueError, match="POV track"):
-        compute_drivable_area(sv_state(), pov_state(x=99.0), CFG, road, spec, spec,
-                              mode="normative", track=track)
-    with pytest.raises(ValueError, match="POV track"):
-        compute_drivable_area(sv_state(), pov_state(), CFG, road, spec, spec,
-                              mode="kinematic-envelope", track=track)
 
 
 def same_float(x, y):
@@ -1193,20 +1140,22 @@ def test_pov_track_holds_only_boxes(il, mode):
     for i in range(0, len(log.t), 10):  # every 0.1 s of the log
         pov = log.pov_state(i)
         (lx, ly), band = reach._pov_source(pov, mode, sc.road, sc.pov_spec, CFG)
-        tracks = [reach._PovTrack(pov, (lx, ly), band, sc.sv_spec, sc.pov_spec, CFG)]
+        tracks = [reach._PovTrack(pov, (lx, ly), band, sc.sv_spec, sc.pov_spec)]
         if il in (-0.8, 0.0, 0.9):
             assert pov.ay + CFG.tau_step * ly.j_hi > 2.0
             tracks.append(reach._PovTrack(pov, (lx, replace(ly, a_lo=2.0)), band,
-                                          sc.sv_spec, sc.pov_spec, CFG))
-        for track in tracks:
-            track.layer(CFG.n_steps)
-            assert len(track.layers) == CFG.n_steps + 1
-            for k, layer in enumerate(track.layers):
+                                          sc.sv_spec, sc.pov_spec))
+        sweep = reach._Sweep([], tracks, CFG)
+        for k in range(CFG.n_steps + 1):
+            if k:
+                sweep.advance()
+            layers = [sweep.layer(t) for t in range(len(tracks))]
+            for layer in layers:
                 assert len(layer.rects) == 1 or layer.empty, (i, k)
                 i0, i1, j0, j1 = pov_occupancy(layer, sc.pov_spec, sc.sv_spec)
                 assert layer.empty or (i0 < i1 and j0 < j1)
-        if len(tracks) == 2:
-            for k, (mode_l, ret_l) in enumerate(zip(tracks[0].layers, tracks[1].layers)):
+            if len(tracks) == 2:
+                mode_l, ret_l = layers
                 assert ret_l.empty or not mode_l.empty and (
                     hull_inside(ret_l.x_hull, mode_l.x_hull)
                     and hull_inside(ret_l.y_hull, mode_l.y_hull)), (i, k)
