@@ -35,7 +35,7 @@ import numpy as np
 from .core import STATE_KEYS, KinematicLimits, RoadSpec, VehicleSpec
 from .engine import CONTROL_KEYS, TrajectoryLog
 from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG, PolicySpec
-from .reach import DrivableArea, Layer, Prevalence, PredictionConfig, Timeline
+from .reach import DrivableArea, Prevalence, PredictionConfig, Timeline
 from .responses import SequenceGraph
 from .scenario import ScenarioSpec, ScenarioTiming, default_timing, make_scenario
 
@@ -198,6 +198,12 @@ def _parse_body(rows: list[str], header: list[str]) -> np.ndarray:
     return body
 
 
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a finite int or float, not a bool; a huge int is never converted."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def load_trajectory_log(path: str | Path) -> TrajectoryLog:
     path = Path(path)
     meta_path = sidecar_path(path)
@@ -205,21 +211,22 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
         meta = json.loads(meta_path.read_text())
         scenario = scenario_from_dict(meta["scenario"])
         timing = ScenarioTiming(meta["t_trigger"], meta["t_critical"])
-        dt = float(meta["dt"])
         policy = PolicySpec(**meta["policy"]) if meta.get("policy") else None
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"metadata sidecar {meta_path}: "
                          f"{type(exc).__name__}: {exc}") from exc
     flags = {}
     for key, fallback, what, ok in (
+            ("dt", None, "a finite number > 0", lambda v: _finite_number(v) and v > 0),
             ("collided", False, "true or false", lambda v: isinstance(v, bool)),
             ("complete", True, "true or false", lambda v: isinstance(v, bool)),
-            ("t_collision", None, "null or a finite number", lambda v: v is None or (
-                type(v) in (int, float) and abs(v) <= sys.float_info.max))):
+            ("t_collision", None, "null or a finite number",
+             lambda v: v is None or _finite_number(v))):
         flags[key] = meta.get(key, fallback)
         if not ok(flags[key]):
             raise ParseError(f"metadata sidecar {meta_path}: {key} = {flags[key]!r} "
                              f"must be {what}")
+    dt = float(flags.pop("dt"))
 
     try:
         data = _log_columns(path.read_text().splitlines(), dt)
@@ -365,8 +372,7 @@ _ANALYSIS_RULES = {"dt": _POSITIVE, "eval_step": _POSITIVE, "bootstrap_samples":
 def _checked(path: Path, name: str, value, rule):
     """``value`` stored as the rule's type; a ParseError naming the key if it breaks the rule."""
     what, kind, in_range = rule
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (math.isfinite(value) and in_range(value))):
+    if not (_finite_number(value) and in_range(value)):
         raise ParseError(f"run config {path}: {name} = {value!r} must be {what}")
     return kind(value)
 
@@ -477,47 +483,23 @@ def emit_sequence_graph(graph: SequenceGraph, path: str | Path) -> None:
     write_table(path, ["kind", "from", "to", "count"], ["-", "-", "-", "count"], rows)
 
 
-def _cells(layer: Layer) -> tuple[list[int], list[int]]:
-    """The ix and iy of a layer's world cells, each cell once, in (ix, iy) order.
-
-    The sorted unique keys ``ix * ny + (iy - j0)`` over the rows ``j0 <= iy < j0 + ny``.
-    """
-    if not layer.rects:
-        return [], []
-    j0 = min(r[2] for r in layer.rects)
-    ny = max(r[3] for r in layer.rects) - j0
-    keys = np.unique(np.concatenate([np.add.outer(np.arange(a, b) * ny, np.arange(c - j0, d - j0))
-                                     .ravel() for a, b, c, d in layer.rects]))
-    ix, iy = np.divmod(keys, ny)
-    return ix.tolist(), (iy + j0).tolist()
-
-
-def _edge_texts(texts: _FloatTexts, idx: list[int], d: float) -> dict[int, tuple[str, str]]:
-    """Cell index i -> the text of i and of its edges ``i * d,(i + 1) * d``."""
-    i = np.unique(np.asarray(idx, dtype=np.int64))
-    return {k: (str(k), f"{lo},{hi}") for k, lo, hi in
-            zip(i.tolist(), texts.column(i * d, 0, len(i)), texts.column((i + 1) * d, 0, len(i)))}
-
-
 def emit_reach_snapshot(area: DrivableArea, path: str | Path,
                         svg_path: str | Path | None = None,
                         sv_rect=None, pov_rect=None) -> None:
-    """Grid snapshot of SV (pruned) and POV layers, one row per occupied cell.
+    """Snapshot of SV (pruned) and POV layers, one row per layer rectangle.
 
-    The `write_table` format, with each distinct float formatted once
-    through one `_FloatTexts` table and each cell index once per layer.
+    The rows of a layer follow ``layer.rects``; its cells are the union of
+    their half-open ranges ``[i0, i1) x [j0, j1)``, which span
+    ``[i0*dx, i1*dx) x [j0*dy, j1*dy)`` in metres.
     """
-    texts = _FloatTexts()
-    lines = ["vehicle,tau,ix,iy,x_lo,x_hi,y_lo,y_hi", "-,s,-,-,m,m,m,m"]
+    rows = []
     for name, layers in (("sv", area.layers), ("pov", area.pov_layers)):
         for layer in layers:
-            ixs, iys = _cells(layer)
-            xt = _edge_texts(texts, ixs, layer.dx)
-            yt = _edge_texts(texts, iys, layer.dy)
-            tau, = texts.column([layer.tau], 0, 1)
-            lines.extend(f"{name},{tau},{xt[ix][0]},{yt[iy][0]},{xt[ix][1]},{yt[iy][1]}"
-                         for ix, iy in zip(ixs, iys))
-    Path(path).write_text("\n".join(lines) + "\n")
+            tau, dx, dy = float(layer.tau), float(layer.dx), float(layer.dy)
+            rows.extend([name, tau, i0, i1, j0, j1, i0 * dx, i1 * dx, j0 * dy, j1 * dy]
+                        for i0, i1, j0, j1 in layer.rects)
+    write_table(path, ["vehicle", "tau", "i0", "i1", "j0", "j1", "x_lo", "x_hi", "y_lo", "y_hi"],
+                ["-", "s", "-", "-", "-", "-", "m", "m", "m", "m"], rows)
     if svg_path is not None:
         Path(svg_path).write_text(render_snapshot_svg(area, sv_rect, pov_rect))
 
@@ -543,14 +525,24 @@ def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None) -> str:
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
 
+    def screen_box(rx_lo, rx_hi, ry_lo, ry_hi):
+        """(x, y, width, height) in px; screen y grows downward, so the lateral axis flips."""
+        return ((rx_lo - x0) * scale, (y1 - ry_hi) * scale,
+                (rx_hi - rx_lo) * scale, (ry_hi - ry_lo) * scale)
+
     def rect_svg(rx_lo, rx_hi, ry_lo, ry_hi, color, opacity):
-        # Screen y grows downward; flip the lateral axis.
-        px = (rx_lo - x0) * scale
-        py = (y1 - ry_hi) * scale
-        return (f'<rect x="{px:.2f}" y="{py:.2f}" '
-                f'width="{(rx_hi - rx_lo) * scale:.2f}" '
-                f'height="{(ry_hi - ry_lo) * scale:.2f}" '
+        px, py, w, h = screen_box(rx_lo, rx_hi, ry_lo, ry_hi)
+        return (f'<rect x="{px:.2f}" y="{py:.2f}" width="{w:.2f}" height="{h:.2f}" '
                 f'fill="{color}" fill-opacity="{opacity:.2f}"/>')
+
+    def layer_svg(layer, color, opacity):
+        # One subpath per rectangle, each wound the same way, so under the
+        # nonzero fill rule overlapping rectangles paint once.
+        boxes = (screen_box(i0 * layer.dx, i1 * layer.dx, j0 * layer.dy, j1 * layer.dy)
+                 for i0, i1, j0, j1 in layer.rects)
+        d = " ".join(f"M{px:.2f} {py:.2f} h{w:.2f} v{h:.2f} h{-w:.2f} z"
+                     for px, py, w, h in boxes)
+        return f'<path d="{d}" fill="{color}" fill-opacity="{opacity:.2f}"/>'
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
              f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
@@ -560,10 +552,8 @@ def render_snapshot_svg(area: DrivableArea, sv_rect=None, pov_rect=None) -> str:
         for k in range(0, n, layer_stride):
             layer = layers[k]
             opacity = 0.15 + 0.5 * (1.0 - k / max(n - 1, 1))
-            dx, dy = layer.dx, layer.dy
-            for ix, iy in zip(*_cells(layer)):
-                parts.append(rect_svg(ix * dx, (ix + 1) * dx, iy * dy, (iy + 1) * dy,
-                                      color, opacity))
+            if layer.rects:
+                parts.append(layer_svg(layer, color, opacity))
     for rect, color in ((sv_rect, "#111133"), (pov_rect, "#331111")):
         if rect is not None:
             parts.append(rect_svg(rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi, color, 1.0))

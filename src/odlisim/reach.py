@@ -23,7 +23,7 @@ of each rectangle it hits.  Nothing prunes a POV layer, so it stays one
 rectangle and its occupancy, the rectangle dilated by the footprint, is
 one rectangle too.  Readers outside the kernel read ``rects`` as well:
 the oracle tests each sample's cell against every rectangle, and the
-snapshot writers list each rectangle's cells.
+snapshot writers list the rectangles themselves.
 
 Pruning follows the expansion order: at each step the POV layer expands
 first, the SV layer expands from its previous pruned layer, and SV cells

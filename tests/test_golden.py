@@ -11,8 +11,8 @@ The default 20-run config (seed 0) is simulated once per IL (-0.8, 0 and
   their SV and POV states with an anchor of another run), plus
   `reach timeline --eval-step 0.5` and `reach compute --t 3.0` on
   `run_000` at IL 0, plus `reach compute --t 3.0` on `run_000` at IL +0.9
-  (whose SV layers hold up to 13 overlapping rectangles, so a snapshot
-  writer that lists a cell twice shows), are pinned in
+  (whose SV layers hold up to 13 overlapping rectangles, so a change to
+  how a snapshot lists or draws a layer's rectangles shows), are pinned in
   `golden_pipeline.json`.
 
 A change that is meant to alter the outputs regenerates both fixtures with

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_table, make_log, rect_cells
+from conftest import load_table, make_log, rect_cells, world_cells
 from odlisim import io, reach
 from odlisim.engine import rollout, run_cohort
 from odlisim.policies import POLICY_KINDS, PolicySpec
-from odlisim.reach import AxisInterval, PredictionConfig, Prevalence, compute_drivable_area
+from odlisim.reach import (AxisInterval, DrivableArea, PredictionConfig, Prevalence,
+                           compute_drivable_area)
 from odlisim.responses import AnalysisWindow, build_sequence_graph, sv_longitudinal_accel
 from odlisim.scenario import make_scenario
 from odlisim.core import RoadSpec, VehicleSpec, VehicleState
@@ -158,6 +159,8 @@ def test_log_bad_sidecar_error(tmp_path, corrupt):
 
 
 @pytest.mark.parametrize("key, text", [
+    ("dt", '"0.01"'), ("dt", "true"), ("dt", "null"), ("dt", "0"), ("dt", "-0.01"),
+    ("dt", "1e400"),
     ("collided", '"no"'), ("collided", "0"), ("collided", "null"),
     ("complete", '"yes"'), ("complete", "1"),
     ("t_collision", '"soon"'), ("t_collision", "1e400"), ("t_collision", "NaN"),
@@ -165,16 +168,27 @@ def test_log_bad_sidecar_error(tmp_path, corrupt):
     pytest.param("t_collision", "-1" + "0" * 400, id="t_collision-huge-int"),
 ])
 def test_log_sidecar_flags_checked(tmp_path, key, text):
-    """``collided`` and ``complete`` are JSON booleans and ``t_collision`` is null or a
-    finite number; anything else fails at load, naming the sidecar and the key."""
+    """``dt`` is a finite number > 0, ``collided`` and ``complete`` are JSON booleans and
+    ``t_collision`` is null or a finite number; anything else fails at load, naming the
+    sidecar and the key."""
     path = tmp_path / "run.csv"
     io.save_trajectory_log(make_log(duration=0.5), path)
     sidecar = io.sidecar_path(path)
     meta = json.loads(sidecar.read_text())
     meta[key] = "@"
     sidecar.write_text(json.dumps(meta).replace('"@"', text))
-    with pytest.raises(io.ParseError, match=re.escape(str(sidecar)) + f".*{key}"):
+    with pytest.raises(io.ParseError, match=re.escape(f"metadata sidecar {sidecar}: {key} = ")):
         io.load_trajectory_log(path)
+
+
+def test_log_sidecar_integer_dt_loads(tmp_path):
+    """A whole-number ``dt`` written as a JSON integer loads as that float."""
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(make_log(dt=1.0, duration=3.0), path)
+    sidecar = io.sidecar_path(path)
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), dt=1)))
+    dt = io.load_trajectory_log(path).dt
+    assert type(dt) is float and dt == 1.0
 
 
 @pytest.mark.parametrize("flags", [
@@ -549,6 +563,21 @@ def test_config_policy_count_checked(tmp_path, bad):
         io.load_run_config(path)
 
 
+@pytest.mark.parametrize("key", ["seed", "policies[0].count", "analysis.bootstrap_samples",
+                                 "analysis.dt"])
+def test_config_huge_integer_checked(tmp_path, key):
+    """A JSON integer beyond the float range fails as the ParseError naming its key,
+    not as an OverflowError."""
+    config = io.default_run_config()
+    owner = {"seed": config, "policies[0].count": config["policies"][0],
+             "analysis.bootstrap_samples": config["analysis"], "analysis.dt": config["analysis"]}
+    owner[key][key.rsplit(".", 1)[-1]] = 10 ** 400
+    path = tmp_path / "config.json"
+    io.save_run_config(config, path)
+    with pytest.raises(io.ParseError, match=re.escape(f"run config {path}: {key} = 1000")):
+        io.load_run_config(path)
+
+
 @pytest.mark.parametrize("bad", [{"kind": "no-response"}, ["no-response"], "no-response"])
 def test_config_policies_must_be_objects(tmp_path, bad):
     path = tmp_path / "config.json"
@@ -632,6 +661,10 @@ def test_snapshot_empty_drivable_layers(tmp_path):
         assert "sv" not in vehicles
     svg = (tmp_path / "snap.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    # Every fifth layer is drawn, each non-empty one as one path.
+    drawn = [layer for layers in (area.pov_layers, area.layers) for layer in layers[::5]]
+    assert svg.count("<path ") == sum(not layer.empty for layer in drawn)
+    assert any(layer.empty for layer in drawn)
 
 
 _RECT = st.tuples(st.integers(-40, 40), st.integers(0, 6), st.integers(-20, 20),
@@ -639,13 +672,26 @@ _RECT = st.tuples(st.integers(-40, 40), st.integers(0, 6), st.integers(-20, 20),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_RECT, max_size=6))
-def test_snapshot_cells_match_rectangle_sets(rects):
-    """Overlapping, nested and negative rectangles list each cell once, in (ix, iy)
-    order, as the set of every rectangle's cells sorted."""
+@given(st.lists(_RECT, max_size=6), st.lists(_RECT, max_size=6))
+def test_snapshot_rows_are_layer_rectangles(sv_rects, pov_rects):
+    """Overlapping, nested and negative rectangles: each layer's rows cover its cells
+    exactly, and each row's metres are its cell range scaled by the cell size."""
     hull = AxisInterval(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    layer = reach._layer(0.0, 0.5, 0.25, rects, hull, hull)
-    assert list(zip(*io._cells(layer))) == sorted(rect_cells(layer.rects))
+    layers = {"sv": [reach._layer(0.0, 0.5, 0.25, sv_rects, hull, hull)],
+              "pov": [reach._layer(0.1, 0.5, 0.25, pov_rects, hull, hull)]}
+    area = DrivableArea(layers["sv"], exists=True, pov_layers=layers["pov"])
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "snap.csv"
+        io.emit_reach_snapshot(area, path)
+        header, _, rows = load_table(path)
+    assert header == ["vehicle", "tau", "i0", "i1", "j0", "j1", "x_lo", "x_hi", "y_lo", "y_hi"]
+    for name, (layer,) in layers.items():
+        mine = [row for row in rows if row[0] == name]
+        assert {float(row[1]) for row in mine} <= {layer.tau}
+        ranges = [tuple(map(int, row[2:6])) for row in mine]
+        assert rect_cells(ranges) == world_cells(layer)
+        for (i0, i1, j0, j1), row in zip(ranges, mine):
+            assert list(map(float, row[6:])) == [i0 * 0.5, i1 * 0.5, j0 * 0.25, j1 * 0.25]
 
 
 def test_float_format_shortest_roundtrip(tmp_path):
