@@ -117,10 +117,11 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
     """Open-loop rollout of every cohort member on one shared time grid.
 
     The POV path and each member's pedal/steer schedule are functions of t
-    alone, so they are computed as arrays up front; only the clamped SV
-    integrator steps, both axes of every member together, by `_integrate`:
-    each sample equals one `core.step_state` of the sample before, guessed
-    and certified a window at a time.  The SV path never
+    alone, so they are computed as arrays up front, each sample with the
+    bits of its one-sample evaluation (see `IncursionPath.states`).  Only
+    the clamped SV integrator steps, both axes of every member together, by
+    `_integrate`: each sample equals one `core.step_state` of the sample
+    before, guessed and certified a window at a time.  The SV path never
     depends on a collision, so each member's log is cut at its first
     footprint overlap afterwards.
     """
@@ -134,8 +135,7 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
         raise ValueError(f"horizon {horizon} spans no step of {dt}")
     t = np.arange(n_steps + 1) * dt
 
-    path = IncursionPath(scenario, timing)
-    pov_y, pov_vy, pov_ay = np.array([path.state(tk) for tk in t.tolist()]).T
+    pov_y, pov_vy, pov_ay = IncursionPath(scenario, timing).states(t)
     pov = {"x": pov_x_at_trigger(scenario, timing) - scenario.v_pov * (t - timing.t_trigger),
            "y": pov_y, "vx": np.full_like(t, -scenario.v_pov), "vy": pov_vy,
            "ax": np.zeros_like(t), "ay": pov_ay}

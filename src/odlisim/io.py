@@ -12,12 +12,11 @@ shows a blank or missing row, does the row-by-row loop run: it names the
 bad row, or loads what ``float()`` accepts and ``loadtxt`` does not (such
 as ``1_0``).  A header that names a column twice is rejected.
 
-A cohort is written by one writer, ``save_trajectory_logs``, which formats
-each distinct float once per cohort, from one table keyed by the value's
-int64 bits (so ``-0.0`` stays apart from ``0.0``); about one cell in twenty
-is distinct.  The ``t`` and ``pov_*`` rows are joined once, from the longest
-member, and a member reuses them where its columns are bit-identical
-prefixes of them.  Every file is byte-identical to a write of its log alone.
+A cohort is written by one writer, ``save_trajectory_logs``, with no Python
+step per cell or row: ``repr`` runs once per distinct value of the cohort
+(by int64 bits, so ``-0.0`` stays apart from ``0.0``), and each file is a
+gather of those texts by an index array, one block of rows at a time.
+Every file is byte-identical to a write of its log alone.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import struct
 import sys
 import warnings
 from pathlib import Path
@@ -55,6 +53,8 @@ _REQUIRED_COLS = tuple(c for c in _ALL_COLS if c not in _OPTIONAL_COLS)
 _UNITS = {"t": "s", "x": "m", "y": "m", "vx": "m/s", "vy": "m/s",
           "ax": "m/s2", "ay": "m/s2", "accel_pct": "%", "brake_pct": "%",
           "steer_deg": "deg"}
+# Rows a log's writer gathers, joins and writes at a time: only one block's
+# object array of cell texts (17 references a row) is alive at once.
 _SAVE_BLOCK_ROWS = 256
 
 
@@ -70,79 +70,74 @@ def _unit_of(col: str) -> str:
 _LOG_HEAD = [",".join(_ALL_COLS), ",".join(_unit_of(c) for c in _ALL_COLS)]
 
 
-class _FloatTexts(dict):
-    """Shortest round-trip text (``repr``) of floats, keyed by int64 bit pattern.
-
-    A value is formatted the first time its bits are looked up.  Keying on
-    bits keeps ``-0.0`` apart from ``0.0``, which compare equal.
-    """
-
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = repr(struct.unpack("<d", struct.pack("<q", bits))[0])
-        return text
-
-    def column(self, col, a: int, b: int):
-        """The text of rows a:b of one column."""
-        return map(self.__getitem__,
-                   np.asarray(col[a:b], dtype=float).view(np.int64).tolist())
-
-
-def _row_texts(texts: _FloatTexts, cols: list, n: int) -> list[str]:
-    """The first n rows of ``cols``, each row's values comma-joined.
-
-    Looked up in blocks of rows, so only one block's keys are alive at a time.
-    """
-    rows = []
-    for a in range(0, n, _SAVE_BLOCK_ROWS):
-        b = min(a + _SAVE_BLOCK_ROWS, n)
-        rows.extend(map(",".join, zip(*(texts.column(c, a, b) for c in cols))))
-    return rows
-
-
-def _is_bit_prefix(col, ref) -> bool:
-    """Whether ``col`` equals the start of the longer ``ref`` bit for bit."""
-    col = np.asarray(col, dtype=float)
-    ref = np.asarray(ref, dtype=float)[:len(col)]
-    return bool((col.view(np.int64) == ref.view(np.int64)).all())
-
-
-def _shared_groups(log: TrajectoryLog) -> tuple[list, list]:
-    """The column groups a cohort shares: the time grid and the POV track."""
-    return [log.t], [log.pov[k] for k in STATE_KEYS]
+def _track(log: TrajectoryLog) -> np.ndarray:
+    """The columns a cohort shares, ``t`` over the ``pov_*`` channels, shape (7, samples)."""
+    return np.array([log.t, *(log.pov[k] for k in STATE_KEYS)], dtype=float)
 
 
 def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> None:
     """Write each log to its path, formatting each distinct float once.
 
-    Every cell's text comes from one table per call, keyed by its bits.
-    The ``t`` and ``pov_*`` rows come from the longest log; a log whose
-    group of columns is not a bit-identical prefix of it looks that group
-    up itself.
+    Every column is cut into runs of bit-equal values, and ``repr`` runs
+    once per distinct run value of the cohort, found by sorting the values'
+    int64 bits (so ``-0.0`` stays apart from ``0.0``).  The
+    ``t`` and ``pov_*`` columns come from the longest log; a log whose
+    columns are not a bit-identical prefix of them is cut on its own.  A
+    log's text is a gather of the cell texts by an index array, joined and
+    written one block of `_SAVE_BLOCK_ROWS` rows at a time.
     """
     if len(logs) != len(paths):
         raise ValueError(f"{len(logs)} logs for {len(paths)} paths")
     if not logs:
         return
-    texts = _FloatTexts()
-    longest = max(logs, key=len)
-    shared = [(cols, _row_texts(texts, cols, len(longest)))
-              for cols in _shared_groups(longest)]
-    for log, path in zip(logs, paths):
-        n = len(log)
-        t_rows, pov_rows = (
-            rows if all(map(_is_bit_prefix, cols, ref)) else _row_texts(texts, cols, n)
-            for (ref, rows), cols in zip(shared, _shared_groups(log)))
-        sv = [log.sv[k] for k in STATE_KEYS]
-        controls = [log.controls[k] for k in CONTROL_KEYS]
-        lines = list(_LOG_HEAD)
-        for a in range(0, n, _SAVE_BLOCK_ROWS):
-            b = min(a + _SAVE_BLOCK_ROWS, n)
-            lines.extend(map(",".join, zip(t_rows[a:b], *(texts.column(c, a, b) for c in sv),
-                                           pov_rows[a:b],
-                                           *(texts.column(c, a, b) for c in controls))))
-        path = Path(path)
-        path.write_text("\n".join(lines) + "\n")
-        _save_sidecar(log, path)
+    runs = []  # (run values, run lengths, samples) of each group of columns
+
+    def group(cols: np.ndarray) -> int:
+        """Cut each row of ``cols`` into runs of bit-equal values; the group's index."""
+        bits = cols.view(np.int64)
+        new = np.ones(cols.shape, dtype=bool)
+        np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+        starts = np.flatnonzero(new)
+        runs.append((cols.ravel()[starts], np.diff(starts, append=new.size).astype(np.int32),
+                     cols.shape[1]))
+        return len(runs) - 1
+
+    longest = _track(max(logs, key=len))
+    shared, times, plans = group(longest[1:]), [longest[0]], []
+    for log in logs:  # plan: its times, its pov group, its sv and control group
+        track = _track(log)
+        if np.array_equal(track.view(np.int64), longest[:, :len(log)].view(np.int64)):
+            plan = (0, shared)
+        else:
+            times.append(track[0])
+            plan = (len(times) - 1, group(track[1:]))
+        plans.append((*plan, group(np.array([*(log.sv[k] for k in STATE_KEYS),
+                                             *(log.controls[k] for k in CONTROL_KEYS)]))))
+    distinct = np.concatenate([r[0] for r in runs]).view(np.int64)
+    distinct.sort()  # in place: np.unique would copy it, and it imports numpy.ma
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    # A row is its t, then "," and each other value, then "\n": one text per cell.
+    texts = [f",{v!r}" for v in distinct.view(np.float64).tolist()]
+    time_at = np.cumsum([len(texts), *map(len, times)])
+    texts = np.array(texts + [repr(v) for t in times for v in t.tolist()] + ["\n"], dtype=object)
+
+    def cells(g: int, n: int) -> np.ndarray:
+        """Text indices of group g, one row per column, for its first n samples."""
+        values, lengths, samples = runs[g]
+        return np.repeat(np.searchsorted(distinct, values.view(np.int64)),
+                         lengths).reshape(-1, samples)[:, :n]
+
+    pov, head = cells(shared, len(longest[0])), "\n".join(_LOG_HEAD) + "\n"
+    for log, path, (t_of, pov_of, own_of) in zip(logs, paths, plans):
+        n, own = len(log), cells(own_of, len(log))
+        index = np.concatenate([time_at[t_of] + np.arange(n)[None], own[:6],
+                                pov[:, :n] if pov_of == shared else cells(pov_of, n),
+                                own[6:], np.full((1, n), len(texts) - 1)]).T
+        with open(path, "w") as f:
+            f.write(head)
+            f.writelines("".join(texts[index[a:a + _SAVE_BLOCK_ROWS]].ravel().tolist())
+                         for a in range(0, n, _SAVE_BLOCK_ROWS))
+        _save_sidecar(log, Path(path))
 
 
 def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:

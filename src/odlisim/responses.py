@@ -105,21 +105,26 @@ def response_times(events: list[ResponseEvent], t_trigger: float) -> ResponseTim
                          evasive_response=min(evasive) if evasive else None)
 
 
+_STATES = [(lat, lon) for lat in ("steer-shoulder", "steer-center", "no-steering")
+           for lon in ("cruising", "soft-braking", "hard-braking")]
+
+
+def _state_codes(steer, ax) -> np.ndarray:
+    """Index into the (lateral, longitudinal) `_STATES` of each sample's steer and ax.
+
+    Boundary values go to the milder state; a NaN steer reads no-steering,
+    and a NaN ax reads hard-braking."""
+    return (3 * np.select([steer <= -STEER_ONSET_DEG, steer >= STEER_ONSET_DEG], [0, 1], 2)
+            + np.select([ax >= SOFT_BRAKE_EDGE, ax >= HARD_BRAKE_EDGE], [0, 1], 2))
+
+
 def lateral_state(steer_deg: float) -> str:
-    if steer_deg <= -STEER_ONSET_DEG:
-        return "steer-shoulder"
-    if steer_deg >= STEER_ONSET_DEG:
-        return "steer-center"
-    return "no-steering"
+    return _STATES[_state_codes(steer_deg, 0.0)][0]
 
 
 def longitudinal_state(ax: float) -> str:
     """Cruise/soft/hard braking bands; boundary values go to the milder state."""
-    if ax >= SOFT_BRAKE_EDGE:
-        return "cruising"
-    if ax >= HARD_BRAKE_EDGE:
-        return "soft-braking"
-    return "hard-braking"
+    return _STATES[_state_codes(0.0, ax)][1]
 
 
 def sv_longitudinal_accel(log: TrajectoryLog) -> np.ndarray:
@@ -172,13 +177,11 @@ class SequenceGraph:
 
 
 def run_states(log: TrajectoryLog, window: AnalysisWindow) -> list[tuple[str, str]]:
-    """Discretized (lateral, longitudinal) state at each sample in the window."""
-    i0 = log.index_at(window.t_begin)
-    i1 = log.index_at(window.t_end)
-    steer = log.controls["steer_deg"]
-    ax = sv_longitudinal_accel(log)
-    return [(lateral_state(float(steer[i])), longitudinal_state(float(ax[i])))
-            for i in range(i0, i1 + 1)]
+    """Discretized (lateral, longitudinal) state at t_B, then after each change in the window."""
+    i0, i1 = log.index_at(window.t_begin), log.index_at(window.t_end) + 1
+    codes = _state_codes(log.controls["steer_deg"][i0:i1], sv_longitudinal_accel(log)[i0:i1])
+    changes = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    return [_STATES[c] for c in codes[np.r_[0, changes]].tolist()]
 
 
 def build_sequence_graph(runs: list[tuple[TrajectoryLog, AnalysisWindow, str]]) -> SequenceGraph:
@@ -194,12 +197,7 @@ def build_sequence_graph(runs: list[tuple[TrajectoryLog, AnalysisWindow, str]]) 
             continue
         states = run_states(log, window)
         graph.initial[states[0]] += 1
-        prev = states[0]
-        for s in states[1:]:
-            if s != prev:
-                graph.edges[(prev, s)] += 1
-                prev = s
-        graph.edges[(prev, outcome)] += 1
+        graph.edges.update(zip(states, [*states[1:], outcome]))
         graph.n_runs += 1
     return graph
 

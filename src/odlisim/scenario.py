@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (POV_SIGN, SV_SIGN, KinematicLimits, RoadSpec, VehicleSpec, VehicleState,
-                   check_numbers)
+                   axis_limits, check_numbers)
 
 MPH_40 = 17.88  # m/s, posted-limit approach speed for both vehicles
 
@@ -100,7 +102,10 @@ def reference_lateral_at_tc(incursion_level: float, lane_width: float) -> float:
 
 
 class _CubicBezier1D:
-    """Scalar cubic Bezier with value/first/second derivatives in the parameter."""
+    """Cubic Bezier with value/first/second derivatives in the parameter, elementwise.
+
+    Powers use ``np.float_power``, the C ``pow`` of Python's float ``**``;
+    numpy's array ``**`` rounds some of them differently."""
 
     def __init__(self, p0, p1, p2, p3):
         self.p = (p0, p1, p2, p3)
@@ -108,12 +113,14 @@ class _CubicBezier1D:
     def value(self, u):
         p0, p1, p2, p3 = self.p
         w = 1.0 - u
-        return p0 * w**3 + 3 * p1 * u * w**2 + 3 * p2 * u**2 * w + p3 * u**3
+        return (p0 * np.float_power(w, 3) + 3 * p1 * u * np.float_power(w, 2)
+                + 3 * p2 * np.float_power(u, 2) * w + p3 * np.float_power(u, 3))
 
     def d1(self, u):
         p0, p1, p2, p3 = self.p
         w = 1.0 - u
-        return 3 * ((p1 - p0) * w**2 + 2 * (p2 - p1) * u * w + (p3 - p2) * u**2)
+        return 3 * ((p1 - p0) * np.float_power(w, 2) + 2 * (p2 - p1) * u * w
+                    + (p3 - p2) * np.float_power(u, 2))
 
     def d2(self, u):
         p0, p1, p2, p3 = self.p
@@ -154,46 +161,48 @@ class IncursionPath:
         self.y_end = y_end
         self.vy_end = vy_end
 
-    def _u_of_t(self, t: float) -> float:
-        """Invert the monotone time curve by Newton with bisection fallback."""
-        lo, hi = 0.0, 1.0
-        u = min(max((t - self.timing.t_trigger) /
-                    (self.timing.t_critical - self.timing.t_trigger), lo), hi)
+    def states(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y, vy, ay) arrays of the POV reference point at each time of ``t``.
+
+        On the curve, Newton with bisection fallback inverts the time curve;
+        each sample keeps its own bracket and stops at its own
+        ``|err| < 1e-12`` or after 60 iterations.  Past t_C the path continues
+        along its terminal tangent (the curve terminates C1).
+        """
+        t = np.asarray(t, dtype=float)
+        t_trigger, t_critical = self.timing.t_trigger, self.timing.t_critical
+        after = t >= t_critical  # t_C > t_T, so no sample is also at or before t_T
+        on = ~(t <= t_trigger) & ~after
+        y, vy, ay = np.full_like(t, self.y_start), np.zeros_like(t), np.zeros_like(t)
+        y[after] = self.y_end + self.vy_end * (t[after] - t_critical)
+        vy[after] = self.vy_end
+        tc = t[on]
+        u = np.minimum(np.maximum((tc - t_trigger) / (t_critical - t_trigger), 0.0), 1.0)
+        lo, hi = np.zeros_like(tc), np.ones_like(tc)
+        u_on, live = np.empty_like(tc), np.arange(len(tc))
         for _ in range(60):
-            err = self._t_curve.value(u) - t
-            if abs(err) < 1e-12:
-                return u
-            if err > 0:
-                hi = u
-            else:
-                lo = u
+            err = self._t_curve.value(u) - tc
+            done = np.abs(err) < 1e-12
+            u_on[live[done]] = u[done]
+            live, tc, u, lo, hi, err = (a[~done] for a in (live, tc, u, lo, hi, err))
+            if not len(live):
+                break
+            hi, lo = np.where(err > 0, u, hi), np.where(err > 0, lo, u)
             slope = self._t_curve.d1(u)
-            u_next = u - err / slope if slope > 1e-12 else 0.5 * (lo + hi)
-            if not lo <= u_next <= hi:
-                u_next = 0.5 * (lo + hi)
-            u = u_next
-        return u
+            # A NaN step fails the bracket test, so a flat slope bisects.
+            u_next = u - err / np.where(slope > 1e-12, slope, np.nan)
+            u = np.where((lo <= u_next) & (u_next <= hi), u_next, 0.5 * (lo + hi))
+        u_on[live] = u
+        tp, yp = self._t_curve.d1(u_on), self._y_curve.d1(u_on)
+        tpp, ypp = self._t_curve.d2(u_on), self._y_curve.d2(u_on)
+        y[on] = self._y_curve.value(u_on)
+        vy[on] = yp / tp
+        ay[on] = (ypp * tp - yp * tpp) / np.float_power(tp, 3)
+        return y, vy, ay
 
     def state(self, t: float) -> tuple[float, float, float]:
-        """(y, vy, ay) of the POV reference point at time t.
-
-        Past t_C both post-critical behaviors continue the path along its
-        terminal tangent: the curve terminates C1, so extending the path and
-        holding the heading coincide, and the continuing-left rate was sized
-        for the straight extension to reach the road edge on schedule.
-        """
-        if t <= self.timing.t_trigger:
-            return self.y_start, 0.0, 0.0
-        if t >= self.timing.t_critical:
-            y = self.y_end + self.vy_end * (t - self.timing.t_critical)
-            return y, self.vy_end, 0.0
-        u = self._u_of_t(t)
-        tp, yp = self._t_curve.d1(u), self._y_curve.d1(u)
-        tpp, ypp = self._t_curve.d2(u), self._y_curve.d2(u)
-        y = self._y_curve.value(u)
-        vy = yp / tp
-        ay = (ypp * tp - yp * tpp) / tp**3
-        return y, vy, ay
+        """(y, vy, ay) at time t: the one-sample case of `states`."""
+        return tuple(float(v[0]) for v in self.states([t]))
 
 
 def pov_x_at_trigger(spec: ScenarioSpec, timing: ScenarioTiming) -> float:
@@ -230,16 +239,14 @@ def sv_initial_state(spec: ScenarioSpec) -> VehicleState:
 
 def check_path_lateral_accel(spec: ScenarioSpec, timing: ScenarioTiming,
                              limits: KinematicLimits) -> tuple[float, bool]:
-    """Diagnostic: peak |ay| on 501 samples of the scripted path vs the POV limits.
+    """Diagnostic: peak |ay| on 501 samples of the scripted path, and whether
+    every signed sample lies in the POV's box ``axis_limits(limits, POV_SIGN)[1]``.
 
     The scripted path is ground truth and is never clamped; this check only
     reports whether the incursion would be admissible under the envelope
     assumptions used for reachability.
     """
-    path = IncursionPath(spec, timing)
-    cap = max(limits.a_lat_left_max, limits.a_lat_right_max)
-    peak = 0.0
-    for i in range(501):
-        t = timing.t_trigger + (timing.t_critical - timing.t_trigger) * i / 500
-        peak = max(peak, abs(path.state(t)[2]))
-    return peak, peak <= cap
+    gap = timing.t_critical - timing.t_trigger
+    ay = IncursionPath(spec, timing).states(timing.t_trigger + gap * np.arange(501) / 500)[2]
+    box = axis_limits(limits, POV_SIGN)[1]
+    return float(np.abs(ay).max()), bool(((box.a_lo <= ay) & (ay <= box.a_hi)).all())

@@ -6,6 +6,7 @@ import re
 import struct
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -376,11 +377,11 @@ def cohort_logs():
     return run_cohort(make_scenario(0.0), [(p, 1) for p in policies])
 
 
-def with_value(log, group, key, row, value):
-    """``log`` with one cell of a channel group (sv, pov or controls) replaced."""
+def with_value(log, group, key, row, *values):
+    """``log`` with cells row, row + 1, ... of a channel group (sv, pov or controls) replaced."""
     chans = dict(getattr(log, group))
     chans[key] = chans[key].copy()
-    chans[key][row] = value
+    chans[key][row:row + len(values)] = values
     return dataclasses.replace(log, **{group: chans})
 
 
@@ -391,6 +392,25 @@ def one_ulp_up(log, group="pov", key="y", row=40):
 def negative_zero(log, group="pov", key="ax", row=40):
     assert getattr(log, group)[key][row] == 0.0
     return with_value(log, group, key, row, -0.0)
+
+
+def signed_zeros(log, group="sv", key="ay", row=40):
+    assert not getattr(log, group)[key][row:row + 5].any()
+    return with_value(log, group, key, row, 0.0, -0.0, -0.0, 0.0, -0.0)
+
+
+# Values where repr switches between positional and exponent notation, and
+# the smallest subnormals.
+FORMAT_EDGES = (1e16, 9999999999999998.0, 0.0001, 9.999999999999999e-05, 5e-324, -5e-324)
+
+
+def format_edges(log, group="controls", key="steer_deg", row=40):
+    return with_value(log, group, key, row, *FORMAT_EDGES)
+
+
+def run_across_block(log, group="sv", key="x"):
+    # A run of one value from 3 rows before a block boundary to 3 rows past it.
+    return with_value(log, group, key, io._SAVE_BLOCK_ROWS - 3, *[7.25] * 7)
 
 
 def shifted_time(log, row=40):
@@ -418,6 +438,15 @@ COHORTS = {
     "negative-zero-in-a-member": in_a_member(negative_zero),
     "negative-zero-in-the-longest": edit_longest(negative_zero),
     "time-one-ulp-in-a-member": in_a_member(shifted_time),
+    "negative-zero-beside-zero-in-a-member": in_a_member(signed_zeros),
+    "negative-zero-beside-zero-in-the-longest": edit_longest(
+        functools.partial(signed_zeros, group="pov", key="ax")),
+    "format-edges-in-a-member": in_a_member(format_edges),
+    "format-edges-in-the-longest": edit_longest(
+        functools.partial(format_edges, group="pov", key="vy")),
+    "run-across-a-block-in-a-member": in_a_member(run_across_block),
+    "run-across-a-block-in-the-longest": edit_longest(
+        functools.partial(run_across_block, group="pov", key="y")),
     # Member columns are looked up cell by cell in a table keyed on bits: a
     # value every member repeats, one ulp off, and -0.0 where the cohort
     # writes 0.0 must each keep their own text.
@@ -452,6 +481,25 @@ def test_cohort_writer_matches_per_log_text(tmp_path, make):
         io.save_trajectory_log(log, alone)
         assert alone.read_bytes() == path.read_bytes()
         assert io.sidecar_path(alone).read_bytes() == io.sidecar_path(path).read_bytes()
+
+
+def test_cohort_writer_memory_bound(tmp_path):
+    # The default 20-run cohort at the paper's three ILs; the writer's
+    # transient arrays stay well under 4 MB (about 2.1 MB measured).
+    for il in (-0.8, 0.0, 0.9):
+        config = io.default_run_config(il)
+        scenario, timing = io.config_scenario(config)
+        logs = run_cohort(scenario, io.config_policies(config), dt=config["analysis"]["dt"],
+                          seed=config["seed"], delay_jitter=config["analysis"]["delay_jitter"],
+                          timing=timing)
+        paths = [tmp_path / f"run_{i:03d}.csv" for i in range(len(logs))]
+        tracemalloc.start()
+        try:
+            io.save_trajectory_logs(logs, paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(logs) == 20 and peak < 4e6
 
 
 def test_cohort_writer_needs_one_path_per_log(tmp_path):

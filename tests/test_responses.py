@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_log
-from odlisim.responses import (AnalysisWindow, ResponseEvent, build_sequence_graph,
-                               detect_responses, lateral_state, longitudinal_state,
-                               response_times, run_states, sv_longitudinal_accel)
+from odlisim.engine import OUTCOMES
+from odlisim.responses import (AnalysisWindow, ResponseEvent, SequenceGraph,
+                               build_sequence_graph, detect_responses, lateral_state,
+                               longitudinal_state, response_times, run_states,
+                               sv_longitudinal_accel)
 
 
 def step_signal(t, t_on, before, after):
@@ -115,6 +120,78 @@ def test_longitudinal_state_bands():
     # boundary values go to the milder state
     assert longitudinal_state(-1.0) == "cruising"
     assert longitudinal_state(-4.0) == "soft-braking"
+
+
+def test_state_of_nan():
+    assert lateral_state(math.nan) == "no-steering"
+    assert longitudinal_state(math.nan) == "hard-braking"
+
+
+def ref_lateral_state(steer):
+    if steer <= -5.0:
+        return "steer-shoulder"
+    if steer >= 5.0:
+        return "steer-center"
+    return "no-steering"
+
+
+def ref_longitudinal_state(ax):
+    if ax >= -1.0:
+        return "cruising"
+    if ax >= -4.0:
+        return "soft-braking"
+    return "hard-braking"
+
+
+def ref_sequence_graph(runs):
+    """The sequence graph from each sample's state, one sample at a time."""
+    graph = SequenceGraph()
+    for log, window, outcome in runs:
+        if outcome not in OUTCOMES:
+            graph.skipped += 1
+            continue
+        steer, ax = log.controls["steer_deg"], sv_longitudinal_accel(log)
+        states = [(ref_lateral_state(float(steer[i])), ref_longitudinal_state(float(ax[i])))
+                  for i in range(log.index_at(window.t_begin), log.index_at(window.t_end) + 1)]
+        graph.initial[states[0]] += 1
+        prev = states[0]
+        for state in states[1:]:
+            if state != prev:
+                graph.edges[(prev, state)] += 1
+                prev = state
+        graph.edges[(prev, outcome)] += 1
+        graph.n_runs += 1
+    return graph
+
+
+def piecewise(values, lengths, n):
+    """n samples of runs of ``values``, each as long as its length, the last one extended."""
+    out = np.repeat(values, lengths)[:n]
+    return np.concatenate([out, np.full(n - len(out), values[-1])])
+
+
+# Each threshold, a value just inside it and NaN.
+_steers = st.sampled_from([0.0, -0.0, 4.99, -4.99, 5.0, -5.0, 12.0, -12.0, math.nan])
+_accels = st.sampled_from([0.0, -0.99, -1.0, -1.01, -3.99, -4.0, -4.01, -9.0, math.nan])
+_run_specs = st.tuples(st.lists(st.tuples(_steers, st.integers(1, 80)), min_size=1, max_size=12),
+                  st.lists(st.tuples(_accels, st.integers(1, 80)), min_size=1, max_size=12),
+                  st.floats(1.4, 5.0), st.floats(0.1, 2.5),
+                  st.sampled_from([*OUTCOMES, "incomplete"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.lists(_run_specs, min_size=1, max_size=5))
+def test_sequence_graph_matches_per_sample_reference(runs):
+    items = []
+    for steers, accels, t_begin, length, outcome in runs:
+        n = 801
+        log = make_log(controls={"steer_deg": piecewise(*zip(*steers), n)},
+                       sv={"ax": piecewise(*zip(*accels), n)})
+        items.append((log, AnalysisWindow(round(t_begin, 2), round(t_begin + length, 2)),
+                      outcome))
+    graph, ref = build_sequence_graph(items), ref_sequence_graph(items)
+    assert (graph.edges, graph.initial) == (ref.edges, ref.initial)
+    assert (graph.n_runs, graph.skipped) == (ref.n_runs, ref.skipped)
 
 
 def test_sv_accel_passthrough_and_derivation():

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from odlisim.core import POV_LIMITS
+from odlisim.core import POV_LIMITS, axis_limits
 from odlisim.scenario import (IncursionPath, ScenarioSpec, ScenarioTiming,
                               check_path_lateral_accel, default_timing,
                               make_scenario, pov_state_at, pov_x_at_trigger,
@@ -149,9 +151,93 @@ def test_make_scenario_steepness_defaults():
 
 
 def test_scripted_lateral_accel_diagnostic():
+    # The POV's road-frame lateral box is [-0.0, 4.0]: every default incursion
+    # first accelerates toward -y, so none is admissible, and the peak is the
+    # largest |ay| of the 501 samples.
+    box = axis_limits(POV_LIMITS, -1)[1]
+    assert (box.a_lo, box.a_hi) == (0.0, 4.0)
+    for il in (*ILS.values(), -1.0, 1.0):
+        spec = make_scenario(il)
+        timing = default_timing(spec)
+        peak, admissible = check_path_lateral_accel(spec, timing, POV_LIMITS)
+        path = IncursionPath(spec, timing)
+        gap = timing.t_critical - timing.t_trigger
+        ay = [path.state(timing.t_trigger + gap * i / 500)[2] for i in range(501)]
+        assert peak == max(map(abs, ay)) > 0
+        assert min(ay) < 0 and not admissible
+    # Under a box that admits both signs, the same paths are admissible.
+    wide = replace(POV_LIMITS, a_lat_right_max=4.0)
     for il in ILS.values():
         spec = make_scenario(il)
-        peak, admissible = check_path_lateral_accel(spec, default_timing(spec),
-                                                    POV_LIMITS)
-        assert peak > 0
-        assert admissible  # default incursions stay within the envelope caps
+        assert check_path_lateral_accel(spec, default_timing(spec), wide)[1]
+
+
+def ref_state(path, t):
+    """The POV track at one time, by the scalar Newton inversion with Python float ``**``."""
+
+    def value(p, u):
+        w = 1.0 - u
+        return p[0] * w**3 + 3 * p[1] * u * w**2 + 3 * p[2] * u**2 * w + p[3] * u**3
+
+    def d1(p, u):
+        w = 1.0 - u
+        return 3 * ((p[1] - p[0]) * w**2 + 2 * (p[2] - p[1]) * u * w + (p[3] - p[2]) * u**2)
+
+    def d2(p, u):
+        return 6 * ((p[2] - 2 * p[1] + p[0]) * (1.0 - u) + (p[3] - 2 * p[2] + p[1]) * u)
+
+    tq, yq = path._t_curve.p, path._y_curve.p
+    t_trigger, t_critical = path.timing.t_trigger, path.timing.t_critical
+    if t <= t_trigger:
+        return path.y_start, 0.0, 0.0
+    if t >= t_critical:
+        return path.y_end + path.vy_end * (t - t_critical), path.vy_end, 0.0
+    lo, hi = 0.0, 1.0
+    u = min(max((t - t_trigger) / (t_critical - t_trigger), lo), hi)
+    for _ in range(60):
+        err = value(tq, u) - t
+        if abs(err) < 1e-12:
+            break
+        if err > 0:
+            hi = u
+        else:
+            lo = u
+        slope = d1(tq, u)
+        u_next = u - err / slope if slope > 1e-12 else 0.5 * (lo + hi)
+        if not lo <= u_next <= hi:
+            u_next = 0.5 * (lo + hi)
+        u = u_next
+    tp, yp = d1(tq, u), d1(yq, u)
+    tpp, ypp = d2(tq, u), d2(yq, u)
+    return value(yq, u), yp / tp, (ypp * tp - yp * tpp) / tp**3
+
+
+@settings(max_examples=40, deadline=None)
+@given(il=st.floats(-1.0, 1.0), mode=st.sampled_from(["straight", "continuing-left"]),
+       f0=st.floats(0.01, 0.98), f1_frac=st.floats(0.01, 0.99),
+       dt=st.sampled_from([0.01, 0.005, 0.001, 0.0137]), t_trigger=st.floats(0.0, 3.0))
+def test_track_states_bit_identical_to_scalar_newton(il, mode, f0, f1_frac, dt, t_trigger):
+    f1 = f0 + (1.0 - f0) * f1_frac
+    assume(0.0 < f0 < f1 < 1.0)
+    spec = ScenarioSpec(il, end_heading_mode=mode, ctrl_fracs=(f0, f1))
+    timing = default_timing(spec, t_trigger)
+    path = IncursionPath(spec, timing)
+    # The grid, plus t exactly at t_T and t_C and one ulp to either side.
+    t = np.concatenate([np.arange(int((timing.t_critical + 3.0) / dt) + 1) * dt,
+                        np.nextafter(timing.t_trigger, [-np.inf, np.inf]),
+                        np.nextafter(timing.t_critical, [-np.inf, np.inf]),
+                        [timing.t_trigger, timing.t_critical]])
+    got = np.array(path.states(t))
+    want = np.array([ref_state(path, tk) for tk in t.tolist()]).T
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert path.state(timing.t_trigger) == ref_state(path, timing.t_trigger)
+    assert path.state(timing.t_critical) == ref_state(path, timing.t_critical)
+
+
+def test_float_power_matches_python_pow():
+    # The track's powers go through np.float_power to round as float ** does.
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-1.0, 2.0, 100_000), [0.0, -0.0, 1.0, 5e-324]])
+    for p in (2, 3):
+        want = np.array([v**p for v in x.tolist()])
+        assert np.float_power(x, p).view(np.int64).tolist() == want.view(np.int64).tolist()
