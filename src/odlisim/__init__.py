@@ -16,8 +16,7 @@ from .policies import PolicySpec, policy_control
 from .reach import (DrivableArea, PredictionConfig, Prevalence, ReachableSet,
                     Timeline, aggregate_prevalence, compute_drivable_area,
                     compute_reachable_set, drivable_area_at, drivable_timeline,
-                    drivable_timelines, pov_occupancy, pov_prediction_mode,
-                    propagate_step)
+                    drivable_timelines, pov_occupancy, propagate_step)
 from .responses import (AnalysisWindow, ResponseEvent, SequenceGraph,
                         build_sequence_graph, detect_responses, lateral_state,
                         longitudinal_state, response_times, sv_longitudinal_accel,

@@ -17,6 +17,7 @@ simulator, the sampling oracle and the reachable-set propagation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -40,14 +41,23 @@ def step_count(span: float, step: float, what: str) -> int:
     return round(count)
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite int or float, numpy's too, and not a bool.  An int is
+    compared with the float range, never converted, so one past it fails, not overflows."""
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def check_numbers(bound: str | None, **values: float) -> None:
-    """Raise ValueError naming the first of ``values`` not finite and within ``bound``.
+    """Raise ValueError naming the first of ``values`` not `is_finite_number` within ``bound``.
 
     ``bound`` is ``"> 0"``, ``">= 0"``, or None for finite alone.
     """
     what, in_range = _NUMBER_RULES[bound]
     for name, value in values.items():
-        if not (math.isfinite(value) and in_range(value)):
+        if not (is_finite_number(value) and in_range(value)):
             raise ValueError(f"{name} must be {what}, got {value}")
 
 
@@ -77,6 +87,7 @@ class VehicleSpec:
 
     def __post_init__(self):
         check_numbers("> 0", length=self.length, width=self.width)
+        check_numbers(None, ref_offset=self.ref_offset)
         if not 2 * abs(self.ref_offset) < self.length:
             raise ValueError("ref_offset must lie within the vehicle body")
 

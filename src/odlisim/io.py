@@ -24,13 +24,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .core import STATE_KEYS, KinematicLimits, RoadSpec, VehicleSpec
+from .core import STATE_KEYS, KinematicLimits, RoadSpec, VehicleSpec, is_finite_number
 from .engine import CONTROL_KEYS, TrajectoryLog
 from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG, PolicySpec
 from .reach import DrivableArea, Prevalence, PredictionConfig, Timeline
@@ -193,12 +192,6 @@ def _parse_body(rows: list[str], header: list[str]) -> np.ndarray:
     return body
 
 
-def _finite_number(value) -> bool:
-    """Whether ``value`` is a finite int or float, not a bool; a huge int is never converted."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def load_trajectory_log(path: str | Path) -> TrajectoryLog:
     path = Path(path)
     meta_path = sidecar_path(path)
@@ -212,11 +205,11 @@ def load_trajectory_log(path: str | Path) -> TrajectoryLog:
                          f"{type(exc).__name__}: {exc}") from exc
     flags = {}
     for key, fallback, what, ok in (
-            ("dt", None, "a finite number > 0", lambda v: _finite_number(v) and v > 0),
+            ("dt", None, "a finite number > 0", lambda v: is_finite_number(v) and v > 0),
             ("collided", False, "true or false", lambda v: isinstance(v, bool)),
             ("complete", True, "true or false", lambda v: isinstance(v, bool)),
             ("t_collision", None, "null or a finite number",
-             lambda v: v is None or _finite_number(v))):
+             lambda v: v is None or is_finite_number(v))):
         flags[key] = meta.get(key, fallback)
         if not ok(flags[key]):
             raise ParseError(f"metadata sidecar {meta_path}: {key} = {flags[key]!r} "
@@ -367,7 +360,7 @@ _ANALYSIS_RULES = {"dt": _POSITIVE, "eval_step": _POSITIVE, "bootstrap_samples":
 def _checked(path: Path, name: str, value, rule):
     """``value`` stored as the rule's type; a ParseError naming the key if it breaks the rule."""
     what, kind, in_range = rule
-    if not (_finite_number(value) and in_range(value)):
+    if not (is_finite_number(value) and in_range(value)):
         raise ParseError(f"run config {path}: {name} = {value!r} must be {what}")
     return kind(value)
 
@@ -387,10 +380,10 @@ def load_run_config(path: str | Path) -> dict:
 def checked_run_config(config, path: str | Path) -> dict:
     """A copy of ``config`` with omitted keys filled from their fallbacks.
 
-    Every format error is a ParseError naming ``path`` and, for a bad
-    value, its key; a bad ``prediction`` section fails as
-    ``prediction_from_dict`` does.  ``load_run_config`` checks what it reads
-    this way, and ``scenario gen`` what it writes.
+    Every format error is a ParseError naming ``path`` and, for a bad value,
+    its key; a bad scenario, policy or prediction fails as the spec it builds
+    does.  ``load_run_config`` checks what it reads this way, and
+    ``scenario gen`` what it writes.
     """
     if not isinstance(config, dict):
         raise ParseError(f"run config {path}: top level must be a JSON object")
@@ -416,7 +409,12 @@ def checked_run_config(config, path: str | Path) -> dict:
     for key, rule in _ANALYSIS_RULES.items():
         if key in analysis:  # dt has no fallback: only the commands that step read it
             analysis[key] = _checked(path, f"analysis.{key}", analysis[key], rule)
-    prediction_from_dict(config["prediction"])
+    try:
+        config_scenario(config)
+        config_policies(config)
+        config_prediction(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"run config {path}: {type(exc).__name__}: {exc}") from exc
     return config
 
 
@@ -483,8 +481,8 @@ def emit_reach_snapshot(area: DrivableArea, path: str | Path,
                         sv_rect=None, pov_rect=None) -> None:
     """Snapshot of SV (pruned) and POV layers, one row per layer rectangle.
 
-    The rows of a layer follow ``layer.rects``; its cells are the union of
-    their half-open ranges ``[i0, i1) x [j0, j1)``, which span
+    A layer's rows are its set of rectangles, in an order that means nothing;
+    its cells are the union of their half-open ranges ``[i0, i1) x [j0, j1)``, which span
     ``[i0*dx, i1*dx) x [j0*dy, j1*dy)`` in metres.
     """
     rows = []

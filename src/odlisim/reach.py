@@ -11,8 +11,9 @@ keeps rasterization rounding from compounding across steps.  Because
 every computation starts from a point state and all clamps are global,
 one hull per axis describes every cell of a layer.
 
-A layer stores its occupied cells as a short tuple of half-open
-world-cell rectangles, none empty and none inside another: a box is one
+A layer's occupied cells are the union of a set of half-open world-cell
+rectangles: each is non-empty and none lies inside another, and the
+order of the tuple that holds them means nothing.  A box is one
 rectangle, and an empty layer has none.  Every kernel step maps
 rectangles to rectangles exactly, in integer arithmetic.  Dilation
 distributes over a union, so propagation widens each rectangle by the
@@ -127,9 +128,10 @@ class Layer:
     The layer's cells are the union of ``rects``, half-open world-cell
     rectangles ``(i0, i1, j0, j1)`` of the cells ``i0 <= ix < i1``,
     ``j0 <= iy < j1``; world cell ``(ix, iy)`` spans
-    ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  No rectangle is empty or
-    inside another; a box is one rectangle, and an empty layer has none
-    and no hulls.  Build layers with ``_layer``.
+    ``[ix*dx, (ix+1)*dx) x [iy*dy, (iy+1)*dy)``.  The rectangles are a set:
+    each is non-empty, none lies inside another, and their order means
+    nothing.  A box is one rectangle, and an empty layer has none and no
+    hulls.  The kernel, `_Batch`, builds layers.
     """
 
     tau: float
@@ -188,32 +190,24 @@ class DrivableArea:
     pov_layers: list[Layer] = field(default_factory=list)
 
 
-def _areas(rects: np.ndarray) -> np.ndarray:
-    """The area in cells of each non-empty signed rectangle (both factors negated)."""
-    return (rects[:, 0] + rects[:, 1]) * (rects[:, 2] + rects[:, 3])
-
-
-def _tidied(rects: np.ndarray, owner: np.ndarray,
-            ties: tuple[np.ndarray, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's rectangles without the empty ones and those inside another.
+def _tidied(rects: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's set of rectangles: those it holds but the empty ones and those
+    inside another.
 
     ``rects`` is an ``(r, 4)`` int array of signed world-cell rectangles (see
-    `_Batch`) and ``owner`` the member of each, never decreasing.  A member left
-    with two or more rectangles has them largest first, equal areas by each of
-    ``ties`` in turn (earlier areas of each rectangle, larger first) and then in
-    their given order, and of equal rectangles the first stays.  Containment is
-    tested only between the rectangles of one member, each against those before it.
+    `_Batch`) and ``owner`` the member of each, never decreasing.  A member's
+    rectangles come out largest first, so that each is tested for containment
+    only against those before it; of equal rectangles the first stays.
     """
     width, height = rects[:, 0] + rects[:, 1], rects[:, 2] + rects[:, 3]  # both negated
     kept = (width < 0) & (height < 0)
     if np.count_nonzero(kept) < len(kept):
         rects, owner, width, height = rects[kept], owner[kept], width[kept], height[kept]
-        ties = tuple(t[kept] for t in ties)
     shared = owner[1:] == owner[:-1]
     if not np.count_nonzero(shared):  # no member holds two rectangles
         return rects, owner
-    # stable, so equal keys keep their order and each member's run stays in place
-    rects = rects[np.lexsort([-t for t in reversed(ties)] + [-width * height, owner])]
+    # stable, so each member's run stays in place
+    rects = rects[np.lexsort([-width * height, owner])]
     first = np.searchsorted(owner, owner)  # each member's first rectangle
     rank = np.arange(len(owner)) - first
     # one (earlier, later) pair per two rectangles of a member
@@ -226,21 +220,6 @@ def _tidied(rects: np.ndarray, owner: np.ndarray,
     inside = np.zeros(len(owner), dtype=bool)
     inside[later[held]] = True
     return rects[~inside], owner[~inside]
-
-
-def _layer(tau: float, dx: float, dy: float, rects: list[tuple[int, int, int, int]],
-           x_hull: AxisInterval | None, y_hull: AxisInterval | None) -> Layer:
-    """The layer of the cells of the world-cell rectangles ``rects``.
-
-    Empty rectangles and rectangles inside another are dropped, which leaves
-    the cells as they are.  With no rectangle left, or no lateral hull, the
-    layer is empty.
-    """
-    kept, _ = _tidied(np.array(rects, dtype=np.int64).reshape(-1, 4) * _SIGNED,
-                      np.zeros(len(rects), dtype=np.intp))
-    if not len(kept) or y_hull is None:
-        return Layer(tau, dx, dy, (), None, None)
-    return Layer(tau, dx, dy, tuple(map(tuple, (kept * _SIGNED).tolist())), x_hull, y_hull)
 
 
 def _cells(positions: np.ndarray, cell: np.ndarray) -> np.ndarray:
@@ -262,27 +241,24 @@ class _Batch:
     every column is then a lower bound, so a rectangle holds another iff it is
     no larger in each column, and clamping an edge is a maximum.  A member that
     owns no rectangle is empty, and its hull means nothing.  Each member's
-    rectangles are tidy (see `_tidied`) except while ``untidy``: a cut leaves its
-    pieces to the next step's tidy, which orders ties by their areas as cut, as
-    a tidy after the cut would have, and ``layer`` tidies a member it reads.
-    ``limits`` holds the members' x and y boxes as ``(2, 1, n)`` fields, None for
-    a batch that is never stepped.
+    rectangles are a set (see `_tidied`) except while ``untidy``: a cut leaves
+    its pieces to the next step's tidy, and ``layer`` tidies a member it reads.
+    ``limits`` holds the members' x and y boxes as ``(2, 1, n)`` fields.
     """
 
     def __init__(self, hull: np.ndarray, rects: np.ndarray, owner: np.ndarray, dx: float,
-                 dy: float, limits: list[tuple[AxisLimits, AxisLimits]] | None = None):
+                 dy: float, limits: list[tuple[AxisLimits, AxisLimits]]):
         self.hull, self.rects, self.owner, self.dx, self.dy = hull, rects, owner, dx, dy
         self.untidy = False
         self.cell = np.array([dx, dy])[:, None, None]
-        if limits is not None:
-            # a frozen dataclass's vars hold its fields in order
-            boxes = np.array([[tuple(vars(lim).values()) for lim in pair] for pair in limits])
-            self.limits = AxisLimits(*boxes.transpose(2, 1, 0)[:, :, None, :])
-            self.jerk = np.concatenate([self.limits.j_lo, self.limits.j_hi], axis=1)
+        # a frozen dataclass's vars hold its fields in order
+        boxes = np.array([[tuple(vars(lim).values()) for lim in pair] for pair in limits])
+        self.limits = AxisLimits(*boxes.transpose(2, 1, 0)[:, :, None, :])
+        self.jerk = np.concatenate([self.limits.j_lo, self.limits.j_hi], axis=1)
 
     @classmethod
     def of_layers(cls, layers: list[Layer],
-                  limits: list[tuple[AxisLimits, AxisLimits]] | None = None) -> _Batch:
+                  limits: list[tuple[AxisLimits, AxisLimits]]) -> _Batch:
         """The batch of ``layers``, none of them empty."""
         hulls = [(tuple(vars(layer.x_hull).values()), tuple(vars(layer.y_hull).values()))
                  for layer in layers]
@@ -294,8 +270,7 @@ class _Batch:
 
     @classmethod
     def of_states(cls, states: list[VehicleState],
-                  limits: list[tuple[AxisLimits, AxisLimits]] | None, dx: float,
-                  dy: float) -> _Batch:
+                  limits: list[tuple[AxisLimits, AxisLimits]], dx: float, dy: float) -> _Batch:
         """The tau = 0 layers of ``states``: each exactly the cell covering its
         position, with hulls at the raw point state; clamping into the admissible
         box happens on the first step, mirroring the stepper."""
@@ -330,15 +305,11 @@ class _Batch:
         exactly.  The cells are the velocity-range dilation of the previous
         cells intersected with the rasterized new position hull: each rectangle
         widens by its member's range of cell shifts and is clamped to the
-        cells of its member's new hull.  One tidy after the clip, with the
-        unclipped areas and then the areas of a pending cut's pieces as ties,
-        gives what a tidy after each of cut, propagation and clip gives: the
-        last two keep every containment, so a rectangle an earlier tidy would
-        drop is dropped anyway, and the stable order by the later areas, then
-        the earlier ones, is the order the later tidy gives the earlier one's.
+        cells of its member's new hull.  One tidy after the clip gives the set
+        that a tidy after each of cut, propagation and clip gives: the last two
+        keep every containment, so a rectangle an earlier tidy would drop is
+        dropped anyway.
         """
-        # after a cut, the pieces' areas order ties last, as a tidy after the cut would
-        cut_areas = (_areas(self.rects),) if self.untidy else ()
         p, v, a = self.hull
         hull = np.array(axis_step(p, v, a, self.jerk, self.limits, tau_step))
         if np.count_nonzero(hull[:, :, 0] > hull[:, :, 1]):
@@ -356,11 +327,9 @@ class _Batch:
         edges = np.concatenate([shift, bound]).reshape(8, -1).T.astype(np.int64)[self.owner]
         rects = np.maximum(self.rects + edges[:, :4], edges[:, 4:])
         self.hull = hull
-        ties = cut_areas
         if clip is not None:
-            ties = (_areas(rects), *cut_areas)
             self._clip(rects, clip)
-        self.rects, self.owner = _tidied(rects, self.owner, ties)
+        self.rects, self.owner = _tidied(rects, self.owner)
         self.untidy = False
 
     def _clip(self, rects: np.ndarray, clip: list[np.ndarray]) -> None:
@@ -412,12 +381,6 @@ class _Batch:
         pieces, owner = pieces[taken], np.repeat(self.owner, 1 + 3 * hit)
         kept = (pieces[:, 0] + pieces[:, 1] < 0) & (pieces[:, 2] + pieces[:, 3] < 0)
         self.rects, self.owner, self.untidy = pieces[kept], owner[kept], True
-
-
-def make_initial_layer(state: VehicleState, dx: float, dy: float) -> Layer:
-    """tau = 0 layer: exactly the cell covering the current position (see
-    `_Batch.of_states`)."""
-    return _Batch.of_states([state], None, dx, dy).layer(0, 0.0)
 
 
 def propagate_step(layer: Layer, limits: tuple[AxisLimits, AxisLimits], tau_step: float) -> Layer:
@@ -476,28 +439,6 @@ def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
     (i0, i1, j0, j1), = layer.rects
     di0, di1, dj0, dj1 = _footprint_cells(pov_spec, sv_spec, layer.dx, layer.dy)
     return i0 + di0, i1 + di1, j0 + dj0, j1 + dj1
-
-
-def pov_prediction_mode(pov_y_history: np.ndarray, lane_width: float,
-                        threshold: float = 0.15) -> str:
-    """Normative while the POV has stayed near its lane center; latched after.
-
-    Once any sample deviates more than the threshold from + lane_width / 2
-    the mode is kinematic-envelope for the rest of the run.
-    """
-    y = np.atleast_1d(np.asarray(pov_y_history, dtype=float))
-    if y.size == 0:
-        raise ValueError("need at least one POV sample")
-    return _MODES[_latch_sample(y, lane_width, threshold) < y.size]
-
-
-_MODES = ("normative", "kinematic-envelope")  # before the latch, from it on
-
-
-def _latch_sample(pov_y: np.ndarray, lane_width: float, threshold: float) -> int:
-    """The first sample more than ``threshold`` from + lane_width / 2, len(pov_y) if none."""
-    off = np.abs(pov_y - lane_width / 2.0) > threshold
-    return int(off.argmax()) if off.any() else len(pov_y)
 
 
 def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
@@ -624,11 +565,16 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
     return DrivableArea(layers=sv_layers, exists=not sv_layers[-1].empty, pov_layers=pov_layers)
 
 
+_MODES = ("normative", "kinematic-envelope")  # before the latch, from it on
+
+
 def _latched_modes(log: TrajectoryLog, samples: list[int],
                    config: PredictionConfig) -> list[str]:
-    """POV prediction mode at each log sample i of ``samples``, latched over samples 0..i."""
-    latch = _latch_sample(log.pov["y"], log.scenario.road.lane_width,
-                          config.incursion_detect_threshold)
+    """POV prediction mode at each log sample i of ``samples``: normative while samples
+    0..i lie within the threshold of + lane_width / 2, else kinematic-envelope."""
+    off = (np.abs(log.pov["y"] - log.scenario.road.lane_width / 2.0)
+           > config.incursion_detect_threshold)
+    latch = int(off.argmax()) if off.any() else len(off)
     return [_MODES[i >= latch] for i in samples]
 
 

@@ -11,13 +11,12 @@ t_C = t_T + time_gap_trigger.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (POV_SIGN, SV_SIGN, KinematicLimits, RoadSpec, VehicleSpec, VehicleState,
-                   axis_limits, check_numbers)
+                   axis_limits, check_numbers, is_finite_number)
 
 MPH_40 = 17.88  # m/s, posted-limit approach speed for both vehicles
 
@@ -40,6 +39,7 @@ class ScenarioSpec:
     edge_reach_after: float = 1.5  # s, continuing-left speed sized to reach the road edge this long after t_C
 
     def __post_init__(self):
+        check_numbers(None, incursion_level=self.incursion_level)
         if not -1.0 <= self.incursion_level <= 1.0:
             raise ValueError(f"incursion_level outside [-1, 1]: {self.incursion_level}")
         check_numbers("> 0", v_sv_nominal=self.v_sv_nominal, v_pov=self.v_pov,
@@ -60,8 +60,8 @@ class ScenarioTiming:
     t_critical: float  # s, projected collision time absent any SV response
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_trigger) and math.isfinite(self.t_critical)):
-            raise ValueError(f"timing must be finite: {self}")
+        if not (is_finite_number(self.t_trigger) and is_finite_number(self.t_critical)):
+            raise ValueError(f"timing must be finite numbers: {self}")
         if self.t_critical <= self.t_trigger:
             raise ValueError("t_critical must follow t_trigger")
 
@@ -80,6 +80,7 @@ def make_scenario(incursion_level: float) -> ScenarioSpec:
 
 
 def default_timing(spec: ScenarioSpec, t_trigger: float = 1.0) -> ScenarioTiming:
+    check_numbers(None, t_trigger=t_trigger)
     return ScenarioTiming(t_trigger, t_trigger + spec.time_gap_trigger)
 
 

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from odlisim import reach
+from odlisim.core import SV_LIMITS, axis_limits
 from odlisim.engine import TrajectoryLog
-from odlisim.reach import Timeline
+from odlisim.reach import Layer, Timeline
 from odlisim.scenario import ScenarioTiming, make_scenario
 
 
@@ -59,6 +61,16 @@ def make_timeline(exists, eval_step=0.1, t_begin=1.4, t_trigger=1.0):
 def rect_cells(rects):
     """The world cells (ix, iy) of half-open world-cell rectangles (i0, i1, j0, j1)."""
     return {(i, j) for i0, i1, j0, j1 in rects for i in range(i0, i1) for j in range(j0, j1)}
+
+
+def make_layer(tau, dx, dy, rects, x_hull, y_hull):
+    """The reach layer of the cells of world-cell rectangles ``rects``, among them empty,
+    nested or repeated ones, as the kernel makes it: a batch of one member holding them
+    as a cut leaves its pieces, untidy, and read as a layer, which makes them a set."""
+    batch = reach._Batch.of_layers([Layer(tau, dx, dy, tuple(rects), x_hull, y_hull)],
+                                   [axis_limits(SV_LIMITS, 1)])
+    batch.untidy = True
+    return batch.layer(0, tau)
 
 
 def world_cells(layer):

@@ -16,9 +16,8 @@ from odlisim.engine import classify_outcome, rollout, run_cohort
 from odlisim.oracle import analytic_1d_bounds, containment_check, sample_trajectories
 from odlisim.policies import PolicySpec
 from odlisim.reach import (PredictionConfig, aggregate_prevalence,
-                           compute_drivable_area, compute_reachable_set,
-                           drivable_timeline, make_initial_layer,
-                           pov_prediction_mode, propagate_step)
+                           compute_reachable_set, drivable_area_at, drivable_timeline,
+                           propagate_step)
 from odlisim.responses import (AnalysisWindow, build_sequence_graph,
                                detect_responses, response_times, window_for)
 from odlisim.scenario import (IncursionPath, default_timing, make_scenario,
@@ -108,7 +107,7 @@ def test_criterion_4_1d_oracle_agreement():
 
     from odlisim.core import VehicleState
     state = VehicleState(t=0, x=0.0, y=0.0, vx=20.0, vy=0.0, ax=0.0, ay=0.0)
-    layer = make_initial_layer(state, cfg.grid_dx, cfg.grid_dy)
+    layer = compute_reachable_set(state, SV_LIMITS, cfg).layers[0]
     for _ in range(5):
         layer = propagate_step(layer, axis_limits(SV_LIMITS, 1), cfg.tau_step)
     hull = layer.position_hull()[0]
@@ -153,13 +152,7 @@ def test_criterion_5_qualitative_reachability():
     if ok_b:
         k = regained[0]
         i = log.index_at(float(tl.t[k]))
-        cfg = PredictionConfig()
-        area = compute_drivable_area(
-            log.sv_state(i), log.pov_state(i), cfg, log.scenario.road,
-            log.scenario.sv_spec, log.scenario.pov_spec,
-            mode=pov_prediction_mode(log.pov["y"][:i + 1],
-                                     log.scenario.road.lane_width,
-                                     cfg.incursion_detect_threshold))
+        area, _ = drivable_area_at(log, i, PredictionConfig())
         y_pov = float(log.pov["y"][i])
         final = area.layers[-1]
         centers = [(iy + 0.5) * final.dy for _, iy in world_cells(final)]

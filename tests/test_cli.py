@@ -197,9 +197,50 @@ def test_scenario_gen_writes_no_invalid_config(tmp_path, capsys, flag, value):
                            "message": f"run config {cfg_path}: analysis.dt = -1.0 "
                                       f"must be a finite number > 0"}
     else:
-        assert payload == {"error": "ValueError",
-                           "message": f"{key} must be positive and finite, got {float(value)}"}
+        assert payload == {"error": "ParseError",
+                           "message": f"run config {cfg_path}: ValueError: {key} must be "
+                                      f"positive and finite, got {float(value)}"}
     assert not cfg_path.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("scenario", "v_pov", 10 ** 400, f"v_pov must be positive and finite, got {10 ** 400}"),
+    ("scenario", "v_pov", True, "v_pov must be positive and finite, got True"),
+    ("prediction", "horizon", 10 ** 400, f"horizon must be positive and finite, got {10 ** 400}"),
+    ("policies", "reaction_delay", 10 ** 400, f"reaction_delay must be finite, got {10 ** 400}"),
+], ids=["v_pov-huge-int", "v_pov-true", "horizon-huge-int", "reaction_delay-huge-int"])
+def test_simulate_names_config_number_out_of_float_range(tmp_path, capsys, section, key,
+                                                         value, message):
+    """A JSON integer past the float range, or a boolean, in a spec's number field fails
+    at config load naming the file and the key: before, 10**400 failed as an OverflowError
+    naming neither, and "v_pov": true simulated at 1 m/s."""
+    cfg_path = small_config(tmp_path)
+    config = json.loads(cfg_path.read_text())
+    (config["policies"][0] if section == "policies" else config[section])[key] = value
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert json_error(capsys) == {"error": "ParseError",
+                                  "message": f"run config {cfg_path}: ValueError: {message}"}
+    assert not out.exists()
+
+
+def test_analyze_names_sidecar_number_out_of_float_range(tmp_path, capsys):
+    cfg_path = small_config(tmp_path)
+    logs, out = tmp_path / "logs", tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(logs)) == 0
+    sidecar = io.sidecar_path(logs / "run_001.csv")
+    meta = json.loads(sidecar.read_text())
+    meta["scenario"]["v_pov"] = 10 ** 400
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run_cli("analyze", "responses", "--config", str(cfg_path), "--logs", str(logs),
+                   "--out", str(out)) == 1
+    assert json_error(capsys) == {
+        "error": "ParseError",
+        "message": f"metadata sidecar {sidecar}: ValueError: v_pov must be positive and "
+                   f"finite, got {10 ** 400}"}
+    assert not out.exists()
 
 
 def drop_columns(path, names):
@@ -331,9 +372,10 @@ def test_reach_rejects_non_finite_prediction_config(tmp_path, capsys, flag, valu
     assert run_cli("reach", "aggregate", "--config", str(cfg_path), "--logs", str(out),
                    "--out", str(out), flag, value) == 1
     field = flag[2:].replace("-", "_")
-    assert json_error(capsys) == {"error": "ValueError",
-                                  "message": f"{field} must be positive and finite, "
-                                             f"got {float(value)}"}
+    assert json_error(capsys) == {"error": "ParseError",
+                                  "message": f"run config {cfg_path} with its override flags: "
+                                             f"ValueError: {field} must be positive and "
+                                             f"finite, got {float(value)}"}
     assert not (out / "prevalence.csv").exists()
 
 
@@ -352,9 +394,10 @@ def test_prediction_overrides_checked_before_any_output(tmp_path, capsys, flag, 
         out = tmp_path / "fresh"
         assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out), flag, value) == 1
         field = flag[2:].replace("-", "_")
-        assert json_error(capsys) == {"error": "ValueError",
-                                      "message": f"{field} must be positive and finite, "
-                                                 f"got {float(value)}"}
+        assert json_error(capsys) == {"error": "ParseError",
+                                      "message": f"run config {cfg_path} with its override "
+                                                 f"flags: ValueError: {field} must be "
+                                                 f"positive and finite, got {float(value)}"}
         assert not out.exists(), argv
 
 

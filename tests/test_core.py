@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -13,8 +14,8 @@ from odlisim.engine import rollout
 from odlisim.oracle import analytic_1d_bounds, sample_trajectories
 from odlisim.policies import PolicySpec
 from odlisim.reach import PredictionConfig, drivable_timelines
-from odlisim.scenario import (ScenarioSpec, default_timing, make_scenario, pov_state_at,
-                              trigger_distance)
+from odlisim.scenario import (ScenarioSpec, ScenarioTiming, default_timing, make_scenario,
+                              pov_state_at, trigger_distance)
 
 
 def state(**kw):
@@ -215,7 +216,9 @@ def test_specs_reject_non_finite(value):
             state(**{field: value})
 
 
-EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.0, math.inf, -math.inf, math.nan)
+# and, as JSON may hold them, ints past the float range and booleans; numpy floats pass
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.0, math.inf, -math.inf, math.nan,
+               10 ** 400, -10 ** 400, True, False, np.float32(1.0))
 _SCENARIO = make_scenario(0.0)
 _TIMING = default_timing(_SCENARIO)
 # (what is checked, its bound, a call that passes the value and valid other inputs)
@@ -224,6 +227,8 @@ RANGE_CHECKED = [
     ("RoadSpec.shoulder_margin", ">= 0", lambda v: RoadSpec(shoulder_margin=v)),
     ("VehicleSpec.length", "> 0", lambda v: VehicleSpec(length=v)),
     ("VehicleSpec.width", "> 0", lambda v: VehicleSpec(width=v)),
+    ("VehicleSpec.ref_offset", None, lambda v: VehicleSpec(ref_offset=v)),
+    ("ScenarioSpec.incursion_level", None, lambda v: ScenarioSpec(incursion_level=v)),
     *((f"ScenarioSpec.{f}", "> 0", lambda v, f=f: ScenarioSpec(**{f: v}))
       for f in ("v_sv_nominal", "v_pov", "time_gap_trigger", "edge_reach_after")),
     *((f"PredictionConfig.{f}", "> 0", lambda v, f=f: PredictionConfig(**{f: v}))
@@ -250,6 +255,9 @@ RANGE_CHECKED = [
     ("trigger_distance v_pov", "> 0", lambda v: trigger_distance(17.0, v, 5.0)),
     ("trigger_distance gap", ">= 0", lambda v: trigger_distance(17.0, 17.0, v)),
     ("pov_state_at t", ">= 0", lambda v: pov_state_at(v, _SCENARIO, _TIMING, 100.0)),
+    ("ScenarioTiming t_trigger", None, lambda v: ScenarioTiming(v, 1e9)),
+    ("ScenarioTiming t_critical", None, lambda v: ScenarioTiming(-1e9, v)),
+    ("default_timing t_trigger", None, lambda v: default_timing(_SCENARIO, v)),
 ]
 # Rejected by another check: the default horizon over the smallest subnormal
 # step is past MAX_STEPS.
@@ -257,7 +265,11 @@ ALSO_REJECTED = {"PredictionConfig.tau_step": {5e-324}}
 
 
 def in_bound(value, bound) -> bool:
-    return math.isfinite(value) and {"> 0": value > 0, ">= 0": value >= 0, None: True}[bound]
+    """A number, not a bool, finite as a float (an int by its magnitude), within ``bound``."""
+    if isinstance(value, bool) or not (abs(value) <= sys.float_info.max
+                                       if isinstance(value, int) else math.isfinite(value)):
+        return False
+    return {"> 0": value > 0, ">= 0": value >= 0, None: True}[bound]
 
 
 @pytest.mark.parametrize("name, bound, call", RANGE_CHECKED, ids=[r[0] for r in RANGE_CHECKED])

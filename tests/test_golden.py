@@ -12,19 +12,21 @@ The default 20-run config (seed 0) is simulated once per IL (-0.8, 0 and
   `reach timeline --eval-step 0.5` and `reach compute --t 3.0` on
   `run_000` at IL 0, plus `reach compute --t 3.0` on `run_000` at IL +0.9
   (whose SV layers hold up to 13 overlapping rectangles, so a change to
-  how a snapshot lists or draws a layer's rectangles shows), are pinned in
+  how a snapshot lists or draws a layer's rectangles shows) and
+  `reach compute --t 2.0 --horizon 8 --road-pruning off` on `run_000` at
+  IL -0.8 (908 rows, up to 27 rectangles per layer), are pinned in
   `golden_pipeline.json`.
 
 A change that is meant to alter the outputs regenerates both fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+which prints each entry it adds, changes or removes against the fixture
+files it overwrites, and says why in CHANGES.md.
 """
 
 import hashlib
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -37,8 +39,9 @@ PIPELINE_FIXTURE = Path(__file__).with_name("golden_pipeline.json")
 ILS = ("-0.8", "0.0", "0.9")
 RUN_IL = "0.0"  # IL of the single-run reach outputs
 RUN_KEY = f"run_000 at IL {RUN_IL}"
-SNAPSHOT_IL = "0.9"  # IL of the multi-rectangle snapshot
-SNAPSHOT_KEY = f"reach compute --t 3.0 on run_000 at IL {SNAPSHOT_IL}"
+# (IL, `reach compute` arguments) of the multi-rectangle snapshots of run_000
+SNAPSHOT = ("0.9", ("--t", "3.0"))
+WIDE_SNAPSHOT = ("-0.8", ("--t", "2.0", "--horizon", "8", "--road-pruning", "off"))
 DENSE_STEP = "0.1"
 
 
@@ -48,6 +51,10 @@ def dense_key(il: str) -> str:
 
 def gen_key(il: str) -> str:
     return f"scenario gen --il {il}"
+
+
+def snapshot_key(il: str, args: tuple[str, ...]) -> str:
+    return f"reach compute {' '.join(args)} on run_000 at IL {il}"
 
 
 def digests(directory: Path) -> dict[str, str]:
@@ -93,11 +100,26 @@ def run_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
     return digests(out)
 
 
-def snapshot_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
-    """One drivable-area snapshot (CSV + SVG) of run_000."""
-    assert main(["reach", "compute", "--log", str(Path(logs) / "run_000.csv"),
-                 "--t", "3.0", "--config", cfg, "--out", str(out)]) == 0
+def snapshot_digests(cfg: str, logs: str, out: Path, args: tuple[str, ...]) -> dict[str, str]:
+    """One drivable-area snapshot (CSV + SVG) of run_000 under `reach compute` ``args``."""
+    assert main(["reach", "compute", "--log", str(Path(logs) / "run_000.csv"), *args,
+                 "--config", cfg, "--out", str(out)]) == 0
     return digests(out)
+
+
+def fixture_changes(old: dict, new: dict) -> list[str]:
+    """One line per entry added to, changed in or removed from ``old`` in ``new``."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            lines.append(f"added {key!r}: {', '.join(sorted(new[key]))}")
+        elif key not in new:
+            lines.append(f"removed {key!r}")
+        elif old[key] != new[key]:
+            files = sorted(f for f in old[key].keys() | new[key].keys()
+                           if old[key].get(f) != new[key].get(f))
+            lines.append(f"changed {key!r}: {', '.join(files)}")
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +164,24 @@ def test_run_reach_outputs_match_golden(simulated, tmp_path):
 
 
 def test_multi_rectangle_snapshot_matches_golden(simulated, tmp_path):
-    expected = json.loads(PIPELINE_FIXTURE.read_text())[SNAPSHOT_KEY]
-    assert snapshot_digests(*simulated(SNAPSHOT_IL), tmp_path) == expected
+    il, args = SNAPSHOT
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[snapshot_key(il, args)]
+    assert snapshot_digests(*simulated(il), tmp_path, args) == expected
+
+
+def test_wide_snapshot_matches_golden(simulated, tmp_path):
+    """No corridor and twice the horizon: SV layers of up to 27 rectangles."""
+    il, args = WIDE_SNAPSHOT
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[snapshot_key(il, args)]
+    assert snapshot_digests(*simulated(il), tmp_path, args) == expected
+
+
+def test_fixture_changes_name_each_entry():
+    old = {"a": {"x.csv": "1"}, "b": {"x.csv": "1", "y.svg": "2"}, "c": {"x.csv": "1"}}
+    new = {"b": {"x.csv": "1", "y.svg": "3"}, "c": {"x.csv": "1"}, "d": {"z.csv": "4"}}
+    assert fixture_changes(old, new) == ["removed 'a'", "changed 'b': y.svg",
+                                         "added 'd': z.csv"]
+    assert fixture_changes(new, new) == []
 
 
 if __name__ == "__main__":
@@ -158,8 +196,11 @@ if __name__ == "__main__":
             pipeline[dense_key(il)] = dense_digests(cfg, logs, work / "dense")
             if il == RUN_IL:
                 pipeline[RUN_KEY] = run_digests(cfg, logs, work / "run")
-            if il == SNAPSHOT_IL:
-                pipeline[SNAPSHOT_KEY] = snapshot_digests(cfg, logs, work / "snapshot")
+            for n, (snap_il, args) in enumerate((SNAPSHOT, WIDE_SNAPSHOT)):
+                if il == snap_il:
+                    pipeline[snapshot_key(il, args)] = snapshot_digests(
+                        cfg, logs, work / f"snapshot{n}", args)
     for path, data in ((FIXTURE, golden), (PIPELINE_FIXTURE, pipeline)):
+        old = json.loads(path.read_text()) if path.exists() else {}
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
+        print(f"wrote {path.name}: " + ("; ".join(fixture_changes(old, data)) or "no change"))

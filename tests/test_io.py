@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_table, make_log, rect_cells, world_cells
+from conftest import load_table, make_layer, make_log, rect_cells, world_cells
 from odlisim import io, reach
 from odlisim.engine import rollout, run_cohort
 from odlisim.policies import POLICY_KINDS, PolicySpec
@@ -180,6 +180,24 @@ def test_log_sidecar_flags_checked(tmp_path, key, text):
     sidecar.write_text(json.dumps(meta).replace('"@"', text))
     with pytest.raises(io.ParseError, match=re.escape(f"metadata sidecar {sidecar}: {key} = ")):
         io.load_trajectory_log(path)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, True], ids=["huge-int", "true"])
+@pytest.mark.parametrize("key", ["t_trigger", "scenario.v_pov", "policy.reaction_delay"])
+def test_log_sidecar_numbers_checked(tmp_path, key, value):
+    """A sidecar number past the float range, or a boolean, fails at load naming the
+    sidecar and the key: before, 10**400 raised a bare OverflowError and true loaded as 1."""
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(make_log(duration=0.5), path)
+    sidecar = io.sidecar_path(path)
+    meta = dict(json.loads(sidecar.read_text()), policy={"kind": "no-response"})
+    *owner, name = key.split(".")
+    (meta[owner[0]] if owner else meta)[name] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(io.ParseError, match=re.escape(f"metadata sidecar {sidecar}: ValueError: ")
+                       ) as err:
+        io.load_trajectory_log(path)
+    assert name in str(err.value)
 
 
 def test_log_sidecar_integer_dt_loads(tmp_path):
@@ -556,7 +574,10 @@ def test_config_threshold_keys_fixed(tmp_path, key, fixed):
     '{"scenario": {}, ',
     '[1, 2]',
     json.dumps({"scenario": {}, "analysis": 3, "prediction": {}}),
-], ids=["malformed-json", "not-an-object", "section-not-an-object"])
+    json.dumps(dict(io.default_run_config(), scenario={"incursion_level": 0.0})),
+    json.dumps(dict(io.default_run_config(), policies=[{"kind": "brake-only", "gain": 2}])),
+], ids=["malformed-json", "not-an-object", "section-not-an-object", "scenario-without-road",
+        "unknown-policy-key"])
 def test_config_format_error_names_file(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -725,8 +746,8 @@ def test_snapshot_rows_are_layer_rectangles(sv_rects, pov_rects):
     """Overlapping, nested and negative rectangles: each layer's rows cover its cells
     exactly, and each row's metres are its cell range scaled by the cell size."""
     hull = AxisInterval(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    layers = {"sv": [reach._layer(0.0, 0.5, 0.25, sv_rects, hull, hull)],
-              "pov": [reach._layer(0.1, 0.5, 0.25, pov_rects, hull, hull)]}
+    layers = {"sv": [make_layer(0.0, 0.5, 0.25, sv_rects, hull, hull)],
+              "pov": [make_layer(0.1, 0.5, 0.25, pov_rects, hull, hull)]}
     area = DrivableArea(layers["sv"], exists=True, pov_layers=layers["pov"])
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "snap.csv"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bounding_box, make_log, make_timeline, rect_cells, world_cells
+from conftest import (bounding_box, make_layer, make_log, make_timeline, rect_cells,
+                      world_cells)
 from odlisim import io, reach
 from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step)
@@ -14,9 +15,7 @@ from odlisim.policies import PolicySpec
 from odlisim.reach import (AxisInterval, Layer, PredictionConfig,
                            aggregate_prevalence, compute_drivable_area,
                            compute_reachable_set, drivable_area_at, drivable_timeline,
-                           drivable_timelines,
-                           make_initial_layer, pov_occupancy, pov_prediction_mode,
-                           propagate_step)
+                           drivable_timelines, pov_occupancy, propagate_step)
 from odlisim.responses import AnalysisWindow, detect_responses, window_for
 from odlisim.scenario import make_scenario
 
@@ -60,12 +59,12 @@ def mask_rects(mask, ox, oy):
 
 def carved_layer(ox, oy, rows, x_hull, y_hull):
     """The layer of the occupied cells of ``rows``, whose cell [0, 0] is world cell (ox, oy)."""
-    return reach._layer(0.0, 0.5, 0.25, mask_rects(rows, ox, oy), x_hull, y_hull)
+    return make_layer(0.0, 0.5, 0.25, mask_rects(rows, ox, oy), x_hull, y_hull)
 
 
 def emptied(layer):
     """The layer built from no rectangle."""
-    return reach._layer(layer.tau, layer.dx, layer.dy, [], layer.x_hull, layer.y_hull)
+    return make_layer(layer.tau, layer.dx, layer.dy, [], layer.x_hull, layer.y_hull)
 
 
 def clip_y(layer, y_lo, y_hi, inside):
@@ -73,21 +72,21 @@ def clip_y(layer, y_lo, y_hi, inside):
     inside (corridor) or intersecting (band): a batch of one member."""
     if layer.empty:
         return layer
-    batch = reach._Batch.of_layers([layer])
+    batch = reach._Batch.of_layers([layer], [SV_PAIR])
     batch.clip_y([np.array([b]) for b in reach._clip_bounds(y_lo, y_hi, layer.dy, inside)])
     return batch.layer(0, layer.tau)
 
 
 def pruned(layer, rect):
     """The kernel's cut of the world-cell rectangle ``rect`` from one non-empty layer."""
-    batch = reach._Batch.of_layers([layer])
+    batch = reach._Batch.of_layers([layer], [SV_PAIR])
     batch.cut(np.array([rect]))
     return batch.layer(0, layer.tau)
 
 
 def test_propagate_singleton_advance():
     state = VehicleState(t=0, x=0.2, y=0.1, vx=20.0, vy=0.0, ax=0.0, ay=0.0)
-    layer = make_initial_layer(state, 0.5, 0.25)
+    layer = compute_reachable_set(state, SV_LIMITS, CFG).layers[0]
     nxt = propagate_step(layer, SV_PAIR, 0.1)
     assert nxt.x_hull.p_lo == pytest.approx(0.2 + 2.0)
     assert nxt.x_hull.p_hi == pytest.approx(0.2 + 2.0)
@@ -100,7 +99,7 @@ def test_propagate_zero_limits_fixed_point():
                            a_lat_right_max=0, j_fwd_max=0, j_bwd_max=0,
                            j_lat_max=0, v_lat_max=0)
     state = VehicleState(t=0, x=1.3, y=0.4, vx=0.0, vy=0.0, ax=0.0, ay=0.0)
-    layer = make_initial_layer(state, 0.5, 0.25)
+    layer = compute_reachable_set(state, zero, CFG).layers[0]
     nxt = propagate_step(layer, axis_limits(zero, 1), 0.1)
     assert world_cells(nxt) == world_cells(layer)
     assert nxt.x_hull.p_lo == layer.x_hull.p_lo
@@ -108,7 +107,7 @@ def test_propagate_zero_limits_fixed_point():
 
 def test_propagate_pov_lateral_floor():
     state = pov_state()
-    layer = make_initial_layer(state, 0.5, 0.25)
+    layer = compute_reachable_set(state, POV_LIMITS, CFG).layers[0]
     nxt = propagate_step(layer, POV_PAIR, 0.1)
     assert nxt.y_hull.a_lo == 0.0  # cannot accelerate further toward the shoulder
     assert nxt.y_hull.a_hi == pytest.approx(3.0)  # 0 + 0.1 * 30 toward its left
@@ -131,8 +130,7 @@ def test_propagate_keeps_interior_rectangle_rounding():
     fl(x + 0.1 * 20) = 66.0 lands in cell 264, one past the shifted [258, 264)."""
     x_hull = AxisInterval(62.5, 70.0, 20.0, 20.0, 0.0, 0.0)
     y_hull = AxisInterval(0.0, 0.2, 0.0, 0.0, 0.0, 0.0)
-    layer = reach._layer(0.0, 0.25, 0.25, [(250, 256, 0, 1), (270, 280, 0, 1)],
-                         x_hull, y_hull)
+    layer = make_layer(0.0, 0.25, 0.25, [(250, 256, 0, 1), (270, 280, 0, 1)], x_hull, y_hull)
     x = math.nextafter(64.0, -math.inf)
     assert math.floor(x / layer.dx) == 255
     x_new, _, _ = axis_step(x, 20.0, 0.0, 0.0, SV_PAIR[0], 0.1)
@@ -201,13 +199,15 @@ def test_occupancy_commutes_with_union():
 
 
 def test_prediction_mode_examples():
-    assert pov_prediction_mode([1.825], 3.65) == "normative"
-    assert pov_prediction_mode([1.825 - 0.3], 3.65, threshold=0.15) == "kinematic-envelope"
-    # latch: any past exceedance keeps envelope mode
-    history = [1.825, 1.4, 1.825]
-    assert pov_prediction_mode(history, 3.65) == "kinematic-envelope"
-    with pytest.raises(ValueError):
-        pov_prediction_mode([], 3.65)
+    """Normative while every POV sample so far lies within the threshold of its lane
+    center, kinematic-envelope from the first one past it on, even once it is back."""
+    w = RoadSpec().lane_width
+    log = make_log(duration=0.04, pov={"y": [w / 2, w / 2 - 0.1, w / 2 - 0.3, w / 2, w / 2]})
+    envelope = reach._latched_modes(log, [0, 1, 2, 3, 4], CFG)
+    assert envelope == ["normative"] * 2 + ["kinematic-envelope"] * 3
+    wide = PredictionConfig(incursion_detect_threshold=0.35)
+    assert reach._latched_modes(log, [4, 2, 0], wide) == ["normative"] * 3
+    assert reach._latched_modes(make_log(duration=0.04), [4], CFG) == ["normative"]
 
 
 def test_drivable_area_pov_far_away():
@@ -673,7 +673,7 @@ def random_layer(rng, kind):
     x_hull, y_hull = hull(ox, nx, dx, 30.0), hull(oy, ny, dy, 3.0)
     heading = int(rng.choice([-1, 1]))
     window = GridWindow(dx, dy, ox - PAD, oy - PAD, nx + 2 * PAD, ny + 2 * PAD)
-    layer = reach._layer(tau, dx, dy, mask_rects(mask, window.ox, window.oy), x_hull, y_hull)
+    layer = make_layer(tau, dx, dy, mask_rects(mask, window.ox, window.oy), x_hull, y_hull)
     return layer, WindowLayer(tau, window, mask, x_hull, y_hull), heading
 
 
@@ -749,7 +749,7 @@ def rect_layers(draw):
     ii, jj = [i for i, _ in cells], [j for _, j in cells]
     x_hull, y_hull = hull(min(ii), max(ii) + 1, dx, 30.0), hull(min(jj), max(jj) + 1, dy, 3.0)
     tau = 0.1 * draw(st.integers(0, 40))
-    layer = reach._layer(tau, dx, dy, rects, x_hull, y_hull)
+    layer = make_layer(tau, dx, dy, rects, x_hull, y_hull)
     window = GridWindow(dx, dy, min(ii) - PAD, min(jj) - PAD,
                         max(ii) - min(ii) + 1 + 2 * PAD, max(jj) - min(jj) + 1 + 2 * PAD)
     mask = np.zeros((window.nx, window.ny), dtype=bool)
@@ -764,6 +764,25 @@ def assert_minimal(layer):
         assert i0 < i1 and j0 < j1
         for m, (a0, a1, b0, b1) in enumerate(layer.rects):
             assert m == n or not (a0 <= i0 and i1 <= a1 and b0 <= j0 and j1 <= b1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rect_lists(), st.data())
+def test_layer_rectangles_are_a_set(rects, data):
+    """A layer's rectangles are a set: any order of a member's rectangles, in a batch
+    beside another member, builds the same rectangles, none empty or inside another,
+    holding the same world cells."""
+    hull = AxisInterval(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    orders = [rects, data.draw(st.permutations(rects)), data.draw(st.permutations(rects))]
+    batch = reach._Batch.of_layers([Layer(0.0, 0.5, 0.25, tuple(r), hull, hull)
+                                    for r in orders], [SV_PAIR] * len(orders))
+    batch.untidy = True  # raw rectangles, as a cut leaves its pieces
+    layers = [batch.layer(m, 0.0) for m in range(len(orders))]
+    for layer in layers:
+        assert_minimal(layer)
+        assert len(set(layer.rects)) == len(layer.rects)
+        assert set(layer.rects) == set(layers[0].rects)
+        assert world_cells(layer) == rect_cells(rects)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1185,8 +1204,8 @@ def test_filled_mask_becomes_a_box():
     assert len(carved.rects) == 2 and bounding_box(carved)[2] == (2, 2)
     assert carved.mask.tolist() == [[True, False], [True, True]]
     # a box given with a piece inside it, a duplicate and an empty rectangle
-    filled = reach._layer(0.0, 0.5, 0.25, [(1, 2, 0, 1), (0, 3, 0, 2), (0, 3, 0, 2),
-                                           (5, 5, 0, 9)], *hulls)
+    filled = make_layer(0.0, 0.5, 0.25, [(1, 2, 0, 1), (0, 3, 0, 2), (0, 3, 0, 2),
+                                         (5, 5, 0, 9)], *hulls)
     assert filled.rects == ((0, 3, 0, 2),)
 
 
