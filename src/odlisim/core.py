@@ -11,133 +11,21 @@ left is +y (toward its original lane) and its right is -y.
 A rollout state of n vehicles is a ``(3, 2, n)`` array (p, v, a rows, x over
 y), whose ``(6, n)`` view has the channels `STATE_KEYS`; `step_state` steps
 such a state in place through `axis_step`, the one stepping rule of the
-simulator, the sampling oracle and the reachable-set propagation.
+simulator, the sampling oracle and the reachable-set propagation.  The
+vehicle types, caps and number checks are defined in `spec`; this module
+still offers the names its callers read from it.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-SV_SIGN = 1
-POV_SIGN = -1
+from .spec import (MAX_STEPS, POV_LIMITS, POV_SIGN, SV_LIMITS, SV_SIGN, KinematicLimits,
+                   RoadSpec, VehicleSpec, VehicleState, check_numbers, step_count)
+
 STATE_KEYS = ("x", "y", "vx", "vy", "ax", "ay")
-MAX_STEPS = 100_000  # per rollout, sample cloud or prediction; 20 members hold ~100 MB
-
-# Bound -> (what a number must be, its range test), for `check_numbers`.
-_NUMBER_RULES = {"> 0": ("positive and finite", lambda v: v > 0),
-                 ">= 0": ("finite and >= 0", lambda v: v >= 0),
-                 None: ("finite", lambda v: True)}
-
-
-def step_count(span: float, step: float, what: str) -> int:
-    """``round(span / step)``; ValueError naming ``what`` if not finite or past `MAX_STEPS`."""
-    count = span / step
-    if not (math.isfinite(count) and round(count) <= MAX_STEPS):
-        raise ValueError(f"{what} must be at most {MAX_STEPS} steps, got {count}")
-    return round(count)
-
-
-def is_finite_number(value) -> bool:
-    """Whether ``value`` is a finite int or float, numpy's too, and not a bool.  An int is
-    compared with the float range, never converted, so one past it fails, not overflows."""
-    if isinstance(value, (float, np.floating)):
-        return math.isfinite(value)
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def check_numbers(bound: str | None, **values: float) -> None:
-    """Raise ValueError naming the first of ``values`` not `is_finite_number` within ``bound``.
-
-    ``bound`` is ``"> 0"``, ``">= 0"``, or None for finite alone.
-    """
-    what, in_range = _NUMBER_RULES[bound]
-    for name, value in values.items():
-        if not (is_finite_number(value) and in_range(value)):
-            raise ValueError(f"{name} must be {what}, got {value}")
-
-
-@dataclass(frozen=True)
-class RoadSpec:
-    lane_width: float = 3.65     # m, per lane (two lanes)
-    num_lanes: int = 2
-    shoulder_margin: float = 0.5  # m, allowed excursion beyond the road edge
-
-    def __post_init__(self):
-        check_numbers("> 0", lane_width=self.lane_width)
-        if self.num_lanes != 2:
-            raise ValueError("only two-lane roads are supported")
-        check_numbers(">= 0", shoulder_margin=self.shoulder_margin)
-
-    @property
-    def width(self) -> float:
-        """Full road width, centerline at y = 0."""
-        return 2.0 * self.lane_width
-
-
-@dataclass(frozen=True)
-class VehicleSpec:
-    length: float = 4.4   # m
-    width: float = 1.8    # m
-    ref_offset: float = 0.0  # m, positioning reference point forward of geometric center
-
-    def __post_init__(self):
-        check_numbers("> 0", length=self.length, width=self.width)
-        check_numbers(None, ref_offset=self.ref_offset)
-        if not 2 * abs(self.ref_offset) < self.length:
-            raise ValueError("ref_offset must lie within the vehicle body")
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    t: float    # s
-    x: float    # m, reference-point longitudinal position
-    y: float    # m, reference-point lateral position
-    vx: float   # m/s
-    vy: float   # m/s
-    ax: float   # m/s^2
-    ay: float   # m/s^2
-    heading_sign: int = SV_SIGN  # +1 along +x (SV), -1 along -x (POV)
-
-    def __post_init__(self):
-        vals = (self.t, self.x, self.y, self.vx, self.vy, self.ax, self.ay)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite vehicle state: {vals}")
-        if self.heading_sign not in (SV_SIGN, POV_SIGN):
-            raise ValueError(f"heading_sign must be +1 or -1, got {self.heading_sign}")
-
-
-@dataclass(frozen=True)
-class KinematicLimits:
-    """Per-vehicle kinematic caps in the vehicle's own frame.
-
-    Lateral acceleration limits are split by side so the POV envelope can be
-    biased toward returning to its own lane (its right-side cap is 0).
-    ``v_lat_max`` bounds lateral drift speed; a single admissible-state box
-    is shared by the simulator plant, the sampling oracle, and the set
-    propagation so soundness checks compare like with like.
-    """
-
-    v_max: float = 20.0           # m/s, longitudinal speed cap
-    a_fwd_max: float = 5.0        # m/s^2
-    a_brk_max: float = 8.0        # m/s^2, magnitude
-    a_lat_left_max: float = 6.0   # m/s^2, magnitude, vehicle-frame left
-    a_lat_right_max: float = 6.0  # m/s^2, magnitude, vehicle-frame right
-    j_fwd_max: float = 10.0       # m/s^3
-    j_bwd_max: float = 30.0       # m/s^3, magnitude
-    j_lat_max: float = 30.0       # m/s^3, magnitude
-    v_lat_max: float = 6.0        # m/s, lateral speed cap, magnitude
-
-    def __post_init__(self):
-        check_numbers(">= 0", **vars(self))
-
-
-SV_LIMITS = KinematicLimits()
-POV_LIMITS = KinematicLimits(a_lat_left_max=4.0, a_lat_right_max=0.0)
 
 
 @dataclass(frozen=True)

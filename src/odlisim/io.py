@@ -1,4 +1,7 @@
-"""File formats: trajectory logs, run configs, and analysis table emission.
+"""File formats: trajectory logs and analysis table emission.
+
+The run-config format and `ParseError` are defined in `spec`, which needs
+no numpy; this module still offers the names its callers read from it.
 
 Trajectory logs are comma-delimited text with a header row, a units row,
 and one row per sample; a JSON sidecar (<path>.meta.json) carries the
@@ -29,21 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import STATE_KEYS, KinematicLimits, RoadSpec, VehicleSpec, is_finite_number
+from .core import STATE_KEYS
 from .engine import CONTROL_KEYS, TrajectoryLog
-from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG, PolicySpec
-from .reach import DrivableArea, Prevalence, PredictionConfig, Timeline
+from .reach import DrivableArea, Prevalence, Timeline
 from .responses import SequenceGraph
-from .scenario import ScenarioSpec, ScenarioTiming, default_timing, make_scenario
-
-
-class ParseError(ValueError):
-    """Structured file-format error: carries the offending row when known."""
-
-    def __init__(self, message: str, row: int | None = None):
-        self.row = row
-        super().__init__(message if row is None else f"row {row}: {message}")
-
+from .spec import (ParseError, PolicySpec, ScenarioTiming, config_policies, config_prediction,
+                   config_scenario, default_run_config, is_finite_number, load_run_config,
+                   save_run_config, scenario_from_dict, scenario_to_dict)
 
 _ALL_COLS = ("t", *(f"sv_{k}" for k in STATE_KEYS), *(f"pov_{k}" for k in STATE_KEYS),
              *CONTROL_KEYS)
@@ -278,161 +273,6 @@ def require_accelerations(log: TrajectoryLog, path: str | Path) -> TrajectoryLog
         raise ParseError(f"log {path} lacks the acceleration columns {', '.join(missing)} "
                          f"that reachability starts from")
     return log
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    d = dataclasses.asdict(spec)
-    d["ctrl_fracs"] = list(spec.ctrl_fracs)
-    return d
-
-
-def scenario_from_dict(d: dict) -> ScenarioSpec:
-    d = dict(d)
-    d["road"] = RoadSpec(**d["road"])
-    d["sv_spec"] = VehicleSpec(**d["sv_spec"])
-    d["pov_spec"] = VehicleSpec(**d["pov_spec"])
-    d["ctrl_fracs"] = tuple(d.get("ctrl_fracs", (0.35, 0.65)))
-    return ScenarioSpec(**d)
-
-
-def prediction_from_dict(d: dict) -> PredictionConfig:
-    d = dict(d)
-    d["sv_limits"] = KinematicLimits(**d["sv_limits"])
-    d["pov_limits"] = KinematicLimits(**d["pov_limits"])
-    return PredictionConfig(**d)
-
-
-def save_run_config(config: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
-
-
-# The response thresholds are fixed constants, not config keys.  Older
-# configs may still carry them, but only at these values.
-_FIXED_ANALYSIS = {"accel_release_pct": ACCEL_RELEASE_PCT,
-                   "brake_onset_pct": BRAKE_ONSET_PCT,
-                   "steer_onset_deg": STEER_ONSET_DEG}
-
-
-_CONFIG_SECTIONS = ("scenario", "analysis", "prediction")
-
-# Values of keys a config may omit, by section (None is the top level, and
-# "policies" each entry of that list).  ``default_run_config`` writes them
-# too, but for delay_jitter (0.2 there): a config that lacks a key runs as
-# it always has.
-_FALLBACKS = {None: {"seed": 0, "output_dir": "out"},
-              "scenario": {"t_trigger": 1.0},
-              "policies": {"count": 1},
-              "analysis": {"eval_step": 0.1, "bootstrap_samples": 1000,
-                           "delay_jitter": 0.0, "window_reaction_floor": 0.4}}
-
-
-def default_run_config(incursion_level: float = 0.0) -> dict:
-    """Reference config carrying every tunable constant as a named default."""
-    policies = [
-        {"kind": "no-response", "count": 2},
-        {"kind": "brake-only", "count": 3, "reaction_delay": 1.6, "brake_level": "hard"},
-        {"kind": "brake-then-steer-center", "count": 5, "reaction_delay": 1.5,
-         "brake_level": "soft", "reversal_delay": 1.3, "steer_target": 15.0},
-        {"kind": "steer-center-only", "count": 4, "reaction_delay": 2.0,
-         "steer_target": 20.0},
-        {"kind": "steer-shoulder-only", "count": 4, "reaction_delay": 1.2,
-         "steer_target": 10.0},
-        {"kind": "shoulder-then-reversal", "count": 2, "reaction_delay": 1.2,
-         "reversal_delay": 1.3, "steer_target": 10.0, "reversal_target": 15.0},
-    ]
-    return {**_FALLBACKS[None],
-            "scenario": {**scenario_to_dict(make_scenario(incursion_level)),
-                         **_FALLBACKS["scenario"]},
-            "policies": policies,
-            "prediction": dataclasses.asdict(PredictionConfig()),
-            "analysis": {**_FALLBACKS["analysis"], "dt": 0.01, "delay_jitter": 0.2}}
-
-
-# What a value must be: (description, type it is stored as, range test).
-_SEED_RULE = ("an integer >= 0", int, lambda v: v >= 0 and v == int(v))
-_COUNT_RULE = ("an integer >= 1", int, lambda v: v >= 1 and v == int(v))
-_POSITIVE = ("a finite number > 0", float, lambda v: v > 0)
-_NON_NEGATIVE = ("a finite number >= 0", float, lambda v: v >= 0)
-_ANALYSIS_RULES = {"dt": _POSITIVE, "eval_step": _POSITIVE, "bootstrap_samples": _COUNT_RULE,
-                   "delay_jitter": _NON_NEGATIVE, "window_reaction_floor": _NON_NEGATIVE}
-
-
-def _checked(path: Path, name: str, value, rule):
-    """``value`` stored as the rule's type; a ParseError naming the key if it breaks the rule."""
-    what, kind, in_range = rule
-    if not (is_finite_number(value) and in_range(value)):
-        raise ParseError(f"run config {path}: {name} = {value!r} must be {what}")
-    return kind(value)
-
-
-def load_run_config(path: str | Path) -> dict:
-    """The run config at ``path``; every format error is a ParseError naming the file."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"config file not found: {path}")
-    try:
-        config = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ParseError(f"run config {path}: {type(exc).__name__}: {exc}") from exc
-    return checked_run_config(config, path)
-
-
-def checked_run_config(config, path: str | Path) -> dict:
-    """A copy of ``config`` with omitted keys filled from their fallbacks.
-
-    Every format error is a ParseError naming ``path`` and, for a bad value,
-    its key; a bad scenario, policy or prediction fails as the spec it builds
-    does.  ``load_run_config`` checks what it reads this way, and
-    ``scenario gen`` what it writes.
-    """
-    if not isinstance(config, dict):
-        raise ParseError(f"run config {path}: top level must be a JSON object")
-    for section in _CONFIG_SECTIONS:
-        if not isinstance(config.get(section), dict):
-            raise ParseError(f"run config {path}: section {section!r} "
-                             f"is missing or not an object")
-    for key, fixed in _FIXED_ANALYSIS.items():
-        value = config["analysis"].get(key, fixed)
-        if value != fixed:
-            raise ParseError(f"run config {path}: analysis.{key} = {value!r} is not "
-                             f"configurable: the response threshold is fixed at {fixed}")
-    config = {**_FALLBACKS[None], **config}
-    config["seed"] = _checked(path, "seed", config["seed"], _SEED_RULE)
-    config["scenario"] = {**_FALLBACKS["scenario"], **config["scenario"]}
-    policies = config.get("policies", [])
-    if not (isinstance(policies, list) and all(isinstance(p, dict) for p in policies)):
-        raise ParseError(f"run config {path}: policies must be a list of objects")
-    config["policies"] = [{**_FALLBACKS["policies"], **p} for p in policies]
-    for i, policy in enumerate(config["policies"]):
-        policy["count"] = _checked(path, f"policies[{i}].count", policy["count"], _COUNT_RULE)
-    analysis = config["analysis"] = {**_FALLBACKS["analysis"], **config["analysis"]}
-    for key, rule in _ANALYSIS_RULES.items():
-        if key in analysis:  # dt has no fallback: only the commands that step read it
-            analysis[key] = _checked(path, f"analysis.{key}", analysis[key], rule)
-    try:
-        config_scenario(config)
-        config_policies(config)
-        config_prediction(config)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"run config {path}: {type(exc).__name__}: {exc}") from exc
-    return config
-
-
-def config_scenario(config: dict) -> tuple[ScenarioSpec, ScenarioTiming]:
-    d = dict(config["scenario"])
-    t_trigger = d.pop("t_trigger")
-    spec = scenario_from_dict(d)
-    return spec, default_timing(spec, t_trigger)
-
-
-def config_policies(config: dict) -> list[tuple[PolicySpec, int]]:
-    """(policy, count) per entry of a config whose keys are filled, as loaded."""
-    return [(PolicySpec(**{k: v for k, v in entry.items() if k != "count"}), entry["count"])
-            for entry in config["policies"]]
-
-
-def config_prediction(config: dict) -> PredictionConfig:
-    return prediction_from_dict(config["prediction"])
 
 
 def write_table(path: str | Path, header: list[str], units: list[str],

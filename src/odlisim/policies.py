@@ -5,60 +5,23 @@ and steering angle.  Pedal changes are steps (a pedal can be stamped much
 faster than the 10 ms simulation step), so their threshold crossings land
 exactly on the scheduled times.  Steering engages by jumping to the onset
 threshold and ramping to the target at steer_rate; a later reversal ramps
-from the current angle, so its crossing time follows from the ramp.
+from the current angle, so its crossing time follows from the ramp.  The
+policy spec and the pedal and steering thresholds are defined in `spec`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_numbers
-from .scenario import ScenarioTiming
-
-POLICY_KINDS = (
-    "no-response",
-    "brake-only",
-    "brake-then-steer-center",
-    "steer-center-only",
-    "steer-shoulder-only",
-    "shoulder-then-reversal",
-)
-
-CRUISE_ACCEL_PCT = 6.0   # pedal position holding speed; accelerator dead zone ends here
-ACCEL_RELEASE_PCT = 3.0  # response threshold: pedal pressed less than this
-BRAKE_ONSET_PCT = 15.0   # response threshold: pedal pressed more than this
-STEER_ONSET_DEG = 5.0    # response threshold: wheel turned this much or more
+from .spec import (ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, CRUISE_ACCEL_PCT, POLICY_KINDS,
+                   STEER_ONSET_DEG, PolicySpec, ScenarioTiming)
 
 BRAKE_ANCHOR_DECEL = 1.0   # m/s^2 at the 15 % brake threshold
 STEER_GAIN = 0.2           # m/s^2 per degree (20 deg ~ 4 m/s^2 at nominal speed)
 SOFT_BRAKE_DECEL = 3.0     # m/s^2, within the 1-4 soft band
 HARD_BRAKE_DECEL = 6.0     # m/s^2, above the 4 hard threshold
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    kind: str = "no-response"
-    reaction_delay: float = 1.5   # s after t_T: accelerator release + first evasive action
-    brake_level: str = "hard"     # soft (1-4 m/s^2) or hard (> 4 m/s^2)
-    steer_rate: float = 250.0     # deg/s ramp toward the target angle
-    steer_target: float = 15.0    # deg, magnitude of the primary steering action
-    reversal_delay: float = 1.3   # s from the first evasive action to the follow-up one
-    reversal_target: float = 15.0  # deg, toward road center, for shoulder-then-reversal
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        check_numbers(None, reaction_delay=self.reaction_delay, steer_rate=self.steer_rate,
-                      steer_target=self.steer_target, reversal_delay=self.reversal_delay,
-                      reversal_target=self.reversal_target)
-        check_numbers(">= 0", reaction_delay=self.reaction_delay,
-                      reversal_delay=self.reversal_delay)
-        if self.brake_level not in ("soft", "hard"):
-            raise ValueError(f"unknown brake_level {self.brake_level!r}")
-        check_numbers("> 0", steer_rate=self.steer_rate)
 
 
 def accel_pct_to_ax(pct, a_fwd_max: float):

@@ -64,11 +64,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (AxisLimits, KinematicLimits, POV_LIMITS, SV_LIMITS, RoadSpec,
-                   VehicleSpec, VehicleState, axis_limits, axis_step, check_numbers,
-                   step_count)
+from .core import AxisLimits, axis_limits, axis_step
 from .engine import TrajectoryLog
 from .responses import window_for
+from .spec import (KinematicLimits, PredictionConfig, RoadSpec, VehicleSpec, VehicleState,
+                   check_numbers)
 
 # Cell indices stay below this in magnitude, so that float cell bounds are exact
 # integers and no sum of two of them overflows int64.
@@ -79,30 +79,6 @@ _SIGNED = np.array([1, -1, 1, -1])
 # the high corner's that a half-open range ends at.
 _CORNER_SIGN = np.array([1.0, -1.0])[:, None]
 _CORNER_HIGH = np.array([0.0, 1.0])[:, None]
-
-
-@dataclass(frozen=True)
-class PredictionConfig:
-    sv_limits: KinematicLimits = SV_LIMITS
-    pov_limits: KinematicLimits = POV_LIMITS
-    incursion_detect_threshold: float = 0.15  # m, lateral deviation that latches envelope mode
-    road_pruning: str = "corridor"            # corridor | off
-    grid_dx: float = 0.5    # m
-    grid_dy: float = 0.25   # m
-    tau_step: float = 0.1   # s
-    horizon: float = 4.0    # s
-
-    def __post_init__(self):
-        check_numbers("> 0", grid_dx=self.grid_dx, grid_dy=self.grid_dy,
-                      tau_step=self.tau_step, horizon=self.horizon)
-        check_numbers(">= 0", incursion_detect_threshold=self.incursion_detect_threshold)
-        if self.road_pruning not in ("corridor", "off"):
-            raise ValueError(f"road_pruning must be corridor or off: {self.road_pruning!r}")
-        step_count(self.horizon, self.tau_step, "horizon / tau_step")
-
-    @property
-    def n_steps(self) -> int:
-        return step_count(self.horizon, self.tau_step, "horizon / tau_step")
 
 
 @dataclass(frozen=True)

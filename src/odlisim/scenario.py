@@ -6,82 +6,17 @@ the critical point t_C.  IL = -1 puts it at the shoulder-side road edge,
 0 at the SV lane center, +1 at the road centerline.  The POV approaches
 at constant speed, departs its lane at the trigger point t_T along a
 cubic Bezier in (t, y), and reaches the IL-defined lateral position at
-t_C = t_T + time_gap_trigger.
+t_C = t_T + time_gap_trigger.  The scenario spec and its timing are
+plain-Python values defined in `spec`; this module computes the path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (POV_SIGN, SV_SIGN, KinematicLimits, RoadSpec, VehicleSpec, VehicleState,
-                   axis_limits, check_numbers, is_finite_number)
-
-MPH_40 = 17.88  # m/s, posted-limit approach speed for both vehicles
-
-END_HEADING_MODES = ("continuing-left", "straight")
-POST_TC_BEHAVIORS = ("extend-path", "hold-heading")
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    incursion_level: float = 0.0
-    v_sv_nominal: float = MPH_40   # m/s
-    v_pov: float = MPH_40          # m/s
-    time_gap_trigger: float = 5.15  # s, bumper time gap at incursion onset
-    road: RoadSpec = RoadSpec()
-    sv_spec: VehicleSpec = VehicleSpec(ref_offset=0.0)
-    pov_spec: VehicleSpec = VehicleSpec(ref_offset=0.20)
-    end_heading_mode: str = "straight"      # POV lateral velocity at t_C
-    post_tc_behavior: str = "hold-heading"  # POV path after t_C
-    ctrl_fracs: tuple[float, float] = (0.35, 0.65)  # inner Bezier control times
-    edge_reach_after: float = 1.5  # s, continuing-left speed sized to reach the road edge this long after t_C
-
-    def __post_init__(self):
-        check_numbers(None, incursion_level=self.incursion_level)
-        if not -1.0 <= self.incursion_level <= 1.0:
-            raise ValueError(f"incursion_level outside [-1, 1]: {self.incursion_level}")
-        check_numbers("> 0", v_sv_nominal=self.v_sv_nominal, v_pov=self.v_pov,
-                      time_gap_trigger=self.time_gap_trigger,
-                      edge_reach_after=self.edge_reach_after)
-        if self.end_heading_mode not in END_HEADING_MODES:
-            raise ValueError(f"unknown end_heading_mode {self.end_heading_mode!r}")
-        if self.post_tc_behavior not in POST_TC_BEHAVIORS:
-            raise ValueError(f"unknown post_tc_behavior {self.post_tc_behavior!r}")
-        f0, f1 = self.ctrl_fracs
-        if not 0.0 < f0 < f1 < 1.0:
-            raise ValueError(f"ctrl_fracs must be increasing within (0, 1): {self.ctrl_fracs}")
-
-
-@dataclass(frozen=True)
-class ScenarioTiming:
-    t_trigger: float   # s, incursion onset
-    t_critical: float  # s, projected collision time absent any SV response
-
-    def __post_init__(self):
-        if not (is_finite_number(self.t_trigger) and is_finite_number(self.t_critical)):
-            raise ValueError(f"timing must be finite numbers: {self}")
-        if self.t_critical <= self.t_trigger:
-            raise ValueError("t_critical must follow t_trigger")
-
-
-def make_scenario(incursion_level: float) -> ScenarioSpec:
-    """Scenario with incursion-steepness defaults applied from the IL sign.
-
-    Steep incursions (IL < -0.5) keep crossing the SV lane after t_C;
-    medium and shallow ones settle onto a straight path.
-    """
-    if incursion_level < -0.5:
-        return ScenarioSpec(incursion_level, end_heading_mode="continuing-left",
-                            post_tc_behavior="extend-path")
-    return ScenarioSpec(incursion_level, end_heading_mode="straight",
-                        post_tc_behavior="hold-heading")
-
-
-def default_timing(spec: ScenarioSpec, t_trigger: float = 1.0) -> ScenarioTiming:
-    check_numbers(None, t_trigger=t_trigger)
-    return ScenarioTiming(t_trigger, t_trigger + spec.time_gap_trigger)
+from .core import axis_limits
+from .spec import (POV_SIGN, SV_SIGN, KinematicLimits, ScenarioSpec, ScenarioTiming,
+                   VehicleState, check_numbers, default_timing, make_scenario)
 
 
 def trigger_distance(v_sv: float, v_pov: float, gap: float) -> float:

@@ -1,14 +1,23 @@
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odlisim
 from odlisim import reach
 from odlisim.core import SV_LIMITS, axis_limits
 from odlisim.engine import TrajectoryLog
 from odlisim.reach import Layer, Timeline
 from odlisim.scenario import ScenarioTiming, make_scenario
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(odlisim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def make_log(dt=0.01, duration=8.0, t_trigger=1.0, incursion_level=0.0,

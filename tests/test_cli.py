@@ -1,13 +1,10 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import odlisim
-from conftest import load_table
+from conftest import fresh_env, load_table
 from odlisim import io, oracle
 from odlisim.cli import _build_parser, main
 from odlisim.engine import classify_outcome
@@ -223,6 +220,45 @@ def test_simulate_names_config_number_out_of_float_range(tmp_path, capsys, secti
     assert json_error(capsys) == {"error": "ParseError",
                                   "message": f"run config {cfg_path}: ValueError: {message}"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ([0.1, 0.2, 0.3], "ctrl_fracs must be two numbers, got (0.1, 0.2, 0.3)"),
+    ("ab", "ctrl_fracs must be two numbers, got 'ab'"),
+    (["a", 0.5], "ctrl_fracs[0] must be finite, got a"),
+    ([0.3, 10 ** 400], f"ctrl_fracs[1] must be finite, got {10 ** 400}"),
+], ids=["three-numbers", "string", "text-number", "huge-int"])
+def test_simulate_names_bad_ctrl_fracs(tmp_path, capsys, value, message):
+    """``scenario.ctrl_fracs`` is two finite numbers; anything else fails at config load
+    naming the file and the key.  Before, three numbers failed as "too many values to
+    unpack" and a string as a bare comparison TypeError."""
+    cfg_path = small_config(tmp_path)
+    config = json.loads(cfg_path.read_text())
+    config["scenario"]["ctrl_fracs"] = value
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert json_error(capsys) == {"error": "ParseError",
+                                  "message": f"run config {cfg_path}: ValueError: {message}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [5, None, ["a"], ""], ids=["int", "null", "list", "empty"])
+def test_simulate_names_bad_output_dir(tmp_path, monkeypatch, capsys, value):
+    """Without ``--out``, simulate writes under the config's ``output_dir``, a non-empty
+    string; anything else fails at load naming the file and the key, and writes nothing.
+    Before, 5 failed as a bare TypeError naming neither, and "" wrote into the cwd."""
+    cfg_path = small_config(tmp_path)
+    config = json.loads(cfg_path.read_text())
+    config["output_dir"] = value
+    cfg_path.write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", str(cfg_path)) == 1
+    assert json_error(capsys) == {
+        "error": "ParseError",
+        "message": f"run config {cfg_path}: output_dir = {value!r} must be a non-empty string"}
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_analyze_names_sidecar_number_out_of_float_range(tmp_path, capsys):
@@ -555,22 +591,44 @@ def test_window_reaction_floor_governs_every_window(tmp_path):
             == (tmp_path / "expected.csv").read_bytes())
 
 
-def fresh_env() -> dict:
-    """The environment of a fresh interpreter that imports this package."""
-    src = str(Path(odlisim.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_import_loads_no_test_or_scipy_modules():
-    """numpy is the only declared dependency; importing the package and its
-    CLI in a fresh interpreter must not load scipy or the test tooling."""
-    code = ("import sys, odlisim, odlisim.cli; "
+    """numpy is the only declared dependency; importing the package, its CLI, the
+    compute commands and every lazily exported name in a fresh interpreter must
+    load every module the package ships, and neither scipy nor the test tooling."""
+    code = ("import pathlib, sys, odlisim, odlisim.cli, odlisim.commands\n"
+            "for name in odlisim.__all__:\n"
+            "    getattr(odlisim, name)\n"
+            "shipped = {f'odlisim.{p.stem}' for p in pathlib.Path(odlisim.__file__).parent.glob('*.py')"
+            " if p.stem != '__init__'}\n"
+            "assert shipped <= set(sys.modules), sorted(shipped - set(sys.modules))\n"
             "print(' '.join(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'hypothesis', 'pytest'))))")
     out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == []
+
+
+# numpy and the compute modules that `odlisim.commands` imports
+COMPUTE_MODULES = ("numpy", "odlisim.engine", "odlisim.io", "odlisim.reach", "odlisim.oracle",
+                   "odlisim.responses")
+
+
+def test_help_and_scenario_gen_load_no_compute_module(tmp_path):
+    """``import odlisim``, ``--help`` and ``scenario gen`` run on the plain-Python spec
+    layer: a fresh interpreter that ran them has loaded neither numpy nor a compute module."""
+    code = ("import contextlib, io, sys, odlisim, odlisim.cli\n"
+            "assert odlisim.cli.main(['scenario', 'gen', '--out', sys.argv[1]]) == 0\n"
+            "for argv in (['--help'], ['simulate', '--help']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "        odlisim.cli.main(argv)\n"
+            "assert 'odlisim.spec' in sys.modules\n"
+            "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.json"),
+                          *COMPUTE_MODULES], env=fresh_env(), capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[-1].split() == []
+    assert (tmp_path / "c.json").read_text() == json.dumps(
+        io.default_run_config(), indent=2, sort_keys=True) + "\n"
 
 
 def test_parser_built_once_and_reused_without_carry_over(tmp_path, monkeypatch):

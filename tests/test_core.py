@@ -1,11 +1,13 @@
 import math
 import re
+import subprocess
 import sys
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from conftest import fresh_env
 from odlisim.core import (MAX_STEPS, AxisLimits, POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
                           VehicleSpec, VehicleState, axis_limits, axis_step, check_numbers,
                           footprint, rectangles_overlap, stacked_axis_limits, step_count,
@@ -216,9 +218,11 @@ def test_specs_reject_non_finite(value):
             state(**{field: value})
 
 
-# and, as JSON may hold them, ints past the float range and booleans; numpy floats pass
+# and, as JSON may hold them, ints past the float range and booleans; numpy's ints and
+# floats pass, and its booleans fail
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.0, math.inf, -math.inf, math.nan,
-               10 ** 400, -10 ** 400, True, False, np.float32(1.0))
+               10 ** 400, -10 ** 400, True, False, np.float32(1.0), np.int64(3),
+               np.float64(1.5), np.bool_(True))
 _SCENARIO = make_scenario(0.0)
 _TIMING = default_timing(_SCENARIO)
 # (what is checked, its bound, a call that passes the value and valid other inputs)
@@ -260,13 +264,16 @@ RANGE_CHECKED = [
     ("default_timing t_trigger", None, lambda v: default_timing(_SCENARIO, v)),
 ]
 # Rejected by another check: the default horizon over the smallest subnormal
-# step is past MAX_STEPS.
-ALSO_REJECTED = {"PredictionConfig.tau_step": {5e-324}}
+# step is past MAX_STEPS, a 3 m offset lies outside the 4.4 m body, and an
+# incursion level lies in [-1, 1].
+ALSO_REJECTED = {"PredictionConfig.tau_step": {5e-324},
+                 "VehicleSpec.ref_offset": {3},
+                 "ScenarioSpec.incursion_level": {3, 1.5}}
 
 
 def in_bound(value, bound) -> bool:
     """A number, not a bool, finite as a float (an int by its magnitude), within ``bound``."""
-    if isinstance(value, bool) or not (abs(value) <= sys.float_info.max
+    if isinstance(value, (bool, np.bool_)) or not (abs(value) <= sys.float_info.max
                                        if isinstance(value, int) else math.isfinite(value)):
         return False
     return {"> 0": value > 0, ">= 0": value >= 0, None: True}[bound]
@@ -286,6 +293,18 @@ def test_range_checks_follow_their_bound(name, bound, call):
         ok = in_bound(value, bound) and value not in ALSO_REJECTED.get(name, ())
         want.append((value, "accepted" if ok else "rejected"))
     assert repr(got) == repr(want)
+
+
+def test_is_finite_number_needs_no_numpy():
+    """``spec.is_finite_number`` looks numpy up instead of importing it: in a fresh
+    interpreter it judges plain numbers as with numpy loaded, and leaves numpy unloaded."""
+    code = ("import sys\n"
+            "from odlisim.spec import is_finite_number\n"
+            "print([is_finite_number(v) for v in (1, 1.5, True, 10 ** 400, float('nan'))],\n"
+            "      'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[True, True, False, False, False] False"
 
 
 # (what the step count is of, a call that passes the step size, a one-second span and

@@ -200,6 +200,22 @@ def test_log_sidecar_numbers_checked(tmp_path, key, value):
     assert name in str(err.value)
 
 
+@pytest.mark.parametrize("value", [[0.1, 0.2, 0.3], "ab", ["a", 0.5]],
+                         ids=["three-numbers", "string", "text-number"])
+def test_log_sidecar_ctrl_fracs_checked(tmp_path, value):
+    """A sidecar whose ``scenario.ctrl_fracs`` is not two numbers fails at load naming the
+    sidecar and the key: before, it failed with an unpacking or comparison error."""
+    path = tmp_path / "run.csv"
+    io.save_trajectory_log(make_log(duration=0.5), path)
+    sidecar = io.sidecar_path(path)
+    meta = json.loads(sidecar.read_text())
+    meta["scenario"]["ctrl_fracs"] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(io.ParseError, match=re.escape(
+            f"metadata sidecar {sidecar}: ValueError: ctrl_fracs")):
+        io.load_trajectory_log(path)
+
+
 def test_log_sidecar_integer_dt_loads(tmp_path):
     """A whole-number ``dt`` written as a JSON integer loads as that float."""
     path = tmp_path / "run.csv"
