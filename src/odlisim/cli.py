@@ -115,10 +115,17 @@ def _apply_overrides(config: dict, args) -> dict:
     return config
 
 
-def _cmd_scenario_gen(args, config: dict) -> int:
+def _make_dir(directory: Path, created: list[Path]) -> None:
+    """Make ``directory`` and its missing parents, each added to ``created``, deepest first."""
+    created.extend(d for d in (directory, *directory.parents) if not d.exists())
+    directory.mkdir(parents=True, exist_ok=True)
+
+
+def _cmd_scenario_gen(args, config: dict, created: list[Path]) -> int:
     out = Path(args.out or "run_config.json")
     # the checks the reading commands run, so no written config fails there
     spec.checked_run_config(config, out)
+    _make_dir(out.parent, created)
     spec.save_run_config(config, out)
     print(f"wrote {out}")
     return 0
@@ -129,14 +136,14 @@ def main(argv: list[str] | None = None) -> int:
     created: list[Path] = []
     try:
         if args.handler is None:  # scenario gen writes a config and reads none
-            return _cmd_scenario_gen(args, _apply_overrides(spec.default_run_config(), args))
+            return _cmd_scenario_gen(args, _apply_overrides(spec.default_run_config(), args),
+                                     created)
         # the file's rules hold for its override flags too, before anything is written
         config = spec.checked_run_config(
             _apply_overrides(spec.load_run_config(args.config), args),
             f"{args.config} with its override flags")
         out = Path(args.out or config["output_dir"])
-        created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out, created)
         from . import commands  # numpy and every compute module
         return getattr(commands, args.handler)(args, config, out)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI

@@ -9,11 +9,11 @@ SV means decreasing y; "right/center" means increasing y.  The POV's own
 left is +y (toward its original lane) and its right is -y.
 
 A rollout state of n vehicles is a ``(3, 2, n)`` array (p, v, a rows, x over
-y), whose ``(6, n)`` view has the channels `STATE_KEYS`; `step_state` steps
-such a state in place through `axis_step`, the one stepping rule of the
-simulator, the sampling oracle and the reachable-set propagation.  The
-vehicle types, caps and number checks are defined in `spec`; this module
-still offers the names its callers read from it.
+y), whose ``(6, n)`` view has the channels `STATE_KEYS`; `stacked_states`
+builds one from `VehicleState`s, and `step_state` steps it in place through
+`axis_step`, the one stepping rule of the simulator, the sampling oracle and
+the reachable-set propagation.  The vehicle types, caps and number checks
+are defined in `spec`.
 """
 
 from __future__ import annotations
@@ -22,10 +22,15 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .spec import (MAX_STEPS, POV_LIMITS, POV_SIGN, SV_LIMITS, SV_SIGN, KinematicLimits,
-                   RoadSpec, VehicleSpec, VehicleState, check_numbers, step_count)
+from .spec import SV_SIGN, KinematicLimits, VehicleSpec, VehicleState
 
 STATE_KEYS = ("x", "y", "vx", "vy", "ax", "ay")
+
+
+def stacked_states(states: list[VehicleState]) -> np.ndarray:
+    """The rollout state of ``states``: their `STATE_KEYS` as a ``(3, 2, n)`` float array."""
+    return np.array([[getattr(s, k) for s in states] for k in STATE_KEYS],
+                    dtype=float).reshape(3, 2, len(states))
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import policies
-from .core import (POV_SIGN, STATE_KEYS, SV_LIMITS, SV_SIGN, AxisLimits, KinematicLimits,
-                   VehicleState, check_numbers, footprint_at, rectangles_overlap,
-                   stacked_axis_limits, step_count, step_state)
-from .scenario import (IncursionPath, ScenarioSpec, ScenarioTiming, default_timing,
-                       pov_x_at_trigger, sv_initial_state)
+from .core import (STATE_KEYS, AxisLimits, footprint_at, rectangles_overlap, stacked_axis_limits,
+                   stacked_states, step_state)
+from .scenario import IncursionPath, pov_x_at_trigger, sv_initial_state
+from .spec import (POV_SIGN, SV_LIMITS, SV_SIGN, KinematicLimits, PolicySpec, ScenarioSpec,
+                   ScenarioTiming, VehicleState, check_numbers, default_timing, step_count)
 
 OUTCOMES = ("collision", "pass-via-center", "pass-via-shoulder")
 
@@ -45,7 +45,7 @@ class TrajectoryLog:
     controls: dict = field(repr=False)  # keys accel_pct, brake_pct, steer_deg
     scenario: ScenarioSpec
     timing: ScenarioTiming
-    policy: policies.PolicySpec | None = None
+    policy: PolicySpec | None = None
     collided: bool = False
     t_collision: float | None = None
     complete: bool = True   # False when the horizon ended before proximity
@@ -97,7 +97,7 @@ class TrajectoryLog:
 CONTROL_KEYS = ("accel_pct", "brake_pct", "steer_deg")
 
 
-def rollout(scenario: ScenarioSpec, policy: policies.PolicySpec,
+def rollout(scenario: ScenarioSpec, policy: PolicySpec,
             dt: float = 0.01, horizon: float | None = None,
             timing: ScenarioTiming | None = None,
             sv_limits: KinematicLimits = SV_LIMITS) -> TrajectoryLog:
@@ -111,7 +111,7 @@ def rollout(scenario: ScenarioSpec, policy: policies.PolicySpec,
     return _simulate(scenario, [policy], dt, horizon, timing, sv_limits)[0]
 
 
-def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
+def _simulate(scenario: ScenarioSpec, members: list[PolicySpec],
               dt: float, horizon: float | None, timing: ScenarioTiming | None,
               sv_limits: KinematicLimits) -> list[TrajectoryLog]:
     """Open-loop rollout of every cohort member on one shared time grid.
@@ -147,13 +147,12 @@ def _simulate(scenario: ScenarioSpec, members: list[policies.PolicySpec],
     a_t = np.ascontiguousarray(np.transpose(policies.target_accels(
         ctl[:, 0], ctl[:, 1], ctl[:, 2], sv_limits.a_fwd_max, sv_limits.a_brk_max), (0, 2, 1)))
 
-    sv0 = sv_initial_state(scenario)
     lim = stacked_axis_limits(sv_limits, SV_SIGN)
     # p, v, a rows of (axis, sample, member), so sv.reshape(6, samples,
     # members) is the channel order STATE_KEYS; each member's log channels
     # are views into it.
     sv = np.empty((3, 2, len(t), len(members)))
-    sv[:, :, 0] = np.array([[sv0.x, sv0.y], [sv0.vx, sv0.vy], [sv0.ax, sv0.ay]])[..., None]
+    sv[:, :, 0] = stacked_states([sv_initial_state(scenario)])
     _integrate(sv, a_t, lim, dt)
     sv = sv.reshape(6, len(t), len(members))
     if not (np.isfinite(sv).all() and all(np.isfinite(v).all() for v in pov.values())):
@@ -311,7 +310,7 @@ def classify_outcome(log: TrajectoryLog) -> Outcome:
     return Outcome(kind, t_p, abs(dy), sideswipe=sideswipe)
 
 
-def run_cohort(scenario: ScenarioSpec, cohort: list[tuple[policies.PolicySpec, int]],
+def run_cohort(scenario: ScenarioSpec, cohort: list[tuple[PolicySpec, int]],
                dt: float = 0.01, seed: int = 0, delay_jitter: float = 0.0,
                timing: ScenarioTiming | None = None) -> list[TrajectoryLog]:
     """Independent rollouts for (policy, count) groups.

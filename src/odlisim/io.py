@@ -1,7 +1,7 @@
 """File formats: trajectory logs and analysis table emission.
 
 The run-config format and `ParseError` are defined in `spec`, which needs
-no numpy; this module still offers the names its callers read from it.
+no numpy.
 
 Trajectory logs are comma-delimited text with a header row, a units row,
 and one row per sample; a JSON sidecar (<path>.meta.json) carries the
@@ -36,9 +36,8 @@ from .core import STATE_KEYS
 from .engine import CONTROL_KEYS, TrajectoryLog
 from .reach import DrivableArea, Prevalence, Timeline
 from .responses import SequenceGraph
-from .spec import (ParseError, PolicySpec, ScenarioTiming, config_policies, config_prediction,
-                   config_scenario, default_run_config, is_finite_number, load_run_config,
-                   save_run_config, scenario_from_dict, scenario_to_dict)
+from .spec import (_POSITIVE, ParseError, PolicySpec, ScenarioTiming, _checked, is_finite_number,
+                   scenario_from_dict, scenario_to_dict)
 
 _ALL_COLS = ("t", *(f"sv_{k}" for k in STATE_KEYS), *(f"pov_{k}" for k in STATE_KEYS),
              *CONTROL_KEYS)
@@ -47,6 +46,12 @@ _REQUIRED_COLS = tuple(c for c in _ALL_COLS if c not in _OPTIONAL_COLS)
 _UNITS = {"t": "s", "x": "m", "y": "m", "vx": "m/s", "vy": "m/s",
           "ax": "m/s2", "ay": "m/s2", "accel_pct": "%", "brake_pct": "%",
           "steer_deg": "deg"}
+_FLAG = ("true or false", bool, lambda v: isinstance(v, bool))
+# Sidecar key -> (its value when absent, the `spec._checked` rule it must meet).
+_SIDECAR_RULES = {"dt": (None, _POSITIVE), "collided": (False, _FLAG), "complete": (True, _FLAG),
+                  "t_collision": (None, ("null or a finite number",
+                                         lambda v: v if v is None else float(v),
+                                         lambda v: v is None or is_finite_number(v)))}
 # Rows a log's writer gathers, joins and writes at a time: only one block's
 # object array of cell texts (17 references a row) is alive at once.
 _SAVE_BLOCK_ROWS = 256
@@ -190,26 +195,17 @@ def _parse_body(rows: list[str], header: list[str]) -> np.ndarray:
 def load_trajectory_log(path: str | Path) -> TrajectoryLog:
     path = Path(path)
     meta_path = sidecar_path(path)
+    where = f"metadata sidecar {meta_path}"
     try:
         meta = json.loads(meta_path.read_text())
         scenario = scenario_from_dict(meta["scenario"])
         timing = ScenarioTiming(meta["t_trigger"], meta["t_critical"])
         policy = PolicySpec(**meta["policy"]) if meta.get("policy") else None
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"metadata sidecar {meta_path}: "
-                         f"{type(exc).__name__}: {exc}") from exc
-    flags = {}
-    for key, fallback, what, ok in (
-            ("dt", None, "a finite number > 0", lambda v: is_finite_number(v) and v > 0),
-            ("collided", False, "true or false", lambda v: isinstance(v, bool)),
-            ("complete", True, "true or false", lambda v: isinstance(v, bool)),
-            ("t_collision", None, "null or a finite number",
-             lambda v: v is None or is_finite_number(v))):
-        flags[key] = meta.get(key, fallback)
-        if not ok(flags[key]):
-            raise ParseError(f"metadata sidecar {meta_path}: {key} = {flags[key]!r} "
-                             f"must be {what}")
-    dt = float(flags.pop("dt"))
+        raise ParseError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    flags = {key: _checked(where, key, meta.get(key, fallback), rule)
+             for key, (fallback, rule) in _SIDECAR_RULES.items()}
+    dt = flags.pop("dt")
 
     try:
         data = _log_columns(path.read_text().splitlines(), dt)

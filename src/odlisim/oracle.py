@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AxisLimits, KinematicLimits, VehicleState, check_numbers,
-                   stacked_axis_limits, step_count, step_state)
+from .core import AxisLimits, stacked_axis_limits, stacked_states, step_state
 from .reach import Layer, ReachableSet
+from .spec import KinematicLimits, VehicleState, check_numbers, step_count
 
 
 # Trajectories per chunk of the random draw: one chunk of a 40-step draw
@@ -29,9 +29,9 @@ _DRAW_BLOCK = 256
 class SampleCloud:
     """Jerk-sampled trajectories, stepped as they are read.
 
-    The cloud holds the start state (x, y, vx, vy, ax, ay), the step-major
-    jerks ``[n_steps, 2, n_traj]`` and the stacked axis limits (see
-    `core.stacked_axis_limits`).  The first four trajectories are the
+    The cloud holds the start state (a one-vehicle `core.stacked_states`),
+    the step-major jerks ``[n_steps, 2, n_traj]`` and the stacked axis limits
+    (see `core.stacked_axis_limits`).  The first four trajectories are the
     constant corner-jerk (bang-bang) ones, the rest draw per-step jerks
     uniformly from the admissible box, all from one random stream (see
     `sample_trajectories`).  No ``[n_steps + 1, 6, n_traj]`` array of
@@ -40,7 +40,7 @@ class SampleCloud:
 
     t0: float
     dt: float
-    start: np.ndarray  # float [6]
+    start: np.ndarray  # float [3, 2, 1]
     jerks: np.ndarray  # float [n_steps, 2, n_traj]
     lim: AxisLimits
 
@@ -58,7 +58,7 @@ class SampleCloud:
         A row array may be overwritten once the next step is drawn.
         """
         cur, nxt = np.empty((2, 3, 2, self.n_traj))
-        cur[...] = self.start.reshape(3, 2, 1)
+        cur[...] = self.start
         yield cur.reshape(6, -1)
         for jerk in self.jerks:
             step_state(cur, jerk, self.lim, self.dt, nxt)
@@ -122,9 +122,7 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
     jerks[:, 1, :4] = (j_lo[1], j_hi[1], j_lo[1], j_hi[1])
     _draw_jerks(np.random.default_rng(seed), j_lo, j_hi,
                 jerks.reshape(2 * n_steps, n + 4)[:, 4:])
-    start = np.array([initial.x, initial.y, initial.vx, initial.vy,
-                      initial.ax, initial.ay])
-    return SampleCloud(initial.t, dt, start, jerks, lim)
+    return SampleCloud(initial.t, dt, stacked_states([initial]), jerks, lim)
 
 
 def _smallest_positive_root(a2: float, a1: float, a0: float) -> float | None:

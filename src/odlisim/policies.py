@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .spec import (ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, CRUISE_ACCEL_PCT, POLICY_KINDS,
-                   STEER_ONSET_DEG, PolicySpec, ScenarioTiming)
+from .spec import BRAKE_ONSET_PCT, CRUISE_ACCEL_PCT, STEER_ONSET_DEG, PolicySpec, ScenarioTiming
 
 BRAKE_ANCHOR_DECEL = 1.0   # m/s^2 at the 15 % brake threshold
 STEER_GAIN = 0.2           # m/s^2 per degree (20 deg ~ 4 m/s^2 at nominal speed)

@@ -32,9 +32,7 @@ inside the POV's footprint-dilated occupancy (or outside the road
 corridor, when enabled) are removed.  The survivors form the drivable
 area; an empty final layer means no trajectory is guaranteed
 collision-free under the kinematic assumptions, not that collision is
-certain.  Since an empty layer stays empty, an area computed with
-``exists_only`` (as every timeline anchor is) stops at its first empty SV
-layer and carries fewer layers; its ``exists`` is unchanged.
+certain.
 
 One kernel steps every layer.  `_Batch` holds the layers of several
 members as arrays: all hull corners step in one ``axis_step`` call, and
@@ -64,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import AxisLimits, axis_limits, axis_step
+from .core import AxisLimits, axis_limits, axis_step, stacked_states
 from .engine import TrajectoryLog
 from .responses import window_for
 from .spec import (KinematicLimits, PredictionConfig, RoadSpec, VehicleSpec, VehicleState,
@@ -250,8 +248,7 @@ class _Batch:
         """The tau = 0 layers of ``states``: each exactly the cell covering its
         position, with hulls at the raw point state; clamping into the admissible
         box happens on the first step, mirroring the stepper."""
-        point = np.array([(s.x, s.vx, s.ax, s.y, s.vy, s.ay) for s in states])
-        point = point.T.reshape(2, 3, len(states)).transpose(1, 0, 2)  # [p v a, axis, member]
+        point = stacked_states(states)  # [p v a, axis, member]
         cell = _cells(point[0], np.array([[dx], [dy]]))
         rects = np.stack([cell[0], -1 - cell[0], cell[1], -1 - cell[1]],
                          axis=1).astype(np.int64)  # signed
@@ -518,23 +515,20 @@ class _Sweep:
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
                           config: PredictionConfig, road: RoadSpec,
                           sv_spec: VehicleSpec, pov_spec: VehicleSpec,
-                          mode: str, *, exists_only: bool = False) -> DrivableArea:
+                          mode: str) -> DrivableArea:
     """SV reachable set pruned against POV reachability, layer by layer.
 
     Expansion order per step: POV first, then the SV from its previous
     pruned layer, then removal of SV cells inside the POV occupancy and,
     with corridor pruning, of cells not fully on the road (plus shoulder
     margin).  ``exists`` reports whether the final layer is non-empty.
-    With ``exists_only`` the area stops at the first empty SV layer (an
-    empty layer stays empty), so ``layers`` and ``pov_layers`` may be
-    shorter than the horizon; ``exists`` is the same either way.  The POV
-    layers are those of the source ``mode`` names.
+    The POV layers are those of the source ``mode`` names.
     """
     track = _PovTrack(pov_state, *_pov_source(pov_state, mode, road, pov_spec, config),
                       sv_spec, pov_spec)
     sweep = _Sweep([(sv_state, 0, road)], [track], config)
     sv_layers, pov_layers = [sweep.layer(1)], [sweep.layer(0)]
-    while sweep.k < config.n_steps and not (exists_only and sv_layers[-1].empty):
+    for _ in range(config.n_steps):
         sweep.advance()
         sv_layers.append(sweep.layer(1))
         pov_layers.append(sweep.layer(0))
@@ -554,14 +548,13 @@ def _latched_modes(log: TrajectoryLog, samples: list[int],
     return [_MODES[i >= latch] for i in samples]
 
 
-def drivable_area_at(log: TrajectoryLog, i: int, config: PredictionConfig, *,
-                     exists_only: bool = False) -> tuple[DrivableArea, str]:
+def drivable_area_at(log: TrajectoryLog, i: int,
+                     config: PredictionConfig) -> tuple[DrivableArea, str]:
     """Drivable area at log sample i, with the POV mode latched over samples 0..i."""
     mode, = _latched_modes(log, [i], config)
     sc = log.scenario
     area = compute_drivable_area(log.sv_state(i), log.pov_state(i), config, sc.road,
-                                 sc.sv_spec, sc.pov_spec, mode=mode,
-                                 exists_only=exists_only)
+                                 sc.sv_spec, sc.pov_spec, mode=mode)
     return area, mode
 
 
@@ -603,12 +596,12 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
                        config: PredictionConfig, eval_step: float = 0.1) -> list[Timeline]:
     """Timelines of a cohort's (log, window) runs, each distinct anchor evaluated once.
 
-    Every anchor's ``exists`` is that of ``drivable_area_at`` with
-    ``exists_only``.  Anchors are grouped by POV state, latched mode, road and
-    specs; each group is one POV track, of the source its mode names, with one
-    SV pass per distinct SV state.  One `_Sweep` steps every track and pass of
-    the cohort until no pass is left or the horizon is reached, and only the
-    booleans are kept.
+    Every anchor's ``exists`` is that of ``drivable_area_at``.  Anchors are
+    grouped by POV state, latched mode, road and specs; each group is one POV
+    track, of the source its mode names, with one SV pass per distinct SV
+    state.  One `_Sweep` steps every track and pass of the cohort until no
+    pass is left (an empty layer stays empty) or the horizon is reached, and
+    only the booleans are kept.
     """
     check_numbers("> 0", eval_step=eval_step)
     tracks: dict[tuple, int] = {}  # (pov_state, mode, road, sv_spec, pov_spec) -> track

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import OUTCOMES, TrajectoryLog, classify_outcome, time_of_closest_proximity
-from .policies import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG
+from .spec import ACCEL_RELEASE_PCT, BRAKE_ONSET_PCT, STEER_ONSET_DEG
 
 RESPONSE_KINDS = ("accel-release", "brake-onset", "steer-shoulder", "steer-center")
 EVASIVE_KINDS = ("brake-onset", "steer-shoulder", "steer-center")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import axis_limits
 from .spec import (POV_SIGN, SV_SIGN, KinematicLimits, ScenarioSpec, ScenarioTiming,
-                   VehicleState, check_numbers, default_timing, make_scenario)
+                   VehicleState, check_numbers)
 
 
 def trigger_distance(v_sv: float, v_pov: float, gap: float) -> float:

@@ -5,9 +5,7 @@ scenario, timing, policy, prediction) and the run-config format that
 names them live here, with the number rules they check.  This module
 imports no numpy and nothing else of the package, so ``import odlisim``,
 ``odlisim --help`` and ``scenario gen``, which build and check a config,
-load no compute module.  ``core``, ``scenario``, ``policies``, ``reach``
-and ``io`` import these names from here, and each still offers the ones
-its callers read from it.
+load no compute module.
 """
 
 from __future__ import annotations
@@ -364,22 +362,22 @@ _ANALYSIS_RULES = {"dt": _POSITIVE, "eval_step": _POSITIVE, "bootstrap_samples":
                    "delay_jitter": _NON_NEGATIVE, "window_reaction_floor": _NON_NEGATIVE}
 
 
-def _checked(path: Path, name: str, value, rule):
-    """``value`` stored as the rule's type; a ParseError naming the key if it breaks the rule."""
+def _checked(where: str, name: str, value, rule):
+    """``value`` stored as the rule's type; if it breaks the rule, a ParseError naming
+    the key after ``where``, the file (``run config <path>``, ``metadata sidecar <path>``)."""
     what, kind, test = rule
     if not test(value):
-        raise ParseError(f"run config {path}: {name} = {value!r} must be {what}")
+        raise ParseError(f"{where}: {name} = {value!r} must be {what}")
     return kind(value)
 
 
 def load_run_config(path: str | Path) -> dict:
-    """The run config at ``path``; every format error is a ParseError naming the file."""
+    """The run config at ``path``; a file that cannot be read and every format
+    error is a ParseError naming the file."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"config file not found: {path}")
     try:
         config = json.loads(path.read_text())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"run config {path}: {type(exc).__name__}: {exc}") from exc
     return checked_run_config(config, path)
 
@@ -392,37 +390,37 @@ def checked_run_config(config, path: str | Path) -> dict:
     does.  ``load_run_config`` checks what it reads this way, and
     ``scenario gen`` what it writes.
     """
+    where = f"run config {path}"
     if not isinstance(config, dict):
-        raise ParseError(f"run config {path}: top level must be a JSON object")
+        raise ParseError(f"{where}: top level must be a JSON object")
     for section in _CONFIG_SECTIONS:
         if not isinstance(config.get(section), dict):
-            raise ParseError(f"run config {path}: section {section!r} "
-                             f"is missing or not an object")
+            raise ParseError(f"{where}: section {section!r} is missing or not an object")
     for key, fixed in _FIXED_ANALYSIS.items():
         value = config["analysis"].get(key, fixed)
         if value != fixed:
-            raise ParseError(f"run config {path}: analysis.{key} = {value!r} is not "
+            raise ParseError(f"{where}: analysis.{key} = {value!r} is not "
                              f"configurable: the response threshold is fixed at {fixed}")
     config = {**_FALLBACKS[None], **config}
     for key, rule in _TOP_RULES.items():
-        config[key] = _checked(path, key, config[key], rule)
+        config[key] = _checked(where, key, config[key], rule)
     config["scenario"] = {**_FALLBACKS["scenario"], **config["scenario"]}
     policies = config.get("policies", [])
     if not (isinstance(policies, list) and all(isinstance(p, dict) for p in policies)):
-        raise ParseError(f"run config {path}: policies must be a list of objects")
+        raise ParseError(f"{where}: policies must be a list of objects")
     config["policies"] = [{**_FALLBACKS["policies"], **p} for p in policies]
     for i, policy in enumerate(config["policies"]):
-        policy["count"] = _checked(path, f"policies[{i}].count", policy["count"], _COUNT_RULE)
+        policy["count"] = _checked(where, f"policies[{i}].count", policy["count"], _COUNT_RULE)
     analysis = config["analysis"] = {**_FALLBACKS["analysis"], **config["analysis"]}
     for key, rule in _ANALYSIS_RULES.items():
         if key in analysis:  # dt has no fallback: only the commands that step read it
-            analysis[key] = _checked(path, f"analysis.{key}", analysis[key], rule)
+            analysis[key] = _checked(where, f"analysis.{key}", analysis[key], rule)
     try:
         config_scenario(config)
         config_policies(config)
         config_prediction(config)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"run config {path}: {type(exc).__name__}: {exc}") from exc
+        raise ParseError(f"{where}: {type(exc).__name__}: {exc}") from exc
     return config
 
 

@@ -7,10 +7,10 @@ import pytest
 
 import odlisim
 from odlisim import reach
-from odlisim.core import SV_LIMITS, axis_limits
+from odlisim.core import axis_limits
 from odlisim.engine import TrajectoryLog
 from odlisim.reach import Layer, Timeline
-from odlisim.scenario import ScenarioTiming, make_scenario
+from odlisim.spec import SV_LIMITS, ScenarioTiming, make_scenario
 
 
 def fresh_env() -> dict:

@@ -9,19 +9,17 @@ import time
 import numpy as np
 import pytest
 
-from odlisim import io
+from odlisim import spec
 from odlisim.cli import main as cli_main
-from odlisim.core import SV_LIMITS, axis_limits
+from odlisim.core import axis_limits
 from odlisim.engine import classify_outcome, rollout, run_cohort
 from odlisim.oracle import analytic_1d_bounds, containment_check, sample_trajectories
-from odlisim.policies import PolicySpec
-from odlisim.reach import (PredictionConfig, aggregate_prevalence,
-                           compute_reachable_set, drivable_area_at, drivable_timeline,
-                           propagate_step)
+from odlisim.reach import (aggregate_prevalence, compute_reachable_set, drivable_area_at,
+                           drivable_timeline, propagate_step)
 from odlisim.responses import (AnalysisWindow, build_sequence_graph,
                                detect_responses, response_times, window_for)
-from odlisim.scenario import (IncursionPath, default_timing, make_scenario,
-                              reference_lateral_at_tc)
+from odlisim.scenario import IncursionPath, reference_lateral_at_tc
+from odlisim.spec import SV_LIMITS, PolicySpec, PredictionConfig, default_timing, make_scenario
 
 from conftest import make_log, make_timeline, world_cells
 
@@ -105,7 +103,7 @@ def test_criterion_4_1d_oracle_agreement():
     assert p_lo == pytest.approx(9.4385, abs=2e-4)
     assert p_hi == pytest.approx(10.0, abs=1e-9)
 
-    from odlisim.core import VehicleState
+    from odlisim.spec import VehicleState
     state = VehicleState(t=0, x=0.0, y=0.0, vx=20.0, vy=0.0, ax=0.0, ay=0.0)
     layer = compute_reachable_set(state, SV_LIMITS, cfg).layers[0]
     for _ in range(5):
@@ -282,7 +280,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     cfg_path = tmp_path / "config.json"
     assert cli_main(["scenario", "gen", "--il", "0.0", "--seed", "7",
                      "--out", str(cfg_path)]) == 0
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     config["policies"] = [
         {"kind": "no-response", "count": 2},
         {"kind": "brake-then-steer-center", "count": 2, "reaction_delay": 1.4,
@@ -291,7 +289,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
          "steer_target": 10.0},
     ]
     config["analysis"]["eval_step"] = 0.5
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
 
     outputs = []
     for name in ("a", "b"):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import fresh_env, load_table
-from odlisim import io, oracle
+from odlisim import io, oracle, spec
 from odlisim.cli import _build_parser, main
 from odlisim.engine import classify_outcome
 from odlisim.responses import build_sequence_graph, window_for
@@ -24,7 +24,7 @@ def gen_config(tmp_path, *extra):
 def small_config(tmp_path, il="0.0"):
     """Config trimmed to a fast two-run cohort for CLI smoke tests."""
     cfg_path = gen_config(tmp_path, "--il", il)
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     config["policies"] = [
         {"kind": "no-response", "count": 1},
         {"kind": "steer-center-only", "count": 1, "reaction_delay": 2.0,
@@ -32,13 +32,13 @@ def small_config(tmp_path, il="0.0"):
     ]
     config["analysis"]["eval_step"] = 1.0
     config["analysis"]["bootstrap_samples"] = 200
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     return cfg_path
 
 
 def test_scenario_gen_il_override(tmp_path):
     cfg_path = gen_config(tmp_path, "--il", "-0.8")
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     assert config["scenario"]["incursion_level"] == -0.8
     assert config["scenario"]["end_heading_mode"] == "continuing-left"
 
@@ -113,9 +113,9 @@ def test_analyze_rejects_changed_threshold_key(tmp_path, capsys):
     cfg_path = small_config(tmp_path)
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     config["analysis"]["steer_onset_deg"] = 7
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     capsys.readouterr()
     assert run_cli("analyze", "responses", "--config", str(cfg_path),
                    "--logs", str(out), "--out", str(out)) == 1
@@ -127,9 +127,9 @@ def test_analyze_rejects_changed_threshold_key(tmp_path, capsys):
 
 def test_simulate_names_config_missing_section(tmp_path, capsys):
     cfg_path = small_config(tmp_path)
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     del config["analysis"]
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     capsys.readouterr()
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
@@ -143,12 +143,12 @@ def test_simulate_names_config_missing_section(tmp_path, capsys):
 def test_simulate_rejects_empty_cohort(tmp_path, capsys, policies):
     """A config with no policy fails at simulate, not one command later with no logs."""
     cfg_path = small_config(tmp_path)
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     if policies is None:
         del config["policies"]
     else:
         config["policies"] = policies
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     capsys.readouterr()
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
@@ -167,9 +167,9 @@ def test_simulate_rejects_bad_policy_count(tmp_path, capsys, count):
     """A count below 1 or with a fraction is a load error naming the key: before,
     0 ran no member, -3 raised IndexError and 2.7 ran 2."""
     cfg_path = small_config(tmp_path)
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     config["policies"][1]["count"] = count
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     capsys.readouterr()
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
@@ -444,11 +444,13 @@ def test_prediction_overrides_checked_before_any_output(tmp_path, capsys, flag, 
     ["reach", "timeline", "--log", "{log}", "--eval-step", "nan"],
     ["reach", "compute", "--log", "{log}", "--t", "99"],
     ["analyze", "responses", "--logs", "{missing}"],
+    ["scenario", "gen", "--il", "5"],
 ], ids=["oracle verify --n 0", "oracle verify --anchors 0", "reach aggregate --eval-step 0",
-        "reach timeline --eval-step nan", "reach compute --t 99", "analyze responses missing"])
+        "reach timeline --eval-step nan", "reach compute --t 99", "analyze responses missing",
+        "scenario gen --il 5"])
 def test_failed_command_leaves_no_new_directory(tmp_path, capsys, argv):
     """A handler that fails removes the empty directories main made for its output,
-    and keeps one that existed before."""
+    and keeps one that existed before; scenario gen, which reads no config, too."""
     cfg_path = small_config(tmp_path)
     logs = tmp_path / "logs"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(logs)) == 0
@@ -456,12 +458,30 @@ def test_failed_command_leaves_no_new_directory(tmp_path, capsys, argv):
             for a in argv]
     fresh, kept = tmp_path / "fresh", tmp_path / "kept"
     kept.mkdir()
+    config_args = [] if argv[0] == "scenario" else ["--config", str(cfg_path)]
     for out in (fresh / "out", kept):
         capsys.readouterr()
-        assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 1
+        assert run_cli(*argv, *config_args, "--out", str(out)) == 1
         assert "error" in json_error(capsys)
     assert not fresh.exists()
     assert kept.is_dir() and not any(kept.iterdir())
+
+
+def test_scenario_gen_makes_the_directories_of_out(tmp_path, capsys, monkeypatch):
+    """scenario gen makes the missing parents of ``--out``, as every other command makes
+    its output directory, and removes them if the write fails."""
+    out = tmp_path / "new" / "sub" / "config.json"
+    assert run_cli("scenario", "gen", "--out", str(out)) == 0
+    assert out.read_text() == gen_config(tmp_path).read_text()
+
+    def fail(config, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(spec, "save_run_config", fail)
+    capsys.readouterr()
+    assert run_cli("scenario", "gen", "--out", str(tmp_path / "other" / "config.json")) == 1
+    assert json_error(capsys) == {"error": "OSError", "message": "disk full"}
+    assert not (tmp_path / "other").exists()
 
 
 def test_oracle_verify_below_one_keeps_its_report(tmp_path, monkeypatch):
@@ -513,22 +533,22 @@ def pipeline_outputs(cfg_path, out) -> dict[str, bytes]:
     ("bootstrap_samples", 1000), ("delay_jitter", 0.0), ("window_reaction_floor", 0.4)])
 def test_omitted_config_key_means_its_fallback(tmp_path, key, fallback):
     cfg_path = small_config(tmp_path)
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     section = {"seed": config, "t_trigger": config["scenario"],
                "count": config["policies"][1]}.get(key, config["analysis"])
     section[key] = fallback
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     held = pipeline_outputs(cfg_path, tmp_path / "held")
     del section[key]
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     assert pipeline_outputs(cfg_path, tmp_path / "omitted") == held
 
 
 def test_omitted_output_dir_means_out(tmp_path, monkeypatch):
     cfg_path = small_config(tmp_path)
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     del config["output_dir"]
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     monkeypatch.chdir(tmp_path)
     assert run_cli("simulate", "--config", str(cfg_path)) == 0
     assert sorted(p.name for p in (tmp_path / "out").glob("run_*.csv")) == [
@@ -556,13 +576,13 @@ def test_cli_determinism_smoke(tmp_path):
 
 def test_window_reaction_floor_governs_every_window(tmp_path):
     cfg_path = small_config(tmp_path)
-    config = io.load_run_config(cfg_path)
+    config = spec.load_run_config(cfg_path)
     config["analysis"]["window_reaction_floor"] = 0.8
     # braking that starts inside [0.4, 0.8) s after the trigger moves the
     # state at t_B, so the two floors give different sequence graphs
     config["policies"] = [{"kind": "no-response", "count": 1},
                           {"kind": "brake-only", "count": 1, "reaction_delay": 0.5}]
-    io.save_run_config(config, cfg_path)
+    spec.save_run_config(config, cfg_path)
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
     log_paths = sorted(out.glob("run_*.csv"))
@@ -628,7 +648,7 @@ def test_help_and_scenario_gen_load_no_compute_module(tmp_path):
                          check=True).stdout
     assert out.splitlines()[-1].split() == []
     assert (tmp_path / "c.json").read_text() == json.dumps(
-        io.default_run_config(), indent=2, sort_keys=True) + "\n"
+        spec.default_run_config(), indent=2, sort_keys=True) + "\n"
 
 
 def test_parser_built_once_and_reused_without_carry_over(tmp_path, monkeypatch):

@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import fresh_env
-from odlisim.core import (MAX_STEPS, AxisLimits, POV_LIMITS, SV_LIMITS, KinematicLimits, Rect, RoadSpec,
-                          VehicleSpec, VehicleState, axis_limits, axis_step, check_numbers,
-                          footprint, rectangles_overlap, stacked_axis_limits, step_count,
-                          step_state)
+from odlisim.core import (AxisLimits, Rect, axis_limits, axis_step, footprint, rectangles_overlap,
+                          stacked_axis_limits, step_state)
 from odlisim.engine import rollout
 from odlisim.oracle import analytic_1d_bounds, sample_trajectories
-from odlisim.policies import PolicySpec
-from odlisim.reach import PredictionConfig, drivable_timelines
-from odlisim.scenario import (ScenarioSpec, ScenarioTiming, default_timing, make_scenario,
-                              pov_state_at, trigger_distance)
+from odlisim.reach import drivable_timelines
+from odlisim.scenario import pov_state_at, trigger_distance
+from odlisim.spec import (MAX_STEPS, POV_LIMITS, SV_LIMITS, KinematicLimits, PolicySpec,
+                          PredictionConfig, RoadSpec, ScenarioSpec, ScenarioTiming, VehicleSpec,
+                          VehicleState, check_numbers, default_timing, make_scenario, step_count)
 
 
 def state(**kw):

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_log
-from odlisim import core, engine, io, policies
-from odlisim.core import (SV_LIMITS, KinematicLimits, VehicleSpec, VehicleState,
-                          axis_limits, axis_step, footprint)
+from odlisim import core, engine, policies, spec
+from odlisim.core import axis_limits, axis_step, footprint
 from odlisim.engine import (IncompleteLogError, TrajectoryLog, classify_outcome,
                             rollout, run_cohort, time_of_closest_proximity)
-from odlisim.policies import POLICY_KINDS, PolicySpec
 from odlisim.responses import window_for
-from odlisim.scenario import (IncursionPath, default_timing, make_scenario,
-                              pov_state_at, pov_x_at_trigger, sv_initial_state)
+from odlisim.scenario import IncursionPath, pov_state_at, pov_x_at_trigger, sv_initial_state
+from odlisim.spec import (POLICY_KINDS, SV_LIMITS, KinematicLimits, PolicySpec, VehicleSpec,
+                          VehicleState, default_timing, make_scenario)
 
 ILS = (-0.8, 0.0, 0.9)
 
@@ -195,12 +194,12 @@ def _ref_controls(t, timing, policy, a_brk_max):
         if t < onset:
             return 0.0
         return math.copysign(1.0, target) * min(
-            abs(target), policies.STEER_ONSET_DEG + rate * (t - onset))
+            abs(target), spec.STEER_ONSET_DEG + rate * (t - onset))
 
     t_first = timing.t_trigger + policy.reaction_delay
     kind = policy.kind
     if kind == "no-response" or t < t_first:
-        return policies.CRUISE_ACCEL_PCT, 0.0, 0.0
+        return spec.CRUISE_ACCEL_PCT, 0.0, 0.0
     brake = 0.0
     if kind in ("brake-only", "brake-then-steer-center"):
         brake = policies._brake_pct(policy, a_brk_max)
@@ -225,15 +224,15 @@ def _ref_controls(t, timing, policy, a_brk_max):
 
 
 def _ref_target_accels(accel, brake, steer, a_fwd_max, a_brk_max):
-    c = policies.CRUISE_ACCEL_PCT
+    c = spec.CRUISE_ACCEL_PCT
     ax = 0.0 if accel <= c else a_fwd_max * (accel - c) / (100.0 - c)
     if brake <= 0:
         dec = 0.0
-    elif brake <= policies.BRAKE_ONSET_PCT:
-        dec = policies.BRAKE_ANCHOR_DECEL * brake / policies.BRAKE_ONSET_PCT
+    elif brake <= spec.BRAKE_ONSET_PCT:
+        dec = policies.BRAKE_ANCHOR_DECEL * brake / spec.BRAKE_ONSET_PCT
     else:
         dec = policies.BRAKE_ANCHOR_DECEL + (a_brk_max - policies.BRAKE_ANCHOR_DECEL) * (
-            brake - policies.BRAKE_ONSET_PCT) / (100.0 - policies.BRAKE_ONSET_PCT)
+            brake - spec.BRAKE_ONSET_PCT) / (100.0 - spec.BRAKE_ONSET_PCT)
     return ax - dec, policies.STEER_GAIN * steer
 
 
@@ -303,7 +302,7 @@ def _assert_same_log(got, ref):
 
 
 # The default cohort's policy parameters: one spec per kind.
-COHORT = io.config_policies(io.default_run_config(0.0))
+COHORT = spec.config_policies(spec.default_run_config(0.0))
 KIND_SPECS = [p for p, _ in COHORT]
 ODD_LIMITS = KinematicLimits(v_max=18.5, a_fwd_max=3.0, a_brk_max=7.0,
                              a_lat_left_max=4.0, a_lat_right_max=5.0, j_fwd_max=8.0,

@@ -14,14 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_table, make_layer, make_log, rect_cells, world_cells
-from odlisim import io, reach
+from odlisim import io, spec
 from odlisim.engine import rollout, run_cohort
-from odlisim.policies import POLICY_KINDS, PolicySpec
-from odlisim.reach import (AxisInterval, DrivableArea, PredictionConfig, Prevalence,
-                           compute_drivable_area)
+from odlisim.reach import AxisInterval, DrivableArea, Prevalence, compute_drivable_area
 from odlisim.responses import AnalysisWindow, build_sequence_graph, sv_longitudinal_accel
-from odlisim.scenario import make_scenario
-from odlisim.core import RoadSpec, VehicleSpec, VehicleState
+from odlisim.spec import (POLICY_KINDS, PolicySpec, PredictionConfig, RoadSpec, VehicleSpec,
+                          VehicleState, make_scenario)
 
 
 def test_log_roundtrip_lossless(tmp_path):
@@ -79,7 +77,7 @@ def test_log_missing_column_error(tmp_path):
     pruned = [",".join(v for i, v in enumerate(line.split(",")) if i != drop)
               for line in lines]
     path.write_text("\n".join(pruned) + "\n")
-    with pytest.raises(io.ParseError, match="steer_deg"):
+    with pytest.raises(spec.ParseError, match="steer_deg"):
         io.load_trajectory_log(path)
 
 
@@ -114,7 +112,7 @@ def saved_log_with_cell(tmp_path, column, value, line=6):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_log_nonfinite_sample_error(tmp_path, value):
     path = saved_log_with_cell(tmp_path, "sv_x", value)
-    with pytest.raises(io.ParseError, match="row 7: non-finite value in column 'sv_x'") as err:
+    with pytest.raises(spec.ParseError, match="row 7: non-finite value in column 'sv_x'") as err:
         io.load_trajectory_log(path)
     assert err.value.row == 7
 
@@ -123,7 +121,7 @@ def test_log_nonfinite_sample_error(tmp_path, value):
                                           ("brake_pct", "100.000001")])
 def test_log_pedal_out_of_range_error(tmp_path, column, value):
     path = saved_log_with_cell(tmp_path, column, value)
-    with pytest.raises(io.ParseError,
+    with pytest.raises(spec.ParseError,
                        match=rf"row 7: value in column '{column}' outside \[0, 100\]") as err:
         io.load_trajectory_log(path)
     assert err.value.row == 7
@@ -131,14 +129,14 @@ def test_log_pedal_out_of_range_error(tmp_path, column, value):
 
 def test_log_nonmonotone_time_error(tmp_path):
     path = saved_log_with_cell(tmp_path, "t", "0.001", line=5)
-    with pytest.raises(io.ParseError, match="row"):
+    with pytest.raises(spec.ParseError, match="row"):
         io.load_trajectory_log(path)
 
 
 def test_log_missing_sidecar_error(tmp_path):
     path = tmp_path / "orphan.csv"
     path.write_text("t\ns\n0.0\n")
-    with pytest.raises(io.ParseError, match="sidecar"):
+    with pytest.raises(spec.ParseError, match="sidecar"):
         io.load_trajectory_log(path)
 
 
@@ -155,7 +153,7 @@ def test_log_bad_sidecar_error(tmp_path, corrupt):
     io.save_trajectory_log(make_log(duration=0.5), path)
     sidecar = io.sidecar_path(path)
     sidecar.write_text(corrupt(json.loads(sidecar.read_text())))
-    with pytest.raises(io.ParseError, match=re.escape(str(sidecar))):
+    with pytest.raises(spec.ParseError, match=re.escape(str(sidecar))):
         io.load_trajectory_log(path)
 
 
@@ -178,7 +176,7 @@ def test_log_sidecar_flags_checked(tmp_path, key, text):
     meta = json.loads(sidecar.read_text())
     meta[key] = "@"
     sidecar.write_text(json.dumps(meta).replace('"@"', text))
-    with pytest.raises(io.ParseError, match=re.escape(f"metadata sidecar {sidecar}: {key} = ")):
+    with pytest.raises(spec.ParseError, match=re.escape(f"metadata sidecar {sidecar}: {key} = ")):
         io.load_trajectory_log(path)
 
 
@@ -194,7 +192,7 @@ def test_log_sidecar_numbers_checked(tmp_path, key, value):
     *owner, name = key.split(".")
     (meta[owner[0]] if owner else meta)[name] = value
     sidecar.write_text(json.dumps(meta))
-    with pytest.raises(io.ParseError, match=re.escape(f"metadata sidecar {sidecar}: ValueError: ")
+    with pytest.raises(spec.ParseError, match=re.escape(f"metadata sidecar {sidecar}: ValueError: ")
                        ) as err:
         io.load_trajectory_log(path)
     assert name in str(err.value)
@@ -211,7 +209,7 @@ def test_log_sidecar_ctrl_fracs_checked(tmp_path, value):
     meta = json.loads(sidecar.read_text())
     meta["scenario"]["ctrl_fracs"] = value
     sidecar.write_text(json.dumps(meta))
-    with pytest.raises(io.ParseError, match=re.escape(
+    with pytest.raises(spec.ParseError, match=re.escape(
             f"metadata sidecar {sidecar}: ValueError: ctrl_fracs")):
         io.load_trajectory_log(path)
 
@@ -271,41 +269,41 @@ def ref_load_columns(path, dt):
     """Row-by-row parse and checks of a log body: the reference for the bulk parse."""
     lines = Path(path).read_text().splitlines()
     if len(lines) < 4:
-        raise io.ParseError("log file needs a header, a units row, and at least two data rows")
+        raise spec.ParseError("log file needs a header, a units row, and at least two data rows")
     header = lines[0].split(",")
     for col in REQUIRED:
         if col not in header:
-            raise io.ParseError(f"missing required column {col!r}")
+            raise spec.ParseError(f"missing required column {col!r}")
     idx = {c: header.index(c) for c in header}
     n = len(lines) - 2
     data = {c: np.full(n, np.nan) for c in set(header) | set(OPTIONAL)}
     for r, line in enumerate(lines[2:]):
         parts = line.split(",")
         if len(parts) != len(header):
-            raise io.ParseError(f"expected {len(header)} fields, got {len(parts)}", row=r + 3)
+            raise spec.ParseError(f"expected {len(header)} fields, got {len(parts)}", row=r + 3)
         for c, i in idx.items():
             try:
                 data[c][r] = float(parts[i])
             except ValueError as exc:
-                raise io.ParseError(f"bad value in column {c!r}: {parts[i]!r}",
+                raise spec.ParseError(f"bad value in column {c!r}: {parts[i]!r}",
                                     row=r + 3) from exc
     for c in idx:
         bad = np.flatnonzero(~np.isfinite(data[c]))
         if len(bad):
-            raise io.ParseError(f"non-finite value in column {c!r}: {float(data[c][bad[0]])}",
+            raise spec.ParseError(f"non-finite value in column {c!r}: {float(data[c][bad[0]])}",
                                 row=int(bad[0]) + 3)
     for c in ("accel_pct", "brake_pct"):
         bad = np.flatnonzero((data[c] < 0.0) | (data[c] > 100.0))
         if len(bad):
-            raise io.ParseError(f"value in column {c!r} outside [0, 100]: "
+            raise spec.ParseError(f"value in column {c!r} outside [0, 100]: "
                                 f"{float(data[c][bad[0]])}", row=int(bad[0]) + 3)
     steps = np.diff(data["t"])
     bad = np.nonzero(steps <= 0)[0]
     if len(bad):
-        raise io.ParseError("non-monotone timestamps", row=int(bad[0]) + 3)
+        raise spec.ParseError("non-monotone timestamps", row=int(bad[0]) + 3)
     off = np.nonzero(~np.isclose(steps, dt, rtol=0, atol=1e-9))[0]
     if len(off):
-        raise io.ParseError(f"sample spacing differs from dt={dt}", row=int(off[0]) + 3)
+        raise spec.ParseError(f"sample spacing differs from dt={dt}", row=int(off[0]) + 3)
     return data
 
 
@@ -313,7 +311,7 @@ def parse_result(load, path):
     """Loaded columns as raw bytes, or the ParseError's message and row."""
     try:
         cols = load(path)
-    except io.ParseError as err:
+    except spec.ParseError as err:
         return str(err), err.row
     return {c: np.asarray(v, dtype=float).tobytes() for c, v in cols.items()}
 
@@ -371,7 +369,7 @@ def test_log_duplicate_column_error(tmp_path):
     lines = path.read_text().splitlines()
     extra = ["sv_x", "m"] + ["999.0"] * (len(lines) - 2)
     path.write_text("\n".join(f"{line},{v}" for line, v in zip(lines, extra)) + "\n")
-    with pytest.raises(io.ParseError, match=re.escape("duplicate column 'sv_x'")) as err:
+    with pytest.raises(spec.ParseError, match=re.escape("duplicate column 'sv_x'")) as err:
         io.load_trajectory_log(path)
     assert err.value.row is None
 
@@ -521,9 +519,9 @@ def test_cohort_writer_memory_bound(tmp_path):
     # The default 20-run cohort at the paper's three ILs; the writer's
     # transient arrays stay well under 4 MB (about 2.1 MB measured).
     for il in (-0.8, 0.0, 0.9):
-        config = io.default_run_config(il)
-        scenario, timing = io.config_scenario(config)
-        logs = run_cohort(scenario, io.config_policies(config), dt=config["analysis"]["dt"],
+        config = spec.default_run_config(il)
+        scenario, timing = spec.config_scenario(config)
+        logs = run_cohort(scenario, spec.config_policies(config), dt=config["analysis"]["dt"],
                           seed=config["seed"], delay_jitter=config["analysis"]["delay_jitter"],
                           timing=timing)
         paths = [tmp_path / f"run_{i:03d}.csv" for i in range(len(logs))]
@@ -544,23 +542,23 @@ def test_cohort_writer_needs_one_path_per_log(tmp_path):
 
 
 def test_default_config_roundtrip(tmp_path):
-    config = io.default_run_config(-0.8)
+    config = spec.default_run_config(-0.8)
     path = tmp_path / "config.json"
-    io.save_run_config(config, path)
-    loaded = io.load_run_config(path)
+    spec.save_run_config(config, path)
+    loaded = spec.load_run_config(path)
     assert loaded == config
-    scenario, timing = io.config_scenario(loaded)
+    scenario, timing = spec.config_scenario(loaded)
     assert scenario.incursion_level == -0.8
     assert scenario.end_heading_mode == "continuing-left"
     assert timing.t_critical - timing.t_trigger == pytest.approx(5.15)
-    pred = io.config_prediction(loaded)
+    pred = spec.config_prediction(loaded)
     assert pred.pov_limits.a_lat_right_max == 0.0
-    cohort = io.config_policies(loaded)
+    cohort = spec.config_policies(loaded)
     assert sum(c for _, c in cohort) == 20
 
 
 def test_config_carries_named_constants():
-    config = io.default_run_config()
+    config = spec.default_run_config()
     assert config["scenario"]["time_gap_trigger"] == 5.15
     assert config["analysis"]["window_reaction_floor"] == 0.4
     # the response thresholds are fixed constants, not config keys
@@ -575,41 +573,54 @@ def test_config_carries_named_constants():
                                        ("steer_onset_deg", 5.0)])
 def test_config_threshold_keys_fixed(tmp_path, key, fixed):
     # Older configs may carry a threshold key, but only at its fixed value.
-    config = io.default_run_config()
+    config = spec.default_run_config()
     path = tmp_path / "config.json"
     config["analysis"][key] = fixed
-    io.save_run_config(config, path)
-    assert io.load_run_config(path)["analysis"][key] == fixed
+    spec.save_run_config(config, path)
+    assert spec.load_run_config(path)["analysis"][key] == fixed
     config["analysis"][key] = fixed + 1.0
-    io.save_run_config(config, path)
-    with pytest.raises(io.ParseError, match=f"analysis.{key}"):
-        io.load_run_config(path)
+    spec.save_run_config(config, path)
+    with pytest.raises(spec.ParseError, match=f"analysis.{key}"):
+        spec.load_run_config(path)
 
 
 @pytest.mark.parametrize("text", [
     '{"scenario": {}, ',
     '[1, 2]',
     json.dumps({"scenario": {}, "analysis": 3, "prediction": {}}),
-    json.dumps(dict(io.default_run_config(), scenario={"incursion_level": 0.0})),
-    json.dumps(dict(io.default_run_config(), policies=[{"kind": "brake-only", "gain": 2}])),
+    json.dumps(dict(spec.default_run_config(), scenario={"incursion_level": 0.0})),
+    json.dumps(dict(spec.default_run_config(), policies=[{"kind": "brake-only", "gain": 2}])),
 ], ids=["malformed-json", "not-an-object", "section-not-an-object", "scenario-without-road",
         "unknown-policy-key"])
 def test_config_format_error_names_file(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
-    with pytest.raises(io.ParseError, match=re.escape(f"run config {path}: ")):
-        io.load_run_config(path)
+    with pytest.raises(spec.ParseError, match=re.escape(f"run config {path}: ")):
+        spec.load_run_config(path)
+
+
+@pytest.mark.parametrize("name, error", [("config.json", "FileNotFoundError"),
+                                         ("configs", "IsADirectoryError")],
+                         ids=["missing", "directory"])
+def test_config_read_error_names_file(tmp_path, name, error):
+    """A config path that cannot be read fails as the ParseError of a malformed file:
+    before, a directory raised a bare IsADirectoryError."""
+    path = tmp_path / name
+    if name == "configs":
+        path.mkdir()
+    with pytest.raises(spec.ParseError, match=re.escape(f"run config {path}: {error}: ")):
+        spec.load_run_config(path)
 
 
 @pytest.mark.parametrize("section", ["scenario", "analysis", "prediction"])
 def test_config_missing_section_error(tmp_path, section):
-    config = io.default_run_config()
+    config = spec.default_run_config()
     del config[section]
     path = tmp_path / "config.json"
-    io.save_run_config(config, path)
+    spec.save_run_config(config, path)
     message = f"run config {path}: section '{section}' is missing"
-    with pytest.raises(io.ParseError, match=re.escape(message)):
-        io.load_run_config(path)
+    with pytest.raises(spec.ParseError, match=re.escape(message)):
+        spec.load_run_config(path)
 
 
 @pytest.mark.parametrize("key,bad", [
@@ -620,32 +631,32 @@ def test_config_missing_section_error(tmp_path, section):
     ("window_reaction_floor", math.nan), ("window_reaction_floor", -0.4),
 ])
 def test_config_analysis_value_checked(tmp_path, key, bad):
-    config = io.default_run_config()
+    config = spec.default_run_config()
     config["analysis"][key] = bad
     path = tmp_path / "config.json"
-    io.save_run_config(config, path)
-    with pytest.raises(io.ParseError, match=re.escape(f"run config {path}: analysis.{key} = ")):
-        io.load_run_config(path)
+    spec.save_run_config(config, path)
+    with pytest.raises(spec.ParseError, match=re.escape(f"run config {path}: analysis.{key} = ")):
+        spec.load_run_config(path)
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, "7", None])
 def test_config_seed_checked(tmp_path, bad):
-    config = dict(io.default_run_config(), seed=bad)
+    config = dict(spec.default_run_config(), seed=bad)
     path = tmp_path / "config.json"
-    io.save_run_config(config, path)
-    with pytest.raises(io.ParseError, match=re.escape(f"run config {path}: seed = ")):
-        io.load_run_config(path)
+    spec.save_run_config(config, path)
+    with pytest.raises(spec.ParseError, match=re.escape(f"run config {path}: seed = ")):
+        spec.load_run_config(path)
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.7, "2", True, None])
 def test_config_policy_count_checked(tmp_path, bad):
-    config = io.default_run_config()
+    config = spec.default_run_config()
     config["policies"][1]["count"] = bad
     path = tmp_path / "config.json"
-    io.save_run_config(config, path)
+    spec.save_run_config(config, path)
     message = f"run config {path}: policies[1].count = {bad!r} must be an integer >= 1"
-    with pytest.raises(io.ParseError, match=re.escape(message)):
-        io.load_run_config(path)
+    with pytest.raises(spec.ParseError, match=re.escape(message)):
+        spec.load_run_config(path)
 
 
 @pytest.mark.parametrize("key", ["seed", "policies[0].count", "analysis.bootstrap_samples",
@@ -653,39 +664,39 @@ def test_config_policy_count_checked(tmp_path, bad):
 def test_config_huge_integer_checked(tmp_path, key):
     """A JSON integer beyond the float range fails as the ParseError naming its key,
     not as an OverflowError."""
-    config = io.default_run_config()
+    config = spec.default_run_config()
     owner = {"seed": config, "policies[0].count": config["policies"][0],
              "analysis.bootstrap_samples": config["analysis"], "analysis.dt": config["analysis"]}
     owner[key][key.rsplit(".", 1)[-1]] = 10 ** 400
     path = tmp_path / "config.json"
-    io.save_run_config(config, path)
-    with pytest.raises(io.ParseError, match=re.escape(f"run config {path}: {key} = 1000")):
-        io.load_run_config(path)
+    spec.save_run_config(config, path)
+    with pytest.raises(spec.ParseError, match=re.escape(f"run config {path}: {key} = 1000")):
+        spec.load_run_config(path)
 
 
 @pytest.mark.parametrize("bad", [{"kind": "no-response"}, ["no-response"], "no-response"])
 def test_config_policies_must_be_objects(tmp_path, bad):
     path = tmp_path / "config.json"
-    io.save_run_config(dict(io.default_run_config(), policies=bad), path)
+    spec.save_run_config(dict(spec.default_run_config(), policies=bad), path)
     message = f"run config {path}: policies must be a list of objects"
-    with pytest.raises(io.ParseError, match=re.escape(message)):
-        io.load_run_config(path)
+    with pytest.raises(spec.ParseError, match=re.escape(message)):
+        spec.load_run_config(path)
 
 
 def test_config_fills_omitted_keys(tmp_path):
     """A config lacking a key with a fallback loads with the value it always meant."""
-    config = io.default_run_config()
+    config = spec.default_run_config()
     del config["seed"], config["output_dir"], config["policies"], config["scenario"]["t_trigger"]
     for key in ("eval_step", "bootstrap_samples", "delay_jitter", "window_reaction_floor"):
         del config["analysis"][key]
     path = tmp_path / "config.json"
-    io.save_run_config(config, path)
-    loaded = io.load_run_config(path)
+    spec.save_run_config(config, path)
+    loaded = spec.load_run_config(path)
     assert (loaded["seed"], loaded["output_dir"], loaded["policies"]) == (0, "out", [])
     assert loaded["scenario"]["t_trigger"] == 1.0
     config["policies"] = [{"kind": "no-response"}]
-    io.save_run_config(config, path)
-    assert io.load_run_config(path)["policies"] == [{"kind": "no-response", "count": 1}]
+    spec.save_run_config(config, path)
+    assert spec.load_run_config(path)["policies"] == [{"kind": "no-response", "count": 1}]
     assert loaded["analysis"] == {"dt": 0.01, "eval_step": 0.1, "bootstrap_samples": 1000,
                                   "delay_jitter": 0.0, "window_reaction_floor": 0.4}
 

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import RowsCloud, bounding_box, cloud_states, world_cells
-from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, VehicleState,
-                          axis_limits, axis_step)
+from odlisim.core import axis_limits, axis_step
 from odlisim.oracle import (_DRAW_BLOCK, analytic_1d_bounds, containment_check,
                             sample_trajectories)
 from odlisim.cli import main
 from odlisim.engine import rollout
-from odlisim.policies import PolicySpec
-from odlisim.reach import (PredictionConfig, ReachableSet, compute_reachable_set,
-                           drivable_area_at)
-from odlisim.scenario import make_scenario
+from odlisim.reach import ReachableSet, compute_reachable_set, drivable_area_at
+from odlisim.spec import (POV_LIMITS, SV_LIMITS, KinematicLimits, PolicySpec, PredictionConfig,
+                          VehicleState, make_scenario)
 
 
 def state(**kw):

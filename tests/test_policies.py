@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from odlisim.engine import rollout
-from odlisim.policies import (CRUISE_ACCEL_PCT, PolicySpec, POLICY_KINDS,
-                              STEER_ONSET_DEG, _engage, accel_pct_to_ax,
-                              brake_pct_to_decel, decel_to_brake_pct, policy_control)
+from odlisim.policies import (_engage, accel_pct_to_ax, brake_pct_to_decel, decel_to_brake_pct,
+                              policy_control)
 from odlisim.responses import detect_responses, window_for
-from odlisim.scenario import ScenarioTiming, make_scenario, default_timing
+from odlisim.spec import (CRUISE_ACCEL_PCT, POLICY_KINDS, STEER_ONSET_DEG, PolicySpec,
+                          ScenarioTiming, default_timing, make_scenario)
 
 
 TIMING = ScenarioTiming(1.0, 6.15)

@@ -7,17 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (bounding_box, make_layer, make_log, make_timeline, rect_cells,
                       world_cells)
-from odlisim import io, reach
-from odlisim.core import (POV_LIMITS, SV_LIMITS, KinematicLimits, RoadSpec,
-                          VehicleSpec, VehicleState, axis_limits, axis_step)
+from odlisim import reach, spec
+from odlisim.core import axis_limits, axis_step
 from odlisim.engine import rollout, run_cohort
-from odlisim.policies import PolicySpec
-from odlisim.reach import (AxisInterval, Layer, PredictionConfig,
-                           aggregate_prevalence, compute_drivable_area,
+from odlisim.reach import (AxisInterval, Layer, aggregate_prevalence, compute_drivable_area,
                            compute_reachable_set, drivable_area_at, drivable_timeline,
                            drivable_timelines, pov_occupancy, propagate_step)
 from odlisim.responses import AnalysisWindow, detect_responses, window_for
-from odlisim.scenario import make_scenario
+from odlisim.spec import (POV_LIMITS, SV_LIMITS, KinematicLimits, PolicySpec, PredictionConfig,
+                          RoadSpec, VehicleSpec, VehicleState, make_scenario)
 
 CFG = PredictionConfig()
 SV_PAIR, POV_PAIR = axis_limits(SV_LIMITS, 1), axis_limits(POV_LIMITS, -1)
@@ -834,25 +832,17 @@ def test_drivable_area_matches_reference_on_real_anchors(mode, no_response_ancho
         args = (log.sv_state(i), log.pov_state(i), CFG, log.scenario.road,
                 log.scenario.sv_spec, log.scenario.pov_spec)
         full = compute_drivable_area(*args, mode=mode)
-        short = compute_drivable_area(*args, mode=mode, exists_only=True)
         ref_sv, ref_pov = ref_drivable_area(*args, mode=mode)
-        assert full.exists == (not ref_sv[-1].empty) == short.exists
+        assert full.exists == (not ref_sv[-1].empty)
         assert len(full.layers) == len(full.pov_layers) == CFG.n_steps + 1
         for got, want in zip(full.layers + full.pov_layers, ref_sv + ref_pov, strict=True):
             assert_matches_reference(got, want)
             assert holds_no_array(got)
         most_rects = max(most_rects, *(len(layer.rects) for layer in full.layers))
-        # exists_only: the same layers, cut right after the first empty SV layer
-        empties = [layer.empty for layer in ref_sv]
-        n = empties.index(True) + 1 if True in empties else CFG.n_steps + 1
-        assert len(short.layers) == len(short.pov_layers) == n
-        for got, want in zip(short.layers + short.pov_layers,
-                             ref_sv[:n] + ref_pov[:n], strict=True):
-            assert_matches_reference(got, want)
         n_lost += not full.exists
     assert most_rects >= 3  # the IL +0.9 anchors cut SV layers into many rectangles
     if mode == "kinematic-envelope":
-        assert n_lost > 0  # some anchors lose escape, so the early exit runs
+        assert n_lost > 0  # some anchors lose escape, so empty layers are checked too
 
 
 # -- cohort reuse: shared POV tracks, one SV pass per distinct anchor --
@@ -868,9 +858,9 @@ def default_cohorts():
     """IL -> the default 20-run cohort (seed 0), as `simulate` rolls it out."""
     out = {}
     for il in (-0.8, 0.0, 0.9):
-        config = io.default_run_config(il)
-        scenario, timing = io.config_scenario(config)
-        out[il] = run_cohort(scenario, io.config_policies(config),
+        config = spec.default_run_config(il)
+        scenario, timing = spec.config_scenario(config)
+        out[il] = run_cohort(scenario, spec.config_policies(config),
                              dt=config["analysis"]["dt"], seed=0,
                              delay_jitter=config["analysis"]["delay_jitter"], timing=timing)
     return out
@@ -884,7 +874,7 @@ def test_drivable_timelines_match_per_anchor_areas(il, default_cohorts):
     n_anchors = 0
     for log, tl in zip(logs, timelines):
         for k, t_anchor in enumerate(tl.t):
-            area, mode = drivable_area_at(log, log.index_at(t_anchor), CFG, exists_only=True)
+            area, mode = drivable_area_at(log, log.index_at(t_anchor), CFG)
             assert (tl.exists[k], tl.mode[k]) == (area.exists, mode)
         n_anchors += len(tl.t)
     assert n_anchors > 1000  # every anchor of the cohort at the default step
@@ -913,7 +903,7 @@ def test_drivable_timelines_match_per_anchor_areas_under_heavy_settings(il, name
             i = log.index_at(t_anchor)
             key = (log.sv_state(i), log.pov_state(i), tl.mode[k])
             if key not in single:
-                single[key] = drivable_area_at(log, i, cfg, exists_only=True)
+                single[key] = drivable_area_at(log, i, cfg)
             area, mode = single[key]
             assert (tl.exists[k], tl.mode[k]) == (area.exists, mode), (log.policy, t_anchor)
         n_anchors += len(tl.t)
@@ -983,12 +973,12 @@ def test_no_response_escape_loss_moves_with_the_horizon(horizon, first_loss):
     """Finding 1 at IL 0: the first anchor with no escape of a no-response run, after
     the trigger, as `reach timeline --eval-step 0.1 --horizon H` computes it.  A longer
     horizon loses the escape earlier, so "until when" measures the horizon."""
-    config = io.default_run_config(0.0)
-    scenario, timing = io.config_scenario(config)
+    config = spec.default_run_config(0.0)
+    scenario, timing = spec.config_scenario(config)
     log = rollout(scenario, PolicySpec(kind="no-response"), dt=config["analysis"]["dt"],
                   timing=timing)
     window = window_for(log, config["analysis"]["window_reaction_floor"])
-    cfg = replace(io.config_prediction(config), horizon=horizon)
+    cfg = replace(spec.config_prediction(config), horizon=horizon)
     timeline, = drivable_timelines([(log, (window.t_begin, window.t_end))], cfg, eval_step=0.1)
     lost = np.flatnonzero(~timeline.exists)
     assert timeline.exists[0] and len(lost)

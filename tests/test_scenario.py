@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from odlisim.core import POV_LIMITS, axis_limits
-from odlisim.scenario import (IncursionPath, ScenarioSpec, ScenarioTiming,
-                              check_path_lateral_accel, default_timing,
-                              make_scenario, pov_state_at, pov_x_at_trigger,
-                              reference_lateral_at_tc, trigger_distance)
+from odlisim.core import axis_limits
+from odlisim.scenario import (IncursionPath, check_path_lateral_accel, pov_state_at,
+                              pov_x_at_trigger, reference_lateral_at_tc, trigger_distance)
+from odlisim.spec import POV_LIMITS, ScenarioSpec, ScenarioTiming, default_timing, make_scenario
 
 ILS = {"steep": -0.8, "medium": 0.0, "shallow": 0.9}
 
