@@ -127,6 +127,7 @@ def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> 
                          lengths).reshape(-1, samples)[:, :n]
 
     pov, head = cells(shared, len(longest[0])), "\n".join(_LOG_HEAD) + "\n"
+    scenarios = {}  # the sidecar text of each distinct scenario object, by id
     for log, path, (t_of, pov_of, own_of) in zip(logs, paths, plans):
         n, own = len(log), cells(own_of, len(log))
         index = np.concatenate([time_at[t_of] + np.arange(n)[None], own[:6],
@@ -136,7 +137,10 @@ def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> 
             f.write(head)
             f.writelines("".join(texts[index[a:a + _SAVE_BLOCK_ROWS]].ravel().tolist())
                          for a in range(0, n, _SAVE_BLOCK_ROWS))
-        _save_sidecar(log, Path(path))
+        if id(log.scenario) not in scenarios:
+            scenarios[id(log.scenario)] = json.dumps(
+                scenario_to_dict(log.scenario), indent=2, sort_keys=True).replace("\n", "\n  ")
+        _save_sidecar(log, Path(path), scenarios[id(log.scenario)])
 
 
 def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:
@@ -144,18 +148,26 @@ def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:
     save_trajectory_logs([log], [path])
 
 
-def _save_sidecar(log: TrajectoryLog, path: Path) -> None:
+def _save_sidecar(log: TrajectoryLog, path: Path, scenario: str) -> None:
+    """Write the sidecar of ``log``; ``scenario`` is the JSON text of its
+    scenario one level down, which a cohort renders once per scenario.
+
+    The text fills the ``"scenario": null`` slot: no other key is named
+    ``scenario``, and a quote inside a JSON string is always escaped.
+    """
     meta = {
         "dt": log.dt,
         "t_trigger": log.timing.t_trigger,
         "t_critical": log.timing.t_critical,
-        "scenario": scenario_to_dict(log.scenario),
+        "scenario": None,
         "policy": dataclasses.asdict(log.policy) if log.policy else None,
         "collided": log.collided,
         "t_collision": log.t_collision,
         "complete": log.complete,
     }
-    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(meta, indent=2, sort_keys=True)
+    text = text.replace('"scenario": null', '"scenario": ' + scenario, 1)
+    sidecar_path(path).write_text(text + "\n")
 
 
 def sidecar_path(path: str | Path) -> Path:

@@ -20,77 +20,68 @@ from .reach import Layer, ReachableSet
 from .spec import KinematicLimits, VehicleState, check_numbers, step_count
 
 
-# Trajectories per chunk of the random draw: one chunk of a 40-step draw
-# is 160 KiB, and larger chunks run no faster.
-_DRAW_BLOCK = 256
+# Doubles of the random stream from one step's draw to the next: step k
+# draws doubles [k * _STRIDE, k * _STRIDE + 2n) of the stream.
+_STRIDE = 2**40
+# Trajectories per block of the jerk scaling: two 32 KiB blocks of bounds.
+_SCALE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
 class SampleCloud:
-    """Jerk-sampled trajectories, stepped as they are read.
+    """Jerk-sampled trajectories, drawn and stepped as they are read.
 
     The cloud holds the start state (a one-vehicle `core.stacked_states`),
-    the step-major jerks ``[n_steps, 2, n_traj]`` and the stacked axis limits
-    (see `core.stacked_axis_limits`).  The first four trajectories are the
-    constant corner-jerk (bang-bang) ones, the rest draw per-step jerks
-    uniformly from the admissible box, all from one random stream (see
-    `sample_trajectories`).  No ``[n_steps + 1, 6, n_traj]`` array of
-    states ever exists: `steps` steps two buffers through `core.step_state`.
+    the stacked axis limits (see `core.stacked_axis_limits`), and the seed,
+    ``n`` and ``n_steps`` of its random jerks; no jerks and no states are
+    stored.  The first four trajectories are the constant corner-jerk
+    (bang-bang) ones, the other ``n`` draw per-step jerks uniformly from the
+    admissible box (see `sample_trajectories` for the stream).
     """
 
     t0: float
     dt: float
     start: np.ndarray  # float [3, 2, 1]
-    jerks: np.ndarray  # float [n_steps, 2, n_traj]
     lim: AxisLimits
-
-    @property
-    def n_steps(self) -> int:
-        return self.jerks.shape[0]
+    seed: int
+    n: int
+    n_steps: int
 
     @property
     def n_traj(self) -> int:
-        return self.jerks.shape[2]
+        return self.n + 4
 
     def steps(self) -> Iterator[np.ndarray]:
         """Each step's ``(6, n_traj)`` rows, in step order.
 
-        A row array may be overwritten once the next step is drawn.
+        Each step's jerks are drawn into one reused ``(n_traj, 2)`` buffer
+        just before `core.step_state` steps one of two state buffers into the
+        other, so the walk holds O(n) memory whatever ``n_steps`` is.  A row
+        array may be overwritten once the next step is drawn.
         """
         cur, nxt = np.empty((2, 3, 2, self.n_traj))
         cur[...] = self.start
         yield cur.reshape(6, -1)
-        for jerk in self.jerks:
-            step_state(cur, jerk, self.lim, self.dt, nxt)
+        j_lo, j_hi = self.lim.j_lo[:, 0], self.lim.j_hi[:, 0]
+        jerk = np.empty((self.n_traj, 2))
+        jerk[:4] = [(j_lo[0], j_lo[1]), (j_lo[0], j_hi[1]),
+                    (j_hi[0], j_lo[1]), (j_hi[0], j_hi[1])]
+        # Scaled in flat blocks against bounds tiled to one block: a length-2
+        # bound broadcast over the (n, 2) rows runs about 2x slower, and
+        # bounds tiled to the whole draw would add 2 * 16n bytes.
+        drawn = jerk[4:].reshape(-1)
+        span, lo = np.tile(j_hi - j_lo, _SCALE_BLOCK), np.tile(j_lo, _SCALE_BLOCK)
+        rng = np.random.default_rng(self.seed)
+        for _ in range(self.n_steps):
+            rng.random(out=drawn)
+            for a in range(0, drawn.size, span.size):
+                block = drawn[a:a + span.size]
+                block *= span[:block.size]
+                block += lo[:block.size]
+            rng.bit_generator.advance(_STRIDE - drawn.size)
+            step_state(cur, jerk.T, self.lim, self.dt, nxt)
             yield nxt.reshape(6, -1)
             cur, nxt = nxt, cur
-
-
-def _draw_jerks(rng: np.random.Generator, j_lo: np.ndarray, j_hi: np.ndarray,
-                out: np.ndarray) -> None:
-    """Fill ``out[2 * n_steps, n]`` with uniform jerks from ``rng``.
-
-    ``out`` is the step-major jerks with step and axis merged: row 2k + c is
-    axis c at step k.  Trajectory i takes the i-th contiguous
-    ``[n_steps, 2]`` stretch of the stream, as in one
-    ``rng.random((n, n_steps, 2))`` block: the generator hands out one
-    double per number in order, so drawing that block in chunks of
-    `_DRAW_BLOCK` trajectories yields the same numbers.  Each
-    ``[chunk, 2 * n_steps]`` chunk is scaled as ``lo + (hi - lo) * u``, with
-    the per-axis bounds tiled over the steps, and written into ``out`` as
-    one 2-D transposed copy, so no second full-size copy of the jerks is
-    ever held.
-    """
-    n_rows, n = out.shape
-    span = np.tile(j_hi - j_lo, n_rows // 2)
-    lo = np.tile(j_lo, n_rows // 2)
-    buf = np.empty((min(n, _DRAW_BLOCK), n_rows))
-    for start in range(0, n, _DRAW_BLOCK):
-        chunk = buf[:min(_DRAW_BLOCK, n - start)]
-        rng.random(out=chunk)
-        chunk *= span
-        chunk += lo
-        out[:, start:start + len(chunk)] = chunk.T
 
 
 def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
@@ -98,31 +89,26 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
                         n: int = 1000, seed: int = 0) -> SampleCloud:
     """n random jerk-sequence rollouts plus the four constant corner ones.
 
-    The random jerks come from one ``default_rng(seed)`` stream, with the
-    numbers of a single [n, n_steps, 2] uniform block over the per-axis
-    jerk box, so trajectory 4 + i takes the i-th contiguous stretch of the
-    stream.  The cloud is reproducible for a given (seed, n) and
-    prefix-stable in n: the rows for n = 100 equal the first rows for
-    n = 1000.  Only the jerks are drawn here, within the limits of
-    `core.stacked_axis_limits`; the cloud steps them as it is read (see
-    `SampleCloud`).
+    The random jerks come from one ``PCG64(seed)`` stream.  Step k takes
+    doubles ``[k * S, k * S + 2n)`` of it, with the fixed stride
+    ``S = 2**40``: trajectory 4 + i takes double ``k * S + 2i`` for x and
+    ``k * S + 2i + 1`` for y, each scaled over its axis's jerk box as
+    ``lo + (hi - lo) * u``.  One generator draws a step and then advances
+    past the rest of its stride with ``PCG64.advance``.  So the cloud is
+    reproducible for a given (seed, n) and prefix-stable in n: the rows for
+    n = 100 equal the first rows for n = 1000.  Nothing is drawn here: the
+    cloud draws and steps each step's jerks as it is read (see
+    `SampleCloud`), within the limits of `core.stacked_axis_limits`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n + 4 > _STRIDE // 2:
+        raise ValueError(f"n must be at most {_STRIDE // 2 - 4}, got {n}")
     check_numbers("> 0", dt=dt)
     check_numbers(">= 0", horizon=horizon)
     n_steps = step_count(horizon, dt, "horizon / dt")
-    lim = stacked_axis_limits(limits, initial.heading_sign)
-    j_lo, j_hi = lim.j_lo[:, 0], lim.j_hi[:, 0]
-
-    # Step-major (steps, axis, trajectory), so every per-step jerk is one
-    # contiguous row.
-    jerks = np.empty((n_steps, 2, n + 4))
-    jerks[:, 0, :4] = (j_lo[0], j_lo[0], j_hi[0], j_hi[0])
-    jerks[:, 1, :4] = (j_lo[1], j_hi[1], j_lo[1], j_hi[1])
-    _draw_jerks(np.random.default_rng(seed), j_lo, j_hi,
-                jerks.reshape(2 * n_steps, n + 4)[:, 4:])
-    return SampleCloud(initial.t, dt, stacked_states([initial]), jerks, lim)
+    return SampleCloud(initial.t, dt, stacked_states([initial]),
+                       stacked_axis_limits(limits, initial.heading_sign), seed, n, n_steps)
 
 
 def _smallest_positive_root(a2: float, a1: float, a0: float) -> float | None:
@@ -255,9 +241,9 @@ def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentRepo
     floored to its cell indices once per layer, and the cell is occupied
     when the indices fall inside any of the layer's half-open rectangles.
     The check walks `SampleCloud.steps` layer by layer, so the cloud is
-    stepped as it is checked and only one step's rows are held.  The
-    first violation is the first step
-    with a miss, then the first trajectory at that step.  1.0 certifies
+    drawn and stepped as it is checked and only one step's jerks and rows
+    are held.  The first violation is the first step with a miss, then the
+    first trajectory at that step.  1.0 certifies
     soundness of the propagation for these samples.
     """
     if abs(cloud.dt - rset.tau_step) > 1e-12:

@@ -515,6 +515,31 @@ def test_cohort_writer_matches_per_log_text(tmp_path, make):
         assert io.sidecar_path(alone).read_bytes() == io.sidecar_path(path).read_bytes()
 
 
+def ref_sidecar_text(log):
+    """Text of one sidecar with its scenario rendered in place, as the cohort
+    writer, which renders each scenario once, must reproduce."""
+    meta = {"dt": log.dt, "t_trigger": log.timing.t_trigger,
+            "t_critical": log.timing.t_critical, "scenario": spec.scenario_to_dict(log.scenario),
+            "policy": dataclasses.asdict(log.policy), "collided": log.collided,
+            "t_collision": log.t_collision, "complete": log.complete}
+    return json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+
+def test_cohort_sidecars_match_per_log_rendering(tmp_path):
+    """A cohort of three scenarios: the default one, a second IL, and one equal
+    to the default but for the sign of a zero, which must keep its own text."""
+    logs = cohort_logs()
+    signed = dataclasses.replace(logs[2].scenario, incursion_level=-0.0)
+    assert signed == logs[0].scenario
+    logs[2] = dataclasses.replace(logs[2], scenario=signed)
+    logs.append(rollout(make_scenario(-0.8), PolicySpec(kind="brake-only")))
+    paths = [tmp_path / f"run_{i:03d}.csv" for i in range(len(logs))]
+    io.save_trajectory_logs(logs, paths)
+    texts = [io.sidecar_path(path).read_text() for path in paths]
+    assert texts == [ref_sidecar_text(log) for log in logs]
+    assert '"incursion_level": -0.0' in texts[2]
+
+
 def test_cohort_writer_memory_bound(tmp_path):
     # The default 20-run cohort at the paper's three ILs; the writer's
     # transient arrays stay well under 4 MB (about 2.1 MB measured).

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import RowsCloud, bounding_box, cloud_states, world_cells
 from odlisim.core import axis_limits, axis_step
-from odlisim.oracle import (_DRAW_BLOCK, analytic_1d_bounds, containment_check,
+from odlisim.oracle import (_SCALE_BLOCK, analytic_1d_bounds, containment_check,
                             sample_trajectories)
 from odlisim.cli import main
 from odlisim.engine import rollout
@@ -57,23 +58,37 @@ def test_sampling_pinned_digest():
     s0 = state(vx=17.88, y=-1.825)
     cloud = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=50, seed=3)
     assert (hashlib.sha256(cloud_states(cloud).tobytes()).hexdigest()
-            == "269db39cd118b3397c86c7893d258f6f9be79c5759c603618834f31451867949")
+            == "c74bd2dc2eaec62cee3481dd28c2ca55f5266e2a609e39effa37200a33a761b4")
 
 
 def test_sampling_prefix_stable_in_n():
     s0 = state(vx=12.0, vy=0.5)
-    small = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=100, seed=9)
     large = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=1000, seed=9)
-    assert np.array_equal(cloud_states(small), cloud_states(large)[:104])
+    for n in (1, 100):
+        small = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1, n=n, seed=9)
+        assert np.array_equal(cloud_states(small), cloud_states(large)[:n + 4])
+
+
+# Doubles of the random stream from one step's draw to the next.
+STRIDE = 2**40
 
 
 def reference_states(s0, limits, horizon, dt, n, seed):
-    """Trajectory-major cloud from one ``[n, n_steps, 2]`` draw, row by row."""
+    """Trajectory-major cloud, each step's jerks drawn from a fresh generator.
+
+    Step k's jerks are doubles [k * STRIDE, k * STRIDE + 2n) of the
+    ``PCG64(seed)`` stream, x then y for each trajectory in turn.
+    """
     n_steps = int(round(horizon / dt))
     lim_x, lim_y = axis_limits(limits, s0.heading_sign)
     lo = np.array([lim_x.j_lo, lim_y.j_lo])
     hi = np.array([lim_x.j_hi, lim_y.j_hi])
-    u = np.random.default_rng(seed).random((n, n_steps, 2))
+    drawn = []
+    for k in range(n_steps):
+        bits = np.random.PCG64(seed)
+        bits.advance(k * STRIDE)
+        drawn.append(np.random.Generator(bits).random(2 * n).reshape(n, 2))
+    u = np.stack(drawn, axis=1)  # [n, n_steps, 2]
     corners = np.array([(lo[0], lo[1]), (lo[0], hi[1]), (hi[0], lo[1]), (hi[0], hi[1])])
     jerks = np.concatenate([np.broadcast_to(corners[:, None], (4, n_steps, 2)),
                             lo + (hi - lo) * u])
@@ -88,43 +103,36 @@ def reference_states(s0, limits, horizon, dt, n, seed):
     return states
 
 
-def test_sampling_chunked_draw_matches_one_block():
-    """Chunks of the draw end mid-cloud; the numbers are those of one block."""
+@pytest.mark.parametrize("n, seed", [(1, 0), (37, 21), (2 * _SCALE_BLOCK + 37, 5)])
+def test_sampling_matches_per_step_stream(n, seed):
+    """Every step's jerks are the doubles of its own stretch of the stream,
+    also past the blocks the jerks are scaled in."""
     s0 = state(vx=15.0, ax=-1.0, vy=0.3, ay=0.2)
-    n = 2 * _DRAW_BLOCK + 37
-    cloud = sample_trajectories(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=21)
-    ref = reference_states(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=21)
+    cloud = sample_trajectories(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=seed)
+    ref = reference_states(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=seed)
     assert np.array_equal(cloud_states(cloud), ref)
 
 
-def test_sampling_prefix_stable_across_draw_block():
-    s0 = state(vx=12.0, vy=-0.5)
-    small = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1,
-                                n=_DRAW_BLOCK - 1, seed=5)
-    large = sample_trajectories(s0, SV_LIMITS, horizon=1.0, dt=0.1,
-                                n=_DRAW_BLOCK + 1, seed=5)
-    assert np.array_equal(cloud_states(small), cloud_states(large)[:_DRAW_BLOCK + 3])
-
-
 def test_sampling_memory_bound():
-    """Peak memory is at most the cloud's states, one jerk buffer and 1 MiB more.
-
-    A second full-size copy of the jerks (6.4 MB here) would break it.
-    """
+    """Sampling allocates no per-trajectory array: the jerks are drawn as the
+    cloud is stepped.  One array of 10,000 doubles alone is 78 KiB."""
     s0 = state(vx=17.88, y=-1.825)
-    n, horizon, dt = 10_000, 4.0, 0.1
-    n_steps = int(round(horizon / dt))
-    sample_trajectories(s0, SV_LIMITS, horizon=horizon, dt=dt, n=10, seed=0)
+    sample_trajectories(s0, SV_LIMITS, horizon=4.0, dt=0.1, n=10, seed=0)
     tracemalloc.start()
     try:
-        cloud = sample_trajectories(s0, SV_LIMITS, horizon=horizon, dt=dt, n=n, seed=0)
+        cloud = sample_trajectories(s0, SV_LIMITS, horizon=4.0, dt=0.1, n=10_000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cloud.jerks.shape == (n_steps, 2, n + 4)
-    jerk_bytes = n_steps * 2 * (n + 4) * 8
-    states_bytes = (n + 4) * (n_steps + 1) * 6 * 8
-    assert peak <= states_bytes + jerk_bytes + 2**20
+    assert (cloud.n_traj, cloud.n_steps) == (10_004, 40)
+    assert peak < 64 * 2**10, peak
+
+
+def test_sampling_rejects_n_past_stride():
+    """Each step draws 2n doubles of a fixed stride of the stream; an n whose
+    draw would run into the next step's is refused before anything is held."""
+    with pytest.raises(ValueError, match=r"^n must be at most .*got 1000000000000$"):
+        sample_trajectories(state(), SV_LIMITS, horizon=1.0, dt=0.1, n=10**12, seed=0)
 
 
 @pytest.mark.parametrize("kw, shown", [
@@ -408,14 +416,14 @@ def test_containment_on_multi_rectangle_layers():
 
 
 def test_streamed_check_holds_one_step():
-    """Checking a sampled cloud holds its jerks and a few step rows, never its states.
+    """Checking a sampled cloud holds one step's jerks and rows, never all its jerks.
 
-    The states of this cloud alone are 19.7 MB against 6.4 MB of jerks.
+    The states of this cloud alone are 19.7 MB, and all its jerks 6.4 MB.
     """
     cfg = PredictionConfig()
     s0 = state(vx=17.88, y=-1.825)
     rset = compute_reachable_set(s0, SV_LIMITS, cfg)
-    n, n_steps = 10_000, cfg.n_steps
+    n = 10_000
     containment_check(sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon,
                                           dt=cfg.tau_step, n=10, seed=0), rset)
     tracemalloc.start()
@@ -426,8 +434,7 @@ def test_streamed_check_holds_one_step():
     finally:
         tracemalloc.stop()
     assert report.fraction == 1.0
-    jerk_bytes = n_steps * 2 * (n + 4) * 8
-    assert peak <= jerk_bytes + 2 * 2**20, (peak - jerk_bytes) / 2**20
+    assert peak <= 2.5 * 2**20, peak / 2**20
 
 
 def test_streamed_check_matches_materialized_states():
@@ -469,6 +476,39 @@ def test_streamed_check_matches_materialized_states():
     assert streamed.first_violation["reason"] == "cell unoccupied"
     per_step = [containment_check(sampled(), cut_at({k})).n_violations for k in (6, 11, 17)]
     assert all(per_step) and sum(per_step) == streamed.n_violations
+
+
+@pytest.mark.parametrize("il", [-0.8, 0.0, 0.9])
+def test_oracle_verify_pov_anchors_contained(tmp_path, il):
+    """``oracle_report.json`` reads the same at every IL, so it cannot show
+    which states were checked; here the POV anchor states of the default
+    check (5 anchors, 2000 trajectories) each report 1.0 at each IL."""
+    cfg_path = tmp_path / "config.json"
+    assert main(["scenario", "gen", "--il", str(il), "--out", str(cfg_path)]) == 0
+    assert main(["oracle", "verify", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--n", "2000", "--anchors", "5"]) == 0
+    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    pov = [e for e in report if e["vehicle"] == "pov"]
+    assert len(pov) == 5
+    assert all(e["fraction"] == 1.0 and e["n_checked"] == 2004 * 41 for e in pov)
+
+
+def test_streamed_check_matches_reference_on_narrowed_pov_layer():
+    """A POV anchor state of IL +0.9 against its set with one layer's lateral
+    velocity interval halved: the stepped cloud misses what its states miss."""
+    cfg = PredictionConfig()
+    log = rollout(make_scenario(0.9), PolicySpec(kind="no-response"))
+    s0 = log.pov_state(log.index_at(3.0))
+    rset = compute_reachable_set(s0, POV_LIMITS, cfg)
+    yh = rset.layers[12].y_hull
+    rset.layers[12] = replace(rset.layers[12], y_hull=replace(yh, v_hi=(yh.v_lo + yh.v_hi) / 2))
+    cloud = sample_trajectories(s0, POV_LIMITS, horizon=cfg.horizon, dt=cfg.tau_step,
+                                n=500, seed=4)
+    report = containment_check(cloud, rset)
+    n_bad, first = reference_containment(cloud, rset)
+    assert 0 < n_bad < cloud.n_traj
+    assert (report.n_violations, report.first_violation) == (n_bad, first)
+    assert first["step"] == 12 and first["reason"] == "outside hull intervals"
 
 
 def test_oracle_verify_holds_less_than_one_cloud(tmp_path):
