@@ -18,12 +18,13 @@ _EXPORTS = {
     **dict.fromkeys(("IncompleteLogError", "Outcome", "TrajectoryLog", "classify_outcome",
                      "rollout", "run_cohort", "time_of_closest_proximity"), "engine"),
     **dict.fromkeys(("ContainmentReport", "SampleCloud", "analytic_1d_bounds",
-                     "containment_check", "sample_trajectories"), "oracle"),
+                     "containment_check", "containment_checks", "sample_trajectories"),
+                    "oracle"),
     "policy_control": "policies",
     **dict.fromkeys(("DrivableArea", "Prevalence", "ReachableSet", "Timeline",
                      "aggregate_prevalence", "compute_drivable_area", "compute_reachable_set",
-                     "drivable_area_at", "drivable_timeline", "drivable_timelines",
-                     "pov_occupancy", "propagate_step"), "reach"),
+                     "compute_reachable_sets", "drivable_area_at", "drivable_timeline",
+                     "drivable_timelines", "pov_occupancy", "propagate_step"), "reach"),
     **dict.fromkeys(("AnalysisWindow", "ResponseEvent", "SequenceGraph",
                      "build_sequence_graph", "detect_responses", "lateral_state",
                      "longitudinal_state", "response_times", "sv_longitudinal_accel",

@@ -148,15 +148,17 @@ def oracle_verify(args, config: dict, out: Path) -> int:
     report = []
     for t_anchor in anchors:
         i = log.index_at(float(t_anchor))
-        for name, state, limits in (("sv", log.sv_state(i), pred.sv_limits),
-                                    ("pov", log.pov_state(i), pred.pov_limits)):
-            rset = reach.compute_reachable_set(state, limits, pred)
-            # The cloud is stepped as it is checked, and no name keeps it
-            # alive while the next check draws its own.
-            check = oracle.containment_check(
-                oracle.sample_trajectories(state, limits, horizon=pred.horizon,
-                                           dt=pred.tau_step, n=args.n, seed=config["seed"]),
-                rset)
+        states = [log.sv_state(i), log.pov_state(i)]
+        limits = [pred.sv_limits, pred.pov_limits]
+        rsets = reach.compute_reachable_sets(states, limits, pred)
+        # The two clouds are walked together, drawing each step's jerks once,
+        # and are stepped as they are checked; no name keeps them alive while
+        # the next anchor draws its own.
+        checks = oracle.containment_checks(
+            [oracle.sample_trajectories(state, lim, horizon=pred.horizon, dt=pred.tau_step,
+                                        n=args.n, seed=config["seed"])
+             for state, lim in zip(states, limits)], rsets)
+        for name, check in zip(("sv", "pov"), checks):
             worst = min(worst, check.fraction)
             report.append({"t": float(t_anchor), "vehicle": name,
                            "fraction": check.fraction,

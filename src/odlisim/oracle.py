@@ -10,21 +10,22 @@ the true 1D reachable interval.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import AxisLimits, stacked_axis_limits, stacked_states, step_state
-from .reach import Layer, ReachableSet
+from .reach import ReachableSet
 from .spec import KinematicLimits, VehicleState, check_numbers, step_count
 
 
 # Doubles of the random stream from one step's draw to the next: step k
 # draws doubles [k * _STRIDE, k * _STRIDE + 2n) of the stream.
 _STRIDE = 2**40
-# Trajectories per block of the jerk scaling: two 32 KiB blocks of bounds.
-_SCALE_BLOCK = 2048
+# The sign bit of a double as an int64, and the keys of -inf and inf (see `_ordered`).
+_SIGN_BIT = np.int64(-2**63)
+_KEY_NEG_INF, _KEY_INF = -np.int64(0x7FF0_0000_0000_0000), np.int64(0x7FF0_0000_0000_0000)
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,10 @@ class SampleCloud:
     ``n`` and ``n_steps`` of its random jerks; no jerks and no states are
     stored.  The first four trajectories are the constant corner-jerk
     (bang-bang) ones, the other ``n`` draw per-step jerks uniformly from the
-    admissible box (see `sample_trajectories` for the stream).
+    admissible box (see `sample_trajectories` for the stream).  Clouds that
+    share ``seed``, ``n``, ``dt`` and ``n_steps`` can be walked together
+    (`walk`): each step's uniforms are drawn once and scaled into every
+    cloud's own jerk box, so each cloud's states are those it has alone.
     """
 
     t0: float
@@ -52,36 +56,57 @@ class SampleCloud:
         return self.n + 4
 
     def steps(self) -> Iterator[np.ndarray]:
-        """Each step's ``(6, n_traj)`` rows, in step order.
+        """Each step's ``(6, n_traj)`` rows, in step order: the `walk` of this
+        cloud alone.  A row array may be overwritten once the next step is drawn."""
+        return (rows[:, 0] for rows in self.walk([self]))
 
-        Each step's jerks are drawn into one reused ``(n_traj, 2)`` buffer
-        just before `core.step_state` steps one of two state buffers into the
-        other, so the walk holds O(n) memory whatever ``n_steps`` is.  A row
-        array may be overwritten once the next step is drawn.
+    @staticmethod
+    def walk(clouds: Sequence[SampleCloud]) -> Iterator[np.ndarray]:
+        """Each step's ``(6, V, n_traj)`` rows of the V ``clouds``, stepped in lockstep.
+
+        The clouds must share ``seed``, ``n``, ``dt`` and ``n_steps`` (else
+        ValueError, naming the field); their start states and limits may
+        differ.  Each step draws its ``2n`` doubles of the stream once and
+        scales them into every cloud's jerk box, then one `core.step_state`
+        call steps one ``(3, 2, V, n_traj)`` state buffer into another, so the
+        walk holds O(V n) memory whatever ``n_steps`` is.  A row array may be
+        overwritten once the next step is drawn.
         """
-        cur, nxt = np.empty((2, 3, 2, self.n_traj))
-        cur[...] = self.start
-        yield cur.reshape(6, -1)
-        j_lo, j_hi = self.lim.j_lo[:, 0], self.lim.j_hi[:, 0]
-        jerk = np.empty((self.n_traj, 2))
-        jerk[:4] = [(j_lo[0], j_lo[1]), (j_lo[0], j_hi[1]),
-                    (j_hi[0], j_lo[1]), (j_hi[0], j_hi[1])]
-        # Scaled in flat blocks against bounds tiled to one block: a length-2
-        # bound broadcast over the (n, 2) rows runs about 2x slower, and
-        # bounds tiled to the whole draw would add 2 * 16n bytes.
-        drawn = jerk[4:].reshape(-1)
-        span, lo = np.tile(j_hi - j_lo, _SCALE_BLOCK), np.tile(j_lo, _SCALE_BLOCK)
-        rng = np.random.default_rng(self.seed)
-        for _ in range(self.n_steps):
-            rng.random(out=drawn)
-            for a in range(0, drawn.size, span.size):
-                block = drawn[a:a + span.size]
-                block *= span[:block.size]
-                block += lo[:block.size]
-            rng.bit_generator.advance(_STRIDE - drawn.size)
-            step_state(cur, jerk.T, self.lim, self.dt, nxt)
-            yield nxt.reshape(6, -1)
-            cur, nxt = nxt, cur
+        first = clouds[0]
+        for name in ("seed", "n", "dt", "n_steps"):
+            for cloud in clouds[1:]:
+                if getattr(cloud, name) != getattr(first, name):
+                    raise ValueError(f"clouds walked together must share {name}: "
+                                     f"{getattr(first, name)} vs {getattr(cloud, name)}")
+        return _walk(clouds)
+
+
+def _walk(clouds: Sequence[SampleCloud]) -> Iterator[np.ndarray]:
+    """The rows of `SampleCloud.walk`, for clouds it has checked."""
+    first, v, n = clouds[0], len(clouds), clouds[0].n_traj
+    cur, nxt = np.empty((2, 3, 2, v, n))
+    cur[...] = np.stack([cloud.start for cloud in clouds], axis=2)
+    yield cur.reshape(6, v, n)
+    # [axis, cloud, 1] for each field
+    lim = AxisLimits(*(np.stack([getattr(cloud.lim, f.name) for cloud in clouds], axis=1)
+                       for f in fields(AxisLimits)))
+    jerk = np.empty((2, v, n))  # [axis, cloud, trajectory]
+    corner = np.stack([lim.j_lo, lim.j_hi])[..., 0]  # [lo/hi, axis, cloud]
+    jerk[0, :, :4] = corner[[0, 0, 1, 1], 0].T
+    jerk[1, :, :4] = corner[[0, 1, 0, 1], 1].T
+    span, lo = lim.j_hi - lim.j_lo, lim.j_lo
+    # Trajectory 4 + i takes doubles 2i (x) and 2i + 1 (y) of the step's draw.
+    drawn = np.empty(2 * first.n)
+    uniform = drawn.reshape(-1, 2).T[:, None]  # [axis, 1, i]
+    rng = np.random.default_rng(first.seed)
+    for _ in range(first.n_steps):
+        rng.random(out=drawn)
+        rng.bit_generator.advance(_STRIDE - drawn.size)
+        scaled = np.multiply(uniform, span, out=jerk[:, :, 4:])
+        scaled += lo
+        step_state(cur, jerk, lim, first.dt, nxt)
+        yield nxt.reshape(6, v, n)
+        cur, nxt = nxt, cur
 
 
 def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
@@ -98,7 +123,10 @@ def sample_trajectories(initial: VehicleState, limits: KinematicLimits,
     reproducible for a given (seed, n) and prefix-stable in n: the rows for
     n = 100 equal the first rows for n = 1000.  Nothing is drawn here: the
     cloud draws and steps each step's jerks as it is read (see
-    `SampleCloud`), within the limits of `core.stacked_axis_limits`.
+    `SampleCloud`), within the limits of `core.stacked_axis_limits`.  Clouds
+    of one seed, n, dt and horizon take the same uniforms, each scaled into
+    its own jerk box; `SampleCloud.walk` steps several of them on one draw
+    per step, as `oracle verify` does with each anchor's SV and POV clouds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -214,64 +242,138 @@ class ContainmentReport:
     first_violation: dict | None  # step/trajectory/reason of the first miss
 
 
-def _contained(s: np.ndarray, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
-    """(contained, cell occupied) per trajectory for one step's ``(6, n)`` rows."""
-    n = s.shape[1]
-    ix = np.floor(s[0] / layer.dx)
-    iy = np.floor(s[1] / layer.dy)
-    occupied = np.zeros(n, dtype=bool)
-    for i0, i1, j0, j1 in layer.rects:
-        occupied |= (i0 <= ix) & (ix < i1) & (j0 <= iy) & (iy < j1)
+def _ordered(bits: np.ndarray) -> np.ndarray:
+    """The int64 bit patterns of doubles to keys in the doubles' order, and back.
 
-    xh, yh = layer.x_hull, layer.y_hull
-    ok = occupied.copy()
-    tmp = np.empty(n, dtype=bool)
-    for c, lo, hi in ((2, xh.v_lo, xh.v_hi), (3, yh.v_lo, yh.v_hi),
-                      (4, xh.a_lo, xh.a_hi), (5, yh.a_lo, yh.a_hi)):
-        ok &= np.greater_equal(s[c], lo, out=tmp)
-        ok &= np.less_equal(s[c], hi, out=tmp)
-    return ok, occupied
+    Non-negative doubles keep their bits; a negative one's key is minus its
+    magnitude's bits, so both zeros have key 0 (which maps back to +0.0).
+    """
+    return np.where(bits < 0, _SIGN_BIT - bits, bits)
+
+
+def _cell_starts(edges: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """The least double x with ``fl(x / cell) >= edge``, elementwise, for integer-valued
+    float ``edges`` and positive finite ``cell`` sizes.
+
+    Correctly rounded division by a positive number is monotone in x, so the
+    doubles x with ``fl(x / cell) >= i`` are those at or above this start: for
+    an integer i, ``floor(x / cell) >= i`` holds iff ``x >= start(i)``, and
+    ``floor(x / cell) < i`` iff ``x < start(i)``.  The start is bisected over
+    the doubles in order: between the fourth doubles below and above
+    ``fl(i * cell)``, which hold it unless the quotient underflows or
+    overflows (for i = 0, ``fl(x / cell)`` is -0.0, so not below 0, for every
+    negative x down to about ``-2**-1075 * cell``), and else between -inf and inf.
+    """
+    def fits(key):
+        return _ordered(key).view(np.float64) / cell >= edges
+
+    guess = _ordered((edges * cell).view(np.int64))
+    lo, hi = guess - 4, guess + 4  # fits(lo) is False and fits(hi) True
+    wide = fits(lo) | ~fits(hi)
+    lo[wide], hi[wide] = _KEY_NEG_INF, _KEY_INF
+    while np.count_nonzero(lo + 1 < hi):
+        mid = (lo & hi) + ((lo ^ hi) >> 1)  # their floored mean, without overflow
+        up = fits(mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return _ordered(hi).view(np.float64)
+
+
+def _bounds(rsets: Sequence[ReachableSet]) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, each ``(n_layers, 6, V, R, 1)``: member v's state rows ``s`` of step
+    k lie in its layer's rectangle r and hull intervals iff ``lo[k, :, v, r] <= s <=
+    hi[k, :, v, r]`` in all six rows.
+
+    A rectangle's half-open cell range ``i0 <= floor(x / dx) < i1`` is the closed
+    float range ``[start(i0), nextafter(start(i1), -inf)]`` (see `_cell_starts`).
+    Members whose layer holds fewer than R rectangles are padded with empty ones,
+    ``lo = inf`` and ``hi = -inf``, which hold no state; an empty layer is all padding.
+    """
+    layers = [layer for step in zip(*(rset.layers for rset in rsets)) for layer in step]
+    count = np.array([len(layer.rects) for layer in layers])
+    r = max(int(count.max()), 1)
+    lo = np.full((len(layers), r, 6), np.inf)
+    hi = np.full((len(layers), r, 6), -np.inf)
+    filled = np.arange(r) < count[:, None]
+    edges = np.array([rect for layer in layers for rect in layer.rects],
+                     dtype=float).reshape(-1, 4)
+    cell = np.repeat([(layer.dx, layer.dx, layer.dy, layer.dy) for layer in layers],
+                     count, axis=0).reshape(-1, 4)
+    starts = _cell_starts(edges, cell)
+    lo[filled, :2] = starts[:, [0, 2]]
+    hi[filled, :2] = np.nextafter(starts[:, [1, 3]], -np.inf)
+    hulls = np.array([(x.v_lo, y.v_lo, x.a_lo, y.a_lo, x.v_hi, y.v_hi, x.a_hi, y.a_hi)
+                      for x, y in ((layer.x_hull, layer.y_hull)
+                                   for layer in layers if not layer.empty)]).reshape(-1, 2, 4)
+    lo[count > 0, :, 2:] = hulls[:, None, 0]
+    hi[count > 0, :, 2:] = hulls[:, None, 1]
+    shape = (-1, len(rsets), r, 6)
+    return (lo.reshape(shape).transpose(0, 3, 1, 2)[..., None],
+            hi.reshape(shape).transpose(0, 3, 1, 2)[..., None])
+
+
+def containment_checks(clouds: Sequence[SampleCloud],
+                       rsets: Sequence[ReachableSet]) -> list[ContainmentReport]:
+    """Each cloud's fraction of sampled states inside its set's occupied cells and hulls.
+
+    ``clouds[v]`` is checked against ``rsets[v]``; all the clouds are walked
+    together (`SampleCloud.walk`), so they must share seed, ``n``, ``dt`` and
+    step count, and each step's uniforms are drawn once for all of them.  A
+    state is contained when its position lies in one of its layer's half-open
+    cell rectangles and its velocity and acceleration in the layer's hull
+    intervals (closed bounds, no tolerance).  The cell test is a float
+    comparison against exact cell bounds (see `_bounds`), which holds exactly
+    when the floored cell index ``floor(x / dx)`` falls inside the rectangle,
+    because correctly rounded division is monotone in x.  Every step compares
+    all V clouds' ``(6, V, n_traj)`` rows with their layers' bounds at once, as
+    soon as the step is drawn, so the check holds one step's jerks, rows and
+    comparisons: O(V n) memory, whatever the step count.  The first violation
+    is the first step with a miss, then the first trajectory at that step.
+    1.0 certifies soundness of the propagation for these samples.
+    """
+    if len(clouds) != len(rsets):
+        raise ValueError(f"{len(clouds)} clouds vs {len(rsets)} reachable sets")
+    # The clouds' type walks them (a test walks given states).
+    walk = type(clouds[0]).walk(clouds)
+    for cloud, rset in zip(clouds, rsets):
+        if abs(cloud.dt - rset.tau_step) > 1e-12:
+            raise ValueError(f"clock mismatch: cloud dt {cloud.dt} vs tau_step {rset.tau_step}")
+        if abs(cloud.t0 - rset.t) > 1e-9:
+            raise ValueError(f"anchor mismatch: cloud t0 {cloud.t0} vs set t {rset.t}")
+        if cloud.n_steps + 1 != len(rset.layers):
+            raise ValueError(f"step mismatch: cloud has {cloud.n_steps} steps "
+                             f"vs {len(rset.layers) - 1} in the set")
+
+    lo, hi = _bounds(rsets)
+    n = clouds[0].n_traj
+    n_bad = np.zeros(len(clouds), dtype=np.int64)
+    first: list[dict | None] = [None] * len(clouds)
+    inside = above = None
+    for k, rows in enumerate(walk):
+        s = rows[:, :, None]  # [row, cloud, 1, trajectory]
+        inside = np.less_equal(lo[k], s, out=inside)
+        above = np.less_equal(s, hi[k], out=above)
+        inside &= above
+        ok = inside.all(axis=0).any(axis=1)  # [cloud, trajectory]
+        bad = n - np.count_nonzero(ok, axis=1)
+        n_bad += bad
+        for v in np.flatnonzero(bad):
+            if first[v] is not None:
+                continue
+            layer = rsets[v].layers[k]
+            if layer.empty:
+                first[v] = {"step": k, "trajectory": 0, "reason": "empty layer"}
+                continue
+            i = int(np.argmin(ok[v]))  # the first False
+            occupied = inside[:2, v, :, i].all(axis=0).any()
+            first[v] = {"step": k, "trajectory": i,
+                        "reason": "outside hull intervals" if occupied else "cell unoccupied",
+                        "state": [float(x) for x in rows[:, v, i]]}
+    n_checked = n * (clouds[0].n_steps + 1)
+    return [ContainmentReport(fraction=1.0 - int(b) / max(n_checked, 1), n_checked=n_checked,
+                              n_violations=int(b), first_violation=f)
+            for b, f in zip(n_bad, first)]
 
 
 def containment_check(cloud: SampleCloud, rset: ReachableSet) -> ContainmentReport:
-    """Fraction of sampled states inside the occupied cells and their hulls.
-
-    Position must land in an occupied cell and velocity/acceleration inside
-    the layer's intervals (closed bounds, no tolerance).  Each position is
-    floored to its cell indices once per layer, and the cell is occupied
-    when the indices fall inside any of the layer's half-open rectangles.
-    The check walks `SampleCloud.steps` layer by layer, so the cloud is
-    drawn and stepped as it is checked and only one step's jerks and rows
-    are held.  The first violation is the first step with a miss, then the
-    first trajectory at that step.  1.0 certifies
-    soundness of the propagation for these samples.
-    """
-    if abs(cloud.dt - rset.tau_step) > 1e-12:
-        raise ValueError(f"clock mismatch: cloud dt {cloud.dt} vs tau_step {rset.tau_step}")
-    if abs(cloud.t0 - rset.t) > 1e-9:
-        raise ValueError(f"anchor mismatch: cloud t0 {cloud.t0} vs set t {rset.t}")
-    if cloud.n_steps + 1 != len(rset.layers):
-        raise ValueError(f"step mismatch: cloud has {cloud.n_steps} steps "
-                         f"vs {len(rset.layers) - 1} in the set")
-
-    n = cloud.n_traj
-    n_checked = n * len(rset.layers)
-    n_bad = 0
-    first: dict | None = None
-    for k, (layer, s) in enumerate(zip(rset.layers, cloud.steps())):
-        if layer.empty:
-            n_bad += n
-            if first is None:
-                first = {"step": k, "trajectory": 0, "reason": "empty layer"}
-            continue
-        ok, occupied = _contained(s, layer)
-        n_bad_k = n - int(np.count_nonzero(ok))
-        n_bad += n_bad_k
-        if n_bad_k and first is None:
-            i = int(np.argmin(ok))  # the first False
-            reason = "cell unoccupied" if not occupied[i] else "outside hull intervals"
-            first = {"step": k, "trajectory": i, "reason": reason,
-                     "state": [float(v) for v in s[:, i]]}
-    return ContainmentReport(fraction=1.0 - n_bad / max(n_checked, 1),
-                             n_checked=n_checked, n_violations=n_bad,
-                             first_violation=first)
+    """`containment_checks` of one cloud against one set."""
+    return containment_checks([cloud], [rset])[0]

@@ -23,8 +23,8 @@ subtracts the POV occupancy rectangle, which leaves at most four pieces
 of each rectangle it hits.  Nothing prunes a POV layer, so it stays one
 rectangle and its occupancy, the rectangle dilated by the footprint, is
 one rectangle too.  Readers outside the kernel read ``rects`` as well:
-the oracle tests each sample's cell against every rectangle, and the
-snapshot writers list the rectangles themselves.
+the oracle compares each sample's position with every rectangle's float
+cell bounds, and the snapshot writers list the rectangles themselves.
 
 Pruning follows the expansion order: at each step the POV layer expands
 first, the SV layer expands from its previous pruned layer, and SV cells
@@ -46,6 +46,7 @@ steps tracks and the SV passes pruned against them in lockstep.
 POV incursion, and every SV state is the same until the response starts,
 so it runs one track per distinct POV key and one pass per distinct SV
 state against it, and a pass leaves the sweep at its first empty layer.
+``compute_reachable_sets`` steps several unpruned sets as one batch, and
 ``compute_drivable_area``, ``compute_reachable_set`` and ``propagate_step``
 are the one-pass cases of the same kernel.  The keys are the frozen
 ``VehicleState``s and specs themselves, compared as floats, so equal keys
@@ -414,16 +415,27 @@ def pov_occupancy(layer: Layer, pov_spec: VehicleSpec,
     return i0 + di0, i1 + di1, j0 + dj0, j1 + dj1
 
 
-def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
-                          config: PredictionConfig) -> ReachableSet:
-    """Unpruned reachable set of one vehicle from its current state."""
-    batch = _Batch.of_states([state], [axis_limits(limits, state.heading_sign)],
+def compute_reachable_sets(states: list[VehicleState], limits: list[KinematicLimits],
+                           config: PredictionConfig) -> list[ReachableSet]:
+    """Unpruned reachable set of each vehicle from its current state, under its
+    limits: the members of one `_Batch`, stepped together."""
+    batch = _Batch.of_states(states, [axis_limits(lim, s.heading_sign)
+                                      for s, lim in zip(states, limits, strict=True)],
                              config.grid_dx, config.grid_dy)
-    layers = [batch.layer(0, 0.0)]
+    layers = [[batch.layer(m, 0.0)] for m in range(len(states))]
     for _ in range(config.n_steps):
         batch.step(config.tau_step)
-        layers.append(batch.layer(0, layers[-1].tau + config.tau_step))
-    return ReachableSet(t=state.t, tau_step=config.tau_step, layers=layers)
+        for m, member in enumerate(layers):
+            member.append(batch.layer(m, member[-1].tau + config.tau_step))
+    return [ReachableSet(t=s.t, tau_step=config.tau_step, layers=member)
+            for s, member in zip(states, layers)]
+
+
+def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
+                          config: PredictionConfig) -> ReachableSet:
+    """Unpruned reachable set of one vehicle from its current state: the
+    `compute_reachable_sets` of one."""
+    return compute_reachable_sets([state], [limits], config)[0]
 
 
 def _pov_source(pov_state: VehicleState, mode: str, road: RoadSpec, pov_spec: VehicleSpec,

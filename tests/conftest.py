@@ -106,7 +106,7 @@ def cloud_states(cloud):
 @dataclass
 class RowsCloud:
     """A cloud that yields given states ``[n_traj, n_steps + 1, 6]``, for hand-made
-    or perturbed samples; ``containment_check`` reads nothing else of a cloud."""
+    or perturbed samples; ``containment_checks`` reads nothing else of a cloud."""
 
     t0: float
     dt: float
@@ -122,6 +122,11 @@ class RowsCloud:
 
     def steps(self):
         return iter(self.states.transpose(1, 2, 0))
+
+    @staticmethod
+    def walk(clouds):
+        """Each step's ``(6, V, n_traj)`` rows, as ``SampleCloud.walk`` yields them."""
+        return iter(np.stack([cloud.states for cloud in clouds], axis=1).transpose(2, 3, 1, 0))
 
 
 def load_table(path):

@@ -486,8 +486,8 @@ def test_scenario_gen_makes_the_directories_of_out(tmp_path, capsys, monkeypatch
 
 def test_oracle_verify_below_one_keeps_its_report(tmp_path, monkeypatch):
     """Containment below 1 exits 1 without raising, so its new directory and report stay."""
-    monkeypatch.setattr(oracle, "containment_check",
-                        lambda cloud, rset: oracle.ContainmentReport(0.5, 2, 1, None))
+    monkeypatch.setattr(oracle, "containment_checks", lambda clouds, rsets: [
+        oracle.ContainmentReport(0.5, 2, 1, None) for _ in clouds])
     out = tmp_path / "fresh" / "out"
     assert run_cli("oracle", "verify", "--config", str(small_config(tmp_path)),
                    "--out", str(out), "--n", "10", "--anchors", "1") == 1

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import RowsCloud, bounding_box, cloud_states, world_cells
 from odlisim.core import axis_limits, axis_step
-from odlisim.oracle import (_SCALE_BLOCK, analytic_1d_bounds, containment_check,
-                            sample_trajectories)
+from odlisim.oracle import (_cell_starts, analytic_1d_bounds, containment_check,
+                            containment_checks, sample_trajectories)
 from odlisim.cli import main
 from odlisim.engine import rollout
-from odlisim.reach import ReachableSet, compute_reachable_set, drivable_area_at
+from odlisim.reach import (ReachableSet, compute_reachable_set, compute_reachable_sets,
+                           drivable_area_at)
 from odlisim.spec import (POV_LIMITS, SV_LIMITS, KinematicLimits, PolicySpec, PredictionConfig,
                           VehicleState, make_scenario)
 
@@ -103,10 +104,10 @@ def reference_states(s0, limits, horizon, dt, n, seed):
     return states
 
 
-@pytest.mark.parametrize("n, seed", [(1, 0), (37, 21), (2 * _SCALE_BLOCK + 37, 5)])
+@pytest.mark.parametrize("n, seed", [(1, 0), (37, 21), (2 * 2048 + 37, 5)])
 def test_sampling_matches_per_step_stream(n, seed):
-    """Every step's jerks are the doubles of its own stretch of the stream,
-    also past the blocks the jerks are scaled in."""
+    """Every step's jerks are the doubles of its own stretch of the stream, at
+    small n and at n past two 2048-trajectory blocks."""
     s0 = state(vx=15.0, ax=-1.0, vy=0.3, ay=0.2)
     cloud = sample_trajectories(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=seed)
     ref = reference_states(s0, SV_LIMITS, horizon=0.5, dt=0.1, n=n, seed=seed)
@@ -437,6 +438,27 @@ def test_streamed_check_holds_one_step():
     assert peak <= 2.5 * 2**20, peak / 2**20
 
 
+def narrowed(k, layer):
+    """A layer's cells or hulls cut at step 6, 11 or 17."""
+    if k == 6:  # the box split in four, one quarter removed
+        (i0, i1, j0, j1), = layer.rects
+        im, jm = (i0 + i1) // 2, (j0 + j1) // 2
+        return replace(layer, rects=((i0, im, j0, j1), (im, i1, j0, jm)))
+    if k == 11:  # a velocity interval shrunk
+        xh = layer.x_hull
+        return replace(layer, x_hull=replace(xh, v_hi=(xh.v_lo + xh.v_hi) / 2))
+    if k == 17:  # an acceleration interval shrunk
+        yh = layer.y_hull
+        return replace(layer, y_hull=replace(yh, a_lo=(yh.a_lo + yh.a_hi) / 2))
+    return layer
+
+
+def cut_at(rset, steps):
+    """``rset`` with its layers at ``steps`` narrowed (see `narrowed`)."""
+    return replace(rset, layers=[narrowed(k, layer) if k in steps else layer
+                                 for k, layer in enumerate(rset.layers)])
+
+
 def test_streamed_check_matches_materialized_states():
     """Misses at several steps, a rectangle removed and hulls shrunk, read the
     same from the stepped cloud as from its states, first violation included."""
@@ -444,28 +466,11 @@ def test_streamed_check_matches_materialized_states():
     s0 = state(vx=15.0, vy=0.4, ax=-1.0)
     whole = compute_reachable_set(s0, SV_LIMITS, cfg)
 
-    def cut(k, layer):
-        if k == 6:  # the box split in four, one quarter removed
-            (i0, i1, j0, j1), = layer.rects
-            im, jm = (i0 + i1) // 2, (j0 + j1) // 2
-            return replace(layer, rects=((i0, im, j0, j1), (im, i1, j0, jm)))
-        if k == 11:  # a velocity interval shrunk
-            xh = layer.x_hull
-            return replace(layer, x_hull=replace(xh, v_hi=(xh.v_lo + xh.v_hi) / 2))
-        if k == 17:  # an acceleration interval shrunk
-            yh = layer.y_hull
-            return replace(layer, y_hull=replace(yh, a_lo=(yh.a_lo + yh.a_hi) / 2))
-        return layer
-
-    def cut_at(steps):
-        return replace(whole, layers=[cut(k, layer) if k in steps else layer
-                                      for k, layer in enumerate(whole.layers)])
-
     def sampled():
         return sample_trajectories(s0, SV_LIMITS, horizon=cfg.horizon, dt=cfg.tau_step,
                                    n=400, seed=17)
 
-    rset = cut_at({6, 11, 17})
+    rset = cut_at(whole, {6, 11, 17})
     streamed = containment_check(sampled(), rset)
     explicit = RowsCloud(t0=s0.t, dt=cfg.tau_step, states=cloud_states(sampled()))
     assert containment_check(explicit, rset) == streamed
@@ -474,8 +479,134 @@ def test_streamed_check_matches_materialized_states():
         explicit, rset)
     assert streamed.first_violation["step"] == 6
     assert streamed.first_violation["reason"] == "cell unoccupied"
-    per_step = [containment_check(sampled(), cut_at({k})).n_violations for k in (6, 11, 17)]
+    per_step = [containment_check(sampled(), cut_at(whole, {k})).n_violations
+                for k in (6, 11, 17)]
     assert all(per_step) and sum(per_step) == streamed.n_violations
+
+
+def anchor_pair(cfg, n, seed):
+    """The SV and POV clouds and unpruned sets of an IL +0.9 anchor state at 3.0 s."""
+    log = rollout(make_scenario(0.9), PolicySpec(kind="no-response"))
+    i = log.index_at(3.0)
+    states, limits = [log.sv_state(i), log.pov_state(i)], [SV_LIMITS, POV_LIMITS]
+    clouds = [sample_trajectories(s, lim, horizon=cfg.horizon, dt=cfg.tau_step, n=n,
+                                  seed=seed) for s, lim in zip(states, limits)]
+    return clouds, compute_reachable_sets(states, limits, cfg)
+
+
+def test_walk_steps_each_cloud_as_alone():
+    """Clouds walked together share each step's draw, and each one's states are
+    bit for bit those it has walked alone."""
+    clouds, _ = anchor_pair(PredictionConfig(horizon=1.0), n=300, seed=8)
+    joint = np.stack([rows.copy() for rows in clouds[0].walk(clouds)])  # [k, 6, V, n]
+    for v, cloud in enumerate(clouds):
+        assert np.array_equal(joint[:, :, v].transpose(2, 0, 1), cloud_states(cloud))
+
+
+def pruned_beside_box(rsets):
+    """The SV set's layers replaced by its IL +0.9 drivable area's, of many rectangles."""
+    log = rollout(make_scenario(0.9), PolicySpec(kind="no-response"))
+    area, _ = drivable_area_at(log, log.index_at(3.0), PredictionConfig())
+    assert max(len(layer.rects) for layer in area.layers) > 10
+    return [replace(rsets[0], layers=area.layers), rsets[1]]
+
+
+def empty_pov_layer(rsets):
+    """The POV set with its layer at step 3 emptied."""
+    pov = rsets[1]
+    layers = list(pov.layers)
+    layers[3] = replace(layers[3], x_hull=None, y_hull=None, rects=())
+    return [rsets[0], replace(pov, layers=layers)]
+
+
+@pytest.mark.parametrize("modified", [
+    lambda rsets: [cut_at(rsets[0], {6, 11, 17}), rsets[1]], empty_pov_layer,
+    pruned_beside_box], ids=["cut-sv-layers", "empty-pov-layer", "pruned-sv-beside-pov-box"])
+def test_joint_check_matches_each_pair_reference(modified):
+    """Walking the SV and POV clouds together reads each pair's misses and first
+    violation as its state-by-state reference does, when one member's layers are
+    cut, emptied, or many rectangles beside the other's box."""
+    cfg = PredictionConfig()
+    clouds, rsets = anchor_pair(cfg, n=400, seed=17)
+    rsets = modified(rsets)
+    reports = containment_checks(clouds, rsets)
+    assert [r.n_violations > 0 for r in reports] != [False, False]
+    for cloud, rset, report in zip(clouds, rsets, reports):
+        n_bad, first = reference_containment(cloud, rset)
+        assert (report.n_violations, report.first_violation) == (n_bad, first)
+        assert report.n_checked == cloud.n_traj * len(rset.layers)
+        assert report.fraction == 1.0 - n_bad / report.n_checked
+        assert containment_check(cloud, rset) == report
+
+
+@pytest.mark.parametrize("field, other", [
+    ("seed", dict(seed=1)), ("n", dict(n=11)), ("dt", dict(dt=0.05, horizon=1.0)),
+    ("n_steps", dict(horizon=1.0))])
+def test_joint_walk_rejects_clouds_that_differ(field, other):
+    """Clouds walked together share one draw per step: a cloud of another seed,
+    ``n``, ``dt`` or step count is an error that names the field."""
+    s0 = state(vx=12.0)
+    clouds, rsets = [], []
+    for kw in ({}, other):
+        args = dict(horizon=2.0, dt=0.1, n=10, seed=0) | kw
+        clouds.append(sample_trajectories(s0, SV_LIMITS, **args))
+        rsets.append(compute_reachable_set(s0, SV_LIMITS, PredictionConfig(
+            horizon=args["horizon"], tau_step=args["dt"])))
+    with pytest.raises(ValueError, match=f"share {field}: "):
+        containment_checks(clouds, rsets)
+
+
+def test_joint_walk_holds_one_step_per_cloud():
+    """Two clouds walked together hold one step's jerks, rows and comparisons each:
+    under twice the bound of one streamed check (see
+    `test_streamed_check_holds_one_step`)."""
+    cfg = PredictionConfig()
+    s0, p0 = state(vx=17.88, y=-1.825), state(x=60.0, vx=-17.88, y=1.825, heading_sign=-1)
+    states, limits = [s0, p0], [SV_LIMITS, POV_LIMITS]
+    rsets = compute_reachable_sets(states, limits, cfg)
+
+    def clouds(n):
+        return [sample_trajectories(s, lim, horizon=cfg.horizon, dt=cfg.tau_step, n=n,
+                                    seed=0) for s, lim in zip(states, limits)]
+
+    containment_checks(clouds(10), rsets)
+    tracemalloc.start()
+    try:
+        reports = containment_checks(clouds(10_000), rsets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.fraction for r in reports] == [1.0, 1.0]
+    assert peak <= 2 * 2.5 * 2**20, peak / 2**20
+
+
+def ulp_neighbours(x, count):
+    """``x`` and the ``count`` doubles on either side of it."""
+    out = [x]
+    for toward in (-np.inf, np.inf):
+        y = x
+        for _ in range(count):
+            y = np.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(dx=st.sampled_from([0.5, 0.25, 0.125]) | st.floats(2.0**-30, 2.0**30),
+       i0=st.integers(-2**40, 2**40), width=st.integers(-2, 3) | st.integers(-2**40, 2**40))
+def test_float_cell_bounds_match_floored_index(dx, i0, width):
+    """``start(i0) <= x <= nextafter(start(i1), -inf)`` holds exactly when
+    ``i0 <= floor(x / dx) < i1``, for x within 64 ulps of either edge's ``fl(i * dx)``,
+    signed zeros, subnormals, infinities and NaN."""
+    i1 = min(max(i0 + width, -2**40), 2**40)
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1030), 2.0**-1022,
+                  math.inf, -math.inf, math.nan,
+                  *ulp_neighbours(i0 * dx, 64), *ulp_neighbours(i1 * dx, 64)])
+    start0, start1 = _cell_starts(np.array([float(i0), float(i1)]), np.full(2, dx))
+    with np.errstate(invalid="ignore"):
+        floored = np.floor(x / dx)
+    expected = (i0 <= floored) & (floored < i1)
+    assert np.array_equal((start0 <= x) & (x <= np.nextafter(start1, -np.inf)), expected)
 
 
 @pytest.mark.parametrize("il", [-0.8, 0.0, 0.9])

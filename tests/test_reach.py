@@ -319,6 +319,16 @@ def test_pov_layers_bounded_by_current_drift():
         assert hull[1][0] >= st.y + st.vy * tau - CFG.grid_dy - 1e-9
 
 
+def test_reachable_sets_in_one_batch_match_each_alone():
+    """Unpruned sets stepped as members of one batch equal each set stepped alone:
+    an SV, a drifting POV at another time, and an SV whose cell edges round."""
+    states = [sv_state(), pov_state(t=1.5, y=0.5, vy=-0.9),
+              sv_state(x=math.nextafter(64.0, -math.inf), vx=20.0)]
+    limits = [SV_LIMITS, POV_LIMITS, SV_LIMITS]
+    assert reach.compute_reachable_sets(states, limits, CFG) == [
+        compute_reachable_set(s, lim, CFG) for s, lim in zip(states, limits)]
+
+
 def test_timeline_no_incursion_all_true():
     log = make_log(duration=8.0, pov={"x": lambda t: 400.0 - 17.88 * t})
     tl = drivable_timeline(log, CFG, eval_step=0.5, window=(1.4, 5.0))
