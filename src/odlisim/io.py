@@ -17,9 +17,9 @@ as ``1_0``).  A header that names a column twice is rejected.
 
 A cohort is written by one writer, ``save_trajectory_logs``, with no Python
 step per cell or row: ``repr`` runs once per distinct value of the cohort
-(by int64 bits, so ``-0.0`` stays apart from ``0.0``), and each file is a
-gather of those texts by an index array, one block of rows at a time.
-Every file is byte-identical to a write of its log alone.
+(by int64 bits, so ``-0.0`` stays apart from ``0.0``), each file is one write
+of a gather of those texts by an index array, and each sidecar is rendered
+from its own log, so every file is byte-identical to a write of its log alone.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ _SIDECAR_RULES = {"dt": (None, _POSITIVE), "collided": (False, _FLAG), "complete
                   "t_collision": (None, ("null or a finite number",
                                          lambda v: v if v is None else float(v),
                                          lambda v: v is None or is_finite_number(v)))}
-# Rows a log's writer gathers, joins and writes at a time: only one block's
-# object array of cell texts (17 references a row) is alive at once.
-_SAVE_BLOCK_ROWS = 256
 
 
 def _fmt(v: float) -> str:
@@ -82,8 +79,8 @@ def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> 
     int64 bits (so ``-0.0`` stays apart from ``0.0``).  The
     ``t`` and ``pov_*`` columns come from the longest log; a log whose
     columns are not a bit-identical prefix of them is cut on its own.  A
-    log's text is a gather of the cell texts by an index array, joined and
-    written one block of `_SAVE_BLOCK_ROWS` rows at a time.
+    log's file is its header and a gather of the cell texts by an index
+    array, joined and written at once, and its sidecar follows it.
     """
     if len(logs) != len(paths):
         raise ValueError(f"{len(logs)} logs for {len(paths)} paths")
@@ -127,20 +124,13 @@ def save_trajectory_logs(logs: list[TrajectoryLog], paths: list[str | Path]) -> 
                          lengths).reshape(-1, samples)[:, :n]
 
     pov, head = cells(shared, len(longest[0])), "\n".join(_LOG_HEAD) + "\n"
-    scenarios = {}  # the sidecar text of each distinct scenario object, by id
     for log, path, (t_of, pov_of, own_of) in zip(logs, paths, plans):
         n, own = len(log), cells(own_of, len(log))
         index = np.concatenate([time_at[t_of] + np.arange(n)[None], own[:6],
                                 pov[:, :n] if pov_of == shared else cells(pov_of, n),
                                 own[6:], np.full((1, n), len(texts) - 1)]).T
-        with open(path, "w") as f:
-            f.write(head)
-            f.writelines("".join(texts[index[a:a + _SAVE_BLOCK_ROWS]].ravel().tolist())
-                         for a in range(0, n, _SAVE_BLOCK_ROWS))
-        if id(log.scenario) not in scenarios:
-            scenarios[id(log.scenario)] = json.dumps(
-                scenario_to_dict(log.scenario), indent=2, sort_keys=True).replace("\n", "\n  ")
-        _save_sidecar(log, Path(path), scenarios[id(log.scenario)])
+        Path(path).write_text(head + "".join(texts[index].ravel().tolist()))
+        _save_sidecar(log, Path(path))
 
 
 def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:
@@ -148,26 +138,20 @@ def save_trajectory_log(log: TrajectoryLog, path: str | Path) -> None:
     save_trajectory_logs([log], [path])
 
 
-def _save_sidecar(log: TrajectoryLog, path: Path, scenario: str) -> None:
-    """Write the sidecar of ``log``; ``scenario`` is the JSON text of its
-    scenario one level down, which a cohort renders once per scenario.
-
-    The text fills the ``"scenario": null`` slot: no other key is named
-    ``scenario``, and a quote inside a JSON string is always escaped.
-    """
+def _save_sidecar(log: TrajectoryLog, path: Path) -> None:
+    """Write the sidecar of ``log``, scenario included, in one write: one JSON
+    dump of one dict, rendered per log."""
     meta = {
         "dt": log.dt,
         "t_trigger": log.timing.t_trigger,
         "t_critical": log.timing.t_critical,
-        "scenario": None,
+        "scenario": scenario_to_dict(log.scenario),
         "policy": dataclasses.asdict(log.policy) if log.policy else None,
         "collided": log.collided,
         "t_collision": log.t_collision,
         "complete": log.complete,
     }
-    text = json.dumps(meta, indent=2, sort_keys=True)
-    text = text.replace('"scenario": null', '"scenario": ' + scenario, 1)
-    sidecar_path(path).write_text(text + "\n")
+    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def sidecar_path(path: str | Path) -> Path:

@@ -38,14 +38,15 @@ One kernel steps every layer.  `_Batch` holds the layers of several
 members as arrays: all hull corners step in one ``axis_step`` call, and
 the rectangles, one integer array tagged with each rectangle's member,
 step elementwise, so a layer costs a fixed number of array operations
-however many members it holds.  The POV side of an area depends only on
-the POV state, its source (an axis-limit pair and a band or none, as a
-prediction mode names) and the vehicle specs: a POV track.  A `_Sweep`
-steps tracks and the SV passes pruned against them in lockstep.
+however many members it holds, and one ``layers`` call per step reads every
+member's layer.  The POV side of an area depends only on the POV state, its
+source (an axis-limit pair and a band or none, as a prediction mode names)
+and the vehicle specs: a POV track, which is its own key.  A `_Sweep` steps
+tracks and the SV passes pruned against them in lockstep.
 ``drivable_timelines`` evaluates a cohort in one sweep: its runs share one
 POV incursion, and every SV state is the same until the response starts,
-so it runs one track per distinct POV key and one pass per distinct SV
-state against it, and a pass leaves the sweep at its first empty layer.
+so it runs each distinct track once and one pass per distinct SV state
+against it, and a pass leaves the sweep at its first empty layer.
 ``compute_reachable_sets`` steps several unpruned sets as one batch, and
 ``compute_drivable_area``, ``compute_reachable_set`` and ``propagate_step``
 are the one-pass cases of the same kernel.  The keys are the frozen
@@ -217,7 +218,8 @@ class _Batch:
     no larger in each column, and clamping an edge is a maximum.  A member that
     owns no rectangle is empty, and its hull means nothing.  Each member's
     rectangles are a set (see `_tidied`) except while ``untidy``: a cut leaves
-    its pieces to the next step's tidy, and ``layer`` tidies a member it reads.
+    its pieces to the next step's tidy, and ``layers``, which reads every member
+    at once, reads a tidied copy.
     ``limits`` holds the members' x and y boxes as ``(2, 1, n)`` fields.
     """
 
@@ -256,22 +258,21 @@ class _Batch:
         return cls(np.repeat(point[:, :, None], 2, axis=2), rects, np.arange(len(states)),
                    dx, dy, limits)
 
-    def layer(self, m: int, tau: float) -> Layer:
-        """Member m's layer at ``tau``."""
-        lo, hi = np.searchsorted(self.owner, [m, m + 1])
-        if lo == hi:
-            return Layer(tau, self.dx, self.dy, (), None, None)
-        rects = self.rects[lo:hi]
-        if self.untidy:
-            rects, _ = _tidied(rects, self.owner[lo:hi])
-        x_hull, y_hull = (AxisInterval(*self.hull[:, axis, :, m].ravel().tolist())
-                          for axis in (0, 1))
-        return Layer(tau, self.dx, self.dy, tuple(map(tuple, (rects * _SIGNED).tolist())),
-                     x_hull, y_hull)
+    def layers(self, tau: float) -> list[Layer]:
+        """Every member's layer at ``tau``, in member order, from one read of the
+        rectangles and one of the hulls; an untidy batch reads a tidied copy."""
+        rects, owner = _tidied(self.rects, self.owner) if self.untidy else (self.rects, self.owner)
+        n = self.hull.shape[-1]
+        rows = list(map(tuple, (rects * _SIGNED).tolist()))
+        ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+        hulls = self.hull.transpose(3, 1, 0, 2).reshape(n, 2, 6).tolist()  # [member, axis]
+        return [Layer(tau, self.dx, self.dy, tuple(rows[start:end]),
+                      *((AxisInterval(*x), AxisInterval(*y)) if end > start else (None, None)))
+                for start, end, (x, y) in zip([0, *ends], ends, hulls)]
 
     def step(self, tau_step: float, clip: list[np.ndarray] | None = None) -> None:
         """One interval-arithmetic Euler step of every member under its boxes, then
-        the lateral clip ``clip`` of `clip_y` if given.
+        `clip_y` of ``clip``.
 
         Hull corners advance through the same clamped step rule as the
         simulator (a low corner under its axis's lowest jerk, a high corner
@@ -286,9 +287,6 @@ class _Batch:
         """
         p, v, a = self.hull
         hull = np.array(axis_step(p, v, a, self.jerk, self.limits, tau_step))
-        if np.count_nonzero(hull[:, :, 0] > hull[:, :, 1]):
-            for m in range(hull.shape[-1]):  # AxisInterval raises, naming the hull
-                [AxisInterval(*hull[:, axis, :, m].ravel().tolist()) for axis in (0, 1)]
         cells = _cells(hull[0], self.cell)  # [axis, corner, member]
         # Rounding can carry fl(p + tau * v) a cell past the exact-arithmetic
         # shift range (fl(-1e-300 + 0.25) = 0.25 leaves cell -1 for cell 1, not 0),
@@ -299,35 +297,28 @@ class _Batch:
         bound = cells * _CORNER_SIGN - _CORNER_HIGH  # the new hull's signed edge cells
         # per rectangle, its member's signed shifts, then the signed new hull cells
         edges = np.concatenate([shift, bound]).reshape(8, -1).T.astype(np.int64)[self.owner]
-        rects = np.maximum(self.rects + edges[:, :4], edges[:, 4:])
-        self.hull = hull
-        if clip is not None:
-            self._clip(rects, clip)
-        self.rects, self.owner = _tidied(rects, self.owner)
-        self.untidy = False
+        self.hull, self.rects = hull, np.maximum(self.rects + edges[:, :4], edges[:, 4:])
+        self.clip_y(clip)
 
-    def _clip(self, rects: np.ndarray, clip: list[np.ndarray]) -> None:
-        """`clip_y` of the hulls and, in place, of ``rects``, without tidying.  The
-        rectangles of a member whose hull leaves the band become empty, and its
-        hull stays as it was, so every hull stays in order."""
-        y_lo, y_hi, j_lo, j_hi = clip
-        p = self.hull[0, 1]  # [corner, member] lateral positions
-        # as Python's max(p, y_lo) and min(p, y_hi): on a tie the position stays
-        lo, hi = np.maximum(y_lo, p[0]), np.minimum(y_hi, p[1])
-        stays = lo <= hi
-        p[0], p[1] = np.where(stays, lo, p[0]), np.where(stays, hi, p[1])
-        rects[:, 2] = np.maximum(rects[:, 2], j_lo[self.owner])
-        rects[:, 3] = np.maximum(rects[:, 3], np.where(stays, -j_hi, -j_lo)[self.owner])
-
-    def clip_y(self, clip: list[np.ndarray]) -> None:
+    def clip_y(self, clip: list[np.ndarray] | None) -> None:
         """Clip each member's lateral hull to ``[y_lo, y_hi]`` and its rectangles to
         the cells ``j_lo <= iy < j_hi``, where ``clip`` holds the four per member
-        (see `_clip_bounds`).
+        (see `_clip_bounds`), unless it is None; then tidy.
 
         The continuous hull is clipped as well, so later rasterizations cannot
-        resurrect removed positions; a member whose hull leaves the band is empty.
+        resurrect removed positions.  A member whose hull leaves the band is empty,
+        and its hull stays as it was, so every hull stays in order.
         """
-        self._clip(self.rects, clip)
+        if clip is not None:
+            y_lo, y_hi, j_lo, j_hi = clip
+            p = self.hull[0, 1]  # [corner, member] lateral positions
+            # as Python's max(p, y_lo) and min(p, y_hi): on a tie the position stays
+            lo, hi = np.maximum(y_lo, p[0]), np.minimum(y_hi, p[1])
+            stays = lo <= hi
+            p[0], p[1] = np.where(stays, lo, p[0]), np.where(stays, hi, p[1])
+            rects, owner = self.rects, self.owner
+            rects[:, 2] = np.maximum(rects[:, 2], j_lo[owner])
+            rects[:, 3] = np.maximum(rects[:, 3], np.where(stays, -j_hi, -j_lo)[owner])
         self.rects, self.owner = _tidied(self.rects, self.owner)
         self.untidy = False
 
@@ -364,7 +355,7 @@ def propagate_step(layer: Layer, limits: tuple[AxisLimits, AxisLimits], tau_step
         return replace(layer, tau=layer.tau + tau_step)
     batch = _Batch.of_layers([layer], [limits])
     batch.step(tau_step)
-    return batch.layer(0, layer.tau + tau_step)
+    return batch.layers(layer.tau + tau_step)[0]
 
 
 def _clip_bounds(y_lo: float, y_hi: float, dy: float,
@@ -422,13 +413,13 @@ def compute_reachable_sets(states: list[VehicleState], limits: list[KinematicLim
     batch = _Batch.of_states(states, [axis_limits(lim, s.heading_sign)
                                       for s, lim in zip(states, limits, strict=True)],
                              config.grid_dx, config.grid_dy)
-    layers = [[batch.layer(m, 0.0)] for m in range(len(states))]
+    tau, steps = 0.0, [batch.layers(0.0)]
     for _ in range(config.n_steps):
         batch.step(config.tau_step)
-        for m, member in enumerate(layers):
-            member.append(batch.layer(m, member[-1].tau + config.tau_step))
-    return [ReachableSet(t=s.t, tau_step=config.tau_step, layers=member)
-            for s, member in zip(states, layers)]
+        tau += config.tau_step
+        steps.append(batch.layers(tau))
+    return [ReachableSet(t=s.t, tau_step=config.tau_step, layers=list(member))
+            for s, member in zip(states, zip(*steps))]
 
 
 def compute_reachable_set(state: VehicleState, limits: KinematicLimits,
@@ -519,9 +510,9 @@ class _Sweep:
         """Whether each pass's layer at k is non-empty."""
         return np.bincount(self.batch.owner, minlength=len(self.track_of))[self.n_tracks:] > 0
 
-    def layer(self, m: int) -> Layer:
-        """Member m's layer at k."""
-        return self.batch.layer(m, self.tau)
+    def layers(self) -> list[Layer]:
+        """Every member's layer at k."""
+        return self.batch.layers(self.tau)
 
 
 def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
@@ -539,11 +530,11 @@ def compute_drivable_area(sv_state: VehicleState, pov_state: VehicleState,
     track = _PovTrack(pov_state, *_pov_source(pov_state, mode, road, pov_spec, config),
                       sv_spec, pov_spec)
     sweep = _Sweep([(sv_state, 0, road)], [track], config)
-    sv_layers, pov_layers = [sweep.layer(1)], [sweep.layer(0)]
+    steps = [sweep.layers()]
     for _ in range(config.n_steps):
         sweep.advance()
-        sv_layers.append(sweep.layer(1))
-        pov_layers.append(sweep.layer(0))
+        steps.append(sweep.layers())
+    pov_layers, sv_layers = map(list, zip(*steps))
     return DrivableArea(layers=sv_layers, exists=not sv_layers[-1].empty, pov_layers=pov_layers)
 
 
@@ -609,14 +600,14 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
     """Timelines of a cohort's (log, window) runs, each distinct anchor evaluated once.
 
     Every anchor's ``exists`` is that of ``drivable_area_at``.  Anchors are
-    grouped by POV state, latched mode, road and specs; each group is one POV
-    track, of the source its mode names, with one SV pass per distinct SV
-    state.  One `_Sweep` steps every track and pass of the cohort until no
+    grouped by their POV track, the POV state with the source its latched mode
+    names and the specs, and each track has one SV pass per distinct SV state
+    and road.  One `_Sweep` steps every track and pass of the cohort until no
     pass is left (an empty layer stays empty) or the horizon is reached, and
     only the booleans are kept.
     """
     check_numbers("> 0", eval_step=eval_step)
-    tracks: dict[tuple, int] = {}  # (pov_state, mode, road, sv_spec, pov_spec) -> track
+    tracks: dict[_PovTrack, int] = {}
     passes: dict[tuple, int] = {}  # (sv_state, track, road), as `_Sweep` takes it -> pass
     anchored = []  # per run: anchor times, modes, the pass of each anchor
     for log, window in runs:
@@ -626,16 +617,14 @@ def drivable_timelines(runs: list[tuple[TrajectoryLog, tuple[float, float] | Non
         sc = log.scenario
         slots = []
         for i, mode in zip(samples, modes):
-            track = tracks.setdefault((log.pov_state(i), mode, sc.road, sc.sv_spec, sc.pov_spec),
-                                      len(tracks))
+            pov = log.pov_state(i)
+            source = _pov_source(pov, mode, sc.road, sc.pov_spec, config)
+            track = tracks.setdefault(_PovTrack(pov, *source, sc.sv_spec, sc.pov_spec), len(tracks))
             slots.append(passes.setdefault((log.sv_state(i), track, sc.road), len(passes)))
         anchored.append((np.asarray(anchors), modes, np.asarray(slots, dtype=np.intp)))
     exists = np.zeros(0, dtype=bool)
     if passes:  # else every window was empty
-        sweep = _Sweep(list(passes),
-                       [_PovTrack(pov, *_pov_source(pov, mode, road, pov_spec, config),
-                                  sv_spec, pov_spec)
-                        for pov, mode, road, sv_spec, pov_spec in tracks], config)
+        sweep = _Sweep(list(passes), list(tracks), config)
         while sweep.k < config.n_steps and sweep.passes_left():
             sweep.advance()
         exists = sweep.escapes()

@@ -79,7 +79,7 @@ def make_layer(tau, dx, dy, rects, x_hull, y_hull):
     batch = reach._Batch.of_layers([Layer(tau, dx, dy, tuple(rects), x_hull, y_hull)],
                                    [axis_limits(SV_LIMITS, 1)])
     batch.untidy = True
-    return batch.layer(0, tau)
+    return batch.layers(tau)[0]
 
 
 def world_cells(layer):

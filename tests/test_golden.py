@@ -14,8 +14,11 @@ The default 20-run config (seed 0) is simulated once per IL (-0.8, 0 and
   (whose SV layers hold up to 13 overlapping rectangles, so a change to
   how a snapshot lists or draws a layer's rectangles shows) and
   `reach compute --t 2.0 --horizon 8 --road-pruning off` on `run_000` at
-  IL -0.8 (908 rows, up to 27 rectangles per layer), are pinned in
-  `golden_pipeline.json`.
+  IL -0.8 (908 rows, up to 27 rectangles per layer), plus
+  `reach compute --grid-dx 0.25 --t 3.9` on `run_003` at IL +0.9 (whose
+  layers at tau 3.0 and 3.1 list their rectangles in another order if a cut
+  tidies its pieces at once rather than at the next step, so it pins the
+  order of a layer's rectangles), are pinned in `golden_pipeline.json`.
 
 A change that is meant to alter the outputs regenerates both fixtures with
 
@@ -39,9 +42,10 @@ PIPELINE_FIXTURE = Path(__file__).with_name("golden_pipeline.json")
 ILS = ("-0.8", "0.0", "0.9")
 RUN_IL = "0.0"  # IL of the single-run reach outputs
 RUN_KEY = f"run_000 at IL {RUN_IL}"
-# (IL, `reach compute` arguments) of the multi-rectangle snapshots of run_000
-SNAPSHOT = ("0.9", ("--t", "3.0"))
-WIDE_SNAPSHOT = ("-0.8", ("--t", "2.0", "--horizon", "8", "--road-pruning", "off"))
+# (IL, run, `reach compute` arguments) of the multi-rectangle snapshots
+SNAPSHOT = ("0.9", "run_000", ("--t", "3.0"))
+WIDE_SNAPSHOT = ("-0.8", "run_000", ("--t", "2.0", "--horizon", "8", "--road-pruning", "off"))
+ORDER_SNAPSHOT = ("0.9", "run_003", ("--grid-dx", "0.25", "--t", "3.9"))
 DENSE_STEP = "0.1"
 
 
@@ -53,8 +57,8 @@ def gen_key(il: str) -> str:
     return f"scenario gen --il {il}"
 
 
-def snapshot_key(il: str, args: tuple[str, ...]) -> str:
-    return f"reach compute {' '.join(args)} on run_000 at IL {il}"
+def snapshot_key(il: str, run: str, args: tuple[str, ...]) -> str:
+    return f"reach compute {' '.join(args)} on {run} at IL {il}"
 
 
 def digests(directory: Path) -> dict[str, str]:
@@ -100,9 +104,10 @@ def run_digests(cfg: str, logs: str, out: Path) -> dict[str, str]:
     return digests(out)
 
 
-def snapshot_digests(cfg: str, logs: str, out: Path, args: tuple[str, ...]) -> dict[str, str]:
-    """One drivable-area snapshot (CSV + SVG) of run_000 under `reach compute` ``args``."""
-    assert main(["reach", "compute", "--log", str(Path(logs) / "run_000.csv"), *args,
+def snapshot_digests(cfg: str, logs: str, out: Path, run: str,
+                     args: tuple[str, ...]) -> dict[str, str]:
+    """One drivable-area snapshot (CSV + SVG) of ``run`` under `reach compute` ``args``."""
+    assert main(["reach", "compute", "--log", str(Path(logs) / f"{run}.csv"), *args,
                  "--config", cfg, "--out", str(out)]) == 0
     return digests(out)
 
@@ -164,16 +169,23 @@ def test_run_reach_outputs_match_golden(simulated, tmp_path):
 
 
 def test_multi_rectangle_snapshot_matches_golden(simulated, tmp_path):
-    il, args = SNAPSHOT
-    expected = json.loads(PIPELINE_FIXTURE.read_text())[snapshot_key(il, args)]
-    assert snapshot_digests(*simulated(il), tmp_path, args) == expected
+    il, run, args = SNAPSHOT
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[snapshot_key(il, run, args)]
+    assert snapshot_digests(*simulated(il), tmp_path, run, args) == expected
 
 
 def test_wide_snapshot_matches_golden(simulated, tmp_path):
     """No corridor and twice the horizon: SV layers of up to 27 rectangles."""
-    il, args = WIDE_SNAPSHOT
-    expected = json.loads(PIPELINE_FIXTURE.read_text())[snapshot_key(il, args)]
-    assert snapshot_digests(*simulated(il), tmp_path, args) == expected
+    il, run, args = WIDE_SNAPSHOT
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[snapshot_key(il, run, args)]
+    assert snapshot_digests(*simulated(il), tmp_path, run, args) == expected
+
+
+def test_rectangle_order_snapshot_matches_golden(simulated, tmp_path):
+    """A finer grid, where the order in which a layer lists its rectangles shows."""
+    il, run, args = ORDER_SNAPSHOT
+    expected = json.loads(PIPELINE_FIXTURE.read_text())[snapshot_key(il, run, args)]
+    assert snapshot_digests(*simulated(il), tmp_path, run, args) == expected
 
 
 def test_fixture_changes_name_each_entry():
@@ -196,10 +208,10 @@ if __name__ == "__main__":
             pipeline[dense_key(il)] = dense_digests(cfg, logs, work / "dense")
             if il == RUN_IL:
                 pipeline[RUN_KEY] = run_digests(cfg, logs, work / "run")
-            for n, (snap_il, args) in enumerate((SNAPSHOT, WIDE_SNAPSHOT)):
+            for n, (snap_il, run, args) in enumerate((SNAPSHOT, WIDE_SNAPSHOT, ORDER_SNAPSHOT)):
                 if il == snap_il:
-                    pipeline[snapshot_key(il, args)] = snapshot_digests(
-                        cfg, logs, work / f"snapshot{n}", args)
+                    pipeline[snapshot_key(il, run, args)] = snapshot_digests(
+                        cfg, logs, work / f"snapshot{n}", run, args)
     for path, data in ((FIXTURE, golden), (PIPELINE_FIXTURE, pipeline)):
         old = json.loads(path.read_text()) if path.exists() else {}
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

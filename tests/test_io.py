@@ -441,8 +441,9 @@ def format_edges(log, group="controls", key="steer_deg", row=40):
 
 
 def run_across_block(log, group="sv", key="x"):
-    # A run of one value from 3 rows before a block boundary to 3 rows past it.
-    return with_value(log, group, key, io._SAVE_BLOCK_ROWS - 3, *[7.25] * 7)
+    # A run of one value over rows 253-259, across the edge of the 256-row blocks
+    # that `ref_log_text` formats.
+    return with_value(log, group, key, 253, *[7.25] * 7)
 
 
 def shifted_time(log, row=40):
@@ -517,7 +518,7 @@ def test_cohort_writer_matches_per_log_text(tmp_path, make):
 
 def ref_sidecar_text(log):
     """Text of one sidecar with its scenario rendered in place, as the cohort
-    writer, which renders each scenario once, must reproduce."""
+    writer must reproduce."""
     meta = {"dt": log.dt, "t_trigger": log.timing.t_trigger,
             "t_critical": log.timing.t_critical, "scenario": spec.scenario_to_dict(log.scenario),
             "policy": dataclasses.asdict(log.policy), "collided": log.collided,
@@ -542,7 +543,7 @@ def test_cohort_sidecars_match_per_log_rendering(tmp_path):
 
 def test_cohort_writer_memory_bound(tmp_path):
     # The default 20-run cohort at the paper's three ILs; the writer's
-    # transient arrays stay well under 4 MB (about 2.1 MB measured).
+    # transient arrays stay well under 4 MB (about 2.3 MB measured).
     for il in (-0.8, 0.0, 0.9):
         config = spec.default_run_config(il)
         scenario, timing = spec.config_scenario(config)

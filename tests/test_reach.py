@@ -72,14 +72,14 @@ def clip_y(layer, y_lo, y_hi, inside):
         return layer
     batch = reach._Batch.of_layers([layer], [SV_PAIR])
     batch.clip_y([np.array([b]) for b in reach._clip_bounds(y_lo, y_hi, layer.dy, inside)])
-    return batch.layer(0, layer.tau)
+    return batch.layers(layer.tau)[0]
 
 
 def pruned(layer, rect):
     """The kernel's cut of the world-cell rectangle ``rect`` from one non-empty layer."""
     batch = reach._Batch.of_layers([layer], [SV_PAIR])
     batch.cut(np.array([rect]))
-    return batch.layer(0, layer.tau)
+    return batch.layers(layer.tau)[0]
 
 
 def test_propagate_singleton_advance():
@@ -785,7 +785,7 @@ def test_layer_rectangles_are_a_set(rects, data):
     batch = reach._Batch.of_layers([Layer(0.0, 0.5, 0.25, tuple(r), hull, hull)
                                     for r in orders], [SV_PAIR] * len(orders))
     batch.untidy = True  # raw rectangles, as a cut leaves its pieces
-    layers = [batch.layer(m, 0.0) for m in range(len(orders))]
+    layers = batch.layers(0.0)
     for layer in layers:
         assert_minimal(layer)
         assert len(set(layer.rects)) == len(layer.rects)
@@ -959,9 +959,11 @@ def test_one_sweep_of_mixed_passes_equals_one_pass_areas():
     for k in range(CFG.n_steps + 1):
         if k:
             sweep.advance()
+        layers = sweep.layers()
+        assert len(layers) == len(tracks) + len(passes)
         for p, area in enumerate(areas):
-            assert sweep.layer(len(tracks) + p) == area.layers[k], (p, k)
-            assert sweep.layer(passes[p][1]) == area.pov_layers[k], (p, k)
+            assert layers[len(tracks) + p] == area.layers[k], (p, k)
+            assert layers[passes[p][1]] == area.pov_layers[k], (p, k)
         alive = [e is None or e > k for e in first_empty]
         assert sweep.escapes().tolist() == alive
         assert sweep.passes_left() == any(alive)
@@ -1168,7 +1170,7 @@ def test_pov_track_holds_only_boxes(il, mode):
         for k in range(CFG.n_steps + 1):
             if k:
                 sweep.advance()
-            layers = [sweep.layer(t) for t in range(len(tracks))]
+            layers = sweep.layers()
             for layer in layers:
                 assert len(layer.rects) == 1 or layer.empty, (i, k)
                 i0, i1, j0, j1 = pov_occupancy(layer, sc.pov_spec, sc.sv_spec)
