@@ -26,9 +26,8 @@ _EXPORTS = {
                      "compute_reachable_sets", "drivable_area_at", "drivable_timeline",
                      "drivable_timelines", "pov_occupancy", "propagate_step"), "reach"),
     **dict.fromkeys(("AnalysisWindow", "ResponseEvent", "SequenceGraph",
-                     "build_sequence_graph", "detect_responses", "lateral_state",
-                     "longitudinal_state", "response_times", "sv_longitudinal_accel",
-                     "window_for"), "responses"),
+                     "build_sequence_graph", "detect_responses", "response_times",
+                     "sv_longitudinal_accel", "window_for"), "responses"),
     **dict.fromkeys(("IncursionPath", "pov_state_at", "reference_lateral_at_tc",
                      "trigger_distance"), "scenario"),
     **dict.fromkeys(("KinematicLimits", "POV_LIMITS", "RoadSpec", "SV_LIMITS", "VehicleSpec",

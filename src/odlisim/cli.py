@@ -30,6 +30,7 @@ _OVERRIDES = {
     "seed": (None, {"type": int}),
     "il": ("scenario", {"type": float, "help": "incursion level override"}),
     "dt": ("analysis", {"type": float, "help": "simulation step override"}),
+    "eval-step": ("analysis", {"type": float, "help": "timeline anchor step override"}),
     "grid-dx": ("prediction", {"type": float}),
     "horizon": ("prediction", {"type": float}),
     "road-pruning": ("prediction", {"choices": ["corridor", "off"]}),
@@ -77,14 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    "reach_compute", _REACH)
     comp.add_argument("--log", required=True)
     comp.add_argument("--t", type=float, required=True, help="anchor time, s")
-    timeline = command(reach_p, "timeline", "drivable-area existence series",
-                       "reach_timeline", _REACH)
-    timeline.add_argument("--log", required=True)
-    timeline.add_argument("--eval-step", type=float)
-    agg = command(reach_p, "aggregate", "cohort drivable-area prevalence",
-                  "reach_aggregate", _REACH)
-    agg.add_argument("--logs", required=True)
-    agg.add_argument("--eval-step", type=float)
+    command(reach_p, "timeline", "drivable-area existence series",
+            "reach_timeline", (*_REACH, "eval-step")).add_argument("--log", required=True)
+    command(reach_p, "aggregate", "cohort drivable-area prevalence",
+            "reach_aggregate", (*_REACH, "eval-step")).add_argument("--logs", required=True)
 
     orc = sub.add_parser("oracle").add_subparsers(dest="subcommand", required=True)
     verify = command(orc, "verify", "sampling-based soundness certificate",

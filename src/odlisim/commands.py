@@ -40,12 +40,12 @@ def _window(log, config: dict) -> responses.AnalysisWindow:
     return responses.window_for(log, config["analysis"]["window_reaction_floor"])
 
 
-def _timelines(logs: list, config: dict, args) -> list[reach.Timeline]:
-    """Drivable-area timelines over the analysis windows at the requested step."""
-    step = args.eval_step if args.eval_step is not None else config["analysis"]["eval_step"]
+def _timelines(logs: list, config: dict) -> list[reach.Timeline]:
+    """Drivable-area timelines over the analysis windows at the configured step."""
     windows = [_window(log, config) for log in logs]
     runs = [(log, (w.t_begin, w.t_end)) for log, w in zip(logs, windows)]
-    return reach.drivable_timelines(runs, config_prediction(config), eval_step=step)
+    return reach.drivable_timelines(runs, config_prediction(config),
+                                   eval_step=config["analysis"]["eval_step"])
 
 
 def simulate(args, config: dict, out: Path) -> int:
@@ -117,7 +117,7 @@ def reach_compute(args, config: dict, out: Path) -> int:
 
 
 def reach_timeline(args, config: dict, out: Path) -> int:
-    timeline, = _timelines([_load_reach_log(args.log)], config, args)
+    timeline, = _timelines([_load_reach_log(args.log)], config)
     path = out / "timeline.csv"
     io.emit_timeline(timeline, path)
     print(f"wrote {path} ({int(timeline.exists.sum())}/{len(timeline.exists)} steps drivable)")
@@ -125,7 +125,7 @@ def reach_timeline(args, config: dict, out: Path) -> int:
 
 
 def reach_aggregate(args, config: dict, out: Path) -> int:
-    timelines = _timelines(_load_logs(args.logs, _load_reach_log), config, args)
+    timelines = _timelines(_load_logs(args.logs, _load_reach_log), config)
     prev = reach.aggregate_prevalence(
         timelines, n_boot=config["analysis"]["bootstrap_samples"], seed=config["seed"])
     path = out / "prevalence.csv"

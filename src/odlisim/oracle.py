@@ -55,11 +55,6 @@ class SampleCloud:
     def n_traj(self) -> int:
         return self.n + 4
 
-    def steps(self) -> Iterator[np.ndarray]:
-        """Each step's ``(6, n_traj)`` rows, in step order: the `walk` of this
-        cloud alone.  A row array may be overwritten once the next step is drawn."""
-        return (rows[:, 0] for rows in self.walk([self]))
-
     @staticmethod
     def walk(clouds: Sequence[SampleCloud]) -> Iterator[np.ndarray]:
         """Each step's ``(6, V, n_traj)`` rows of the V ``clouds``, stepped in lockstep.

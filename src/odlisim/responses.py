@@ -118,15 +118,6 @@ def _state_codes(steer, ax) -> np.ndarray:
             + np.select([ax >= SOFT_BRAKE_EDGE, ax >= HARD_BRAKE_EDGE], [0, 1], 2))
 
 
-def lateral_state(steer_deg: float) -> str:
-    return _STATES[_state_codes(steer_deg, 0.0)][0]
-
-
-def longitudinal_state(ax: float) -> str:
-    """Cruise/soft/hard braking bands; boundary values go to the milder state."""
-    return _STATES[_state_codes(0.0, ax)][1]
-
-
 def sv_longitudinal_accel(log: TrajectoryLog) -> np.ndarray:
     """SV longitudinal acceleration series for state discretization.
 

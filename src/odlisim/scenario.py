@@ -136,10 +136,6 @@ class IncursionPath:
         ay[on] = (ypp * tp - yp * tpp) / np.float_power(tp, 3)
         return y, vy, ay
 
-    def state(self, t: float) -> tuple[float, float, float]:
-        """(y, vy, ay) at time t: the one-sample case of `states`."""
-        return tuple(float(v[0]) for v in self.states([t]))
-
 
 def pov_x_at_trigger(spec: ScenarioSpec, timing: ScenarioTiming) -> float:
     """POV reference x at t_T that realizes the trigger bumper gap.
@@ -161,7 +157,7 @@ def pov_state_at(t: float, spec: ScenarioSpec, timing: ScenarioTiming,
     if path is None:
         path = IncursionPath(spec, timing)
     x = x_pov_at_trigger - spec.v_pov * (t - timing.t_trigger)
-    y, vy, ay = path.state(t)
+    y, vy, ay = (float(v[0]) for v in path.states([t]))
     return VehicleState(t=t, x=x, y=y, vx=-spec.v_pov, vy=vy, ax=0.0, ay=ay,
                         heading_sign=POV_SIGN)
 

@@ -385,10 +385,11 @@ def load_run_config(path: str | Path) -> dict:
 def checked_run_config(config, path: str | Path) -> dict:
     """A copy of ``config`` with omitted keys filled from their fallbacks.
 
-    Every format error is a ParseError naming ``path`` and, for a bad value,
-    its key; a bad scenario, policy or prediction fails as the spec it builds
-    does.  ``load_run_config`` checks what it reads this way, and
-    ``scenario gen`` what it writes.
+    Every format error is a ParseError naming ``path`` and, for a bad value or
+    a top-level or ``analysis`` key the format does not name, its key; a bad
+    scenario, policy or prediction fails as the spec it builds does.
+    ``load_run_config`` checks what it reads this way, and ``scenario gen``
+    what it writes.
     """
     where = f"run config {path}"
     if not isinstance(config, dict):
@@ -396,6 +397,12 @@ def checked_run_config(config, path: str | Path) -> dict:
     for section in _CONFIG_SECTIONS:
         if not isinstance(config.get(section), dict):
             raise ParseError(f"{where}: section {section!r} is missing or not an object")
+    for prefix, keys, known in (("", config, (*_TOP_RULES, "policies", *_CONFIG_SECTIONS)),
+                                ("analysis.", config["analysis"],
+                                 (*_ANALYSIS_RULES, *_FIXED_ANALYSIS))):
+        for key in keys:
+            if key not in known:
+                raise ParseError(f"{where}: {prefix}{key} is not a run-config key")
     for key, fixed in _FIXED_ANALYSIS.items():
         value = config["analysis"].get(key, fixed)
         if value != fixed:
@@ -404,7 +411,9 @@ def checked_run_config(config, path: str | Path) -> dict:
     config = {**_FALLBACKS[None], **config}
     for key, rule in _TOP_RULES.items():
         config[key] = _checked(where, key, config[key], rule)
-    config["scenario"] = {**_FALLBACKS["scenario"], **config["scenario"]}
+    scenario = config["scenario"] = {**_FALLBACKS["scenario"], **config["scenario"]}
+    scenario["t_trigger"] = _checked(where, "scenario.t_trigger", scenario["t_trigger"],
+                                     _NON_NEGATIVE)
     policies = config.get("policies", [])
     if not (isinstance(policies, list) and all(isinstance(p, dict) for p in policies)):
         raise ParseError(f"{where}: policies must be a list of objects")

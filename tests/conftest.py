@@ -100,7 +100,7 @@ def bounding_box(layer):
 
 def cloud_states(cloud):
     """float [n_traj, n_steps + 1, 6]: copies of a cloud's step rows, stacked."""
-    return np.stack([s.copy() for s in cloud.steps()]).transpose(2, 0, 1)
+    return np.stack([rows[:, 0].copy() for rows in cloud.walk([cloud])]).transpose(2, 0, 1)
 
 
 @dataclass
@@ -119,9 +119,6 @@ class RowsCloud:
     @property
     def n_steps(self):
         return self.states.shape[1] - 1
-
-    def steps(self):
-        return iter(self.states.transpose(1, 2, 0))
 
     @staticmethod
     def walk(clouds):

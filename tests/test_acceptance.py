@@ -61,7 +61,7 @@ def test_criterion_2_incursion_level_geometry():
                                          "road": type(scenario.road)(lane_width=lane_width)})
             timing = default_timing(scenario)
             path = IncursionPath(scenario, timing)
-            y_tc = path.state(timing.t_critical)[0]
+            y_tc = path.states([timing.t_critical])[0][0]
             want = reference_lateral_at_tc(il, lane_width)
             err = abs(y_tc - want)
             worst = max(worst, err)

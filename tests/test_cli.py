@@ -344,17 +344,26 @@ def test_log_errors_name_the_file(tmp_path, capsys, edit, message):
     assert not out.exists()  # no file, and no directory left behind
 
 
+_EVAL_STEP_CASES = [(command, source, step) for step in ("0", "nan", "inf", "-inf")
+                    for command, source in (("timeline", "--log"), ("aggregate", "--logs"))]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--seed", "-1"], "seed = -1 must be an integer >= 0"),
     (["simulate", "--dt", "nan"], "analysis.dt = nan must be a finite number > 0"),
     (["oracle", "verify", "--dt", "0"], "analysis.dt = 0.0 must be a finite number > 0"),
     (["reach", "aggregate", "--logs", "{out}", "--seed", "-1"],
      "seed = -1 must be an integer >= 0"),
-], ids=["simulate --seed", "simulate --dt", "oracle verify --dt", "reach aggregate --seed"])
+    *((["reach", command, source, "{out}", f"--eval-step={step}"],
+       f"analysis.eval_step = {float(step)!r} must be a finite number > 0")
+      for command, source, step in _EVAL_STEP_CASES),
+], ids=["simulate --seed", "simulate --dt", "oracle verify --dt", "reach aggregate --seed",
+        *(f"reach {command} --eval-step {step}" for command, _, step in _EVAL_STEP_CASES)])
 def test_override_flags_checked_before_any_output(tmp_path, capsys, argv, message):
     """An override flag is held to the rules of the key it sets before anything is
     written: before, simulate --seed -1 failed in numpy naming no flag and left an
-    empty output directory."""
+    empty output directory, and a NaN or infinite --eval-step failed only in the
+    reach kernel."""
     cfg_path = small_config(tmp_path)
     out = tmp_path / "out"
     argv = [a.format(out=out) for a in argv]
@@ -363,38 +372,6 @@ def test_override_flags_checked_before_any_output(tmp_path, capsys, argv, messag
         "error": "ParseError",
         "message": f"run config {cfg_path} with its override flags: {message}"}
     assert not out.exists()
-
-
-def test_reach_rejects_zero_eval_step(tmp_path, capsys):
-    cfg_path = small_config(tmp_path)
-    out = tmp_path / "out"
-    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
-    capsys.readouterr()
-    log = str(sorted(out.glob("run_*.csv"))[0])
-    for source in (("timeline", "--log", log), ("aggregate", "--logs", str(out))):
-        assert run_cli("reach", *source, "--config", str(cfg_path),
-                       "--out", str(out), "--eval-step", "0") == 1
-        assert json_error(capsys) == {"error": "ValueError",
-                                      "message": "eval_step must be positive and finite, "
-                                                 "got 0.0"}
-    assert not (out / "timeline.csv").exists() and not (out / "prevalence.csv").exists()
-
-
-def test_reach_rejects_non_finite_eval_step(tmp_path, capsys):
-    """A NaN or infinite step is an error, not one anchor per run."""
-    cfg_path = small_config(tmp_path)
-    out = tmp_path / "out"
-    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
-    capsys.readouterr()
-    log = str(sorted(out.glob("run_*.csv"))[0])
-    for step in ("nan", "inf", "-inf"):
-        for source in (("timeline", "--log", log), ("aggregate", "--logs", str(out))):
-            assert run_cli("reach", *source, "--config", str(cfg_path),
-                           "--out", str(out), f"--eval-step={step}") == 1
-            assert json_error(capsys) == {
-                "error": "ValueError",
-                "message": f"eval_step must be positive and finite, got {float(step)}"}
-    assert not (out / "timeline.csv").exists() and not (out / "prevalence.csv").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--grid-dx", "inf"), ("--grid-dx", "nan"),
@@ -501,8 +478,11 @@ def test_oracle_verify_below_one_keeps_its_report(tmp_path, monkeypatch):
     ["oracle", "verify", "--road-pruning", "off"],
     ["simulate", "--horizon", "3.0"],
     ["scenario", "gen", "--config", "{cfg}"],
+    ["scenario", "gen", "--eval-step", "0.5"],
+    ["reach", "compute", "--log", "{out}", "--t", "3.0", "--eval-step", "0.5"],
 ], ids=["reach aggregate --il", "analyze responses --grid-dx", "oracle verify --road-pruning",
-        "simulate --horizon", "scenario gen --config"])
+        "simulate --horizon", "scenario gen --config", "scenario gen --eval-step",
+        "reach compute --eval-step"])
 def test_command_rejects_flag_it_does_not_read(tmp_path, capsys, argv):
     """An override a command would ignore is a usage error, not a silent no-op."""
     cfg_path = small_config(tmp_path)
@@ -542,6 +522,26 @@ def test_omitted_config_key_means_its_fallback(tmp_path, key, fallback):
     del section[key]
     spec.save_run_config(config, cfg_path)
     assert pipeline_outputs(cfg_path, tmp_path / "omitted") == held
+
+
+def test_t_trigger_checked_at_load(tmp_path, capsys):
+    """A negative scenario.t_trigger fails at load naming the key, before any output:
+    before, simulate wrote its logs and the commands that read them failed on an
+    analysis window outside the log.  A trigger at t = 0 runs every command."""
+    cfg_path = small_config(tmp_path)
+    config = spec.load_run_config(cfg_path)
+    config["scenario"]["t_trigger"] = 0.0
+    spec.save_run_config(config, cfg_path)
+    assert pipeline_outputs(cfg_path, tmp_path / "zero")
+    config["scenario"]["t_trigger"] = -1
+    spec.save_run_config(config, cfg_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert json_error(capsys) == {
+        "error": "ParseError",
+        "message": f"run config {cfg_path}: scenario.t_trigger = -1 must be a finite number >= 0"}
+    assert not out.exists()
 
 
 def test_omitted_output_dir_means_out(tmp_path, monkeypatch):

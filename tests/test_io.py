@@ -665,6 +665,20 @@ def test_config_analysis_value_checked(tmp_path, key, bad):
         spec.load_run_config(path)
 
 
+@pytest.mark.parametrize("key", ["sede", "analysis.eval_stpe", "analysis.delay_jiter"])
+def test_config_unknown_key_named(tmp_path, key):
+    """A top-level or analysis key the format does not name fails at load naming it:
+    before, a misspelled key was dropped and the run read the fallback in its place."""
+    config = spec.default_run_config()
+    *section, name = key.split(".")
+    (config[section[0]] if section else config)[name] = 1
+    path = tmp_path / "config.json"
+    spec.save_run_config(config, path)
+    with pytest.raises(spec.ParseError,
+                       match=re.escape(f"run config {path}: {key} is not a run-config key")):
+        spec.load_run_config(path)
+
+
 @pytest.mark.parametrize("bad", [-1, 1.5, "7", None])
 def test_config_seed_checked(tmp_path, bad):
     config = dict(spec.default_run_config(), seed=bad)

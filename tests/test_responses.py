@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_log
 from odlisim.engine import OUTCOMES
 from odlisim.responses import (AnalysisWindow, ResponseEvent, SequenceGraph,
-                               build_sequence_graph, detect_responses, lateral_state,
-                               longitudinal_state, response_times, run_states,
-                               sv_longitudinal_accel)
+                               build_sequence_graph, detect_responses, response_times,
+                               run_states, sv_longitudinal_accel)
 
 
 def step_signal(t, t_on, before, after):
@@ -106,25 +105,35 @@ def test_response_times_empty():
     assert rt.initial_reaction is None and rt.evasive_response is None
 
 
+def state_of(steer=0.0, ax=0.0):
+    """The one (lateral, longitudinal) state `run_states` reads in a window over which
+    the steering angle and ax hold these values.  The first sample, before the window,
+    logs ax 0, so a NaN ax is read as logged, not derived from vx."""
+    log = make_log(controls={"steer_deg": steer},
+                   sv={"ax": lambda t: np.where(t < 1.0, 0.0, ax)})
+    states = run_states(log, AnalysisWindow(1.4, 6.0))
+    assert len(states) == 1
+    return states[0]
+
+
 def test_lateral_state_thresholds():
-    assert lateral_state(0.0) == "no-steering"
-    assert lateral_state(-5.0) == "steer-shoulder"
-    assert lateral_state(5.0) == "steer-center"
-    assert lateral_state(4.99) == "no-steering"
+    assert state_of(steer=0.0)[0] == "no-steering"
+    assert state_of(steer=-5.0)[0] == "steer-shoulder"
+    assert state_of(steer=5.0)[0] == "steer-center"
+    assert state_of(steer=4.99)[0] == "no-steering"
 
 
 def test_longitudinal_state_bands():
-    assert longitudinal_state(0.0) == "cruising"
-    assert longitudinal_state(-2.0) == "soft-braking"
-    assert longitudinal_state(-4.5) == "hard-braking"
+    assert state_of(ax=0.0)[1] == "cruising"
+    assert state_of(ax=-2.0)[1] == "soft-braking"
+    assert state_of(ax=-4.5)[1] == "hard-braking"
     # boundary values go to the milder state
-    assert longitudinal_state(-1.0) == "cruising"
-    assert longitudinal_state(-4.0) == "soft-braking"
+    assert state_of(ax=-1.0)[1] == "cruising"
+    assert state_of(ax=-4.0)[1] == "soft-braking"
 
 
 def test_state_of_nan():
-    assert lateral_state(math.nan) == "no-steering"
-    assert longitudinal_state(math.nan) == "hard-braking"
+    assert state_of(steer=math.nan, ax=math.nan) == ("no-steering", "hard-braking")
 
 
 def ref_lateral_state(steer):

@@ -34,10 +34,9 @@ def test_path_boundary_conditions_all_ils():
         spec = make_scenario(il)
         timing = default_timing(spec)
         path = IncursionPath(spec, timing)
-        y0, vy0, _ = path.state(timing.t_trigger)
+        (y0, y1), (vy0, _), _ = path.states([timing.t_trigger, timing.t_critical])
         assert y0 == pytest.approx(spec.road.lane_width / 2)
         assert vy0 == pytest.approx(0.0, abs=1e-9)
-        y1, _, _ = path.state(timing.t_critical)
         assert y1 == pytest.approx(
             reference_lateral_at_tc(il, spec.road.lane_width), abs=1e-9)
 
@@ -46,11 +45,11 @@ def test_steep_terminal_heading_continues_left():
     spec = make_scenario(-0.8)
     timing = default_timing(spec)
     path = IncursionPath(spec, timing)
-    _, vy_tc, _ = path.state(timing.t_critical)
+    t_c = timing.t_critical
+    (_, y_late, y_edge), (vy_tc, _, _), _ = path.states(
+        [t_c, t_c + 1.0, t_c + spec.edge_reach_after])
     assert vy_tc < 0
-    y_late, _, _ = path.state(timing.t_critical + 1.0)
     assert y_late < path.y_end  # keeps crossing toward the shoulder
-    y_edge, _, _ = path.state(timing.t_critical + spec.edge_reach_after)
     assert y_edge == pytest.approx(-spec.road.lane_width)
 
 
@@ -58,9 +57,8 @@ def test_shallow_terminal_heading_straight():
     spec = make_scenario(0.9)
     timing = default_timing(spec)
     path = IncursionPath(spec, timing)
-    _, vy_tc, _ = path.state(timing.t_critical)
+    (_, y_late), (vy_tc, vy_late), _ = path.states([timing.t_critical, timing.t_critical + 2.0])
     assert vy_tc == pytest.approx(0.0, abs=1e-9)
-    y_late, vy_late, _ = path.state(timing.t_critical + 2.0)
     assert y_late == pytest.approx(path.y_end)
     assert vy_late == 0.0
 
@@ -72,8 +70,7 @@ def test_path_c1_continuity():
         path = IncursionPath(spec, timing)
         eps = 1e-6
         for t_knot in (timing.t_trigger, timing.t_critical):
-            y_m, vy_m, _ = path.state(t_knot - eps)
-            y_p, vy_p, _ = path.state(t_knot + eps)
+            (y_m, y_p), (vy_m, vy_p), _ = path.states([t_knot - eps, t_knot + eps])
             assert y_p - y_m == pytest.approx(0.0, abs=1e-4)
             assert vy_p - vy_m == pytest.approx(0.0, abs=1e-3)
 
@@ -83,14 +80,11 @@ def test_path_derivatives_match_finite_differences():
     timing = default_timing(spec)
     path = IncursionPath(spec, timing)
     eps = 1e-5
-    for t in np.linspace(timing.t_trigger + 0.1, timing.t_critical - 0.1, 17):
-        y_m = path.state(t - eps)[0]
-        y_p = path.state(t + eps)[0]
-        _, vy, ay = path.state(t)
-        assert vy == pytest.approx((y_p - y_m) / (2 * eps), abs=1e-5)
-        vy_m = path.state(t - eps)[1]
-        vy_p = path.state(t + eps)[1]
-        assert ay == pytest.approx((vy_p - vy_m) / (2 * eps), abs=1e-4)
+    t = np.linspace(timing.t_trigger + 0.1, timing.t_critical - 0.1, 17)
+    (y_m, vy_m, _), (y_p, vy_p, _) = path.states(t - eps), path.states(t + eps)
+    _, vy, ay = path.states(t)
+    assert vy == pytest.approx((y_p - y_m) / (2 * eps), abs=1e-5)
+    assert ay == pytest.approx((vy_p - vy_m) / (2 * eps), abs=1e-4)
 
 
 def test_monotone_incursion():
@@ -99,8 +93,8 @@ def test_monotone_incursion():
         timing = default_timing(spec)
         path = IncursionPath(spec, timing)
         ts = np.linspace(timing.t_trigger, timing.t_critical, 400)
-        ys = [path.state(t)[0] for t in ts]
-        assert all(b <= a + 1e-12 for a, b in zip(ys, ys[1:]))
+        ys = path.states(ts)[0]
+        assert np.all(ys[1:] <= ys[:-1] + 1e-12)
 
 
 def test_pov_state_pre_trigger_and_at_tc():
@@ -161,8 +155,8 @@ def test_scripted_lateral_accel_diagnostic():
         peak, admissible = check_path_lateral_accel(spec, timing, POV_LIMITS)
         path = IncursionPath(spec, timing)
         gap = timing.t_critical - timing.t_trigger
-        ay = [path.state(timing.t_trigger + gap * i / 500)[2] for i in range(501)]
-        assert peak == max(map(abs, ay)) > 0
+        ay = path.states(timing.t_trigger + gap * np.arange(501) / 500)[2]
+        assert peak == np.abs(ay).max() > 0
         assert min(ay) < 0 and not admissible
     # Under a box that admits both signs, the same paths are admissible.
     wide = replace(POV_LIMITS, a_lat_right_max=4.0)
@@ -229,8 +223,10 @@ def test_track_states_bit_identical_to_scalar_newton(il, mode, f0, f1_frac, dt, 
     got = np.array(path.states(t))
     want = np.array([ref_state(path, tk) for tk in t.tolist()]).T
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert path.state(timing.t_trigger) == ref_state(path, timing.t_trigger)
-    assert path.state(timing.t_critical) == ref_state(path, timing.t_critical)
+    x_trig = pov_x_at_trigger(spec, timing)
+    for tk in (timing.t_trigger, timing.t_critical):
+        pov = pov_state_at(tk, spec, timing, x_trig, path)
+        assert (pov.y, pov.vy, pov.ay) == ref_state(path, tk)
 
 
 def test_float_power_matches_python_pow():
